@@ -1,6 +1,7 @@
 //! Failure-rate estimation cost: the exhaustive first-passage estimator
 //! and the paper's G-sample Monte-Carlo variant over varying history
-//! lengths, plus the launch-delay precomputation.
+//! lengths, plus the launch-delay precomputation and the single sweep
+//! (`bid_profile`) that yields both.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ec2_market::failure::FailureEstimator;
@@ -32,6 +33,9 @@ fn bench_estimators(c: &mut Criterion) {
 
     c.bench_function("expected_launch_delay", |b| {
         b.iter(|| est.expected_launch_delay(std::hint::black_box(0.028)))
+    });
+    c.bench_function("bid_profile", |b| {
+        b.iter(|| est.bid_profile(std::hint::black_box(0.05), 24))
     });
     c.bench_function("expected_spot_price_table_build", |b| {
         b.iter(|| {

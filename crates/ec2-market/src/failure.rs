@@ -7,6 +7,11 @@
 //! implement both that Monte-Carlo estimator (seeded, reproducible) and the
 //! exhaustive all-start-points estimator it converges to.
 //!
+//! Every exhaustive quantity of one `(group, bid)` — the first-passage
+//! counts behind `f_i(P, t)` and the expected launch delay — comes out of
+//! one backward sweep over the circular history,
+//! [`FailureEstimator::bid_profile`].
+//!
 //! The expected spot price `S_i(P)` is the mean of historical prices at or
 //! below the bid (Section 3.2.1), precomputed here with a sorted prefix-sum
 //! table so bid-price sweeps are O(log n) per query.
@@ -180,6 +185,41 @@ impl FailureCounts {
     }
 }
 
+/// Everything the history says about one `(group, bid)`, from one sweep:
+/// the exhaustive first-passage counts (truncatable to any horizon up to
+/// the recorded one, see [`FailureCounts::to_fn`]) and the expected
+/// launch delay. Built by [`FailureEstimator::bid_profile`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BidProfile {
+    counts: FailureCounts,
+    launch_delay: Hours,
+}
+
+impl BidProfile {
+    /// The integer first-passage counts.
+    pub fn counts(&self) -> &FailureCounts {
+        &self.counts
+    }
+
+    /// Expected launch delay in hours, bit-identical to
+    /// [`FailureEstimator::expected_launch_delay`].
+    pub fn launch_delay(&self) -> Hours {
+        self.launch_delay
+    }
+}
+
+/// Totals of one [`FailureEstimator`] sweep (the bucket counts go to the
+/// caller's slice).
+struct Sweep {
+    /// Weighted admissible starts that outlived the recorded horizon.
+    survived: u64,
+    /// Weighted admissible starts.
+    used: u64,
+    /// Σ over every sample of the distance (in samples) to the next
+    /// admissible one; `None` when no sample is admissible.
+    delay_steps: Option<u64>,
+}
+
 /// Precomputed `S_i(P)` table: expected spot price given the bid, plus the
 /// instant launch probability.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -203,7 +243,12 @@ impl ExpectedSpotPrice {
         Self { sorted, prefix_sum }
     }
 
-    fn count_at_or_below(&self, bid: Usd) -> usize {
+    /// Number of historical samples at or below `bid` — the start points
+    /// a launch at `bid` admits. Two bids with equal counts admit exactly
+    /// the same samples (no price lies between them), so every quantity
+    /// derived from the history — failure counts, launch delay, `S_i(P)`
+    /// — is identical for both.
+    pub fn count_at_or_below(&self, bid: Usd) -> usize {
         self.sorted.partition_point(|&p| p <= bid)
     }
 
@@ -320,32 +365,8 @@ impl FailureEstimator {
     /// covers the whole history; the full window duration when the bid
     /// never admits a launch.
     pub fn expected_launch_delay(&self, bid: Usd) -> Hours {
-        let n = self.prices.len();
-        if n == 0 {
-            return 0.0;
-        }
-        // Walk backwards over the circular history, carrying the distance
-        // to the next admissible sample — O(n) total.
-        let mut dist = vec![u32::MAX; n];
-        // Two passes over the circle to resolve wrap-around.
-        let mut next: Option<usize> = None;
-        for pass in 0..2 {
-            for i in (0..n).rev() {
-                if self.prices[i] <= bid {
-                    next = Some(i);
-                }
-                if let Some(j) = next {
-                    let d = if j >= i { j - i } else { j + n - i };
-                    dist[i] = dist[i].min(d as u32);
-                }
-            }
-            let _ = pass;
-        }
-        if dist.contains(&u32::MAX) {
-            return self.step_hours * n as f64;
-        }
-        let total: f64 = dist.iter().map(|&d| d as f64).sum();
-        total / n as f64 * self.step_hours
+        // A zero horizon records no buckets: the sweep's launch delay alone.
+        self.bid_profile(bid, 0).launch_delay
     }
 
     /// Exhaustive estimator: every sample of the history serves as a start
@@ -356,8 +377,9 @@ impl FailureEstimator {
     /// semantics: "if the bid price is higher than the spot price, the
     /// instance can be successfully launched; otherwise it waits".
     pub fn failure_rate_exact(&self, bid: Usd, horizon_hours: usize) -> FailureRateFn {
-        let starts = 0..self.prices.len();
-        self.estimate(bid, horizon_hours, starts)
+        self.bid_profile(bid, horizon_hours)
+            .counts
+            .to_fn(horizon_hours)
     }
 
     /// Exhaustive first-passage counts at `bid` over `horizon_hours`,
@@ -366,17 +388,55 @@ impl FailureEstimator {
     /// counts reusable across shrinking horizons without re-walking the
     /// history.
     pub fn failure_counts(&self, bid: Usd, horizon_hours: usize) -> FailureCounts {
-        let starts = 0..self.prices.len();
-        let (buckets, survived, used) = self.count(bid, horizon_hours, starts);
-        FailureCounts {
-            bid,
-            buckets,
-            survived,
-            used,
+        assert!(horizon_hours > 0, "horizon must be positive");
+        self.bid_profile(bid, horizon_hours).counts
+    }
+
+    /// One backward sweep over the circular history at `bid`: the
+    /// exhaustive first-passage counts recorded at `horizon_hours` and the
+    /// expected launch delay, together. Every exhaustive quantity —
+    /// [`failure_rate_exact`](Self::failure_rate_exact),
+    /// [`failure_counts`](Self::failure_counts),
+    /// [`expected_launch_delay`](Self::expected_launch_delay) — is read
+    /// off this profile, bit for bit.
+    ///
+    /// O(n) and allocation-free apart from the `horizon_hours` bucket
+    /// counters it returns (a zero horizon records none). The launch-delay
+    /// distances are summed as a `u64`, which equals a left-to-right `f64`
+    /// sum bit for bit while the total stays below 2^53.
+    ///
+    /// ```
+    /// use ec2_market::failure::FailureEstimator;
+    /// use ec2_market::trace::SpotTrace;
+    ///
+    /// let trace = SpotTrace::new(1.0, vec![9.0, 9.0, 0.1, 9.0]);
+    /// let est = FailureEstimator::from_window(trace.window(0.0, 4.0));
+    /// let profile = est.bid_profile(0.5, 2);
+    /// assert_eq!(profile.launch_delay(), est.expected_launch_delay(0.5));
+    /// assert_eq!(profile.counts().to_fn(2), est.failure_rate_exact(0.5, 2));
+    /// ```
+    pub fn bid_profile(&self, bid: Usd, horizon_hours: usize) -> BidProfile {
+        let mut buckets = vec![0u64; horizon_hours];
+        let n = self.prices.len();
+        let sweep = self.sweep(bid, &mut buckets, |_| 1);
+        let launch_delay = match sweep.delay_steps {
+            None => self.step_hours * n as f64,
+            Some(total) => total as f64 / n as f64 * self.step_hours,
+        };
+        BidProfile {
+            counts: FailureCounts {
+                bid,
+                buckets,
+                survived: sweep.survived,
+                used: sweep.used,
+            },
+            launch_delay,
         }
     }
 
     /// The paper's Monte-Carlo estimator with `g` random start points.
+    /// Runs the same sweep as [`bid_profile`](Self::bid_profile), each
+    /// start weighted by how often it was drawn.
     pub fn failure_rate_sampled(
         &self,
         bid: Usd,
@@ -385,25 +445,93 @@ impl FailureEstimator {
         seed: u64,
     ) -> FailureRateFn {
         assert!(g > 0, "need at least one sample");
+        assert!(horizon_hours > 0, "horizon must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.prices.len();
-        let starts: Vec<usize> = (0..g).map(|_| rng.gen_range(0..n)).collect();
-        self.estimate(bid, horizon_hours, starts.into_iter())
+        let mut draws = vec![0u64; n];
+        for _ in 0..g {
+            draws[rng.gen_range(0..n)] += 1;
+        }
+        let mut buckets = vec![0u64; horizon_hours];
+        let sweep = self.sweep(bid, &mut buckets, |i| draws[i]);
+        Self::finish(bid, horizon_hours, buckets, sweep.survived, sweep.used)
     }
 
-    fn estimate(
-        &self,
-        bid: Usd,
-        horizon_hours: usize,
-        starts: impl Iterator<Item = usize>,
-    ) -> FailureRateFn {
-        let (buckets, survived, used) = self.count(bid, horizon_hours, starts);
-        Self::finish(bid, horizon_hours, buckets, survived, used)
+    /// The sweep behind every estimate. Walks the history once backwards,
+    /// carrying the next sample above the bid and the next admissible one
+    /// (at or below it), both seeded across the wrap-around; `weight(i)`
+    /// is how many times start `i` counts.
+    /// A start `s` that admits a launch fails at the first sample strictly
+    /// after it above the bid, `k` steps ahead, and lands in hour bucket
+    /// `(k − 1) / samples_per_hour`, or survives when `k` exceeds the
+    /// recorded horizon or no sample is above the bid.
+    fn sweep(&self, bid: Usd, buckets: &mut [u64], weight: impl Fn(usize) -> u64) -> Sweep {
+        let n = self.prices.len();
+        match self.expected.count_at_or_below(bid) {
+            0 => {
+                return Sweep {
+                    survived: 0,
+                    used: 0,
+                    delay_steps: None,
+                }
+            }
+            admitted if admitted == n => {
+                // Nothing is above the bid: every start survives and every
+                // request launches at once.
+                let all: u64 = (0..n).map(weight).sum();
+                return Sweep {
+                    survived: all,
+                    used: all,
+                    delay_steps: Some(0),
+                };
+            }
+            _ => {}
+        }
+        let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
+        let horizon_samples = buckets.len() * samples_per_hour;
+
+        // Both classes occur. Sample 0 belongs to one; the first sample of
+        // the other ends the opening run. Seen from the last sample, the
+        // next occurrence of each class is its first one, one lap later.
+        let above0 = self.prices[0] > bid;
+        let split = self.prices[1..]
+            .iter()
+            .position(|&p| (p > bid) != above0)
+            .map_or(n, |j| j + 1);
+        let (first_above, first_admitted) = if above0 { (0, split) } else { (split, 0) };
+        let mut next_above = first_above + n;
+        let mut next_admitted = first_admitted + n;
+
+        let (mut survived, mut used, mut delay_steps) = (0u64, 0u64, 0u64);
+        for i in (0..n).rev() {
+            if self.prices[i] > bid {
+                delay_steps += (next_admitted - i) as u64;
+                next_above = i;
+            } else {
+                next_admitted = i;
+                let w = weight(i);
+                used += w;
+                let k = next_above - i;
+                if k <= horizon_samples {
+                    let hour = ((k - 1) / samples_per_hour).min(buckets.len() - 1);
+                    buckets[hour] += w;
+                } else {
+                    survived += w;
+                }
+            }
+        }
+        Sweep {
+            survived,
+            used,
+            delay_steps: Some(delay_steps),
+        }
     }
 
-    /// The shared counting core of `estimate`/`failure_counts`: integer
-    /// bucket counts, survivors, and usable starts.
-    fn count(
+    /// A two-pass distance carry, independent of `bid_profile`'s single
+    /// seeded pass: integer bucket counts, survivors, and usable starts for
+    /// the given start points. A test reference.
+    #[cfg(test)]
+    fn count_by_carry(
         &self,
         bid: Usd,
         horizon_hours: usize,
@@ -417,9 +545,7 @@ impl FailureEstimator {
         // Distance (in samples) from each index to the first sample at or
         // after it (circularly) whose price strictly exceeds the bid;
         // `u32::MAX` when the bid is never exceeded. Same two-pass backward
-        // carry as `expected_launch_delay`, so the whole precompute is O(n)
-        // — it replaces an O(horizon) probe loop *per start point*, which
-        // made `failure_rate_exact` O(n · horizon).
+        // carry as `launch_delay_by_carry`.
         let mut dist = vec![u32::MAX; n];
         let mut next: Option<usize> = None;
         for _pass in 0..2 {
@@ -444,8 +570,7 @@ impl FailureEstimator {
             used += 1;
             // The first strictly-after-`s` sample above the bid is
             // `dist[(s+1) % n] + 1` steps ahead — exactly the `k` the
-            // replaced linear probe found, so the integer bucket counts are
-            // bit-identical to the scan (kept below as a test reference).
+            // linear probe of `estimate_by_scan` finds.
             let k = match dist[(s + 1) % n] {
                 u32::MAX => usize::MAX,
                 d => d as usize + 1,
@@ -461,9 +586,50 @@ impl FailureEstimator {
         (buckets, survived, used)
     }
 
+    /// A two-pass launch-delay carry that sums the distances as `f64`,
+    /// left to right; `bid_profile`'s `u64` sum must match it bit for bit.
+    /// A test reference.
+    #[cfg(test)]
+    fn launch_delay_by_carry(&self, bid: Usd) -> Hours {
+        let n = self.prices.len();
+        let mut dist = vec![u32::MAX; n];
+        let mut next: Option<usize> = None;
+        for _pass in 0..2 {
+            for i in (0..n).rev() {
+                if self.prices[i] <= bid {
+                    next = Some(i);
+                }
+                if let Some(j) = next {
+                    let d = if j >= i { j - i } else { j + n - i };
+                    dist[i] = dist[i].min(d as u32);
+                }
+            }
+        }
+        if dist.contains(&u32::MAX) {
+            return self.step_hours * n as f64;
+        }
+        let total: f64 = dist.iter().map(|&d| d as f64).sum();
+        total / n as f64 * self.step_hours
+    }
+
+    /// The naive launch delay: from every sample, probe forward (around
+    /// the circle) for the first admissible one. O(n²); a test reference.
+    #[cfg(test)]
+    fn launch_delay_by_scan(&self, bid: Usd) -> Hours {
+        let n = self.prices.len();
+        let mut total = 0.0;
+        for i in 0..n {
+            match (0..n).find(|&d| self.prices[(i + d) % n] <= bid) {
+                Some(d) => total += d as f64,
+                None => return self.step_hours * n as f64,
+            }
+        }
+        total / n as f64 * self.step_hours
+    }
+
     /// The original per-start probe loop, retained verbatim as the
-    /// reference implementation the O(n) carry rewrite is differentially
-    /// tested against.
+    /// reference implementation the sweep is differentially tested
+    /// against.
     #[cfg(test)]
     fn estimate_by_scan(
         &self,
@@ -668,10 +834,10 @@ mod tests {
 
     #[test]
     fn carry_estimate_matches_scan_reference() {
-        // The O(n) distance-carry rewrite must reproduce the original
-        // O(n·horizon) probe loop bit for bit — same integer bucket counts,
-        // so the same float divisions. Exercise generated traces (sub-hour
-        // steps, wrap-around) and degenerate hand traces at several bids.
+        // The sweep must reproduce the O(n·horizon) probe loop and the
+        // two-pass carry bit for bit — same integer bucket counts, so the
+        // same float divisions. Exercise generated traces (sub-hour steps,
+        // wrap-around) and degenerate hand traces at several bids.
         let gen = crate::tracegen::TraceGenConfig::preset(
             0.05,
             crate::tracegen::ZoneVolatility::Volatile,
@@ -684,26 +850,134 @@ mod tests {
             estimator(&[9.0, 9.0, 0.1, 9.0, 0.1, 0.1], 0.5),
         ];
         for e in &estimators {
+            let n = e.prices.len();
             let max = e.max_price();
             for bid in [0.0, 0.05, 0.09, 0.3, max, max * 2.0] {
                 for horizon in [1usize, 7, 24, 400] {
-                    let fast = e.estimate(bid, horizon, 0..e.prices.len());
-                    let slow = e.estimate_by_scan(bid, horizon, 0..e.prices.len());
+                    let fast = e.failure_rate_exact(bid, horizon);
+                    let slow = e.estimate_by_scan(bid, horizon, 0..n);
                     assert_eq!(fast, slow, "bid {bid} horizon {horizon}");
+                    let (buckets, survived, used) = e.count_by_carry(bid, horizon, 0..n);
+                    let counts = e.failure_counts(bid, horizon);
+                    assert_eq!(
+                        (&counts.buckets, counts.survived, counts.used),
+                        (&buckets, survived, used)
+                    );
                 }
             }
-            // Sampled start points go through the same code path.
+            // Sampled start points go through the same sweep, weighted.
             let fast = e.failure_rate_sampled(0.08, 12, 200, 5);
             let slow = e.estimate_by_scan(0.08, 12, {
                 use rand::rngs::StdRng;
                 use rand::{Rng, SeedableRng};
                 let mut rng = StdRng::seed_from_u64(5);
-                let n = e.prices.len();
                 let starts: Vec<usize> = (0..200).map(|_| rng.gen_range(0..n)).collect();
                 starts.into_iter()
             });
             assert_eq!(fast, slow);
         }
+    }
+
+    /// Bitwise equality of two failure-rate functions (stricter than
+    /// `PartialEq`, which lets `-0.0 == 0.0` pass).
+    fn assert_fn_bits(a: &FailureRateFn, b: &FailureRateFn, label: &str) {
+        assert_eq!(a.bid().to_bits(), b.bid().to_bits(), "{label}: bid");
+        assert_eq!(
+            a.survival().to_bits(),
+            b.survival().to_bits(),
+            "{label}: survival"
+        );
+        let bits = |f: &FailureRateFn| f.buckets().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{label}: buckets");
+    }
+
+    /// Differential check of one history: at every bid of interest —
+    /// each distinct price exactly, midway between neighbours, below the
+    /// minimum and above the maximum — the profile's counts match the
+    /// per-start probe at every horizon, and its launch delay matches the
+    /// naive O(n²) scan and the two-pass carry bit for bit.
+    fn check_profile_against_references(e: &FailureEstimator, label: &str) {
+        let n = e.prices.len();
+        let mut levels = e.prices.clone();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let mut bids = vec![levels[0] * 0.5 - 1.0, levels[levels.len() - 1] * 2.0 + 1.0];
+        for (i, &p) in levels.iter().enumerate() {
+            bids.push(p);
+            if let Some(&q) = levels.get(i + 1) {
+                bids.push((p + q) / 2.0);
+            }
+        }
+        for &bid in &bids {
+            let delay = e.bid_profile(bid, 0).launch_delay();
+            let naive = e.launch_delay_by_scan(bid);
+            assert_eq!(delay.to_bits(), naive.to_bits(), "{label} bid {bid}: delay");
+            assert_eq!(
+                delay.to_bits(),
+                e.launch_delay_by_carry(bid).to_bits(),
+                "{label} bid {bid}: delay vs carry"
+            );
+            assert_eq!(delay.to_bits(), e.expected_launch_delay(bid).to_bits());
+            for horizon in [1usize, 2, 5, 24, 97] {
+                let profile = e.bid_profile(bid, horizon);
+                assert_eq!(profile.launch_delay().to_bits(), delay.to_bits());
+                let scan = e.estimate_by_scan(bid, horizon, 0..n);
+                let tag = format!("{label} bid {bid} horizon {horizon}");
+                assert_fn_bits(&profile.counts().to_fn(horizon), &scan, &tag);
+                assert_fn_bits(&e.failure_rate_exact(bid, horizon), &scan, &tag);
+                // Truncation from a longer recording is exact too.
+                let long = e.bid_profile(bid, horizon + 13);
+                assert_fn_bits(&long.counts().to_fn(horizon), &scan, &tag);
+                assert_eq!(profile.counts().used, e.count_by_carry(bid, 1, 0..n).2);
+            }
+        }
+    }
+
+    #[test]
+    fn bid_profile_matches_scan_on_seeded_random_traces() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..40 {
+            let n = rng.gen_range(1..200);
+            // Few distinct levels, so many prices tie with a tested bid.
+            let levels = rng.gen_range(1..6);
+            let prices: Vec<f64> = (0..n)
+                .map(|_| 0.01 * (1 + rng.gen_range(0..levels)) as f64)
+                .collect();
+            let step = [1.0, 0.5, 1.0 / 12.0][case % 3];
+            check_profile_against_references(&estimator(&prices, step), &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn bid_profile_matches_scan_on_edge_cases() {
+        let mut spike_at_end = vec![0.1; 30];
+        spike_at_end[29] = 5.0;
+        spike_at_end[0] = 5.0;
+        let mut sub_hour = vec![0.1; 40];
+        sub_hour[13] = 9.0;
+        sub_hour[27] = 9.0;
+        let cases: [(&str, Vec<f64>, f64); 8] = [
+            ("single sample", vec![0.3], 1.0),
+            ("single sample, sub-hour", vec![0.3], 1.0 / 12.0),
+            ("all equal", vec![0.2; 9], 1.0),
+            ("wrap-around spikes", spike_at_end, 1.0),
+            ("sub-hour steps", sub_hour, 1.0 / 12.0),
+            ("alternating", [0.1, 0.9].repeat(11), 0.5),
+            ("spike first only", [vec![4.0], vec![0.1; 10]].concat(), 1.0),
+            ("spike last only", [vec![0.1; 10], vec![4.0]].concat(), 1.0),
+        ];
+        for (label, prices, step) in &cases {
+            check_profile_against_references(&estimator(prices, *step), label);
+        }
+        // Every price above the bid, every price at or below it, and a
+        // bid exactly equal to the only price level.
+        let e = estimator(&[0.2; 9], 1.0);
+        assert_eq!(e.bid_profile(0.1, 4).counts().used, 0);
+        assert_eq!(e.bid_profile(0.1, 4).launch_delay(), 9.0);
+        assert_eq!(e.bid_profile(0.2, 4).counts().to_fn(4).survival(), 1.0);
+        assert_eq!(e.bid_profile(0.2, 4).launch_delay(), 0.0);
     }
 
     #[test]

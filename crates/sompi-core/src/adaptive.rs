@@ -509,10 +509,10 @@ pub struct ViewFingerprint {
 }
 
 impl ViewFingerprint {
-    /// Digest a view. Cost: one failure-rate estimation per group (at a
-    /// single probe bid), versus `bid_levels` of them per group for a
-    /// full re-optimization. Walks the view's own estimators, so it never
-    /// hits an unknown-group lookup.
+    /// Digest a view. Cost: one bid-profile sweep per group (at a single
+    /// probe bid, giving both the survival and the launch delay), versus
+    /// one per grid bid for a full re-optimization. Walks the view's own
+    /// estimators, so it never hits an unknown-group lookup.
     pub fn digest(view: &MarketView) -> Self {
         let entries = view
             .estimators()
@@ -525,7 +525,8 @@ impl ViewFingerprint {
                 // log₂ grid, where failure rates move fastest when the
                 // price distribution drifts.
                 let probe = max_bid * 0.5;
-                let f = est.failure_rate_exact(probe, FINGERPRINT_PROBE_HORIZON);
+                let profile = est.bid_profile(probe, FINGERPRINT_PROBE_HORIZON);
+                let f = profile.counts().to_fn(FINGERPRINT_PROBE_HORIZON);
                 let prices = est.expected_spot_price();
                 (
                     id,
@@ -533,7 +534,7 @@ impl ViewFingerprint {
                         prices.min_price(),
                         prices.mean_below(f64::INFINITY).unwrap_or(0.0),
                         max_bid,
-                        est.expected_launch_delay(probe),
+                        profile.launch_delay(),
                         f.survival(),
                     ],
                 )

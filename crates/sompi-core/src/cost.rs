@@ -52,7 +52,7 @@ use crate::error::SompiError;
 use crate::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
 use crate::view::MarketView;
 use crate::{Hours, Usd};
-use ec2_market::failure::FailureEstimator;
+use ec2_market::failure::{BidProfile, FailureEstimator};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for probability-mass conservation: `survival + Σ fail_buckets`
@@ -109,23 +109,46 @@ impl GroupAssessment {
         Ok(Self::assess_with(group, decision, est))
     }
 
-    /// [`GroupAssessment::assess`] with the estimator already in hand.
+    /// [`GroupAssessment::assess`] with the estimator already in hand:
+    /// one [`FailureEstimator::bid_profile`] sweep at the decision's
+    /// bid.
     pub fn assess_with(
         group: CircleGroup,
         decision: GroupDecision,
         est: &FailureEstimator,
     ) -> Option<Self> {
         let expected_price = est.expected_spot_price().mean_below(decision.bid)?;
-        let f = est.failure_rate_exact(decision.bid, assessment_horizon(&group, &decision));
+        let profile = est.bid_profile(decision.bid, assessment_horizon(&group, &decision));
+        Some(Self::from_profile(
+            group,
+            decision,
+            expected_price,
+            &profile,
+        ))
+    }
+
+    /// Build the assessment from a bid profile recorded at a horizon of at
+    /// least [`assessment_horizon`]: the counts truncate to that horizon
+    /// exactly, so the result equals [`GroupAssessment::assess_with`]'s
+    /// bit for bit.
+    pub(crate) fn from_profile(
+        group: CircleGroup,
+        decision: GroupDecision,
+        expected_price: Usd,
+        profile: &BidProfile,
+    ) -> Self {
+        let f = profile
+            .counts()
+            .to_fn(assessment_horizon(&group, &decision));
         let survival = f.survival();
-        Some(Self::from_parts(
+        Self::from_parts(
             group,
             decision,
             expected_price,
             survival,
             f.into_buckets(),
-            est.expected_launch_delay(decision.bid),
-        ))
+            profile.launch_delay(),
+        )
     }
 
     /// Build an assessment from raw parts, restoring probability-mass
@@ -314,6 +337,182 @@ impl GroupAssessment {
         }
         self.hourly_cost() * (self.survival * surv_hours + fail_hours)
     }
+
+    /// This option's tables for [`candidate_cost_floor`]: its
+    /// [`GroupAssessment::cost_lower_bound`] at every whole-hour cap, and
+    /// the tail of its remaining-work ratio on a fixed grid. O(T) to
+    /// build. An option with a negative or non-finite failure bucket or
+    /// billed floor gets an unusable floor: no candidate holding it is
+    /// bounded.
+    pub(crate) fn cost_floor(&self) -> CostFloor {
+        let mut max_floor = 0usize;
+        for (&p, &f) in self.fail_buckets.iter().zip(&self.billed_floor_at_bucket) {
+            if !(p.is_finite() && p >= 0.0 && (0.0..=MAX_FLOOR_HOURS).contains(&f)) {
+                return CostFloor {
+                    usable: false,
+                    wall: 0.0,
+                    delay: 0.0,
+                    run_wall_ceil: 0.0,
+                    hourly: 0.0,
+                    survival: 0.0,
+                    prob_fail: 0.0,
+                    fail_hours: vec![0.0],
+                    tail: [0.0; TAIL_POINTS],
+                };
+            }
+            max_floor = max_floor.max(f as usize);
+        }
+        // Failure mass and billed mass per whole billed hour, then
+        // fail_hours[c] = Σ_{f<c} f·mass[f] + c·Σ_{f≥c} mass[f]
+        // = Σ_t p_t·min(floor_t, c). Both running sums add nonnegative
+        // terms only.
+        let mut mass = vec![0.0; max_floor + 1];
+        let mut billed = vec![0.0; max_floor + 1];
+        for (&p, &f) in self.fail_buckets.iter().zip(&self.billed_floor_at_bucket) {
+            mass[f as usize] += p;
+            billed[f as usize] += p * f;
+        }
+        let mut fail_hours = vec![0.0; max_floor + 1];
+        let mut above = 0.0;
+        for c in (0..=max_floor).rev() {
+            above += mass[c];
+            fail_hours[c] = above;
+        }
+        let mut below = 0.0;
+        for c in 0..=max_floor {
+            fail_hours[c] = below + c as f64 * fail_hours[c];
+            below += billed[c];
+        }
+
+        // tail[i] = P[ratio ≥ (i+1)/TAIL_POINTS | fail]. TAIL_POINTS is a
+        // power of two, so `ratio · TAIL_POINTS` is exact and its floor
+        // is the number of grid points at or below the ratio.
+        let mut tail = [0.0; TAIL_POINTS];
+        let pf = self.prob_fail();
+        if pf > 0.0 {
+            let mut cells = [0.0; TAIL_POINTS + 1];
+            for (&p, &r) in self.fail_buckets.iter().zip(&self.ratio_at_bucket) {
+                let cell = (r * TAIL_POINTS as f64)
+                    .floor()
+                    .clamp(0.0, TAIL_POINTS as f64);
+                cells[cell as usize] += p;
+            }
+            let mut acc = 0.0;
+            for i in (0..TAIL_POINTS).rev() {
+                acc += cells[i + 1];
+                tail[i] = acc / pf;
+            }
+        }
+
+        CostFloor {
+            usable: true,
+            wall: self.completion_wall(),
+            delay: self.launch_delay,
+            run_wall_ceil: self.run_wall().ceil(),
+            hourly: self.hourly_cost(),
+            survival: self.survival,
+            prob_fail: pf,
+            fail_hours,
+            tail,
+        }
+    }
+}
+
+/// Points of the remaining-work grid a [`CostFloor`] samples. A power of
+/// two, so a ratio's grid cell is computed exactly.
+const TAIL_POINTS: usize = 32;
+
+/// Billed floors above this many hours get no [`CostFloor`] (its table
+/// has one entry per hour).
+const MAX_FLOOR_HOURS: f64 = 1e6;
+
+/// Slack subtracted from the bounded `E[min Ratio]` before it is ceiled
+/// into on-demand hours: the evaluator's value carries rounding error
+/// from its differences of products, orders of magnitude below this.
+const RATIO_SLACK: f64 = 1e-9;
+
+/// Relative slack on [`candidate_cost_floor`]: the floor and the
+/// evaluator add their nonnegative terms in different orders, so their
+/// rounding differs by a few ulps per term — orders of magnitude below
+/// this even at the evaluator's 16-group limit.
+const FLOOR_SLACK: f64 = 1e-9;
+
+/// One option's share of [`candidate_cost_floor`]: built once per option
+/// by [`GroupAssessment::cost_floor`], read in O(1) plus one grid row per
+/// candidate.
+#[derive(Debug, Clone)]
+pub(crate) struct CostFloor {
+    usable: bool,
+    wall: Hours,
+    delay: Hours,
+    run_wall_ceil: Hours,
+    hourly: Usd,
+    survival: f64,
+    prob_fail: f64,
+    /// `fail_hours[c]` = `Σ_t p_t·min(billed_floor_t, c)` for whole hours
+    /// `c`; the last entry holds for every larger `c`.
+    fail_hours: Vec<f64>,
+    /// `tail[i]` = `P[remaining ratio ≥ (i+1)/TAIL_POINTS | fail]`; zeros
+    /// when the group cannot fail.
+    tail: [f64; TAIL_POINTS],
+}
+
+impl CostFloor {
+    /// [`GroupAssessment::cost_lower_bound`] at `w_min`, by table lookup.
+    fn lower_bound(&self, w_min: Hours) -> Usd {
+        let cap = (w_min - self.delay).max(0.0).ceil();
+        let fail = self.fail_hours[(cap as usize).min(self.fail_hours.len() - 1)];
+        self.hourly * (self.survival * cap.min(self.run_wall_ceil) + fail)
+    }
+}
+
+/// A lower bound on the `E[Cost]` [`evaluate`] returns for the candidate
+/// made of `floors`' options — no greater than it, rounding included — in
+/// O(K · TAIL_POINTS) instead of an evaluation. `-∞` when any floor is
+/// unusable.
+///
+/// It sums two admissible parts (DESIGN.md §8.5):
+///
+/// * the per-group [`GroupAssessment::cost_lower_bound`]s at the
+///   smallest completion wall among the candidate's options that can
+///   complete (`survival > 0`), which bound every spot-billing term: a
+///   pattern whose completing set holds an option that cannot complete
+///   has probability 0, so every other pattern's winner wall `w*` is at
+///   least that wall (∞ when no option can complete: then only the
+///   all-fail pattern remains, billed its uncapped floors);
+/// * `p_all_fail` times the on-demand recovery cost at a lower bound of
+///   `E[min_j Ratio_j | all fail]`: that expectation is the integral of
+///   `Π_j P[Ratio_j ≥ r]` over `r ∈ [0, 1]`, each factor is nonincreasing
+///   in `r`, so the right-endpoint sum over the grid never exceeds it.
+pub(crate) fn candidate_cost_floor<'a>(
+    floors: impl Iterator<Item = &'a CostFloor> + Clone,
+    od: &OnDemandOption,
+) -> Usd {
+    if floors.clone().any(|f| !f.usable) {
+        return f64::NEG_INFINITY;
+    }
+    let w_min = floors
+        .clone()
+        .filter(|f| f.survival > 0.0)
+        .map(|f| f.wall)
+        .fold(f64::INFINITY, f64::min);
+    let mut spot = 0.0;
+    let mut p0 = 1.0;
+    let mut joint = [1.0; TAIL_POINTS];
+    for f in floors {
+        spot += f.lower_bound(w_min);
+        p0 *= f.prob_fail;
+        for (j, t) in joint.iter_mut().zip(&f.tail) {
+            *j *= t;
+        }
+    }
+    let mut floor = spot;
+    if p0 > 0.0 {
+        let e_min_ratio = joint.iter().sum::<f64>() / TAIL_POINTS as f64;
+        let od_hours = od.exec_hours * (e_min_ratio - RATIO_SLACK) + od.recovery_hours;
+        floor += p0 * (od_hours.ceil() * od.unit_price * od.instances as f64);
+    }
+    floor * (1.0 - FLOOR_SLACK)
 }
 
 /// Result of evaluating a plan under the cost model.
@@ -696,9 +895,7 @@ pub fn evaluate_with_scratch(
 }
 
 /// The hourly horizon a group is assessed over: its full wall-clock
-/// completion time under the decision's checkpoint interval. Shared with
-/// the warm-start table cache so cached counts serve the exact horizon the
-/// cold path would have used.
+/// completion time under the decision's checkpoint interval.
 pub fn assessment_horizon(group: &CircleGroup, decision: &GroupDecision) -> usize {
     group
         .completion_wall_hours(decision.ckpt_interval)
@@ -1250,6 +1447,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn candidate_cost_floor_never_exceeds_the_evaluation() {
+        // Skewed failure mass, launch delays and survivals from certain
+        // death to certain completion, over every candidate of up to
+        // three options: the floor must stay at or below the evaluated
+        // cost bit for bit, and never below the per-slot bound it adds to.
+        let skewed = |t: Hours, s: f64, price: f64, interval: Hours, delay: Hours, decay: f64| {
+            let g = group(t);
+            let horizon = g.completion_wall_hours(interval).ceil().max(1.0) as usize;
+            let weights: Vec<f64> = (0..horizon).map(|i| decay.powi(i as i32)).collect();
+            let total: f64 = weights.iter().sum();
+            GroupAssessment::from_parts(
+                g,
+                GroupDecision {
+                    bid: 1.0,
+                    ckpt_interval: interval,
+                },
+                price,
+                s,
+                weights.iter().map(|w| w / total * (1.0 - s)).collect(),
+                delay,
+            )
+        };
+        let pool = [
+            skewed(6.0, 0.0, 0.1, 1.5, 0.0, 0.7),
+            skewed(9.5, 0.02, 0.2, 9.5, 0.4, 1.3),
+            skewed(4.0, 0.5, 0.05, 1.0, 1.2, 0.9),
+            skewed(3.0, 1.0, 0.3, 0.75, 0.0, 1.0),
+            skewed(12.0, 0.3, 0.08, 2.0, 2.5, 1.1),
+            skewed(2.0, 0.0, 0.4, 2.0, 0.1, 0.5),
+        ];
+        let floors: Vec<CostFloor> = pool.iter().map(GroupAssessment::cost_floor).collect();
+        let odo = od();
+        let mut candidates: Vec<Vec<usize>> = (0..pool.len()).map(|i| vec![i]).collect();
+        for i in 0..pool.len() {
+            for j in 0..pool.len() {
+                candidates.push(vec![i, j]);
+                for k in 0..pool.len() {
+                    candidates.push(vec![i, j, k]);
+                }
+            }
+        }
+        let mut tighter = 0;
+        for c in &candidates {
+            let refs: Vec<&GroupAssessment> = c.iter().map(|&i| &pool[i]).collect();
+            let cost = evaluate(&refs, &odo).expected_cost;
+            let floor = candidate_cost_floor(c.iter().map(|&i| &floors[i]), &odo);
+            assert!(floor <= cost, "floor {floor} > cost {cost} for {c:?}");
+            let w_min = refs
+                .iter()
+                .map(|g| g.completion_wall())
+                .fold(f64::INFINITY, f64::min);
+            let per_slot: f64 = refs.iter().map(|g| g.cost_lower_bound(w_min)).sum();
+            assert!(
+                floor >= per_slot * (1.0 - 1e-8),
+                "floor {floor} < per-slot {per_slot} for {c:?}"
+            );
+            tighter += (floor > per_slot * (1.0 + 1e-6)) as usize;
+        }
+        // The on-demand share lifts the floor whenever every group can fail.
+        assert!(
+            tighter * 2 > candidates.len(),
+            "{tighter} of {}",
+            candidates.len()
+        );
+    }
+
+    #[test]
+    fn cost_floor_table_matches_the_per_slot_bound() {
+        let a = assessment(5.0, 0.4, 0.1, 1.25);
+        let floor = a.cost_floor();
+        for w in [0.0, 0.3, 1.0, 2.5, 5.0, 5.2, 40.0] {
+            let direct = a.cost_lower_bound(w);
+            let table = floor.lower_bound(w);
+            assert!(
+                (direct - table).abs() <= 1e-12 * direct.max(1.0),
+                "w {w}: {direct} vs {table}"
+            );
+        }
+    }
+
+    #[test]
+    fn unusable_cost_floor_bounds_nothing() {
+        let mut a = assessment(2.0, 0.5, 0.1, 2.0);
+        a.fail_buckets[0] = f64::NAN;
+        let floor = a.cost_floor();
+        assert_eq!(
+            candidate_cost_floor(std::iter::once(&floor), &od()),
+            f64::NEG_INFINITY
+        );
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //! so the lower one is dropped before any subset is enumerated.
 
 use crate::cost::{evaluate, Evaluation, GroupAssessment};
-use crate::logsearch::BidGrid;
-use crate::model::{GroupDecision, Plan};
+use crate::model::Plan;
 use crate::ondemand::select_on_demand;
-use crate::phi::optimal_interval_for;
 use crate::problem::Problem;
-use crate::twolevel::{GridKind, OptimizerConfig};
+use crate::twolevel::{assess_group, OptimizerConfig};
 use crate::view::MarketView;
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +36,8 @@ use serde::{Deserialize, Serialize};
 /// tie-breaks among survivors are unchanged too.
 ///
 /// Callers must pass options in bid-descending order (the order
-/// [`BidGrid`] produces), so a dominator always precedes its victims.
+/// [`BidGrid`](crate::logsearch::BidGrid) produces), so a dominator
+/// always precedes its victims.
 pub fn collapse_bid_dominated(opts: &mut Vec<GroupAssessment>) -> u64 {
     let mut kept = 0usize;
     for i in 0..opts.len() {
@@ -73,44 +72,27 @@ pub fn frontier(problem: &Problem, view: &MarketView, config: OptimizerConfig) -
     // choice only shifts the whole frontier).
     let od = select_on_demand(&problem.on_demand, f64::MAX, config.slack);
 
-    // Assess candidates once per (group, bid). A candidate the view has
-    // no history for simply contributes no options (and so no frontier
-    // points) instead of aborting the whole curve.
-    let mut options: Vec<Vec<GroupAssessment>> = Vec::new();
-    for group in &problem.candidates {
-        let mut opts = Vec::new();
-        if let Ok(est) = view.try_estimator(group.id) {
-            let max_bid = est.max_price();
-            if max_bid.is_finite() && max_bid > 0.0 {
-                let min_price = est.expected_spot_price().min_price().max(1e-6);
-                let span = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
-                let levels = span.min(config.bid_levels.max(2));
-                let mut grid = match config.grid {
-                    GridKind::Logarithmic => BidGrid::logarithmic(max_bid, levels),
-                    GridKind::Uniform => BidGrid::uniform(max_bid, levels),
-                };
-                if let Some(m) = config.top_margin {
-                    grid = grid.with_top_margin(m);
-                }
-                for &bid in grid.bids() {
-                    let interval = optimal_interval_for(group, bid, est);
-                    let decision = GroupDecision {
-                        bid,
-                        ckpt_interval: interval,
-                    };
-                    if let Some(a) = GroupAssessment::assess_with(*group, decision, est) {
-                        opts.push(a);
-                    }
-                }
-                // Exact and output-invariant here too: collapsed duplicates
-                // produce identical (E[Time], E[Cost]) points, and the kept
-                // (higher-bid) twin enumerates first anyway, so the stable
-                // non-dominated filter below returns the same frontier.
-                collapse_bid_dominated(&mut opts);
-            }
-        }
-        options.push(opts);
-    }
+    // Assess candidates once per (group, bid), exactly as the two-level
+    // optimizer does, at φ(P) and without a deadline (the frontier spans
+    // every deadline). The bid collapse is exact and output-invariant
+    // here too: collapsed duplicates produce identical (E[Time], E[Cost])
+    // points, and the kept (higher-bid) twin enumerates first anyway, so
+    // the stable non-dominated filter below returns the same frontier. A
+    // candidate the view has no history for simply contributes no options
+    // (and so no frontier points) instead of aborting the whole curve.
+    let assess = OptimizerConfig {
+        interval_grid: None,
+        prune_dominance: true,
+        ..config
+    };
+    let options: Vec<Vec<GroupAssessment>> = problem
+        .candidates
+        .iter()
+        .map(|group| match view.try_estimator(group.id) {
+            Ok(est) => assess_group(group, est, &assess, f64::INFINITY, None).options,
+            Err(_) => Vec::new(),
+        })
+        .collect();
 
     // Collect every evaluated configuration (pure OD + k-subsets).
     let mut points: Vec<ParetoPoint> = vec![ParetoPoint {
@@ -275,7 +257,7 @@ mod tests {
 
     #[test]
     fn collapse_drops_only_lower_bid_twins() {
-        use crate::model::CircleGroup;
+        use crate::model::{CircleGroup, GroupDecision};
         use ec2_market::market::CircleGroupId;
         use ec2_market::zone::AvailabilityZone;
 

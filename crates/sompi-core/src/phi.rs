@@ -16,7 +16,7 @@ use crate::error::SompiError;
 use crate::model::CircleGroup;
 use crate::view::MarketView;
 use crate::{Hours, Usd};
-use ec2_market::failure::FailureEstimator;
+use ec2_market::failure::{FailureCounts, FailureEstimator};
 
 /// Compute `φ_i(P_i)`: the checkpoint interval for `group` at bid `bid`.
 ///
@@ -39,19 +39,24 @@ pub fn optimal_interval(
 }
 
 /// [`optimal_interval`] with the group's estimator already in hand —
-/// infallible, and the form the warm-started optimizer uses so a cached
-/// failure table can stand in for the estimator walk.
+/// infallible; one [`FailureEstimator::bid_profile`] sweep.
 pub fn optimal_interval_for(group: &CircleGroup, bid: Usd, est: &FailureEstimator) -> Hours {
+    interval_from_counts(group, est.bid_profile(bid, phi_horizon(group)).counts())
+}
+
+/// `φ_i(P_i)` from a bid's first-passage counts, recorded at a horizon of
+/// at least [`phi_horizon`]. The counts truncate exactly, so the result
+/// equals [`optimal_interval_for`]'s bit for bit; the optimizer derives φ
+/// this way from the one profile it sweeps per `(group, bid)`.
+pub(crate) fn interval_from_counts(group: &CircleGroup, counts: &FailureCounts) -> Hours {
     // Estimate MTTF over the group's own wall-clock horizon (without
     // checkpoints yet — a first-order self-consistent choice: O_i ≪ T_i).
-    let horizon = phi_horizon(group);
-    let f = est.failure_rate_exact(bid, horizon);
+    let f = counts.to_fn(phi_horizon(group));
     interval_from_mttf(group, f.mean_time_to_failure())
 }
 
 /// The hourly horizon `φ` estimates MTTF over: the group's own execution
-/// time. Shared with the warm-start table cache so cached counts serve the
-/// exact horizon the cold path would have used.
+/// time.
 pub fn phi_horizon(group: &CircleGroup) -> usize {
     group.exec_hours.ceil().max(1.0) as usize
 }
@@ -77,11 +82,19 @@ pub fn phi_horizon(group: &CircleGroup) -> usize {
 /// assert!((interval_from_mttf(&group, Some(25.0)) - 1.0).abs() < 1e-12);
 /// // No observed failure mass → checkpointing disabled (F = T).
 /// assert_eq!(interval_from_mttf(&group, None), 100.0);
+/// // Less work left than one checkpoint costs → no checkpoints either.
+/// let tail = CircleGroup { exec_hours: 0.01, ..group };
+/// assert_eq!(interval_from_mttf(&tail, Some(25.0)), 0.01);
 /// ```
 pub fn interval_from_mttf(group: &CircleGroup, mttf: Option<Hours>) -> Hours {
     match mttf {
         // No observed failures: do not checkpoint.
         None => group.exec_hours,
+        // Less work left than one checkpoint costs (an adaptive re-plan
+        // near the end of a job): checkpointing cannot pay, so do not
+        // checkpoint — the no-failure convention, and no `clamp` with
+        // min > max.
+        Some(_) if group.ckpt_overhead_hours > group.exec_hours => group.exec_hours,
         Some(m) => {
             let f = (2.0 * group.ckpt_overhead_hours * m).sqrt();
             f.clamp(group.ckpt_overhead_hours, group.exec_hours)
@@ -135,6 +148,28 @@ mod tests {
     }
 
     #[test]
+    fn overhead_above_remaining_work_disables_checkpoints() {
+        // An adaptive re-plan with 0.0055 h of work left against a
+        // 0.0092 h checkpoint: `clamp` would panic (min > max).
+        let g = group(0.0055, 0.0092);
+        for mttf in [1e-6, 0.01, 1.0, 1e6] {
+            assert_eq!(interval_from_mttf(&g, Some(mttf)), 0.0055);
+        }
+        assert_eq!(interval_from_mttf(&g, None), 0.0055);
+        // Whenever min <= max, the result is exactly `clamp`'s.
+        for (t, o) in [(10.0, 0.02), (2.0, 0.5), (0.0092, 0.0092), (1.0, 0.0)] {
+            let g = group(t, o);
+            for mttf in [1e-9, 1e-3, 0.5, 25.0, 1e9] {
+                let clamped = (2.0 * o * mttf).sqrt().clamp(o, t);
+                assert_eq!(
+                    interval_from_mttf(&g, Some(mttf)).to_bits(),
+                    clamped.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn interval_grows_with_mttf() {
         let g = group(1000.0, 0.02);
         let mut prev = 0.0;
@@ -167,8 +202,10 @@ mod tests {
         let low_bid = view.mean_price(id).unwrap() * 0.8;
         let f_lo = optimal_interval(&g, low_bid, &view).unwrap();
         assert!(f_lo <= f_hi);
-        // The estimator-in-hand form is the same computation.
+        // The estimator-in-hand and counts forms are the same computation.
         let est = view.try_estimator(id).unwrap();
         assert_eq!(optimal_interval_for(&g, low_bid, est), f_lo);
+        let counts = est.failure_counts(low_bid, phi_horizon(&g) + 7);
+        assert_eq!(interval_from_counts(&g, &counts).to_bits(), f_lo.to_bits());
     }
 }

@@ -48,17 +48,19 @@
 
 use crate::adaptive::PlanContext;
 use crate::cost::{
-    assessment_horizon, evaluate, evaluate_with_scratch, EvalScratch, Evaluation, GroupAssessment,
-    KernelMode,
+    assessment_horizon, candidate_cost_floor, evaluate, evaluate_with_scratch, CostFloor,
+    EvalScratch, Evaluation, GroupAssessment, KernelMode,
 };
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
 use crate::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
 use crate::ondemand::{select_on_demand, DEFAULT_SLACK};
-use crate::phi::{interval_from_mttf, optimal_interval_for, phi_horizon};
+use crate::phi::{interval_from_counts, phi_horizon};
 use crate::problem::Problem;
 use crate::view::MarketView;
-use crate::warmstart::{BidTable, GroupTables, PrevWindow, WarmStart, HOT_SUBSETS};
+use crate::warmstart::{GroupTables, PrevWindow, WarmStart, HOT_SUBSETS};
+use crate::Hours;
+use ec2_market::failure::{BidProfile, FailureEstimator};
 use ec2_market::market::CircleGroupId;
 use serde::{Deserialize, Serialize};
 use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
@@ -136,8 +138,9 @@ pub struct OptimizerConfig {
     #[serde(default = "default_true")]
     pub prune_dominance: bool,
     /// Branch-and-bound inside the odometer walk: skip bid-vector
-    /// suffixes whose admissible cost lower bound (DESIGN.md §8.2) cannot
-    /// beat the incumbent. Exact and count-preserving —
+    /// suffixes whose admissible cost lower bound (DESIGN.md §8.2), and
+    /// combinations whose whole-candidate floor (§8.5), cannot beat the
+    /// incumbent. Exact and count-preserving —
     /// `evaluations_performed` still reports the full enumeration size.
     #[serde(default = "default_true")]
     pub prune_bound: bool,
@@ -359,15 +362,203 @@ struct WorkerStats {
 
 /// `assess_options` output: the per-group option lists, the enumeration
 /// counters, and — when a warm start with table reuse was attached — the
-/// per-group bucket-table cache accounting.
+/// per-group profile-store accounting.
 struct AssessedOptions {
     options: Vec<Vec<GroupAssessment>>,
     considered: u64,
     pruned: u64,
     dominated: u64,
-    /// Per-group `(id, digest, entries reused, entries rebuilt)`; empty
-    /// on cold assessments (no allocation on the cold path).
+    /// Grid bids that got their own bid profile.
+    swept: u64,
+    /// Grid bids served from an equal-admission higher twin.
+    shared: u64,
+    /// Per-group `(id, digest, store hits, store misses)`; empty without
+    /// a warm store.
     table_stats: Vec<(CircleGroupId, u64, u64, u64)>,
+}
+
+/// One group's options and counters from [`assess_group`].
+#[derive(Default)]
+pub(crate) struct GroupOptions {
+    /// Surviving options, bid-descending.
+    pub(crate) options: Vec<GroupAssessment>,
+    /// (bid, interval) decisions considered.
+    pub(crate) considered: u64,
+    /// Assessed decisions that miss the deadline even when surviving.
+    pub(crate) pruned: u64,
+    /// Deadline survivors removed by the bid-collapse filter.
+    pub(crate) dominated: u64,
+    /// Grid bids whose options came from their own bid profile.
+    pub(crate) swept: u64,
+    /// Grid bids whose options were copied from the next higher grid bid
+    /// admitting the same samples.
+    pub(crate) shared: u64,
+    /// Profiles served by the cross-window warm store.
+    pub(crate) store_hits: u64,
+    /// Profiles swept and put into the warm store.
+    pub(crate) store_misses: u64,
+}
+
+/// The bid grid `config` prescribes for a group with history `est`:
+/// `⌈log₂(H_i / min_i)⌉ + 1` levels capped at `bid_levels`, plus the
+/// top-margin guard point. `None` when the group has no positive,
+/// finite price range to bid over.
+fn bid_grid(est: &FailureEstimator, config: &OptimizerConfig) -> Option<BidGrid> {
+    let max_bid = est.max_price();
+    if !(max_bid.is_finite() && max_bid > 0.0) {
+        return None;
+    }
+    let min_price = est.expected_spot_price().min_price().max(1e-6);
+    let span_levels = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
+    let levels = span_levels.min(config.bid_levels.max(2));
+    let grid = match config.grid {
+        GridKind::Logarithmic => BidGrid::logarithmic(max_bid, levels),
+        GridKind::Uniform => BidGrid::uniform(max_bid, levels),
+    };
+    Some(match config.top_margin {
+        Some(m) => grid.with_top_margin(m),
+        None => grid,
+    })
+}
+
+/// A swept bid whose options later grid bids may share.
+struct Admission {
+    /// Samples the bid admits.
+    admitted: usize,
+    bid: f64,
+    /// Its surviving options: `options[start..start + len]`.
+    start: usize,
+    len: usize,
+    pruned: u64,
+}
+
+/// Assess one candidate group over its bid grid: one
+/// [`FailureEstimator::bid_profile`] sweep per grid bid gives φ's MTTF
+/// and every interval's assessment by exact truncation.
+///
+/// A grid bid that admits as many samples as the previous, higher one
+/// (`count_at_or_below`) admits exactly the same samples — no price lies
+/// between them — so its profile, φ and assessments are identical and
+/// its options are the higher bid's with `decision.bid` replaced, copied
+/// without a sweep. When the bid-collapse filter is on, such copies are
+/// exactly the options it would drop (same state, lower bid), so they
+/// are counted as dominated without being built. Either way the counters
+/// and the option list equal assessing every bid on its own.
+///
+/// `deadline` prunes options whose completion wall exceeds it; `tables`
+/// is the optional cross-window profile store. Shared with
+/// [`crate::pareto::frontier`].
+pub(crate) fn assess_group(
+    group: &CircleGroup,
+    est: &FailureEstimator,
+    config: &OptimizerConfig,
+    deadline: Hours,
+    mut tables: Option<&mut GroupTables>,
+) -> GroupOptions {
+    let mut out = GroupOptions::default();
+    let Some(grid) = bid_grid(est, config) else {
+        return out;
+    };
+    // Under the Theorem 1 ablation the intervals are fixed per group;
+    // otherwise each bid gets its own φ(P).
+    let fixed: Option<Vec<Hours>> = config.interval_grid.map(|n| {
+        (1..=n)
+            .map(|j| group.exec_hours * j as f64 / n as f64)
+            .collect()
+    });
+    let per_bid = fixed.as_ref().map_or(1, |v| v.len() as u64);
+    let horizon = profile_horizon(group, fixed.as_deref());
+    let prices = est.expected_spot_price();
+    let mut prev: Option<Admission> = None;
+    for &bid in grid.bids() {
+        let admitted = prices.count_at_or_below(bid);
+        out.considered += per_bid;
+        if let Some(p) = prev.as_ref().filter(|p| p.admitted == admitted) {
+            out.shared += 1;
+            out.pruned += p.pruned;
+            if config.prune_dominance && p.bid > bid {
+                out.dominated += p.len as u64;
+            } else {
+                for i in p.start..p.start + p.len {
+                    let mut a = out.options[i].clone();
+                    a.decision.bid = bid;
+                    out.options.push(a);
+                }
+            }
+            continue;
+        }
+        out.swept += 1;
+        let start = out.options.len();
+        let mut pruned = 0u64;
+        // A bid below every observed price admits no launch: no options,
+        // and nothing to sweep.
+        if let Some(price) = prices.mean_below(bid) {
+            let mut assess = |profile: &BidProfile| {
+                let phi;
+                let intervals = match &fixed {
+                    Some(v) => v.as_slice(),
+                    None => {
+                        phi = [interval_from_counts(group, profile.counts())];
+                        &phi[..]
+                    }
+                };
+                for &ckpt_interval in intervals {
+                    let decision = GroupDecision { bid, ckpt_interval };
+                    let a = GroupAssessment::from_profile(*group, decision, price, profile);
+                    if a.completion_wall() <= deadline {
+                        out.options.push(a);
+                    } else {
+                        pruned += 1;
+                    }
+                }
+            };
+            match tables.as_deref_mut() {
+                Some(t) => {
+                    let (profile, hit) = t.profile(est, bid, horizon);
+                    assess(profile);
+                    if hit {
+                        out.store_hits += 1;
+                    } else {
+                        out.store_misses += 1;
+                    }
+                }
+                None => assess(&est.bid_profile(bid, horizon)),
+            }
+        }
+        out.pruned += pruned;
+        prev = Some(Admission {
+            admitted,
+            bid,
+            start,
+            len: out.options.len() - start,
+            pruned,
+        });
+    }
+    if config.prune_dominance {
+        // Exact: grids enumerate bids highest-first, which is the
+        // descending order the collapse requires, and a dropped option's
+        // higher-bid twin wins every tie it could have won (DESIGN.md
+        // §8.1).
+        out.dominated += crate::pareto::collapse_bid_dominated(&mut out.options);
+    }
+    out
+}
+
+/// The horizon one bid profile is recorded at so that φ and every
+/// interval's assessment truncate from it: φ reads [`phi_horizon`], and
+/// [`assessment_horizon`] grows as the interval shrinks, so the smallest
+/// interval a bid can be assessed at bounds them all. φ never returns
+/// less than `min(O_i, T_i)` ([`crate::phi::interval_from_mttf`]).
+fn profile_horizon(group: &CircleGroup, fixed: Option<&[Hours]>) -> usize {
+    let smallest = match fixed {
+        Some(v) => v.iter().copied().fold(f64::INFINITY, f64::min),
+        None => group.ckpt_overhead_hours.min(group.exec_hours),
+    };
+    let decision = GroupDecision {
+        bid: 0.0,
+        ckpt_interval: smallest,
+    };
+    phi_horizon(group).max(assessment_horizon(group, &decision))
 }
 
 /// Lexicographic comparison of a candidate's bid vector (iterator form,
@@ -509,6 +700,8 @@ impl<'a> TwoLevelOptimizer<'a> {
             considered: options_considered,
             pruned: options_pruned,
             dominated: options_dominated,
+            swept: profiles_swept,
+            shared: profiles_shared,
             table_stats,
         } = self.assess_options(warm.as_deref_mut())?;
         let assess_secs = assess_timer.elapsed_secs();
@@ -610,6 +803,8 @@ impl<'a> TwoLevelOptimizer<'a> {
             options_pruned,
             deadline_hours: self.problem.deadline,
             options_dominated,
+            profiles_swept,
+            profiles_shared,
         });
 
         let search_timer = PhaseTimer::start();
@@ -881,8 +1076,8 @@ impl<'a> TwoLevelOptimizer<'a> {
     }
 
     /// Assess every candidate (group, bid level, interval) option once, up
-    /// front. Index: `options[g]` = list of viable assessments for group
-    /// `g`.
+    /// front, through [`assess_group`]. Index: `options[g]` = list of
+    /// viable assessments for group `g`.
     ///
     /// Options that cannot complete before the deadline even when they
     /// survive are dropped: the runtime switches to on-demand rather than
@@ -890,176 +1085,47 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// completion winner would let rare deadline-missing patterns
     /// subsidize `E[Cost]`.
     ///
-    /// Also returns `(considered, pruned, dominated)`: how many (group,
-    /// bid, interval) options were assessed, how many the deadline prune
-    /// discarded — the numerator/denominator of the report's prune rate —
-    /// and how many survivors the exact bid-collapse dominance filter
-    /// ([`crate::pareto::collapse_bid_dominated`]) removed afterwards.
-    ///
-    /// With a [`WarmStart`] carrying table reuse, the per-`(group, bid)`
-    /// integer failure counts behind `φ(P)` and each assessment come from
-    /// the warm cache when the group's history digest is unchanged. A
-    /// count table recorded at horizon `H` truncates to any `h ≤ H`
-    /// bit-identically (asserted by `ec2_market`'s truncation tests), so
-    /// the produced assessments are exactly the cold path's. Errors when
-    /// a candidate group is unknown to the view.
+    /// With a [`WarmStart`] carrying table reuse, each group's bid
+    /// profiles are kept in (and served from) its store while the group's
+    /// history digest is unchanged. Errors when a candidate group is
+    /// unknown to the view.
     fn assess_options(
         &self,
         mut warm: Option<&mut WarmStart>,
     ) -> Result<AssessedOptions, SompiError> {
-        let mut considered = 0u64;
-        let mut pruned = 0u64;
-        let mut dominated = 0u64;
-        let mut table_stats: Vec<(CircleGroupId, u64, u64, u64)> = Vec::new();
-        let mut options: Vec<Vec<GroupAssessment>> =
-            Vec::with_capacity(self.problem.candidates.len());
+        let mut out = AssessedOptions {
+            options: Vec::with_capacity(self.problem.candidates.len()),
+            considered: 0,
+            pruned: 0,
+            dominated: 0,
+            swept: 0,
+            shared: 0,
+            table_stats: Vec::new(),
+        };
         for group in &self.problem.candidates {
             let est = self.view.try_estimator(group.id)?;
-            let max_bid = est.max_price();
-            if !(max_bid.is_finite() && max_bid > 0.0) {
-                options.push(Vec::new());
-                continue;
+            let mut tables = warm
+                .as_deref_mut()
+                .and_then(|w| w.group_tables(group.id, est));
+            let g = assess_group(
+                group,
+                est,
+                &self.config,
+                self.problem.deadline,
+                tables.as_deref_mut(),
+            );
+            if let Some(t) = tables {
+                out.table_stats
+                    .push((group.id, t.digest, g.store_hits, g.store_misses));
             }
-            let min_price = est.expected_spot_price().min_price().max(1e-6);
-            let span_levels = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
-            let levels = span_levels.min(self.config.bid_levels.max(2));
-            let mut grid = match self.config.grid {
-                GridKind::Logarithmic => BidGrid::logarithmic(max_bid, levels),
-                GridKind::Uniform => BidGrid::uniform(max_bid, levels),
-            };
-            if let Some(m) = self.config.top_margin {
-                grid = grid.with_top_margin(m);
-            }
-            // Bucket-table cache handle for this group, with per-group
-            // reuse accounting. A drifted digest drops every cached bid
-            // entry for the group — per-entry invalidation, nothing else.
-            let mut cache = match warm.as_deref_mut() {
-                Some(w) if w.use_tables => {
-                    let digest = est.digest();
-                    let tables = w
-                        .tables
-                        .entry(group.id)
-                        .or_insert_with(|| GroupTables::new(digest));
-                    if tables.digest != digest {
-                        tables.digest = digest;
-                        tables.by_bid.clear();
-                    }
-                    Some((tables, 0u64, 0u64))
-                }
-                _ => None,
-            };
-            let mut opts = Vec::new();
-            for &bid in grid.bids() {
-                match cache.as_mut() {
-                    None => {
-                        // Cold path: straight off the estimator — the
-                        // pre-warm-start algorithm, kept verbatim.
-                        let intervals: Vec<f64> = match self.config.interval_grid {
-                            None => vec![optimal_interval_for(group, bid, est)],
-                            Some(n) => (1..=n)
-                                .map(|j| group.exec_hours * j as f64 / n as f64)
-                                .collect(),
-                        };
-                        for interval in intervals {
-                            let decision = GroupDecision {
-                                bid,
-                                ckpt_interval: interval,
-                            };
-                            considered += 1;
-                            if let Some(a) = GroupAssessment::assess_with(*group, decision, est) {
-                                if a.completion_wall() <= self.problem.deadline {
-                                    opts.push(a);
-                                } else {
-                                    pruned += 1;
-                                }
-                            }
-                        }
-                    }
-                    Some((tables, reused, rebuilt)) => {
-                        // Warm path: φ and the assessment are served from
-                        // the cached counts, recomputed only when no entry
-                        // exists or a larger horizon is needed.
-                        let mut fresh = false;
-                        let h_phi = phi_horizon(group);
-                        let entry = tables.by_bid.entry(bid.to_bits()).or_insert_with(|| {
-                            fresh = true;
-                            BidTable {
-                                counts: est.failure_counts(bid, h_phi),
-                                launch_delay: est.expected_launch_delay(bid),
-                            }
-                        });
-                        if entry.counts.horizon() < h_phi {
-                            entry.counts = est.failure_counts(bid, h_phi);
-                            fresh = true;
-                        }
-                        let intervals: Vec<f64> = match self.config.interval_grid {
-                            None => vec![interval_from_mttf(
-                                group,
-                                entry.counts.to_fn(h_phi).mean_time_to_failure(),
-                            )],
-                            Some(n) => (1..=n)
-                                .map(|j| group.exec_hours * j as f64 / n as f64)
-                                .collect(),
-                        };
-                        for interval in intervals {
-                            let decision = GroupDecision {
-                                bid,
-                                ckpt_interval: interval,
-                            };
-                            considered += 1;
-                            let h = assessment_horizon(group, &decision);
-                            if entry.counts.horizon() < h {
-                                entry.counts = est.failure_counts(bid, h);
-                                fresh = true;
-                            }
-                            if let Some(price) = est.expected_spot_price().mean_below(bid) {
-                                // `to_fn` hands over an owned function, so
-                                // its bucket vector moves straight into
-                                // the assessment — no per-option clone.
-                                let f = entry.counts.to_fn(h);
-                                let survival = f.survival();
-                                let a = GroupAssessment::from_parts(
-                                    *group,
-                                    decision,
-                                    price,
-                                    survival,
-                                    f.into_buckets(),
-                                    entry.launch_delay,
-                                );
-                                if a.completion_wall() <= self.problem.deadline {
-                                    opts.push(a);
-                                } else {
-                                    pruned += 1;
-                                }
-                            }
-                        }
-                        if fresh {
-                            *rebuilt += 1;
-                        } else {
-                            *reused += 1;
-                        }
-                    }
-                }
-            }
-            if let Some((tables, reused, rebuilt)) = cache {
-                table_stats.push((group.id, tables.digest, reused, rebuilt));
-            }
-            if self.config.prune_dominance {
-                // Exact: grids enumerate bids highest-first, which is the
-                // descending order the collapse requires, and a dropped
-                // option's higher-bid twin wins every tie it could have
-                // won (DESIGN.md §8.1).
-                dominated += crate::pareto::collapse_bid_dominated(&mut opts);
-            }
-            options.push(opts);
+            out.considered += g.considered;
+            out.pruned += g.pruned;
+            out.dominated += g.dominated;
+            out.swept += g.swept;
+            out.shared += g.shared;
+            out.options.push(g.options);
         }
-        Ok(AssessedOptions {
-            options,
-            considered,
-            pruned,
-            dominated,
-            table_stats,
-        })
+        Ok(out)
     }
 
     /// Search one contiguous chunk of the enumeration order with
@@ -1076,10 +1142,13 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// rank-sorted by the admissible per-group lower bound
     /// [`GroupAssessment::cost_lower_bound`], and whole rank suffixes
     /// whose summed lower bound exceeds the incumbent cost are skipped
-    /// without evaluation. `shared_bound` (cost as IEEE bits) is the
-    /// cross-worker incumbent when [`OptimizerConfig::shared_incumbent`]
-    /// is on; otherwise the worker prunes against a local bound seeded
-    /// from `od_seed_bound`. Pruning never removes a candidate that could
+    /// without evaluation; a combination that passes is still skipped
+    /// when its whole-candidate floor, which adds the on-demand recovery
+    /// share (DESIGN.md §8.5), exceeds the incumbent cost.
+    /// `shared_bound` (cost as IEEE bits) is the cross-worker incumbent
+    /// when [`OptimizerConfig::shared_incumbent`] is on; otherwise the
+    /// worker prunes against a local bound seeded from
+    /// `od_seed_bound`. Pruning never removes a candidate that could
     /// win under the total order, so the returned incumbent — and with it
     /// the merged [`OptimizedPlan`] — is bit-identical to the exhaustive
     /// walk. The reported `evaluations` counter always carries the full
@@ -1124,6 +1193,18 @@ impl<'a> TwoLevelOptimizer<'a> {
         // candidate costs (or the on-demand / warm-start seed), so strict
         // pruning against it is exact (DESIGN.md §8.3).
         let mut local_bound = seed_bound;
+        // Each option's whole-candidate floor tables, built the first time
+        // a combination holding the option survives the per-slot bound.
+        let option_base: Vec<usize> = options
+            .iter()
+            .scan(0, |base, opts| {
+                let at = *base;
+                *base += opts.len();
+                Some(at)
+            })
+            .collect();
+        let mut floors: Vec<Option<Box<CostFloor>>> =
+            vec![None; options.iter().map(Vec::len).sum()];
 
         for &subset_ordinal in order {
             let chosen = &subsets[subset_ordinal];
@@ -1272,28 +1353,24 @@ impl<'a> TwoLevelOptimizer<'a> {
                             h = s;
                         }
                     }
-                    if h == m {
-                        // Even the all-minima combination is over bound:
-                        // the rest of this subset is hopeless.
-                        exhausted = true;
-                    } else {
-                        for r in idx.iter_mut().take(h) {
-                            *r = 0;
-                        }
-                        let mut pos = h;
-                        loop {
-                            if pos == m {
-                                exhausted = true;
-                                break;
-                            }
-                            idx[pos] += 1;
-                            if idx[pos] < lens[pos] {
-                                break;
-                            }
-                            idx[pos] = 0;
-                            pos += 1;
-                        }
-                    }
+                    // At `h == m` even the all-minima combination is over
+                    // bound: the rest of this subset is hopeless.
+                    exhausted = !advance_ranks(&mut idx, &lens, h);
+                    continue;
+                }
+                // Whole-candidate floor (DESIGN.md §8.5): tighter than the
+                // per-slot sum, and O(k) next to an evaluation. A
+                // combination over the bound is skipped like a pruned one.
+                for (slot, &g) in chosen.iter().enumerate() {
+                    let i = lb_sorted[slot][idx[slot]].1;
+                    floors[option_base[g] + i]
+                        .get_or_insert_with(|| Box::new(options[g][i].cost_floor()));
+                }
+                let picked = chosen.iter().enumerate().filter_map(|(slot, &g)| {
+                    floors[option_base[g] + lb_sorted[slot][idx[slot]].1].as_deref()
+                });
+                if candidate_cost_floor(picked, od) > bound {
+                    exhausted = !advance_ranks(&mut idx, &lens, 0);
                     continue;
                 }
                 refs.clear();
@@ -1361,20 +1438,7 @@ impl<'a> TwoLevelOptimizer<'a> {
                         ordinal,
                     });
                 }
-                // Advance the rank odometer (rank 0 fastest).
-                let mut pos = 0;
-                loop {
-                    if pos == m {
-                        exhausted = true;
-                        break;
-                    }
-                    idx[pos] += 1;
-                    if idx[pos] < lens[pos] {
-                        break;
-                    }
-                    idx[pos] = 0;
-                    pos += 1;
-                }
+                exhausted = !advance_ranks(&mut idx, &lens, 0);
             }
             skipped += product.saturating_sub(evaluated_here);
             kernel_nanos += subset_timer.elapsed().as_nanos() as u64;
@@ -1389,6 +1453,22 @@ impl<'a> TwoLevelOptimizer<'a> {
             best,
         }
     }
+}
+
+/// Advance the rank odometer (slot 0 fastest, slot `s` below `lens[s]`)
+/// at slot `from`, resetting the slots below it — skipping every
+/// combination that keeps the ranks of slots `from..`. Returns `false`
+/// when the odometer runs out.
+fn advance_ranks(idx: &mut [usize], lens: &[usize], from: usize) -> bool {
+    idx[..from].fill(0);
+    for pos in from..idx.len() {
+        idx[pos] += 1;
+        if idx[pos] < lens[pos] {
+            return true;
+        }
+        idx[pos] = 0;
+    }
+    false
 }
 
 /// Visit every `k`-subset of `0..n` (lexicographic), calling `f` with each.
@@ -2071,5 +2151,197 @@ mod assess_options_tests {
         // The optimizer still produces a plan from the remaining groups.
         let out = opt.optimize().unwrap();
         assert!(out.plan.groups.iter().all(|(g, _)| g.id != dead));
+    }
+
+    #[test]
+    fn profile_counters_partition_the_grid() {
+        use sompi_obs::RingRecorder;
+
+        // paper/BT: every (group, bid) grid point is either swept or
+        // shared with the next higher bid admitting the same samples, and
+        // the search's `PlanSearchStarted` reports the same split.
+        let (_, problem, view) = setup();
+        let base = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 12,
+            threads: 1,
+            ..OptimizerConfig::default()
+        };
+        for cfg in [
+            base,
+            OptimizerConfig {
+                interval_grid: Some(4),
+                ..base
+            },
+            OptimizerConfig {
+                prune_dominance: false,
+                ..base
+            },
+        ] {
+            let grid: u64 = problem
+                .candidates
+                .iter()
+                .map(|g| expected_grid_len(&view, &cfg, g.id))
+                .sum();
+            let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
+            let a = opt.assess_options(None).unwrap();
+            assert_eq!(a.swept + a.shared, grid);
+            assert!(
+                a.shared > 0,
+                "the top-margin bid and H_i admit the same samples"
+            );
+            // Each grid point contributes one decision per interval.
+            let per_bid = cfg.interval_grid.map_or(1, u64::from);
+            assert_eq!(a.considered, grid * per_bid);
+
+            let ring = RingRecorder::new(TraceLevel::Summary, 16);
+            opt.optimize_with(&mut PlanContext::new().with_recorder(&ring))
+                .unwrap();
+            let events = ring.take();
+            let Some(Event::PlanSearchStarted {
+                profiles_swept,
+                profiles_shared,
+                options_considered,
+                ..
+            }) = events.first()
+            else {
+                panic!("PlanSearchStarted first: {events:?}");
+            };
+            assert_eq!((*profiles_swept, *profiles_shared), (a.swept, a.shared));
+            assert_eq!(*options_considered, a.considered);
+        }
+    }
+
+    #[test]
+    fn warm_store_counts_only_cross_window_hits() {
+        // The first warm search sweeps every non-shared, launchable bid
+        // into the store (misses only); searching the same view again
+        // serves each of them from the store (hits only). Shared bids
+        // never touch the store, so no share within a search is a reuse.
+        let (_, problem, view) = setup();
+        let cfg = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 12,
+            ..OptimizerConfig::default()
+        };
+        let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
+        let cold = opt.assess_options(None).unwrap();
+        let mut warm = WarmStart::new();
+        let first = opt.assess_options(Some(&mut warm)).unwrap();
+        let (hits, misses) = store_totals(&first);
+        assert_eq!(hits, 0);
+        assert!(misses > 0 && misses <= first.swept);
+        assert_eq!(first.options, cold.options);
+        let second = opt.assess_options(Some(&mut warm)).unwrap();
+        assert_eq!(store_totals(&second), (misses, 0));
+        assert_eq!(second.options, cold.options);
+        assert_eq!(
+            (second.swept, second.shared, second.dominated),
+            (cold.swept, cold.shared, cold.dominated)
+        );
+        // With the store off the warm search keeps no per-group stats.
+        let mut off = WarmStart::new().with_table_reuse(false);
+        let a = opt.assess_options(Some(&mut off)).unwrap();
+        assert!(a.table_stats.is_empty());
+        assert_eq!(a.options, cold.options);
+    }
+
+    #[test]
+    fn shared_bids_equal_their_own_assessment() {
+        // With the collapse off, shared bids are enumerated: each option
+        // must be exactly what assessing its own bid from scratch gives
+        // (the copy carries its own bid, not its twin's).
+        use crate::phi::optimal_interval_for;
+
+        let (_, problem, view) = setup();
+        let cfg = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 12,
+            prune_dominance: false,
+            ..OptimizerConfig::default()
+        };
+        let a = TwoLevelOptimizer::new(&problem, &view, cfg)
+            .assess_options(None)
+            .unwrap();
+        assert!(
+            a.shared > 0,
+            "the top-margin bid and H_i admit the same samples"
+        );
+        for (group, opts) in problem.candidates.iter().zip(&a.options) {
+            let est = view.try_estimator(group.id).unwrap();
+            let expected: Vec<GroupAssessment> = bid_grid(est, &cfg)
+                .unwrap()
+                .bids()
+                .iter()
+                .filter_map(|&bid| {
+                    let decision = GroupDecision {
+                        bid,
+                        ckpt_interval: optimal_interval_for(group, bid, est),
+                    };
+                    GroupAssessment::assess_with(*group, decision, est)
+                })
+                .filter(|x| x.completion_wall() <= problem.deadline)
+                .collect();
+            assert_eq!(opts, &expected, "group {}", group.id);
+        }
+    }
+
+    #[test]
+    fn candidate_floor_holds_on_a_long_job() {
+        // A long job on the paper market: cheap bids die with near
+        // certainty, the regime where the on-demand share of the floor
+        // prunes. Every single and pair candidate the search could reach
+        // must evaluate at or above its floor.
+        use mpi_sim::npb::{NpbClass, NpbKernel};
+        use mpi_sim::storage::S3Store;
+
+        let (market, _, view) = setup();
+        let profile = NpbKernel::Lu.profile(NpbClass::B, 128).repeated(2000);
+        let mut problem = Problem::build(&market, &profile, 1.0, None, S3Store::paper_2014());
+        problem.deadline = 2.0 * problem.baseline_time();
+        let cfg = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 6,
+            ..OptimizerConfig::default()
+        };
+        let a = TwoLevelOptimizer::new(&problem, &view, cfg)
+            .assess_options(None)
+            .unwrap();
+        let od = select_on_demand(&problem.on_demand, problem.deadline, cfg.slack);
+        let flat: Vec<(usize, &GroupAssessment)> = a
+            .options
+            .iter()
+            .enumerate()
+            .flat_map(|(g, opts)| opts.iter().map(move |o| (g, o)))
+            .collect();
+        let (mut checked, mut doomed) = (0, 0);
+        for (x, &(gx, ox)) in flat.iter().enumerate() {
+            let pairs = flat[x + 1..]
+                .iter()
+                .filter(|&&(gy, _)| gy != gx)
+                .map(|&(_, oy)| vec![ox, oy]);
+            for refs in std::iter::once(vec![ox]).chain(pairs) {
+                let floors: Vec<CostFloor> = refs.iter().map(|o| o.cost_floor()).collect();
+                let eval = evaluate(&refs, &od);
+                let floor = candidate_cost_floor(floors.iter(), &od);
+                assert!(
+                    floor <= eval.expected_cost,
+                    "floor {floor} > cost {}",
+                    eval.expected_cost
+                );
+                checked += 1;
+                doomed += (eval.p_all_fail > 0.5) as usize;
+            }
+        }
+        assert!(
+            checked > 100 && doomed > 0,
+            "{checked} checked, {doomed} doomed"
+        );
+    }
+
+    fn store_totals(a: &AssessedOptions) -> (u64, u64) {
+        a.table_stats
+            .iter()
+            .fold((0, 0), |(h, m), &(_, _, hit, miss)| (h + hit, m + miss))
     }
 }

@@ -16,14 +16,21 @@
 //!    order changes; every subset is still walked and the total candidate
 //!    order decides, so the result cannot change — but the incumbent bound
 //!    tightens sooner, compounding with the seed.
-//! 3. **Bucket-table reuse** — the integer failure-count tables behind
-//!    `φ(P)` and each [`GroupAssessment`](crate::cost::GroupAssessment)
-//!    are cached per `(group, bid)` and keyed by a digest of the group's
-//!    empirical price history. A table recorded at horizon `H` truncates
-//!    to any `h ≤ H` bit-identically (asserted by `ec2_market`'s
-//!    truncation tests), so unchanged view entries skip the `O(n·H)`
-//!    counting walk entirely; a drifted digest invalidates that group's
-//!    entries and nothing else.
+//! 3. **Bid-profile store** — the [`BidProfile`]s (integer first-passage
+//!    counts plus launch delay) behind `φ(P)` and each
+//!    [`GroupAssessment`](crate::cost::GroupAssessment) are kept per
+//!    `(group, bid)`, keyed by a digest of the group's empirical price
+//!    history. A profile recorded at horizon `H` truncates to any
+//!    `h ≤ H` bit-identically (asserted by `ec2_market`'s truncation
+//!    tests), so an unchanged view entry skips its `O(n)` sweep; a
+//!    drifted digest invalidates that group's entries and nothing else.
+//!
+//! The store is optional, not a second code path: every search sweeps
+//! each `(group, bid)` once and derives φ and every assessment from that
+//! one profile (DESIGN.md §16, "Single-sweep bid profiles"). The store
+//! saves that one `O(n)` sweep only when the same view is searched again;
+//! sliding adaptive windows drift the digest every window, so there it
+//! never hits.
 //!
 //! The layers are independently toggleable (the CLI's `--no-warmstart`
 //! and `--no-bucket-reuse` ablation flags); `tests/warmstart_differential.rs`
@@ -31,9 +38,10 @@
 //! ablation settings over a long adaptive study.
 
 use crate::model::Plan;
-use crate::Hours;
-use ec2_market::failure::FailureCounts;
+use crate::Usd;
+use ec2_market::failure::{BidProfile, FailureEstimator};
 use ec2_market::market::CircleGroupId;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// How many subsets the previous window hands to the next one as the
@@ -53,15 +61,15 @@ pub(crate) struct PrevWindow {
     pub(crate) hot_subsets: Vec<Vec<CircleGroupId>>,
 }
 
-/// Cached failure tables for one circle group, valid only while the
+/// Stored bid profiles for one circle group, valid only while the
 /// group's empirical price history digest matches.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupTables {
-    /// FNV-1a digest of the price history the tables were counted from.
+    /// FNV-1a digest of the price history the profiles were swept from.
     pub(crate) digest: u64,
-    /// Per-bid entries, keyed by the bid's IEEE-754 bits (bids come off a
-    /// deterministic grid, so bit equality is the right identity).
-    pub(crate) by_bid: BTreeMap<u64, BidTable>,
+    /// Per-bid profiles, keyed by the bid's IEEE-754 bits (bids come off
+    /// a deterministic grid, so bit equality is the right identity).
+    pub(crate) by_bid: BTreeMap<u64, BidProfile>,
 }
 
 impl GroupTables {
@@ -71,14 +79,25 @@ impl GroupTables {
             by_bid: BTreeMap::new(),
         }
     }
-}
 
-/// One cached `(group, bid)` entry: the raw integer failure counts (at
-/// the largest horizon requested so far) and the expected launch delay.
-#[derive(Debug, Clone)]
-pub(crate) struct BidTable {
-    pub(crate) counts: FailureCounts,
-    pub(crate) launch_delay: Hours,
+    /// The stored profile of `bid` when it was recorded at `horizon` or
+    /// longer (`true`: a cross-window hit); otherwise a fresh sweep,
+    /// stored in its place (`false`).
+    pub(crate) fn profile(
+        &mut self,
+        est: &FailureEstimator,
+        bid: Usd,
+        horizon: usize,
+    ) -> (&BidProfile, bool) {
+        match self.by_bid.entry(bid.to_bits()) {
+            Entry::Occupied(e) if e.get().counts().horizon() >= horizon => (e.into_mut(), true),
+            Entry::Occupied(mut e) => {
+                e.insert(est.bid_profile(bid, horizon));
+                (e.into_mut(), false)
+            }
+            Entry::Vacant(e) => (e.insert(est.bid_profile(bid, horizon)), false),
+        }
+    }
 }
 
 /// Mutable warm-start state threaded through consecutive
@@ -91,7 +110,7 @@ pub struct WarmStart {
     /// Seed the incumbent bound from the previous plan and enumerate the
     /// previous window's hot subsets first.
     pub(crate) use_plan: bool,
-    /// Reuse per-`(group, bid)` failure-count tables across windows.
+    /// Keep per-`(group, bid)` bid profiles across searches.
     pub(crate) use_tables: bool,
     pub(crate) prev: Option<PrevWindow>,
     pub(crate) tables: BTreeMap<CircleGroupId, GroupTables>,
@@ -137,12 +156,33 @@ impl WarmStart {
         self.use_tables
     }
 
+    /// The profile store for the group `est` describes, emptied first if
+    /// the group's history digest drifted; `None` when the layer is off.
+    pub(crate) fn group_tables(
+        &mut self,
+        id: CircleGroupId,
+        est: &FailureEstimator,
+    ) -> Option<&mut GroupTables> {
+        if !self.use_tables {
+            return None;
+        }
+        let digest = est.digest();
+        let tables = self
+            .tables
+            .entry(id)
+            .or_insert_with(|| GroupTables::new(digest));
+        if tables.digest != digest {
+            *tables = GroupTables::new(digest);
+        }
+        Some(tables)
+    }
+
     /// Whether a previous window's plan is currently carried.
     pub fn has_plan(&self) -> bool {
         self.prev.is_some()
     }
 
-    /// Number of circle groups with cached failure tables.
+    /// Number of circle groups with stored bid profiles.
     pub fn cached_groups(&self) -> usize {
         self.tables.len()
     }

@@ -102,6 +102,18 @@ pub enum Event {
         /// written before the pruning layer existed.
         #[serde(default)]
         options_dominated: u64,
+        /// (group, bid) grid points that got their own bid profile: one
+        /// history sweep each, or a cross-window warm-store hit (also
+        /// counted in `WarmStartApplied.tables_reused`). Defaults to 0
+        /// for traces written before single-sweep assessment.
+        #[serde(default)]
+        profiles_swept: u64,
+        /// (group, bid) grid points served from the next higher grid bid
+        /// that admits the same price samples, without a sweep.
+        /// `profiles_swept + profiles_shared` is the number of grid points
+        /// assessed. Defaults to 0 for older traces.
+        #[serde(default)]
+        profiles_shared: u64,
     },
     /// Per-worker aggregate search statistics, merged at join.
     /// One event per worker, emitted in worker-index order after the
@@ -548,6 +560,8 @@ mod tests {
                 options_pruned: 3,
                 deadline_hours: 100.0,
                 options_dominated: 9,
+                profiles_swept: 10,
+                profiles_shared: 2,
             },
             Event::SubsetEvaluated {
                 worker: 0,

@@ -114,6 +114,8 @@ struct SearchStats {
     options_considered: u64,
     options_pruned: u64,
     options_dominated: u64,
+    profiles_swept: u64,
+    profiles_shared: u64,
     deadline_hours: f64,
     /// Summed over `SubsetEvaluated` worker events (Detail traces only).
     worker_evaluations: u64,
@@ -196,6 +198,8 @@ impl RunReport {
                     options_pruned,
                     deadline_hours,
                     options_dominated,
+                    profiles_swept,
+                    profiles_shared,
                 } => {
                     report.search = Some(SearchStats {
                         candidates: *candidates,
@@ -206,6 +210,8 @@ impl RunReport {
                         options_considered: *options_considered,
                         options_pruned: *options_pruned,
                         options_dominated: *options_dominated,
+                        profiles_swept: *profiles_swept,
+                        profiles_shared: *profiles_shared,
                         deadline_hours: *deadline_hours,
                         worker_evaluations: 0,
                         worker_feasible: 0,
@@ -494,6 +500,13 @@ impl fmt::Display for RunReport {
                     s.options_dominated
                 )?;
             }
+            if s.profiles_swept + s.profiles_shared > 0 {
+                writeln!(
+                    f,
+                    "  {} bid profiles swept, {} grid bids shared with an equal-admission higher bid",
+                    s.profiles_swept, s.profiles_shared
+                )?;
+            }
             if s.workers > 0 {
                 writeln!(
                     f,
@@ -712,6 +725,8 @@ mod tests {
                 options_pruned: 6,
                 deadline_hours: 60.0,
                 options_dominated: 4,
+                profiles_swept: 9,
+                profiles_shared: 3,
             },
             Event::SubsetEvaluated {
                 worker: 0,
@@ -794,6 +809,10 @@ mod tests {
         assert!(text.contains("plan search"), "{text}");
         assert!(text.contains("220 evaluations"), "{text}");
         assert!(text.contains("25.0% prune rate"), "{text}");
+        assert!(
+            text.contains("9 bid profiles swept, 3 grid bids shared"),
+            "{text}"
+        );
         assert!(
             text.contains("workers: 2 reporting, 220 evaluations"),
             "{text}"

@@ -166,7 +166,7 @@ pub struct PlanRequest {
     /// Deadline slack reserved for the on-demand fallback.
     #[serde(default = "d_slack")]
     pub slack: f64,
-    /// Search worker threads (0 = sequential).
+    /// Search worker threads: 0 = one per available core, 1 = sequential.
     #[serde(default)]
     pub threads: u32,
     /// Exactness-preserving pruning ablation switches.

@@ -38,7 +38,6 @@ use replay::{ExecContext, ExecMode, MonteCarlo};
 use sompi_bench::{build_problem, paper_market, planning_view, repeat_to_hours, Table, LOOSE};
 use sompi_core::adaptive::PlanContext;
 use sompi_core::baselines::{Sompi, Strategy};
-use sompi_core::pool::SearchPool;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_obs::NullRecorder;
 use sompi_server::proto::PlanRequest;
@@ -327,7 +326,7 @@ fn main() {
         );
         // Determinism contract, extended to the new layers: the full
         // report JSON — counters included — is byte-identical across
-        // optimizer thread counts and pool residency.
+        // optimizer thread counts.
         let single = run_tournament(
             &grid_config(tenants, seeds, t_replicas, 1),
             &NullRecorder,
@@ -335,15 +334,14 @@ fn main() {
         )
         .expect("single-thread tournament runs")
         .to_json();
-        let pool = SearchPool::new(4);
-        let pooled = run_tournament(
+        let threaded = run_tournament(
             &grid_config(tenants, seeds, t_replicas, 4),
             &NullRecorder,
-            Some(&pool),
+            None,
         )
-        .expect("pooled tournament runs")
+        .expect("four-thread tournament runs")
         .to_json();
-        assert_eq!(single, pooled, "thread count leaked into the report");
+        assert_eq!(single, threaded, "thread count leaked into the report");
         println!("\nsmoke checks passed: speedup floor + cross-thread JSON identity");
         return;
     }

@@ -16,7 +16,6 @@
 //!
 //! `--smoke` runs a seconds-fast configuration for CI.
 
-use sompi_core::pool::SearchPool;
 use sompi_obs::NullRecorder;
 use sompi_server::proto::PlanRequest;
 use sompi_server::tournament::{run_tournament, TournamentConfig};
@@ -50,9 +49,7 @@ fn main() {
         }
     };
 
-    // One resident worker pool serves every policy's search.
-    let pool = SearchPool::new(0);
-    let report = run_tournament(&cfg, &NullRecorder, Some(&pool)).expect("tournament runs");
+    let report = run_tournament(&cfg, &NullRecorder, None).expect("tournament runs");
     println!(
         "Policy arena — {} policies x {} markets x {} fault plans{}",
         cfg.policies.len(),

@@ -6,6 +6,8 @@
 //! are comparable across binaries and reproducible (fixed seeds; override
 //! replica counts with the `SOMPI_REPLICAS` environment variable).
 
+#![forbid(unsafe_code)]
+
 pub mod setup;
 pub mod table;
 

@@ -15,7 +15,6 @@ use crate::args::Args;
 use crate::build::{market_from, CliError};
 use ec2_market::market::SpotMarket;
 use sompi_core::model::Plan;
-use sompi_core::pool::SearchPool;
 use sompi_obs::{parse_jsonl, JsonlRecorder, NullRecorder, Recorder, RunReport, TraceLevel};
 use sompi_server::proto::{PlanRequest, ReplayRequest};
 use sompi_server::service::{self, ServiceError};
@@ -44,7 +43,6 @@ pub(crate) const PLAN_FLAGS: &[&str] = &[
     "no-prune-dominance",
     "no-prune-bound",
     "no-shared-incumbent",
-    "no-kernel-caps",
     "no-trace-index",
 ];
 
@@ -73,7 +71,6 @@ pub(crate) fn plan_request_from(args: &Args) -> Result<PlanRequest, CliError> {
         prune_dominance: !args.flag("no-prune-dominance"),
         prune_bound: !args.flag("no-prune-bound"),
         shared_incumbent: !args.flag("no-shared-incumbent"),
-        kernel_caps: !args.flag("no-kernel-caps"),
         history_hours: args.f64_or("history", 48.0)?,
         view_start_hours: 0.0,
     })
@@ -348,9 +345,8 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `sompi tournament` — plan and Monte-Carlo-execute a roster of
 /// policies over a grid of markets × fault plans, head to head. The
-/// whole sweep shares one resident [`SearchPool`], and the report
-/// (including `--json`) is byte-identical across runs and `--threads`
-/// settings — the determinism contract CI enforces.
+/// report (including `--json`) is byte-identical across runs and
+/// `--threads` settings — the determinism contract CI enforces.
 pub fn cmd_tournament(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut flags = PLAN_FLAGS.to_vec();
     flags.extend([
@@ -427,8 +423,7 @@ pub fn cmd_tournament(args: &Args, out: &mut dyn Write) -> Result<(), CliError> 
         Some(s) => s,
         None => &NullRecorder,
     };
-    let pool = SearchPool::new(cfg.plan.threads as usize);
-    let report = tournament::run_tournament(&cfg, recorder, Some(&pool)).map_err(svc)?;
+    let report = tournament::run_tournament(&cfg, recorder, None).map_err(svc)?;
     if let Some(s) = &sink {
         finish_trace(s, args.get("trace-out").unwrap_or(""))?;
     }
@@ -661,9 +656,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_caps_ablation_does_not_change_the_plan() {
-        // The caps-memoized SoA kernel is exactness-preserving: the full
-        // plan report must be bit-identical with it ablated.
+    fn oversized_thread_count_does_not_change_the_plan() {
+        // Thread requests beyond the core count run on the cores; the
+        // plan report stays byte-identical to the sequential search's.
         let base = [
             "--hours",
             "200",
@@ -675,11 +670,12 @@ mod tests {
             "3",
             "--json",
         ];
-        let fast = run(cmd_plan, &base);
-        let mut flags = base.to_vec();
-        flags.push("--no-kernel-caps");
-        let scalar = run(cmd_plan, &flags);
-        assert_eq!(fast, scalar, "--no-kernel-caps changed the plan report");
+        let with_threads = |n: &'static str| {
+            let mut flags = base.to_vec();
+            flags.extend(["--threads", n]);
+            run(cmd_plan, &flags)
+        };
+        assert_eq!(with_threads("1"), with_threads("100000"));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! argument parsing, market/app construction from flags, and the
 //! subcommand implementations, exposed for integration testing.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod build;
 pub mod commands;

@@ -42,15 +42,13 @@ COMMON FLAGS:
                                marathe-opt, spot-inf, spot-avg, no-rp, no-ck,
                                no-ft, ckpt-only, app-centric, deadline-hedge
     --kappa K --levels L --slack S      optimizer knobs (default 4, 12, 0.2)
-    --threads N                optimizer worker threads (0 = all cores, default)
+    --threads N                optimizer worker threads (0 = all cores, default;
+                               larger counts are capped at the core count)
     --no-prune-dominance / --no-prune-bound / --no-shared-incumbent
                                disable exactness-preserving search pruning stages
                                (ablation; the optimum never changes)
     --no-trace-index           disable the sparse-table trace index used by
                                replay queries (ablation; answers never change)
-    --no-kernel-caps           force the scalar cost kernel instead of the
-                               auto-selected cap-memo/SoA kernels (ablation;
-                               plans never change)
     --no-batch-replay          disable the batched scenario-major replay
                                executor (ablation; outcomes are bit-identical,
                                only replay wall-clock changes)

@@ -37,7 +37,6 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "cache-cap",
         "pause-ms",
         "max-requests",
-        "no-eval-pool",
         "trace-out",
         "trace-level",
     ])?;
@@ -59,7 +58,6 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         cache_capacity: args.u64_or("cache-cap", 128)? as usize,
         pause_ms: args.u64_or("pause-ms", 0)?,
         max_requests,
-        eval_pool: !args.flag("no-eval-pool"),
     };
     let server = Server::bind(market, recorder, config.clone())
         .map_err(|e| CliError::Other(format!("cannot bind {}: {e}", config.addr)))?;

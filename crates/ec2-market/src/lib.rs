@@ -40,6 +40,8 @@
 //! assert!(f.survival() >= 0.0 && f.survival() <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod billing;
 pub mod calibrate;
 pub mod death;

@@ -35,6 +35,8 @@
 //! assert!(t.comm_fraction() < 0.5); // BT is computation-intensive
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod cluster;
 pub mod collective;

@@ -50,8 +50,8 @@ use sompi_core::error::SompiError;
 use sompi_core::model::{CircleGroup, GroupDecision, Plan};
 use sompi_obs::{emit, Event, NullRecorder, Recorder, TraceLevel};
 
-/// How Monte-Carlo replay resolves launch/death crossings — the PR-10
-/// ablation toggle, mirroring the PR-8 `KernelMode`.
+/// How Monte-Carlo replay resolves launch/death crossings — the
+/// `--no-batch-replay` ablation toggle.
 ///
 /// Both modes produce bit-identical [`RunOutcome`]s (enforced by the
 /// `mc_batch_differential` suite); `Batched` is the faster default.

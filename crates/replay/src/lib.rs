@@ -51,6 +51,8 @@
 //! assert!(outcome.total_cost > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive_exec;
 pub mod batch;
 pub mod exec;

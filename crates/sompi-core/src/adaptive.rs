@@ -18,7 +18,6 @@ use crate::cost::evaluate_plan;
 use crate::error::SompiError;
 use crate::model::Plan;
 use crate::policy::Policy;
-use crate::pool::SearchPool;
 use crate::problem::Problem;
 use crate::twolevel::OptimizerConfig;
 use crate::view::MarketView;
@@ -155,13 +154,6 @@ pub struct PlanContext<'a> {
     /// 0-based index of the window being planned (labels events and keys
     /// feed-gap injection).
     pub window: u32,
-    /// Persistent worker pool for the parallel subset search. When
-    /// present (and the resolved thread count is > 1), each real
-    /// re-optimization dispatches its chunk jobs onto these resident
-    /// threads instead of spawning a fresh scoped-thread team — results
-    /// are bit-identical either way (see [`SearchPool`]); only the
-    /// per-window spawn/join tax disappears.
-    pub pool: Option<&'a SearchPool>,
 }
 
 impl Default for PlanContext<'_> {
@@ -172,7 +164,6 @@ impl Default for PlanContext<'_> {
             faults: None,
             warm: None,
             window: 0,
-            pool: None,
         }
     }
 }
@@ -210,13 +201,6 @@ impl<'a> PlanContext<'a> {
     /// Label events (and key feed-gap injection) with window index `w`.
     pub fn with_window(mut self, window: u32) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Run each window's parallel search on the resident `pool` instead
-    /// of spawning scoped threads per re-optimization.
-    pub fn with_pool(mut self, pool: &'a SearchPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 }
@@ -399,7 +383,6 @@ impl AdaptivePlanner {
             view,
             ctx.recorder,
             ctx.warm.as_deref_mut(),
-            ctx.pool,
         )?;
         let window = ctx.window;
         emit(ctx.recorder, TraceLevel::Summary, || {
@@ -436,7 +419,6 @@ impl AdaptivePlanner {
         view: &MarketView,
         recorder: &dyn Recorder,
         warm: Option<&mut WarmStart>,
-        pool: Option<&SearchPool>,
     ) -> Result<WindowDecision, SompiError> {
         let leftover = base.deadline - elapsed;
         let residual = base.try_residual(remaining_fraction, leftover.max(0.0))?;
@@ -475,9 +457,6 @@ impl AdaptivePlanner {
         let mut inner = PlanContext::new().with_recorder(recorder);
         if let Some(w) = warm {
             inner = inner.with_warm(w);
-        }
-        if let Some(p) = pool {
-            inner = inner.with_pool(p);
         }
         let plan = policy.plan(&residual, view, &mut inner)?;
         if plan.groups.is_empty() {

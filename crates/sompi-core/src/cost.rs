@@ -22,9 +22,9 @@
 //!   `E[min_j Ratio_j]` (Formulas 7/11) are computed from products of
 //!   per-group CDFs — again 1-D.
 //!
-//! Total: `O(2^K · K · T)` exact, no sampling — and the default kernel
-//! tightens that to `O(K² · T + 2^K · K)` by memoizing the per-candidate
-//! caps table (see below). `replay` cross-checks this model against
+//! Total: `O(2^K · K · T)` exact, no sampling — and the kernel tightens
+//! that to `O(K² · T + 2^K · K)` by memoizing the per-candidate caps
+//! table (see below). `replay` cross-checks this model against
 //! Monte-Carlo trace replay (the paper's §5.4.1 accuracy study, max
 //! relative difference ≈ 15%).
 //!
@@ -41,12 +41,14 @@
 //!   looked up in the loops; every buffer the kernel needs lives in a
 //!   caller-reusable [`EvalScratch`].
 //! * The winner wall `w*` can only take one of the ≤ `K` completion
-//!   walls, so the default [`KernelMode`] memoizes each group's
-//!   `E[billed | fail, cap]` at every attainable wall once per candidate
-//!   (a `K × K` table) instead of rescanning the `T` fail buckets in
-//!   every one of the `2^K − 1` patterns, and packs the per-mask scalars
-//!   into contiguous SoA arrays. The memo calls the same summation the
-//!   scalar kernel runs, so results are bit-identical (DESIGN.md §14).
+//!   walls, so the kernel memoizes each group's `E[billed | fail, cap]`
+//!   at every attainable wall once per candidate (a `K × K` table)
+//!   instead of rescanning the `T` fail buckets in every one of the
+//!   `2^K − 1` patterns, and the all-fail pattern reads its conditional
+//!   CDFs off per-group prefix sums. Both memos add the same terms in the
+//!   same order as the direct definitions, so results are bit-identical
+//!   to them; the test module keeps that direct scalar kernel as the
+//!   oracle (DESIGN.md §14).
 
 use crate::error::SompiError;
 use crate::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
@@ -539,73 +541,17 @@ impl Evaluation {
     }
 }
 
-/// Which kernel [`evaluate_with_scratch`] runs. Every mode returns
-/// bit-identical [`Evaluation`]s — the memoized modes reuse the scalar
-/// kernel's exact summation order (the caps table is filled by calling
-/// `GroupAssessment::expected_billed_capped` itself, and the mask loop
-/// accumulates in the same group order) — they only differ in how much
-/// redundant work the mask loop performs. See DESIGN.md §14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// The original kernel: every failed group rescans all `T` fail
-    /// buckets in every one of the `2^k − 1` patterns — `O(2^k · k · T)`.
-    /// Kept verbatim as the `--no-kernel-caps` ablation baseline.
-    Scalar,
-    /// Memoize the per-candidate `k × k` caps table (the winner wall
-    /// `w*` can only take one of the ≤ `k` completion walls), but keep
-    /// reading the per-group scalars through the `&[&GroupAssessment]`
-    /// refs — `O(k² · T + 2^k · k)` with pointer-chasing intact. The
-    /// all-fail branch switches to the prefix-sum sweep (see
-    /// [`EvalScratch`]).
-    CapsMemo,
-    /// Caps table plus contiguous SoA copies of the per-mask scalars
-    /// (survival, fail probability, completion wall, hourly cost), so the
-    /// mask loop is pure flat-array arithmetic. The default.
-    #[default]
-    CapsSoa,
-}
-
-impl KernelMode {
-    /// Per-subset crossover for `EXPERIMENTS.md`'s kernel ablation: the
-    /// SoA copies only pay off once the `2^k` mask loop dominates the
-    /// `O(k)` `prepare` copy, which BENCH_kernel.json places at `k ≈ 12`.
-    /// Below that, [`KernelMode::CapsMemo`] reads the scalars through the
-    /// assessment refs and wins. Results are bit-identical either way —
-    /// this only picks the faster of the two memoized kernels.
-    pub const AUTO_SOA_MIN_GROUPS: usize = 13;
-
-    /// The faster memoized kernel for a `k`-group subset:
-    /// [`KernelMode::CapsMemo`] for `k < `[`Self::AUTO_SOA_MIN_GROUPS`],
-    /// [`KernelMode::CapsSoa`] at or above. Never returns
-    /// [`KernelMode::Scalar`] — that is the `--no-kernel-caps` ablation
-    /// baseline, not a performance point.
-    pub fn auto_for(group_count: usize) -> Self {
-        if group_count < Self::AUTO_SOA_MIN_GROUPS {
-            KernelMode::CapsMemo
-        } else {
-            KernelMode::CapsSoa
-        }
-    }
-}
-
-/// Reusable workspace for [`evaluate_with_scratch`]: the candidate
-/// wall/ratio value collection used by the all-fail branch, plus — in the
-/// memoized [`KernelMode`]s — the per-candidate SoA scalar arrays and the
-/// flat `k × k` caps/survivor-billing tables. All buffers grow to the
-/// largest candidate seen and are reused after, so repeated evaluations
-/// (the optimizer's odometer loop) do not allocate.
+/// Reusable workspace for [`evaluate_with_scratch`]: the per-candidate
+/// completion walls and flat `k × k` caps/survivor-billing tables, the
+/// per-group prefix sums and cursors of the all-fail sweep, and its
+/// wall/ratio value collection. All buffers grow to the largest candidate
+/// seen and are reused after, so repeated evaluations (the optimizer's
+/// odometer loop) do not allocate.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     values: Vec<f64>,
-    mode: KernelMode,
-    /// SoA: `completion_wall()` per group.
+    /// `completion_wall()` per group.
     walls: Vec<f64>,
-    /// SoA: `survival` per group ([`KernelMode::CapsSoa`] only).
-    survival: Vec<f64>,
-    /// SoA: `prob_fail()` per group ([`KernelMode::CapsSoa`] only).
-    prob_fail: Vec<f64>,
-    /// SoA: `hourly_cost()` per group ([`KernelMode::CapsSoa`] only).
-    hourly: Vec<f64>,
     /// `caps[j·k + i]` = `groups[j].expected_billed_capped(walls[i])` —
     /// the memoized failed-group billing at every attainable winner wall.
     caps: Vec<f64>,
@@ -613,12 +559,11 @@ pub struct EvalScratch {
     /// the winner finishes at `walls[i]`:
     /// `(walls[i] − delay_j).max(0).min(run_wall_j).ceil()`.
     surv_billed: Vec<f64>,
-    /// Per-group left-to-right prefix sums of `fail_buckets`, flattened
-    /// (memoized modes only). Failure walls are nondecreasing and
-    /// remaining-work ratios nonincreasing in the bucket index, so every
-    /// conditional-CDF sum the all-fail helpers accumulate is one of
-    /// these partial sums — bitwise, since they add the same buckets in
-    /// the same order.
+    /// Per-group left-to-right prefix sums of `fail_buckets`, flattened.
+    /// Failure walls are nondecreasing and remaining-work ratios
+    /// nonincreasing in the bucket index, so every conditional-CDF sum the
+    /// all-fail helpers accumulate is one of these partial sums — bitwise,
+    /// since they add the same buckets in the same order.
     prefix: Vec<f64>,
     /// Group offsets into `prefix` (length `k + 1`; group `j`'s sums span
     /// `prefix[off[j]..off[j + 1]]`).
@@ -630,53 +575,21 @@ pub struct EvalScratch {
 }
 
 impl EvalScratch {
-    /// An empty workspace running the default kernel
-    /// ([`KernelMode::CapsSoa`]). Buffers grow on first use and are
-    /// reused after.
+    /// An empty workspace. Buffers grow on first use and are reused after.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty workspace pinned to `mode` (the ablation hook — results
-    /// are bit-identical in every mode).
-    pub fn with_mode(mode: KernelMode) -> Self {
-        Self {
-            mode,
-            ..Self::default()
-        }
-    }
-
-    /// The kernel this workspace runs.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Repin the workspace to `mode`. The memo buffers are sized per
-    /// candidate inside `prepare`, so switching kernels between
-    /// evaluations is free — the search loop uses this to pick
-    /// [`KernelMode::auto_for`] each subset size.
-    pub fn set_mode(&mut self, mode: KernelMode) {
-        self.mode = mode;
-    }
-
     /// Fill the memo tables for one candidate. `caps` is computed by
     /// calling [`GroupAssessment::expected_billed_capped`] per `(group,
-    /// wall)` pair — the same left-to-right bucket summation the scalar
-    /// kernel runs per mask — so every table entry is bitwise the value
-    /// the scalar kernel would have recomputed.
+    /// wall)` pair — the same left-to-right bucket summation a direct
+    /// per-mask evaluation runs — so every table entry is bitwise the
+    /// value that evaluation would have recomputed.
     fn prepare(&mut self, groups: &[&GroupAssessment]) {
         let k = groups.len();
         self.walls.clear();
         self.walls
             .extend(groups.iter().map(|g| g.completion_wall()));
-        if self.mode == KernelMode::CapsSoa {
-            self.survival.clear();
-            self.survival.extend(groups.iter().map(|g| g.survival));
-            self.prob_fail.clear();
-            self.prob_fail.extend(groups.iter().map(|g| g.prob_fail()));
-            self.hourly.clear();
-            self.hourly.extend(groups.iter().map(|g| g.hourly_cost()));
-        }
         self.caps.clear();
         self.surv_billed.clear();
         for g in groups {
@@ -750,112 +663,45 @@ pub fn evaluate_with_scratch(
     let mut e_spot = 0.0;
     let mut e_od = 0.0;
 
-    // Patterns with at least one completing group. Three kernels, one
-    // result: `w*` is always one of the ≤ k completion walls, and equal
-    // walls memoize to bitwise-equal table entries, so looking the billed
-    // hours up by wall *index* reproduces the scalar kernel's arithmetic
-    // exactly — same factors, same order, same rounding.
-    match scratch.mode {
-        KernelMode::Scalar => {
-            for mask in 1u32..(1 << k) {
-                let mut p = 1.0;
-                let mut w_star = f64::INFINITY;
-                for (i, g) in groups.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        p *= g.survival;
-                        w_star = w_star.min(g.completion_wall());
-                    } else {
-                        p *= g.prob_fail();
-                    }
+    // Patterns with at least one completing group. `w*` is always one of
+    // the ≤ k completion walls, and equal walls memoize to bitwise-equal
+    // table entries, so looking the billed hours up by wall *index*
+    // reproduces the direct per-mask arithmetic exactly — same factors,
+    // same order, same rounding.
+    scratch.prepare(groups);
+    for mask in 1u32..(1 << k) {
+        let mut p = 1.0;
+        let mut w_star = f64::INFINITY;
+        let mut wi = 0usize;
+        for (i, g) in groups.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                p *= g.survival;
+                if scratch.walls[i] <= w_star {
+                    w_star = scratch.walls[i];
+                    wi = i;
                 }
-                if p <= 0.0 {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for (i, g) in groups.iter().enumerate() {
-                    let hours = if mask & (1 << i) != 0 {
-                        // Completing groups run until the winner finishes
-                        // (their own waiting time is not billed); user
-                        // termination charges the started hour.
-                        (w_star - g.launch_delay).max(0.0).min(g.run_wall()).ceil()
-                    } else {
-                        g.expected_billed_capped(w_star)
-                    };
-                    cost += g.hourly_cost() * hours;
-                }
-                e_cost += p * cost;
-                e_spot += p * cost;
-                e_time += p * w_star;
+            } else {
+                p *= g.prob_fail();
             }
         }
-        KernelMode::CapsMemo => {
-            scratch.prepare(groups);
-            for mask in 1u32..(1 << k) {
-                let mut p = 1.0;
-                let mut w_star = f64::INFINITY;
-                let mut wi = 0usize;
-                for (i, g) in groups.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        p *= g.survival;
-                        if scratch.walls[i] <= w_star {
-                            w_star = scratch.walls[i];
-                            wi = i;
-                        }
-                    } else {
-                        p *= g.prob_fail();
-                    }
-                }
-                if p <= 0.0 {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for (j, g) in groups.iter().enumerate() {
-                    let hours = if mask & (1 << j) != 0 {
-                        scratch.surv_billed[j * k + wi]
-                    } else {
-                        scratch.caps[j * k + wi]
-                    };
-                    cost += g.hourly_cost() * hours;
-                }
-                e_cost += p * cost;
-                e_spot += p * cost;
-                e_time += p * w_star;
-            }
+        if p <= 0.0 {
+            continue;
         }
-        KernelMode::CapsSoa => {
-            scratch.prepare(groups);
-            for mask in 1u32..(1 << k) {
-                let mut p = 1.0;
-                let mut w_star = f64::INFINITY;
-                let mut wi = 0usize;
-                for i in 0..k {
-                    if mask & (1 << i) != 0 {
-                        p *= scratch.survival[i];
-                        if scratch.walls[i] <= w_star {
-                            w_star = scratch.walls[i];
-                            wi = i;
-                        }
-                    } else {
-                        p *= scratch.prob_fail[i];
-                    }
-                }
-                if p <= 0.0 {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for j in 0..k {
-                    let hours = if mask & (1 << j) != 0 {
-                        scratch.surv_billed[j * k + wi]
-                    } else {
-                        scratch.caps[j * k + wi]
-                    };
-                    cost += scratch.hourly[j] * hours;
-                }
-                e_cost += p * cost;
-                e_spot += p * cost;
-                e_time += p * w_star;
-            }
+        let mut cost = 0.0;
+        for (j, g) in groups.iter().enumerate() {
+            // Completing groups run until the winner finishes (their own
+            // waiting time is not billed; user termination charges the
+            // started hour); failed ones are billed up to the winner.
+            let hours = if mask & (1 << j) != 0 {
+                scratch.surv_billed[j * k + wi]
+            } else {
+                scratch.caps[j * k + wi]
+            };
+            cost += g.hourly_cost() * hours;
         }
+        e_cost += p * cost;
+        e_spot += p * cost;
+        e_time += p * w_star;
     }
 
     // All-fail pattern: on-demand recovery.
@@ -865,17 +711,8 @@ pub fn evaluate_with_scratch(
             .iter()
             .map(|g| g.hourly_cost() * g.expected_billed())
             .sum();
-        let (e_max_wall, e_min_ratio) = if scratch.mode == KernelMode::Scalar {
-            (
-                expected_max_wall(groups, &mut scratch.values),
-                expected_min_ratio(groups, &mut scratch.values),
-            )
-        } else {
-            (
-                expected_max_wall_swept(groups, scratch),
-                expected_min_ratio_swept(groups, scratch),
-            )
-        };
+        let e_max_wall = expected_max_wall(groups, scratch);
+        let e_min_ratio = expected_min_ratio(groups, scratch);
         let od_hours = od.exec_hours * e_min_ratio + od.recovery_hours;
         // On-demand is billed in whole started instance-hours.
         let od_cost = od_hours.ceil() * od.unit_price * od.instances as f64;
@@ -920,101 +757,13 @@ pub fn evaluate_plan(plan: &Plan, view: &MarketView) -> Result<Option<Evaluation
 
 /// `E[max_j e_j | all fail]` — expected wall time at which the *last*
 /// circle group dies (Formula 10). Exact, via the product of conditional
-/// CDFs of the independent per-group failure walls. `values` is a reused
-/// scratch buffer for the attainable wall values.
-fn expected_max_wall(groups: &[&GroupAssessment], values: &mut Vec<Hours>) -> Hours {
-    values.clear();
-    for g in groups {
-        for t in 0..g.fail_buckets.len() {
-            if g.fail_buckets[t] > 0.0 {
-                values.push(g.fail_wall(t));
-            }
-        }
-    }
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.total_cmp(b));
-    values.dedup();
-
-    let cdf = |g: &GroupAssessment, x: Hours| -> f64 {
-        let pf = g.prob_fail();
-        if pf <= 0.0 {
-            return 1.0; // vacuous: group can't be in the all-fail pattern
-        }
-        let mut acc = 0.0;
-        for (t, p) in g.fail_buckets.iter().enumerate() {
-            if g.fail_wall(t) <= x {
-                acc += p;
-            }
-        }
-        acc / pf
-    };
-
-    let mut e = 0.0;
-    let mut prev_cdf = 0.0;
-    for &v in values.iter() {
-        let joint: f64 = groups.iter().map(|g| cdf(g, v)).product();
-        e += v * (joint - prev_cdf);
-        prev_cdf = joint;
-    }
-    e
-}
-
-/// `E[min_j Ratio_j | all fail]` — expected remaining work fraction at the
-/// best checkpoint across groups (Formulas 7 and 11). Exact via products
-/// of conditional complementary CDFs. `values` is a reused scratch buffer.
-fn expected_min_ratio(groups: &[&GroupAssessment], values: &mut Vec<f64>) -> f64 {
-    values.clear();
-    for g in groups {
-        for t in 0..g.fail_buckets.len() {
-            if g.fail_buckets[t] > 0.0 {
-                values.push(g.fail_ratio(t));
-            }
-        }
-    }
-    if values.is_empty() {
-        return 1.0;
-    }
-    values.sort_by(|a, b| a.total_cmp(b));
-    values.dedup();
-
-    // P[Ratio_j >= r | fail]
-    let ccdf = |g: &GroupAssessment, r: f64| -> f64 {
-        let pf = g.prob_fail();
-        if pf <= 0.0 {
-            return 1.0;
-        }
-        let mut acc = 0.0;
-        for (t, p) in g.fail_buckets.iter().enumerate() {
-            if g.fail_ratio(t) >= r {
-                acc += p;
-            }
-        }
-        acc / pf
-    };
-
-    // E[min] = Σ_m v_m · (P[min ≥ v_m] − P[min ≥ v_{m+1}])
-    let mut e = 0.0;
-    for (m, &v) in values.iter().enumerate() {
-        let p_ge_v: f64 = groups.iter().map(|g| ccdf(g, v)).product();
-        let p_ge_next: f64 = if m + 1 < values.len() {
-            groups.iter().map(|g| ccdf(g, values[m + 1])).product()
-        } else {
-            0.0
-        };
-        e += v * (p_ge_v - p_ge_next);
-    }
-    e
-}
-
-/// [`expected_max_wall`] via the memoized prefix sums: failure walls are
-/// nondecreasing in the bucket index, so `cdf(g, v)` is one of group
-/// `g`'s left-to-right partial sums — looked up by advancing a per-group
-/// cursor as `v` sweeps the sorted wall values. Bitwise identical to the
-/// scalar helper (same additions, same order, same division) in
+/// CDFs of the independent per-group failure walls. Failure walls are
+/// nondecreasing in the bucket index, so each `cdf(g, v)` is one of group
+/// `g`'s left-to-right partial sums in `s.prefix`, looked up by advancing
+/// a per-group cursor as `v` sweeps the sorted wall values: bitwise the
+/// direct conditional sum (same additions, same order, same division) in
 /// `O(k·T log(k·T))` instead of `O(k²·T²)`.
-fn expected_max_wall_swept(groups: &[&GroupAssessment], s: &mut EvalScratch) -> Hours {
+fn expected_max_wall(groups: &[&GroupAssessment], s: &mut EvalScratch) -> Hours {
     s.values.clear();
     for g in groups {
         for t in 0..g.fail_buckets.len() {
@@ -1056,13 +805,15 @@ fn expected_max_wall_swept(groups: &[&GroupAssessment], s: &mut EvalScratch) -> 
     e
 }
 
-/// [`expected_min_ratio`] via the memoized prefix sums: remaining-work
-/// ratios are nonincreasing in the bucket index, so `ccdf(g, r)` is a
-/// prefix sum too — the cursor retreats as `r` sweeps the sorted ratio
-/// values ascending. The per-value joint products are computed once and
-/// reused for the adjacent-difference (the scalar helper recomputes each
-/// product twice with identical factors, so reuse is bitwise identical).
-fn expected_min_ratio_swept(groups: &[&GroupAssessment], s: &mut EvalScratch) -> f64 {
+/// `E[min_j Ratio_j | all fail]` — expected remaining work fraction at the
+/// best checkpoint across groups (Formulas 7 and 11). Exact via products
+/// of conditional complementary CDFs. Remaining-work ratios are
+/// nonincreasing in the bucket index, so `ccdf(g, r)` is a prefix sum too
+/// — the cursor retreats as `r` sweeps the sorted ratio values ascending.
+/// The per-value joint products are computed once and reused for the
+/// adjacent difference (the direct form recomputes each product twice
+/// with identical factors, so reuse is bitwise identical).
+fn expected_min_ratio(groups: &[&GroupAssessment], s: &mut EvalScratch) -> f64 {
     s.values.clear();
     for g in groups {
         for t in 0..g.fail_buckets.len() {
@@ -1120,24 +871,6 @@ mod tests {
     use ec2_market::instance::InstanceTypeId;
     use ec2_market::market::CircleGroupId;
     use ec2_market::zone::AvailabilityZone;
-
-    #[test]
-    fn auto_kernel_crosses_over_at_the_soa_threshold() {
-        for k in 0..KernelMode::AUTO_SOA_MIN_GROUPS {
-            assert_eq!(KernelMode::auto_for(k), KernelMode::CapsMemo, "k={k}");
-        }
-        for k in KernelMode::AUTO_SOA_MIN_GROUPS..KernelMode::AUTO_SOA_MIN_GROUPS + 8 {
-            assert_eq!(KernelMode::auto_for(k), KernelMode::CapsSoa, "k={k}");
-        }
-    }
-
-    #[test]
-    fn set_mode_repins_a_scratch_between_evaluations() {
-        let mut scratch = EvalScratch::with_mode(KernelMode::Scalar);
-        assert_eq!(scratch.mode(), KernelMode::Scalar);
-        scratch.set_mode(KernelMode::CapsMemo);
-        assert_eq!(scratch.mode(), KernelMode::CapsMemo);
-    }
 
     fn group(t: Hours) -> CircleGroup {
         CircleGroup {
@@ -1586,47 +1319,215 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernel_modes_are_bit_identical() {
-        // The caps memo and the SoA packing must reproduce the scalar
-        // kernel bit-for-bit on candidates mixing certain survivors,
-        // certain failures, launch delays, and duplicated walls (equal
-        // completion walls exercise the w*-index tie).
-        let mut delayed = assessment(2.0, 0.5, 0.15, 1.0);
-        delayed.launch_delay = 0.75;
-        let pool = [
-            assessment(2.0, 0.5, 0.1, 2.0),
-            assessment(3.0, 0.25, 0.2, 3.0),
-            assessment(3.0, 0.25, 0.2, 3.0), // duplicate wall of the above
-            assessment(4.0, 0.9, 0.05, 1.0),
-            assessment(1.0, 0.0, 0.3, 1.0),  // certain failure
-            assessment(5.0, 1.0, 0.02, 5.0), // certain survivor
-            delayed,
-        ];
-        let odo = od();
-        let mut scalar = EvalScratch::with_mode(KernelMode::Scalar);
-        let mut memo = EvalScratch::with_mode(KernelMode::CapsMemo);
-        let mut soa = EvalScratch::with_mode(KernelMode::CapsSoa);
-        assert_eq!(EvalScratch::new().mode(), KernelMode::CapsSoa);
-        // Every subset of the pool up to k = 5, reusing the scratches.
-        for mask in 1u32..(1 << pool.len()) {
-            if mask.count_ones() > 5 {
+    /// The scalar kernel: every failed group rescans all `T` fail buckets
+    /// in every one of the `2^k − 1` patterns, and the all-fail pattern
+    /// sums each conditional CDF directly — `O(2^k · k · T + k² · T²)`.
+    /// The bit-for-bit oracle of [`evaluate_with_scratch`]'s memos.
+    fn evaluate_scalar(groups: &[&GroupAssessment], od: &OnDemandOption) -> Evaluation {
+        let k = groups.len();
+        assert!((1..=16).contains(&k));
+        let (mut e_cost, mut e_time, mut e_spot, mut e_od) = (0.0, 0.0, 0.0, 0.0);
+        for mask in 1u32..(1 << k) {
+            let mut p = 1.0;
+            let mut w_star = f64::INFINITY;
+            for (i, g) in groups.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    p *= g.survival;
+                    w_star = w_star.min(g.completion_wall());
+                } else {
+                    p *= g.prob_fail();
+                }
+            }
+            if p <= 0.0 {
                 continue;
             }
-            let refs: Vec<&GroupAssessment> = pool
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, a)| a)
-                .collect();
-            let base = evaluate_with_scratch(&refs, &odo, &mut scalar);
-            let label = format!("subset {mask:#b}");
-            assert_bits_eq(
-                &base,
-                &evaluate_with_scratch(&refs, &odo, &mut memo),
-                &label,
-            );
-            assert_bits_eq(&base, &evaluate_with_scratch(&refs, &odo, &mut soa), &label);
+            let mut cost = 0.0;
+            for (i, g) in groups.iter().enumerate() {
+                let hours = if mask & (1 << i) != 0 {
+                    (w_star - g.launch_delay).max(0.0).min(g.run_wall()).ceil()
+                } else {
+                    g.expected_billed_capped(w_star)
+                };
+                cost += g.hourly_cost() * hours;
+            }
+            e_cost += p * cost;
+            e_spot += p * cost;
+            e_time += p * w_star;
         }
+        let p0: f64 = groups.iter().map(|g| g.prob_fail()).product();
+        if p0 > 0.0 {
+            let spot: f64 = groups
+                .iter()
+                .map(|g| g.hourly_cost() * g.expected_billed())
+                .sum();
+            let od_hours = od.exec_hours * scalar_min_ratio(groups) + od.recovery_hours;
+            let od_cost = od_hours.ceil() * od.unit_price * od.instances as f64;
+            e_cost += p0 * (spot + od_cost);
+            e_spot += p0 * spot;
+            e_od += p0 * od_cost;
+            e_time += p0 * (scalar_max_wall(groups) + od_hours);
+        }
+        Evaluation {
+            expected_cost: e_cost,
+            expected_time: e_time,
+            p_all_fail: p0,
+            expected_spot_cost: e_spot,
+            expected_od_cost: e_od,
+        }
+    }
+
+    /// The failure values (walls or ratios) carrying failure mass, sorted
+    /// ascending and deduplicated.
+    fn failure_values(
+        groups: &[&GroupAssessment],
+        at: impl Fn(&GroupAssessment, usize) -> f64,
+    ) -> Vec<f64> {
+        let mut values: Vec<f64> = groups
+            .iter()
+            .flat_map(|g| {
+                (0..g.fail_buckets.len())
+                    .filter(|&t| g.fail_buckets[t] > 0.0)
+                    .map(|t| at(g, t))
+            })
+            .collect();
+        values.sort_by(|a, b| a.total_cmp(b));
+        values.dedup();
+        values
+    }
+
+    /// `E[max_j e_j | all fail]` by direct conditional-CDF sums.
+    fn scalar_max_wall(groups: &[&GroupAssessment]) -> Hours {
+        let cdf = |g: &GroupAssessment, x: Hours| -> f64 {
+            let pf = g.prob_fail();
+            if pf <= 0.0 {
+                return 1.0;
+            }
+            let mut acc = 0.0;
+            for (t, p) in g.fail_buckets.iter().enumerate() {
+                if g.fail_wall(t) <= x {
+                    acc += p;
+                }
+            }
+            acc / pf
+        };
+        let mut e = 0.0;
+        let mut prev_cdf = 0.0;
+        for v in failure_values(groups, GroupAssessment::fail_wall) {
+            let joint: f64 = groups.iter().map(|g| cdf(g, v)).product();
+            e += v * (joint - prev_cdf);
+            prev_cdf = joint;
+        }
+        e
+    }
+
+    /// `E[min_j Ratio_j | all fail]` by direct conditional-CCDF sums.
+    fn scalar_min_ratio(groups: &[&GroupAssessment]) -> f64 {
+        let values = failure_values(groups, GroupAssessment::fail_ratio);
+        if values.is_empty() {
+            return 1.0;
+        }
+        let ccdf = |g: &GroupAssessment, r: f64| -> f64 {
+            let pf = g.prob_fail();
+            if pf <= 0.0 {
+                return 1.0;
+            }
+            let mut acc = 0.0;
+            for (t, p) in g.fail_buckets.iter().enumerate() {
+                if g.fail_ratio(t) >= r {
+                    acc += p;
+                }
+            }
+            acc / pf
+        };
+        let mut e = 0.0;
+        for (m, &v) in values.iter().enumerate() {
+            let p_ge_v: f64 = groups.iter().map(|g| ccdf(g, v)).product();
+            let p_ge_next: f64 = match values.get(m + 1) {
+                Some(&next) => groups.iter().map(|g| ccdf(g, next)).product(),
+                None => 0.0,
+            };
+            e += v * (p_ge_v - p_ge_next);
+        }
+        e
+    }
+
+    /// Seeded uniform draws in `[0, 1)` (a SplitMix64 chain).
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> f64 {
+            self.0 = ec2_market::fault::splitmix64(self.0);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random assessment on quarter-hour job lengths and intervals (so
+    /// completion walls collide and exercise the `w*`-index tie), with a
+    /// launch delay 60% of the time and failure mass on a random subset of
+    /// buckets. One in four groups never survives and one in four never
+    /// fails.
+    fn random_assessment(d: &mut Draws) -> GroupAssessment {
+        let quarter = |x: f64| (x * 4.0).floor() / 4.0;
+        let mut g = group(quarter(0.5 + 5.5 * d.next()));
+        g.instances = 1 + (d.next() * 8.0) as u32;
+        let interval = if d.next() < 0.3 {
+            g.exec_hours
+        } else {
+            quarter(0.25 + g.exec_hours * d.next())
+        };
+        let survival = match (d.next() * 4.0) as u32 {
+            0 => 0.0,
+            1 => 1.0,
+            _ => d.next(),
+        };
+        let horizon = g.completion_wall_hours(interval).ceil().max(1.0) as usize;
+        let mut weights: Vec<f64> = (0..horizon)
+            .map(|_| if d.next() < 0.3 { 0.0 } else { d.next() })
+            .collect();
+        if weights.iter().all(|&w| w == 0.0) {
+            weights[0] = 1.0;
+        }
+        let total: f64 = weights.iter().sum();
+        let delay = if d.next() < 0.4 { 0.0 } else { 1.5 * d.next() };
+        GroupAssessment::from_parts(
+            g,
+            GroupDecision {
+                bid: 1.0,
+                ckpt_interval: interval,
+            },
+            0.01 + 0.5 * d.next(),
+            survival,
+            weights
+                .iter()
+                .map(|w| w / total * (1.0 - survival))
+                .collect(),
+            delay,
+        )
+    }
+
+    #[test]
+    fn kernel_matches_the_scalar_oracle_bit_for_bit() {
+        // Seeded random candidates at every k the search can reach, through
+        // one reused scratch, mixing certain failures, certain survivors,
+        // launch delays and colliding completion walls.
+        let odo = od();
+        let mut scratch = EvalScratch::new();
+        let mut d = Draws(0x5eed);
+        let (mut never_survive, mut never_fail) = (0, 0);
+        for k in 1..=12 {
+            for trial in 0..8 {
+                let groups: Vec<GroupAssessment> =
+                    (0..k).map(|_| random_assessment(&mut d)).collect();
+                never_survive += groups.iter().filter(|g| g.survival == 0.0).count();
+                never_fail += groups.iter().filter(|g| g.prob_fail() == 0.0).count();
+                let refs: Vec<&GroupAssessment> = groups.iter().collect();
+                assert_bits_eq(
+                    &evaluate_scalar(&refs, &odo),
+                    &evaluate_with_scratch(&refs, &odo, &mut scratch),
+                    &format!("k={k} trial={trial}"),
+                );
+            }
+        }
+        assert!(never_survive > 0 && never_fail > 0);
     }
 }

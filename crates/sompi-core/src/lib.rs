@@ -26,8 +26,6 @@
 //! * [`logsearch`] — the logarithmic bid-price grid (§4.2.2),
 //! * [`twolevel`] — the two-level optimizer with κ-subset selection
 //!   (§4.2.2 + §4.4),
-//! * [`pool`] — the persistent search worker pool reused across adaptive
-//!   windows and server requests (DESIGN.md §14),
 //! * [`adaptive`] — the windowed adaptive re-optimizer, Algorithm 1 (§4.3),
 //! * [`warmstart`] — exactness-preserving warm-start state carried across
 //!   the adaptive loop's searches (DESIGN.md §12),
@@ -41,6 +39,8 @@
 //!   fault-tolerance ablations (§5.3, §5.4.2), all implementing
 //!   [`policy::Policy`].
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod baselines;
 pub mod cost;
@@ -51,7 +51,6 @@ pub mod ondemand;
 pub mod pareto;
 pub mod phi;
 pub mod policy;
-pub mod pool;
 pub mod problem;
 pub mod twolevel;
 pub mod view;
@@ -61,7 +60,7 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveConfigBuilder, AdaptivePlanner, PlanCache, PlanContext, PlannedWindow,
     ViewFingerprint, WindowDecision,
 };
-pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment, KernelMode};
+pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment};
 pub use error::SompiError;
 pub use logsearch::BidGrid;
 pub use model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
@@ -72,7 +71,6 @@ pub use policy::{
     policy_by_name, KillObservation, KillReaction, Policy, WindowObservation, WindowReaction,
     POLICY_NAMES,
 };
-pub use pool::SearchPool;
 pub use problem::Problem;
 pub use twolevel::{OptimizedPlan, OptimizerConfig, OptimizerConfigBuilder, TwoLevelOptimizer};
 pub use view::MarketView;

@@ -8,7 +8,7 @@
 //! out-of-bid kills. [`Policy`] owns both:
 //!
 //! * [`Policy::plan`] — the single context-taking planning entry point
-//!   (the recorder / warm-start / search-pool plumbing rides in the
+//!   (the recorder / warm-start plumbing rides in the
 //!   [`PlanContext`], exactly like `AdaptivePlanner::plan_window`);
 //! * [`Policy::on_window`] / [`Policy::on_kill`] — the adaptive loop's
 //!   per-window hooks, with defaults that reproduce `AdaptiveRunner`'s
@@ -106,8 +106,8 @@ pub trait Policy: Send + Sync {
     /// the market history exposed by `view`.
     ///
     /// Everything optional rides in `ctx` (see [`PlanContext`]): the
-    /// trace recorder, warm-start state carried across adaptive windows,
-    /// and the persistent search pool. Policies without a search simply
+    /// trace recorder and warm-start state carried across adaptive
+    /// windows. Policies without a search simply
     /// ignore what they do not use; `&mut PlanContext::new()` is the
     /// all-no-op context. Plans must be deterministic functions of
     /// `(problem, view)` — the context only changes *how* the search

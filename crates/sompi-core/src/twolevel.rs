@@ -17,10 +17,11 @@
 //! # Parallel search
 //!
 //! The `C(K, k)` subsets are fanned out across [`OptimizerConfig::threads`]
-//! workers (crossbeam scoped threads, the same pattern as `replay`'s
-//! Monte-Carlo): every worker runs the bid odometer over its contiguous
-//! chunk of the subset list with worker-local state — an incumbent, an
-//! evaluation counter, and reused scratch buffers — and the per-worker
+//! workers, capped at the host's cores (crossbeam scoped threads, the
+//! same pattern as `replay`'s Monte-Carlo): every worker runs the bid
+//! odometer over its contiguous chunk of the subset list with
+//! worker-local state — an incumbent, an evaluation counter, and reused
+//! scratch buffers — and the per-worker
 //! winners are merged under a *total* candidate order: feasibility first,
 //! then lower expected cost, then the lexicographic bid-vector tie-break
 //! (higher bids win — see the private `beats` helper), then the unique
@@ -28,11 +29,7 @@
 //! `(subset index, odometer step)`. Because that order is total and
 //! independent of how the subset list is chunked, the returned
 //! [`OptimizedPlan`] — plan, evaluation, and `evaluations_performed` — is
-//! identical at any thread count. With a persistent
-//! [`SearchPool`](crate::pool::SearchPool) attached (`ctx.pool` on
-//! [`TwoLevelOptimizer::optimize_with`]), the same chunk jobs run
-//! on resident workers instead of freshly spawned threads; results come
-//! back in submission order, so the merge — and the answer — is unchanged.
+//! identical at any thread count.
 //!
 //! # Warm-started re-optimization
 //!
@@ -49,7 +46,7 @@
 use crate::adaptive::PlanContext;
 use crate::cost::{
     assessment_horizon, candidate_cost_floor, evaluate, evaluate_with_scratch, CostFloor,
-    EvalScratch, Evaluation, GroupAssessment, KernelMode,
+    EvalScratch, Evaluation, GroupAssessment,
 };
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
@@ -91,7 +88,6 @@ pub enum GridKind {
 /// assert!(cfg.prune_dominance);    // exact pruning is on by default
 /// assert!(cfg.prune_bound);
 /// assert!(cfg.shared_incumbent);
-/// assert!(cfg.kernel_caps);        // memoized kernel is on by default
 ///
 /// // Struct-update syntax is the idiomatic way to tweak one knob:
 /// let quick = OptimizerConfig { kappa: 2, bid_levels: 3, ..cfg };
@@ -127,7 +123,9 @@ pub struct OptimizerConfig {
     /// per-run deadline reliability. `None` reproduces the paper.
     pub min_spot_success: Option<f64>,
     /// Worker threads for the subset search: `0` = one per available
-    /// core, `1` = sequential. The result is identical at any setting.
+    /// core, `1` = sequential. Larger requests are capped at the core
+    /// count, so no input spawns more workers than the host runs at once.
+    /// The result is identical at any setting.
     pub threads: usize,
     /// Drop per-group options whose only difference from a surviving
     /// higher-bid option is the bid itself (DESIGN.md §8.1). Exact: the
@@ -150,12 +148,6 @@ pub struct OptimizerConfig {
     /// the result identical at any thread count.
     #[serde(default = "default_true")]
     pub shared_incumbent: bool,
-    /// Run the memoized caps-table + SoA evaluation kernel
-    /// ([`KernelMode::CapsSoa`], DESIGN.md §14). Bit-identical to the
-    /// scalar kernel — the memo reuses the scalar summation order — so
-    /// `false` (the `--no-kernel-caps` ablation) only changes speed.
-    #[serde(default = "default_true")]
-    pub kernel_caps: bool,
 }
 
 fn default_true() -> bool {
@@ -253,12 +245,6 @@ impl OptimizerConfigBuilder {
         self
     }
 
-    /// Toggle the memoized caps-table + SoA evaluation kernel.
-    pub fn kernel_caps(mut self, on: bool) -> Self {
-        self.config.kernel_caps = on;
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> OptimizerConfig {
         self.config
@@ -279,7 +265,6 @@ impl Default for OptimizerConfig {
             prune_dominance: true,
             prune_bound: true,
             shared_incumbent: true,
-            kernel_caps: true,
         }
     }
 }
@@ -615,14 +600,18 @@ fn beats(
     }
 }
 
-/// Resolve the configured thread count: `0` = one per available core.
+/// Resolve the configured thread count: `0` = one per available core,
+/// and never more than that, since the count can come from wire input.
+/// `1` skips the core-count query, which reads cgroup files on Linux.
 fn resolve_threads(threads: usize) -> usize {
+    if threads == 1 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        cores
     } else {
-        threads
+        threads.min(cores)
     }
 }
 
@@ -658,7 +647,7 @@ impl<'a> TwoLevelOptimizer<'a> {
 
     /// Run the full search with everything optional riding in `ctx` (the
     /// same [`PlanContext`] the adaptive planner and [`crate::policy`]
-    /// use). Three context fields matter here; the rest are ignored:
+    /// use). Two context fields matter here; the rest are ignored:
     ///
     /// * `ctx.recorder` — emits one `PlanSearchStarted`, one
     ///   `SubsetEvaluated` per worker (Detail level, in worker-index
@@ -677,18 +666,9 @@ impl<'a> TwoLevelOptimizer<'a> {
     ///   consulted. The warm seed probe is not counted in
     ///   `evaluations_performed`, which keeps reporting the full
     ///   enumeration size.
-    /// * `ctx.pool` — a persistent [`SearchPool`](crate::pool::SearchPool): when present and the
-    ///   search is parallel, the chunk jobs run on the pool's resident
-    ///   workers instead of spawning fresh threads (one `SearchPoolUsed`
-    ///   event per dispatch). Chunking is still derived from
-    ///   [`OptimizerConfig::threads`] and the merge still folds
-    ///   per-chunk winners in submission order under the total candidate
-    ///   order, so the result is bit-identical with or without the pool,
-    ///   at any pool size.
     pub fn optimize_with(&self, ctx: &mut PlanContext<'_>) -> Result<OptimizedPlan, SompiError> {
         let recorder = ctx.recorder;
         let mut warm = ctx.warm.as_deref_mut();
-        let pool = ctx.pool;
         let od = select_on_demand(
             &self.problem.on_demand,
             self.problem.deadline,
@@ -808,78 +788,32 @@ impl<'a> TwoLevelOptimizer<'a> {
         });
 
         let search_timer = PhaseTimer::start();
+        let shared = use_shared.then_some(&shared_bound);
         let results: Vec<WorkerStats> = if threads <= 1 {
-            let shared = use_shared.then_some(&shared_bound);
             vec![self.search_chunk(
                 &options, &od, &subsets, &order, &min_wall, shared, seed_bound,
             )]
-        } else if let Some(pool) = pool {
-            // Persistent dispatch: same chunking, same submission-order
-            // merge — the resident workers only replace the spawn/join.
-            let search_seq = pool.begin_search();
-            let chunk = order.len().div_ceil(threads);
-            let mut tasks: Vec<Box<dyn FnOnce() -> WorkerStats + Send + '_>> =
-                Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = (lo + chunk).min(order.len());
-                if lo >= hi {
-                    break;
-                }
-                let chunk_order = &order[lo..hi];
-                let subsets = &subsets;
-                let options = &options;
-                let od = &od;
-                let min_wall = &min_wall;
-                let shared = use_shared.then_some(&shared_bound);
-                tasks.push(Box::new(move || {
-                    self.search_chunk(
-                        options,
-                        od,
-                        subsets,
-                        chunk_order,
-                        min_wall,
-                        shared,
-                        seed_bound,
-                    )
-                }));
-            }
-            let jobs = tasks.len() as u32;
-            emit(recorder, TraceLevel::Summary, || Event::SearchPoolUsed {
-                pool_id: pool.id(),
-                search_seq,
-                workers: pool.workers() as u32,
-                jobs,
-            });
-            pool.run(tasks)
         } else {
+            // Contiguous chunks of the enumeration order, one per worker.
             let chunk = order.len().div_ceil(threads);
+            let (options, subsets, od, min_wall) = (&options, &subsets, &od, &min_wall);
             crossbeam::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = (lo + chunk).min(order.len());
-                    if lo >= hi {
-                        break;
-                    }
-                    let chunk_order = &order[lo..hi];
-                    let subsets = &subsets;
-                    let options = &options;
-                    let od = &od;
-                    let min_wall = &min_wall;
-                    let shared = use_shared.then_some(&shared_bound);
-                    handles.push(s.spawn(move |_| {
-                        self.search_chunk(
-                            options,
-                            od,
-                            subsets,
-                            chunk_order,
-                            min_wall,
-                            shared,
-                            seed_bound,
-                        )
-                    }));
-                }
+                let handles: Vec<_> = order
+                    .chunks(chunk)
+                    .map(|chunk_order| {
+                        s.spawn(move |_| {
+                            self.search_chunk(
+                                options,
+                                od,
+                                subsets,
+                                chunk_order,
+                                min_wall,
+                                shared,
+                                seed_bound,
+                            )
+                        })
+                    })
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("search worker panicked"))
@@ -1174,12 +1108,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut best: Option<Candidate> = None;
         let mut refs: Vec<&GroupAssessment> = Vec::new();
         let mut idx: Vec<usize> = Vec::new();
-        let mut scratch = EvalScratch::with_mode(if self.config.kernel_caps {
-            KernelMode::CapsSoa
-        } else {
-            KernelMode::Scalar
-        });
-        let auto_kernel = self.config.kernel_caps;
+        let mut scratch = EvalScratch::new();
         // Branch-and-bound scratch, reused across subsets: per-slot
         // `(lower bound, original option index)` pairs rank-sorted
         // ascending, slot cardinalities, mixed-radix step weights, and
@@ -1212,13 +1141,6 @@ impl<'a> TwoLevelOptimizer<'a> {
                 continue;
             }
             subsets_walked += 1;
-            if auto_kernel {
-                // Pick the faster memoized kernel for this subset size
-                // (CapsMemo below the SoA crossover, CapsSoa at or above
-                // — BENCH_kernel.json, DESIGN.md §14). Bit-identical
-                // results either way; `--no-kernel-caps` pins Scalar.
-                scratch.set_mode(KernelMode::auto_for(chosen.len()));
-            }
             let product: u64 = chosen
                 .iter()
                 .map(|&g| options[g].len() as u64)
@@ -1837,6 +1759,43 @@ mod tests {
                     .unwrap();
             assert_eq!(serial, parallel, "threads={threads} diverged from serial");
         }
+    }
+
+    #[test]
+    fn oversized_thread_requests_run_on_the_cores() {
+        use sompi_obs::RingRecorder;
+
+        // The worker count can come from wire input: a request for more
+        // workers than the host has cores runs on the cores and returns
+        // the sequential plan.
+        let (_, problem, view) = setup();
+        let base = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 3,
+            threads: 1,
+            ..OptimizerConfig::default()
+        };
+        let serial = TwoLevelOptimizer::new(&problem, &view, base)
+            .optimize()
+            .unwrap();
+        let ring = RingRecorder::new(TraceLevel::Summary, 16);
+        let huge = OptimizerConfig {
+            threads: usize::MAX,
+            ..base
+        };
+        let plan = TwoLevelOptimizer::new(&problem, &view, huge)
+            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+            .unwrap();
+        assert_eq!(serial, plan);
+        let events = ring.take();
+        let Some(Event::PlanSearchStarted { threads, .. }) = events.first() else {
+            panic!("PlanSearchStarted first: {events:?}");
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            *threads as usize <= cores,
+            "{threads} workers on {cores} cores"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ec2_market::market::SpotMarket;
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
-use sompi_core::cost::{evaluate_with_scratch, EvalScratch, GroupAssessment, KernelMode};
+use sompi_core::cost::{evaluate_with_scratch, EvalScratch, GroupAssessment};
 use sompi_core::model::GroupDecision;
 use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use sompi_core::{MarketView, PlanContext, Problem};
@@ -74,9 +74,9 @@ fn setup() -> (Problem, MarketView) {
 fn null_recorder_adds_zero_allocations() {
     let (problem, view) = setup();
 
-    // (1) A warmed `evaluate_with_scratch` call is allocation-free — on
-    // every kernel mode, including the caps-memo tables, and with enough
-    // groups that the k×k caps table is actually consulted.
+    // (1) A warmed `evaluate_with_scratch` call is allocation-free —
+    // caps-memo tables and prefix sums included, with enough groups that
+    // the k×k caps table is actually consulted.
     let decision = GroupDecision {
         bid: 10.0,
         ckpt_interval: 1.0,
@@ -93,20 +93,11 @@ fn null_recorder_adds_zero_allocations() {
         .collect();
     let refs: Vec<&GroupAssessment> = assessed.iter().collect();
     let od = *problem.baseline();
-    for mode in [
-        KernelMode::Scalar,
-        KernelMode::CapsMemo,
-        KernelMode::CapsSoa,
-    ] {
-        let mut scratch = EvalScratch::with_mode(mode);
-        evaluate_with_scratch(&refs, &od, &mut scratch); // warm the buffers
-        let (eval, allocs) = counted(|| evaluate_with_scratch(&refs, &od, &mut scratch));
-        assert!(eval.expected_cost > 0.0);
-        assert_eq!(
-            allocs, 0,
-            "warmed evaluate_with_scratch ({mode:?}) allocated"
-        );
-    }
+    let mut scratch = EvalScratch::new();
+    evaluate_with_scratch(&refs, &od, &mut scratch); // warm the buffers
+    let (eval, allocs) = counted(|| evaluate_with_scratch(&refs, &od, &mut scratch));
+    assert!(eval.expected_cost > 0.0);
+    assert_eq!(allocs, 0, "warmed evaluate_with_scratch allocated");
 
     // (2) `optimize_with` a recorder attached but tracing off allocates
     // exactly as much as the context-free `optimize` — the recorder hook

@@ -186,23 +186,6 @@ pub enum Event {
         #[serde(default)]
         kernel_nanos: u64,
     },
-    /// A parallel search dispatched onto a persistent `SearchPool`
-    /// instead of spawning fresh scoped threads. Emitted once per pooled
-    /// `optimize` call, before the batch is submitted; repeated events
-    /// with the same `pool_id` and increasing `search_seq` prove that
-    /// many searches (adaptive windows, server requests) reused one set
-    /// of resident worker threads.
-    SearchPoolUsed {
-        /// Process-unique id of the pool that served the search.
-        pool_id: u64,
-        /// 1-based sequence number of this search on that pool.
-        search_seq: u64,
-        /// Resident worker threads in the pool.
-        workers: u32,
-        /// Chunk jobs this search submitted (the work split is decided by
-        /// `OptimizerConfig::threads`, never by the pool size).
-        jobs: u32,
-    },
     /// The warm-start layer's per-window summary: whether the previous
     /// window's plan seeded the incumbent bound, how many carried subsets
     /// led the enumeration order, and the bucket-table cache totals.
@@ -499,7 +482,6 @@ impl Event {
             Event::PlanSearchStarted { .. } => "PlanSearchStarted",
             Event::SubsetEvaluated { .. } => "SubsetEvaluated",
             Event::PlanSelected { .. } => "PlanSelected",
-            Event::SearchPoolUsed { .. } => "SearchPoolUsed",
             Event::WarmStartApplied { .. } => "WarmStartApplied",
             Event::BucketTableReused { .. } => "BucketTableReused",
             Event::WindowReplanned { .. } => "WindowReplanned",
@@ -595,12 +577,6 @@ mod tests {
                 bound_tightenings: 4,
                 evals_per_sec: 2400.0,
                 kernel_nanos: 350_000_000,
-            },
-            Event::SearchPoolUsed {
-                pool_id: 1,
-                search_seq: 3,
-                workers: 4,
-                jobs: 4,
             },
             Event::WarmStartApplied {
                 seeded: true,

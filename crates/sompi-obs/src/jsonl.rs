@@ -194,6 +194,16 @@ mod tests {
     }
 
     #[test]
+    fn retired_event_types_fail_with_their_line_number() {
+        // A well-formed line naming a variant this build no longer has
+        // (an event type removed since the trace was recorded).
+        let good = serde_json::to_string(&sample_events()[0]).unwrap();
+        let text = format!("{good}\n\n{{\"RetiredEvent\":{{\"jobs\":2}}}}\n");
+        let err = parse_jsonl(&text).unwrap_err();
+        assert!(err.starts_with("line 3:"), "unexpected error: {err}");
+    }
+
+    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join(format!("sompi-obs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

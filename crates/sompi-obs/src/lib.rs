@@ -58,6 +58,8 @@
 //! assert!(report.render().contains("finished by spot:g0"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod jsonl;
 mod metrics;

@@ -46,9 +46,6 @@ pub struct RunReport {
     /// Aggregated planner-service counters (requests, cache, shedding,
     /// per-phase latency), if the trace has server events.
     server: Option<ServerStats>,
-    /// Persistent search-pool usage folded from `SearchPoolUsed` events,
-    /// if the trace has any.
-    pool: Option<PoolStats>,
     /// Final `RunCompleted`, if the trace has one.
     outcome: Option<Outcome>,
 }
@@ -87,21 +84,6 @@ fn observe(acc: &mut (u64, f64, f64), secs: f64) {
     acc.0 += 1;
     acc.1 += secs;
     acc.2 = acc.2.max(secs);
-}
-
-/// Persistent-pool aggregates: how many searches dispatched onto how
-/// many distinct pools. One pool id across many searches is the
-/// "no thread spawn per request" proof.
-#[derive(Debug, Default)]
-struct PoolStats {
-    /// Pooled searches observed in the trace.
-    searches: u64,
-    /// Distinct pool ids, first-seen order (usually exactly one).
-    pool_ids: Vec<u64>,
-    /// Resident workers reported by the last event.
-    workers: u32,
-    /// Total chunk jobs submitted across pooled searches.
-    jobs: u64,
 }
 
 #[derive(Debug)]
@@ -261,20 +243,6 @@ impl RunReport {
                     evals_per_sec: *evals_per_sec,
                     kernel_nanos: *kernel_nanos,
                 }),
-                Event::SearchPoolUsed {
-                    pool_id,
-                    search_seq: _,
-                    workers,
-                    jobs,
-                } => {
-                    let p = report.pool.get_or_insert_with(PoolStats::default);
-                    p.searches += 1;
-                    if !p.pool_ids.contains(pool_id) {
-                        p.pool_ids.push(*pool_id);
-                    }
-                    p.workers = *workers;
-                    p.jobs += u64::from(*jobs);
-                }
                 Event::WarmStartApplied {
                     seeded,
                     seed_cost,
@@ -550,7 +518,7 @@ impl fmt::Display for RunReport {
         }
 
         let kernel_timed = self.selections.iter().any(|s| s.kernel_nanos > 0);
-        if kernel_timed || self.pool.is_some() {
+        if kernel_timed {
             writeln!(f, "\nkernel")?;
             writeln!(f, "------")?;
             for (i, sel) in self.selections.iter().enumerate() {
@@ -570,23 +538,6 @@ impl fmt::Display for RunReport {
                         0.0
                     }
                 )?;
-            }
-            match &self.pool {
-                Some(p) => {
-                    let ids = p
-                        .pool_ids
-                        .iter()
-                        .map(|id| id.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    writeln!(
-                        f,
-                        "  pool: {} search(es) on pool(s) [{}], {} resident worker(s), \
-                         {} chunk job(s)",
-                        p.searches, ids, p.workers, p.jobs
-                    )?;
-                }
-                None => writeln!(f, "  pool: none (scoped threads or serial search)")?,
             }
         }
 
@@ -761,12 +712,6 @@ mod tests {
                 evals_per_sec: 2200.0,
                 kernel_nanos: 80_000_000,
             },
-            Event::SearchPoolUsed {
-                pool_id: 7,
-                search_seq: 1,
-                workers: 2,
-                jobs: 2,
-            },
             Event::WindowReplanned {
                 window: 0,
                 elapsed_hours: 0.0,
@@ -833,12 +778,6 @@ mod tests {
         assert!(
             text.contains(
                 "2200 eval/s, 0.080 s inside the evaluation kernel (80.0% of search wall)"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "pool: 1 search(es) on pool(s) [7], 2 resident worker(s), 2 chunk job(s)"
             ),
             "{text}"
         );

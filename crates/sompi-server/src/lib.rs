@@ -20,6 +20,8 @@
 //! Start one with `sompi serve`, talk to it with `sompi client` or any
 //! implementation of the protocol in `docs/SERVER.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub mod proto;

@@ -166,7 +166,9 @@ pub struct PlanRequest {
     /// Deadline slack reserved for the on-demand fallback.
     #[serde(default = "d_slack")]
     pub slack: f64,
-    /// Search worker threads: 0 = one per available core, 1 = sequential.
+    /// Search worker threads: 0 = one per available core, 1 = sequential;
+    /// larger counts are capped at the server's cores. The answer is the
+    /// same at any count.
     #[serde(default)]
     pub threads: u32,
     /// Exactness-preserving pruning ablation switches.
@@ -176,10 +178,6 @@ pub struct PlanRequest {
     pub prune_bound: bool,
     #[serde(default = "d_true")]
     pub shared_incumbent: bool,
-    /// Caps-memoized SoA evaluation kernel (exactness-preserving;
-    /// `false` is the `--no-kernel-caps` ablation).
-    #[serde(default = "d_true")]
-    pub kernel_caps: bool,
     /// Hours of price history visible to the planner.
     #[serde(default = "d_history")]
     pub history_hours: f64,
@@ -205,7 +203,6 @@ impl Default for PlanRequest {
             prune_dominance: true,
             prune_bound: true,
             shared_incumbent: true,
-            kernel_caps: true,
             history_hours: d_history(),
             view_start_hours: 0.0,
         }

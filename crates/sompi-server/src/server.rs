@@ -22,7 +22,6 @@ use crate::cache::{CacheOutcome, SharedPlanCache};
 use crate::proto::{self, Request, Response, PROTOCOL_VERSION};
 use crate::service;
 use ec2_market::market::SpotMarket;
-use sompi_core::pool::SearchPool;
 use sompi_obs::{emit, Event, Recorder, TraceLevel};
 use std::collections::VecDeque;
 use std::io;
@@ -52,11 +51,6 @@ pub struct ServerConfig {
     /// Exit cleanly after accepting this many connections (shed ones
     /// included). `None` runs until [`ServerHandle::stop`].
     pub max_requests: Option<u64>,
-    /// Run parallel searches on one persistent [`SearchPool`] shared by
-    /// every worker (no thread spawn per request). Plans are
-    /// bit-identical either way; `false` is the `--no-eval-pool`
-    /// ablation, which falls back to scoped threads per search.
-    pub eval_pool: bool,
 }
 
 impl Default for ServerConfig {
@@ -69,7 +63,6 @@ impl Default for ServerConfig {
             cache_capacity: 128,
             pause_ms: 0,
             max_requests: None,
-            eval_pool: true,
         }
     }
 }
@@ -184,9 +177,6 @@ pub struct Server {
     market: Arc<SpotMarket>,
     recorder: Arc<dyn Recorder + Send + Sync>,
     cache: Arc<SharedPlanCache>,
-    /// One resident search pool for the whole server lifetime, shared by
-    /// every worker; `None` under `--no-eval-pool`.
-    pool: Option<Arc<SearchPool>>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
 }
@@ -203,18 +193,12 @@ impl Server {
         let addr = listener.local_addr()?;
         market.build_indexes();
         let cache = Arc::new(SharedPlanCache::new(config.cache_capacity));
-        // One pool for the process: created here (not per request, not
-        // per worker) so every search the server ever runs shares the
-        // same resident threads. Size 0 = one thread per core; the work
-        // split is still decided per request by `PlanRequest::threads`.
-        let pool = config.eval_pool.then(|| Arc::new(SearchPool::new(0)));
         Ok(Self {
             listener,
             addr,
             market,
             recorder,
             cache,
-            pool,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -251,7 +235,6 @@ impl Server {
                 market: Arc::clone(&self.market),
                 recorder: Arc::clone(&self.recorder),
                 cache: Arc::clone(&self.cache),
-                pool: self.pool.clone(),
                 batch: self.config.batch.max(1),
                 pause: Duration::from_millis(self.config.pause_ms),
             };
@@ -346,7 +329,6 @@ struct Worker {
     market: Arc<SpotMarket>,
     recorder: Arc<dyn Recorder + Send + Sync>,
     cache: Arc<SharedPlanCache>,
-    pool: Option<Arc<SearchPool>>,
     batch: usize,
     pause: Duration,
 }
@@ -431,10 +413,9 @@ impl Worker {
             Request::Plan(req) => {
                 let key = key.unwrap_or_else(|| service::plan_request_key(&self.market, &req));
                 let recorder: &dyn Recorder = &*self.recorder;
-                let pool = self.pool.as_deref();
                 let (result, outcome) = self
                     .cache
-                    .get_or_compute(key, || service::plan(&self.market, &req, recorder, pool));
+                    .get_or_compute(key, || service::plan(&self.market, &req, recorder, None));
                 cache_label = outcome.as_str();
                 if outcome != CacheOutcome::Miss {
                     emit(recorder, TraceLevel::Summary, || Event::CacheHit {

@@ -24,11 +24,11 @@ use sompi_core::adaptive::{AdaptiveConfig, PlanContext, ViewFingerprint};
 use sompi_core::cost::evaluate_plan;
 use sompi_core::model::Plan;
 use sompi_core::policy::{policy_by_name, Policy};
-use sompi_core::pool::SearchPool;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;
 use sompi_obs::Recorder;
+use std::convert::Infallible;
 
 /// Request-level failure. [`ServiceError::kind`] maps each variant to
 /// the wire-protocol error vocabulary in [`errkind`].
@@ -127,7 +127,6 @@ pub fn optimizer_config(req: &PlanRequest) -> OptimizerConfig {
         prune_dominance: req.prune_dominance,
         prune_bound: req.prune_bound,
         shared_incumbent: req.shared_incumbent,
-        kernel_caps: req.kernel_caps,
         ..Default::default()
     }
 }
@@ -196,26 +195,26 @@ pub struct PlanReport {
 /// Optimize one plan. This is the exact code path behind `sompi plan`:
 /// same view construction, same policy dispatch, same model
 /// evaluation — so server-served plans are bit-identical to CLI plans.
-/// Pass a resident [`SearchPool`] to dispatch any parallel search onto
-/// long-lived workers (the server threads one pool through every
-/// worker); `None` spawns per-search threads. Plans are bit-identical
-/// either way.
+///
+/// The trailing argument can never carry a value (`Infallible` has
+/// none); pass `None`. It only keeps existing `plan(.., None)` call sites
+/// compiling and goes away once they drop it.
 pub fn plan(
     market: &SpotMarket,
     req: &PlanRequest,
     recorder: &dyn Recorder,
-    pool: Option<&SearchPool>,
+    _: Option<Infallible>,
 ) -> Result<PlanReport, ServiceError> {
     let app = app_profile(&req.app, &req.class, req.procs, req.repeats)?;
     let problem = build_problem(market, &app, req.deadline_factor)?;
     let view = view_for(market, req);
     let strategy = strategy_from(&req.strategy, optimizer_config(req))?;
-    let mut ctx = PlanContext::new().with_recorder(recorder);
-    if let Some(pool) = pool {
-        ctx = ctx.with_pool(pool);
-    }
     let plan = strategy
-        .plan(&problem, &view, &mut ctx)
+        .plan(
+            &problem,
+            &view,
+            &mut PlanContext::new().with_recorder(recorder),
+        )
         .map_err(|e| ServiceError::Plan(e.to_string()))?;
     let eval = evaluate_plan(&plan, &view)
         .map_err(|e| ServiceError::Plan(e.to_string()))?
@@ -531,6 +530,37 @@ mod tests {
         let eval = evaluate_plan(&direct, &view).unwrap().unwrap();
         assert_eq!(report.expected_cost, eval.expected_cost);
         assert_eq!(report.expected_time, eval.expected_time);
+    }
+
+    #[test]
+    fn oversized_thread_requests_run_on_the_cores() {
+        use sompi_obs::{Event, RingRecorder, TraceLevel};
+
+        // `threads` comes off the wire: u32::MAX must neither start a
+        // worker per subset nor change the answer.
+        let market = market(100.0);
+        let serial = PlanRequest {
+            threads: 1,
+            ..small_request()
+        };
+        let want = plan(&market, &serial, &NullRecorder, None).unwrap();
+        let huge = PlanRequest {
+            threads: u32::MAX,
+            ..small_request()
+        };
+        let ring = RingRecorder::new(TraceLevel::Summary, 16);
+        assert_eq!(plan(&market, &huge, &ring, None).unwrap(), want);
+        let started: Vec<u32> = ring
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::PlanSearchStarted { threads, .. } => Some(threads),
+                _ => None,
+            })
+            .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(started.len(), 1);
+        assert!(started[0] as usize <= cores, "{started:?} on {cores} cores");
     }
 
     #[test]

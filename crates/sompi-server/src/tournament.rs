@@ -32,9 +32,9 @@ use serde::{Deserialize, Serialize};
 use sompi_core::adaptive::PlanContext;
 use sompi_core::cost::evaluate_plan;
 use sompi_core::model::Plan;
-use sompi_core::pool::SearchPool;
 use sompi_obs::{emit, Event, Recorder, TraceLevel};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 
 /// The full tournament grid: which policies meet which markets under
@@ -252,13 +252,15 @@ fn generate_market(seed: u64, hours: f64, step: f64) -> SpotMarket {
 }
 
 /// Run the full grid. Planning narration goes to `recorder` (one
-/// [`Event::PolicyEvaluated`] per finished cell); `pool` dispatches
-/// every policy's parallel search onto resident workers so the whole
-/// sweep pays the thread-spawn tax zero times.
+/// [`Event::PolicyEvaluated`] per finished cell).
+///
+/// The trailing argument can never carry a value (`Infallible` has
+/// none); pass `None`. It only keeps existing `run_tournament(.., None)`
+/// call sites compiling and goes away once they drop it.
 pub fn run_tournament(
     cfg: &TournamentConfig,
     recorder: &dyn Recorder,
-    pool: Option<&SearchPool>,
+    _: Option<Infallible>,
 ) -> Result<TournamentReport, ServiceError> {
     if cfg.policies.is_empty() {
         return Err(ServiceError::InvalidArgument(
@@ -341,12 +343,12 @@ pub fn run_tournament(
             let (plan, expected) = match memoized_plan {
                 Some(hit) => hit,
                 None => {
-                    let mut pctx = PlanContext::new().with_recorder(recorder);
-                    if let Some(pool) = pool {
-                        pctx = pctx.with_pool(pool);
-                    }
                     let plan = policy
-                        .plan(&problem, &view, &mut pctx)
+                        .plan(
+                            &problem,
+                            &view,
+                            &mut PlanContext::new().with_recorder(recorder),
+                        )
                         .map_err(|e| ServiceError::Plan(format!("{}: {e}", policy.name())))?;
                     let expected = evaluate_plan(&plan, &view)
                         .map_err(|e| ServiceError::Plan(e.to_string()))?
@@ -515,11 +517,13 @@ mod tests {
     }
 
     #[test]
-    fn report_is_deterministic_across_runs_and_pools() {
-        let cfg = small_config();
+    fn report_is_deterministic_across_runs_and_thread_counts() {
+        let mut cfg = small_config();
+        cfg.plan.threads = 1;
         let a = run_tournament(&cfg, &NullRecorder, None).unwrap();
-        let pool = SearchPool::new(2);
-        let b = run_tournament(&cfg, &NullRecorder, Some(&pool)).unwrap();
+        assert_eq!(a, run_tournament(&cfg, &NullRecorder, None).unwrap());
+        cfg.plan.threads = 4;
+        let b = run_tournament(&cfg, &NullRecorder, None).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
     }

@@ -12,7 +12,6 @@ BINS=(
   accuracy_failure_rate accuracy_model
   ablation_search ablation_billing ablation_parallel ablation_prune
   ablation_warmstart
-  ablation_kernel
   ablation_replay_index
   ablation_mc_batch
   ext_relaunch sensitivity_profiling

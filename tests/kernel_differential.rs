@@ -1,21 +1,17 @@
-//! Differential suite for the caps-memoized SoA evaluation kernel and
-//! the persistent search worker pool (DESIGN.md §14): across three
-//! markets plus the interval-grid study, every combination of
-//! {caps memo on/off} × {pool on/off} × threads {1, 4, auto} must select
-//! plans — and `Evaluation` fields — bit-identical to the scalar
-//! single-threaded reference.
+//! Differential suite for the parallel subset search (DESIGN.md §14):
+//! across three markets plus the interval-grid study, searches at
+//! threads {1, 4, auto} must select plans — and `Evaluation` fields —
+//! bit-identical to the single-threaded reference.
 //!
-//! The caps table reuses the exact left-to-right bucket summation order
-//! of the scalar kernel, the SoA packing only relocates reads, and the
-//! pool never decides how work is split — so any divergence here is an
-//! exactness bug, not floating-point noise.
+//! Workers merge their winners under a total candidate order, so the
+//! chunking never decides the answer — any divergence here is an
+//! exactness bug, not floating-point noise. The kernel itself is pinned
+//! against the scalar oracle in `sompi_core::cost`'s unit tests.
 
 use sompi_bench::{
     build_problem, lammps_workload, npb_workload, paper_market, planning_view, stress_market,
     PROCESSES, TIGHT,
 };
-use sompi_core::adaptive::PlanContext;
-use sompi_core::pool::SearchPool;
 use sompi_core::twolevel::{OptimizedPlan, OptimizerConfig, TwoLevelOptimizer};
 use sompi_core::view::MarketView;
 use sompi_core::Problem;
@@ -46,18 +42,9 @@ fn studies() -> Vec<(&'static str, Problem, MarketView)> {
     out
 }
 
-fn optimize(
-    problem: &Problem,
-    view: &MarketView,
-    cfg: OptimizerConfig,
-    pool: Option<&SearchPool>,
-) -> OptimizedPlan {
-    let mut ctx = PlanContext::new();
-    if let Some(pool) = pool {
-        ctx = ctx.with_pool(pool);
-    }
+fn optimize(problem: &Problem, view: &MarketView, cfg: OptimizerConfig) -> OptimizedPlan {
     TwoLevelOptimizer::new(problem, view, cfg)
-        .optimize_with(&mut ctx)
+        .optimize()
         .expect("candidates are drawn from the view's market")
 }
 
@@ -89,45 +76,25 @@ fn assert_bits_identical(a: &OptimizedPlan, b: &OptimizedPlan, label: &str) {
 }
 
 fn run_grid(base: OptimizerConfig, problem: &Problem, view: &MarketView, market_label: &str) {
-    // Reference: scalar kernel, single thread, no pool — the original
-    // pre-kernel code path.
-    let reference = optimize(
-        problem,
-        view,
-        OptimizerConfig {
-            kernel_caps: false,
-            threads: 1,
-            ..base
-        },
-        None,
-    );
+    // Reference: the sequential search.
+    let reference = optimize(problem, view, OptimizerConfig { threads: 1, ..base });
     assert!(
         reference.evaluations_performed > 0,
         "{market_label}: empty search space tests nothing"
     );
 
-    let pool = SearchPool::new(3); // deliberately mismatched with `threads`
-    for caps in [true, false] {
-        for pooled in [false, true] {
-            for threads in [1usize, 4, 0] {
-                let cfg = OptimizerConfig {
-                    kernel_caps: caps,
-                    threads,
-                    ..base
-                };
-                let got = optimize(problem, view, cfg, pooled.then_some(&pool));
-                assert_bits_identical(
-                    &reference,
-                    &got,
-                    &format!("{market_label} caps={caps} pool={pooled} threads={threads}"),
-                );
-            }
-        }
+    for threads in [1usize, 4, 0] {
+        let got = optimize(problem, view, OptimizerConfig { threads, ..base });
+        assert_bits_identical(
+            &reference,
+            &got,
+            &format!("{market_label} threads={threads}"),
+        );
     }
 }
 
 #[test]
-fn plans_are_bit_identical_across_kernel_and_pool_ablations() {
+fn plans_are_bit_identical_across_thread_counts() {
     for (label, problem, view) in &studies() {
         run_grid(
             OptimizerConfig {
@@ -146,7 +113,7 @@ fn plans_are_bit_identical_across_kernel_and_pool_ablations() {
 fn interval_grid_study_is_bit_identical_too() {
     // The interval-grid ablation multiplies per-candidate work (every
     // checkpoint-interval grid point is a separate kernel call), so it
-    // stresses the caps table harder than the φ(P) default.
+    // hands each worker a much larger chunk than the φ(P) default.
     let (label, problem, view) = &studies()[0];
     run_grid(
         OptimizerConfig {

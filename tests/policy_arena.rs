@@ -3,9 +3,8 @@
 //! The `Policy` redesign must be a pure re-plumbing: routing SOMPI
 //! through the trait (as the service, tournament and adaptive runner
 //! now do) has to produce bitwise the same plans as calling the
-//! two-level optimizer directly — at every thread count, with and
-//! without a resident `SearchPool`, and through the adaptive loop's
-//! default-policy path.
+//! two-level optimizer directly — at every thread count, and through
+//! the adaptive loop's default-policy path.
 
 use replay::adaptive_exec::AdaptiveRunner;
 use replay::ExecContext;
@@ -13,7 +12,6 @@ use sompi_bench::{build_problem, npb_workload, paper_market, planning_view, LOOS
 use sompi_core::adaptive::{AdaptiveConfig, PlanContext};
 use sompi_core::baselines::Sompi;
 use sompi_core::policy::{policy_by_name, Policy};
-use sompi_core::pool::SearchPool;
 use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 
 fn config(threads: usize) -> OptimizerConfig {
@@ -56,15 +54,6 @@ fn sompi_via_policy_is_bit_identical_to_the_direct_optimizer() {
         assert_eq!(
             via_policy, reference,
             "Sompi-via-Policy diverged at threads={threads}"
-        );
-
-        let pool = SearchPool::new(2);
-        let pooled = Sompi { config: cfg }
-            .plan(&problem, &view, &mut PlanContext::new().with_pool(&pool))
-            .expect("pooled policy plans");
-        assert_eq!(
-            pooled, reference,
-            "pooled Sompi-via-Policy diverged at threads={threads}"
         );
 
         let registry = policy_by_name("sompi", cfg).expect("sompi is registered");

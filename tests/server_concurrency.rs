@@ -13,9 +13,10 @@
 use ec2_market::instance::InstanceCatalog;
 use ec2_market::market::SpotMarket;
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
+use sompi_core::twolevel::OptimizerConfig;
 use sompi_obs::{Event, NullRecorder, Recorder, RingRecorder, TraceLevel};
 use sompi_server::cache::SharedPlanCache;
-use sompi_server::proto::{PlanRequest, ReplayRequest, Request, Response};
+use sompi_server::proto::{self, PlanRequest, ReplayRequest, Request, Response};
 use sompi_server::{client, service, ServeStats, Server, ServerConfig, PROTOCOL_VERSION};
 use std::sync::Arc;
 
@@ -167,58 +168,66 @@ fn identical_burst_performs_exactly_one_search() {
 }
 
 #[test]
-fn server_reuses_one_search_pool_across_requests() {
-    // The persistent-pool acceptance bar: distinct plan requests (each a
-    // cache miss, each running a real parallel search) must all dispatch
-    // onto the *same* resident pool — one `pool_id` for the server's
-    // whole lifetime, with monotonically increasing `search_seq`. A
-    // scoped-thread spawn per request would emit no such events at all.
-    let ring = Arc::new(RingRecorder::new(TraceLevel::Summary, 256));
-    let (addr, cache, handle, join) = start(Arc::clone(&ring) as _, ephemeral(2));
-
+fn threaded_plans_match_the_in_process_path() {
+    // Distinct plan requests (each a cache miss) that each run a
+    // parallel search must answer exactly what `service::plan` answers.
+    let local = market(42, 100.0);
+    let (addr, cache, handle, join) = start(Arc::new(NullRecorder), ephemeral(2));
     for i in 0..3 {
         let mut req = small_plan_request();
-        // threads > 1 forces the parallel (pooled) dispatch even on a
-        // single-core CI runner; distinct deadlines defeat the cache.
+        // threads > 1 takes the parallel dispatch even on a single-core
+        // runner; distinct deadlines defeat the cache.
         req.threads = 4;
         req.deadline_factor = 1.5 + 0.25 * f64::from(i);
+        let want = service::plan(&local, &req, &NullRecorder, None).expect("plan");
         let resp = client::call(&addr, &Request::Plan(req)).expect("call");
-        assert!(matches!(resp, Response::Plan { .. }), "got {resp:?}");
+        let Response::Plan { report, .. } = resp else {
+            panic!("expected a plan response, got {resp:?}");
+        };
+        assert_eq!(report, want, "request {i}: socket answer differs");
     }
     handle.stop();
     join.join().expect("server thread");
     assert_eq!(cache.misses(), 3, "each request must run its own search");
+}
 
-    let pool_events: Vec<(u64, u64, u32)> = ring
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::SearchPoolUsed {
-                pool_id,
-                search_seq,
-                jobs,
-                ..
-            } => Some((*pool_id, *search_seq, *jobs)),
-            _ => None,
-        })
-        .collect();
+#[test]
+fn retired_kernel_caps_field_is_still_accepted() {
+    // Older clients may still send `kernel_caps`: the frame decodes, the
+    // key is ignored, and the answer is the default request's. The same
+    // holds for `OptimizerConfig` JSON written before the field went.
+    let (addr, _, handle, join) = start(Arc::new(NullRecorder), ephemeral(1));
+    let raw_call = |body: &str| {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        proto::write_frame(&mut stream, body.as_bytes()).expect("write");
+        match proto::read_message(&mut stream).expect("read") {
+            Response::Plan { report, .. } => report,
+            other => panic!("{body}: expected a plan response, got {other:?}"),
+        }
+    };
+    let legacy = raw_call(r#"{"Plan": {"kernel_caps": false}}"#);
+    let current = raw_call(r#"{"Plan": {}}"#);
+    handle.stop();
+    join.join().expect("server thread");
+    let want = service::plan(
+        &market(42, 100.0),
+        &PlanRequest::default(),
+        &NullRecorder,
+        None,
+    )
+    .expect("plan");
+    assert_eq!(legacy, want);
+    assert_eq!(current, want);
+
+    let cfg = OptimizerConfig::default();
+    let json = serde_json::to_string(&cfg).expect("serializable");
+    let old = format!(
+        "{},\"kernel_caps\":false}}",
+        json.strip_suffix('}').expect("a JSON object")
+    );
     assert_eq!(
-        pool_events.len(),
-        3,
-        "every search must dispatch onto the pool: {pool_events:?}"
-    );
-    let first_pool = pool_events[0].0;
-    assert!(
-        pool_events.iter().all(|(id, _, _)| *id == first_pool),
-        "searches crossed pools (threads were respawned): {pool_events:?}"
-    );
-    assert!(
-        pool_events.windows(2).all(|w| w[0].1 < w[1].1),
-        "search_seq must increase across requests: {pool_events:?}"
-    );
-    assert!(
-        pool_events.iter().all(|(_, _, jobs)| *jobs == 4),
-        "the request's thread count decides the work split: {pool_events:?}"
+        serde_json::from_str::<OptimizerConfig>(&old).expect("decodes"),
+        cfg
     );
 }
 

@@ -2,12 +2,11 @@
 //!
 //! The tournament's JSON is a pure function of its config: the
 //! committed fixture pins the exact bytes, and the thread-sweep test
-//! pins the stronger invariant that optimizer thread count and pool
-//! residency never change a single one of them. If a legitimate model
+//! pins the stronger invariant that the optimizer thread count never
+//! changes a single one of them. If a legitimate model
 //! change moves the numbers, regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p sompi-bench --test tournament_golden`.
 
-use sompi_core::pool::SearchPool;
 use sompi_obs::NullRecorder;
 use sompi_server::proto::PlanRequest;
 use sompi_server::tournament::{run_tournament, TournamentConfig};
@@ -64,13 +63,12 @@ fn tournament_report_matches_committed_golden_fixture() {
 }
 
 #[test]
-fn tournament_json_is_identical_across_thread_counts_and_pools() {
+fn tournament_json_is_identical_across_thread_counts() {
     let single = run_tournament(&golden_config(1), &NullRecorder, None)
         .expect("single-thread tournament runs")
         .to_json();
-    let pool = SearchPool::new(4);
-    let parallel = run_tournament(&golden_config(4), &NullRecorder, Some(&pool))
-        .expect("pooled tournament runs")
+    let parallel = run_tournament(&golden_config(4), &NullRecorder, None)
+        .expect("four-thread tournament runs")
         .to_json();
     assert_eq!(single, parallel, "thread count leaked into the report");
 }

@@ -15,7 +15,6 @@ use replay::{AdaptiveRunner, ExecContext, PlanRunner};
 use sompi_core::adaptive::AdaptiveConfig;
 use sompi_core::adaptive::PlanContext;
 use sompi_core::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
-use sompi_core::pool::SearchPool;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use sompi_core::view::MarketView;
@@ -134,7 +133,7 @@ fn twolevel_search_emits_golden_sequence() {
 }
 
 #[test]
-fn pooled_search_emits_pool_event_and_kernel_stats() {
+fn threaded_search_emits_summary_events_and_kernel_stats() {
     let (market, problem) = seeded_market();
     let view = MarketView::from_market(&market, 0.0, 48.0);
     let config = OptimizerConfig {
@@ -143,35 +142,17 @@ fn pooled_search_emits_pool_event_and_kernel_stats() {
         threads: 2,
         ..Default::default()
     };
-    let pool = SearchPool::new(2);
     let ring = RingRecorder::new(TraceLevel::Summary, 64);
     let out = TwoLevelOptimizer::new(&problem, &view, config)
-        .optimize_with(&mut PlanContext::new().with_recorder(&ring).with_pool(&pool))
+        .optimize_with(&mut PlanContext::new().with_recorder(&ring))
         .unwrap();
     let events = ring.take();
 
-    // Summary level: the detail SubsetEvaluated events are suppressed,
-    // and the pool dispatch announces itself between start and selection.
+    // Summary level: the per-worker SubsetEvaluated events are
+    // suppressed, and a parallel search adds nothing between start and
+    // selection.
     let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-    assert_eq!(
-        kinds,
-        ["PlanSearchStarted", "SearchPoolUsed", "PlanSelected"],
-        "{kinds:?}"
-    );
-
-    let Event::SearchPoolUsed {
-        pool_id,
-        search_seq,
-        workers,
-        jobs,
-    } = &events[1]
-    else {
-        panic!("second event");
-    };
-    assert_eq!(*pool_id, pool.id());
-    assert_eq!(*search_seq, 1, "first search on this pool");
-    assert_eq!(*workers, 2);
-    assert_eq!(*jobs, 2, "chunk count comes from config.threads");
+    assert_eq!(kinds, ["PlanSearchStarted", "PlanSelected"], "{kinds:?}");
 
     let Event::PlanSelected {
         expected_cost,
@@ -179,9 +160,9 @@ fn pooled_search_emits_pool_event_and_kernel_stats() {
         evals_per_sec,
         kernel_nanos,
         ..
-    } = &events[2]
+    } = &events[1]
     else {
-        panic!("third event");
+        panic!("second event");
     };
     assert_eq!(*expected_cost, out.evaluation.expected_cost);
     assert!(*evaluations > 0);

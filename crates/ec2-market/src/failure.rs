@@ -12,15 +12,24 @@
 //! one backward sweep over the circular history,
 //! [`FailureEstimator::bid_profile`].
 //!
+//! Spot prices are piecewise constant, so an estimator keeps its window
+//! as maximal runs of one price, `(price, length)` in time order, and
+//! that sweep steps run by run: a run at or below the bid adds its starts
+//! to each hour bucket it reaches as one range, and a run above it adds
+//! its launch-delay distances as one arithmetic series. A 48 h window of
+//! 5-minute samples holds 576 samples but typically a few dozen runs.
+//!
 //! The expected spot price `S_i(P)` is the mean of historical prices at or
-//! below the bid (Section 3.2.1), precomputed here with a sorted prefix-sum
-//! table so bid-price sweeps are O(log n) per query.
+//! below the bid (Section 3.2.1), precomputed here as a table of the
+//! distinct price levels with cumulative counts and sums, so bid-price
+//! sweeps are O(log levels) per query.
 
 use crate::trace::TraceWindow;
 use crate::{Hours, Usd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The estimated failure-rate function of one circle group at one bid price:
 /// a sub-distribution over hourly failure buckets plus the survival mass.
@@ -220,27 +229,125 @@ struct Sweep {
     delay_steps: Option<u64>,
 }
 
+/// One maximal run of bit-equal prices: `len` consecutive samples at
+/// `price`. Spot prices are piecewise constant, so a 48 h window of
+/// 5-minute samples holds a few dozen runs, not hundreds of samples.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    price: Usd,
+    len: usize,
+}
+
+/// Split `samples` into maximal runs of bit-equal prices, in time order.
+fn runs_of(samples: &[Usd]) -> Vec<Run> {
+    let Some(&first) = samples.first() else {
+        return Vec::new();
+    };
+    // Count the runs first, so they are allocated once.
+    let breaks = samples
+        .windows(2)
+        .filter(|w| w[0].to_bits() != w[1].to_bits())
+        .count();
+    let mut runs = Vec::with_capacity(breaks + 1);
+    let (mut price, mut start) = (first, 0);
+    for (i, &p) in samples.iter().enumerate().skip(1) {
+        if p.to_bits() != price.to_bits() {
+            runs.push(Run {
+                price,
+                len: i - start,
+            });
+            (price, start) = (p, i);
+        }
+    }
+    runs.push(Run {
+        price,
+        len: samples.len() - start,
+    });
+    runs
+}
+
+/// One distinct price of an [`ExpectedSpotPrice`] table.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Level {
+    price: Usd,
+    /// Samples priced at or below `price`.
+    at_or_below: usize,
+    /// Those samples, summed one at a time in ascending order.
+    sum: f64,
+}
+
 /// Precomputed `S_i(P)` table: expected spot price given the bid, plus the
 /// instant launch probability.
+///
+/// The history's distinct price levels in ascending order, each with the
+/// number of samples at or below it and their sum. A sum adds every
+/// sample one at a time in ascending order, exactly as a running sum over
+/// the sorted samples would, so `mean_below` is the same to the bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExpectedSpotPrice {
-    sorted: Vec<Usd>,
-    prefix_sum: Vec<f64>,
+    /// Distinct prices, ascending; `0.0` and `-0.0` share one level.
+    levels: Vec<Level>,
+    /// Lowest price, with the bits of the earliest sample at it.
+    min: Usd,
+    /// Highest price, with the bits of the latest sample at it.
+    max: Usd,
 }
 
 impl ExpectedSpotPrice {
     /// Build the table from a history window.
     pub fn from_window(window: TraceWindow<'_>) -> Self {
-        let mut sorted = window.samples().to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite prices"));
-        let mut prefix_sum = Vec::with_capacity(sorted.len() + 1);
-        prefix_sum.push(0.0);
-        let mut acc = 0.0;
-        for &p in &sorted {
-            acc += p;
-            prefix_sum.push(acc);
+        Self::from_runs(&runs_of(window.samples()))
+    }
+
+    fn from_runs(runs: &[Run]) -> Self {
+        let Some(first) = runs.first() else {
+            return Self {
+                levels: Vec::new(),
+                min: 0.0,
+                max: 0.0,
+            };
+        };
+        // Walk in time order so that among equal prices (`0.0` and
+        // `-0.0`) the minimum keeps the earliest sample's bits and the
+        // maximum the latest's, as the ends of a stable sort would.
+        let (mut min, mut max) = (first.price, first.price);
+        for run in &runs[1..] {
+            if run.price < min {
+                min = run.price;
+            }
+            if run.price >= max {
+                max = run.price;
+            }
         }
-        Self { sorted, prefix_sum }
+        // Trace prices are finite and non-negative, where the total order
+        // is the numeric one except that it puts `-0.0` just below `0.0`;
+        // the two share a level.
+        let mut sorted = runs.to_vec();
+        sorted.sort_unstable_by(|a, b| a.price.total_cmp(&b.price));
+        let mut levels: Vec<Level> = Vec::with_capacity(sorted.len());
+        let (mut count, mut acc) = (0usize, 0.0f64);
+        for Run { price, len } in sorted {
+            for _ in 0..len {
+                acc += price;
+            }
+            count += len;
+            let level = Level {
+                price,
+                at_or_below: count,
+                sum: acc,
+            };
+            match levels.last_mut() {
+                Some(last) if last.price == price => *last = level,
+                _ => levels.push(level),
+            }
+        }
+        Self { levels, min, max }
+    }
+
+    /// Levels at or below `bid`: the table row a query reads is the one
+    /// before this index.
+    fn levels_at_or_below(&self, bid: Usd) -> usize {
+        self.levels.partition_point(|level| level.price <= bid)
     }
 
     /// Number of historical samples at or below `bid` — the start points
@@ -249,39 +356,50 @@ impl ExpectedSpotPrice {
     /// derived from the history — failure counts, launch delay, `S_i(P)`
     /// — is identical for both.
     pub fn count_at_or_below(&self, bid: Usd) -> usize {
-        self.sorted.partition_point(|&p| p <= bid)
+        match self.levels_at_or_below(bid) {
+            0 => 0,
+            i => self.levels[i - 1].at_or_below,
+        }
     }
 
     /// Mean of historical prices at or below `bid` — the paper's `S_i(P_i)`.
     /// `None` when the bid is below every observed price (the instance
     /// would never launch).
     pub fn mean_below(&self, bid: Usd) -> Option<Usd> {
-        let n = self.count_at_or_below(bid);
-        (n > 0).then(|| self.prefix_sum[n] / n as f64)
+        match self.levels_at_or_below(bid) {
+            0 => None,
+            i => {
+                let level = &self.levels[i - 1];
+                Some(level.sum / level.at_or_below as f64)
+            }
+        }
     }
 
     /// Fraction of history time during which the price is at or below
     /// `bid` — the probability a launch request is immediately satisfied.
     pub fn launch_fraction(&self, bid: Usd) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
+        match self.levels.last() {
+            None => 0.0,
+            Some(all) => self.count_at_or_below(bid) as f64 / all.at_or_below as f64,
         }
-        self.count_at_or_below(bid) as f64 / self.sorted.len() as f64
     }
 
     /// Highest observed price (`H_i`).
     pub fn max_price(&self) -> Usd {
-        self.sorted.last().copied().unwrap_or(0.0)
+        self.max
     }
 
     /// Lowest observed price.
     pub fn min_price(&self) -> Usd {
-        self.sorted.first().copied().unwrap_or(0.0)
+        self.min
     }
 }
 
 /// Estimates failure-rate functions and expected spot prices from a price
 /// history window (typically "the previous two days", per the paper).
+///
+/// The window is kept as its maximal runs of constant price, and every
+/// estimate walks those runs rather than the samples.
 ///
 /// ```
 /// use ec2_market::failure::FailureEstimator;
@@ -308,7 +426,10 @@ impl ExpectedSpotPrice {
 #[derive(Debug, Clone)]
 pub struct FailureEstimator {
     step_hours: Hours,
-    prices: Vec<Usd>,
+    /// The window as maximal runs of bit-equal prices, in time order.
+    runs: Vec<Run>,
+    /// Samples in the window: the runs' total length.
+    samples: usize,
     expected: ExpectedSpotPrice,
 }
 
@@ -319,10 +440,12 @@ impl FailureEstimator {
     /// Panics if the window is empty.
     pub fn from_window(window: TraceWindow<'_>) -> Self {
         assert!(!window.is_empty(), "history window must be non-empty");
+        let runs = runs_of(window.samples());
         Self {
             step_hours: window.step_hours(),
-            prices: window.samples().to_vec(),
-            expected: ExpectedSpotPrice::from_window(window),
+            samples: window.len(),
+            expected: ExpectedSpotPrice::from_runs(&runs),
+            runs,
         }
     }
 
@@ -331,11 +454,13 @@ impl FailureEstimator {
         &self.expected
     }
 
-    /// FNV-1a digest over the history this estimator was built from (the
-    /// step size and every price sample, bit for bit). Two estimators with
-    /// equal digests produce bit-identical failure rates, launch delays,
-    /// and expected prices, so the digest is a sound cache key for
-    /// warm-started re-optimization across adaptive windows.
+    /// FNV-1a digest over the history this estimator was built from: the
+    /// sample count, the step size, and every run's price bits and
+    /// length. The runs are maximal, so they spell out exactly one sample
+    /// sequence: two estimators with equal digests produce bit-identical
+    /// failure rates, launch delays, and expected prices, so the digest
+    /// is a sound cache key for warm-started re-optimization across
+    /// adaptive windows.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -346,10 +471,11 @@ impl FailureEstimator {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        mix(self.prices.len() as u64);
+        mix(self.samples as u64);
         mix(self.step_hours.to_bits());
-        for &p in &self.prices {
-            mix(p.to_bits());
+        for run in &self.runs {
+            mix(run.price.to_bits());
+            mix(run.len as u64);
         }
         h
     }
@@ -400,10 +526,11 @@ impl FailureEstimator {
     /// [`expected_launch_delay`](Self::expected_launch_delay) — is read
     /// off this profile, bit for bit.
     ///
-    /// O(n) and allocation-free apart from the `horizon_hours` bucket
-    /// counters it returns (a zero horizon records none). The launch-delay
-    /// distances are summed as a `u64`, which equals a left-to-right `f64`
-    /// sum bit for bit while the total stays below 2^53.
+    /// O(runs + hour buckets touched) and allocation-free apart from the
+    /// `horizon_hours` bucket counters it returns (a zero horizon records
+    /// none). The launch-delay distances are summed as a `u64`, which
+    /// equals a left-to-right `f64` sum bit for bit while the total stays
+    /// below 2^53.
     ///
     /// ```
     /// use ec2_market::failure::FailureEstimator;
@@ -417,8 +544,10 @@ impl FailureEstimator {
     /// ```
     pub fn bid_profile(&self, bid: Usd, horizon_hours: usize) -> BidProfile {
         let mut buckets = vec![0u64; horizon_hours];
-        let n = self.prices.len();
-        let sweep = self.sweep(bid, &mut buckets, |_| 1);
+        let n = self.samples;
+        let sweep = self.sweep(bid, &mut buckets, |starts| {
+            (starts.end - starts.start) as u64
+        });
         let launch_delay = match sweep.delay_steps {
             None => self.step_hours * n as f64,
             Some(total) => total as f64 / n as f64 * self.step_hours,
@@ -447,26 +576,38 @@ impl FailureEstimator {
         assert!(g > 0, "need at least one sample");
         assert!(horizon_hours > 0, "horizon must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = self.prices.len();
-        let mut draws = vec![0u64; n];
+        let n = self.samples;
+        // `drawn[i]`: draws that landed before start `i`.
+        let mut drawn = vec![0u64; n + 1];
         for _ in 0..g {
-            draws[rng.gen_range(0..n)] += 1;
+            drawn[rng.gen_range(0..n) + 1] += 1;
+        }
+        for i in 1..=n {
+            drawn[i] += drawn[i - 1];
         }
         let mut buckets = vec![0u64; horizon_hours];
-        let sweep = self.sweep(bid, &mut buckets, |i| draws[i]);
+        let sweep = self.sweep(bid, &mut buckets, |starts| {
+            drawn[starts.end] - drawn[starts.start]
+        });
         Self::finish(bid, horizon_hours, buckets, sweep.survived, sweep.used)
     }
 
-    /// The sweep behind every estimate. Walks the history once backwards,
-    /// carrying the next sample above the bid and the next admissible one
-    /// (at or below it), both seeded across the wrap-around; `weight(i)`
-    /// is how many times start `i` counts.
+    /// The sweep behind every estimate. Walks the history's runs once
+    /// backwards, carrying the next sample above the bid and the next
+    /// admissible one (at or below it), both seeded across the
+    /// wrap-around; `weight(starts)` is how many times the starts in that
+    /// range count together.
+    ///
     /// A start `s` that admits a launch fails at the first sample strictly
     /// after it above the bid, `k` steps ahead, and lands in hour bucket
     /// `(k − 1) / samples_per_hour`, or survives when `k` exceeds the
-    /// recorded horizon or no sample is above the bid.
-    fn sweep(&self, bid: Usd, buckets: &mut [u64], weight: impl Fn(usize) -> u64) -> Sweep {
-        let n = self.prices.len();
+    /// recorded horizon or no sample is above the bid. Over an admissible
+    /// run `start..end`, `k` runs from `next_above − end + 1` to
+    /// `next_above − start`, so the run adds one range per hour bucket it
+    /// reaches plus one for its survivors. Over a run above the bid, the
+    /// distances to the next admissible sample form one arithmetic series.
+    fn sweep(&self, bid: Usd, buckets: &mut [u64], weight: impl Fn(Range<usize>) -> u64) -> Sweep {
+        let n = self.samples;
         match self.expected.count_at_or_below(bid) {
             0 => {
                 return Sweep {
@@ -478,7 +619,7 @@ impl FailureEstimator {
             admitted if admitted == n => {
                 // Nothing is above the bid: every start survives and every
                 // request launches at once.
-                let all: u64 = (0..n).map(weight).sum();
+                let all = weight(0..n);
                 return Sweep {
                     survived: all,
                     used: all,
@@ -490,35 +631,57 @@ impl FailureEstimator {
         let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
         let horizon_samples = buckets.len() * samples_per_hour;
 
-        // Both classes occur. Sample 0 belongs to one; the first sample of
-        // the other ends the opening run. Seen from the last sample, the
-        // next occurrence of each class is its first one, one lap later.
-        let above0 = self.prices[0] > bid;
-        let split = self.prices[1..]
+        // Both classes occur. Run 0 belongs to one; the first run of the
+        // other starts at `split`. Seen from the last sample, the next
+        // occurrence of each class is its first one, one lap later.
+        let above0 = self.runs[0].price > bid;
+        let split: usize = self
+            .runs
             .iter()
-            .position(|&p| (p > bid) != above0)
-            .map_or(n, |j| j + 1);
+            .take_while(|run| (run.price > bid) == above0)
+            .map(|run| run.len)
+            .sum();
         let (first_above, first_admitted) = if above0 { (0, split) } else { (split, 0) };
         let mut next_above = first_above + n;
         let mut next_admitted = first_admitted + n;
 
         let (mut survived, mut used, mut delay_steps) = (0u64, 0u64, 0u64);
-        for i in (0..n).rev() {
-            if self.prices[i] > bid {
-                delay_steps += (next_admitted - i) as u64;
-                next_above = i;
+        let mut end = n;
+        for run in self.runs.iter().rev() {
+            let start = end - run.len;
+            if run.price > bid {
+                // Σ (next_admitted − i) for i in start..end.
+                let nearest = (next_admitted + 1 - end) as u64;
+                let farthest = (next_admitted - start) as u64;
+                delay_steps += (nearest + farthest) * run.len as u64 / 2;
+                next_above = start;
             } else {
-                next_admitted = i;
-                let w = weight(i);
-                used += w;
-                let k = next_above - i;
-                if k <= horizon_samples {
-                    let hour = ((k - 1) / samples_per_hour).min(buckets.len() - 1);
-                    buckets[hour] += w;
-                } else {
-                    survived += w;
+                next_admitted = start;
+                used += weight(start..end);
+                // Start `i` fails `next_above − i` steps ahead: `near` for
+                // the run's last start, `far` for its first.
+                let near = next_above + 1 - end;
+                let far = next_above - start;
+                if far > horizon_samples {
+                    // Starts before `next_above − horizon_samples` outlive
+                    // the horizon.
+                    survived += weight(start..(next_above - horizon_samples).min(end));
+                }
+                if near <= horizon_samples {
+                    let far = far.min(horizon_samples);
+                    let (mut k, mut hour) = (near, (near - 1) / samples_per_hour);
+                    loop {
+                        let hour_last = (hour + 1) * samples_per_hour;
+                        if far <= hour_last {
+                            buckets[hour] += weight(next_above - far..next_above + 1 - k);
+                            break;
+                        }
+                        buckets[hour] += weight(next_above - hour_last..next_above + 1 - k);
+                        (k, hour) = (hour_last + 1, hour + 1);
+                    }
                 }
             }
+            end = start;
         }
         Sweep {
             survived,
@@ -527,145 +690,13 @@ impl FailureEstimator {
         }
     }
 
-    /// A two-pass distance carry, independent of `bid_profile`'s single
-    /// seeded pass: integer bucket counts, survivors, and usable starts for
-    /// the given start points. A test reference.
+    /// The window's samples, expanded from its runs.
     #[cfg(test)]
-    fn count_by_carry(
-        &self,
-        bid: Usd,
-        horizon_hours: usize,
-        starts: impl Iterator<Item = usize>,
-    ) -> (Vec<u64>, u64, u64) {
-        assert!(horizon_hours > 0, "horizon must be positive");
-        let n = self.prices.len();
-        let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
-        let horizon_samples = horizon_hours * samples_per_hour;
-
-        // Distance (in samples) from each index to the first sample at or
-        // after it (circularly) whose price strictly exceeds the bid;
-        // `u32::MAX` when the bid is never exceeded. Same two-pass backward
-        // carry as `launch_delay_by_carry`.
-        let mut dist = vec![u32::MAX; n];
-        let mut next: Option<usize> = None;
-        for _pass in 0..2 {
-            for i in (0..n).rev() {
-                if self.prices[i] > bid {
-                    next = Some(i);
-                }
-                if let Some(j) = next {
-                    let d = if j >= i { j - i } else { j + n - i };
-                    dist[i] = dist[i].min(d as u32);
-                }
-            }
-        }
-
-        let mut buckets = vec![0u64; horizon_hours];
-        let mut survived = 0u64;
-        let mut used = 0u64;
-        for s in starts {
-            if self.prices[s] > bid {
-                continue; // cannot launch here
-            }
-            used += 1;
-            // The first strictly-after-`s` sample above the bid is
-            // `dist[(s+1) % n] + 1` steps ahead — exactly the `k` the
-            // linear probe of `estimate_by_scan` finds.
-            let k = match dist[(s + 1) % n] {
-                u32::MAX => usize::MAX,
-                d => d as usize + 1,
-            };
-            if k <= horizon_samples {
-                let hour = ((k - 1) / samples_per_hour).min(horizon_hours - 1);
-                buckets[hour] += 1;
-            } else {
-                survived += 1;
-            }
-        }
-
-        (buckets, survived, used)
-    }
-
-    /// A two-pass launch-delay carry that sums the distances as `f64`,
-    /// left to right; `bid_profile`'s `u64` sum must match it bit for bit.
-    /// A test reference.
-    #[cfg(test)]
-    fn launch_delay_by_carry(&self, bid: Usd) -> Hours {
-        let n = self.prices.len();
-        let mut dist = vec![u32::MAX; n];
-        let mut next: Option<usize> = None;
-        for _pass in 0..2 {
-            for i in (0..n).rev() {
-                if self.prices[i] <= bid {
-                    next = Some(i);
-                }
-                if let Some(j) = next {
-                    let d = if j >= i { j - i } else { j + n - i };
-                    dist[i] = dist[i].min(d as u32);
-                }
-            }
-        }
-        if dist.contains(&u32::MAX) {
-            return self.step_hours * n as f64;
-        }
-        let total: f64 = dist.iter().map(|&d| d as f64).sum();
-        total / n as f64 * self.step_hours
-    }
-
-    /// The naive launch delay: from every sample, probe forward (around
-    /// the circle) for the first admissible one. O(n²); a test reference.
-    #[cfg(test)]
-    fn launch_delay_by_scan(&self, bid: Usd) -> Hours {
-        let n = self.prices.len();
-        let mut total = 0.0;
-        for i in 0..n {
-            match (0..n).find(|&d| self.prices[(i + d) % n] <= bid) {
-                Some(d) => total += d as f64,
-                None => return self.step_hours * n as f64,
-            }
-        }
-        total / n as f64 * self.step_hours
-    }
-
-    /// The original per-start probe loop, retained verbatim as the
-    /// reference implementation the sweep is differentially tested
-    /// against.
-    #[cfg(test)]
-    fn estimate_by_scan(
-        &self,
-        bid: Usd,
-        horizon_hours: usize,
-        starts: impl Iterator<Item = usize>,
-    ) -> FailureRateFn {
-        assert!(horizon_hours > 0, "horizon must be positive");
-        let n = self.prices.len();
-        let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
-        let horizon_samples = horizon_hours * samples_per_hour;
-        let mut buckets = vec![0u64; horizon_hours];
-        let mut survived = 0u64;
-        let mut used = 0u64;
-
-        for s in starts {
-            if self.prices[s] > bid {
-                continue; // cannot launch here
-            }
-            used += 1;
-            let mut failed = false;
-            for k in 1..=horizon_samples {
-                let p = self.prices[(s + k) % n];
-                if p > bid {
-                    let hour = ((k - 1) / samples_per_hour).min(horizon_hours - 1);
-                    buckets[hour] += 1;
-                    failed = true;
-                    break;
-                }
-            }
-            if !failed {
-                survived += 1;
-            }
-        }
-
-        Self::finish(bid, horizon_hours, buckets, survived, used)
+    fn samples(&self) -> Vec<Usd> {
+        self.runs
+            .iter()
+            .flat_map(|run| std::iter::repeat_n(run.price, run.len))
+            .collect()
     }
 
     fn finish(
@@ -698,6 +729,288 @@ mod tests {
     fn estimator(prices: &[f64], step: f64) -> FailureEstimator {
         let t = SpotTrace::new(step, prices.to_vec());
         FailureEstimator::from_window(t.window(0.0, f64::INFINITY))
+    }
+
+    /// The sorted-sample `S_i(P)` table the level table replaced: every
+    /// sample, stable-sorted, with a running sum. A test reference.
+    struct SortedSamples {
+        sorted: Vec<Usd>,
+        prefix_sum: Vec<f64>,
+    }
+
+    impl SortedSamples {
+        fn new(samples: &[Usd]) -> Self {
+            let mut sorted = samples.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite prices"));
+            let mut prefix_sum = Vec::with_capacity(sorted.len() + 1);
+            prefix_sum.push(0.0);
+            let mut acc = 0.0;
+            for &p in &sorted {
+                acc += p;
+                prefix_sum.push(acc);
+            }
+            Self { sorted, prefix_sum }
+        }
+
+        fn count_at_or_below(&self, bid: Usd) -> usize {
+            self.sorted.partition_point(|&p| p <= bid)
+        }
+
+        fn mean_below(&self, bid: Usd) -> Option<Usd> {
+            let n = self.count_at_or_below(bid);
+            (n > 0).then(|| self.prefix_sum[n] / n as f64)
+        }
+
+        fn launch_fraction(&self, bid: Usd) -> f64 {
+            if self.sorted.is_empty() {
+                return 0.0;
+            }
+            self.count_at_or_below(bid) as f64 / self.sorted.len() as f64
+        }
+
+        fn max_price(&self) -> Usd {
+            self.sorted.last().copied().unwrap_or(0.0)
+        }
+
+        fn min_price(&self) -> Usd {
+            self.sorted.first().copied().unwrap_or(0.0)
+        }
+    }
+
+    /// The history sample by sample, with the per-sample estimators the
+    /// run-based ones are checked against. Test references only.
+    struct Reference {
+        prices: Vec<Usd>,
+        step_hours: Hours,
+    }
+
+    impl Reference {
+        fn of(e: &FailureEstimator) -> Self {
+            Self {
+                prices: e.samples(),
+                step_hours: e.step_hours,
+            }
+        }
+
+        fn samples_per_hour(&self) -> usize {
+            (1.0 / self.step_hours).round().max(1.0) as usize
+        }
+
+        /// The per-sample sweep the run sweep replaced: one step per
+        /// sample, `weight(i)` the count of start `i`. Returns the bucket
+        /// counts, survivors, usable starts and summed launch-delay steps.
+        fn sweep(
+            &self,
+            bid: Usd,
+            horizon_hours: usize,
+            weight: impl Fn(usize) -> u64,
+        ) -> (Vec<u64>, u64, u64, Option<u64>) {
+            let n = self.prices.len();
+            let mut buckets = vec![0u64; horizon_hours];
+            match SortedSamples::new(&self.prices).count_at_or_below(bid) {
+                0 => return (buckets, 0, 0, None),
+                admitted if admitted == n => {
+                    let all: u64 = (0..n).map(weight).sum();
+                    return (buckets, all, all, Some(0));
+                }
+                _ => {}
+            }
+            let samples_per_hour = self.samples_per_hour();
+            let horizon_samples = horizon_hours * samples_per_hour;
+            let above0 = self.prices[0] > bid;
+            let split = self.prices[1..]
+                .iter()
+                .position(|&p| (p > bid) != above0)
+                .map_or(n, |j| j + 1);
+            let (first_above, first_admitted) = if above0 { (0, split) } else { (split, 0) };
+            let mut next_above = first_above + n;
+            let mut next_admitted = first_admitted + n;
+            let (mut survived, mut used, mut delay_steps) = (0u64, 0u64, 0u64);
+            for i in (0..n).rev() {
+                if self.prices[i] > bid {
+                    delay_steps += (next_admitted - i) as u64;
+                    next_above = i;
+                } else {
+                    next_admitted = i;
+                    let w = weight(i);
+                    used += w;
+                    let k = next_above - i;
+                    if k <= horizon_samples {
+                        let hour = ((k - 1) / samples_per_hour).min(buckets.len() - 1);
+                        buckets[hour] += w;
+                    } else {
+                        survived += w;
+                    }
+                }
+            }
+            (buckets, survived, used, Some(delay_steps))
+        }
+
+        /// [`FailureEstimator::bid_profile`] off the per-sample sweep.
+        fn profile(&self, bid: Usd, horizon_hours: usize) -> BidProfile {
+            let n = self.prices.len();
+            let (buckets, survived, used, delay_steps) = self.sweep(bid, horizon_hours, |_| 1);
+            let launch_delay = match delay_steps {
+                None => self.step_hours * n as f64,
+                Some(total) => total as f64 / n as f64 * self.step_hours,
+            };
+            BidProfile {
+                counts: FailureCounts {
+                    bid,
+                    buckets,
+                    survived,
+                    used,
+                },
+                launch_delay,
+            }
+        }
+
+        /// [`FailureEstimator::failure_rate_sampled`] off the per-sample
+        /// sweep, each start weighted by its draws.
+        fn sampled(&self, bid: Usd, horizon_hours: usize, g: usize, seed: u64) -> FailureRateFn {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draws = vec![0u64; self.prices.len()];
+            for _ in 0..g {
+                draws[rng.gen_range(0..self.prices.len())] += 1;
+            }
+            let (buckets, survived, used, _) = self.sweep(bid, horizon_hours, |i| draws[i]);
+            FailureEstimator::finish(bid, horizon_hours, buckets, survived, used)
+        }
+
+        /// A two-pass distance carry, independent of both sweeps: integer
+        /// bucket counts, survivors, and usable starts for the given start
+        /// points.
+        fn count_by_carry(
+            &self,
+            bid: Usd,
+            horizon_hours: usize,
+            starts: impl Iterator<Item = usize>,
+        ) -> (Vec<u64>, u64, u64) {
+            assert!(horizon_hours > 0, "horizon must be positive");
+            let n = self.prices.len();
+            let samples_per_hour = self.samples_per_hour();
+            let horizon_samples = horizon_hours * samples_per_hour;
+
+            // Distance (in samples) from each index to the first sample at
+            // or after it (circularly) whose price strictly exceeds the
+            // bid; `u32::MAX` when the bid is never exceeded. Same two-pass
+            // backward carry as `launch_delay_by_carry`.
+            let mut dist = vec![u32::MAX; n];
+            let mut next: Option<usize> = None;
+            for _pass in 0..2 {
+                for i in (0..n).rev() {
+                    if self.prices[i] > bid {
+                        next = Some(i);
+                    }
+                    if let Some(j) = next {
+                        let d = if j >= i { j - i } else { j + n - i };
+                        dist[i] = dist[i].min(d as u32);
+                    }
+                }
+            }
+
+            let mut buckets = vec![0u64; horizon_hours];
+            let mut survived = 0u64;
+            let mut used = 0u64;
+            for s in starts {
+                if self.prices[s] > bid {
+                    continue; // cannot launch here
+                }
+                used += 1;
+                // The first strictly-after-`s` sample above the bid is
+                // `dist[(s+1) % n] + 1` steps ahead — exactly the `k` the
+                // linear probe of `estimate_by_scan` finds.
+                let k = match dist[(s + 1) % n] {
+                    u32::MAX => usize::MAX,
+                    d => d as usize + 1,
+                };
+                if k <= horizon_samples {
+                    let hour = ((k - 1) / samples_per_hour).min(horizon_hours - 1);
+                    buckets[hour] += 1;
+                } else {
+                    survived += 1;
+                }
+            }
+
+            (buckets, survived, used)
+        }
+
+        /// A two-pass launch-delay carry that sums the distances as `f64`,
+        /// left to right; `bid_profile`'s `u64` sum must match it bit for
+        /// bit.
+        fn launch_delay_by_carry(&self, bid: Usd) -> Hours {
+            let n = self.prices.len();
+            let mut dist = vec![u32::MAX; n];
+            let mut next: Option<usize> = None;
+            for _pass in 0..2 {
+                for i in (0..n).rev() {
+                    if self.prices[i] <= bid {
+                        next = Some(i);
+                    }
+                    if let Some(j) = next {
+                        let d = if j >= i { j - i } else { j + n - i };
+                        dist[i] = dist[i].min(d as u32);
+                    }
+                }
+            }
+            if dist.contains(&u32::MAX) {
+                return self.step_hours * n as f64;
+            }
+            let total: f64 = dist.iter().map(|&d| d as f64).sum();
+            total / n as f64 * self.step_hours
+        }
+
+        /// The naive launch delay: from every sample, probe forward
+        /// (around the circle) for the first admissible one. O(n²).
+        fn launch_delay_by_scan(&self, bid: Usd) -> Hours {
+            let n = self.prices.len();
+            let mut total = 0.0;
+            for i in 0..n {
+                match (0..n).find(|&d| self.prices[(i + d) % n] <= bid) {
+                    Some(d) => total += d as f64,
+                    None => return self.step_hours * n as f64,
+                }
+            }
+            total / n as f64 * self.step_hours
+        }
+
+        /// The original per-start probe loop, O(n·horizon).
+        fn estimate_by_scan(
+            &self,
+            bid: Usd,
+            horizon_hours: usize,
+            starts: impl Iterator<Item = usize>,
+        ) -> FailureRateFn {
+            assert!(horizon_hours > 0, "horizon must be positive");
+            let n = self.prices.len();
+            let samples_per_hour = self.samples_per_hour();
+            let horizon_samples = horizon_hours * samples_per_hour;
+            let mut buckets = vec![0u64; horizon_hours];
+            let mut survived = 0u64;
+            let mut used = 0u64;
+
+            for s in starts {
+                if self.prices[s] > bid {
+                    continue; // cannot launch here
+                }
+                used += 1;
+                let mut failed = false;
+                for k in 1..=horizon_samples {
+                    let p = self.prices[(s + k) % n];
+                    if p > bid {
+                        let hour = ((k - 1) / samples_per_hour).min(horizon_hours - 1);
+                        buckets[hour] += 1;
+                        failed = true;
+                        break;
+                    }
+                }
+                if !failed {
+                    survived += 1;
+                }
+            }
+
+            FailureEstimator::finish(bid, horizon_hours, buckets, survived, used)
+        }
     }
 
     #[test]
@@ -850,14 +1163,15 @@ mod tests {
             estimator(&[9.0, 9.0, 0.1, 9.0, 0.1, 0.1], 0.5),
         ];
         for e in &estimators {
-            let n = e.prices.len();
+            let r = Reference::of(e);
+            let n = r.prices.len();
             let max = e.max_price();
             for bid in [0.0, 0.05, 0.09, 0.3, max, max * 2.0] {
                 for horizon in [1usize, 7, 24, 400] {
                     let fast = e.failure_rate_exact(bid, horizon);
-                    let slow = e.estimate_by_scan(bid, horizon, 0..n);
+                    let slow = r.estimate_by_scan(bid, horizon, 0..n);
                     assert_eq!(fast, slow, "bid {bid} horizon {horizon}");
-                    let (buckets, survived, used) = e.count_by_carry(bid, horizon, 0..n);
+                    let (buckets, survived, used) = r.count_by_carry(bid, horizon, 0..n);
                     let counts = e.failure_counts(bid, horizon);
                     assert_eq!(
                         (&counts.buckets, counts.survived, counts.used),
@@ -867,9 +1181,7 @@ mod tests {
             }
             // Sampled start points go through the same sweep, weighted.
             let fast = e.failure_rate_sampled(0.08, 12, 200, 5);
-            let slow = e.estimate_by_scan(0.08, 12, {
-                use rand::rngs::StdRng;
-                use rand::{Rng, SeedableRng};
+            let slow = r.estimate_by_scan(0.08, 12, {
                 let mut rng = StdRng::seed_from_u64(5);
                 let starts: Vec<usize> = (0..200).map(|_| rng.gen_range(0..n)).collect();
                 starts.into_iter()
@@ -891,14 +1203,48 @@ mod tests {
         assert_eq!(bits(a), bits(b), "{label}: buckets");
     }
 
-    /// Differential check of one history: at every bid of interest —
-    /// each distinct price exactly, midway between neighbours, below the
-    /// minimum and above the maximum — the profile's counts match the
-    /// per-start probe at every horizon, and its launch delay matches the
-    /// naive O(n²) scan and the two-pass carry bit for bit.
+    /// Bitwise equality of two bid profiles.
+    fn assert_profile_bits(a: &BidProfile, b: &BidProfile, label: &str) {
+        let (x, y) = (a.counts(), b.counts());
+        assert_eq!(x.bid.to_bits(), y.bid.to_bits(), "{label}: bid");
+        assert_eq!(
+            (&x.buckets, x.survived, x.used),
+            (&y.buckets, y.survived, y.used),
+            "{label}: counts"
+        );
+        assert_eq!(
+            a.launch_delay().to_bits(),
+            b.launch_delay().to_bits(),
+            "{label}: launch delay"
+        );
+    }
+
+    /// Differential check of one history against the per-sample
+    /// references: the `S_i(P)` table against the sorted-sample table,
+    /// and at every bid of interest — each distinct price exactly, midway
+    /// between neighbours, below the minimum and above the maximum — the
+    /// profile against the per-sample sweep at every horizon (zero
+    /// included), its counts against the per-start probe, its launch
+    /// delay against the naive O(n²) scan and the two-pass carry, and the
+    /// sampled estimator against the weighted per-sample sweep, all bit
+    /// for bit.
     fn check_profile_against_references(e: &FailureEstimator, label: &str) {
-        let n = e.prices.len();
-        let mut levels = e.prices.clone();
+        let r = Reference::of(e);
+        let n = r.prices.len();
+        let table = e.expected_spot_price();
+        let sorted = SortedSamples::new(&r.prices);
+        assert_eq!(
+            table.min_price().to_bits(),
+            sorted.min_price().to_bits(),
+            "{label}: min"
+        );
+        assert_eq!(
+            table.max_price().to_bits(),
+            sorted.max_price().to_bits(),
+            "{label}: max"
+        );
+        assert_eq!(e.max_price().to_bits(), sorted.max_price().to_bits());
+        let mut levels = r.prices.clone();
         levels.sort_by(f64::total_cmp);
         levels.dedup();
         let mut bids = vec![levels[0] * 0.5 - 1.0, levels[levels.len() - 1] * 2.0 + 1.0];
@@ -909,34 +1255,55 @@ mod tests {
             }
         }
         for &bid in &bids {
+            assert_eq!(
+                table.count_at_or_below(bid),
+                sorted.count_at_or_below(bid),
+                "{label} bid {bid}: count"
+            );
+            assert_eq!(
+                table.mean_below(bid).map(f64::to_bits),
+                sorted.mean_below(bid).map(f64::to_bits),
+                "{label} bid {bid}: mean"
+            );
+            assert_eq!(
+                table.launch_fraction(bid).to_bits(),
+                sorted.launch_fraction(bid).to_bits(),
+                "{label} bid {bid}: launch fraction"
+            );
             let delay = e.bid_profile(bid, 0).launch_delay();
-            let naive = e.launch_delay_by_scan(bid);
+            let naive = r.launch_delay_by_scan(bid);
             assert_eq!(delay.to_bits(), naive.to_bits(), "{label} bid {bid}: delay");
             assert_eq!(
                 delay.to_bits(),
-                e.launch_delay_by_carry(bid).to_bits(),
+                r.launch_delay_by_carry(bid).to_bits(),
                 "{label} bid {bid}: delay vs carry"
             );
             assert_eq!(delay.to_bits(), e.expected_launch_delay(bid).to_bits());
-            for horizon in [1usize, 2, 5, 24, 97] {
+            for horizon in [0usize, 1, 2, 5, 24, 97] {
                 let profile = e.bid_profile(bid, horizon);
-                assert_eq!(profile.launch_delay().to_bits(), delay.to_bits());
-                let scan = e.estimate_by_scan(bid, horizon, 0..n);
                 let tag = format!("{label} bid {bid} horizon {horizon}");
+                assert_profile_bits(&profile, &r.profile(bid, horizon), &tag);
+                if horizon == 0 {
+                    continue;
+                }
+                let scan = r.estimate_by_scan(bid, horizon, 0..n);
                 assert_fn_bits(&profile.counts().to_fn(horizon), &scan, &tag);
                 assert_fn_bits(&e.failure_rate_exact(bid, horizon), &scan, &tag);
                 // Truncation from a longer recording is exact too.
                 let long = e.bid_profile(bid, horizon + 13);
                 assert_fn_bits(&long.counts().to_fn(horizon), &scan, &tag);
-                assert_eq!(profile.counts().used, e.count_by_carry(bid, 1, 0..n).2);
+                assert_eq!(profile.counts().used, r.count_by_carry(bid, 1, 0..n).2);
+                assert_fn_bits(
+                    &e.failure_rate_sampled(bid, horizon, 3 * n, horizon as u64),
+                    &r.sampled(bid, horizon, 3 * n, horizon as u64),
+                    &format!("{tag} sampled"),
+                );
             }
         }
     }
 
     #[test]
     fn bid_profile_matches_scan_on_seeded_random_traces() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5eed);
         for case in 0..40 {
             let n = rng.gen_range(1..200);
@@ -948,6 +1315,20 @@ mod tests {
             let step = [1.0, 0.5, 1.0 / 12.0][case % 3];
             check_profile_against_references(&estimator(&prices, step), &format!("case {case}"));
         }
+        // Long plateaus, as in generated spot traces: runs that span
+        // several hour buckets at 5-minute steps.
+        for case in 0..20 {
+            let mut prices = Vec::new();
+            while prices.len() < 600 {
+                let level = 0.01 * (1 + rng.gen_range(0..4)) as f64;
+                prices.extend(std::iter::repeat_n(level, rng.gen_range(1..90usize)));
+            }
+            let step = [1.0 / 12.0, 1.0][case % 2];
+            check_profile_against_references(
+                &estimator(&prices, step),
+                &format!("plateau case {case}"),
+            );
+        }
     }
 
     #[test]
@@ -958,15 +1339,50 @@ mod tests {
         let mut sub_hour = vec![0.1; 40];
         sub_hour[13] = 9.0;
         sub_hour[27] = 9.0;
-        let cases: [(&str, Vec<f64>, f64); 8] = [
+        // Runs of 7, 13, 30, ... 5-minute samples, crossing hour buckets.
+        let crossing: Vec<f64> = [7, 13, 30, 5, 18, 11, 25, 12]
+            .iter()
+            .zip([0.1, 9.0, 0.2, 9.0, 0.1, 0.5, 0.3, 9.0])
+            .flat_map(|(&len, p)| std::iter::repeat_n(p, len))
+            .collect();
+        // No two neighbours equal: every run has length one.
+        let no_runs: Vec<f64> = (0..60).map(|i| 0.01 * (1 + (i * 7) % 13) as f64).collect();
+        let cases: [(&str, Vec<f64>, f64); 19] = [
             ("single sample", vec![0.3], 1.0),
             ("single sample, sub-hour", vec![0.3], 1.0 / 12.0),
             ("all equal", vec![0.2; 9], 1.0),
+            ("one run, sub-hour", vec![0.2; 300], 1.0 / 12.0),
             ("wrap-around spikes", spike_at_end, 1.0),
             ("sub-hour steps", sub_hour, 1.0 / 12.0),
             ("alternating", [0.1, 0.9].repeat(11), 0.5),
             ("spike first only", [vec![4.0], vec![0.1; 10]].concat(), 1.0),
             ("spike last only", [vec![0.1; 10], vec![4.0]].concat(), 1.0),
+            ("no repeated neighbours", no_runs.clone(), 1.0 / 12.0),
+            ("no repeated neighbours, hourly", no_runs, 1.0),
+            (
+                "admissible at both ends",
+                vec![0.1, 0.1, 0.1, 5.0, 5.0, 0.3, 0.1, 0.1],
+                1.0,
+            ),
+            (
+                "above at both ends",
+                vec![5.0, 5.0, 0.1, 0.2, 0.2, 5.0],
+                0.5,
+            ),
+            (
+                "run longer than the horizon",
+                [vec![0.1; 150], vec![5.0; 3], vec![0.1; 20]].concat(),
+                1.0,
+            ),
+            ("runs crossing hour buckets", crossing, 1.0 / 12.0),
+            (
+                "signed zeros",
+                vec![0.0, -0.0, 0.1, -0.0, 0.0, 0.3, 0.0],
+                1.0,
+            ),
+            ("zero then negative zero", vec![0.0, -0.0], 1.0),
+            ("negative zero then zero", vec![-0.0, 0.0, 0.0], 1.0),
+            ("negative zeros around a price", vec![-0.0, 0.2, -0.0], 1.0),
         ];
         for (label, prices, step) in &cases {
             check_profile_against_references(&estimator(prices, *step), label);
@@ -978,6 +1394,21 @@ mod tests {
         assert_eq!(e.bid_profile(0.1, 4).launch_delay(), 9.0);
         assert_eq!(e.bid_profile(0.2, 4).counts().to_fn(4).survival(), 1.0);
         assert_eq!(e.bid_profile(0.2, 4).launch_delay(), 0.0);
+        // A zero horizon records no buckets: every usable start survives.
+        let e = estimator(&[0.1, 5.0, 0.1, 0.1], 1.0);
+        let counts = e.bid_profile(0.5, 0).counts().clone();
+        assert_eq!((counts.horizon(), counts.survived, counts.used), (0, 3, 3));
+        // Equal prices with different bits: the extremes keep the bits a
+        // stable sort leaves at its ends — the earliest minimum, the
+        // latest maximum.
+        let s = estimator(&[0.0, -0.0], 1.0);
+        let table = s.expected_spot_price();
+        assert_eq!(table.min_price().to_bits(), 0.0f64.to_bits());
+        assert_eq!(table.max_price().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            table.mean_below(0.0).map(f64::to_bits),
+            Some(0.0f64.to_bits())
+        );
     }
 
     #[test]
@@ -1023,14 +1454,51 @@ mod tests {
 
     #[test]
     fn digest_separates_histories_and_sticks_to_equal_ones() {
-        let a = estimator(&[0.1, 0.2, 0.3], 1.0);
-        let b = estimator(&[0.1, 0.2, 0.3], 1.0);
-        assert_eq!(a.digest(), b.digest());
-        // Different prices, different step, and different length all move
-        // the digest.
-        assert_ne!(a.digest(), estimator(&[0.1, 0.2, 0.4], 1.0).digest());
-        assert_ne!(a.digest(), estimator(&[0.1, 0.2, 0.3], 0.5).digest());
-        assert_ne!(a.digest(), estimator(&[0.1, 0.2], 1.0).digest());
+        // Digests are equal exactly when step and samples are. Hand
+        // histories that differ in one price, in the step, in the length,
+        // in where a run ends, in one run's length or in a zero's sign;
+        // then seeded short histories over two levels, which repeat often.
+        let mut histories: Vec<(Vec<f64>, f64)> = vec![
+            (vec![0.1, 0.2, 0.3], 1.0),
+            (vec![0.1, 0.2, 0.4], 1.0),
+            (vec![0.1, 0.2, 0.3], 0.5),
+            (vec![0.1, 0.2], 1.0),
+            (vec![0.1, 0.1, 0.2], 1.0),
+            (vec![0.1, 0.2, 0.2], 1.0),
+            (vec![0.1, 0.1, 0.2, 0.2], 1.0),
+            (vec![0.2, 0.1, 0.2], 1.0),
+            (vec![0.2, 0.2, 0.1], 1.0),
+            (vec![0.1; 3], 1.0),
+            (vec![0.1; 4], 1.0),
+            (vec![0.0, -0.0], 1.0),
+            (vec![-0.0, 0.0], 1.0),
+            (vec![0.0, 0.0], 1.0),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xd16e);
+        for _ in 0..60 {
+            let n = rng.gen_range(1..5);
+            let prices = (0..n)
+                .map(|_| [0.1, 0.2][rng.gen_range(0..2usize)])
+                .collect();
+            histories.push((prices, [1.0, 0.5][rng.gen_range(0..2usize)]));
+        }
+        let bits = |prices: &[f64]| prices.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let estimators: Vec<(FailureEstimator, &(Vec<f64>, f64))> = histories
+            .iter()
+            .map(|h| (estimator(&h.0, h.1), h))
+            .collect();
+        let mut equal_pairs = 0;
+        for (a, (pa, sa)) in &estimators {
+            assert_eq!(bits(&a.samples()), bits(pa));
+            for (b, (pb, sb)) in &estimators {
+                let same = sa.to_bits() == sb.to_bits() && bits(pa) == bits(pb);
+                assert_eq!(a.digest() == b.digest(), same, "{pa:?}@{sa} vs {pb:?}@{sb}");
+                equal_pairs += usize::from(same);
+            }
+        }
+        // The seeded histories repeat, so equal pairs beyond the diagonal
+        // are exercised too.
+        assert!(equal_pairs > estimators.len());
     }
 
     #[test]

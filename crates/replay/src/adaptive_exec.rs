@@ -226,7 +226,6 @@ impl<'a> AdaptiveRunner<'a> {
                 last_view = Some(fresh);
                 fresh
             };
-            let view = MarketView::from_market(self.market, vh, vl);
 
             // Deadline guard (Algorithm 1 line 7, applied on every path
             // including the frozen w/o-MT one — it is deadline
@@ -302,6 +301,9 @@ impl<'a> AdaptiveRunner<'a> {
                 });
                 d
             } else {
+                // Only a re-plan reads the market view, so only a re-plan
+                // builds it.
+                let view = MarketView::from_market(self.market, vh, vl);
                 let planned = {
                     let mut pctx = PlanContext::new()
                         .with_recorder(recorder)

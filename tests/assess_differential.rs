@@ -20,9 +20,12 @@
 //! This suite covers the layer above the sweep — horizon truncation,
 //! equal-admission sharing, the warm store and the search — not the
 //! sweep itself: `failure_rate_exact` and `expected_launch_delay` read
-//! `FailureEstimator::bid_profile` too. The sweep is pinned bit for bit
-//! by `ec2-market`'s own tests against sweep-free oracles
-//! (`estimate_by_scan`, `count_by_carry`, `launch_delay_by_scan`).
+//! `FailureEstimator::bid_profile` too, and `ExpectedSpotPrice` is the
+//! same run-based table the optimizer reads. The sweep and the table are
+//! pinned bit for bit by `ec2-market`'s own tests against per-sample
+//! oracles (the sorted-sample table, the per-sample sweep,
+//! `estimate_by_scan`, `count_by_carry`, `launch_delay_by_scan`), and
+//! `tests/plan_golden.rs` pins whole plan reports.
 
 use ec2_market::failure::FailureEstimator;
 use sompi_bench::{

@@ -16,10 +16,11 @@
 //!
 //! # Parallel search
 //!
-//! The `C(K, k)` subsets are fanned out across [`OptimizerConfig::threads`]
-//! workers, capped at the host's cores (crossbeam scoped threads, the
-//! same pattern as `replay`'s Monte-Carlo): every worker runs the bid
-//! odometer over its contiguous chunk of the subset list with
+//! The `C(K, k)` subsets of the groups that have options are fanned out
+//! across [`OptimizerConfig::threads`] workers, capped at the host's
+//! cores (crossbeam scoped threads, the same pattern as `replay`'s
+//! Monte-Carlo): every worker runs the bid odometer over its contiguous
+//! chunk of the subset list with
 //! worker-local state — an incumbent, an evaluation counter, and reused
 //! scratch buffers — and the per-worker
 //! winners are merged under a *total* candidate order: feasibility first,
@@ -62,7 +63,6 @@ use ec2_market::market::CircleGroupId;
 use serde::{Deserialize, Serialize};
 use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Which bid grid shape to search (logarithmic is the paper's; uniform
@@ -335,12 +335,17 @@ struct WorkerStats {
     /// (already counted inside `evaluations`, which reports the full
     /// enumeration size for count determinism).
     skipped: u64,
+    /// Subsets rejected before their walk's set-up: the sum of their
+    /// slots' smallest lower bounds was already above the incumbent.
+    /// Their positions are counted in `skipped`.
+    rejected: u64,
     /// Times this worker published a strictly better feasible cost to
     /// the incumbent bound (shared or local).
     tightenings: u64,
     /// Wall nanoseconds this worker spent inside the per-subset candidate
     /// loops (evaluation-dominated; timed per subset, not per evaluation,
-    /// so the hot loop carries no timer calls).
+    /// so the hot loop carries no timer calls). Only subsets that reach
+    /// the walk are timed; rejected ones are not.
     kernel_nanos: u64,
     best: Option<Candidate>,
 }
@@ -701,17 +706,9 @@ impl<'a> TwoLevelOptimizer<'a> {
         let od_eval = evaluate(&[], &od);
         let od_feasible = od_eval.meets(self.problem.deadline);
 
-        // Per-group minimum completion wall, the `w_min` input of the
-        // admissible lower bound (DESIGN.md §8.2). Infinite for groups
-        // with no viable options (such groups skip their subsets anyway).
-        let min_wall: Vec<f64> = options
-            .iter()
-            .map(|opts| {
-                opts.iter()
-                    .map(|a| a.completion_wall())
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
+        // The branch-and-bound inputs, built once and shared read-only by
+        // every worker and by the hot-subset ranking (DESIGN.md §8.2).
+        let tables = BoundTables::new(&options, self.config.kappa);
 
         // The previous window's carry-over, cloned out up front so the
         // warm state itself can be rewritten once this search concludes.
@@ -746,17 +743,14 @@ impl<'a> TwoLevelOptimizer<'a> {
         let shared_bound = AtomicU64::new(seed_bound.to_bits());
         let use_shared = self.config.shared_incumbent && self.config.prune_bound;
 
-        // Precollect the k-subsets (k ascending, lexicographic within k)
-        // so they can be chunked across workers with stable global indices.
+        // The k-subsets of the groups with options (k ascending,
+        // lexicographic within k), chunked across workers by their stable
+        // index. A subset holding a group without options has no
+        // candidate, so leaving it out drops nothing, and the subsets kept
+        // keep their relative order: every ordinal tie-break is unchanged.
         let n = self.problem.candidates.len();
-        let k_max = self.config.kappa.min(n);
-        let mut subsets: Vec<Vec<usize>> = Vec::new();
-        let mut acc = Vec::new();
-        for k in 1..=k_max {
-            enumerate_subsets(n, k, 0, &mut acc, &mut |s: &[usize]| {
-                subsets.push(s.to_vec());
-            });
-        }
+        let with_options: Vec<usize> = (0..n).filter(|&g| !options[g].is_empty()).collect();
+        let subsets = SubsetList::new(&with_options, self.config.kappa);
 
         // Enumeration order over `subsets`: canonical (identity) when
         // cold, hot-first when the previous window handed over its top
@@ -778,7 +772,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             kappa: self.config.kappa as u32,
             bid_levels: self.config.bid_levels,
             threads: threads as u32,
-            subsets: subsets.len() as u64,
+            subsets: subset_count(n, self.config.kappa),
             options_considered,
             options_pruned,
             deadline_hours: self.problem.deadline,
@@ -790,13 +784,11 @@ impl<'a> TwoLevelOptimizer<'a> {
         let search_timer = PhaseTimer::start();
         let shared = use_shared.then_some(&shared_bound);
         let results: Vec<WorkerStats> = if threads <= 1 {
-            vec![self.search_chunk(
-                &options, &od, &subsets, &order, &min_wall, shared, seed_bound,
-            )]
+            vec![self.search_chunk(&options, &od, &subsets, &tables, &order, shared, seed_bound)]
         } else {
             // Contiguous chunks of the enumeration order, one per worker.
             let chunk = order.len().div_ceil(threads);
-            let (options, subsets, od, min_wall) = (&options, &subsets, &od, &min_wall);
+            let (options, subsets, od, tables) = (&options, &subsets, &od, &tables);
             crossbeam::thread::scope(|s| {
                 let handles: Vec<_> = order
                     .chunks(chunk)
@@ -806,8 +798,8 @@ impl<'a> TwoLevelOptimizer<'a> {
                                 options,
                                 od,
                                 subsets,
+                                tables,
                                 chunk_order,
-                                min_wall,
                                 shared,
                                 seed_bound,
                             )
@@ -849,6 +841,7 @@ impl<'a> TwoLevelOptimizer<'a> {
                     })
                     .unwrap_or_default(),
                 skipped: stats.skipped,
+                subsets_rejected: stats.rejected,
             });
         }
 
@@ -916,8 +909,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             if w.use_plan {
                 let hot = rank_hot_subsets(
                     &subsets,
-                    &options,
-                    &min_wall,
+                    &tables,
                     winner_subset.as_deref(),
                     &self.problem.candidates,
                 );
@@ -1072,13 +1064,16 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// reordering of the visit sequence.
     ///
     /// With [`OptimizerConfig::prune_bound`] on, each subset runs a
-    /// branch-and-bound walk (DESIGN.md §8.2): the slots' options are
+    /// branch-and-bound walk (DESIGN.md §8.2) over its slots' options
     /// rank-sorted by the admissible per-group lower bound
-    /// [`GroupAssessment::cost_lower_bound`], and whole rank suffixes
-    /// whose summed lower bound exceeds the incumbent cost are skipped
-    /// without evaluation; a combination that passes is still skipped
-    /// when its whole-candidate floor, which adds the on-demand recovery
-    /// share (DESIGN.md §8.5), exceeds the incumbent cost.
+    /// [`GroupAssessment::cost_lower_bound`], read from the search's
+    /// shared `tables`: a subset whose slots' smallest bounds already sum
+    /// above the incumbent cost is rejected whole before any set-up, and
+    /// in the walk whole rank suffixes whose summed lower bound exceeds
+    /// the incumbent cost are skipped without evaluation; a combination
+    /// that passes is still skipped when its whole-candidate floor, which
+    /// adds the on-demand recovery share (DESIGN.md §8.5), exceeds the
+    /// incumbent cost.
     /// `shared_bound` (cost as IEEE bits) is the cross-worker incumbent
     /// when [`OptimizerConfig::shared_incumbent`] is on; otherwise the
     /// worker prunes against a local bound seeded from
@@ -1093,9 +1088,9 @@ impl<'a> TwoLevelOptimizer<'a> {
         &self,
         options: &[Vec<GroupAssessment>],
         od: &OnDemandOption,
-        subsets: &[Vec<usize>],
+        subsets: &SubsetList,
+        tables: &BoundTables,
         order: &[usize],
-        min_wall: &[f64],
         shared_bound: Option<&AtomicU64>,
         seed_bound: f64,
     ) -> WorkerStats {
@@ -1103,6 +1098,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut feasible_hits = 0u64;
         let mut subsets_walked = 0u64;
         let mut skipped = 0u64;
+        let mut rejected = 0u64;
         let mut tightenings = 0u64;
         let mut kernel_nanos = 0u64;
         let mut best: Option<Candidate> = None;
@@ -1110,10 +1106,10 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut idx: Vec<usize> = Vec::new();
         let mut scratch = EvalScratch::new();
         // Branch-and-bound scratch, reused across subsets: per-slot
-        // `(lower bound, original option index)` pairs rank-sorted
-        // ascending, slot cardinalities, mixed-radix step weights, and
-        // prefix sums of the per-slot minimum bounds.
-        let mut lb_sorted: Vec<Vec<(f64, usize)>> = Vec::new();
+        // `(lower bound, original option index)` lists rank-sorted
+        // ascending (slices of `tables`), slot cardinalities, mixed-radix
+        // step weights, and prefix sums of the per-slot minimum bounds.
+        let mut slots: Vec<&[(f64, usize)]> = Vec::new();
         let mut lens: Vec<usize> = Vec::new();
         let mut weights: Vec<u64> = Vec::new();
         let mut head_min: Vec<f64> = Vec::new();
@@ -1136,10 +1132,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             vec![None; options.iter().map(Vec::len).sum()];
 
         for &subset_ordinal in order {
-            let chosen = &subsets[subset_ordinal];
-            if chosen.iter().any(|&g| options[g].is_empty()) {
-                continue;
-            }
+            let chosen = subsets.get(subset_ordinal);
             subsets_walked += 1;
             let product: u64 = chosen
                 .iter()
@@ -1150,6 +1143,20 @@ impl<'a> TwoLevelOptimizer<'a> {
             // metric, identical at any thread count and unchanged by how
             // many positions branch-and-bound manages to skip.
             evaluations += product;
+            let level = tables.level(chosen);
+            // Early rejection: the walk's first step sums the slots'
+            // smallest bounds, and when that sum is over the incumbent
+            // every other position's sum is too (each slot only moves to
+            // bounds no smaller, and the incumbent never rises), so the
+            // walk would skip the whole subset. Decide it here, before
+            // any set-up.
+            if self.config.prune_bound
+                && tables.head(chosen, level) > load_bound(shared_bound, local_bound)
+            {
+                skipped += product;
+                rejected += 1;
+                continue;
+            }
             let subset_timer = std::time::Instant::now();
 
             if !self.config.prune_bound {
@@ -1186,7 +1193,7 @@ impl<'a> TwoLevelOptimizer<'a> {
                             feasible,
                             eval,
                             bids: refs.iter().map(|a| a.decision.bid).collect(),
-                            subset: chosen.clone(),
+                            subset: chosen.to_vec(),
                             idx: idx.clone(),
                             ordinal,
                         });
@@ -1211,53 +1218,36 @@ impl<'a> TwoLevelOptimizer<'a> {
                 continue;
             }
 
-            // Branch-and-bound walk over the same combinations.
+            // Branch-and-bound walk over the same combinations, on the
+            // slots' option lists ranked at the subset's wall level.
             let m = chosen.len();
-            let w_min = chosen
-                .iter()
-                .map(|&g| min_wall[g])
-                .fold(f64::INFINITY, f64::min);
-            while lb_sorted.len() < m {
-                lb_sorted.push(Vec::new());
-            }
+            slots.clear();
             lens.clear();
             weights.clear();
             head_min.clear();
             let mut weight = 1u64;
             let mut head = 0.0f64;
-            for (slot, &g) in chosen.iter().enumerate() {
-                let opts = &options[g];
-                let lb = &mut lb_sorted[slot];
-                lb.clear();
-                lb.extend(
-                    opts.iter()
-                        .enumerate()
-                        .map(|(i, a)| (a.cost_lower_bound(w_min), i)),
-                );
-                // Unstable sort is deterministic here: the (bound, index)
-                // keys are unique by index.
-                lb.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                lens.push(opts.len());
+            for &g in chosen {
+                let ranked = tables.ranked(g, level);
+                slots.push(ranked);
+                lens.push(ranked.len());
                 weights.push(weight);
-                weight = weight.saturating_mul(opts.len() as u64);
+                weight = weight.saturating_mul(ranked.len() as u64);
                 head_min.push(head);
-                head += lb[0].0;
+                head += ranked[0].0;
             }
             head_min.push(head); // head_min[m] = Σ per-slot minima
 
-            // `idx` now holds per-slot *ranks* into `lb_sorted`, not
+            // `idx` now holds per-slot *ranks* into `slots`, not
             // original option indices; ordinals and the stored candidate
-            // are translated back through `lb_sorted[slot][rank].1`.
+            // are translated back through `slots[slot][rank].1`.
             idx.clear();
             idx.resize(m, 0);
             let mut evaluated_here = 0u64;
             let mut exhausted = false;
             while !exhausted {
-                let bound = match shared_bound {
-                    Some(s) => f64::from_bits(s.load(AtomicOrdering::Relaxed)),
-                    None => local_bound,
-                };
-                let lb_total: f64 = (0..m).map(|s| lb_sorted[s][idx[s]].0).sum();
+                let bound = load_bound(shared_bound, local_bound);
+                let lb_total: f64 = (0..m).map(|s| slots[s][idx[s]].0).sum();
                 if lb_total > bound {
                     // Prune. Advance at the highest slot `h` whose fixed
                     // tail is already hopeless: every combination keeping
@@ -1270,7 +1260,7 @@ impl<'a> TwoLevelOptimizer<'a> {
                     let mut h = 0usize;
                     let mut suffix = lb_total;
                     for s in 1..=m {
-                        suffix -= lb_sorted[s - 1][idx[s - 1]].0;
+                        suffix -= slots[s - 1][idx[s - 1]].0;
                         if head_min[s] + suffix > bound {
                             h = s;
                         }
@@ -1284,12 +1274,12 @@ impl<'a> TwoLevelOptimizer<'a> {
                 // per-slot sum, and O(k) next to an evaluation. A
                 // combination over the bound is skipped like a pruned one.
                 for (slot, &g) in chosen.iter().enumerate() {
-                    let i = lb_sorted[slot][idx[slot]].1;
+                    let i = slots[slot][idx[slot]].1;
                     floors[option_base[g] + i]
                         .get_or_insert_with(|| Box::new(options[g][i].cost_floor()));
                 }
                 let picked = chosen.iter().enumerate().filter_map(|(slot, &g)| {
-                    floors[option_base[g] + lb_sorted[slot][idx[slot]].1].as_deref()
+                    floors[option_base[g] + slots[slot][idx[slot]].1].as_deref()
                 });
                 if candidate_cost_floor(picked, od) > bound {
                     exhausted = !advance_ranks(&mut idx, &lens, 0);
@@ -1300,7 +1290,7 @@ impl<'a> TwoLevelOptimizer<'a> {
                     chosen
                         .iter()
                         .enumerate()
-                        .map(|(slot, &g)| &options[g][lb_sorted[slot][idx[slot]].1]),
+                        .map(|(slot, &g)| &options[g][slots[slot][idx[slot]].1]),
                 );
                 let eval = evaluate_with_scratch(&refs, od, &mut scratch);
                 evaluated_here += 1;
@@ -1336,7 +1326,7 @@ impl<'a> TwoLevelOptimizer<'a> {
                 // on the lower-bound sort.
                 let step = (0..m).fold(0u64, |acc, slot| {
                     acc.saturating_add(
-                        weights[slot].saturating_mul(lb_sorted[slot][idx[slot]].1 as u64),
+                        weights[slot].saturating_mul(slots[slot][idx[slot]].1 as u64),
                     )
                 });
                 let ordinal = (subset_ordinal, step);
@@ -1355,8 +1345,8 @@ impl<'a> TwoLevelOptimizer<'a> {
                         feasible,
                         eval,
                         bids: refs.iter().map(|a| a.decision.bid).collect(),
-                        subset: chosen.clone(),
-                        idx: (0..m).map(|slot| lb_sorted[slot][idx[slot]].1).collect(),
+                        subset: chosen.to_vec(),
+                        idx: (0..m).map(|slot| slots[slot][idx[slot]].1).collect(),
                         ordinal,
                     });
                 }
@@ -1370,6 +1360,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             feasible: feasible_hits,
             subsets: subsets_walked,
             skipped,
+            rejected,
             tightenings,
             kernel_nanos,
             best,
@@ -1417,39 +1408,243 @@ fn enumerate_subsets(
     }
 }
 
+/// Every k-subset, `1 ≤ k ≤ k_max`, of a list of groups, k ascending and
+/// lexicographic within k: one flat member array in which the subsets of
+/// each size form one block, so subset `i` is a slice and no subset is
+/// its own allocation.
+struct SubsetList {
+    members: Vec<usize>,
+    /// `blocks[k - 1]` = (index of the first k-subset, offset of its
+    /// first member); the last entry is (subset count, member count).
+    blocks: Vec<(usize, usize)>,
+}
+
+impl SubsetList {
+    /// The subsets of `groups` (ascending) of up to `k_max` members.
+    fn new(groups: &[usize], k_max: usize) -> Self {
+        let k_max = k_max.min(groups.len());
+        let mut blocks = Vec::with_capacity(k_max + 1);
+        let (mut count, mut size) = (0usize, 0usize);
+        for k in 1..=k_max {
+            blocks.push((count, size));
+            let c = binomial(groups.len(), k) as usize;
+            count += c;
+            size += c * k;
+        }
+        blocks.push((count, size));
+        let mut members = Vec::with_capacity(size);
+        let mut acc = Vec::with_capacity(k_max);
+        for k in 1..=k_max {
+            enumerate_subsets(groups.len(), k, 0, &mut acc, &mut |s: &[usize]| {
+                members.extend(s.iter().map(|&p| groups[p]));
+            });
+        }
+        Self { members, blocks }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.last().map_or(0, |b| b.0)
+    }
+
+    /// Subset `i`, `i < len()`.
+    fn get(&self, i: usize) -> &[usize] {
+        // Blocks are non-empty, so their first indices strictly ascend and
+        // `k` blocks start at or before `i`.
+        let k = self.blocks.partition_point(|&(first, _)| first <= i);
+        let (first, offset) = self.blocks[k - 1];
+        let at = offset + (i - first) * k;
+        &self.members[at..at + k]
+    }
+
+    /// The index of `subset` — a binary search in its size's block, which
+    /// is sorted. `None` for anything that is not one of the subsets:
+    /// unsorted, repeated or unknown members, or a size out of range.
+    fn position(&self, subset: &[usize]) -> Option<usize> {
+        let k = subset.len();
+        if k == 0 || k >= self.blocks.len() {
+            return None;
+        }
+        let (first, offset) = self.blocks[k - 1];
+        let block = &self.members[offset..self.blocks[k].1];
+        let (mut lo, mut hi) = (0, block.len() / k);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match block[mid * k..(mid + 1) * k].cmp(subset) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(first + mid),
+            }
+        }
+        None
+    }
+}
+
+/// `C(n, k)`, saturating.
+fn binomial(n: usize, k: usize) -> u64 {
+    if k > n {
+        return 0;
+    }
+    // C(n, j) = C(n, j - 1) · (n - j + 1) / j, exact at every step.
+    let c = (1..=k).fold(1u128, |c, j| {
+        c.saturating_mul((n - j + 1) as u128) / j as u128
+    });
+    u64::try_from(c).unwrap_or(u64::MAX)
+}
+
+/// `Σ C(n, k)` over `1 ≤ k ≤ k_max`: the number of subsets of at most
+/// `k_max` of `n` groups (saturating).
+fn subset_count(n: usize, k_max: usize) -> u64 {
+    (1..=k_max.min(n)).fold(0, |total, k| total.saturating_add(binomial(n, k)))
+}
+
+/// The rank order of `(lower bound, option index)` pairs. Keys are
+/// unique by index, so unstable sorts under it are deterministic.
+fn by_bound(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The incumbent cost bound a worker prunes against: the shared one when
+/// installed, else its own.
+fn load_bound(shared: Option<&AtomicU64>, local: f64) -> f64 {
+    match shared {
+        Some(s) => f64::from_bits(s.load(AtomicOrdering::Relaxed)),
+        None => local,
+    }
+}
+
+/// The branch-and-bound inputs of one search (DESIGN.md §8.2), built once
+/// and read by every worker and by [`rank_hot_subsets`].
+///
+/// A subset's `w_min` is the smallest of its groups' minimum completion
+/// walls, so it is one of those walls: the sorted distinct walls of the
+/// groups with options are the only *levels* a subset can have. Each
+/// group with options gets its options rank-sorted by
+/// `(cost_lower_bound(wall), index)` at every level a subset holding it
+/// can have — its own and, with κ ≥ 2, every lower one.
+struct BoundTables {
+    /// Where each group's lists are; all zero for a group without options.
+    groups: Vec<GroupLists>,
+    /// Every group's lists back to back, lowest level first.
+    ranked: Vec<(f64, usize)>,
+}
+
+/// One group's lists in [`BoundTables::ranked`]: one per level from
+/// `lowest` to `level`, each `len` long, the first at `offset`.
+#[derive(Clone, Copy, Default)]
+struct GroupLists {
+    /// The level of the group's own minimum completion wall.
+    level: usize,
+    lowest: usize,
+    offset: usize,
+    len: usize,
+}
+
+impl BoundTables {
+    fn new(options: &[Vec<GroupAssessment>], kappa: usize) -> Self {
+        let min_wall: Vec<f64> = options
+            .iter()
+            .map(|opts| {
+                opts.iter()
+                    .map(|a| a.completion_wall())
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        let mut walls: Vec<f64> = options
+            .iter()
+            .zip(&min_wall)
+            .filter(|(opts, _)| !opts.is_empty())
+            .map(|(_, &w)| w)
+            .collect();
+        walls.sort_unstable_by(f64::total_cmp);
+        walls.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        let mut size = 0;
+        let groups: Vec<GroupLists> = options
+            .iter()
+            .zip(&min_wall)
+            .map(|(opts, w)| {
+                if opts.is_empty() {
+                    return GroupLists::default();
+                }
+                let level = walls
+                    .binary_search_by(|x| x.total_cmp(w))
+                    .expect("a group's wall is a level");
+                let lowest = if kappa >= 2 { 0 } else { level };
+                let offset = size;
+                size += (level - lowest + 1) * opts.len();
+                GroupLists {
+                    level,
+                    lowest,
+                    offset,
+                    len: opts.len(),
+                }
+            })
+            .collect();
+        let mut ranked = Vec::with_capacity(size);
+        for (opts, lists) in options.iter().zip(&groups) {
+            if opts.is_empty() {
+                continue;
+            }
+            for &w in &walls[lists.lowest..=lists.level] {
+                let at = ranked.len();
+                ranked.extend(
+                    opts.iter()
+                        .enumerate()
+                        .map(|(i, a)| (a.cost_lower_bound(w), i)),
+                );
+                ranked[at..].sort_unstable_by(by_bound);
+            }
+        }
+        Self { groups, ranked }
+    }
+
+    /// The level of a subset's `w_min`: its members' lowest.
+    fn level(&self, subset: &[usize]) -> usize {
+        subset
+            .iter()
+            .map(|&g| self.groups[g].level)
+            .min()
+            .expect("subsets are non-empty")
+    }
+
+    /// Group `g`'s options rank-sorted at `level`.
+    fn ranked(&self, g: usize, level: usize) -> &[(f64, usize)] {
+        let lists = self.groups[g];
+        let at = lists.offset + (level - lists.lowest) * lists.len;
+        &self.ranked[at..at + lists.len]
+    }
+
+    /// The sum of the slots' smallest bounds at `level`, in slot order —
+    /// the walk's first lower-bound sum.
+    fn head(&self, subset: &[usize], level: usize) -> f64 {
+        subset.iter().map(|&g| self.ranked(g, level)[0].0).sum()
+    }
+}
+
 /// Build the hot-first visit order: the carried-over subsets (resolved
-/// from circle-group ids to canonical subset indices) first, in their
-/// carried rank order, then every remaining subset in canonical order.
-/// Carried subsets that no longer resolve — a group left the candidate
-/// list, or the subset shape changed — are silently skipped. Returns the
-/// order plus how many hot subsets were actually applied.
+/// from circle-group ids to subset indices) first, in their carried rank
+/// order, then every remaining subset in canonical order. Carried subsets
+/// that no longer resolve — a group left the candidate list or has no
+/// options now, or the subset shape changed — are silently skipped.
+/// Returns the order plus how many hot subsets were actually applied.
 fn hot_first_order(
-    subsets: &[Vec<usize>],
+    subsets: &SubsetList,
     hot: &[Vec<CircleGroupId>],
     candidates: &[CircleGroup],
 ) -> (Vec<usize>, u32) {
-    let id_to_idx: BTreeMap<CircleGroupId, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.id, i))
-        .collect();
-    let pos: BTreeMap<&[usize], usize> = subsets
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_slice(), i))
-        .collect();
     let mut order = Vec::with_capacity(subsets.len());
     let mut taken = vec![false; subsets.len()];
+    let mut idxs = Vec::new();
     for ids in hot {
-        let Some(mut idxs) = ids
-            .iter()
-            .map(|id| id_to_idx.get(id).copied())
-            .collect::<Option<Vec<usize>>>()
-        else {
-            continue;
-        };
+        idxs.clear();
+        idxs.extend(
+            ids.iter()
+                .filter_map(|id| candidates.iter().position(|c| c.id == *id)),
+        );
+        if idxs.len() < ids.len() {
+            continue; // a group left the candidate list
+        }
         idxs.sort_unstable();
-        if let Some(&i) = pos.get(idxs.as_slice()) {
+        if let Some(i) = subsets.position(&idxs) {
             if !taken[i] {
                 taken[i] = true;
                 order.push(i);
@@ -1472,50 +1667,27 @@ fn hot_first_order(
 /// the assessed options alone — not from worker incumbent trajectories —
 /// so the ranking is identical at every thread count.
 fn rank_hot_subsets(
-    subsets: &[Vec<usize>],
-    options: &[Vec<GroupAssessment>],
-    min_wall: &[f64],
+    subsets: &SubsetList,
+    tables: &BoundTables,
     winner: Option<&[usize]>,
     candidates: &[CircleGroup],
 ) -> Vec<Vec<CircleGroupId>> {
-    // A subset's `w_min` is attained by one of its members, so the only
-    // walls that can occur are the entries of `min_wall`. Precompute each
-    // group's option-minimum bound at every such wall once — the subset
-    // loop below would otherwise recompute the same inner minimum
-    // `C(K, k)` times per group.
-    let mut walls: Vec<f64> = min_wall.to_vec();
-    walls.sort_unstable_by(f64::total_cmp);
-    walls.dedup_by(|a, b| a.to_bits() == b.to_bits());
-    let wall_index = |w: f64| {
-        walls
-            .binary_search_by(|x| x.total_cmp(&w))
-            .expect("w_min is an entry of min_wall")
-    };
-    let lb_at: Vec<Vec<f64>> = options
-        .iter()
-        .map(|opts| {
-            walls
-                .iter()
-                .map(|&w| {
-                    opts.iter()
-                        .map(|a| a.cost_lower_bound(w))
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .collect()
+    let mut ranked: Vec<(f64, usize)> = (0..subsets.len())
+        .map(|i| {
+            let s = subsets.get(i);
+            (tables.head(s, tables.level(s)), i)
         })
         .collect();
-    let mut ranked: Vec<(f64, usize)> = subsets
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.iter().all(|&g| !options[g].is_empty()))
-        .map(|(i, s)| {
-            let w_min = s.iter().map(|&g| min_wall[g]).fold(f64::INFINITY, f64::min);
-            let at = wall_index(w_min);
-            let lb: f64 = s.iter().map(|&g| lb_at[g][at]).sum();
-            (lb, i)
-        })
-        .collect();
-    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    // The loop below reads at most HOT_SUBSETS entries of the ranking
+    // (with a winner: HOT_SUBSETS − 1 runners-up and the skipped winner),
+    // so selecting the best HOT_SUBSETS + 1 and sorting only those leaves
+    // one to spare.
+    let keep = HOT_SUBSETS + 1;
+    if ranked.len() > keep {
+        ranked.select_nth_unstable_by(keep - 1, by_bound);
+        ranked.truncate(keep);
+    }
+    ranked.sort_unstable_by(by_bound);
     let ids = |s: &[usize]| -> Vec<CircleGroupId> { s.iter().map(|&g| candidates[g].id).collect() };
     let mut hot: Vec<Vec<CircleGroupId>> = Vec::with_capacity(HOT_SUBSETS);
     if let Some(w) = winner {
@@ -1525,10 +1697,10 @@ fn rank_hot_subsets(
         if hot.len() >= HOT_SUBSETS {
             break;
         }
-        if winner.is_some_and(|w| w == subsets[i].as_slice()) {
+        if winner.is_some_and(|w| w == subsets.get(i)) {
             continue;
         }
-        hot.push(ids(&subsets[i]));
+        hot.push(ids(subsets.get(i)));
     }
     hot
 }
@@ -1881,14 +2053,8 @@ mod tests {
         assert!(prev.hot_subsets.len() <= HOT_SUBSETS);
         // Resolve the carried subsets against a fresh enumeration: every
         // subset index must appear exactly once, hot prefix first.
-        let n = problem.candidates.len();
-        let mut subsets: Vec<Vec<usize>> = Vec::new();
-        let mut acc = Vec::new();
-        for k in 1..=small_config().kappa.min(n) {
-            enumerate_subsets(n, k, 0, &mut acc, &mut |s: &[usize]| {
-                subsets.push(s.to_vec());
-            });
-        }
+        let all: Vec<usize> = (0..problem.candidates.len()).collect();
+        let subsets = SubsetList::new(&all, small_config().kappa);
         let (order, applied) = hot_first_order(&subsets, &prev.hot_subsets, &problem.candidates);
         assert_eq!(applied as usize, prev.hot_subsets.len());
         let mut sorted = order.clone();
@@ -1896,6 +2062,9 @@ mod tests {
         assert_eq!(sorted, (0..subsets.len()).collect::<Vec<_>>());
     }
 }
+
+#[cfg(test)]
+mod search_tests;
 
 #[cfg(test)]
 mod chance_constraint_tests {

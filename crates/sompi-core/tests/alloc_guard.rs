@@ -3,10 +3,13 @@
 //! The observability layer promises that a disabled recorder is free: the
 //! candidate loop may not allocate, and `optimize_with` a recorder whose
 //! tracing is off must allocate exactly as much as the context-free
-//! `optimize`. A counting global allocator makes both claims testable.
+//! `optimize`. The search set-up promises that allocations do not grow
+//! with the number of subsets. A counting global allocator makes these
+//! claims testable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
 use ec2_market::market::SpotMarket;
@@ -45,6 +48,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The counter is process-global and the default test harness runs
+/// `#[test]`s concurrently, so every test holds this lock throughout.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Run `f` with allocation counting on; return its result and the count.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCS.store(0, Ordering::SeqCst);
@@ -68,10 +75,9 @@ fn setup() -> (Problem, MarketView) {
     (problem, view)
 }
 
-// One test function: the counter is process-global, and the default test
-// harness runs `#[test]`s concurrently.
 #[test]
 fn null_recorder_adds_zero_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (problem, view) = setup();
 
     // (1) A warmed `evaluate_with_scratch` call is allocation-free —
@@ -125,5 +131,40 @@ fn null_recorder_adds_zero_allocations() {
     assert_eq!(
         base_allocs, rec_allocs,
         "tracing-off optimize allocated differently from plain optimize"
+    );
+}
+
+#[test]
+fn search_allocations_do_not_grow_with_the_subsets() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // All 15 circle groups of the paper catalog: κ 4 enumerates 1,940
+    // subsets against κ 1's 15. The subsets are slices of one list, and
+    // each worker's branch-and-bound scratch is reused across them.
+    let cat = InstanceCatalog::paper_2014();
+    let prof = MarketProfile::paper_2014(&cat);
+    let market = SpotMarket::generate(cat, &TraceGenerator::new(prof, 31), 200.0, 1.0 / 12.0);
+    let profile = NpbKernel::Bt.profile(NpbClass::B, 128).repeated(200);
+    let mut problem = Problem::build(&market, &profile, f64::MAX, None, S3Store::paper_2014());
+    problem.deadline = 1.5 * problem.baseline_time();
+    assert_eq!(problem.candidates.len(), 15);
+    let view = MarketView::from_market(&market, 0.0, 48.0);
+    let allocs = |kappa: usize| {
+        let cfg = OptimizerConfig {
+            kappa,
+            threads: 1,
+            ..Default::default()
+        };
+        let search = || {
+            TwoLevelOptimizer::new(&problem, &view, cfg)
+                .optimize()
+                .unwrap()
+        };
+        search(); // warm lazies
+        counted(search).1
+    };
+    let (one, four) = (allocs(1), allocs(4));
+    assert!(
+        four <= one + 64,
+        "κ 4 made {four} allocations against κ 1's {one}"
     );
 }

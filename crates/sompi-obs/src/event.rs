@@ -140,6 +140,14 @@ pub enum Event {
         /// workers. Defaults to 0 for pre-pruning traces.
         #[serde(default)]
         skipped: u64,
+        /// Subsets rejected before their walk's set-up, because the sum
+        /// of their slots' smallest lower bounds was already above the
+        /// incumbent cost (counted in `subsets`; their positions are in
+        /// `skipped`). 0 without `prune_bound`; timing-dependent when the
+        /// incumbent bound is shared across workers. Defaults to 0 for
+        /// traces written before early rejection.
+        #[serde(default)]
+        subsets_rejected: u64,
     },
     /// The optimizer committed to a plan.
     /// Emitted once per recorded `optimize_with` call, after the merge.
@@ -182,7 +190,9 @@ pub enum Event {
         /// Wall nanoseconds spent inside the Formula 2–11 evaluation
         /// kernel across all workers, timed per enumerated subset (not
         /// per candidate, to keep the probe out of the innermost loop).
-        /// Defaults to 0 for pre-kernel traces.
+        /// Only subsets that reach the branch-and-bound walk are timed;
+        /// subsets rejected before it (`SubsetEvaluated.subsets_rejected`)
+        /// are not. Defaults to 0 for pre-kernel traces.
         #[serde(default)]
         kernel_nanos: u64,
     },
@@ -553,6 +563,7 @@ mod tests {
                 best_cost: Some(41.5),
                 phi_intervals: vec![2.5, 3.0],
                 skipped: 600,
+                subsets_rejected: 40,
             },
             Event::SubsetEvaluated {
                 worker: 1,
@@ -562,6 +573,7 @@ mod tests {
                 best_cost: None,
                 phi_intervals: vec![],
                 skipped: 0,
+                subsets_rejected: 0,
             },
             Event::PlanSelected {
                 source: "spot".to_string(),
@@ -714,7 +726,11 @@ mod tests {
             "phi_intervals":[]}}"#;
         let e: Event = serde_json::from_str(old).unwrap();
         match e {
-            Event::SubsetEvaluated { skipped, .. } => assert_eq!(skipped, 0),
+            Event::SubsetEvaluated {
+                skipped,
+                subsets_rejected,
+                ..
+            } => assert_eq!((skipped, subsets_rejected), (0, 0)),
             other => panic!("wrong variant: {other:?}"),
         }
         // Kernel counters appended in the caps-memo PR likewise default.

@@ -103,6 +103,7 @@ struct SearchStats {
     worker_evaluations: u64,
     worker_feasible: u64,
     worker_skipped: u64,
+    worker_rejected: u64,
     workers: usize,
 }
 
@@ -198,6 +199,7 @@ impl RunReport {
                         worker_evaluations: 0,
                         worker_feasible: 0,
                         worker_skipped: 0,
+                        worker_rejected: 0,
                         workers: 0,
                     });
                 }
@@ -205,12 +207,14 @@ impl RunReport {
                     evaluations,
                     feasible,
                     skipped,
+                    subsets_rejected,
                     ..
                 } => {
                     if let Some(s) = report.search.as_mut() {
                         s.worker_evaluations += evaluations;
                         s.worker_feasible += feasible;
                         s.worker_skipped += skipped;
+                        s.worker_rejected += subsets_rejected;
                         s.workers += 1;
                     }
                 }
@@ -489,6 +493,13 @@ impl fmt::Display for RunReport {
                         prune_rate(s.worker_skipped, s.worker_evaluations) * 100.0
                     )?;
                 }
+                if s.worker_rejected > 0 {
+                    writeln!(
+                        f,
+                        "  {} subsets rejected before set-up by their smallest bounds",
+                        s.worker_rejected
+                    )?;
+                }
             }
         }
 
@@ -687,6 +698,7 @@ mod tests {
                 best_cost: Some(20.0),
                 phi_intervals: vec![2.0],
                 skipped: 10,
+                subsets_rejected: 2,
             },
             Event::SubsetEvaluated {
                 worker: 1,
@@ -696,6 +708,7 @@ mod tests {
                 best_cost: Some(21.0),
                 phi_intervals: vec![2.5],
                 skipped: 30,
+                subsets_rejected: 3,
             },
             Event::PlanSelected {
                 source: "spot".to_string(),
@@ -768,6 +781,10 @@ mod tests {
         );
         assert!(
             text.contains("branch-and-bound skipped 40 of those positions"),
+            "{text}"
+        );
+        assert!(
+            text.contains("5 subsets rejected before set-up by their smallest bounds"),
             "{text}"
         );
         assert!(

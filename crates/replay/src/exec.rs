@@ -40,11 +40,13 @@
 //!   checkpoint reads corrupt and recovery falls back one checkpoint
 //!   interval (`WindowOutcome::ckpt_step_fraction`).
 
-use crate::batch::BatchTables;
+use crate::batch::{BatchEntry, BatchTables};
 use crate::{Hours, Usd};
 use ec2_market::billing::{BillingModel, Termination};
 use ec2_market::fault::{FaultInjector, RetryPolicy};
+use ec2_market::index::TraceQuery;
 use ec2_market::market::{CircleGroupId, SpotMarket};
+use ec2_market::trace::SpotTrace;
 use serde::{Deserialize, Serialize};
 use sompi_core::error::SompiError;
 use sompi_core::model::{CircleGroup, GroupDecision, Plan};
@@ -192,9 +194,13 @@ pub struct WindowOutcome {
     pub ckpt_step_fraction: f64,
 }
 
-/// Lifecycle of one group within a window.
-struct GroupRun {
-    launch: Option<Hours>,
+/// Lifecycle of one group within a window: a small `Copy` record, so a
+/// window's runs fit in inline storage (see [`INLINE_RUNS`]).
+#[derive(Clone, Copy)]
+struct GroupRun<'a> {
+    /// Launch time and the trace the group is billed against; `None` when
+    /// the group never launched in the window.
+    launch: Option<(Hours, &'a SpotTrace)>,
     end: Hours,
     termination: Termination,
     completed: bool,
@@ -207,9 +213,72 @@ struct GroupRun {
     ckpt_at: Hours,
     /// Application fraction one banked interval checkpoint represents.
     step_fraction: f64,
-    /// Buffered fault events `(at_hours, event)`, settled in phase 2
-    /// (only events at or before the group's charge end are real).
-    events: Vec<(Hours, Event)>,
+}
+
+impl GroupRun<'_> {
+    /// A group that never launched in a window starting at `start`; it
+    /// ends at `end` and costs nothing.
+    fn idle(start: Hours, end: Hours) -> Self {
+        GroupRun {
+            launch: None,
+            end,
+            termination: Termination::Provider,
+            completed: false,
+            saved_fraction: 0.0,
+            ckpts: 0,
+            ckpt_at: start,
+            step_fraction: 0.0,
+        }
+    }
+}
+
+/// Plans with up to this many groups keep a window's runs on the stack:
+/// the paper's κ range (§5.2) and every benchmark plan fit. Larger plans
+/// use one heap buffer per window.
+const INLINE_RUNS: usize = 4;
+
+/// Phase 1's buffer for one group's fault events. A window keeps one
+/// buffer of `(plan-group index, trace hour, event)` for all its groups,
+/// settled in phase 2 (only events at or before the group's charge end
+/// are real). With a recorder that records nothing the buffer is absent,
+/// so an untraced replay builds no event and no event string.
+struct FaultLog<'v> {
+    group: usize,
+    events: Option<&'v mut Vec<(usize, Hours, Event)>>,
+}
+
+impl FaultLog<'_> {
+    /// Buffer `event()`, which happened at trace hour `at`, if anyone
+    /// records.
+    fn push(&mut self, at: Hours, event: impl FnOnce() -> Event) {
+        if let Some(events) = self.events.as_deref_mut() {
+            events.push((self.group, at, event()));
+        }
+    }
+}
+
+/// Where a group's launch and death crossings come from: its batch
+/// death-time table when the context carries one, else scalar trace
+/// queries at the group's bid. Both give the same bits.
+enum Crossings<'t> {
+    Table(&'t BatchEntry),
+    Query(TraceQuery<'t>, Usd),
+}
+
+impl Crossings<'_> {
+    fn launch_time(&self, start: Hours, cutoff: Hours) -> Option<Hours> {
+        match self {
+            Crossings::Table(e) => e.table.launch_time(start, cutoff),
+            Crossings::Query(q, bid) => q.launch_time(start, *bid, cutoff),
+        }
+    }
+
+    fn first_passage_above(&self, t: Hours) -> Option<Hours> {
+        match self {
+            Crossings::Table(e) => e.table.first_passage_above(t),
+            Crossings::Query(q, bid) => q.first_passage_above(t, *bid),
+        }
+    }
 }
 
 /// Replays static plans against a market's realized traces.
@@ -392,57 +461,63 @@ impl<'a> PlanRunner<'a> {
             return Err(SompiError::InvalidFraction { fraction });
         }
         let cutoff = window.map(|w| start + w).unwrap_or(f64::INFINITY);
+        let io_faults = ctx
+            .faults
+            .filter(|f| f.plan().ckpt_fail_prob > 0.0 || f.plan().ckpt_latency_prob > 0.0);
+        let recorder = ctx.recorder;
+        let traced = recorder.enabled(TraceLevel::Summary);
+        let mut events = Vec::new();
+
+        let mut inline = [GroupRun::idle(start, start); INLINE_RUNS];
+        let mut spilled = Vec::new();
+        let n = plan.groups.len();
+        let runs = if n <= INLINE_RUNS {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, GroupRun::idle(start, start));
+            &mut spilled[..]
+        };
 
         // Phase 1: per-group lifecycle ignoring the winner rule.
-        let mut runs: Vec<GroupRun> = Vec::with_capacity(plan.groups.len());
-        for (i, (group, decision)) in plan.groups.iter().enumerate() {
-            let query = self
+        for (i, ((group, decision), run)) in plan.groups.iter().zip(runs.iter_mut()).enumerate() {
+            let trace = self
                 .market
-                .query(group.id)
+                .trace(group.id)
                 .ok_or_else(|| SompiError::UnknownGroup {
                     group: group.id.to_string(),
                 })?;
-            let trace = query.trace();
             // Batched replay: the shared death-time table for this
             // (group, bid), when the context carries one. Every lookup
             // below is bit-identical to the scalar query — the table is
-            // the same arithmetic with the trace scan hoisted out.
+            // the same arithmetic with the trace scan hoisted out. Without
+            // one, the query walks the trace index (O(log n)) when
+            // indexing is enabled, and the boundary search otherwise.
             let entry = ctx.batch.and_then(|b| b.entry(i, group.id, decision.bid));
+            let crossings = match entry {
+                Some(e) => Crossings::Table(e),
+                None => Crossings::Query(
+                    self.market.query(group.id).expect("trace looked up above"),
+                    decision.bid,
+                ),
+            };
 
             // Launch: wait until the price is at or below the bid —
-            // unless the group was carried over already running. The query
-            // walks the trace index (O(log n)) when indexing is enabled,
-            // and the boundary-search fallback otherwise; both return the
-            // same launch times bit for bit. A batch table answers in O(1).
+            // unless the group was carried over already running.
             let launch = if carried {
                 Some(start)
-            } else if let Some(e) = entry {
-                e.table.launch_time(start, cutoff)
             } else {
-                query.launch_time(start, decision.bid, cutoff)
+                crossings.launch_time(start, cutoff)
             };
             let Some(launch_t) = launch else {
-                runs.push(GroupRun {
-                    launch: None,
-                    end: cutoff.min(trace.duration()).max(start),
-                    termination: Termination::Provider,
-                    completed: false,
-                    saved_fraction: 0.0,
-                    ckpts: 0,
-                    ckpt_at: start,
-                    step_fraction: 0.0,
-                    events: Vec::new(),
-                });
+                *run = GroupRun::idle(start, cutoff.min(trace.duration()).max(start));
                 continue;
             };
 
             // Death: first passage above the bid after launch — or an
             // injected kill storm, whichever reclaims the group first.
-            let price_death = match entry {
-                Some(e) => e.table.first_passage_above(launch_t),
-                None => query.first_passage_above(launch_t, decision.bid),
-            }
-            .unwrap_or(f64::INFINITY);
+            let price_death = crossings
+                .first_passage_above(launch_t)
+                .unwrap_or(f64::INFINITY);
             let storm_death = ctx
                 .faults
                 .and_then(|f| match entry {
@@ -453,37 +528,37 @@ impl<'a> PlanRunner<'a> {
             let storm_killed = storm_death < price_death;
             let death = price_death.min(storm_death);
 
-            let io_faults = ctx
-                .faults
-                .is_some_and(|f| f.plan().ckpt_fail_prob > 0.0 || f.plan().ckpt_latency_prob > 0.0);
-            let mut run = if io_faults {
-                walk_group(
+            let mut log = FaultLog {
+                group: i,
+                events: traced.then_some(&mut events),
+            };
+            let launched = (launch_t, trace);
+            *run = match io_faults {
+                Some(injector) => walk_group(
                     group,
                     decision,
-                    ctx.faults.expect("io_faults implies injector"),
+                    injector,
                     &ctx.retry,
                     fraction,
-                    launch_t,
+                    launched,
                     death,
                     cutoff,
                     entry.map(|e| e.gkey),
-                )
-            } else {
-                closed_form_group(group, decision, fraction, launch_t, death, cutoff)
+                    &mut log,
+                ),
+                None => closed_form_group(group, decision, fraction, launched, death, cutoff),
             };
             if storm_killed && run.end >= storm_death && run.termination == Termination::Provider {
-                run.events.push((
-                    storm_death,
-                    Event::FaultInjected {
-                        class: "spot-kill-storm".to_string(),
-                        group: Some(group.id.to_string()),
-                        at_hours: storm_death,
-                        detail: 0.0,
-                    },
-                ));
+                log.push(storm_death, || Event::FaultInjected {
+                    class: "spot-kill-storm".to_string(),
+                    group: Some(group.id.to_string()),
+                    at_hours: storm_death,
+                    detail: 0.0,
+                });
             }
-            runs.push(run);
         }
+        let runs = &*runs;
+        let group_events = |i: usize| events.iter().filter(move |(g, ..)| *g == i);
 
         // Phase 2: winner rule — earliest completion terminates the rest.
         let winner = runs
@@ -494,21 +569,21 @@ impl<'a> PlanRunner<'a> {
 
         let mut spot_cost = 0.0;
         let mut groups_failed = 0u32;
-        let recorder = ctx.recorder;
 
         let outcome = match winner {
             Some((wi, w)) => {
                 let w_end = w.end;
-                for (i, (group, _)) in plan.groups.iter().enumerate() {
-                    let r = &runs[i];
-                    let Some(launch) = r.launch else { continue };
+                for (i, ((group, _), r)) in plan.groups.iter().zip(runs).enumerate() {
+                    let Some((launch, trace)) = r.launch else {
+                        continue;
+                    };
                     let ended_before_winner = r.end <= w_end && i != wi;
                     let (term, charge_end) = if ended_before_winner {
                         (r.termination, r.end)
                     } else {
                         (Termination::User, w_end)
                     };
-                    for (at, e) in &r.events {
+                    for (_, at, e) in group_events(i) {
                         if *at <= charge_end {
                             emit(recorder, e.level(), || e.clone());
                         }
@@ -521,7 +596,6 @@ impl<'a> PlanRunner<'a> {
                             saved_fraction: r.saved_fraction,
                         });
                     }
-                    let trace = self.market.trace(group.id).expect("checked above");
                     spot_cost += self.billing.spot_cost(
                         trace,
                         launch,
@@ -543,10 +617,8 @@ impl<'a> PlanRunner<'a> {
                 let mut last_end = start;
                 let mut best = 0.0f64;
                 let mut best_step = 0.0f64;
-                for (i, (group, _)) in plan.groups.iter().enumerate() {
-                    let r = &runs[i];
-                    if let Some(launch) = r.launch {
-                        let trace = self.market.trace(group.id).expect("checked above");
+                for (i, ((group, _), r)) in plan.groups.iter().zip(runs).enumerate() {
+                    if let Some((launch, trace)) = r.launch {
                         spot_cost += self.billing.spot_cost(
                             trace,
                             launch,
@@ -554,7 +626,7 @@ impl<'a> PlanRunner<'a> {
                             r.termination,
                             group.instances,
                         );
-                        for (_, e) in &r.events {
+                        for (_, _, e) in group_events(i) {
                             emit(recorder, e.level(), || e.clone());
                         }
                         if r.saved_fraction > 0.0 {
@@ -598,14 +670,15 @@ impl<'a> PlanRunner<'a> {
 /// bit-identical to the pre-resilience executor (a storm-truncated
 /// `death` composes transparently: a storm kill is just an earlier
 /// provider termination).
-fn closed_form_group(
+fn closed_form_group<'a>(
     group: &CircleGroup,
     decision: &GroupDecision,
     fraction: f64,
-    launch_t: Hours,
+    launch: (Hours, &'a SpotTrace),
     death: Hours,
     cutoff: Hours,
-) -> GroupRun {
+) -> GroupRun<'a> {
+    let launch_t = launch.0;
     let exec = group.exec_hours * fraction;
     let interval = decision.ckpt_interval.min(group.exec_hours);
     let ckpt_on = interval < exec;
@@ -621,7 +694,7 @@ fn closed_form_group(
 
     if completion <= death && completion <= cutoff {
         return GroupRun {
-            launch: Some(launch_t),
+            launch: Some(launch),
             end: completion,
             termination: Termination::User,
             completed: true,
@@ -629,7 +702,6 @@ fn closed_form_group(
             ckpts: n_ckpt as u32,
             ckpt_at: completion,
             step_fraction,
-            events: Vec::new(),
         };
     }
     let end = death.min(cutoff);
@@ -664,7 +736,7 @@ fn closed_form_group(
         }
     };
     GroupRun {
-        launch: Some(launch_t),
+        launch: Some(launch),
         end,
         termination: if killed_by_provider {
             Termination::Provider
@@ -680,7 +752,6 @@ fn closed_form_group(
         ckpts,
         ckpt_at,
         step_fraction,
-        events: Vec::new(),
     }
 }
 
@@ -701,24 +772,25 @@ fn step_fraction(group: &CircleGroup, decision: &GroupDecision, fraction: f64) -
 /// the injector seed and the (group, checkpoint ordinal, attempt)
 /// coordinates, and the walk visits checkpoints in time order.
 #[allow(clippy::too_many_arguments)]
-fn walk_group(
+fn walk_group<'a>(
     group: &CircleGroup,
     decision: &GroupDecision,
     injector: &FaultInjector,
     retry: &RetryPolicy,
     fraction: f64,
-    launch_t: Hours,
+    launch: (Hours, &'a SpotTrace),
     death: Hours,
     cutoff: Hours,
     gkey: Option<u64>,
-) -> GroupRun {
+    log: &mut FaultLog<'_>,
+) -> GroupRun<'a> {
+    let launch_t = launch.0;
     let exec = group.exec_hours * fraction;
     let interval = decision.ckpt_interval.min(group.exec_hours);
     let ckpt_on = interval < exec;
     let o = group.ckpt_overhead_hours;
     let stop = death.min(cutoff);
     let user_stop = cutoff < death;
-    let gid = group.id.to_string();
     // The fault-draw key: cached in the batch entry (computed once per
     // plan), or derived here on the scalar path — the same hash either
     // way, so every draw below is identical across modes.
@@ -731,7 +803,6 @@ fn walk_group(
     let mut ckpt_at = launch_t;
     let mut degraded = false;
     let mut ordinal = 0u32;
-    let mut events: Vec<(Hours, Event)> = Vec::new();
 
     // Bank whatever a user stop can make durable: the final coordinated
     // checkpoint saves all productive progress — unless checkpoint
@@ -742,7 +813,7 @@ fn walk_group(
                             ckpt_at: &mut Hours,
                             ordinal: u32,
                             degraded: bool,
-                            events: &mut Vec<(Hours, Event)>| {
+                            log: &mut FaultLog<'_>| {
         if degraded {
             return;
         }
@@ -750,27 +821,21 @@ fn walk_group(
         let mut banked = true;
         for attempt in 1..=retry.max_attempts.max(1) {
             if injector.ckpt_upload_fails_keyed(gkey, slot, attempt) {
-                events.push((
-                    stop,
-                    Event::FaultInjected {
-                        class: "ckpt-upload-failure".to_string(),
-                        group: Some(gid.clone()),
-                        at_hours: stop,
-                        detail: slot as f64,
-                    },
-                ));
+                log.push(stop, || Event::FaultInjected {
+                    class: "ckpt-upload-failure".to_string(),
+                    group: Some(group.id.to_string()),
+                    at_hours: stop,
+                    detail: slot as f64,
+                });
                 let last = attempt == retry.max_attempts.max(1);
-                events.push((
-                    stop,
-                    Event::RetryAttempted {
-                        op: "ckpt-upload".to_string(),
-                        group: gid.clone(),
-                        at_hours: stop,
-                        attempt,
-                        backoff_hours: 0.0,
-                        gave_up: last,
-                    },
-                ));
+                log.push(stop, || Event::RetryAttempted {
+                    op: "ckpt-upload".to_string(),
+                    group: group.id.to_string(),
+                    at_hours: stop,
+                    attempt,
+                    backoff_hours: 0.0,
+                    gave_up: last,
+                });
                 if last {
                     banked = false;
                 }
@@ -792,7 +857,7 @@ fn walk_group(
             let completion = t + run_left;
             if completion <= stop {
                 return GroupRun {
-                    launch: Some(launch_t),
+                    launch: Some(launch),
                     end: completion,
                     termination: Termination::User,
                     completed: true,
@@ -800,7 +865,6 @@ fn walk_group(
                     ckpts,
                     ckpt_at: completion,
                     step_fraction: step_fraction(group, decision, fraction),
-                    events,
                 };
             }
             let done_at_stop = done + (stop - t).max(0.0).min(run_left);
@@ -812,7 +876,7 @@ fn walk_group(
                     &mut ckpt_at,
                     ordinal,
                     degraded,
-                    &mut events,
+                    log,
                 );
             }
             break;
@@ -831,7 +895,7 @@ fn walk_group(
                     &mut ckpt_at,
                     ordinal,
                     degraded,
-                    &mut events,
+                    log,
                 );
             }
             break;
@@ -843,7 +907,7 @@ fn walk_group(
             // trailing checkpoint (matches the closed form's
             // ⌊exec/interval⌋ checkpoints).
             return GroupRun {
-                launch: Some(launch_t),
+                launch: Some(launch),
                 end: t,
                 termination: Termination::User,
                 completed: true,
@@ -851,7 +915,6 @@ fn walk_group(
                 ckpts,
                 ckpt_at,
                 step_fraction: step_fraction(group, decision, fraction),
-                events,
             };
         }
 
@@ -864,15 +927,12 @@ fn walk_group(
             if attempt == 1 {
                 if let Some(extra) = latency {
                     upload += extra;
-                    events.push((
-                        t,
-                        Event::FaultInjected {
-                            class: "ckpt-latency-spike".to_string(),
-                            group: Some(gid.clone()),
-                            at_hours: t,
-                            detail: extra,
-                        },
-                    ));
+                    log.push(t, || Event::FaultInjected {
+                        class: "ckpt-latency-spike".to_string(),
+                        group: Some(group.id.to_string()),
+                        at_hours: t,
+                        detail: extra,
+                    });
                 }
             }
             let finish = t + upload;
@@ -888,55 +948,43 @@ fn walk_group(
                 ckpt_at = t;
                 break;
             }
-            events.push((
-                t,
-                Event::FaultInjected {
-                    class: "ckpt-upload-failure".to_string(),
-                    group: Some(gid.clone()),
-                    at_hours: t,
-                    detail: ordinal as f64,
-                },
-            ));
+            log.push(t, || Event::FaultInjected {
+                class: "ckpt-upload-failure".to_string(),
+                group: Some(group.id.to_string()),
+                at_hours: t,
+                detail: ordinal as f64,
+            });
             if attempt < retry.max_attempts.max(1) {
                 let backoff =
                     retry.backoff_hours(injector.plan().seed, gkey ^ ordinal as u64, attempt);
-                events.push((
-                    t,
-                    Event::RetryAttempted {
-                        op: "ckpt-upload".to_string(),
-                        group: gid.clone(),
-                        at_hours: t,
-                        attempt,
-                        backoff_hours: backoff,
-                        gave_up: false,
-                    },
-                ));
+                log.push(t, || Event::RetryAttempted {
+                    op: "ckpt-upload".to_string(),
+                    group: group.id.to_string(),
+                    at_hours: t,
+                    attempt,
+                    backoff_hours: backoff,
+                    gave_up: false,
+                });
                 t += backoff;
                 if t > stop {
                     interrupted = true;
                     break;
                 }
             } else {
-                events.push((
-                    t,
-                    Event::RetryAttempted {
-                        op: "ckpt-upload".to_string(),
-                        group: gid.clone(),
-                        at_hours: t,
-                        attempt,
-                        backoff_hours: 0.0,
-                        gave_up: true,
-                    },
-                ));
-                events.push((
-                    t,
-                    Event::DegradedMode {
-                        mode: "no-checkpoint".to_string(),
-                        group: Some(gid.clone()),
-                        at_hours: t,
-                        reason: "ckpt-upload-retries-exhausted".to_string(),
-                    },
-                ));
+                log.push(t, || Event::RetryAttempted {
+                    op: "ckpt-upload".to_string(),
+                    group: group.id.to_string(),
+                    at_hours: t,
+                    attempt,
+                    backoff_hours: 0.0,
+                    gave_up: true,
+                });
+                log.push(t, || Event::DegradedMode {
+                    mode: "no-checkpoint".to_string(),
+                    group: Some(group.id.to_string()),
+                    at_hours: t,
+                    reason: "ckpt-upload-retries-exhausted".to_string(),
+                });
                 degraded = true;
             }
         }
@@ -949,7 +997,7 @@ fn walk_group(
                     &mut ckpt_at,
                     ordinal,
                     degraded,
-                    &mut events,
+                    log,
                 );
             }
             break;
@@ -957,7 +1005,7 @@ fn walk_group(
         if done >= exec - 1e-12 {
             // The final interval landed exactly on completion: done.
             return GroupRun {
-                launch: Some(launch_t),
+                launch: Some(launch),
                 end: t,
                 termination: Termination::User,
                 completed: true,
@@ -965,13 +1013,12 @@ fn walk_group(
                 ckpts,
                 ckpt_at: t,
                 step_fraction: step_fraction(group, decision, fraction),
-                events,
             };
         }
     }
 
     GroupRun {
-        launch: Some(launch_t),
+        launch: Some(launch),
         end: stop,
         termination: if user_stop {
             Termination::User
@@ -987,7 +1034,6 @@ fn walk_group(
         ckpts,
         ckpt_at,
         step_fraction: step_fraction(group, decision, fraction),
-        events,
     }
 }
 

@@ -6,16 +6,21 @@
 //! a (seed, replica-count) pair regardless of thread count, because each
 //! replica's start offset derives only from the seed and its index.
 //!
-//! Aggregation streams: replicas are folded into per-chunk
-//! [`McAccumulator`]s and chunk partials merged in chunk-index order, so
-//! peak memory is O(number of chunks) — bounded by [`MAX_CHUNKS`] — rather
-//! than O(replicas). Chunk boundaries depend only on the replica count
-//! (never on the thread count), which keeps the merged result bit-identical
-//! at any `threads` setting.
+//! Aggregation streams and never materializes per-replica outcomes. The
+//! replicas are split into fixed-size chunks whose boundaries depend only
+//! on the replica count, never on the thread count. Each chunk folds into
+//! a fixed-size partial of float moments and integer counters, and the
+//! partials merge in chunk-index order, which keeps the float moments
+//! bit-identical at any `threads` setting. The cost and time quantile
+//! histograms are integer counts, whose sum does not depend on order or
+//! grouping: each worker keeps one pair across all of its chunks, and the
+//! pairs are summed after the join. Peak memory is the chunk partials
+//! (at most [`MAX_CHUNKS`]) plus one histogram pair per worker, each
+//! bounded by the spread of the outcomes rather than by the replica count.
 
 use crate::batch::BatchTables;
 use crate::exec::{ExecContext, ExecMode, Finisher, PlanRunner, RunOutcome};
-use crate::stats::{StreamingSummary, Summary};
+use crate::stats::{Moments, QuantileHistogram, Summary};
 use crate::Hours;
 use ec2_market::market::SpotMarket;
 use rand::rngs::StdRng;
@@ -77,16 +82,63 @@ fn chunk_size(replicas: usize) -> usize {
     MIN_CHUNK.max(replicas.div_ceil(MAX_CHUNKS))
 }
 
-/// Streaming aggregate of [`RunOutcome`]s: two [`StreamingSummary`] scalar
-/// accumulators plus exact integer counters. Merge partials in a fixed
-/// order (ascending chunk index) for deterministic results.
+/// Float moments and integer counters of a run of replicas: the part of
+/// the aggregate whose merge is order-sensitive, so the fixed-size chunk
+/// partials merge in ascending chunk order.
 #[derive(Debug, Clone, Default)]
-pub struct McAccumulator {
-    cost: StreamingSummary,
-    time: StreamingSummary,
+struct ChunkPartial {
+    cost: Moments,
+    time: Moments,
     met_deadline: u64,
     spot_finish: u64,
     failures: u64,
+}
+
+impl ChunkPartial {
+    fn push(&mut self, o: &RunOutcome) {
+        self.cost.push(o.total_cost);
+        self.time.push(o.wall_hours);
+        self.met_deadline += u64::from(o.met_deadline);
+        self.spot_finish += u64::from(matches!(o.finisher, Finisher::Spot(_)));
+        self.failures += u64::from(o.groups_failed);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.cost.merge(&other.cost);
+        self.time.merge(&other.time);
+        self.met_deadline += other.met_deadline;
+        self.spot_finish += other.spot_finish;
+        self.failures += other.failures;
+    }
+}
+
+/// Cost and time quantile histograms. Their counts are integers, so they
+/// sum exactly in any order: one pair per worker serves all its chunks.
+#[derive(Debug, Clone, Default)]
+struct Histograms {
+    cost: QuantileHistogram,
+    time: QuantileHistogram,
+}
+
+impl Histograms {
+    fn push(&mut self, o: &RunOutcome) {
+        self.cost.push(o.total_cost);
+        self.time.push(o.wall_hours);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.cost.merge(&other.cost);
+        self.time.merge(&other.time);
+    }
+}
+
+/// Streaming aggregate of [`RunOutcome`]s: moments and exact integer
+/// counters plus the quantile histograms. Merge partials in a fixed order
+/// (ascending chunk index) for deterministic results.
+#[derive(Debug, Clone, Default)]
+pub struct McAccumulator {
+    partial: ChunkPartial,
+    hists: Histograms,
 }
 
 impl McAccumulator {
@@ -97,35 +149,30 @@ impl McAccumulator {
 
     /// Fold one replica outcome in.
     pub fn push(&mut self, o: &RunOutcome) {
-        self.cost.push(o.total_cost);
-        self.time.push(o.wall_hours);
-        self.met_deadline += u64::from(o.met_deadline);
-        self.spot_finish += u64::from(matches!(o.finisher, Finisher::Spot(_)));
-        self.failures += u64::from(o.groups_failed);
+        self.partial.push(o);
+        self.hists.push(o);
     }
 
     /// Merge another partial in.
     pub fn merge(&mut self, other: &Self) {
-        self.cost.merge(&other.cost);
-        self.time.merge(&other.time);
-        self.met_deadline += other.met_deadline;
-        self.spot_finish += other.spot_finish;
-        self.failures += other.failures;
+        self.partial.merge(&other.partial);
+        self.hists.merge(&other.hists);
     }
 
     /// Finish into an [`McResult`]; `Err(SompiError::NoOutcomes)` when no
     /// outcomes were accumulated.
     pub fn finish(&self) -> Result<McResult, SompiError> {
-        if self.cost.count() == 0 {
+        let m = &self.partial;
+        if m.cost.count() == 0 {
             return Err(SompiError::NoOutcomes);
         }
-        let n = self.cost.count() as f64;
+        let n = m.cost.count() as f64;
         Ok(McResult {
-            cost: self.cost.summary(),
-            time: self.time.summary(),
-            deadline_rate: self.met_deadline as f64 / n,
-            spot_finish_rate: self.spot_finish as f64 / n,
-            mean_failures: self.failures as f64 / n,
+            cost: m.cost.summary(&self.hists.cost),
+            time: m.time.summary(&self.hists.time),
+            deadline_rate: m.met_deadline as f64 / n,
+            spot_finish_rate: m.spot_finish as f64 / n,
+            mean_failures: m.failures as f64 / n,
         })
     }
 }
@@ -221,11 +268,13 @@ impl MonteCarlo {
 
     /// Run `f(start_offset)` for every replica in parallel and aggregate
     /// by streaming: each worker folds whole chunks of replicas into
-    /// [`McAccumulator`] partials (never materializing per-replica
-    /// outcomes), and the partials merge in ascending chunk order. Chunk
+    /// moment-and-counter partials and one pair of quantile histograms
+    /// (never materializing per-replica outcomes); the partials merge in
+    /// ascending chunk order and the histograms are summed. Chunk
     /// boundaries depend only on the replica count, so the result is
-    /// bit-identical at every `threads` setting and peak memory is bounded
-    /// by [`MAX_CHUNKS`] partials regardless of the replica count.
+    /// bit-identical at every `threads` setting, and peak memory is at most
+    /// [`MAX_CHUNKS`] fixed-size partials plus one histogram pair per
+    /// worker, regardless of the replica count.
     ///
     /// `f` must be deterministic in the offset. The first replica error
     /// (in replica order, independent of thread count) aborts the
@@ -254,59 +303,67 @@ impl MonteCarlo {
         };
         let chunk = chunk_size(self.replicas);
         let n_chunks = self.replicas.div_ceil(chunk);
-        // Fold one chunk of consecutive replicas; stops at the chunk's
-        // first replica error.
-        let run_chunk = |c: usize| -> Result<McAccumulator, SompiError> {
+        // Fold one chunk of consecutive replicas into its partial and the
+        // worker's histograms; stops at the chunk's first replica error.
+        let run_chunk = |c: usize, hists: &mut Histograms| -> Result<ChunkPartial, SompiError> {
             let hi = ((c + 1) * chunk).min(self.replicas);
-            let mut acc = McAccumulator::new();
+            let mut part = ChunkPartial::default();
             for i in c * chunk..hi {
-                acc.push(&f(self.offset(i))?);
+                let o = f(self.offset(i))?;
+                part.push(&o);
+                hists.push(&o);
             }
-            Ok(acc)
+            Ok(part)
         };
-        // One slot per chunk, filled by whichever worker ran it. A worker
-        // abandons its remaining (higher-index) chunks after an error —
-        // those can never beat the error it already holds.
-        let mut parts: Vec<Option<Result<McAccumulator, SompiError>>> =
-            (0..n_chunks).map(|_| None).collect();
-        if threads <= 1 {
-            for (c, slot) in parts.iter_mut().enumerate() {
-                let part = run_chunk(c);
+        // Run one worker's consecutive chunks, starting at chunk `first`,
+        // into one slot each. A worker abandons its remaining
+        // (higher-index) chunks after an error — those can never beat the
+        // error it already holds.
+        type Slot = Option<Result<ChunkPartial, SompiError>>;
+        let run_chunks = |first: usize, slots: &mut [Slot], hists: &mut Histograms| {
+            for (off, slot) in slots.iter_mut().enumerate() {
+                let part = run_chunk(first + off, hists);
                 let failed = part.is_err();
                 *slot = Some(part);
                 if failed {
                     break;
                 }
             }
+        };
+        let mut parts: Vec<Slot> = (0..n_chunks).map(|_| None).collect();
+        let workers = if threads <= 1 {
+            1
         } else {
-            let per_worker = n_chunks.div_ceil(threads.min(n_chunks));
+            threads.min(n_chunks)
+        };
+        let per_worker = n_chunks.div_ceil(workers);
+        let mut hists = vec![Histograms::default(); n_chunks.div_ceil(per_worker)];
+        if threads <= 1 {
+            run_chunks(0, &mut parts, &mut hists[0]);
+        } else {
             crossbeam::thread::scope(|s| {
-                for (w, slots) in parts.chunks_mut(per_worker).enumerate() {
-                    let run_chunk = &run_chunk;
-                    s.spawn(move |_| {
-                        for (off, slot) in slots.iter_mut().enumerate() {
-                            let part = run_chunk(w * per_worker + off);
-                            let failed = part.is_err();
-                            *slot = Some(part);
-                            if failed {
-                                break;
-                            }
-                        }
-                    });
+                for ((w, slots), h) in parts.chunks_mut(per_worker).enumerate().zip(&mut hists) {
+                    let run_chunks = &run_chunks;
+                    s.spawn(move |_| run_chunks(w * per_worker, slots, h));
                 }
             })
             .expect("crossbeam scope failed");
         }
-        // Deterministic merge: ascending chunk index. The first error in
-        // chunk order is the lowest-replica-index error, because each
-        // worker fills its slots in order and stops at its first failure.
+        // Deterministic merge: chunk moments in ascending chunk index, then
+        // the worker histograms, whose integer counts sum exactly in any
+        // order. The first error in chunk order is the lowest-replica-index
+        // error, because each worker fills its slots in order and stops at
+        // its first failure.
         let mut merged = McAccumulator::new();
         for part in parts {
             match part {
-                Some(Ok(acc)) => merged.merge(&acc),
+                Some(Ok(p)) => merged.partial.merge(&p),
                 Some(Err(e)) => return Err(e),
                 None => unreachable!("unfilled chunk slot before the first error"),
             }
+        }
+        for h in &hists {
+            merged.hists.merge(h);
         }
         merged.finish()
     }
@@ -546,6 +603,121 @@ mod tests {
             mc.run_plan(&m, &plan, 1.0, &ExecContext::new()),
             Err(SompiError::InvalidConfig { .. })
         ));
+    }
+
+    /// A synthetic outcome spanning several octaves of cost and time, so
+    /// the workers' histograms hold different buckets.
+    fn synthetic(start: Hours) -> RunOutcome {
+        let cost = 0.01 * 2f64.powf(start / 12.0);
+        RunOutcome {
+            total_cost: cost,
+            spot_cost: cost,
+            od_cost: 0.0,
+            wall_hours: 1.0 + start.sin().abs() * 30.0,
+            finisher: Finisher::OnDemand,
+            groups_failed: (start as u32) % 3,
+            met_deadline: start.fract() < 0.7,
+        }
+    }
+
+    #[test]
+    fn worker_splits_do_not_change_the_result() {
+        // 1,000 replicas are 16 chunks of 64: threads 2, 3, 5 and 16
+        // split them unevenly or one per worker, and 17 leaves a worker
+        // idle. The chunk moments merge in chunk order and the worker
+        // histograms sum exactly, so every split gives the same bits.
+        let mc = MonteCarlo::builder()
+            .replicas(1_000)
+            .seed(21)
+            .offsets(0.0, 96.0)
+            .threads(1)
+            .build();
+        assert_eq!(mc.replicas.div_ceil(chunk_size(mc.replicas)), 16);
+        let eval = |threads: usize| {
+            MonteCarlo { threads, ..mc }
+                .evaluate(|start| Ok(synthetic(start)))
+                .unwrap()
+        };
+        let reference = eval(1);
+        assert!(reference.cost.max / reference.cost.min > 64.0);
+        for threads in [2, 3, 5, 16, 17] {
+            assert_eq!(reference, eval(threads), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn first_error_in_replica_order_wins_at_every_thread_count() {
+        let mc = MonteCarlo::builder()
+            .replicas(1_000)
+            .seed(21)
+            .offsets(0.0, 96.0)
+            .build();
+        // Replica 700 fails, and so do two later replicas on other
+        // workers; the error of the lowest replica comes back.
+        let bad = [700, 850, 990].map(|i| (mc.offset(i), i));
+        for threads in [1, 2, 3, 5, 16, 17] {
+            let r = MonteCarlo { threads, ..mc }.evaluate(|start| {
+                match bad.iter().find(|(at, _)| *at == start) {
+                    Some((_, i)) => Err(SompiError::InvalidConfig {
+                        message: format!("replica {i}"),
+                    }),
+                    None => Ok(synthetic(start)),
+                }
+            });
+            assert_eq!(
+                r,
+                Err(SompiError::InvalidConfig {
+                    message: "replica 700".to_string()
+                }),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_counters_predict_the_work_done() {
+        // Without caller-built tables, `run_plan` fetches one table per
+        // plan group and announces it: every table is either built (and
+        // then cached on the market) or reused, and the replica count is
+        // the aggregate's sample size.
+        let m = market(61);
+        let mut plan = simple_plan(&m);
+        let (mut second, _) = plan.groups[0];
+        second.id = CircleGroupId::new(second.id.instance_type, AvailabilityZone::UsEast1a);
+        plan.groups.push((second, plan.groups[0].1));
+        let mc = MonteCarlo::builder()
+            .replicas(300)
+            .seed(8)
+            .offsets(48.0, 250.0)
+            .threads(2)
+            .build();
+        let batched = |m: &SpotMarket| {
+            let ring = sompi_obs::RingRecorder::new(TraceLevel::Summary, 1 << 12);
+            let cached = m.death_tables_cached();
+            let r = mc
+                .run_plan(m, &plan, 3.0, &ExecContext::new().with_recorder(&ring))
+                .unwrap();
+            let grown = m.death_tables_cached() - cached;
+            let counters = ring.events().into_iter().find_map(|e| match e {
+                Event::ReplayBatched {
+                    groups,
+                    replicas,
+                    tables_built,
+                    tables_reused,
+                } => Some((groups, replicas, tables_built, tables_reused)),
+                _ => None,
+            });
+            (r, counters.expect("one ReplayBatched event"), grown)
+        };
+        let (r, (groups, replicas, built, reused), grown) = batched(&m);
+        assert_eq!(replicas, r.cost.n as u64);
+        assert_eq!(groups as usize, plan.groups.len());
+        assert_eq!(built + reused, groups);
+        assert_eq!(built, 2, "a fresh market builds every table");
+        assert_eq!(grown, built as usize);
+        let (again, (_, _, built, reused), grown) = batched(&m);
+        assert_eq!((built, reused, grown), (0, 2, 0));
+        assert_eq!(again, r);
     }
 
     #[test]

@@ -3,19 +3,25 @@
 //! Two ways to build a [`Summary`]:
 //!
 //! * [`Summary::of`] — exact, sort-based, needs the whole sample in memory;
-//! * [`StreamingSummary`] — O(1)-memory accumulator with a deterministic
-//!   merge, used by the Monte-Carlo driver so peak memory no longer scales
-//!   with the replica count. Moments use Welford's update and Chan's
-//!   pairwise merge; replicas are folded in fixed-size chunks and chunks
-//!   merged in index order, so the result is bit-identical at any thread
-//!   count (the chunking depends only on the sample size). `min`/`max` and
-//!   all counters are exact; `median`/`p95` come from a log₂-quantized
-//!   histogram (256 sub-bins per octave, ≲0.4% relative quantization
-//!   error), clamped to the exact `[min, max]` — a documented
-//!   approximation, adequate for the dispersion read-outs they feed.
+//! * streaming — a `Moments` accumulator and a `QuantileHistogram` fed
+//!   the same values, finished by `Moments::summary`. The
+//!   Monte-Carlo driver uses this, so its memory does not scale with the
+//!   replica count: moments are fixed-size, and the histogram holds one
+//!   entry per non-empty bucket, a number bounded by the values' spread
+//!   (256 buckets per octave) rather than by how many values there are.
+//!
+//! Moments use Welford's update and Chan's pairwise merge. Float merges
+//! are order-sensitive, so the driver folds replicas in fixed-size chunks
+//! whose boundaries depend only on the sample size and merges the chunk
+//! moments in index order. Histogram counts are integers, so summing
+//! histograms is exact in any order and any grouping. Both together make
+//! the result bit-identical at any thread count. `min`/`max` and all
+//! counters are exact; `median`/`p95` come from the log₂-quantized
+//! histogram (≲0.4% relative quantization error), clamped to the exact
+//! `[min, max]` — a documented approximation, adequate for the dispersion
+//! read-outs they feed.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Summary of a sample of scalar outcomes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,30 +121,65 @@ fn bucket_bounds(key: u32) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Log₂-quantized counting histogram for quantile estimates. Bucket counts
-/// are integers, so merging is exactly commutative and associative — the
-/// result is independent of merge order and thread count.
+/// Log₂-quantized counting histogram for quantile estimates: one
+/// `(bucket key, count)` pair per non-empty bucket, in ascending key
+/// order. A push is a binary search plus an increment (an insert only for
+/// a bucket not seen before); a merge is one linear pass over two sorted
+/// lists. Bucket counts are integers, so merging is exactly commutative
+/// and associative — the result is independent of merge order and thread
+/// count.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct QuantileHistogram {
-    buckets: BTreeMap<u32, u64>,
+pub(crate) struct QuantileHistogram {
+    buckets: Vec<(u32, u64)>,
 }
 
 impl QuantileHistogram {
-    fn push(&mut self, v: f64) {
-        *self.buckets.entry(bucket_of(v)).or_insert(0) += 1;
+    /// Count one value.
+    pub fn push(&mut self, v: f64) {
+        let key = bucket_of(v);
+        match self.buckets.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.buckets[i].1 += 1,
+            Err(i) => self.buckets.insert(i, (key, 1)),
+        }
     }
 
-    fn merge(&mut self, other: &Self) {
-        for (&key, &count) in &other.buckets {
-            *self.buckets.entry(key).or_insert(0) += count;
+    /// Add another histogram's counts in.
+    pub fn merge(&mut self, other: &Self) {
+        if other.buckets.is_empty() {
+            return;
         }
+        if self.buckets.is_empty() {
+            self.buckets.clone_from(&other.buckets);
+            return;
+        }
+        let (a, b) = (&self.buckets, &other.buckets);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (ka, ca) = a[i];
+            let (kb, cb) = b[j];
+            if ka < kb {
+                merged.push(a[i]);
+                i += 1;
+            } else if kb < ka {
+                merged.push(b[j]);
+                j += 1;
+            } else {
+                merged.push((ka, ca + cb));
+                i += 1;
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        self.buckets = merged;
     }
 
     /// Value at integer rank `r` (0-based), interpolated linearly inside the
     /// bucket that contains the rank.
     fn value_at_rank(&self, r: u64) -> f64 {
         let mut before = 0u64;
-        for (&key, &count) in &self.buckets {
+        for &(key, count) in &self.buckets {
             if r < before + count {
                 let (lo, hi) = bucket_bounds(key);
                 let frac = (r - before) as f64 + 0.5;
@@ -176,27 +217,26 @@ impl QuantileHistogram {
     }
 }
 
-/// Streaming scalar accumulator: exact count/mean/variance/min/max plus a
-/// quantized histogram for quantiles. See the module docs for the
-/// determinism and accuracy contract.
+/// Streaming moments: exact count, mean, variance, min and max. Welford's
+/// update per value, Chan's pairwise merge per partial. Float merges are
+/// order-sensitive, so callers merge partials in a fixed order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamingSummary {
+pub(crate) struct Moments {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
-    hist: QuantileHistogram,
 }
 
-impl Default for StreamingSummary {
+impl Default for Moments {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl StreamingSummary {
-    /// Empty accumulator.
+impl Moments {
+    /// No values yet.
     pub fn new() -> Self {
         Self {
             n: 0,
@@ -204,7 +244,6 @@ impl StreamingSummary {
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            hist: QuantileHistogram::default(),
         }
     }
 
@@ -225,10 +264,9 @@ impl StreamingSummary {
         self.m2 += delta * (v - self.mean);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.hist.push(v);
     }
 
-    /// Merge another accumulator in (Chan's pairwise update). Callers must
+    /// Merge another partial in (Chan's pairwise update). Callers must
     /// merge partials in a fixed order for bit-identical results.
     pub fn merge(&mut self, other: &Self) {
         if other.n == 0 {
@@ -247,14 +285,14 @@ impl StreamingSummary {
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        self.hist.merge(&other.hist);
     }
 
-    /// Finish into a [`Summary`].
+    /// Finish into a [`Summary`], with `median` and `p95` read from
+    /// `hist`, which must hold the same values.
     ///
     /// # Panics
     /// Panics if no values were accumulated.
-    pub fn summary(&self) -> Summary {
+    pub fn summary(&self, hist: &QuantileHistogram) -> Summary {
         assert!(self.n > 0, "cannot summarize an empty sample");
         let var = if self.n > 1 {
             (self.m2 / (self.n - 1) as f64).max(0.0)
@@ -267,8 +305,8 @@ impl StreamingSummary {
             std_dev: var.sqrt(),
             min: self.min,
             max: self.max,
-            median: self.hist.quantile(0.50, self.n, self.min, self.max),
-            p95: self.hist.quantile(0.95, self.n, self.min, self.max),
+            median: hist.quantile(0.50, self.n, self.min, self.max),
+            p95: hist.quantile(0.95, self.n, self.min, self.max),
         }
     }
 }
@@ -276,6 +314,161 @@ impl StreamingSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Moments and a histogram fed the same values, as one stream.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct StreamingSummary {
+        moments: Moments,
+        hist: QuantileHistogram,
+    }
+
+    impl StreamingSummary {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn push(&mut self, v: f64) {
+            self.moments.push(v);
+            self.hist.push(v);
+        }
+
+        fn merge(&mut self, other: &Self) {
+            self.moments.merge(&other.moments);
+            self.hist.merge(&other.hist);
+        }
+
+        fn summary(&self) -> Summary {
+            self.moments.summary(&self.hist)
+        }
+    }
+
+    /// The `BTreeMap` histogram the sorted-vector one replaced, kept as
+    /// its oracle.
+    #[derive(Debug, Clone, Default)]
+    struct OracleHistogram {
+        buckets: BTreeMap<u32, u64>,
+    }
+
+    impl OracleHistogram {
+        fn push(&mut self, v: f64) {
+            *self.buckets.entry(bucket_of(v)).or_insert(0) += 1;
+        }
+
+        fn merge(&mut self, other: &Self) {
+            for (&key, &count) in &other.buckets {
+                *self.buckets.entry(key).or_insert(0) += count;
+            }
+        }
+
+        fn value_at_rank(&self, r: u64) -> f64 {
+            let mut before = 0u64;
+            for (&key, &count) in &self.buckets {
+                if r < before + count {
+                    let (lo, hi) = bucket_bounds(key);
+                    let frac = (r - before) as f64 + 0.5;
+                    return lo + (hi - lo) * (frac / count as f64);
+                }
+                before += count;
+            }
+            f64::NAN
+        }
+
+        fn quantile(&self, q: f64, n: u64, min: f64, max: f64) -> f64 {
+            if n == 0 || q.is_nan() {
+                return f64::NAN;
+            }
+            let q = q.clamp(0.0, 1.0);
+            if n == 1 {
+                return min;
+            }
+            let pos = q * (n - 1) as f64;
+            let lo = pos.floor() as u64;
+            let hi = pos.ceil() as u64;
+            let frac = pos - lo as f64;
+            let v = self.value_at_rank(lo) * (1.0 - frac) + self.value_at_rank(hi) * frac;
+            v.clamp(min, max)
+        }
+
+        fn buckets(&self) -> Vec<(u32, u64)> {
+            self.buckets.iter().map(|(&k, &c)| (k, c)).collect()
+        }
+    }
+
+    /// SplitMix64 step, for the chunkings and merge orders below.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The sorted-vector histogram counts exactly what the `BTreeMap`
+        /// oracle counts, however the values are chunked into partial
+        /// histograms and in whatever order the partials merge, and its
+        /// quantiles have the oracle's bits.
+        #[test]
+        fn sorted_histogram_matches_the_btreemap_oracle(
+            exps in prop::collection::vec(-3.0f64..4.0, 1..700),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            // Values from 1e-3 to 1e4, with exact repeats and zeros mixed in.
+            let vals: Vec<f64> = exps
+                .iter()
+                .enumerate()
+                .map(|(i, &e)| match mix(&mut state) % 16 {
+                    0 => 0.0,
+                    1 if i > 0 => 10f64.powf(exps[i - 1]),
+                    _ => 10f64.powf(e),
+                })
+                .collect();
+            let mut parts = Vec::new();
+            let mut rest = &vals[..];
+            while !rest.is_empty() {
+                let take = 1 + (mix(&mut state) as usize) % rest.len().min(97);
+                let (chunk, tail) = rest.split_at(take);
+                let mut part = (QuantileHistogram::default(), OracleHistogram::default());
+                for &v in chunk {
+                    part.0.push(v);
+                    part.1.push(v);
+                }
+                parts.push(part);
+                rest = tail;
+            }
+            // Merge in a random order: the oracle one partial at a time,
+            // the sorted histograms pairwise first.
+            for k in (1..parts.len()).rev() {
+                parts.swap(k, (mix(&mut state) as usize) % (k + 1));
+            }
+            let mut oracle = OracleHistogram::default();
+            let mut total = QuantileHistogram::default();
+            for pair in parts.chunks(2) {
+                let mut p = QuantileHistogram::default();
+                for (sorted, tree) in pair {
+                    p.merge(sorted);
+                    oracle.merge(tree);
+                }
+                total.merge(&p);
+            }
+            prop_assert_eq!(total.buckets, oracle.buckets());
+            let n = vals.len() as u64;
+            let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for q in [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(
+                    total.quantile(q, n, min, max).to_bits(),
+                    oracle.quantile(q, n, min, max).to_bits(),
+                    "q={}", q
+                );
+            }
+        }
+    }
 
     #[test]
     fn basic_moments() {

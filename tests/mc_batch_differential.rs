@@ -9,14 +9,15 @@
 
 use ec2_market::fault::{FaultInjector, FaultPlan, RetryPolicy};
 use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
-use ec2_market::market::SpotMarket;
+use ec2_market::market::{CircleGroupId, SpotMarket};
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
+use ec2_market::zone::AvailabilityZone;
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
 use replay::{BatchTables, ExecContext, ExecMode, MonteCarlo, PlanRunner, RunOutcome};
 use sompi_core::adaptive::PlanContext;
 use sompi_core::baselines::{Sompi, Strategy};
-use sompi_core::model::Plan;
+use sompi_core::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;
@@ -256,4 +257,194 @@ fn tournament_emits_one_search_per_unique_plan() {
         .filter(|e| e.kind() == "ReplayBatched")
         .count();
     assert_eq!(batched, 3 * 2, "one ReplayBatched per memo miss");
+}
+
+/// One fault plan that exercises every replay fault class: kill storms,
+/// failed and slow checkpoint uploads, and corrupt restores.
+const MIXED_FAULTS: &str = "storm=0.05x0.8,ckpt-fail=0.3,ckpt-latency=0.2:0.25,restore-corrupt=0.5";
+
+/// A hand-built κ = 3 plan that checkpoints every half hour and bids a
+/// little above each trace's mean price, so out-of-bid kills, kill
+/// storms and every checkpoint fault class show up within a few dozen
+/// starts. (The optimizer's plan on these markets is one group that
+/// never checkpoints.)
+fn checkpointing_plan(market: &SpotMarket) -> Plan {
+    let cat = market.catalog();
+    let small = cat.by_name("m1.small").unwrap();
+    let medium = cat.by_name("m1.medium").unwrap();
+    let groups = [
+        (small, AvailabilityZone::UsEast1a),
+        (small, AvailabilityZone::UsEast1b),
+        (medium, AvailabilityZone::UsEast1c),
+    ]
+    .map(|(ty, zone)| {
+        let id = CircleGroupId::new(ty, zone);
+        let group = CircleGroup {
+            id,
+            instances: 64,
+            exec_hours: 3.0,
+            ckpt_overhead_hours: 0.05,
+            recovery_hours: 0.1,
+        };
+        let decision = GroupDecision {
+            bid: market.trace(id).unwrap().mean_price() * 1.1,
+            ckpt_interval: 0.5,
+        };
+        (group, decision)
+    });
+    let cc2 = cat.by_name("cc2.8xlarge").unwrap();
+    Plan {
+        groups: groups.to_vec(),
+        on_demand: OnDemandOption {
+            instance_type: cc2,
+            instances: 4,
+            exec_hours: 2.0,
+            unit_price: 2.0,
+            recovery_hours: 0.1,
+        },
+    }
+}
+
+fn mixed_injector(market: &SpotMarket) -> FaultInjector {
+    FaultInjector::new(
+        FaultPlan::parse(MIXED_FAULTS, 17).unwrap(),
+        market.horizon(),
+    )
+}
+
+/// Replay outcomes do not depend on the recorder: the executor builds
+/// fault events only when the recorder wants them, and that choice must
+/// never reach the arithmetic. Every per-replica outcome matches by
+/// `to_bits` across {no recorder, Summary, Detail} × {scalar, batched},
+/// and the Monte-Carlo aggregate matches across recorder levels and
+/// thread counts.
+#[test]
+fn outcomes_do_not_depend_on_the_recorder() {
+    for seed in [31u64, 77, 910] {
+        let market = market(seed);
+        let problem = problem_on(&market);
+        for plan in [plan_on(&market, &problem), checkpointing_plan(&market)] {
+            recorder_grid(&market, &plan, problem.deadline, seed);
+        }
+    }
+}
+
+fn recorder_grid(market: &SpotMarket, plan: &Plan, deadline: f64, seed: u64) {
+    let batch = BatchTables::for_plan(market, plan).unwrap();
+    let injector = mixed_injector(market);
+    let summary = RingRecorder::new(TraceLevel::Summary, 1 << 16);
+    let detail = RingRecorder::new(TraceLevel::Detail, 1 << 16);
+    let base = ExecContext::new()
+        .with_faults(&injector)
+        .with_retry(RetryPolicy::default_io());
+    let contexts = [
+        ("scalar/null", base.with_mode(ExecMode::Scalar)),
+        (
+            "scalar/summary",
+            base.with_mode(ExecMode::Scalar).with_recorder(&summary),
+        ),
+        (
+            "scalar/detail",
+            base.with_mode(ExecMode::Scalar).with_recorder(&detail),
+        ),
+        ("batched/null", base.with_batch(&batch)),
+        (
+            "batched/summary",
+            base.with_batch(&batch).with_recorder(&summary),
+        ),
+        (
+            "batched/detail",
+            base.with_batch(&batch).with_recorder(&detail),
+        ),
+    ];
+    let runner = PlanRunner::new(market, deadline);
+    let mut rng = Rng(seed ^ 0x5851_f42d_4c95_7f2d);
+    for i in 0..40 {
+        let start = 48.0 + rng.next_f64() * 210.0;
+        let reference = runner.run(plan, start, &contexts[0].1).unwrap();
+        for (what, ctx) in &contexts[1..] {
+            let o = runner.run(plan, start, ctx).unwrap();
+            assert_outcome_bits(&reference, &o, &format!("{what} seed={seed} i={i}"));
+        }
+    }
+    assert!(!summary.is_empty() && detail.len() >= summary.len());
+
+    let mc = |recorder: &dyn sompi_obs::Recorder, threads: usize| {
+        MonteCarlo::builder()
+            .replicas(200)
+            .seed(seed)
+            .offsets(48.0, 260.0)
+            .threads(threads)
+            .build()
+            .run_plan(market, plan, deadline, &base.with_recorder(recorder))
+            .expect("replay succeeds")
+    };
+    let reference = mc(&NullRecorder, 1);
+    for threads in [1usize, 3] {
+        let summary = RingRecorder::new(TraceLevel::Summary, 1 << 16);
+        let detail = RingRecorder::new(TraceLevel::Detail, 1 << 16);
+        assert_eq!(
+            reference,
+            mc(&summary, threads),
+            "summary, threads={threads}"
+        );
+        assert_eq!(reference, mc(&detail, threads), "detail, threads={threads}");
+    }
+}
+
+/// FNV-1a over bytes, for pinning a trace without committing it.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A traced replay emits exactly the events it always has, in the same
+/// order. The per-kind counts and the digest of the Detail JSONL lines
+/// over 50 fixed starts were recorded before the executor learned to
+/// skip building events for a disabled recorder; both executors must
+/// still reproduce them.
+#[test]
+fn traced_replay_events_are_pinned() {
+    let market = market(31);
+    let plan = checkpointing_plan(&market);
+    let batch = BatchTables::for_plan(&market, &plan).unwrap();
+    let injector = mixed_injector(&market);
+    let runner = PlanRunner::new(&market, 8.0);
+    let trace = |ctx: ExecContext<'_>| {
+        let ring = RingRecorder::new(TraceLevel::Detail, 1 << 16);
+        let ctx = ctx
+            .with_faults(&injector)
+            .with_retry(RetryPolicy::default_io())
+            .with_recorder(&ring);
+        let mut rng = Rng(0x0bad_5eed_1234_5678);
+        for _ in 0..50 {
+            let start = 48.0 + rng.next_f64() * 210.0;
+            runner.run(&plan, start, &ctx).unwrap();
+        }
+        let events = ring.take();
+        assert!(events.len() < 1 << 16, "ring evicted events");
+        let mut kinds = std::collections::BTreeMap::<&str, usize>::new();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for e in &events {
+            *kinds.entry(e.kind()).or_default() += 1;
+            digest = fnv1a(digest, serde_json::to_string(e).unwrap().as_bytes());
+            digest = fnv1a(digest, b"\n");
+        }
+        (kinds.into_iter().collect::<Vec<_>>(), digest)
+    };
+    let scalar = trace(ExecContext::new().with_mode(ExecMode::Scalar));
+    let batched = trace(ExecContext::new().with_batch(&batch));
+    assert_eq!(scalar, batched, "the executors trace differently");
+    let expected_kinds = [
+        ("CheckpointTaken", 17),
+        ("DegradedMode", 26),
+        ("FaultInjected", 249),
+        ("GroupFailed", 27),
+        ("OnDemandFallback", 10),
+        ("RetryAttempted", 119),
+        ("RunCompleted", 50),
+    ];
+    assert_eq!(scalar.0, expected_kinds);
+    assert_eq!(scalar.1, 7_673_867_614_012_836_664, "event digest moved");
 }

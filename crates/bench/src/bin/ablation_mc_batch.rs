@@ -8,7 +8,7 @@
 //!
 //! 1. `death-tables` — `first_passage_above` + `launch_time` on one long
 //!    trace: the per-(group, bid) `DeathTimeTable`'s O(1) lookups vs the
-//!    sparse-table `TraceIndex`'s O(log n) descents. The table is the
+//!    max/min-tree `TraceIndex`'s O(log n) searches. The table is the
 //!    batched executor's building block; its build cost is amortized over
 //!    every replica and every tournament cell sharing the market.
 //! 2. `mc-replay` — Monte-Carlo replay of one planned execution,

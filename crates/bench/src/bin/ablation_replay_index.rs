@@ -1,18 +1,17 @@
-//! Trace-index ablation — the replay hot path with the sparse-table
+//! Trace-index ablation — the replay hot path with the max/min-tree
 //! `TraceIndex` on (default) vs off (`--no-trace-index` semantics), plus
 //! the raw query layer in isolation.
 //!
-//! Three studies, each asserting bit-identical answers before reporting
+//! Two studies, each asserting bit-identical answers before reporting
 //! wall-clock:
 //!
 //! 1. `queries` — `first_passage_above` + `launch_time` microbenchmark on
-//!    one long trace: O(n) scans vs O(log n) descent over the sparse
-//!    table.
-//! 2. `histograms` — window→`PriceHistogram` construction: per-sample
-//!    binning vs the `PrefixHistogram` merge-tree ranks.
-//! 3. `mc-replay` — the paper's Section 5 experiment shape (Monte-Carlo
+//!    one long trace: O(n) scans vs O(log n) climbs and descents over the
+//!    max and min trees.
+//! 2. `mc-replay` — the paper's Section 5 experiment shape (Monte-Carlo
 //!    replay of a planned execution from random start offsets), scaled
-//!    toward the paper's one-million replicas. The speedup ratio is
+//!    toward the paper's one-million replicas, on the per-replica scalar
+//!    executor: the one that queries the index. The speedup ratio is
 //!    per-replica and therefore scale-invariant; the table also reports
 //!    both configurations extrapolated to 1M replicas.
 //!
@@ -24,7 +23,7 @@ use ec2_market::market::CircleGroupId;
 use ec2_market::trace::SpotTrace;
 use ec2_market::zone::AvailabilityZone;
 use mpi_sim::npb::{NpbClass, NpbKernel};
-use replay::{ExecContext, MonteCarlo};
+use replay::{ExecContext, ExecMode, MonteCarlo};
 use sompi_bench::{build_problem, paper_market, planning_view, repeat_to_hours, Table, LOOSE};
 use sompi_core::adaptive::PlanContext;
 use sompi_core::baselines::{SpotInf, Strategy};
@@ -58,7 +57,8 @@ impl Study {
 }
 
 /// Study 1: the two O(log n) query families against their O(n) scans.
-fn query_study(trace: &SpotTrace, queries: usize, iters: usize) -> (Study, f64) {
+/// Also returns the index's build time and heap bytes.
+fn query_study(trace: &SpotTrace, queries: usize, iters: usize) -> (Study, f64, usize) {
     let (build_secs, ix) = time_best_of(iters, || TraceIndex::build(trace));
     let duration = trace.duration();
     let max_price = trace.max_price();
@@ -95,50 +95,11 @@ fn query_study(trace: &SpotTrace, queries: usize, iters: usize) -> (Study, f64) 
             indexed_secs,
         },
         build_secs,
+        ix.heap_bytes(),
     )
 }
 
-/// Study 2: window histograms from the merge tree vs per-sample binning.
-fn histogram_study(trace: &SpotTrace, windows: usize, window_hours: f64, iters: usize) -> Study {
-    let ix = TraceIndex::build(trace);
-    let q = TraceQuery::new(trace, Some(&ix));
-    let hi = trace.max_price() * 1.01;
-    let duration = trace.duration();
-    let naive = || {
-        let mut total = 0u64;
-        for w in 0..windows {
-            let start = (w as f64 * 7.31) % (duration * 0.5);
-            let h = ec2_market::histogram::PriceHistogram::from_window(
-                trace.window(start, window_hours),
-                0.0,
-                hi,
-                16,
-            );
-            total = total.wrapping_add(h.total());
-        }
-        total
-    };
-    let fast = || {
-        let mut total = 0u64;
-        for w in 0..windows {
-            let start = (w as f64 * 7.31) % (duration * 0.5);
-            let h = q.histogram(start, window_hours, 0.0, hi, 16);
-            total = total.wrapping_add(h.total());
-        }
-        total
-    };
-    let (naive_secs, a) = time_best_of(iters, naive);
-    let (indexed_secs, b) = time_best_of(iters, fast);
-    assert_eq!(a, b, "indexed histograms diverged from per-sample binning");
-    Study {
-        name: "histograms",
-        work: format!("{windows} windows x {window_hours:.0} h x 16 bins"),
-        naive_secs,
-        indexed_secs,
-    }
-}
-
-/// Study 3: end-to-end Monte-Carlo replay, index on vs off. The scenario
+/// Study 2: end-to-end Monte-Carlo replay, index on vs off. The scenario
 /// is deliberately the scan-heavy regime the one-million-replica
 /// experiment lives in: a long production run (the workload is repeated
 /// to `exec_hours` of baseline execution) under the paper's bid-infinity
@@ -165,7 +126,9 @@ fn mc_study(replicas: usize, hours: f64, step_hours: f64, exec_hours: f64, iters
         .offsets(48.0, (hours - problem.deadline - 2.0).max(49.0))
         .threads(0)
         .build();
-    let ctx = ExecContext::new();
+    // The default batched executor answers every crossing from death-time
+    // tables, index on or off; only the scalar executor queries the index.
+    let ctx = ExecContext::new().with_mode(ExecMode::Scalar);
     // The index is built once per market and shared across replicas and
     // worker threads; pre-building keeps the timed region to pure replay
     // (build cost is reported by the query study).
@@ -201,10 +164,10 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let iters = if smoke { 1 } else { 5 };
-    let (queries, windows, window_hours, replicas, mc_hours, mc_step, exec_hours) = if smoke {
-        (20_000, 2_000, 48.0, 500, 300.0, 1.0 / 12.0, 12.0)
+    let (queries, replicas, mc_hours, mc_step, exec_hours) = if smoke {
+        (20_000, 500, 300.0, 1.0 / 12.0, 12.0)
     } else {
-        (500_000, 20_000, 480.0, 20_000, 1000.0, 1.0 / 60.0, 240.0)
+        (500_000, 20_000, 1000.0, 1.0 / 60.0, 240.0)
     };
     println!(
         "Trace-index ablation ({} cores, best-of-{iters}){}",
@@ -222,12 +185,11 @@ fn main() {
         ))
         .unwrap();
 
-    let (q_study, build_secs) = query_study(trace, queries, iters);
-    let h_study = histogram_study(trace, windows, window_hours, iters);
+    let (q_study, build_secs, index_bytes) = query_study(trace, queries, iters);
     let m_study = mc_study(replicas, mc_hours, mc_step, exec_hours, iters);
 
     let mut t = Table::new(["study", "work", "naive (s)", "indexed (s)", "speedup"]);
-    for s in [&q_study, &h_study, &m_study] {
+    for s in [&q_study, &m_study] {
         t.row([
             s.name.into(),
             s.work.clone(),
@@ -238,7 +200,10 @@ fn main() {
     }
     t.print();
     println!();
-    println!("index build (one-time, per trace): {build_secs:.5} s");
+    println!(
+        "index build (one-time, per trace): {build_secs:.5} s, {index_bytes} bytes for {} samples",
+        trace.len()
+    );
     let per_replica_ix = m_study.indexed_secs / replicas as f64;
     let per_replica_nv = m_study.naive_secs / replicas as f64;
     println!(
@@ -276,7 +241,8 @@ fn main() {
             "cores": cores,
             "best_of": iters,
             "index_build_secs": build_secs,
-            "studies": [study_doc(&q_study), study_doc(&h_study), mc_doc],
+            "index_bytes": index_bytes,
+            "studies": [study_doc(&q_study), mc_doc],
         });
         let json = serde_json::to_string_pretty(&doc).expect("serializable");
         std::fs::write("BENCH_replay.json", json + "\n").expect("write BENCH_replay.json");

@@ -10,16 +10,14 @@ use sompi_bench::{paper_market, Table};
 fn main() {
     let market = paper_market(20140802, 96.0);
     let ty = market.catalog().by_name("m1.medium").unwrap();
-    let query = market
-        .query(CircleGroupId::new(ty, AvailabilityZone::UsEast1a))
+    let trace = market
+        .trace(CircleGroupId::new(ty, AvailabilityZone::UsEast1a))
         .unwrap();
 
-    let hi = query.max_price() * 1.01;
+    let hi = trace.max_price() * 1.01;
     let bins = 16;
-    // Served from the trace's PrefixHistogram — bit-identical to
-    // PriceHistogram::from_window over the same windows.
     let days: Vec<PriceHistogram> = (0..4)
-        .map(|d| query.histogram(d as f64 * 24.0, 24.0, 0.0, hi, bins))
+        .map(|d| PriceHistogram::from_window(trace.window(d as f64 * 24.0, 24.0), 0.0, hi, bins))
         .collect();
 
     println!("Figure 2: m1.medium us-east-1a price histograms, 4 consecutive days\n");

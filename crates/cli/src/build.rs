@@ -35,7 +35,7 @@ impl std::fmt::Display for CliError {
 
 /// Build a market from flags: either `--feed <file>` (AWS price history)
 /// or a synthetic one from `--seed` / `--hours`. `--no-trace-index`
-/// disables the sparse-table trace index (an ablation switch — replay
+/// disables the max/min-tree trace index (an ablation switch — replay
 /// answers are bit-identical either way, only wall-clock changes).
 pub fn market_from(args: &Args) -> Result<SpotMarket, CliError> {
     let mut market = market_from_inner(args)?;

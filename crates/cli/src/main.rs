@@ -47,7 +47,7 @@ COMMON FLAGS:
     --no-prune-dominance / --no-prune-bound / --no-shared-incumbent
                                disable exactness-preserving search pruning stages
                                (ablation; the optimum never changes)
-    --no-trace-index           disable the sparse-table trace index used by
+    --no-trace-index           disable the max/min-tree trace index used by
                                replay queries (ablation; answers never change)
     --no-batch-replay          disable the batched scenario-major replay
                                executor (ablation; outcomes are bit-identical,

@@ -48,22 +48,6 @@ impl PriceHistogram {
         }
     }
 
-    /// Build a histogram from precomputed bin counts — the indexed fast
-    /// path in [`crate::index`]. The counts must reflect the same clamped
-    /// binning as [`PriceHistogram::from_window`] (every sample lands in
-    /// exactly one bin, so the total is the sum of the counts).
-    pub(crate) fn from_counts(lo: Usd, hi: Usd, counts: Vec<u64>) -> Self {
-        assert!(!counts.is_empty(), "need at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        let total = counts.iter().sum();
-        Self {
-            lo,
-            hi,
-            counts,
-            total,
-        }
-    }
-
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.counts.len()

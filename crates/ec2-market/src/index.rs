@@ -1,25 +1,19 @@
-//! Precomputed per-trace query indexes for the replay hot path.
+//! Precomputed per-trace query index for the replay hot path.
 //!
 //! The paper's evaluation replays each candidate plan against price history
 //! "one million times" from random start points (Section 5). Every replica
 //! asks the same two questions of a trace — *when does the price first rise
 //! above the bid?* (the out-of-bid death) and *when does it first fall to or
 //! below the bid?* (the launch) — and the naive answers scan raw samples in
-//! O(n). This module precomputes, once per trace:
-//!
-//! * a **sparse-table range-max/min structure** ([`TraceIndex`]): O(n log n)
-//!   build, O(1) max/min over any sample window, and O(log n) first-passage
-//!   queries by binary descent over the O(1) range queries;
-//! * a **[`PrefixHistogram`]** of sorted canonical (dyadic) blocks: exact
-//!   integer counts of samples matching any monotone price predicate over
-//!   any sample window in O(log² n), which serves arbitrary-binned
-//!   [`PriceHistogram`]s in O(bins · log² n) instead of O(window).
+//! O(n). [`TraceIndex`] answers both in O(log n) from a max tree and a min
+//! tree over the samples, built once per trace in O(n) time and
+//! 32·`next_power_of_two(n)` bytes.
 //!
 //! **Exactness is non-negotiable.** Every query here is bit-identical to
-//! the linear scan it replaces: a range max/min of finite floats is always
-//! one of the actual samples, so the descent condition "no sample above the
-//! bid in this block" is *exactly* the naive per-element comparison, and
-//! first-passage times are materialized with the same arithmetic form
+//! the linear scan it replaces: a node's maximum (minimum) is one of the
+//! samples beneath it, so the test "some sample under this node is above
+//! (at or below) the bid" is *exactly* the naive per-element comparison,
+//! and first-passage times are materialized with the same arithmetic form
 //! (`i as f64 * step_hours`) the naive paths use. The differential suite in
 //! `tests/replay_index_differential.rs` and the randomized equality
 //! properties in `tests/properties.rs` enforce this.
@@ -29,32 +23,32 @@
 //! decide — via its `--no-trace-index` ablation flag — whether queries go
 //! through the index or the naive scans.
 
-use crate::histogram::PriceHistogram;
 use crate::trace::SpotTrace;
 use crate::{Hours, Usd};
 
-/// floor(log2(x)) for x >= 1.
-fn floor_log2(x: usize) -> usize {
-    (usize::BITS - 1 - x.leading_zeros()) as usize
-}
-
-/// Immutable range-query index over one trace's price samples.
+/// Immutable first-passage index over one trace's price samples: a max tree
+/// and a min tree in the implicit bottom-up layout. Node 1 is the root,
+/// node `i` has children `2i` and `2i + 1`, and leaves `m..m + n` (with
+/// `m = next_power_of_two(n)`) hold the samples in order. The padding
+/// leaves past the last sample hold NaN: `f64::max`/`f64::min` return the
+/// other operand when one is NaN, and `>`/`<=` are false on it, so padding
+/// never matches a threshold test.
 ///
 /// Built once per trace (lazily, on first use) and shared read-only across
 /// Monte-Carlo worker threads.
 #[derive(Debug, Clone)]
 pub struct TraceIndex {
-    /// `max_table[k][i]` = max of samples `[i, i + 2^k)`; level 0 is a copy
-    /// of the samples themselves.
-    max_table: Vec<Vec<Usd>>,
-    /// Same layout for minima.
-    min_table: Vec<Vec<Usd>>,
-    /// Sorted canonical blocks for exact windowed counting.
-    hist: PrefixHistogram,
+    /// Number of indexed samples.
+    n: usize,
+    /// `max_tree[i]` = the largest sample under node `i`.
+    max_tree: Vec<Usd>,
+    /// `min_tree[i]` = the smallest sample under node `i`.
+    min_tree: Vec<Usd>,
 }
 
 impl TraceIndex {
-    /// Build the index for a trace. O(n log n) time and memory.
+    /// Build the index for a trace. O(n) time, 32·`next_power_of_two(n)`
+    /// bytes.
     pub fn build(trace: &SpotTrace) -> Self {
         Self::from_samples(trace.samples())
     }
@@ -64,143 +58,19 @@ impl TraceIndex {
     pub fn from_samples(prices: &[Usd]) -> Self {
         assert!(!prices.is_empty(), "cannot index an empty trace");
         let n = prices.len();
-        let levels = floor_log2(n) + 1;
-        let mut max_table = Vec::with_capacity(levels);
-        let mut min_table = Vec::with_capacity(levels);
-        max_table.push(prices.to_vec());
-        min_table.push(prices.to_vec());
-        for k in 1..levels {
-            let half = 1usize << (k - 1);
-            let m = n + 1 - (1usize << k);
-            let (prev_max, prev_min) = (&max_table[k - 1], &min_table[k - 1]);
-            let mut row_max = Vec::with_capacity(m);
-            let mut row_min = Vec::with_capacity(m);
-            for i in 0..m {
-                row_max.push(prev_max[i].max(prev_max[i + half]));
-                row_min.push(prev_min[i].min(prev_min[i + half]));
-            }
-            max_table.push(row_max);
-            min_table.push(row_min);
+        let m = n.next_power_of_two();
+        let mut max_tree = vec![Usd::NAN; 2 * m];
+        max_tree[m..m + n].copy_from_slice(prices);
+        let mut min_tree = max_tree.clone();
+        for i in (1..m).rev() {
+            max_tree[i] = max_tree[2 * i].max(max_tree[2 * i + 1]);
+            min_tree[i] = min_tree[2 * i].min(min_tree[2 * i + 1]);
         }
         Self {
-            max_table,
-            min_table,
-            hist: PrefixHistogram::build(prices),
+            n,
+            max_tree,
+            min_tree,
         }
-    }
-
-    /// Number of indexed samples.
-    pub fn len(&self) -> usize {
-        self.max_table[0].len()
-    }
-
-    /// Whether the index is empty (never true for a built index).
-    pub fn is_empty(&self) -> bool {
-        self.max_table[0].is_empty()
-    }
-
-    /// Maximum sample over `[l, r)`. O(1). Requires `l < r <= len`.
-    pub fn range_max(&self, l: usize, r: usize) -> Usd {
-        debug_assert!(l < r && r <= self.len());
-        let k = floor_log2(r - l);
-        let row = &self.max_table[k];
-        row[l].max(row[r - (1usize << k)])
-    }
-
-    /// Minimum sample over `[l, r)`. O(1). Requires `l < r <= len`.
-    pub fn range_min(&self, l: usize, r: usize) -> Usd {
-        debug_assert!(l < r && r <= self.len());
-        let k = floor_log2(r - l);
-        let row = &self.min_table[k];
-        row[l].min(row[r - (1usize << k)])
-    }
-
-    /// Smallest index `i >= lo` with `samples[i] > bid`, or `None`.
-    /// O(log n) binary descent over O(1) range-max queries.
-    pub fn first_above(&self, lo: usize, bid: Usd) -> Option<usize> {
-        self.descend(lo, |ix, l, r| ix.range_max(l, r) > bid)
-    }
-
-    /// Smallest index `i >= lo` with `samples[i] <= bid`, or `None`.
-    /// O(log n) binary descent over O(1) range-min queries.
-    pub fn first_at_or_below(&self, lo: usize, bid: Usd) -> Option<usize> {
-        self.descend(lo, |ix, l, r| ix.range_min(l, r) <= bid)
-    }
-
-    /// Binary descent: `hit(l, r)` must mean "some sample in `[l, r)`
-    /// matches", which holds exactly for range-max/min threshold tests
-    /// because the range extremum is itself one of the samples.
-    fn descend(&self, lo: usize, hit: impl Fn(&Self, usize, usize) -> bool) -> Option<usize> {
-        let n = self.len();
-        if lo >= n || !hit(self, lo, n) {
-            return None;
-        }
-        let (mut l, mut r) = (lo, n);
-        while r - l > 1 {
-            let mid = l + (r - l) / 2;
-            if hit(self, l, mid) {
-                r = mid;
-            } else {
-                l = mid;
-            }
-        }
-        Some(l)
-    }
-
-    /// The windowed-counting structure.
-    pub fn histogram(&self) -> &PrefixHistogram {
-        &self.hist
-    }
-}
-
-/// Sorted canonical (dyadic) blocks over a trace's samples — a
-/// merge-sort-tree generalization of "cumulative counts at quantized price
-/// levels" that stays **exact** for arbitrary bin boundaries: any window
-/// `[l, r)` decomposes into O(log n) aligned power-of-two blocks, each
-/// stored sorted, so the number of samples matching a monotone predicate
-/// (such as "falls in bin ≤ b") is a sum of `partition_point`s — exact
-/// integer counts, no quantization error.
-#[derive(Debug, Clone)]
-pub struct PrefixHistogram {
-    n: usize,
-    /// `levels[k]` is the concatenation of sorted blocks of size `2^k`;
-    /// block `j` occupies `levels[k][j*2^k .. (j+1)*2^k]`. Only full,
-    /// aligned blocks are stored (partial tails are never canonical).
-    levels: Vec<Vec<Usd>>,
-}
-
-impl PrefixHistogram {
-    /// Build from raw samples. O(n log n) time and memory.
-    pub fn build(prices: &[Usd]) -> Self {
-        assert!(!prices.is_empty(), "cannot index an empty trace");
-        let n = prices.len();
-        let level_count = floor_log2(n) + 1;
-        let mut levels: Vec<Vec<Usd>> = Vec::with_capacity(level_count);
-        levels.push(prices.to_vec());
-        for k in 1..level_count {
-            let half = 1usize << (k - 1);
-            let nblocks = n >> k;
-            let prev = &levels[k - 1];
-            let mut row = Vec::with_capacity(nblocks << k);
-            for j in 0..nblocks {
-                let a = &prev[(2 * j) * half..(2 * j + 1) * half];
-                let b = &prev[(2 * j + 1) * half..(2 * j + 2) * half];
-                let (mut i, mut jj) = (0, 0);
-                while i < a.len() && jj < b.len() {
-                    if a[i] <= b[jj] {
-                        row.push(a[i]);
-                        i += 1;
-                    } else {
-                        row.push(b[jj]);
-                        jj += 1;
-                    }
-                }
-                row.extend_from_slice(&a[i..]);
-                row.extend_from_slice(&b[jj..]);
-            }
-            levels.push(row);
-        }
-        Self { n, levels }
     }
 
     /// Number of indexed samples.
@@ -208,58 +78,60 @@ impl PrefixHistogram {
         self.n
     }
 
-    /// Whether the structure is empty (never true once built).
+    /// Whether the index is empty (never true for a built index).
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
-    /// Count of samples in `[l, r)` matching `pred`, where `pred` must be
-    /// *downward-closed in price* (if it holds for `p` it holds for every
-    /// `p' <= p`) so that matches form a prefix of each sorted block.
-    /// O(log² n).
-    pub fn count_matching(&self, mut l: usize, r: usize, pred: impl Fn(Usd) -> bool) -> u64 {
-        assert!(l <= r && r <= self.n, "window out of bounds");
-        let mut total = 0u64;
-        while l < r {
-            let k_align = if l == 0 {
-                usize::MAX
-            } else {
-                l.trailing_zeros() as usize
-            };
-            let k = k_align.min(floor_log2(r - l)).min(self.levels.len() - 1);
-            let size = 1usize << k;
-            let block = &self.levels[k][l..l + size];
-            total += block.partition_point(|&p| pred(p)) as u64;
-            l += size;
-        }
-        total
+    /// Heap bytes held by the two trees: 32·`next_power_of_two(len)`.
+    pub fn heap_bytes(&self) -> usize {
+        (self.max_tree.capacity() + self.min_tree.capacity()) * std::mem::size_of::<Usd>()
     }
 
-    /// Bin counts over the sample window `[l, r)`, binned exactly as
-    /// [`PriceHistogram::from_window`] bins (range `[lo, hi)`, out-of-range
-    /// samples clamped into the edge bins). The bin function is monotone in
-    /// the price, so each cumulative count "bin ≤ b" is a monotone
-    /// predicate; per-bin counts are adjacent differences of exact integer
-    /// ranks. O(bins · log² n).
-    pub fn bin_counts(&self, l: usize, r: usize, lo: Usd, hi: Usd, bins: usize) -> Vec<u64> {
-        assert!(bins > 0, "need at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        let width = (hi - lo) / bins as f64;
-        let bin_of = |p: Usd| {
-            if p < lo {
-                0
-            } else {
-                (((p - lo) / width) as usize).min(bins - 1)
-            }
-        };
-        let mut counts = vec![0u64; bins];
-        let mut prev = 0u64;
-        for (b, slot) in counts.iter_mut().enumerate() {
-            let cum = self.count_matching(l, r, |p| bin_of(p) <= b);
-            *slot = cum - prev;
-            prev = cum;
+    /// Smallest index `i >= lo` with `samples[i] > bid`, or `None`.
+    /// O(log n) over the max tree.
+    pub fn first_above(&self, lo: usize, bid: Usd) -> Option<usize> {
+        self.first_match(&self.max_tree, lo, |max| max > bid)
+    }
+
+    /// Smallest index `i >= lo` with `samples[i] <= bid`, or `None`.
+    /// O(log n) over the min tree.
+    pub fn first_at_or_below(&self, lo: usize, bid: Usd) -> Option<usize> {
+        self.first_match(&self.min_tree, lo, |min| min <= bid)
+    }
+
+    /// Leftmost sample at or after `lo` under a node that passes `hit`.
+    /// `hit(tree[i])` must mean "some sample under node `i` matches", which
+    /// holds exactly for threshold tests on subtree extrema because an
+    /// extremum is one of its samples. Climbs from leaf `lo` through the
+    /// subtrees that follow it until one hits, then descends to that
+    /// subtree's leftmost hit. O(log n).
+    fn first_match(&self, tree: &[Usd], lo: usize, hit: impl Fn(Usd) -> bool) -> Option<usize> {
+        if lo >= self.n {
+            return None;
         }
-        counts
+        let m = tree.len() / 2;
+        let mut i = m + lo;
+        while !hit(tree[i]) {
+            // Step to the subtree just right of node `i`'s: leave every
+            // right child, then cross to the right sibling. Leaving the
+            // root (node 1) reaches 0: nothing lies to the right.
+            while i & 1 == 1 {
+                i >>= 1;
+            }
+            if i == 0 {
+                return None;
+            }
+            i += 1;
+        }
+        while i < m {
+            // One child holds the parent's extremum; prefer the left.
+            i *= 2;
+            if !hit(tree[i]) {
+                i += 1;
+            }
+        }
+        Some(i - m)
     }
 }
 
@@ -334,30 +206,6 @@ impl<'a> TraceQuery<'a> {
     pub fn min_price(&self) -> Usd {
         self.trace.min_price()
     }
-
-    /// Price histogram of the window `[start, start + len_hours)`,
-    /// bit-identical to [`PriceHistogram::from_window`] over
-    /// [`SpotTrace::window`], served from the [`PrefixHistogram`] in
-    /// O(bins · log² n) when indexed.
-    pub fn histogram(
-        &self,
-        start: Hours,
-        len_hours: Hours,
-        lo: Usd,
-        hi: Usd,
-        bins: usize,
-    ) -> PriceHistogram {
-        match self.index {
-            None => PriceHistogram::from_window(self.trace.window(start, len_hours), lo, hi, bins),
-            Some(ix) => {
-                // Mirror SpotTrace::window's clamping exactly.
-                let l = self.trace.index_at(start.max(0.0));
-                let want = (len_hours / self.trace.step_hours()).ceil() as usize;
-                let r = (l + want.max(1)).min(self.trace.len());
-                PriceHistogram::from_counts(lo, hi, ix.histogram().bin_counts(l, r, lo, hi, bins))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -387,40 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn range_extrema_match_scans() {
-        let mut rng = Rng(7);
-        for len in [1usize, 2, 3, 7, 64, 100, 257] {
-            let tr = random_trace(&mut rng, len, 1.0 / 12.0);
-            let ix = TraceIndex::build(&tr);
-            let s = tr.samples();
-            for l in 0..len {
-                for r in (l + 1..=len).step_by(1 + len / 17) {
-                    let max = s[l..r].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    let min = s[l..r].iter().cloned().fold(f64::INFINITY, f64::min);
-                    assert_eq!(ix.range_max(l, r), max);
-                    assert_eq!(ix.range_min(l, r), min);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn first_above_and_below_match_scans() {
         let mut rng = Rng(13);
-        for len in [1usize, 2, 5, 33, 128, 300] {
+        // Lengths 2^k - 1, 2^k and 2^k + 1 put the last sample just before,
+        // exactly at and just past a power of two, where the padding starts.
+        let padding_edges = (1..=9).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        let lens = [1usize, 2, 5, 33, 128, 300]
+            .into_iter()
+            .chain(padding_edges);
+        let fixed = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0, f64::INFINITY, -f64::INFINITY];
+        for len in lens {
             let tr = random_trace(&mut rng, len, 0.5);
             let ix = TraceIndex::build(&tr);
             let s = tr.samples();
             for lo in 0..=len {
-                for bid in [
-                    0.0,
-                    0.1,
-                    0.25,
-                    0.5,
-                    0.9,
-                    1.0,
-                    s.first().copied().unwrap_or(0.0),
-                ] {
+                // Every sample's exact value is a bid too: ties decide
+                // between `>` and `<=`.
+                for &bid in fixed.iter().chain(s) {
                     let naive_above = (lo..len).find(|&i| s[i] > bid);
                     let naive_below = (lo..len).find(|&i| s[i] <= bid);
                     assert_eq!(
@@ -469,40 +300,6 @@ mod tests {
                     tr.first_time_at_or_below(start, bid, cutoff),
                     "len {len} start {start} bid {bid} cutoff {cutoff}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_histogram_counts_are_exact() {
-        let mut rng = Rng(21);
-        for len in [1usize, 2, 9, 100, 333] {
-            let tr = random_trace(&mut rng, len, 1.0);
-            let ph = PrefixHistogram::build(tr.samples());
-            let s = tr.samples();
-            for l in 0..len {
-                for r in (l..=len).step_by(1 + len / 13) {
-                    let naive = s[l..r].iter().filter(|&&p| p <= 0.4).count() as u64;
-                    assert_eq!(ph.count_matching(l, r, |p| p <= 0.4), naive);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn query_histogram_matches_from_window() {
-        let mut rng = Rng(77);
-        for len in [1usize, 5, 64, 200] {
-            let tr = random_trace(&mut rng, len, 1.0 / 12.0);
-            let ix = TraceIndex::build(&tr);
-            let q = TraceQuery::new(&tr, Some(&ix));
-            for _ in 0..25 {
-                let start = (rng.next() % 200) as f64 * 0.13;
-                let hours = 0.25 + (rng.next() % 100) as f64 * 0.37;
-                let hi = tr.max_price() + 0.01;
-                let indexed = q.histogram(start, hours, 0.0, hi, 12);
-                let naive = PriceHistogram::from_window(tr.window(start, hours), 0.0, hi, 12);
-                assert_eq!(indexed, naive);
             }
         }
     }

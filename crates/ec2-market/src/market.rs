@@ -215,9 +215,10 @@ impl SpotMarket {
         self
     }
 
-    /// Force-build every group's index now. Benchmarks call this so build
-    /// cost is excluded from query timings; normal use relies on the lazy
-    /// per-group build in [`SpotMarket::query`].
+    /// Force-build every group's index now, instead of lazily on each
+    /// group's first [`SpotMarket::query`]. The server calls this when it
+    /// binds, so no request pays for a build; benchmarks call it to keep
+    /// build cost out of query timings.
     pub fn build_indexes(&self) {
         if !self.index_enabled {
             return;

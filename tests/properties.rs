@@ -3,7 +3,6 @@
 
 use ec2_market::billing::{BillingModel, Termination};
 use ec2_market::failure::FailureEstimator;
-use ec2_market::histogram::PriceHistogram;
 use ec2_market::index::{TraceIndex, TraceQuery};
 use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
 use ec2_market::market::{CircleGroupId, SpotMarket};
@@ -171,21 +170,6 @@ proptest! {
         }
     }
 
-    /// Indexed window histograms are bit-identical to the per-sample
-    /// construction for arbitrary windows.
-    #[test]
-    fn indexed_histogram_matches_per_sample_build(
-        trace in arb_trace(),
-        start in 0.0f64..10.0,
-        len in 0.5f64..30.0,
-    ) {
-        let ix = TraceIndex::build(&trace);
-        let fast = TraceQuery::new(&trace, Some(&ix));
-        let hi = trace.max_price() * 1.01;
-        let expect = PriceHistogram::from_window(trace.window(start, len), 0.0, hi, 12);
-        prop_assert_eq!(fast.histogram(start, len, 0.0, hi, 12), expect);
-    }
-
     /// Remaining-ratio bounds and monotonicity hold for arbitrary inputs.
     #[test]
     fn remaining_ratio_bounds(
@@ -260,6 +244,14 @@ fn index_agrees_past_trace_end_and_on_single_sample() {
     assert_index_agrees(&single, &[0.1, 0.3, 0.9], &[-1.0, 0.0, 0.5, 1.0, 2.0]);
     let ix = TraceIndex::build(&single);
     assert_eq!(ix.len(), 1);
-    assert_eq!(ix.range_max(0, 1), 0.3);
-    assert_eq!(ix.range_min(0, 1), 0.3);
+
+    // 2^6 + 1 samples: the last one shares the root's right half with
+    // padding only, and is the only sample above 0.35.
+    let mut prices: Vec<f64> = (0..64).map(|i| 0.1 + 0.1 * (i % 3) as f64).collect();
+    prices.push(0.4);
+    assert_index_agrees(
+        &SpotTrace::new(0.5, prices),
+        &[0.05, 0.1, 0.25, 0.35, 0.4, 0.5],
+        &[0.0, 31.25, 31.75, 32.0, 32.25, 32.5, 40.0],
+    );
 }

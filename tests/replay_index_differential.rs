@@ -1,7 +1,7 @@
 //! Differential suite for the trace-index ablation: every replay-facing
 //! answer — planner output, per-replica `RunOutcome`s, Monte-Carlo
 //! aggregates, adaptive timelines — must be bit-identical with the
-//! sparse-table trace index enabled (the default) and disabled
+//! max/min-tree trace index enabled (the default) and disabled
 //! (`--no-trace-index`). The index is a pure wall-clock optimization;
 //! any divergence here is a correctness bug, not a tuning regression.
 

@@ -89,11 +89,10 @@ pub(crate) fn replay_request_from(
         mc_seed: args.u64_or("mc-seed", 1)?,
         adaptive: args.flag("adaptive"),
         window_hours: args.f64_or("window", 15.0)?,
-        warmstart: !args.flag("no-warmstart"),
-        bucket_reuse: !args.flag("no-bucket-reuse"),
         faults: args.get("faults").map(str::to_string),
         fault_seed: args.u64_or("fault-seed", 42)?,
         batch_replay: !args.flag("no-batch-replay"),
+        ..Default::default()
     })
 }
 
@@ -197,10 +196,8 @@ pub fn cmd_plan(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `sompi replay` — plan, then Monte-Carlo replay over the market.
-/// `--adaptive` switches to the windowed Algorithm-1 runner;
-/// `--no-warmstart` / `--no-bucket-reuse` ablate its exactness-
-/// preserving warm-start layers (plans and replayed outcomes are
-/// bit-identical either way, only re-plan wall-clock changes).
+/// `--adaptive` switches to the windowed Algorithm-1 runner, which
+/// re-plans each window with the same search as `sompi plan`.
 pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut flags = PLAN_FLAGS.to_vec();
     flags.extend([
@@ -211,16 +208,9 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "fault-seed",
         "adaptive",
         "window",
-        "no-warmstart",
-        "no-bucket-reuse",
         "no-batch-replay",
     ]);
     args.check_known(&flags)?;
-    if !args.flag("adaptive") && (args.flag("no-warmstart") || args.flag("no-bucket-reuse")) {
-        return Err(CliError::Other(
-            "--no-warmstart/--no-bucket-reuse only apply to --adaptive replays".into(),
-        ));
-    }
     let market = market_from(args)?;
     let req = replay_request_from(args, 100)?;
     let sink = trace_sink_from(args)?;
@@ -250,16 +240,8 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if req.adaptive {
         writeln!(
             out,
-            "{} via adaptive sompi (T_m = {} h{}{}): {} replicas",
-            report.app,
-            req.window_hours,
-            if req.warmstart { "" } else { ", no-warmstart" },
-            if req.bucket_reuse {
-                ""
-            } else {
-                ", no-bucket-reuse"
-            },
-            report.replicas
+            "{} via adaptive sompi (T_m = {} h): {} replicas",
+            report.app, req.window_hours, report.replicas
         )
         .map_err(|e| CliError::Other(e.to_string()))?;
     } else {
@@ -623,39 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn warmstart_ablation_flags_do_not_change_adaptive_results() {
-        // The warm-start layers are exactness-preserving: the full
-        // Monte-Carlo report must be bit-identical with them ablated.
-        let base = [
-            "--adaptive",
-            "--hours",
-            "200",
-            "--repeats",
-            "50",
-            "--kappa",
-            "1",
-            "--levels",
-            "2",
-            "--replicas",
-            "3",
-            "--window",
-            "2",
-            "--json",
-        ];
-        let warm = run(cmd_replay, &base);
-        let mut flags = base.to_vec();
-        flags.extend(["--no-warmstart", "--no-bucket-reuse"]);
-        let cold = run(cmd_replay, &flags);
-        let wdoc: serde_json::Value = serde_json::from_str(&warm).unwrap();
-        let cdoc: serde_json::Value = serde_json::from_str(&cold).unwrap();
-        assert_eq!(wdoc["cost"], cdoc["cost"]);
-        assert_eq!(wdoc["time"], cdoc["time"]);
-        assert_eq!(wdoc["mean_windows"], cdoc["mean_windows"]);
-        assert_eq!(wdoc["warmstart"], serde_json::json!(true));
-        assert_eq!(cdoc["warmstart"], serde_json::json!(false));
-    }
-
-    #[test]
     fn oversized_thread_count_does_not_change_the_plan() {
         // Thread requests beyond the core count run on the cores; the
         // plan report stays byte-identical to the sequential search's.
@@ -676,13 +625,6 @@ mod tests {
             run(cmd_plan, &flags)
         };
         assert_eq!(with_threads("1"), with_threads("100000"));
-    }
-
-    #[test]
-    fn warmstart_flags_require_adaptive_mode() {
-        let mut buf = Vec::new();
-        let err = cmd_replay(&args(&["--hours", "100", "--no-warmstart"]), &mut buf).unwrap_err();
-        assert!(err.to_string().contains("--adaptive"), "{err}");
     }
 
     #[test]

@@ -53,13 +53,10 @@ COMMON FLAGS:
                                executor (ablation; outcomes are bit-identical,
                                only replay wall-clock changes)
     --adaptive                 replay the windowed Algorithm-1 loop instead of
-                               a single frozen plan (replay only)
+                               a single frozen plan; each re-plan runs the
+                               same search as `plan` (replay only)
     --window H                 adaptive re-optimization window T_m, hours
                                (default 15)
-    --no-warmstart / --no-bucket-reuse
-                               disable the adaptive re-optimizer's warm-start
-                               layers (ablation; plans and outcomes never
-                               change, only re-plan wall-clock)
     --seed N --hours H --step H         synthetic market shape
     --feed FILE                import AWS spot price history instead
     --history H                planning history window, hours (default 48)

@@ -150,8 +150,8 @@ impl FailureRateFn {
 /// counts past `h·sph` fold into the survivors, so
 /// [`FailureCounts::to_fn`] reproduces `failure_rate_exact(bid, h)` bit
 /// for bit for every `h` up to the recorded horizon. This is what lets
-/// warm-started re-optimization reuse one table across adaptive windows
-/// whose residual horizons shrink.
+/// one sweep per bid serve φ and every checkpoint interval's assessment,
+/// whose horizons differ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureCounts {
     bid: Usd,
@@ -452,32 +452,6 @@ impl FailureEstimator {
     /// `S_i(P)` table for this history.
     pub fn expected_spot_price(&self) -> &ExpectedSpotPrice {
         &self.expected
-    }
-
-    /// FNV-1a digest over the history this estimator was built from: the
-    /// sample count, the step size, and every run's price bits and
-    /// length. The runs are maximal, so they spell out exactly one sample
-    /// sequence: two estimators with equal digests produce bit-identical
-    /// failure rates, launch delays, and expected prices, so the digest
-    /// is a sound cache key for warm-started re-optimization across
-    /// adaptive windows.
-    pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for shift in (0..64).step_by(8) {
-                h ^= (word >> shift) & 0xff;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.samples as u64);
-        mix(self.step_hours.to_bits());
-        for run in &self.runs {
-            mix(run.price.to_bits());
-            mix(run.len as u64);
-        }
-        h
     }
 
     /// Highest historical price `H_i` — the top of the bid search range.
@@ -1415,7 +1389,7 @@ mod tests {
     fn truncated_counts_match_direct_estimation() {
         // `failure_counts(bid, H).to_fn(h)` must be bit-identical to
         // `failure_rate_exact(bid, h)` for every h ≤ H — the exactness
-        // contract warm-started re-optimization relies on. Cover generated
+        // contract single-sweep assessment relies on. Cover generated
         // traces, degenerate traces, unlaunchable bids, and h == H.
         let gen = crate::tracegen::TraceGenConfig::preset(
             0.05,
@@ -1450,55 +1424,6 @@ mod tests {
     fn truncated_counts_reject_longer_horizons() {
         let e = estimator(&[0.1; 5], 1.0);
         e.failure_counts(0.2, 4).to_fn(5);
-    }
-
-    #[test]
-    fn digest_separates_histories_and_sticks_to_equal_ones() {
-        // Digests are equal exactly when step and samples are. Hand
-        // histories that differ in one price, in the step, in the length,
-        // in where a run ends, in one run's length or in a zero's sign;
-        // then seeded short histories over two levels, which repeat often.
-        let mut histories: Vec<(Vec<f64>, f64)> = vec![
-            (vec![0.1, 0.2, 0.3], 1.0),
-            (vec![0.1, 0.2, 0.4], 1.0),
-            (vec![0.1, 0.2, 0.3], 0.5),
-            (vec![0.1, 0.2], 1.0),
-            (vec![0.1, 0.1, 0.2], 1.0),
-            (vec![0.1, 0.2, 0.2], 1.0),
-            (vec![0.1, 0.1, 0.2, 0.2], 1.0),
-            (vec![0.2, 0.1, 0.2], 1.0),
-            (vec![0.2, 0.2, 0.1], 1.0),
-            (vec![0.1; 3], 1.0),
-            (vec![0.1; 4], 1.0),
-            (vec![0.0, -0.0], 1.0),
-            (vec![-0.0, 0.0], 1.0),
-            (vec![0.0, 0.0], 1.0),
-        ];
-        let mut rng = StdRng::seed_from_u64(0xd16e);
-        for _ in 0..60 {
-            let n = rng.gen_range(1..5);
-            let prices = (0..n)
-                .map(|_| [0.1, 0.2][rng.gen_range(0..2usize)])
-                .collect();
-            histories.push((prices, [1.0, 0.5][rng.gen_range(0..2usize)]));
-        }
-        let bits = |prices: &[f64]| prices.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        let estimators: Vec<(FailureEstimator, &(Vec<f64>, f64))> = histories
-            .iter()
-            .map(|h| (estimator(&h.0, h.1), h))
-            .collect();
-        let mut equal_pairs = 0;
-        for (a, (pa, sa)) in &estimators {
-            assert_eq!(bits(&a.samples()), bits(pa));
-            for (b, (pb, sb)) in &estimators {
-                let same = sa.to_bits() == sb.to_bits() && bits(pa) == bits(pb);
-                assert_eq!(a.digest() == b.digest(), same, "{pa:?}@{sa} vs {pb:?}@{sb}");
-                equal_pairs += usize::from(same);
-            }
-        }
-        // The seeded histories repeat, so equal pairs beyond the diagonal
-        // are exercised too.
-        assert!(equal_pairs > estimators.len());
     }
 
     #[test]

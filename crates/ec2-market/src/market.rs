@@ -363,7 +363,11 @@ mod tests {
         let all: Vec<_> = m.estimators(0.0, 48.0).collect();
         assert_eq!(all.len(), m.len());
         assert_eq!(all[0].0, id);
-        assert_eq!(all[0].1.digest(), est.digest());
+        let bid = est.max_price() * 0.5;
+        assert_eq!(
+            all[0].1.failure_rate_exact(bid, 24),
+            est.failure_rate_exact(bid, 24)
+        );
     }
 
     #[test]

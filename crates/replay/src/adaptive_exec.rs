@@ -21,7 +21,6 @@ use sompi_core::error::SompiError;
 use sompi_core::policy::{KillObservation, Policy, WindowObservation};
 use sompi_core::problem::Problem;
 use sompi_core::view::MarketView;
-use sompi_core::warmstart::WarmStart;
 use sompi_obs::{emit, Event, Recorder, TraceLevel};
 use std::fmt;
 
@@ -100,7 +99,7 @@ impl<'a> AdaptiveRunner<'a> {
     /// Drive the loop with `policy` instead of the default SOMPI
     /// optimizer: its [`Policy::plan`] re-plans each window's residual,
     /// and its [`Policy::on_window`]/[`Policy::on_kill`] hooks decide
-    /// when to re-plan and what carried state a kill invalidates. With
+    /// when to re-plan and whether a kill drops the cached plan. With
     /// `Sompi { config }` this is exactly [`AdaptiveRunner::new`]'s
     /// behavior.
     pub fn with_policy(mut self, policy: &'a dyn Policy) -> Self {
@@ -121,7 +120,7 @@ impl<'a> AdaptiveRunner<'a> {
     /// gapped window re-plans against the last valid market view (the
     /// one from the most recent un-gapped window) instead of fresh
     /// prices, emitting `FaultInjected`/`DegradedMode` — and the planner
-    /// itself prefers the cached plan over re-searching a stale view.
+    /// itself prefers its last plan over re-searching a stale view.
     pub fn run(
         &self,
         problem: &Problem,
@@ -150,19 +149,9 @@ impl<'a> AdaptiveRunner<'a> {
         // rescaling) and whether the last window demands a re-plan.
         let mut replan_needed = true;
         let mut groups_failed = 0u32;
-        // Fingerprint cache for adaptive-window plan reuse: when the
-        // market view is (within tolerance) the one a previous window
-        // planned against, the planner skips the two-level search and
-        // rescales the cached plan instead.
+        // The planner's last hybrid plan: what a window on a gapped
+        // market feed falls back to instead of searching a stale view.
         let mut cache = PlanCache::default();
-        // Warm-start state threaded through every real re-optimization:
-        // the previous window's plan seeds the next search's incumbent
-        // bound (and hot-first subset order), and per-(group, bid) bucket
-        // tables are reused while a group's history digest is unchanged.
-        // Exactness-preserving, so replayed outcomes are bit-identical
-        // with it on or off; the config's `warmstart`/`bucket_reuse`
-        // toggles ablate the layers individually.
-        let mut warm = WarmStart::new();
         // Coordinates (history start, length) of the last market view
         // built from a healthy feed — what a gapped window falls back to.
         let mut last_view: Option<(Hours, Hours)> = None;
@@ -286,7 +275,6 @@ impl<'a> AdaptiveRunner<'a> {
             // failures, stalls, and the initial launch. w/o-MT never
             // re-plans at all.
             let reuse = frozen_full.is_some() && (!self.update_maintenance || !replan_needed);
-            let mut fingerprint_hit = false;
             let decision = if reuse {
                 let (frozen, made_for) = frozen_full.as_ref().expect("checked");
                 let d = WindowDecision::Hybrid(frozen.scaled((remaining / made_for).min(1.0)));
@@ -297,27 +285,22 @@ impl<'a> AdaptiveRunner<'a> {
                     reused: true,
                     decision: "hybrid".to_string(),
                     groups: d.plan().groups.len() as u32,
-                    fingerprint_hit: false,
                 });
                 d
             } else {
                 // Only a re-plan reads the market view, so only a re-plan
                 // builds it.
                 let view = MarketView::from_market(self.market, vh, vl);
-                let planned = {
-                    let mut pctx = PlanContext::new()
-                        .with_recorder(recorder)
-                        .with_cache(&mut cache)
-                        .with_warm(&mut warm)
-                        .with_window(windows);
-                    if let Some(f) = ctx.faults {
-                        pctx = pctx.with_faults(f);
-                    }
-                    self.planner
-                        .plan_window_with(policy, problem, remaining, elapsed, &view, &mut pctx)?
-                };
-                fingerprint_hit = planned.fingerprint_hit;
-                planned.decision
+                let mut pctx = PlanContext::new()
+                    .with_recorder(recorder)
+                    .with_cache(&mut cache)
+                    .with_window(windows);
+                if let Some(f) = ctx.faults {
+                    pctx = pctx.with_faults(f);
+                }
+                self.planner
+                    .plan_window_with(policy, problem, remaining, elapsed, &view, &mut pctx)?
+                    .decision
             };
 
             match decision {
@@ -358,10 +341,7 @@ impl<'a> AdaptiveRunner<'a> {
                 }
                 WindowDecision::Hybrid(plan) => {
                     if !reuse {
-                        // A fingerprint hit re-issues the cached plan
-                        // (rescaled), so it is not a plan *change* even
-                        // though the residual hours differ.
-                        if self.update_maintenance && !fingerprint_hit {
+                        if self.update_maintenance {
                             if let Some(prev) = &current_plan {
                                 if *prev != plan {
                                     plan_changes += 1;
@@ -385,11 +365,7 @@ impl<'a> AdaptiveRunner<'a> {
                     groups_failed += w.groups_failed;
                     // An out-of-bid kill is surfaced to the policy; the
                     // default reaction invalidates the cached plan (the
-                    // realized market just diverged from what the
-                    // fingerprint digested, even if the digest still
-                    // matches within tolerance) and drops the warm seed
-                    // while keeping the bucket tables (they digest the
-                    // view, not the plan).
+                    // realized market just beat it).
                     if w.groups_failed > 0 {
                         let kill = policy.on_kill(&KillObservation {
                             window: windows,
@@ -398,9 +374,6 @@ impl<'a> AdaptiveRunner<'a> {
                         });
                         if kill.clear_plan_cache {
                             cache.clear();
-                        }
-                        if kill.drop_warm_plan {
-                            warm.invalidate_plan();
                         }
                     }
                     // The policy decides whether to re-plan; the default
@@ -545,20 +518,22 @@ mod tests {
 
     #[test]
     fn warm_start_does_not_change_the_replayed_outcome() {
-        // The runner threads warm-start state through every window; the
-        // layers are exactness-preserving, so the full replayed outcome
-        // (cost, wall hours, window count, plan changes) must be
-        // bit-identical to the runner with both layers ablated off.
+        // The config's `warmstart`/`bucket_reuse` fields are accepted and
+        // ignored: every window re-plans cold, so the full replayed
+        // outcome (cost, wall hours, window count, plan changes) is
+        // bit-identical with them on or off.
         let (market, problem) = setup(47);
-        let mut cold_cfg = config();
-        cold_cfg.warmstart = false;
-        cold_cfg.bucket_reuse = false;
-        let warm_runner = AdaptiveRunner::new(&market, config());
-        let cold_runner = AdaptiveRunner::new(&market, cold_cfg);
+        let mut off = config();
+        off.warmstart = false;
+        off.bucket_reuse = false;
+        let on_runner = AdaptiveRunner::new(&market, config());
+        let off_runner = AdaptiveRunner::new(&market, off);
         for start in [60.0, 120.0, 200.0] {
-            let warm = run(&warm_runner, &problem, start);
-            let cold = run(&cold_runner, &problem, start);
-            assert_eq!(warm, cold, "offset {start}: warm start changed the run");
+            assert_eq!(
+                run(&on_runner, &problem, start),
+                run(&off_runner, &problem, start),
+                "offset {start}: an ignored field changed the run"
+            );
         }
     }
 

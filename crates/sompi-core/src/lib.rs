@@ -27,8 +27,6 @@
 //! * [`twolevel`] — the two-level optimizer with κ-subset selection
 //!   (§4.2.2 + §4.4),
 //! * [`adaptive`] — the windowed adaptive re-optimizer, Algorithm 1 (§4.3),
-//! * [`warmstart`] — exactness-preserving warm-start state carried across
-//!   the adaptive loop's searches (DESIGN.md §12),
 //! * [`policy`] — the [`policy::Policy`] trait unifying planning and
 //!   per-window execution decisions, rival policies from the literature
 //!   (No-FT, Ckpt-Only, App-Centric, Deadline-Hedge), and the
@@ -54,11 +52,10 @@ pub mod policy;
 pub mod problem;
 pub mod twolevel;
 pub mod view;
-pub mod warmstart;
 
 pub use adaptive::{
     AdaptiveConfig, AdaptiveConfigBuilder, AdaptivePlanner, PlanCache, PlanContext, PlannedWindow,
-    ViewFingerprint, WindowDecision,
+    WindowDecision,
 };
 pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment};
 pub use error::SompiError;
@@ -74,7 +71,6 @@ pub use policy::{
 pub use problem::Problem;
 pub use twolevel::{OptimizedPlan, OptimizerConfig, OptimizerConfigBuilder, TwoLevelOptimizer};
 pub use view::MarketView;
-pub use warmstart::WarmStart;
 
 /// Hours, matching the substrate crates.
 pub type Hours = f64;

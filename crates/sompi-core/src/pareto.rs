@@ -89,7 +89,7 @@ pub fn frontier(problem: &Problem, view: &MarketView, config: OptimizerConfig) -
         .candidates
         .iter()
         .map(|group| match view.try_estimator(group.id) {
-            Ok(est) => assess_group(group, est, &assess, f64::INFINITY, None).options,
+            Ok(est) => assess_group(group, est, &assess, f64::INFINITY).options,
             Err(_) => Vec::new(),
         })
         .collect();

@@ -8,8 +8,8 @@
 //! out-of-bid kills. [`Policy`] owns both:
 //!
 //! * [`Policy::plan`] — the single context-taking planning entry point
-//!   (the recorder / warm-start plumbing rides in the
-//!   [`PlanContext`], exactly like `AdaptivePlanner::plan_window`);
+//!   (the trace recorder rides in the [`PlanContext`], exactly like
+//!   `AdaptivePlanner::plan_window`);
 //! * [`Policy::on_window`] / [`Policy::on_kill`] — the adaptive loop's
 //!   per-window hooks, with defaults that reproduce `AdaptiveRunner`'s
 //!   historical behavior bit-for-bit.
@@ -82,12 +82,9 @@ pub struct KillObservation {
 /// [`Policy::on_kill`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillReaction {
-    /// Drop the fingerprint plan cache: the realized market just diverged
-    /// from what the fingerprint digested.
+    /// Drop the adaptive planner's cached plan, so a later market-feed
+    /// gap cannot fall back to the plan the realized market just beat.
     pub clear_plan_cache: bool,
-    /// Drop the warm-start incumbent seed (bucket tables survive either
-    /// way — they digest the view, not the plan).
-    pub drop_warm_plan: bool,
 }
 
 /// A planning-and-execution policy: the one strategy abstraction behind
@@ -105,9 +102,8 @@ pub trait Policy: Send + Sync {
     /// Produce the plan this policy would execute for `problem` against
     /// the market history exposed by `view`.
     ///
-    /// Everything optional rides in `ctx` (see [`PlanContext`]): the
-    /// trace recorder and warm-start state carried across adaptive
-    /// windows. Policies without a search simply
+    /// Everything optional rides in `ctx` (see [`PlanContext`]), the
+    /// trace recorder among it. Policies without a search simply
     /// ignore what they do not use; `&mut PlanContext::new()` is the
     /// all-no-op context. Plans must be deterministic functions of
     /// `(problem, view)` — the context only changes *how* the search
@@ -130,12 +126,11 @@ pub trait Policy: Send + Sync {
     }
 
     /// React to an out-of-bid kill. The default reproduces
-    /// `AdaptiveRunner`'s historical rule exactly: invalidate both the
-    /// fingerprint plan cache and the warm-start incumbent.
+    /// `AdaptiveRunner`'s historical rule exactly: invalidate the cached
+    /// plan.
     fn on_kill(&self, _obs: &KillObservation) -> KillReaction {
         KillReaction {
             clear_plan_cache: true,
-            drop_warm_plan: true,
         }
     }
 
@@ -305,7 +300,6 @@ impl Policy for NoFt {
     fn on_kill(&self, _obs: &KillObservation) -> KillReaction {
         KillReaction {
             clear_plan_cache: false,
-            drop_warm_plan: false,
         }
     }
 }
@@ -530,7 +524,7 @@ mod tests {
             at_hours: 10.0,
             groups_failed: 1,
         });
-        assert!(!k.clear_plan_cache && !k.drop_warm_plan);
+        assert!(!k.clear_plan_cache);
     }
 
     #[test]

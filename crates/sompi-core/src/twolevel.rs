@@ -31,18 +31,6 @@
 //! independent of how the subset list is chunked, the returned
 //! [`OptimizedPlan`] — plan, evaluation, and `evaluations_performed` — is
 //! identical at any thread count.
-//!
-//! # Warm-started re-optimization
-//!
-//! [`TwoLevelOptimizer::optimize_with`] accepts [`WarmStart`] state
-//! (`ctx.warm`) from a
-//! previous, similar search (the adaptive loop's previous window): the
-//! previous plan seeds the incumbent bound, its top subsets are enumerated
-//! first, and the per-`(group, bid)` failure tables behind `φ(P)` and the
-//! assessments are reused while their history digest matches. All three
-//! layers only change *how fast* the bound tightens or the assessments
-//! build — never which candidate wins — so the selected plan stays
-//! bit-identical to a cold search (see `crate::warmstart`).
 
 use crate::adaptive::PlanContext;
 use crate::cost::{
@@ -56,13 +44,12 @@ use crate::ondemand::{select_on_demand, DEFAULT_SLACK};
 use crate::phi::{interval_from_counts, phi_horizon};
 use crate::problem::Problem;
 use crate::view::MarketView;
-use crate::warmstart::{GroupTables, PrevWindow, WarmStart, HOT_SUBSETS};
 use crate::Hours;
-use ec2_market::failure::{BidProfile, FailureEstimator};
-use ec2_market::market::CircleGroupId;
+use ec2_market::failure::FailureEstimator;
 use serde::{Deserialize, Serialize};
 use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Which bid grid shape to search (logarithmic is the paper's; uniform
@@ -350,9 +337,8 @@ struct WorkerStats {
     best: Option<Candidate>,
 }
 
-/// `assess_options` output: the per-group option lists, the enumeration
-/// counters, and — when a warm start with table reuse was attached — the
-/// per-group profile-store accounting.
+/// `assess_options` output: the per-group option lists and the
+/// enumeration counters.
 struct AssessedOptions {
     options: Vec<Vec<GroupAssessment>>,
     considered: u64,
@@ -362,9 +348,6 @@ struct AssessedOptions {
     swept: u64,
     /// Grid bids served from an equal-admission higher twin.
     shared: u64,
-    /// Per-group `(id, digest, store hits, store misses)`; empty without
-    /// a warm store.
-    table_stats: Vec<(CircleGroupId, u64, u64, u64)>,
 }
 
 /// One group's options and counters from [`assess_group`].
@@ -383,10 +366,6 @@ pub(crate) struct GroupOptions {
     /// Grid bids whose options were copied from the next higher grid bid
     /// admitting the same samples.
     pub(crate) shared: u64,
-    /// Profiles served by the cross-window warm store.
-    pub(crate) store_hits: u64,
-    /// Profiles swept and put into the warm store.
-    pub(crate) store_misses: u64,
 }
 
 /// The bid grid `config` prescribes for a group with history `est`:
@@ -435,15 +414,13 @@ struct Admission {
 /// are counted as dominated without being built. Either way the counters
 /// and the option list equal assessing every bid on its own.
 ///
-/// `deadline` prunes options whose completion wall exceeds it; `tables`
-/// is the optional cross-window profile store. Shared with
-/// [`crate::pareto::frontier`].
+/// `deadline` prunes options whose completion wall exceeds it. Shared
+/// with [`crate::pareto::frontier`].
 pub(crate) fn assess_group(
     group: &CircleGroup,
     est: &FailureEstimator,
     config: &OptimizerConfig,
     deadline: Hours,
-    mut tables: Option<&mut GroupTables>,
 ) -> GroupOptions {
     let mut out = GroupOptions::default();
     let Some(grid) = bid_grid(est, config) else {
@@ -483,36 +460,23 @@ pub(crate) fn assess_group(
         // A bid below every observed price admits no launch: no options,
         // and nothing to sweep.
         if let Some(price) = prices.mean_below(bid) {
-            let mut assess = |profile: &BidProfile| {
-                let phi;
-                let intervals = match &fixed {
-                    Some(v) => v.as_slice(),
-                    None => {
-                        phi = [interval_from_counts(group, profile.counts())];
-                        &phi[..]
-                    }
-                };
-                for &ckpt_interval in intervals {
-                    let decision = GroupDecision { bid, ckpt_interval };
-                    let a = GroupAssessment::from_profile(*group, decision, price, profile);
-                    if a.completion_wall() <= deadline {
-                        out.options.push(a);
-                    } else {
-                        pruned += 1;
-                    }
+            let profile = est.bid_profile(bid, horizon);
+            let phi;
+            let intervals = match &fixed {
+                Some(v) => v.as_slice(),
+                None => {
+                    phi = [interval_from_counts(group, profile.counts())];
+                    &phi[..]
                 }
             };
-            match tables.as_deref_mut() {
-                Some(t) => {
-                    let (profile, hit) = t.profile(est, bid, horizon);
-                    assess(profile);
-                    if hit {
-                        out.store_hits += 1;
-                    } else {
-                        out.store_misses += 1;
-                    }
+            for &ckpt_interval in intervals {
+                let decision = GroupDecision { bid, ckpt_interval };
+                let a = GroupAssessment::from_profile(*group, decision, price, &profile);
+                if a.completion_wall() <= deadline {
+                    out.options.push(a);
+                } else {
+                    pruned += 1;
                 }
-                None => assess(&est.bid_profile(bid, horizon)),
             }
         }
         out.pruned += pruned;
@@ -652,28 +616,13 @@ impl<'a> TwoLevelOptimizer<'a> {
 
     /// Run the full search with everything optional riding in `ctx` (the
     /// same [`PlanContext`] the adaptive planner and [`crate::policy`]
-    /// use). Two context fields matter here; the rest are ignored:
-    ///
-    /// * `ctx.recorder` — emits one `PlanSearchStarted`, one
-    ///   `SubsetEvaluated` per worker (Detail level, in worker-index
-    ///   order, merged at join), and one `PlanSelected`. The hot
-    ///   candidate loop only increments worker-local `u64` counters;
-    ///   events are built outside it.
-    /// * `ctx.warm` — warm-start state carried from a previous, similar
-    ///   search (DESIGN.md §12): the previous plan seeds the incumbent
-    ///   bound, its hot subsets are enumerated first, and unchanged
-    ///   per-group failure tables are reused. Every layer is
-    ///   exactness-preserving — the returned plan is bit-identical to a
-    ///   cold search at any thread count — and each is independently
-    ///   toggleable on the [`WarmStart`]. Emits one `WarmStartApplied`
-    ///   (Summary) per call with warm state attached, plus one
-    ///   `BucketTableReused` (Detail) per group whose table cache was
-    ///   consulted. The warm seed probe is not counted in
-    ///   `evaluations_performed`, which keeps reporting the full
-    ///   enumeration size.
+    /// use). Only `ctx.recorder` matters here; the rest is ignored. It
+    /// receives one `PlanSearchStarted`, one `SubsetEvaluated` per worker
+    /// (Detail level, in worker-index order, merged at join), and one
+    /// `PlanSelected`. The hot candidate loop only increments
+    /// worker-local `u64` counters; events are built outside it.
     pub fn optimize_with(&self, ctx: &mut PlanContext<'_>) -> Result<OptimizedPlan, SompiError> {
         let recorder = ctx.recorder;
-        let mut warm = ctx.warm.as_deref_mut();
         let od = select_on_demand(
             &self.problem.on_demand,
             self.problem.deadline,
@@ -687,58 +636,26 @@ impl<'a> TwoLevelOptimizer<'a> {
             dominated: options_dominated,
             swept: profiles_swept,
             shared: profiles_shared,
-            table_stats,
-        } = self.assess_options(warm.as_deref_mut())?;
+        } = self.assess_options()?;
         let assess_secs = assess_timer.elapsed_secs();
-        let (mut tables_reused, mut tables_rebuilt) = (0u64, 0u64);
-        for &(group, digest, reused, rebuilt) in &table_stats {
-            tables_reused += reused;
-            tables_rebuilt += rebuilt;
-            emit(recorder, TraceLevel::Detail, || Event::BucketTableReused {
-                group: group.to_string(),
-                digest,
-                reused,
-                rebuilt,
-            });
-        }
 
         // The pure on-demand plan is the incumbent the search must beat.
         let od_eval = evaluate(&[], &od);
         let od_feasible = od_eval.meets(self.problem.deadline);
 
         // The branch-and-bound inputs, built once and shared read-only by
-        // every worker and by the hot-subset ranking (DESIGN.md §8.2).
+        // every worker (DESIGN.md §8.2).
         let tables = BoundTables::new(&options, self.config.kappa);
-
-        // The previous window's carry-over, cloned out up front so the
-        // warm state itself can be rewritten once this search concludes.
-        let warm_prev: Option<PrevWindow> = match warm.as_deref() {
-            Some(w) if w.use_plan => w.prev.clone(),
-            _ => None,
-        };
 
         // The incumbent cost bound candidates must beat, as IEEE bits
         // (non-negative floats order identically as u64 bits, so
         // `fetch_min` over bits is `fetch_min` over costs). Seeded with
         // the on-demand incumbent when it is feasible — the search only
         // keeps spot candidates that beat it anyway.
-        let od_seed_bound = if od_feasible {
+        let seed_bound = if od_feasible {
             od_eval.expected_cost
         } else {
             f64::INFINITY
-        };
-        // Warm seed: project the previous window's plan onto the current
-        // option grids and evaluate that one candidate. When feasible its
-        // cost tightens the bound before the first enumerated candidate —
-        // exact, because the seed is an achievable feasible cost, so the
-        // strict `lb > bound` prune can never discard the candidate that
-        // attains (or beats) it.
-        let seed_cost: Option<f64> = warm_prev
-            .as_ref()
-            .and_then(|p| self.project_seed(&options, &od, &p.plan));
-        let seed_bound = match seed_cost {
-            Some(c) => od_seed_bound.min(c),
-            None => od_seed_bound,
         };
         let shared_bound = AtomicU64::new(seed_bound.to_bits());
         let use_shared = self.config.shared_incumbent && self.config.prune_bound;
@@ -752,21 +669,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         let with_options: Vec<usize> = (0..n).filter(|&g| !options[g].is_empty()).collect();
         let subsets = SubsetList::new(&with_options, self.config.kappa);
 
-        // Enumeration order over `subsets`: canonical (identity) when
-        // cold, hot-first when the previous window handed over its top
-        // subsets. Only the *visit order* changes — every subset is still
-        // walked, ordinals stay canonical, and candidates compare under
-        // the same total order — so the selected plan is bit-identical
-        // either way; a hot prefix that contains the winner merely
-        // tightens the incumbent bound sooner.
-        let (order, hot_applied): (Vec<usize>, u32) = match &warm_prev {
-            Some(p) if !p.hot_subsets.is_empty() => {
-                hot_first_order(&subsets, &p.hot_subsets, &self.problem.candidates)
-            }
-            _ => ((0..subsets.len()).collect(), 0),
-        };
-
-        let threads = resolve_threads(self.config.threads).min(order.len().max(1));
+        let threads = resolve_threads(self.config.threads).min(subsets.len().max(1));
         emit(recorder, TraceLevel::Summary, || Event::PlanSearchStarted {
             candidates: n as u32,
             kappa: self.config.kappa as u32,
@@ -783,25 +686,21 @@ impl<'a> TwoLevelOptimizer<'a> {
 
         let search_timer = PhaseTimer::start();
         let shared = use_shared.then_some(&shared_bound);
+        let all = 0..subsets.len();
         let results: Vec<WorkerStats> = if threads <= 1 {
-            vec![self.search_chunk(&options, &od, &subsets, &tables, &order, shared, seed_bound)]
+            vec![self.search_chunk(&options, &od, &subsets, &tables, all, shared, seed_bound)]
         } else {
-            // Contiguous chunks of the enumeration order, one per worker.
-            let chunk = order.len().div_ceil(threads);
+            // Contiguous ranges of the subset list, one per worker.
+            let chunk = all.len().div_ceil(threads);
             let (options, subsets, od, tables) = (&options, &subsets, &od, &tables);
             crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = order
-                    .chunks(chunk)
-                    .map(|chunk_order| {
+                let handles: Vec<_> = all
+                    .step_by(chunk)
+                    .map(|first| {
+                        let range = first..(first + chunk).min(subsets.len());
                         s.spawn(move |_| {
                             self.search_chunk(
-                                options,
-                                od,
-                                subsets,
-                                tables,
-                                chunk_order,
-                                shared,
-                                seed_bound,
+                                options, od, subsets, tables, range, shared, seed_bound,
                             )
                         })
                     })
@@ -877,7 +776,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             (false, true) => false,
             _ => c.eval.expected_cost < od_eval.expected_cost,
         });
-        let (plan, evaluation, winner_subset) = match spot {
+        let (plan, evaluation, source) = match spot {
             Some(c) => {
                 let plan = Plan {
                     groups: c
@@ -891,41 +790,10 @@ impl<'a> TwoLevelOptimizer<'a> {
                         .collect(),
                     on_demand: od,
                 };
-                (plan, c.eval, Some(c.subset))
+                (plan, c.eval, "spot")
             }
-            None => (Plan::on_demand_only(od), od_eval, None),
+            None => (Plan::on_demand_only(od), od_eval, "on-demand"),
         };
-        let source = if winner_subset.is_some() {
-            "spot"
-        } else {
-            "on-demand"
-        };
-
-        // Hand this window's outcome to the next search and surface the
-        // warm-start summary. The hot-subset ranking is computed from the
-        // per-subset lower-bound sums — thread-count-independent, unlike
-        // any ranking derived from worker incumbent trajectories.
-        if let Some(w) = warm {
-            if w.use_plan {
-                let hot = rank_hot_subsets(
-                    &subsets,
-                    &tables,
-                    winner_subset.as_deref(),
-                    &self.problem.candidates,
-                );
-                w.prev = Some(PrevWindow {
-                    plan: plan.clone(),
-                    hot_subsets: hot,
-                });
-            }
-            emit(recorder, TraceLevel::Summary, || Event::WarmStartApplied {
-                seeded: seed_cost.is_some(),
-                seed_cost,
-                hot_subsets: hot_applied,
-                tables_reused,
-                tables_rebuilt,
-            });
-        }
 
         emit(recorder, TraceLevel::Summary, || Event::PlanSelected {
             source: source.to_string(),
@@ -953,54 +821,6 @@ impl<'a> TwoLevelOptimizer<'a> {
         })
     }
 
-    /// Project the previous window's plan onto the current option grids —
-    /// match each plan group to a current candidate by circle-group id and
-    /// to the grid option with the nearest bid (ties to the higher bid) —
-    /// and evaluate that single candidate. Returns its expected cost when
-    /// it is feasible under the current deadline and chance constraint;
-    /// `None` when any group no longer exists, has no options, or the
-    /// projected candidate is infeasible (an infeasible cost must never
-    /// enter the bound — pruning against it would not be exact).
-    fn project_seed(
-        &self,
-        options: &[Vec<GroupAssessment>],
-        od: &OnDemandOption,
-        prev: &Plan,
-    ) -> Option<f64> {
-        if prev.groups.is_empty() {
-            return None;
-        }
-        let mut refs: Vec<&GroupAssessment> = Vec::with_capacity(prev.groups.len());
-        for (g, d) in &prev.groups {
-            let gi = self.problem.candidates.iter().position(|c| c.id == g.id)?;
-            let opts = &options[gi];
-            let mut best: Option<(f64, usize)> = None;
-            for (i, a) in opts.iter().enumerate() {
-                let diff = (a.decision.bid - d.bid).abs();
-                let better = match &best {
-                    None => true,
-                    Some((bd, bi)) => match diff.total_cmp(bd) {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a.decision.bid > opts[*bi].decision.bid,
-                    },
-                };
-                if better {
-                    best = Some((diff, i));
-                }
-            }
-            refs.push(&opts[best?.1]);
-        }
-        let eval = evaluate(&refs, od);
-        let feasible = eval.meets(self.problem.deadline)
-            && self
-                .config
-                .min_spot_success
-                .map(|q| eval.p_all_fail <= 1.0 - q)
-                .unwrap_or(true);
-        feasible.then_some(eval.expected_cost)
-    }
-
     /// Assess every candidate (group, bid level, interval) option once, up
     /// front, through [`assess_group`]. Index: `options[g]` = list of
     /// viable assessments for group `g`.
@@ -1011,14 +831,8 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// completion winner would let rare deadline-missing patterns
     /// subsidize `E[Cost]`.
     ///
-    /// With a [`WarmStart`] carrying table reuse, each group's bid
-    /// profiles are kept in (and served from) its store while the group's
-    /// history digest is unchanged. Errors when a candidate group is
-    /// unknown to the view.
-    fn assess_options(
-        &self,
-        mut warm: Option<&mut WarmStart>,
-    ) -> Result<AssessedOptions, SompiError> {
+    /// Errors when a candidate group is unknown to the view.
+    fn assess_options(&self) -> Result<AssessedOptions, SompiError> {
         let mut out = AssessedOptions {
             options: Vec::with_capacity(self.problem.candidates.len()),
             considered: 0,
@@ -1026,24 +840,10 @@ impl<'a> TwoLevelOptimizer<'a> {
             dominated: 0,
             swept: 0,
             shared: 0,
-            table_stats: Vec::new(),
         };
         for group in &self.problem.candidates {
             let est = self.view.try_estimator(group.id)?;
-            let mut tables = warm
-                .as_deref_mut()
-                .and_then(|w| w.group_tables(group.id, est));
-            let g = assess_group(
-                group,
-                est,
-                &self.config,
-                self.problem.deadline,
-                tables.as_deref_mut(),
-            );
-            if let Some(t) = tables {
-                out.table_stats
-                    .push((group.id, t.digest, g.store_hits, g.store_misses));
-            }
+            let g = assess_group(group, est, &self.config, self.problem.deadline);
             out.considered += g.considered;
             out.pruned += g.pruned;
             out.dominated += g.dominated;
@@ -1054,14 +854,11 @@ impl<'a> TwoLevelOptimizer<'a> {
         Ok(out)
     }
 
-    /// Search one contiguous chunk of the enumeration order with
-    /// worker-local state: a reused borrow buffer, a reused odometer, an
+    /// Search one contiguous range of the subset list with worker-local
+    /// state: a reused borrow buffer, a reused odometer, an
     /// [`EvalScratch`], a local incumbent, and a local evaluation counter.
-    /// `order` is this worker's slice of the global visit order; each
-    /// entry is the subset's *canonical* index into `subsets`, which is
-    /// what enters the enumeration ordinal — so ordinals are globally
-    /// unique, chunk-invariant, and independent of any warm-start
-    /// reordering of the visit sequence.
+    /// A subset's index into `subsets` enters the enumeration ordinal, so
+    /// ordinals are globally unique and chunk-invariant.
     ///
     /// With [`OptimizerConfig::prune_bound`] on, each subset runs a
     /// branch-and-bound walk (DESIGN.md §8.2) over its slots' options
@@ -1076,8 +873,8 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// incumbent cost.
     /// `shared_bound` (cost as IEEE bits) is the cross-worker incumbent
     /// when [`OptimizerConfig::shared_incumbent`] is on; otherwise the
-    /// worker prunes against a local bound seeded from
-    /// `od_seed_bound`. Pruning never removes a candidate that could
+    /// worker prunes against a local bound seeded from `seed_bound`, the
+    /// on-demand incumbent's cost. Pruning never removes a candidate that could
     /// win under the total order, so the returned incumbent — and with it
     /// the merged [`OptimizedPlan`] — is bit-identical to the exhaustive
     /// walk. The reported `evaluations` counter always carries the full
@@ -1090,7 +887,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         od: &OnDemandOption,
         subsets: &SubsetList,
         tables: &BoundTables,
-        order: &[usize],
+        range: Range<usize>,
         shared_bound: Option<&AtomicU64>,
         seed_bound: f64,
     ) -> WorkerStats {
@@ -1115,8 +912,8 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut head_min: Vec<f64> = Vec::new();
         // Worker-local incumbent bound, used when no shared bound is
         // installed. Either way the bound only ever holds feasible
-        // candidate costs (or the on-demand / warm-start seed), so strict
-        // pruning against it is exact (DESIGN.md §8.3).
+        // candidate costs (or the on-demand seed), so strict pruning
+        // against it is exact (DESIGN.md §8.3).
         let mut local_bound = seed_bound;
         // Each option's whole-candidate floor tables, built the first time
         // a combination holding the option survives the per-slot bound.
@@ -1131,7 +928,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut floors: Vec<Option<Box<CostFloor>>> =
             vec![None; options.iter().map(Vec::len).sum()];
 
-        for &subset_ordinal in order {
+        for subset_ordinal in range {
             let chosen = subsets.get(subset_ordinal);
             subsets_walked += 1;
             let product: u64 = chosen
@@ -1455,28 +1252,6 @@ impl SubsetList {
         let at = offset + (i - first) * k;
         &self.members[at..at + k]
     }
-
-    /// The index of `subset` — a binary search in its size's block, which
-    /// is sorted. `None` for anything that is not one of the subsets:
-    /// unsorted, repeated or unknown members, or a size out of range.
-    fn position(&self, subset: &[usize]) -> Option<usize> {
-        let k = subset.len();
-        if k == 0 || k >= self.blocks.len() {
-            return None;
-        }
-        let (first, offset) = self.blocks[k - 1];
-        let block = &self.members[offset..self.blocks[k].1];
-        let (mut lo, mut hi) = (0, block.len() / k);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match block[mid * k..(mid + 1) * k].cmp(subset) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(first + mid),
-            }
-        }
-        None
-    }
 }
 
 /// `C(n, k)`, saturating.
@@ -1513,7 +1288,7 @@ fn load_bound(shared: Option<&AtomicU64>, local: f64) -> f64 {
 }
 
 /// The branch-and-bound inputs of one search (DESIGN.md §8.2), built once
-/// and read by every worker and by [`rank_hot_subsets`].
+/// and read by every worker.
 ///
 /// A subset's `w_min` is the smallest of its groups' minimum completion
 /// walls, so it is one of those walls: the sorted distinct walls of the
@@ -1618,91 +1393,6 @@ impl BoundTables {
     fn head(&self, subset: &[usize], level: usize) -> f64 {
         subset.iter().map(|&g| self.ranked(g, level)[0].0).sum()
     }
-}
-
-/// Build the hot-first visit order: the carried-over subsets (resolved
-/// from circle-group ids to subset indices) first, in their carried rank
-/// order, then every remaining subset in canonical order. Carried subsets
-/// that no longer resolve — a group left the candidate list or has no
-/// options now, or the subset shape changed — are silently skipped.
-/// Returns the order plus how many hot subsets were actually applied.
-fn hot_first_order(
-    subsets: &SubsetList,
-    hot: &[Vec<CircleGroupId>],
-    candidates: &[CircleGroup],
-) -> (Vec<usize>, u32) {
-    let mut order = Vec::with_capacity(subsets.len());
-    let mut taken = vec![false; subsets.len()];
-    let mut idxs = Vec::new();
-    for ids in hot {
-        idxs.clear();
-        idxs.extend(
-            ids.iter()
-                .filter_map(|id| candidates.iter().position(|c| c.id == *id)),
-        );
-        if idxs.len() < ids.len() {
-            continue; // a group left the candidate list
-        }
-        idxs.sort_unstable();
-        if let Some(i) = subsets.position(&idxs) {
-            if !taken[i] {
-                taken[i] = true;
-                order.push(i);
-            }
-        }
-    }
-    let hot_applied = order.len() as u32;
-    for (i, t) in taken.iter().enumerate() {
-        if !t {
-            order.push(i);
-        }
-    }
-    (order, hot_applied)
-}
-
-/// Rank the subsets a finished search hands to the next window: the
-/// winning subset first, then the best runners-up by the sum of per-slot
-/// minimum [`GroupAssessment::cost_lower_bound`]s (ascending; ties break
-/// to the lower canonical index), capped at [`HOT_SUBSETS`]. Derived from
-/// the assessed options alone — not from worker incumbent trajectories —
-/// so the ranking is identical at every thread count.
-fn rank_hot_subsets(
-    subsets: &SubsetList,
-    tables: &BoundTables,
-    winner: Option<&[usize]>,
-    candidates: &[CircleGroup],
-) -> Vec<Vec<CircleGroupId>> {
-    let mut ranked: Vec<(f64, usize)> = (0..subsets.len())
-        .map(|i| {
-            let s = subsets.get(i);
-            (tables.head(s, tables.level(s)), i)
-        })
-        .collect();
-    // The loop below reads at most HOT_SUBSETS entries of the ranking
-    // (with a winner: HOT_SUBSETS − 1 runners-up and the skipped winner),
-    // so selecting the best HOT_SUBSETS + 1 and sorting only those leaves
-    // one to spare.
-    let keep = HOT_SUBSETS + 1;
-    if ranked.len() > keep {
-        ranked.select_nth_unstable_by(keep - 1, by_bound);
-        ranked.truncate(keep);
-    }
-    ranked.sort_unstable_by(by_bound);
-    let ids = |s: &[usize]| -> Vec<CircleGroupId> { s.iter().map(|&g| candidates[g].id).collect() };
-    let mut hot: Vec<Vec<CircleGroupId>> = Vec::with_capacity(HOT_SUBSETS);
-    if let Some(w) = winner {
-        hot.push(ids(w));
-    }
-    for &(_, i) in &ranked {
-        if hot.len() >= HOT_SUBSETS {
-            break;
-        }
-        if winner.is_some_and(|w| w == subsets.get(i)) {
-            continue;
-        }
-        hot.push(ids(subsets.get(i)));
-    }
-    hot
 }
 
 #[cfg(test)]
@@ -1988,79 +1678,6 @@ mod tests {
         assert_eq!(cmp_bids([0.5].into_iter(), &[0.5, 0.25]), Ordering::Less);
         assert_eq!(cmp_bids([0.5, 0.25].into_iter(), &[0.5]), Ordering::Greater);
     }
-
-    #[test]
-    fn warm_start_never_changes_the_selected_plan() {
-        let (_, problem, view) = setup();
-        let opt = TwoLevelOptimizer::new(&problem, &view, small_config());
-        let cold = opt.optimize().unwrap();
-        let mut warm = WarmStart::new();
-        // First warm window has nothing carried; subsequent ones replay
-        // with a seed, hot-first order, and cached tables.
-        for pass in 0..3 {
-            let got = opt
-                .optimize_with(&mut PlanContext::new().with_warm(&mut warm))
-                .unwrap();
-            assert_eq!(cold, got, "warm pass {pass} diverged");
-        }
-        assert!(warm.has_plan());
-        assert!(warm.cached_groups() > 0);
-        // Each ablation arm also matches bit-for-bit.
-        for (plan_on, tables_on) in [(true, false), (false, true), (false, false)] {
-            let mut w = WarmStart::new()
-                .with_plan_carryover(plan_on)
-                .with_table_reuse(tables_on);
-            for _ in 0..2 {
-                let got = opt
-                    .optimize_with(&mut PlanContext::new().with_warm(&mut w))
-                    .unwrap();
-                assert_eq!(cold, got, "plan={plan_on} tables={tables_on}");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_start_matches_across_thread_counts() {
-        let (_, problem, view) = setup();
-        let base = small_config();
-        let run = |threads: usize| {
-            let cfg = OptimizerConfig { threads, ..base };
-            let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
-            let mut warm = WarmStart::new();
-            let first = opt
-                .optimize_with(&mut PlanContext::new().with_warm(&mut warm))
-                .unwrap();
-            let second = opt
-                .optimize_with(&mut PlanContext::new().with_warm(&mut warm))
-                .unwrap();
-            (first, second)
-        };
-        let serial = run(1);
-        for threads in [2usize, 8] {
-            assert_eq!(serial, run(threads), "threads={threads} diverged");
-        }
-    }
-
-    #[test]
-    fn hot_first_order_is_a_permutation_led_by_the_carryover() {
-        let (_, problem, view) = setup();
-        let opt = TwoLevelOptimizer::new(&problem, &view, small_config());
-        let mut warm = WarmStart::new();
-        opt.optimize_with(&mut PlanContext::new().with_warm(&mut warm))
-            .unwrap();
-        let prev = warm.prev.as_ref().expect("a plan must be carried");
-        assert!(!prev.hot_subsets.is_empty());
-        assert!(prev.hot_subsets.len() <= HOT_SUBSETS);
-        // Resolve the carried subsets against a fresh enumeration: every
-        // subset index must appear exactly once, hot prefix first.
-        let all: Vec<usize> = (0..problem.candidates.len()).collect();
-        let subsets = SubsetList::new(&all, small_config().kappa);
-        let (order, applied) = hot_first_order(&subsets, &prev.hot_subsets, &problem.candidates);
-        assert_eq!(applied as usize, prev.hot_subsets.len());
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..subsets.len()).collect::<Vec<_>>());
-    }
 }
 
 #[cfg(test)]
@@ -2145,7 +1762,7 @@ mod assess_options_tests {
             ..OptimizerConfig::default()
         };
         let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
-        let a = opt.assess_options(None).unwrap();
+        let a = opt.assess_options().unwrap();
         let (options, considered, pruned, dominated) =
             (a.options, a.considered, a.pruned, a.dominated);
 
@@ -2170,7 +1787,7 @@ mod assess_options_tests {
             ..cfg
         };
         let considered_nm = TwoLevelOptimizer::new(&problem, &view, no_margin)
-            .assess_options(None)
+            .assess_options()
             .unwrap()
             .considered;
         assert_eq!(considered_nm, considered - problem.candidates.len() as u64);
@@ -2189,7 +1806,7 @@ mod assess_options_tests {
             ..OptimizerConfig::default()
         };
         let a = TwoLevelOptimizer::new(&problem, &view, cfg)
-            .assess_options(None)
+            .assess_options()
             .unwrap();
         let (options, considered, pruned) = (a.options, a.considered, a.pruned);
         let kept: u64 = options.iter().map(|o| o.len() as u64).sum();
@@ -2210,7 +1827,7 @@ mod assess_options_tests {
             ..base
         };
         let a_raw = TwoLevelOptimizer::new(&problem, &view, raw)
-            .assess_options(None)
+            .assess_options()
             .unwrap();
         let (opts_raw, considered_raw, pruned_raw, dominated_raw) = (
             a_raw.options,
@@ -2219,7 +1836,7 @@ mod assess_options_tests {
             a_raw.dominated,
         );
         let a_dom = TwoLevelOptimizer::new(&problem, &view, base)
-            .assess_options(None)
+            .assess_options()
             .unwrap();
         let (opts_dom, considered_dom, pruned_dom, dominated_dom) = (
             a_dom.options,
@@ -2267,7 +1884,7 @@ mod assess_options_tests {
             ..OptimizerConfig::default()
         };
         let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
-        let a = opt.assess_options(None).unwrap();
+        let a = opt.assess_options().unwrap();
         let (options, considered) = (a.options, a.considered);
         assert!(options[0].is_empty(), "dead group must offer no options");
         // The dead group contributes nothing to `considered` either.
@@ -2312,7 +1929,7 @@ mod assess_options_tests {
                 .map(|g| expected_grid_len(&view, &cfg, g.id))
                 .sum();
             let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
-            let a = opt.assess_options(None).unwrap();
+            let a = opt.assess_options().unwrap();
             assert_eq!(a.swept + a.shared, grid);
             assert!(
                 a.shared > 0,
@@ -2341,40 +1958,6 @@ mod assess_options_tests {
     }
 
     #[test]
-    fn warm_store_counts_only_cross_window_hits() {
-        // The first warm search sweeps every non-shared, launchable bid
-        // into the store (misses only); searching the same view again
-        // serves each of them from the store (hits only). Shared bids
-        // never touch the store, so no share within a search is a reuse.
-        let (_, problem, view) = setup();
-        let cfg = OptimizerConfig {
-            kappa: 2,
-            bid_levels: 12,
-            ..OptimizerConfig::default()
-        };
-        let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
-        let cold = opt.assess_options(None).unwrap();
-        let mut warm = WarmStart::new();
-        let first = opt.assess_options(Some(&mut warm)).unwrap();
-        let (hits, misses) = store_totals(&first);
-        assert_eq!(hits, 0);
-        assert!(misses > 0 && misses <= first.swept);
-        assert_eq!(first.options, cold.options);
-        let second = opt.assess_options(Some(&mut warm)).unwrap();
-        assert_eq!(store_totals(&second), (misses, 0));
-        assert_eq!(second.options, cold.options);
-        assert_eq!(
-            (second.swept, second.shared, second.dominated),
-            (cold.swept, cold.shared, cold.dominated)
-        );
-        // With the store off the warm search keeps no per-group stats.
-        let mut off = WarmStart::new().with_table_reuse(false);
-        let a = opt.assess_options(Some(&mut off)).unwrap();
-        assert!(a.table_stats.is_empty());
-        assert_eq!(a.options, cold.options);
-    }
-
-    #[test]
     fn shared_bids_equal_their_own_assessment() {
         // With the collapse off, shared bids are enumerated: each option
         // must be exactly what assessing its own bid from scratch gives
@@ -2389,7 +1972,7 @@ mod assess_options_tests {
             ..OptimizerConfig::default()
         };
         let a = TwoLevelOptimizer::new(&problem, &view, cfg)
-            .assess_options(None)
+            .assess_options()
             .unwrap();
         assert!(
             a.shared > 0,
@@ -2433,7 +2016,7 @@ mod assess_options_tests {
             ..OptimizerConfig::default()
         };
         let a = TwoLevelOptimizer::new(&problem, &view, cfg)
-            .assess_options(None)
+            .assess_options()
             .unwrap();
         let od = select_on_demand(&problem.on_demand, problem.deadline, cfg.slack);
         let flat: Vec<(usize, &GroupAssessment)> = a
@@ -2465,11 +2048,5 @@ mod assess_options_tests {
             checked > 100 && doomed > 0,
             "{checked} checked, {doomed} doomed"
         );
-    }
-
-    fn store_totals(a: &AssessedOptions) -> (u64, u64) {
-        a.table_stats
-            .iter()
-            .fold((0, 0), |(h, m), &(_, _, hit, miss)| (h + hit, m + miss))
     }
 }

@@ -1,11 +1,10 @@
 //! Tests of the branch-and-bound search set-up: the counters and plans of
-//! fixed seeded searches, and the per-subset set-up, full enumeration and
-//! full sort that the shared tables, the subset list and the hot ranking
-//! must equal.
+//! fixed seeded searches, and the per-subset set-up and full enumeration
+//! that the shared tables and the subset list must equal.
 
 use super::*;
 use ec2_market::instance::InstanceCatalog;
-use ec2_market::market::SpotMarket;
+use ec2_market::market::{CircleGroupId, SpotMarket};
 use ec2_market::trace::SpotTrace;
 use ec2_market::tracegen::{TraceGenConfig, ZoneVolatility};
 use ec2_market::zone::AvailabilityZone;
@@ -100,10 +99,10 @@ fn fnv(s: &str) -> u64 {
 }
 
 /// One search's pinned values, as one line: `PlanSelected`'s counters,
-/// the single worker's `SubsetEvaluated` counters, the warm start's
-/// applied hot subsets, and a digest of the plan JSON. Every value but
-/// `rejected` was recorded before subsets were rejected ahead of their
-/// walk, so early rejection is exactly the walk's first-step prune.
+/// the single worker's `SubsetEvaluated` counters, and a digest of the
+/// plan JSON. The ten sliding-view plans were first pinned with
+/// cross-window warm starts and kept their digests when the searches
+/// went cold: the warm layers never changed a plan.
 fn record(out: &OptimizedPlan, events: &[Event]) -> String {
     let mut line = String::new();
     for e in events {
@@ -125,7 +124,6 @@ fn record(out: &OptimizedPlan, events: &[Event]) -> String {
                 line += &format!("worker {subsets}/{evaluations}/{feasible}/{skipped} ");
                 line += &format!("rejected {subsets_rejected} ");
             }
-            Event::WarmStartApplied { hot_subsets, .. } => line += &format!("hot {hot_subsets} "),
             _ => {}
         }
     }
@@ -133,13 +131,11 @@ fn record(out: &OptimizedPlan, events: &[Event]) -> String {
     line + &format!("plan {:016x}", fnv(&json))
 }
 
-fn traced(opt: &TwoLevelOptimizer<'_>, warm: Option<&mut WarmStart>) -> String {
+fn traced(opt: &TwoLevelOptimizer<'_>) -> String {
     let ring = RingRecorder::new(TraceLevel::Detail, 64);
-    let mut ctx = PlanContext::new().with_recorder(&ring);
-    if let Some(w) = warm {
-        ctx = ctx.with_warm(w);
-    }
-    let out = opt.optimize_with(&mut ctx).unwrap();
+    let out = opt
+        .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+        .unwrap();
     record(&out, &ring.take())
 }
 
@@ -151,41 +147,43 @@ fn seeded_searches_keep_their_counters_and_plans() {
 
     // Cold search.
     let view = MarketView::from_market(&market, 100.0, 148.0);
-    got.push(traced(
-        &TwoLevelOptimizer::new(&problem, &view, pin_config()),
-        None,
-    ));
+    got.push(traced(&TwoLevelOptimizer::new(
+        &problem,
+        &view,
+        pin_config(),
+    )));
 
-    // Ten warm-started re-plans on a view sliding 2 h per window.
-    let mut warm = WarmStart::new();
+    // Ten re-plans on a view sliding 2 h per window.
     for w in 0..10 {
         let start = 150.0 + 2.0 * w as f64;
         let view = MarketView::from_market(&market, start, start + 48.0);
-        got.push(traced(
-            &TwoLevelOptimizer::new(&problem, &view, pin_config()),
-            Some(&mut warm),
-        ));
+        got.push(traced(&TwoLevelOptimizer::new(
+            &problem,
+            &view,
+            pin_config(),
+        )));
     }
 
     // Long-job search.
     let (problem, view) = long_job();
-    got.push(traced(
-        &TwoLevelOptimizer::new(&problem, &view, pin_config()),
-        None,
-    ));
+    got.push(traced(&TwoLevelOptimizer::new(
+        &problem,
+        &view,
+        pin_config(),
+    )));
 
     let expected = [
         "worker 793/173438/7/173431 rejected 767 sel 173439/173431/6 plan 8e4e23d1a1377e33",
-        "worker 793/366360/11/366349 rejected 761 hot 0 sel 366361/366349/11 plan edf4955bcc189f0b",
-        "worker 793/392856/1/392855 rejected 764 hot 16 sel 392857/392855/0 plan 1a42318c871ce4b7",
-        "worker 793/392856/1/392855 rejected 763 hot 16 sel 392857/392855/0 plan f06d5a898bda3d5b",
-        "worker 793/392856/1/392855 rejected 763 hot 16 sel 392857/392855/0 plan 304741bb91e763f5",
-        "worker 793/392856/1/392855 rejected 759 hot 16 sel 392857/392855/0 plan efa6bcffd9b058d1",
-        "worker 793/420811/1/420810 rejected 758 hot 16 sel 420812/420810/0 plan f1858e113e9f5a0a",
-        "worker 793/420811/1/420810 rejected 758 hot 16 sel 420812/420810/0 plan ec1b755bf6a7c298",
-        "worker 793/448766/1/448765 rejected 758 hot 16 sel 448767/448765/0 plan 4d836ed621b3a416",
-        "worker 793/448766/1/448765 rejected 757 hot 16 sel 448767/448765/0 plan b019e9e09b735f0e",
-        "worker 793/448766/1/448765 rejected 758 hot 16 sel 448767/448765/0 plan 1eb8006c84944fe1",
+        "worker 793/366360/11/366349 rejected 761 sel 366361/366349/11 plan edf4955bcc189f0b",
+        "worker 793/392856/10/392846 rejected 761 sel 392857/392846/10 plan 1a42318c871ce4b7",
+        "worker 793/392856/10/392846 rejected 760 sel 392857/392846/10 plan f06d5a898bda3d5b",
+        "worker 793/392856/10/392846 rejected 760 sel 392857/392846/10 plan 304741bb91e763f5",
+        "worker 793/392856/10/392846 rejected 757 sel 392857/392846/10 plan efa6bcffd9b058d1",
+        "worker 793/420811/9/420802 rejected 756 sel 420812/420802/9 plan f1858e113e9f5a0a",
+        "worker 793/420811/9/420802 rejected 755 sel 420812/420802/9 plan ec1b755bf6a7c298",
+        "worker 793/448766/9/448757 rejected 755 sel 448767/448757/9 plan 4d836ed621b3a416",
+        "worker 793/448766/9/448757 rejected 754 sel 448767/448757/9 plan b019e9e09b735f0e",
+        "worker 793/448766/9/448757 rejected 755 sel 448767/448757/9 plan 1eb8006c84944fe1",
         "worker 1940/8522/3/8519 rejected 1930 sel 8523/8519/3 plan c41bef5b3259942d",
     ];
     assert_eq!(got, expected);
@@ -236,44 +234,6 @@ fn reference_setup(options: &[Vec<GroupAssessment>], chosen: &[usize]) -> Refere
     }
 }
 
-/// The hot-subset ranking before the shared tables, kept as the oracle:
-/// every subset of the full enumeration whose groups all have options,
-/// ranked by a full sort of its summed per-slot minimum bounds.
-fn reference_hot(
-    options: &[Vec<GroupAssessment>],
-    kappa: usize,
-    winner: Option<&[usize]>,
-    candidates: &[CircleGroup],
-) -> Vec<Vec<CircleGroupId>> {
-    let n = options.len();
-    let mut subsets: Vec<Vec<usize>> = Vec::new();
-    let mut acc = Vec::new();
-    for k in 1..=kappa.min(n) {
-        enumerate_subsets(n, k, 0, &mut acc, &mut |s: &[usize]| {
-            subsets.push(s.to_vec());
-        });
-    }
-    let mut ranked: Vec<(f64, usize)> = subsets
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.iter().all(|&g| !options[g].is_empty()))
-        .map(|(i, s)| (reference_setup(options, s).lb_total, i))
-        .collect();
-    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let ids = |s: &[usize]| -> Vec<CircleGroupId> { s.iter().map(|&g| candidates[g].id).collect() };
-    let mut hot: Vec<Vec<CircleGroupId>> = winner.map(ids).into_iter().collect();
-    for &(_, i) in &ranked {
-        if hot.len() >= HOT_SUBSETS {
-            break;
-        }
-        if winner.is_some_and(|w| w == subsets[i].as_slice()) {
-            continue;
-        }
-        hot.push(ids(&subsets[i]));
-    }
-    hot
-}
-
 fn with_options(options: &[Vec<GroupAssessment>]) -> Vec<usize> {
     (0..options.len())
         .filter(|&g| !options[g].is_empty())
@@ -287,12 +247,12 @@ fn oracle_problems() -> Vec<(&'static str, Problem, Vec<Vec<GroupAssessment>>)> 
     let stress = stress_problem(&market);
     let view = MarketView::from_market(&market, 100.0, 148.0);
     let stress_options = TwoLevelOptimizer::new(&stress, &view, pin_config())
-        .assess_options(None)
+        .assess_options()
         .unwrap()
         .options;
     let (long, view) = long_job();
     let long_options = TwoLevelOptimizer::new(&long, &view, pin_config())
-        .assess_options(None)
+        .assess_options()
         .unwrap()
         .options;
     vec![
@@ -368,76 +328,12 @@ fn subset_list_equals_the_filtered_enumeration() {
                 assert_eq!(list.len(), want.len(), "n {n} mask {mask:b} k_max {k_max}");
                 for (i, s) in want.iter().enumerate() {
                     assert_eq!(list.get(i), s.as_slice());
-                    assert_eq!(list.position(list.get(i)), Some(i));
-                    if s.len() >= 2 {
-                        let reversed: Vec<usize> = s.iter().rev().copied().collect();
-                        assert_eq!(list.position(&reversed), None, "unsorted {reversed:?}");
-                        let repeated = [s[0], s[0]];
-                        assert_eq!(list.position(&repeated), None, "repeated {repeated:?}");
-                    }
-                }
-                let oversize: Vec<usize> = (0..=k_max.min(n)).collect();
-                assert_eq!(list.position(&oversize), None, "oversize {oversize:?}");
-                assert_eq!(list.position(&[]), None);
-                assert_eq!(list.position(&[n]), None, "out of range");
-                for g in (0..n).filter(|&g| !has(g)) {
-                    assert_eq!(list.position(&[g]), None, "group {g} has no options");
                 }
             }
         }
     }
     assert_eq!(subset_count(15, 4), 1940);
     assert_eq!(subset_count(15, 99), (1 << 15) - 1);
-}
-
-#[test]
-fn hot_ranking_equals_a_full_sort() {
-    for (name, problem, options) in oracle_problems() {
-        // Every group given one group's options: every subset of one size
-        // has the same bound sum, so only the index tie-break ranks them.
-        let first = options.iter().find(|o| !o.is_empty()).unwrap().clone();
-        let equal: Vec<Vec<GroupAssessment>> = options.iter().map(|_| first.clone()).collect();
-        for opts in [&options, &equal] {
-            let groups = with_options(opts);
-            let subsets = SubsetList::new(&groups, 4);
-            let tables = BoundTables::new(opts, 4);
-            let winners = [
-                None,
-                Some(subsets.get(0)),
-                Some(subsets.get(3)),
-                Some(subsets.get(subsets.len() - 1)),
-            ];
-            for winner in winners {
-                assert_eq!(
-                    rank_hot_subsets(&subsets, &tables, winner, &problem.candidates),
-                    reference_hot(opts, 4, winner, &problem.candidates),
-                    "{name}: winner {winner:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn carried_subsets_without_options_are_not_applied() {
-    let (problem, _) = long_job();
-    let id = |g: usize| problem.candidates[g].id;
-    // Group 2 has lost its options since the carried ranking was made.
-    let groups: Vec<usize> = (0..problem.candidates.len()).filter(|&g| g != 2).collect();
-    let subsets = SubsetList::new(&groups, 2);
-    let hot = vec![
-        vec![id(2)],
-        vec![id(1), id(2)],
-        vec![id(3), id(1)],
-        vec![id(0)],
-    ];
-    let (order, applied) = hot_first_order(&subsets, &hot, &problem.candidates);
-    assert_eq!(applied, 2);
-    assert_eq!(subsets.get(order[0]), &[1, 3]);
-    assert_eq!(subsets.get(order[1]), &[0]);
-    let mut sorted = order.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, (0..subsets.len()).collect::<Vec<_>>());
 }
 
 #[test]

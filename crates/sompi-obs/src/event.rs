@@ -103,9 +103,8 @@ pub enum Event {
         #[serde(default)]
         options_dominated: u64,
         /// (group, bid) grid points that got their own bid profile: one
-        /// history sweep each, or a cross-window warm-store hit (also
-        /// counted in `WarmStartApplied.tables_reused`). Defaults to 0
-        /// for traces written before single-sweep assessment.
+        /// history sweep each. Defaults to 0 for traces written before
+        /// single-sweep assessment.
         #[serde(default)]
         profiles_swept: u64,
         /// (group, bid) grid points served from the next higher grid bid
@@ -196,11 +195,11 @@ pub enum Event {
         #[serde(default)]
         kernel_nanos: u64,
     },
-    /// The warm-start layer's per-window summary: whether the previous
-    /// window's plan seeded the incumbent bound, how many carried subsets
-    /// led the enumeration order, and the bucket-table cache totals.
-    /// Emitted once per `optimize_with` call with warm state attached;
-    /// warm-free contexts never construct it.
+    /// The retired warm-start layer's per-window summary: whether the
+    /// previous window's plan seeded the incumbent bound, how many
+    /// carried subsets led the enumeration order, and the bucket-table
+    /// cache totals. No longer emitted — every search runs cold — but
+    /// kept so traces that carry it still parse.
     WarmStartApplied {
         /// True when the previous plan projected onto the current option
         /// grids to a feasible candidate whose cost seeded the incumbent
@@ -217,20 +216,6 @@ pub enum Event {
         /// Entries computed fresh (new bid, horizon growth, or a history
         /// digest invalidation).
         tables_rebuilt: u64,
-    },
-    /// Per-group bucket-table cache accounting for one warm-started
-    /// assessment pass. One event per candidate group whose cache was
-    /// consulted, in candidate order. Detail level.
-    BucketTableReused {
-        /// Circle-group id.
-        group: String,
-        /// FNV-1a digest of the group's empirical price history backing
-        /// the cached tables.
-        digest: u64,
-        /// Bid entries reused without recomputation.
-        reused: u64,
-        /// Bid entries (re)computed this window.
-        rebuilt: u64,
     },
     /// The adaptive loop (Algorithm 1) crossed a window boundary.
     /// Emitted by `AdaptivePlanner::plan_window` on a real
@@ -249,12 +234,6 @@ pub enum Event {
         decision: String,
         /// Spot circle groups in the window's plan.
         groups: u32,
-        /// True when the reuse came from the market-fingerprint cache: an
-        /// unchanged `MarketView` digest plus a still-feasible incumbent
-        /// plan let the window skip re-optimization entirely. Defaults to
-        /// false for pre-cache traces.
-        #[serde(default)]
-        fingerprint_hit: bool,
     },
     /// A replayed spot group was terminated by the provider (price rose
     /// above its bid) before the work completed.
@@ -335,8 +314,8 @@ pub enum Event {
         /// Mode: `"no-checkpoint"` (group lost checkpoint storage and
         /// continues bare), `"previous-checkpoint"` (restore fell back
         /// one checkpoint), `"stale-market-view"` (planner reused the
-        /// last valid view), or `"stale-plan"` (planner reused the cached
-        /// plan without a fingerprint match).
+        /// last valid view), or `"stale-plan"` (planner reused its last
+        /// plan on a market-feed gap).
         mode: String,
         /// Circle-group id, if group-scoped.
         group: Option<String>,
@@ -394,8 +373,8 @@ pub enum Event {
     /// search: either from a completed entry, or by waiting for an
     /// identical in-flight search to finish (single-flight coalescing).
     CacheHit {
-        /// Stable 64-bit digest of the request key (parameters + market
-        /// view fingerprint); identical requests share it.
+        /// Stable 64-bit digest of the request (its parameters, tenant and
+        /// thread count excluded); identical requests share it.
         key: u64,
         /// Request kind served from cache (currently always `"plan"`).
         kind: String,
@@ -493,7 +472,6 @@ impl Event {
             Event::SubsetEvaluated { .. } => "SubsetEvaluated",
             Event::PlanSelected { .. } => "PlanSelected",
             Event::WarmStartApplied { .. } => "WarmStartApplied",
-            Event::BucketTableReused { .. } => "BucketTableReused",
             Event::WindowReplanned { .. } => "WindowReplanned",
             Event::GroupFailed { .. } => "GroupFailed",
             Event::CheckpointTaken { .. } => "CheckpointTaken",
@@ -517,9 +495,7 @@ impl Event {
     /// everything else is [`TraceLevel::Summary`].
     pub fn level(&self) -> TraceLevel {
         match self {
-            Event::SubsetEvaluated { .. }
-            | Event::CheckpointTaken { .. }
-            | Event::BucketTableReused { .. } => TraceLevel::Detail,
+            Event::SubsetEvaluated { .. } | Event::CheckpointTaken { .. } => TraceLevel::Detail,
             _ => TraceLevel::Summary,
         }
     }
@@ -596,12 +572,6 @@ mod tests {
                 hot_subsets: 16,
                 tables_reused: 40,
                 tables_rebuilt: 8,
-            },
-            Event::BucketTableReused {
-                group: "g2".to_string(),
-                digest: 0xdead_beef_u64,
-                reused: 5,
-                rebuilt: 1,
             },
             Event::FaultInjected {
                 class: "ckpt-upload-failure".to_string(),
@@ -699,7 +669,6 @@ mod tests {
             reused: false,
             decision: "hybrid".to_string(),
             groups: 2,
-            fingerprint_hit: false,
         };
         let line = serde_json::to_string(&e).unwrap();
         assert!(line.starts_with("{\"WindowReplanned\":{\"window\":3,"));
@@ -715,10 +684,15 @@ mod tests {
             "remaining_fraction":0.5,"reused":true,"decision":"hybrid",
             "groups":2}}"#;
         let e: Event = serde_json::from_str(old).unwrap();
+        assert_eq!(e.kind(), "WindowReplanned");
+        // A field since removed (the adaptive plan cache's fingerprint
+        // verdict) is ignored on lines that still carry it.
+        let old = r#"{"WindowReplanned":{"window":1,"elapsed_hours":12.0,
+            "remaining_fraction":0.5,"reused":true,"decision":"hybrid",
+            "groups":2,"fingerprint_hit":true}}"#;
+        let e: Event = serde_json::from_str(old).unwrap();
         match e {
-            Event::WindowReplanned {
-                fingerprint_hit, ..
-            } => assert!(!fingerprint_hit),
+            Event::WindowReplanned { reused, groups, .. } => assert!(reused && groups == 2),
             other => panic!("wrong variant: {other:?}"),
         }
         let old = r#"{"SubsetEvaluated":{"worker":0,"subsets":5,

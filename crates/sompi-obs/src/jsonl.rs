@@ -195,12 +195,17 @@ mod tests {
 
     #[test]
     fn retired_event_types_fail_with_their_line_number() {
-        // A well-formed line naming a variant this build no longer has
+        // Well-formed lines naming a variant this build no longer has
         // (an event type removed since the trace was recorded).
         let good = serde_json::to_string(&sample_events()[0]).unwrap();
-        let text = format!("{good}\n\n{{\"RetiredEvent\":{{\"jobs\":2}}}}\n");
-        let err = parse_jsonl(&text).unwrap_err();
-        assert!(err.starts_with("line 3:"), "unexpected error: {err}");
+        for retired in [
+            r#"{"RetiredEvent":{"jobs":2}}"#,
+            r#"{"BucketTableReused":{"group":"g2","digest":7,"reused":5,"rebuilt":1}}"#,
+        ] {
+            let text = format!("{good}\n\n{retired}\n");
+            let err = parse_jsonl(&text).unwrap_err();
+            assert!(err.starts_with("line 3:"), "unexpected error: {err}");
+        }
     }
 
     #[test]

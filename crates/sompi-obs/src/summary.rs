@@ -39,8 +39,6 @@ pub struct RunReport {
     selections: Vec<Selection>,
     /// Window decisions, in trace order.
     windows: Vec<WindowLine>,
-    /// Warm-start applications, in trace order (one per warm search).
-    warm: Vec<WarmLine>,
     /// Failure / checkpoint / fallback timeline, in trace order.
     timeline: Vec<TimelineLine>,
     /// Aggregated planner-service counters (requests, cache, shedding,
@@ -130,18 +128,8 @@ struct WindowLine {
     elapsed_hours: f64,
     remaining_fraction: f64,
     reused: bool,
-    fingerprint_hit: bool,
     decision: String,
     groups: u32,
-}
-
-#[derive(Debug)]
-struct WarmLine {
-    seeded: bool,
-    seed_cost: Option<f64>,
-    hot_subsets: u32,
-    tables_reused: u64,
-    tables_rebuilt: u64,
 }
 
 #[derive(Debug)]
@@ -247,22 +235,9 @@ impl RunReport {
                     evals_per_sec: *evals_per_sec,
                     kernel_nanos: *kernel_nanos,
                 }),
-                Event::WarmStartApplied {
-                    seeded,
-                    seed_cost,
-                    hot_subsets,
-                    tables_reused,
-                    tables_rebuilt,
-                } => report.warm.push(WarmLine {
-                    seeded: *seeded,
-                    seed_cost: *seed_cost,
-                    hot_subsets: *hot_subsets,
-                    tables_reused: *tables_reused,
-                    tables_rebuilt: *tables_rebuilt,
-                }),
-                // Per-group detail; the per-search totals on
-                // `WarmStartApplied` already cover the report.
-                Event::BucketTableReused { .. } => {}
+                // Retired: only traces recorded before every search ran
+                // cold carry it, and the summary only counts it.
+                Event::WarmStartApplied { .. } => {}
                 Event::WindowReplanned {
                     window,
                     elapsed_hours,
@@ -270,13 +245,11 @@ impl RunReport {
                     reused,
                     decision,
                     groups,
-                    fingerprint_hit,
                 } => report.windows.push(WindowLine {
                     window: *window,
                     elapsed_hours: *elapsed_hours,
                     remaining_fraction: *remaining_fraction,
                     reused: *reused,
-                    fingerprint_hit: *fingerprint_hit,
                     decision: decision.clone(),
                     groups: *groups,
                 }),
@@ -552,23 +525,6 @@ impl fmt::Display for RunReport {
             }
         }
 
-        if !self.warm.is_empty() {
-            writeln!(f, "\nwarm starts")?;
-            writeln!(f, "-----------")?;
-            for (i, w) in self.warm.iter().enumerate() {
-                write!(f, "  search {:>2}: ", i + 1)?;
-                match (w.seeded, w.seed_cost) {
-                    (true, Some(c)) => write!(f, "seeded at ${c:.2}")?,
-                    _ => write!(f, "no incumbent seed")?,
-                }
-                writeln!(
-                    f,
-                    ", {} hot subset(s) first; tables {} reused / {} rebuilt",
-                    w.hot_subsets, w.tables_reused, w.tables_rebuilt
-                )?;
-            }
-        }
-
         if !self.windows.is_empty() {
             writeln!(f, "\nadaptive windows")?;
             writeln!(f, "----------------")?;
@@ -581,13 +537,7 @@ impl fmt::Display for RunReport {
                     w.remaining_fraction * 100.0,
                     w.decision,
                     w.groups,
-                    if w.fingerprint_hit {
-                        " [plan reused: fingerprint hit]"
-                    } else if w.reused {
-                        " [plan reused]"
-                    } else {
-                        ""
-                    }
+                    if w.reused { " [plan reused]" } else { "" }
                 )?;
             }
         }
@@ -732,7 +682,6 @@ mod tests {
                 reused: false,
                 decision: "hybrid".to_string(),
                 groups: 1,
-                fingerprint_hit: false,
             },
             Event::GroupFailed {
                 group: "g0".to_string(),
@@ -857,7 +806,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_events_get_their_own_section() {
+    fn retired_warm_start_events_are_only_counted() {
+        // Traces recorded while adaptive re-plans ran warm still render:
+        // their `WarmStartApplied` events are counted, with no section.
         let events = vec![
             Event::WarmStartApplied {
                 seeded: true,
@@ -865,12 +816,6 @@ mod tests {
                 hot_subsets: 4,
                 tables_reused: 36,
                 tables_rebuilt: 12,
-            },
-            Event::BucketTableReused {
-                group: "g0".to_string(),
-                digest: 42,
-                reused: 36,
-                rebuilt: 12,
             },
             Event::WarmStartApplied {
                 seeded: false,
@@ -880,16 +825,11 @@ mod tests {
                 tables_rebuilt: 48,
             },
         ];
-        let text = RunReport::from_events(&events).render();
-        assert!(text.contains("warm starts"), "{text}");
-        assert!(
-            text.contains("seeded at $19.75, 4 hot subset(s) first; tables 36 reused / 12 rebuilt"),
-            "{text}"
-        );
-        assert!(
-            text.contains("no incumbent seed, 0 hot subset(s) first; tables 0 reused / 48 rebuilt"),
-            "{text}"
-        );
+        let report = RunReport::from_events(&events);
+        assert_eq!(report.event_counts, vec![("WarmStartApplied", 2)]);
+        let text = report.render();
+        assert!(!text.contains("warm starts"), "{text}");
+        assert!(!text.contains("seeded"), "{text}");
     }
 
     #[test]

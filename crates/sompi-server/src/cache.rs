@@ -1,18 +1,18 @@
 //! Cross-tenant plan cache with single-flight coalescing.
 //!
 //! [`SharedPlanCache`] memoizes completed plan searches under the key
-//! from [`crate::service::plan_request_key`] (request shape × market-view
-//! fingerprint). It is safe to share across worker threads, and it
-//! *coalesces* concurrent identical requests: the first caller for a
-//! key computes while later arrivals block on a condition variable and
-//! receive the same `Arc`'d result. A burst of identical-fingerprint
+//! from [`crate::service::plan_request_key`] (a digest of the request,
+//! tenant and thread count excluded). It is safe to share across worker
+//! threads, and it *coalesces* concurrent identical requests: the first
+//! caller for a key computes while later arrivals block on a condition
+//! variable and receive the same `Arc`'d result. A burst of identical
 //! requests therefore performs **exactly one** search — the property
 //! the server's cache-hit trace events exist to prove.
 //!
 //! This is deliberately a different animal from sompi-core's
-//! `PlanCache`, which is a single-slot, tolerance-matched cache used
-//! *inside* one adaptive run. Here keys are exact, entries are shared
-//! across tenants and connections, and eviction is FIFO by insertion.
+//! `PlanCache`, which holds one adaptive run's last plan for market-feed
+//! gaps. Here keys are exact, entries are shared across tenants and
+//! connections, and eviction is FIFO by insertion.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

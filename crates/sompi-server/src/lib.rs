@@ -8,9 +8,9 @@
 //! CLI does not:
 //!
 //! - a typed, length-prefixed JSON wire protocol ([`proto`]);
-//! - a cross-tenant, single-flight plan cache keyed by request shape ×
-//!   market-view fingerprint ([`cache`]) — a burst of identical
-//!   requests performs exactly one search;
+//! - a cross-tenant, single-flight plan cache keyed by a digest of the
+//!   request ([`cache`]) — a burst of identical requests performs
+//!   exactly one search;
 //! - bounded admission with load shedding and a batched worker pool
 //!   ([`server`]) — overload yields typed `Overloaded` responses, not
 //!   an unbounded queue;

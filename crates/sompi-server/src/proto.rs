@@ -229,10 +229,11 @@ pub struct ReplayRequest {
     /// Re-planning period T_m in hours (adaptive only).
     #[serde(default = "d_window")]
     pub window_hours: f64,
-    /// Warm-start the per-window re-optimization (adaptive only).
+    /// Accepted and ignored: every adaptive window re-plans cold. Echoed
+    /// in the adaptive [`ReplayReport`](crate::service::ReplayReport).
     #[serde(default = "d_true")]
     pub warmstart: bool,
-    /// Reuse unchanged per-group bucket tables (adaptive only).
+    /// Accepted and ignored, like `warmstart`.
     #[serde(default = "d_true")]
     pub bucket_reuse: bool,
     /// Optional fault-injection spec (same grammar as `--faults`).

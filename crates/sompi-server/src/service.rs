@@ -20,7 +20,7 @@ use replay::exec::{ExecContext, ExecMode};
 use replay::montecarlo::MonteCarlo;
 use replay::stats::Summary;
 use serde::{Deserialize, Serialize};
-use sompi_core::adaptive::{AdaptiveConfig, PlanContext, ViewFingerprint};
+use sompi_core::adaptive::{AdaptiveConfig, PlanContext};
 use sompi_core::cost::evaluate_plan;
 use sompi_core::model::Plan;
 use sompi_core::policy::{policy_by_name, Policy};
@@ -143,29 +143,27 @@ pub fn view_for(market: &SpotMarket, req: &PlanRequest) -> MarketView {
     MarketView::from_market(market, req.view_start_hours, req.history_hours)
 }
 
-/// Cross-tenant plan-cache key: an FNV-1a digest of the request's
-/// planning-relevant fields combined with the market-view fingerprint
-/// (see `ViewFingerprint` in sompi-core). Two requests share a key iff
-/// they would run the *same search over the same view* — the `tenant`
-/// label is cleared before hashing, so identical problems from
-/// different tenants coalesce onto one optimization.
-pub fn plan_request_key(market: &SpotMarket, req: &PlanRequest) -> u64 {
-    let fp = ViewFingerprint::digest(&view_for(market, req)).digest_u64();
-    let mut canon = req.clone();
-    canon.tenant = String::new();
+/// Cross-tenant plan-cache key: an FNV-1a digest of the request with its
+/// `tenant` label and `threads` count cleared. Neither changes the answer
+/// (the thread count's independence is pinned by sompi-core's
+/// determinism tests), so identical problems from different tenants or
+/// at different thread counts coalesce onto one optimization.
+///
+/// The key reads the request only: a server plans against one immutable
+/// market, and the request's `view_start_hours`/`history_hours` fix the
+/// view. The market parameter is not read; it stays for existing callers.
+pub fn plan_request_key(_market: &SpotMarket, req: &PlanRequest) -> u64 {
+    let canon = PlanRequest {
+        tenant: String::new(),
+        threads: 0,
+        ..req.clone()
+    };
     let body = serde_json::to_string(&canon).expect("request is serializable");
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in body.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    for b in fp.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    body.bytes().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// The answer to a [`PlanRequest`]: the optimized plan plus its model
@@ -235,7 +233,8 @@ pub fn plan(
 /// The answer to a [`ReplayRequest`]: Monte-Carlo statistics plus the
 /// plan (fixed-plan replays only; adaptive runs re-plan per window).
 /// The `window_hours`/`warmstart`/`bucket_reuse`/`mean_windows`/
-/// `mean_plan_changes` fields are `Some` only for adaptive replays.
+/// `mean_plan_changes` fields are `Some` only for adaptive replays;
+/// `warmstart`/`bucket_reuse` echo the request and change nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayReport {
     /// Application name.
@@ -264,9 +263,9 @@ pub struct ReplayReport {
     pub plan: Option<Plan>,
     /// Re-planning period T_m, hours (adaptive only).
     pub window_hours: Option<f64>,
-    /// Whether warm-started re-optimization was enabled (adaptive only).
+    /// The request's `warmstart` (adaptive only), echoed; ignored.
     pub warmstart: Option<bool>,
-    /// Whether bucket-table reuse was enabled (adaptive only).
+    /// The request's `bucket_reuse` (adaptive only), echoed; ignored.
     pub bucket_reuse: Option<bool>,
     /// Mean windows per run (adaptive only).
     pub mean_windows: Option<f64>,
@@ -332,8 +331,7 @@ pub fn replay(
             window_hours: req.window_hours,
             history_hours: p.history_hours,
             optimizer: optimizer_config(p),
-            warmstart: req.warmstart,
-            bucket_reuse: req.bucket_reuse,
+            ..Default::default()
         };
         let runner = AdaptiveRunner::new(market, cfg);
         let windows = std::sync::atomic::AtomicU64::new(0);
@@ -429,8 +427,7 @@ pub fn traced_replay(
             window_hours: req.window_hours,
             history_hours: p.history_hours,
             optimizer: optimizer_config(p),
-            warmstart: req.warmstart,
-            bucket_reuse: req.bucket_reuse,
+            ..Default::default()
         };
         AdaptiveRunner::new(market, cfg)
             .run(&problem, start, &ctx)
@@ -578,6 +575,19 @@ mod tests {
         let mut d = a.clone();
         d.history_hours = 24.0; // different market view → different key
         assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &d));
+
+        // The thread count does not change the answer, so it shares a key.
+        let mut e = a.clone();
+        e.threads = 4;
+        assert_eq!(plan_request_key(&market, &a), plan_request_key(&market, &e));
+
+        let mut f = a.clone();
+        f.view_start_hours = 12.0; // the view slides → different key
+        assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &f));
+
+        // The key reads the request only, not the market it is given.
+        let other = super::tests::market(200.0);
+        assert_eq!(plan_request_key(&market, &a), plan_request_key(&other, &a));
     }
 
     #[test]

@@ -11,7 +11,6 @@ BINS=(
   param_slack param_kappa param_window
   accuracy_failure_rate accuracy_model
   ablation_search ablation_billing ablation_parallel ablation_prune
-  ablation_warmstart
   ablation_replay_index
   ablation_mc_batch
   ext_relaunch sensitivity_profiling

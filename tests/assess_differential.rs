@@ -1,9 +1,8 @@
 //! Differential suite for single-sweep assessment (DESIGN.md,
 //! "Single-sweep bid profiles"): the optimizer sweeps each (group, bid)
-//! once, derives φ and every assessment from that one profile, shares
-//! the options of grid bids that admit the same price samples, and keeps
-//! profiles across searches in an optional warm store. None of that may
-//! change a single bit of the answer.
+//! once, derives φ and every assessment from that one profile, and shares
+//! the options of grid bids that admit the same price samples. None of
+//! that may change a single bit of the answer.
 //!
 //! The reference is assembled here, bid by bid, from public pieces only:
 //! `failure_rate_exact` at φ's and at each assessment's own horizon, the
@@ -13,12 +12,12 @@
 //! candidate order gives the reference plan. Every `OptimizedPlan` and
 //! `Evaluation` field must match it bit for bit, and the
 //! `PlanSearchStarted` counters must match the reference's counts,
-//! across three markets × interval grid {φ, 4 points} × warm {off, on}
-//! over 20 sliding windows × threads {1, 4}, and once more with the
-//! bid-collapse filter off.
+//! across three markets × interval grid {φ, 4 points} over 20 sliding
+//! windows × threads {1, 4}, and once more with the bid-collapse filter
+//! off.
 //!
 //! This suite covers the layer above the sweep — horizon truncation,
-//! equal-admission sharing, the warm store and the search — not the
+//! equal-admission sharing and the search — not the
 //! sweep itself: `failure_rate_exact` and `expected_launch_delay` read
 //! `FailureEstimator::bid_profile` too, and `ExpectedSpotPrice` is the
 //! same run-based table the optimizer reads. The sweep and the table are
@@ -40,7 +39,6 @@ use sompi_core::pareto::collapse_bid_dominated;
 use sompi_core::phi::phi_horizon;
 use sompi_core::twolevel::{OptimizedPlan, OptimizerConfig, TwoLevelOptimizer};
 use sompi_core::view::MarketView;
-use sompi_core::warmstart::WarmStart;
 use sompi_core::{select_on_demand, Problem};
 use sompi_obs::{Event, RingRecorder, TraceLevel};
 use std::cmp::Ordering;
@@ -360,94 +358,47 @@ fn assert_bits_identical(want: &OptimizedPlan, got: &OptimizedPlan, label: &str)
 }
 
 /// The counters one traced search reported.
-struct Traced {
-    counts: Counts,
-    swept: u64,
-    /// `WarmStartApplied.(tables_reused, tables_rebuilt)`, when warm.
-    store: Option<(u64, u64)>,
-}
-
-fn traced(events: &[Event]) -> Traced {
-    let mut out = Traced {
-        counts: Counts::default(),
-        swept: 0,
-        store: None,
-    };
+fn traced(events: &[Event]) -> Counts {
+    let mut out = Counts::default();
     for e in events {
-        match e {
-            Event::PlanSearchStarted {
-                options_considered,
-                options_pruned,
-                options_dominated,
-                profiles_swept,
-                profiles_shared,
-                ..
-            } => {
-                out.counts = Counts {
-                    considered: *options_considered,
-                    pruned: *options_pruned,
-                    dominated: *options_dominated,
-                    grid_points: profiles_swept + profiles_shared,
-                    equal_admission: *profiles_shared,
-                };
-                out.swept = *profiles_swept;
-            }
-            Event::WarmStartApplied {
-                tables_reused,
-                tables_rebuilt,
-                ..
-            } => out.store = Some((*tables_reused, *tables_rebuilt)),
-            _ => {}
+        if let Event::PlanSearchStarted {
+            options_considered,
+            options_pruned,
+            options_dominated,
+            profiles_swept,
+            profiles_shared,
+            ..
+        } = e
+        {
+            out = Counts {
+                considered: *options_considered,
+                pruned: *options_pruned,
+                dominated: *options_dominated,
+                grid_points: profiles_swept + profiles_shared,
+                equal_admission: *profiles_shared,
+            };
         }
     }
     out
 }
 
 fn run_study(label: &str, problem: &Problem, views: &[MarketView], base: OptimizerConfig) {
-    let mut warm_states = [WarmStart::new(), WarmStart::new()];
-    let mut store_hits = 0u64;
     let mut shared = 0u64;
     for (w, view) in views.iter().enumerate() {
         let (ref_options, ref_counts) = reference_options(problem, view, &base);
         shared += ref_counts.equal_admission;
         let want = reference_search(problem, &base, &ref_options);
-        for (ti, threads) in [1usize, 4].into_iter().enumerate() {
+        for threads in [1usize, 4] {
             let cfg = OptimizerConfig { threads, ..base };
-            let opt = TwoLevelOptimizer::new(problem, view, cfg);
-            // Warm runs search every fifth window twice, as a replan
-            // inside a window does: the second search hits the store.
-            let repeats = if w % 5 == 4 { 2 } else { 1 };
-            let runs = [(false, 1), (true, repeats)];
-            for (warm_on, times) in runs {
-                for pass in 0..times {
-                    let tag =
-                        format!("{label} window {w} threads {threads} warm {warm_on} #{pass}");
-                    let ring = RingRecorder::new(TraceLevel::Summary, 16);
-                    let mut ctx = PlanContext::new().with_recorder(&ring);
-                    if warm_on {
-                        ctx = ctx.with_warm(&mut warm_states[ti]);
-                    }
-                    let got = opt.optimize_with(&mut ctx).expect("candidates in view");
-                    assert_bits_identical(&want, &got, &tag);
-                    let t = traced(&ring.take());
-                    assert_eq!(t.counts, ref_counts, "{tag}: counters");
-                    match t.store {
-                        None => assert!(!warm_on, "{tag}: warm search must report"),
-                        Some((reused, rebuilt)) => {
-                            // Only swept bids consult the store, and a
-                            // replan of an unchanged view only hits it.
-                            assert!(reused + rebuilt <= t.swept, "{tag}");
-                            if pass == 1 {
-                                assert_eq!(rebuilt, 0, "{tag}: replan must hit");
-                                store_hits += reused;
-                            }
-                        }
-                    }
-                }
-            }
+            let tag = format!("{label} window {w} threads {threads}");
+            let ring = RingRecorder::new(TraceLevel::Summary, 16);
+            let got = TwoLevelOptimizer::new(problem, view, cfg)
+                .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+                .expect("candidates in view");
+            assert_bits_identical(&want, &got, &tag);
+            assert_eq!(traced(&ring.take()), ref_counts, "{tag}: counters");
         }
     }
-    assert!(store_hits > 0, "{label}: the store was never exercised");
     assert!(shared > 0, "{label}: no grid bid shared its options");
 }
 

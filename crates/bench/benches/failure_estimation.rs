@@ -6,9 +6,12 @@
 //! `from_window` and `bid_profile` run on two 48 h windows: a generated
 //! plateau trace, whose prices hold for hours at a time, and a random
 //! walk in which no two neighbouring samples are equal — the worst case
-//! for an estimator that works on runs of constant price.
+//! for an estimator that works on runs of constant price. `from_window`
+//! times two cases per trace: `warm`, a window of a trace whose run table
+//! is already built, and `cold`, the first window of a fresh copy of the
+//! trace, which builds the table (the copy is made outside the timing).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ec2_market::failure::FailureEstimator;
 use ec2_market::trace::SpotTrace;
 use ec2_market::tracegen::{TraceGenConfig, ZoneVolatility};
@@ -74,8 +77,18 @@ fn bench_estimators(c: &mut Criterion) {
     let windows = [("plateau", &trace, 0.05), ("no_runs", &walk, walk_bid)];
     let mut g = c.benchmark_group("from_window");
     for (name, trace, _) in windows {
-        g.bench_with_input(BenchmarkId::from_parameter(name), trace, |b, t| {
+        g.bench_with_input(BenchmarkId::new(name, "warm"), trace, |b, t| {
             b.iter(|| FailureEstimator::from_window(t.window(0.0, f64::INFINITY)))
+        });
+        g.bench_with_input(BenchmarkId::new(name, "cold"), trace, |b, t| {
+            b.iter_batched(
+                || SpotTrace::new(t.step_hours(), t.samples().to_vec()),
+                |fresh| {
+                    let est = FailureEstimator::from_window(fresh.window(0.0, f64::INFINITY));
+                    (est, fresh)
+                },
+                BatchSize::LargeInput,
+            )
         });
     }
     g.finish();

@@ -18,13 +18,17 @@
 //! to each hour bucket it reaches as one range, and a run above it adds
 //! its launch-delay distances as one arithmetic series. A 48 h window of
 //! 5-minute samples holds 576 samples but typically a few dozen runs.
+//! The runs come from the slice of the trace's run table that the window
+//! carries, so building an estimator reads one sample per run instead of
+//! scanning the window: O(log R + r) for a trace of R runs and a window
+//! of r.
 //!
 //! The expected spot price `S_i(P)` is the mean of historical prices at or
 //! below the bid (Section 3.2.1), precomputed here as a table of the
 //! distinct price levels with cumulative counts and sums, so bid-price
 //! sweeps are O(log levels) per query.
 
-use crate::trace::TraceWindow;
+use crate::trace::{Run, TraceWindow};
 use crate::{Hours, Usd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -229,43 +233,6 @@ struct Sweep {
     delay_steps: Option<u64>,
 }
 
-/// One maximal run of bit-equal prices: `len` consecutive samples at
-/// `price`. Spot prices are piecewise constant, so a 48 h window of
-/// 5-minute samples holds a few dozen runs, not hundreds of samples.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    price: Usd,
-    len: usize,
-}
-
-/// Split `samples` into maximal runs of bit-equal prices, in time order.
-fn runs_of(samples: &[Usd]) -> Vec<Run> {
-    let Some(&first) = samples.first() else {
-        return Vec::new();
-    };
-    // Count the runs first, so they are allocated once.
-    let breaks = samples
-        .windows(2)
-        .filter(|w| w[0].to_bits() != w[1].to_bits())
-        .count();
-    let mut runs = Vec::with_capacity(breaks + 1);
-    let (mut price, mut start) = (first, 0);
-    for (i, &p) in samples.iter().enumerate().skip(1) {
-        if p.to_bits() != price.to_bits() {
-            runs.push(Run {
-                price,
-                len: i - start,
-            });
-            (price, start) = (p, i);
-        }
-    }
-    runs.push(Run {
-        price,
-        len: samples.len() - start,
-    });
-    runs
-}
-
 /// One distinct price of an [`ExpectedSpotPrice`] table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Level {
@@ -294,12 +261,14 @@ pub struct ExpectedSpotPrice {
 }
 
 impl ExpectedSpotPrice {
-    /// Build the table from a history window.
+    /// Build the table from a history window, reading its runs off the
+    /// trace's run table.
     pub fn from_window(window: TraceWindow<'_>) -> Self {
-        Self::from_runs(&runs_of(window.samples()))
+        Self::from_runs(window.runs().collect())
     }
 
-    fn from_runs(runs: &[Run]) -> Self {
+    /// The table of `runs`, given in time order (sorted here, in place).
+    fn from_runs(mut runs: Vec<Run>) -> Self {
         let Some(first) = runs.first() else {
             return Self {
                 levels: Vec::new(),
@@ -322,11 +291,10 @@ impl ExpectedSpotPrice {
         // Trace prices are finite and non-negative, where the total order
         // is the numeric one except that it puts `-0.0` just below `0.0`;
         // the two share a level.
-        let mut sorted = runs.to_vec();
-        sorted.sort_unstable_by(|a, b| a.price.total_cmp(&b.price));
-        let mut levels: Vec<Level> = Vec::with_capacity(sorted.len());
+        runs.sort_unstable_by(|a, b| a.price.total_cmp(&b.price));
+        let mut levels: Vec<Level> = Vec::with_capacity(runs.len());
         let (mut count, mut acc) = (0usize, 0.0f64);
-        for Run { price, len } in sorted {
+        for Run { price, len } in runs {
             for _ in 0..len {
                 acc += price;
             }
@@ -398,7 +366,8 @@ impl ExpectedSpotPrice {
 /// Estimates failure-rate functions and expected spot prices from a price
 /// history window (typically "the previous two days", per the paper).
 ///
-/// The window is kept as its maximal runs of constant price, and every
+/// The window is kept as its maximal runs of constant price, read off
+/// the trace's run table instead of a scan of the samples, and every
 /// estimate walks those runs rather than the samples.
 ///
 /// ```
@@ -440,11 +409,11 @@ impl FailureEstimator {
     /// Panics if the window is empty.
     pub fn from_window(window: TraceWindow<'_>) -> Self {
         assert!(!window.is_empty(), "history window must be non-empty");
-        let runs = runs_of(window.samples());
+        let runs: Vec<Run> = window.runs().collect();
         Self {
             step_hours: window.step_hours(),
             samples: window.len(),
-            expected: ExpectedSpotPrice::from_runs(&runs),
+            expected: ExpectedSpotPrice::from_runs(runs.clone()),
             runs,
         }
     }
@@ -749,6 +718,31 @@ mod tests {
         fn min_price(&self) -> Usd {
             self.sorted.first().copied().unwrap_or(0.0)
         }
+    }
+
+    /// Split `samples` into maximal runs of bit-equal prices, in time
+    /// order, by scanning them: the oracle the trace's run table is
+    /// checked against.
+    fn runs_of(samples: &[Usd]) -> Vec<Run> {
+        let Some(&first) = samples.first() else {
+            return Vec::new();
+        };
+        let mut runs = Vec::new();
+        let (mut price, mut start) = (first, 0);
+        for (i, &p) in samples.iter().enumerate().skip(1) {
+            if p.to_bits() != price.to_bits() {
+                runs.push(Run {
+                    price,
+                    len: i - start,
+                });
+                (price, start) = (p, i);
+            }
+        }
+        runs.push(Run {
+            price,
+            len: samples.len() - start,
+        });
+        runs
     }
 
     /// The history sample by sample, with the per-sample estimators the
@@ -1438,5 +1432,182 @@ mod tests {
         assert!(f.prob_fail() > 0.0);
         let mass: f64 = f.buckets().iter().sum::<f64>() + f.survival();
         assert!((mass - 1.0).abs() < 1e-9);
+    }
+
+    /// A run list as `(price bits, length)` pairs: bitwise, so a `0.0` run
+    /// and a `-0.0` run differ.
+    fn run_bits(runs: impl IntoIterator<Item = Run>) -> Vec<(u64, usize)> {
+        runs.into_iter()
+            .map(|run| (run.price.to_bits(), run.len))
+            .collect()
+    }
+
+    /// The `S_i(P)` table bit for bit: every level, the minimum, the
+    /// maximum.
+    fn table_bits(t: &ExpectedSpotPrice) -> (Vec<(u64, usize, u64)>, u64, u64) {
+        let levels = t
+            .levels
+            .iter()
+            .map(|l| (l.price.to_bits(), l.at_or_below, l.sum.to_bits()))
+            .collect();
+        (levels, t.min.to_bits(), t.max.to_bits())
+    }
+
+    /// Every `(start, length)` window of `trace` must read the runs a scan
+    /// of its samples finds. `trace`'s step must make `i * step / step`
+    /// exact (1.0 or 0.5), so the windows cover every start and length.
+    fn assert_window_runs_match(trace: &SpotTrace, label: &str) {
+        let (n, step) = (trace.len(), trace.step_hours());
+        for lo in 0..n {
+            for len in 1..=n - lo {
+                let w = trace.window(lo as f64 * step, len as f64 * step);
+                assert_eq!(
+                    (w.samples().as_ptr(), w.len()),
+                    (trace.samples()[lo..].as_ptr(), len),
+                    "{label}: window {lo}+{len} not covered"
+                );
+                assert_eq!(
+                    run_bits(w.runs()),
+                    run_bits(runs_of(w.samples())),
+                    "{label}: window {lo}+{len}"
+                );
+            }
+        }
+        let all = trace.window(0.0, f64::INFINITY);
+        assert_eq!(run_bits(all.runs()), run_bits(runs_of(trace.samples())));
+    }
+
+    /// The traces the run-table oracle walks: seeded random ones with few
+    /// levels, plateau ones, one with no two equal neighbours, a single
+    /// sample, and `0.0`/`-0.0` neighbours.
+    fn run_table_traces() -> Vec<(String, SpotTrace)> {
+        let mut rng = StdRng::seed_from_u64(0x7ab1e);
+        let mut out = Vec::new();
+        for case in 0..12 {
+            let n = rng.gen_range(1..48);
+            let levels = rng.gen_range(1..4);
+            let prices = (0..n)
+                .map(|_| 0.01 * (1 + rng.gen_range(0..levels)) as f64)
+                .collect();
+            let step = [1.0, 0.5][case % 2];
+            out.push((format!("random {case}"), SpotTrace::new(step, prices)));
+        }
+        for case in 0..6 {
+            let mut prices = Vec::new();
+            while prices.len() < 40 {
+                let level = 0.01 * (1 + rng.gen_range(0..3)) as f64;
+                prices.extend(std::iter::repeat_n(level, rng.gen_range(1..12usize)));
+            }
+            out.push((format!("plateau {case}"), SpotTrace::new(1.0, prices)));
+        }
+        let no_runs = (0..40).map(|i| 0.01 * (1 + (i * 7) % 13) as f64).collect();
+        out.push(("no equal neighbours".into(), SpotTrace::new(0.5, no_runs)));
+        out.push(("one sample".into(), SpotTrace::new(1.0, vec![0.3])));
+        out.push((
+            "signed zeros".into(),
+            SpotTrace::new(1.0, vec![0.0, -0.0, -0.0, 0.1, 0.0, 0.0, -0.0, 0.3, -0.0]),
+        ));
+        out
+    }
+
+    #[test]
+    fn window_runs_match_a_scan_of_the_samples() {
+        for (label, trace) in run_table_traces() {
+            assert_window_runs_match(&trace, &label);
+        }
+        // `0.0` and `-0.0` compare equal but keep separate runs.
+        let zeros = SpotTrace::new(1.0, vec![0.0, -0.0, -0.0, 0.0]);
+        assert_eq!(zeros.window(0.0, 4.0).runs().len(), 3);
+    }
+
+    #[test]
+    fn extending_a_windowed_trace_rebuilds_its_run_table() {
+        // The table is built by the first window; `extend_from` must drop
+        // it, whether the joining samples are bit-equal (the last run
+        // continues) or bit-different (`0.0` then `-0.0`: a new run).
+        for (label, head, tail, joined_runs) in [
+            (
+                "bit-equal join",
+                vec![0.1, 0.1, 0.2],
+                vec![0.2, 0.2, 0.3],
+                3,
+            ),
+            (
+                "bit-different join",
+                vec![0.1, 0.0],
+                vec![-0.0, 0.3, 0.3],
+                4,
+            ),
+        ] {
+            let mut trace = SpotTrace::new(1.0, head);
+            assert_window_runs_match(&trace, label);
+            trace.extend_from(&SpotTrace::new(1.0, tail));
+            assert_window_runs_match(&trace, label);
+            assert_eq!(
+                trace.window(0.0, f64::INFINITY).runs().len(),
+                joined_runs,
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn estimators_from_a_window_equal_those_of_its_copy() {
+        // A window reads its runs off the trace's table; a copy of its
+        // samples as a trace of its own builds a table from just them.
+        // Both must give the same runs, `S_i(P)` table and bid profiles.
+        let generated = crate::tracegen::TraceGenConfig::preset(
+            0.05,
+            crate::tracegen::ZoneVolatility::Volatile,
+        )
+        .generate(120.0, 1.0 / 12.0, 41);
+        let mut traces = run_table_traces();
+        traces.push(("generated".into(), generated));
+        for (label, trace) in &traces {
+            let (n, step) = (trace.len(), trace.step_hours());
+            let spans = [
+                (0, n),
+                (0, 1),
+                (n / 3, n / 2),
+                (n / 2, n - n / 2),
+                (n - 1, 1),
+            ];
+            for (lo, len) in spans.into_iter().filter(|&(_, len)| len > 0) {
+                let w = trace.window(lo as f64 * step, len as f64 * step);
+                let copy = SpotTrace::new(step, w.samples().to_vec());
+                let (a, b) = (
+                    FailureEstimator::from_window(w),
+                    FailureEstimator::from_window(copy.window(0.0, f64::INFINITY)),
+                );
+                let tag = format!("{label} window {lo}+{len}");
+                assert_eq!(run_bits(a.runs.clone()), run_bits(b.runs.clone()), "{tag}");
+                assert_eq!((a.samples, a.step_hours), (b.samples, b.step_hours));
+                let table = ExpectedSpotPrice::from_window(w);
+                assert_eq!(table_bits(&table), table_bits(a.expected_spot_price()));
+                assert_eq!(table_bits(&table), table_bits(b.expected_spot_price()));
+                let mut bids: Vec<Usd> = w.samples().to_vec();
+                bids.extend([-1.0, a.max_price() * 2.0 + 1.0]);
+                for bid in bids {
+                    for horizon in [0usize, 1, 5, 24] {
+                        assert_profile_bits(
+                            &a.bid_profile(bid, horizon),
+                            &b.bid_profile(bid, horizon),
+                            &format!("{tag} bid {bid} horizon {horizon}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trace_equals_its_clone_before_and_after_its_run_table() {
+        let trace = SpotTrace::new(1.0, vec![0.1, 0.1, 0.0, -0.0, 0.2]);
+        let before = trace.clone();
+        assert_eq!(before, trace);
+        let _ = trace.window(0.0, 2.0); // builds `trace`'s table only
+        assert_eq!(before, trace);
+        assert_eq!(trace.clone(), trace);
+        assert_eq!(trace.clone(), before);
     }
 }

@@ -9,9 +9,10 @@
 
 use crate::{Hours, Usd};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::OnceLock;
 
 /// A uniformly sampled spot price time series.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SpotTrace {
     /// Sampling step in hours (e.g. `1.0 / 12.0` for 5-minute resolution).
     step_hours: Hours,
@@ -22,6 +23,12 @@ pub struct SpotTrace {
     /// `f64::max`/`f64::min` over finite values always return one of their
     /// arguments, so incremental updates equal a full left-fold recompute.
     extrema: (Usd, Usd),
+    /// Index of the first sample of each maximal run of bit-equal prices,
+    /// ascending (so it starts with `0`). Derived state like `extrema`,
+    /// but built lazily, on the first [`SpotTrace::window`]: most traces
+    /// are never windowed. [`SpotTrace::extend_from`] drops it, equality
+    /// ignores it, and serde never sees it.
+    run_starts: OnceLock<Vec<usize>>,
 }
 
 fn fold_extrema(prices: &[Usd]) -> (Usd, Usd) {
@@ -29,6 +36,25 @@ fn fold_extrema(prices: &[Usd]) -> (Usd, Usd) {
         prices.iter().cloned().fold(0.0, f64::max),
         prices.iter().cloned().fold(f64::INFINITY, f64::min),
     )
+}
+
+/// The first sample of each maximal run of bit-equal prices. Bits, not
+/// `==`: `0.0` and `-0.0` neighbours start separate runs.
+fn run_starts_of(prices: &[Usd]) -> Vec<usize> {
+    std::iter::once(0)
+        .chain((1..prices.len()).filter(|&i| prices[i].to_bits() != prices[i - 1].to_bits()))
+        .collect()
+}
+
+/// Equality of the step, the samples and the cached extrema. The run
+/// table is derived from the samples and ignored, so a trace equals its
+/// clone whether or not either has built its table.
+impl PartialEq for SpotTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.step_hours == other.step_hours
+            && self.prices == other.prices
+            && self.extrema == other.extrema
+    }
 }
 
 impl SpotTrace {
@@ -49,6 +75,7 @@ impl SpotTrace {
             step_hours,
             prices,
             extrema,
+            run_starts: OnceLock::new(),
         }
     }
 
@@ -116,14 +143,23 @@ impl SpotTrace {
     /// A borrowed window `[start, start + len_hours)` of this trace.
     ///
     /// The window is clamped to the trace bounds; it always contains at
-    /// least one sample.
+    /// least one sample. It carries the slice of the trace's run table
+    /// that covers it, built here on the trace's first window: O(n) once,
+    /// then O(log runs) per window.
     pub fn window(&self, start: Hours, len_hours: Hours) -> TraceWindow<'_> {
         let lo = self.index_at(start.max(0.0));
         let want = (len_hours / self.step_hours).ceil() as usize;
         let hi = (lo + want.max(1)).min(self.prices.len());
+        let starts = self.run_starts.get_or_init(|| run_starts_of(&self.prices));
+        // The run holding sample `lo` (the table starts at 0, so one
+        // exists), through the last run starting before `hi`.
+        let first = starts.partition_point(|&s| s <= lo) - 1;
+        let last = first + starts[first..].partition_point(|&s| s < hi);
         TraceWindow {
             step_hours: self.step_hours,
             prices: &self.prices[lo..hi],
+            offset: lo,
+            run_starts: &starts[first..last],
         }
     }
 
@@ -182,12 +218,14 @@ impl SpotTrace {
             self.extrema.0.max(other.extrema.0),
             self.extrema.1.min(other.extrema.1),
         );
+        // The last run may now continue into `other`: rebuild on demand.
+        self.run_starts = OnceLock::new();
     }
 }
 
-// Manual serde impls: the cached extrema are derived state and must not
-// change the serialized shape (`{step_hours, prices}`), and the vendored
-// `serde_derive` has no `#[serde(skip)]`.
+// Manual serde impls: the cached extrema and run table are derived state
+// and must not change the serialized shape (`{step_hours, prices}`), and
+// the vendored `serde_derive` has no `#[serde(skip)]`.
 impl Serialize for SpotTrace {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -222,6 +260,20 @@ impl Deserialize for SpotTrace {
 pub struct TraceWindow<'a> {
     step_hours: Hours,
     prices: &'a [Usd],
+    /// Trace index of the window's first sample.
+    offset: usize,
+    /// The trace's run starts from the run holding the first sample
+    /// through the last run starting inside the window.
+    run_starts: &'a [usize],
+}
+
+/// One maximal run of bit-equal prices: `len` consecutive samples at
+/// `price`. Spot prices are piecewise constant, so a 48 h window of
+/// 5-minute samples holds a few dozen runs, not hundreds of samples.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) price: Usd,
+    pub(crate) len: usize,
 }
 
 impl<'a> TraceWindow<'a> {
@@ -262,6 +314,21 @@ impl<'a> TraceWindow<'a> {
         }
         let idx = (t / self.step_hours) as usize;
         self.prices[idx.min(self.prices.len() - 1)]
+    }
+
+    /// The window's maximal runs of bit-equal prices, in time order, read
+    /// off the trace's run table: O(runs), no sample is scanned. A run
+    /// cut by either window edge counts only its samples inside.
+    pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = Run> + 'a {
+        let (prices, offset, starts) = (self.prices, self.offset, self.run_starts);
+        (0..starts.len()).map(move |i| {
+            let start = starts[i].saturating_sub(offset);
+            let end = starts.get(i + 1).map_or(prices.len(), |&s| s - offset);
+            Run {
+                price: prices[start],
+                len: end - start,
+            }
+        })
     }
 
     /// Copy this window into an owned [`SpotTrace`].
@@ -380,8 +447,13 @@ mod tests {
     #[test]
     fn serde_roundtrip_skips_cached_extrema() {
         let tr = t(&[0.1, 0.9]);
+        let _ = tr.window(0.0, 1.0); // builds the run table
         let v = tr.to_value();
         assert!(v.get("extrema").is_none(), "cache must not be serialized");
+        assert!(
+            v.get("run_starts").is_none(),
+            "run table must not be serialized"
+        );
         let back = SpotTrace::from_value(&v).unwrap();
         assert_eq!(back, tr);
         assert!(SpotTrace::from_value(&Value::Obj(vec![])).is_err());

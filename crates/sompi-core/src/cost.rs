@@ -96,6 +96,18 @@ pub struct GroupAssessment {
     ratio_at_bucket: Vec<f64>,
 }
 
+/// Wall-clock end time of `group` completing under `decision` after
+/// `launch_delay`: the delay plus `W_i`. [`GroupAssessment::completion_wall`]
+/// and the optimizer's deadline check share it, so an option can be
+/// checked against the deadline before its assessment is built.
+pub(crate) fn completion_wall(
+    group: &CircleGroup,
+    decision: &GroupDecision,
+    launch_delay: Hours,
+) -> Hours {
+    launch_delay + group.completion_wall_hours(decision.ckpt_interval)
+}
+
 impl GroupAssessment {
     /// Assess `group` under `decision` against market history.
     ///
@@ -228,10 +240,7 @@ impl GroupAssessment {
 
     /// Wall-clock end time when completing: launch delay + `W_i`.
     pub fn completion_wall(&self) -> Hours {
-        self.launch_delay
-            + self
-                .group
-                .completion_wall_hours(self.decision.ckpt_interval)
+        completion_wall(&self.group, &self.decision, self.launch_delay)
     }
 
     /// Running wall time (excluding launch delay) the group's own horizon

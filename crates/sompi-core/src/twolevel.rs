@@ -34,8 +34,8 @@
 
 use crate::adaptive::PlanContext;
 use crate::cost::{
-    assessment_horizon, candidate_cost_floor, evaluate, evaluate_with_scratch, CostFloor,
-    EvalScratch, Evaluation, GroupAssessment,
+    assessment_horizon, candidate_cost_floor, completion_wall, evaluate, evaluate_with_scratch,
+    CostFloor, EvalScratch, Evaluation, GroupAssessment,
 };
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
@@ -357,7 +357,8 @@ pub(crate) struct GroupOptions {
     pub(crate) options: Vec<GroupAssessment>,
     /// (bid, interval) decisions considered.
     pub(crate) considered: u64,
-    /// Assessed decisions that miss the deadline even when surviving.
+    /// Decisions that miss the deadline even when surviving (checked
+    /// before their assessment is built, so never built).
     pub(crate) pruned: u64,
     /// Deadline survivors removed by the bid-collapse filter.
     pub(crate) dominated: u64,
@@ -414,8 +415,10 @@ struct Admission {
 /// are counted as dominated without being built. Either way the counters
 /// and the option list equal assessing every bid on its own.
 ///
-/// `deadline` prunes options whose completion wall exceeds it. Shared
-/// with [`crate::pareto::frontier`].
+/// `deadline` prunes options whose completion wall exceeds it. The wall
+/// is the bid profile's launch delay plus `W_i` at the interval, so the
+/// check runs before the option's assessment is built, and a pruned
+/// option allocates nothing. Shared with [`crate::pareto::frontier`].
 pub(crate) fn assess_group(
     group: &CircleGroup,
     est: &FailureEstimator,
@@ -471,8 +474,10 @@ pub(crate) fn assess_group(
             };
             for &ckpt_interval in intervals {
                 let decision = GroupDecision { bid, ckpt_interval };
-                let a = GroupAssessment::from_profile(*group, decision, price, &profile);
-                if a.completion_wall() <= deadline {
+                // The deadline check needs only the launch delay and `W_i`:
+                // an option past the deadline is never built.
+                if completion_wall(group, &decision, profile.launch_delay()) <= deadline {
+                    let a = GroupAssessment::from_profile(*group, decision, price, &profile);
                     out.options.push(a);
                 } else {
                     pruned += 1;
@@ -1736,9 +1741,149 @@ mod chance_constraint_tests {
 
 #[cfg(test)]
 mod assess_options_tests {
+    use super::search_tests::{stress_market, stress_problem};
     use super::tests::setup;
     use super::*;
     use ec2_market::market::CircleGroupId;
+
+    /// [`assess_group`] as it was before the deadline check moved ahead
+    /// of the build: every option's assessment is built, then checked.
+    /// The reference the deadline-first loop must equal.
+    fn reference_assess_group(
+        group: &CircleGroup,
+        est: &FailureEstimator,
+        config: &OptimizerConfig,
+        deadline: Hours,
+    ) -> GroupOptions {
+        let mut out = GroupOptions::default();
+        let Some(grid) = bid_grid(est, config) else {
+            return out;
+        };
+        let fixed: Option<Vec<Hours>> = config.interval_grid.map(|n| {
+            (1..=n)
+                .map(|j| group.exec_hours * j as f64 / n as f64)
+                .collect()
+        });
+        let per_bid = fixed.as_ref().map_or(1, |v| v.len() as u64);
+        let horizon = profile_horizon(group, fixed.as_deref());
+        let prices = est.expected_spot_price();
+        let mut prev: Option<Admission> = None;
+        for &bid in grid.bids() {
+            let admitted = prices.count_at_or_below(bid);
+            out.considered += per_bid;
+            if let Some(p) = prev.as_ref().filter(|p| p.admitted == admitted) {
+                out.shared += 1;
+                out.pruned += p.pruned;
+                if config.prune_dominance && p.bid > bid {
+                    out.dominated += p.len as u64;
+                } else {
+                    for i in p.start..p.start + p.len {
+                        let mut a = out.options[i].clone();
+                        a.decision.bid = bid;
+                        out.options.push(a);
+                    }
+                }
+                continue;
+            }
+            out.swept += 1;
+            let start = out.options.len();
+            let mut pruned = 0u64;
+            if let Some(price) = prices.mean_below(bid) {
+                let profile = est.bid_profile(bid, horizon);
+                let phi;
+                let intervals = match &fixed {
+                    Some(v) => v.as_slice(),
+                    None => {
+                        phi = [interval_from_counts(group, profile.counts())];
+                        &phi[..]
+                    }
+                };
+                for &ckpt_interval in intervals {
+                    let decision = GroupDecision { bid, ckpt_interval };
+                    let a = GroupAssessment::from_profile(*group, decision, price, &profile);
+                    if a.completion_wall() <= deadline {
+                        out.options.push(a);
+                    } else {
+                        pruned += 1;
+                    }
+                }
+            }
+            out.pruned += pruned;
+            prev = Some(Admission {
+                admitted,
+                bid,
+                start,
+                len: out.options.len() - start,
+                pruned,
+            });
+        }
+        if config.prune_dominance {
+            out.dominated += crate::pareto::collapse_bid_dominated(&mut out.options);
+        }
+        out
+    }
+
+    #[test]
+    fn deadline_first_assessment_equals_the_build_then_check_reference() {
+        let (_, paper, paper_view) = setup();
+        let stress = stress_market(7, 400.0);
+        let stress_view = MarketView::from_market(&stress, 100.0, 48.0);
+        let studies = [
+            ("paper", paper, &paper_view),
+            ("stress", stress_problem(&stress), &stress_view),
+        ];
+        let base = OptimizerConfig {
+            bid_levels: 12,
+            ..OptimizerConfig::default()
+        };
+        let (mut kept, mut pruned) = (0u64, 0u64);
+        for (market, mut problem, view) in studies {
+            for factor in [1.05, 1.2, 2.0] {
+                problem.deadline = factor * problem.baseline_time();
+                for interval_grid in [None, Some(4)] {
+                    for prune_dominance in [true, false] {
+                        let cfg = OptimizerConfig {
+                            interval_grid,
+                            prune_dominance,
+                            ..base
+                        };
+                        for group in &problem.candidates {
+                            let est = view.try_estimator(group.id).unwrap();
+                            let fast = assess_group(group, est, &cfg, problem.deadline);
+                            let slow = reference_assess_group(group, est, &cfg, problem.deadline);
+                            let tag = format!(
+                                "{market} ×{factor} grid {interval_grid:?} \
+                                 collapse {prune_dominance} group {}",
+                                group.id
+                            );
+                            assert_eq!(fast.options, slow.options, "{tag}: options");
+                            assert_eq!(
+                                (
+                                    fast.considered,
+                                    fast.pruned,
+                                    fast.dominated,
+                                    fast.swept,
+                                    fast.shared
+                                ),
+                                (
+                                    slow.considered,
+                                    slow.pruned,
+                                    slow.dominated,
+                                    slow.swept,
+                                    slow.shared
+                                ),
+                                "{tag}: counters"
+                            );
+                            kept += fast.options.len() as u64;
+                            pruned += fast.pruned;
+                        }
+                    }
+                }
+            }
+        }
+        // Both outcomes of the deadline check occur.
+        assert!(kept > 0 && pruned > 0, "kept {kept}, pruned {pruned}");
+    }
 
     /// Grid size `assess_options` should enumerate for one group,
     /// mirroring its span/levels/margin arithmetic.

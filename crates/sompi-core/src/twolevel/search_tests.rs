@@ -15,7 +15,7 @@ use sompi_obs::RingRecorder;
 /// A drifting stress market over the paper catalog's 15 circle groups:
 /// every pair volatile (zone a extreme), its base price re-drawn every
 /// 50 h — the regime the adaptive loop re-plans in.
-fn stress_market(seed: u64, hours: f64) -> SpotMarket {
+pub(super) fn stress_market(seed: u64, hours: f64) -> SpotMarket {
     const SEGMENT_HOURS: f64 = 50.0;
     let catalog = InstanceCatalog::paper_2014();
     let mut market = SpotMarket::new(catalog.clone());
@@ -60,7 +60,7 @@ fn stress_market(seed: u64, hours: f64) -> SpotMarket {
 
 /// BT repeated to an 8-h baseline over all 15 groups at deadline 1.5×,
 /// as the adaptive benchmark plans it.
-fn stress_problem(market: &SpotMarket) -> Problem {
+pub(super) fn stress_problem(market: &SpotMarket) -> Problem {
     let once = NpbKernel::Bt.profile(NpbClass::B, 128);
     let probe = Problem::build(market, &once, f64::MAX, None, S3Store::paper_2014());
     let repeats = (8.0 / probe.baseline_time()).ceil() as u32;

@@ -21,7 +21,9 @@ pub struct MarketView {
 
 impl MarketView {
     /// Build estimators for every group in `market` from the history window
-    /// `[start, start + len)` (hours into each trace).
+    /// `[start, start + len)` (hours into each trace). Each reads its
+    /// window's runs of one price off the trace's run table, built on the
+    /// trace's first window, without scanning the samples (DESIGN.md §17).
     pub fn from_market(market: &SpotMarket, start: Hours, len: Hours) -> Self {
         let estimators = market.estimators(start, len).collect();
         Self { estimators }

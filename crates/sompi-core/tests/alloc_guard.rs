@@ -4,8 +4,9 @@
 //! candidate loop may not allocate, and `optimize_with` a recorder whose
 //! tracing is off must allocate exactly as much as the context-free
 //! `optimize`. The search set-up promises that allocations do not grow
-//! with the number of subsets. A counting global allocator makes these
-//! claims testable.
+//! with the number of subsets, and option assessment that an option
+//! past the deadline is never built. A counting global allocator makes
+//! these claims testable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,7 +21,7 @@ use sompi_core::cost::{evaluate_with_scratch, EvalScratch, GroupAssessment};
 use sompi_core::model::GroupDecision;
 use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use sompi_core::{MarketView, PlanContext, Problem};
-use sompi_obs::{RingRecorder, TraceLevel};
+use sompi_obs::{Event, RingRecorder, TraceLevel};
 
 struct CountingAlloc;
 
@@ -166,5 +167,67 @@ fn search_allocations_do_not_grow_with_the_subsets() {
     assert!(
         four <= one + 64,
         "κ 4 made {four} allocations against κ 1's {one}"
+    );
+}
+
+#[test]
+fn options_past_the_deadline_are_never_built() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // All 15 circle groups at a deadline below every group's own run
+    // time: whatever the bid and interval, no spot option can finish, so
+    // the deadline check prunes every one. Each swept bid profile then
+    // costs its own bucket counters and φ's truncated function; building
+    // a pruned option's assessment would add five vectors per option.
+    let cat = InstanceCatalog::paper_2014();
+    let prof = MarketProfile::paper_2014(&cat);
+    let market = SpotMarket::generate(cat, &TraceGenerator::new(prof, 31), 200.0, 1.0 / 12.0);
+    let profile = NpbKernel::Bt.profile(NpbClass::B, 128).repeated(200);
+    let mut problem = Problem::build(&market, &profile, f64::MAX, None, S3Store::paper_2014());
+    let fastest = problem
+        .candidates
+        .iter()
+        .map(|g| g.exec_hours)
+        .fold(f64::INFINITY, f64::min);
+    problem.deadline = 0.9 * fastest;
+    let view = MarketView::from_market(&market, 0.0, 48.0);
+    let cfg = OptimizerConfig {
+        kappa: 2,
+        bid_levels: 12,
+        threads: 1,
+        ..Default::default()
+    };
+
+    let ring = RingRecorder::new(TraceLevel::Detail, 8);
+    TwoLevelOptimizer::new(&problem, &view, cfg)
+        .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+        .unwrap();
+    let events = ring.take();
+    let [Event::PlanSearchStarted {
+        options_pruned,
+        options_dominated,
+        profiles_swept,
+        ..
+    }, Event::SubsetEvaluated { subsets: 0, .. }, Event::PlanSelected { .. }] = &events[..]
+    else {
+        panic!("expected a search that walks no subset: {events:?}");
+    };
+    // No group kept an option, and none was dropped as dominated: every
+    // launchable option was pruned by the deadline.
+    assert_eq!(*options_dominated, 0);
+    assert!(*options_pruned >= 50, "{options_pruned} options pruned");
+
+    let (plan, allocs) = counted(|| {
+        TwoLevelOptimizer::new(&problem, &view, cfg)
+            .optimize()
+            .unwrap()
+    });
+    assert!(plan.plan.groups.is_empty(), "no spot option survives");
+    // Two per launchable swept profile plus the search's fixed set-up
+    // stays within three per swept profile (106 for 48 here). Building
+    // the pruned assessments of the 34 launchable swept bids would add
+    // five each, 276 in all.
+    assert!(
+        allocs <= 3 * profiles_swept,
+        "{allocs} allocations for {profiles_swept} swept bid profiles"
     );
 }

@@ -4,11 +4,7 @@
 //! ~10^16 evaluations; dimension reduction (F = φ(P)) brings it to
 //! (bids)^K per subset and the logarithmic grid to (log₂ H)^K ≈ 2000.
 //! These benchmarks measure the real cost of each level on the same
-//! problem, plus the κ scaling and the parallel-search speedup.
-//!
-//! The search-level and κ groups pin `threads: 1` so they keep measuring
-//! the algorithmic cost of each ablation; `parallel_scaling` varies the
-//! worker count on the paper-scale configuration (κ = 4, 12 bid levels).
+//! problem, plus the κ scaling. Every search runs on the calling thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sompi_bench::{build_problem, npb_workload, paper_market, planning_view, LOOSE};
@@ -28,7 +24,6 @@ fn bench_search_levels(c: &mut Criterion) {
         let cfg = OptimizerConfig {
             kappa: 2,
             bid_levels: 5,
-            threads: 1,
             ..Default::default()
         };
         b.iter(|| TwoLevelOptimizer::new(&problem, &view, cfg).optimize())
@@ -39,7 +34,6 @@ fn bench_search_levels(c: &mut Criterion) {
             kappa: 2,
             bid_levels: 5,
             interval_grid: Some(5),
-            threads: 1,
             ..Default::default()
         };
         b.iter(|| TwoLevelOptimizer::new(&problem, &view, cfg).optimize())
@@ -50,7 +44,6 @@ fn bench_search_levels(c: &mut Criterion) {
             kappa: 2,
             bid_levels: 5,
             grid: GridKind::Uniform,
-            threads: 1,
             ..Default::default()
         };
         b.iter(|| TwoLevelOptimizer::new(&problem, &view, cfg).optimize())
@@ -64,33 +57,10 @@ fn bench_search_levels(c: &mut Criterion) {
             let cfg = OptimizerConfig {
                 kappa,
                 bid_levels: 3,
-                threads: 1,
                 ..Default::default()
             };
             b.iter(|| TwoLevelOptimizer::new(&problem, &view, cfg).optimize())
         });
-    }
-    g.finish();
-
-    // Paper-scale search (κ = 4, 12 bid levels) at increasing worker
-    // counts. The result is bit-identical at every setting; only the
-    // wall clock should move.
-    let mut g = c.benchmark_group("parallel_scaling");
-    g.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                let cfg = OptimizerConfig {
-                    kappa: 4,
-                    bid_levels: 12,
-                    threads,
-                    ..Default::default()
-                };
-                b.iter(|| TwoLevelOptimizer::new(&problem, &view, cfg).optimize())
-            },
-        );
     }
     g.finish();
 }

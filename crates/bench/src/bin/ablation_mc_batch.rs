@@ -25,7 +25,7 @@
 //! Timing is best-of-5 (`--smoke`: best-of-1 with shrunk sizes for CI).
 //! `--smoke` additionally asserts the tournament speedup floor
 //! [`SMOKE_SPEEDUP_FLOOR`] and byte-identical tournament JSON across
-//! optimizer thread counts. The full run writes the measured baseline to
+//! repeat runs. The full run writes the measured baseline to
 //! `BENCH_mc_batch.json`.
 
 use ec2_market::death::DeathTimeTable;
@@ -190,7 +190,7 @@ fn mc_study(replicas: usize, hours: f64, exec_hours: f64, iters: usize) -> Study
 /// The duplication-heavy tournament grid: the paper's six-policy roster
 /// submitted by `tenants` tenants over `seeds` markets and a two-point
 /// fault grid.
-fn grid_config(tenants: usize, seeds: &[u64], replicas: u32, threads: u32) -> TournamentConfig {
+fn grid_config(tenants: usize, seeds: &[u64], replicas: u32) -> TournamentConfig {
     let base = [
         "ondemand",
         "no-ft",
@@ -213,7 +213,6 @@ fn grid_config(tenants: usize, seeds: &[u64], replicas: u32, threads: u32) -> To
             repeats: 200,
             kappa: 1,
             bid_levels: 2,
-            threads,
             ..Default::default()
         },
         ..Default::default()
@@ -229,7 +228,7 @@ fn tournament_study(
     replicas: u32,
     iters: usize,
 ) -> (Study, TournamentReport) {
-    let cfg_on = grid_config(tenants, seeds, replicas, 0);
+    let cfg_on = grid_config(tenants, seeds, replicas);
     let mut cfg_off = cfg_on.clone();
     cfg_off.batch_replay = false;
     cfg_off.replay_memo = false;
@@ -326,23 +325,18 @@ fn main() {
         );
         // Determinism contract, extended to the new layers: the full
         // report JSON — counters included — is byte-identical across
-        // optimizer thread counts.
-        let single = run_tournament(
-            &grid_config(tenants, seeds, t_replicas, 1),
-            &NullRecorder,
-            None,
-        )
-        .expect("single-thread tournament runs")
-        .to_json();
-        let threaded = run_tournament(
-            &grid_config(tenants, seeds, t_replicas, 4),
-            &NullRecorder,
-            None,
-        )
-        .expect("four-thread tournament runs")
-        .to_json();
-        assert_eq!(single, threaded, "thread count leaked into the report");
-        println!("\nsmoke checks passed: speedup floor + cross-thread JSON identity");
+        // repeat runs.
+        let run = || {
+            run_tournament(
+                &grid_config(tenants, seeds, t_replicas),
+                &NullRecorder,
+                None,
+            )
+            .expect("tournament runs")
+            .to_json()
+        };
+        assert_eq!(run(), run(), "a repeat run changed the report");
+        println!("\nsmoke checks passed: speedup floor + repeat-run JSON identity");
         return;
     }
 

@@ -2,14 +2,12 @@
 //! exactness-preserving pruning stages, on the stock Figure 5 / Figure 7
 //! planner scenarios.
 //!
-//! Four configurations are timed against the same markets:
+//! Three configurations are timed against the same markets:
 //!
-//! 1. `exhaustive`    — every pruning stage off (the pre-pruning planner),
-//! 2. `+dominance`    — bid-collapse dominance filter only,
-//! 3. `+bound(local)` — dominance + branch-and-bound with worker-local
-//!    incumbents,
-//! 4. `full`          — dominance + branch-and-bound + the shared
-//!    incumbent bound (the default configuration).
+//! 1. `exhaustive` — every pruning stage off (the pre-pruning planner),
+//! 2. `+dominance` — bid-collapse dominance filter only,
+//! 3. `full`       — dominance + branch-and-bound (the default
+//!    configuration).
 //!
 //! Every configuration must return a plan and evaluation identical to the
 //! exhaustive reference — the whole point of the pruning design is that it
@@ -37,7 +35,6 @@ fn ladder(base: OptimizerConfig) -> Vec<(&'static str, OptimizerConfig)> {
             OptimizerConfig {
                 prune_dominance: false,
                 prune_bound: false,
-                shared_incumbent: false,
                 ..base
             },
         ),
@@ -46,16 +43,6 @@ fn ladder(base: OptimizerConfig) -> Vec<(&'static str, OptimizerConfig)> {
             OptimizerConfig {
                 prune_dominance: true,
                 prune_bound: false,
-                shared_incumbent: false,
-                ..base
-            },
-        ),
-        (
-            "+bound(local)",
-            OptimizerConfig {
-                prune_dominance: true,
-                prune_bound: true,
-                shared_incumbent: false,
                 ..base
             },
         ),
@@ -64,7 +51,6 @@ fn ladder(base: OptimizerConfig) -> Vec<(&'static str, OptimizerConfig)> {
             OptimizerConfig {
                 prune_dominance: true,
                 prune_bound: true,
-                shared_incumbent: true,
                 ..base
             },
         ),
@@ -170,7 +156,6 @@ fn run_study(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let base = if smoke {
         OptimizerConfig {
             kappa: 2,
@@ -181,10 +166,9 @@ fn main() {
         OptimizerConfig::default()
     };
     println!(
-        "Search-pruning ablation (kappa = {}, {} bid levels, {} cores){}",
+        "Search-pruning ablation (kappa = {}, {} bid levels){}",
         base.kappa,
         base.bid_levels,
-        cores,
         if smoke { " [smoke]" } else { "" }
     );
     println!();
@@ -250,6 +234,6 @@ fn main() {
     }
 
     println!("(Every row must be identical to the exhaustive reference: the");
-    println!(" dominance filter, branch-and-bound, and shared incumbent are");
-    println!(" exactness-preserving; only planner wall-clock changes.)");
+    println!(" dominance filter and branch-and-bound are exactness-preserving;");
+    println!(" only planner wall-clock changes.)");
 }

@@ -54,7 +54,9 @@ fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
             ec2_market::feed::parse_feed(&text).map_err(|e| CliError::Other(e.to_string()))?;
         let catalog = InstanceCatalog::paper_2014();
         let mut market = SpotMarket::new(catalog.clone());
-        for ((ty_name, zone_name), trace) in ec2_market::feed::traces_by_group(&events, step) {
+        let traces = ec2_market::feed::traces_by_group(&events, step)
+            .map_err(|e| CliError::Other(e.to_string()))?;
+        for ((ty_name, zone_name), trace) in traces {
             let Some(ty) = catalog.by_name(&ty_name) else {
                 return Err(CliError::Other(format!(
                     "feed references unknown instance type {ty_name:?}"
@@ -130,6 +132,29 @@ mod tests {
         .unwrap();
         let m = market_from(&args(&["--feed", path.to_str().unwrap()])).unwrap();
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn feed_with_bad_values_errors_without_panicking() {
+        let dir = std::env::temp_dir().join("sompi-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, feed, want) in [
+            (
+                "negative.txt",
+                "0 m1.small us-east-1a 0.01\n3600 m1.small us-east-1a -0.5\n",
+                "line 2: price -0.5",
+            ),
+            (
+                "far.txt",
+                "0 m1.small us-east-1a 0.01\n1e300 m1.small us-east-1a 0.02\n",
+                "steps of",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, feed).unwrap();
+            let err = market_from(&args(&["--feed", path.to_str().unwrap()])).unwrap_err();
+            assert!(err.to_string().contains(want), "{name}: {err}");
+        }
     }
 
     #[test]

@@ -37,12 +37,10 @@ pub(crate) const PLAN_FLAGS: &[&str] = &[
     "strategy",
     "json",
     "history",
-    "threads",
     "trace-out",
     "trace-level",
     "no-prune-dominance",
     "no-prune-bound",
-    "no-shared-incumbent",
     "no-trace-index",
 ];
 
@@ -65,12 +63,11 @@ pub(crate) fn plan_request_from(args: &Args) -> Result<PlanRequest, CliError> {
         kappa: args.u64_or("kappa", 4)? as u32,
         bid_levels: args.u64_or("levels", 12)? as u32,
         slack: args.f64_or("slack", 0.2)?,
-        threads: args.u64_or("threads", 0)? as u32,
+        threads: 0,
         // Pruning ablation switches; all stages preserve the exact
         // optimum, so disabling them only changes planner wall-clock.
         prune_dominance: !args.flag("no-prune-dominance"),
         prune_bound: !args.flag("no-prune-bound"),
-        shared_incumbent: !args.flag("no-shared-incumbent"),
         history_hours: args.f64_or("history", 48.0)?,
         view_start_hours: 0.0,
     })
@@ -327,8 +324,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `sompi tournament` — plan and Monte-Carlo-execute a roster of
 /// policies over a grid of markets × fault plans, head to head. The
-/// report (including `--json`) is byte-identical across runs and
-/// `--threads` settings — the determinism contract CI enforces.
+/// report (including `--json`) is byte-identical across runs.
 pub fn cmd_tournament(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut flags = PLAN_FLAGS.to_vec();
     flags.extend([
@@ -605,26 +601,14 @@ mod tests {
     }
 
     #[test]
-    fn oversized_thread_count_does_not_change_the_plan() {
-        // Thread requests beyond the core count run on the cores; the
-        // plan report stays byte-identical to the sequential search's.
-        let base = [
-            "--hours",
-            "200",
-            "--repeats",
-            "50",
-            "--kappa",
-            "2",
-            "--levels",
-            "3",
-            "--json",
-        ];
-        let with_threads = |n: &'static str| {
-            let mut flags = base.to_vec();
-            flags.extend(["--threads", n]);
-            run(cmd_plan, &flags)
-        };
-        assert_eq!(with_threads("1"), with_threads("100000"));
+    fn search_thread_flags_are_unknown() {
+        // Every plan search runs on its calling thread, so the flags that
+        // sized and coordinated its workers are gone.
+        for flags in [&["--threads", "4"][..], &["--no-shared-incumbent"]] {
+            let mut buf = Vec::new();
+            let err = cmd_plan(&args(flags), &mut buf).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{flags:?}: {err}");
+        }
     }
 
     #[test]

@@ -41,10 +41,9 @@ COMMON FLAGS:
     --strategy NAME            planning policy: sompi, on-demand, marathe,
                                marathe-opt, spot-inf, spot-avg, no-rp, no-ck,
                                no-ft, ckpt-only, app-centric, deadline-hedge
-    --kappa K --levels L --slack S      optimizer knobs (default 4, 12, 0.2)
-    --threads N                optimizer worker threads (0 = all cores, default;
-                               larger counts are capped at the core count)
-    --no-prune-dominance / --no-prune-bound / --no-shared-incumbent
+    --kappa K --levels L --slack S      optimizer knobs (default 4, 12, 0.2);
+                               each plan search runs on the calling thread
+    --no-prune-dominance / --no-prune-bound
                                disable exactness-preserving search pruning stages
                                (ablation; the optimum never changes)
     --no-trace-index           disable the max/min-tree trace index used by

@@ -15,8 +15,8 @@
 //!   re-plans every `T_m` hours against fresh history (SOMPI) or never
 //!   (the w/o-MT ablation),
 //! * [`montecarlo`] — repeat either runner from seeded random start points,
-//!   in parallel across threads (crossbeam scoped threads; results are
-//!   deterministic for a given seed and replica count),
+//!   in parallel across the calling thread and crossbeam scoped threads
+//!   (results are deterministic for a given seed and replica count),
 //! * [`stats`] — summary statistics for experiment tables.
 //!
 //! ```

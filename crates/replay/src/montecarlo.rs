@@ -2,9 +2,12 @@
 //!
 //! The paper repeats the trace-replay simulation "one million times" from
 //! random start points. [`MonteCarlo`] distributes seeded replicas across
-//! threads with crossbeam's scoped threads; results are deterministic for
-//! a (seed, replica-count) pair regardless of thread count, because each
-//! replica's start offset derives only from the seed and its index.
+//! workers; results are deterministic for a (seed, replica-count) pair
+//! regardless of thread count, because each replica's start offset derives
+//! only from the seed and its index. The calling thread is worker 0, and
+//! only the other workers get a crossbeam scoped thread, so a run with
+//! one worker's worth of chunks — any run of at most 64 replicas — spawns
+//! no thread at all.
 //!
 //! Aggregation streams and never materializes per-replica outcomes. The
 //! replicas are split into fixed-size chunks whose boundaries depend only
@@ -190,10 +193,10 @@ pub struct MonteCarlo {
     /// Latest admissible start offset (hours) — leave room for the
     /// execution after it.
     pub offset_max: Hours,
-    /// Worker threads, with the same semantics as
-    /// `OptimizerConfig::threads`: `0` = one worker per available core,
-    /// `1` = sequential, `n` = exactly `n` workers. Results are identical
-    /// at any value — only wall-clock changes.
+    /// Workers: `0` = one per available core, `1` = sequential, `n` = `n`
+    /// workers. Never more workers than chunks run; the calling thread is
+    /// worker 0, so `n` workers spawn `n − 1` threads. Results are
+    /// identical at any value — only wall-clock changes.
     pub threads: usize,
 }
 
@@ -266,8 +269,9 @@ impl MonteCarlo {
         rng.gen_range(self.offset_min..self.offset_max)
     }
 
-    /// Run `f(start_offset)` for every replica in parallel and aggregate
-    /// by streaming: each worker folds whole chunks of replicas into
+    /// Run `f(start_offset)` for every replica and aggregate by
+    /// streaming: the calling thread and up to `threads − 1` scoped
+    /// threads each fold a contiguous run of whole chunks of replicas into
     /// moment-and-counter partials and one pair of quantile histograms
     /// (never materializing per-replica outcomes); the partials merge in
     /// ascending chunk order and the histograms are summed. Chunk
@@ -294,15 +298,15 @@ impl MonteCarlo {
                 message: "offset window must be non-empty".to_string(),
             });
         }
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
         let chunk = chunk_size(self.replicas);
         let n_chunks = self.replicas.div_ceil(chunk);
+        // `0` means one worker per core; one chunk needs one worker, so it
+        // skips the core-count query, which reads cgroup files on Linux.
+        let workers = match self.threads {
+            0 if n_chunks > 1 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n.max(1),
+        }
+        .min(n_chunks);
         // Fold one chunk of consecutive replicas into its partial and the
         // worker's histograms; stops at the chunk's first replica error.
         let run_chunk = |c: usize, hists: &mut Histograms| -> Result<ChunkPartial, SompiError> {
@@ -331,24 +335,20 @@ impl MonteCarlo {
             }
         };
         let mut parts: Vec<Slot> = (0..n_chunks).map(|_| None).collect();
-        let workers = if threads <= 1 {
-            1
-        } else {
-            threads.min(n_chunks)
-        };
         let per_worker = n_chunks.div_ceil(workers);
         let mut hists = vec![Histograms::default(); n_chunks.div_ceil(per_worker)];
-        if threads <= 1 {
-            run_chunks(0, &mut parts, &mut hists[0]);
-        } else {
-            crossbeam::thread::scope(|s| {
-                for ((w, slots), h) in parts.chunks_mut(per_worker).enumerate().zip(&mut hists) {
-                    let run_chunks = &run_chunks;
-                    s.spawn(move |_| run_chunks(w * per_worker, slots, h));
-                }
-            })
-            .expect("crossbeam scope failed");
-        }
+        // The caller is worker 0: only workers 1.. get a thread, so a run
+        // of one worker's chunks spawns nothing.
+        crossbeam::thread::scope(|s| {
+            let mut work = parts.chunks_mut(per_worker).zip(&mut hists);
+            let (first, first_hists) = work.next().expect("at least one chunk");
+            for (w, (slots, h)) in work.enumerate() {
+                let run_chunks = &run_chunks;
+                s.spawn(move |_| run_chunks((w + 1) * per_worker, slots, h));
+            }
+            run_chunks(0, first, first_hists);
+        })
+        .expect("crossbeam scope failed");
         // Deterministic merge: chunk moments in ascending chunk index, then
         // the worker histograms, whose integer counts sum exactly in any
         // order. The first error in chunk order is the lowest-replica-index
@@ -642,6 +642,54 @@ mod tests {
         assert!(reference.cost.max / reference.cost.min > 64.0);
         for threads in [2, 3, 5, 16, 17] {
             assert_eq!(reference, eval(threads), "threads={threads}");
+        }
+    }
+
+    /// The distinct threads `mc` calls its replica function on.
+    fn threads_used(mc: MonteCarlo) -> std::collections::HashSet<std::thread::ThreadId> {
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        mc.evaluate(|start| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            Ok(synthetic(start))
+        })
+        .unwrap();
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_calling_thread() {
+        // 64 replicas are one chunk: whatever the thread setting, there is
+        // one worker, and the caller is it.
+        let caller = std::thread::current().id();
+        for threads in [0, 2, 8] {
+            let mc = MonteCarlo::builder()
+                .replicas(MIN_CHUNK)
+                .seed(3)
+                .offsets(0.0, 96.0)
+                .threads(threads)
+                .build();
+            let used = threads_used(mc);
+            assert_eq!(used.len(), 1, "threads={threads}");
+            assert!(used.contains(&caller), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // 1,000 replicas are 16 chunks, which 2, 3, 4 and 8 workers split
+        // without leaving one idle: each worker is one thread, and the
+        // calling thread runs the first worker's chunks.
+        let caller = std::thread::current().id();
+        for threads in [2, 3, 4, 8] {
+            let mc = MonteCarlo::builder()
+                .replicas(1_000)
+                .seed(21)
+                .offsets(0.0, 96.0)
+                .threads(threads)
+                .build();
+            let used = threads_used(mc);
+            assert_eq!(used.len(), threads, "threads={threads}");
+            assert!(used.contains(&caller), "threads={threads}");
         }
     }
 

@@ -14,23 +14,22 @@
 //! wins. The optimizer also always considers the pure on-demand plan, so
 //! it degrades gracefully when no spot configuration meets the deadline.
 //!
-//! # Parallel search
+//! # One walker
 //!
-//! The `C(K, k)` subsets of the groups that have options are fanned out
-//! across [`OptimizerConfig::threads`] workers, capped at the host's
-//! cores (crossbeam scoped threads, the same pattern as `replay`'s
-//! Monte-Carlo): every worker runs the bid odometer over its contiguous
-//! chunk of the subset list with
-//! worker-local state — an incumbent, an evaluation counter, and reused
-//! scratch buffers — and the per-worker
-//! winners are merged under a *total* candidate order: feasibility first,
-//! then lower expected cost, then the lexicographic bid-vector tie-break
-//! (higher bids win — see the private `beats` helper), then the unique
-//! enumeration ordinal
-//! `(subset index, odometer step)`. Because that order is total and
-//! independent of how the subset list is chunked, the returned
-//! [`OptimizedPlan`] — plan, evaluation, and `evaluations_performed` — is
-//! identical at any thread count.
+//! The search runs on its calling thread. One walker takes the `C(K, k)`
+//! subsets of the groups that have options in order, running the bid
+//! odometer over each with reused scratch buffers, one incumbent and one
+//! `f64` incumbent cost bound to prune against. The incumbent is the best
+//! candidate under a *total* order: feasibility first, then lower
+//! expected cost, then the lexicographic bid-vector tie-break (higher bids
+//! win — see the private `beats` helper), then the unique enumeration
+//! ordinal `(subset index, odometer step)`. So the returned
+//! [`OptimizedPlan`] and every search counter are deterministic.
+//!
+//! One thread suffices: a pruned search takes microseconds, less than
+//! spawning workers would cost, and a bound that no other thread moves
+//! keeps the skip, rejection and tightening tallies deterministic
+//! (DESIGN.md §8.3).
 
 use crate::adaptive::PlanContext;
 use crate::cost::{
@@ -49,8 +48,6 @@ use ec2_market::failure::FailureEstimator;
 use serde::{Deserialize, Serialize};
 use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
 use std::cmp::Ordering;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Which bid grid shape to search (logarithmic is the paper's; uniform
 /// exists for the ablation bench).
@@ -71,10 +68,8 @@ pub enum GridKind {
 /// let cfg = OptimizerConfig::default();
 /// assert_eq!(cfg.kappa, 4);        // §5.2: diminishing returns past 4
 /// assert_eq!(cfg.bid_levels, 12);  // log₂ grid cap per group
-/// assert_eq!(cfg.threads, 0);      // 0 = one worker per core
 /// assert!(cfg.prune_dominance);    // exact pruning is on by default
 /// assert!(cfg.prune_bound);
-/// assert!(cfg.shared_incumbent);
 ///
 /// // Struct-update syntax is the idiomatic way to tweak one knob:
 /// let quick = OptimizerConfig { kappa: 2, bid_levels: 3, ..cfg };
@@ -109,11 +104,6 @@ pub struct OptimizerConfig {
     /// a large fraction of runs; this knob trades expected cost for
     /// per-run deadline reliability. `None` reproduces the paper.
     pub min_spot_success: Option<f64>,
-    /// Worker threads for the subset search: `0` = one per available
-    /// core, `1` = sequential. Larger requests are capped at the core
-    /// count, so no input spawns more workers than the host runs at once.
-    /// The result is identical at any setting.
-    pub threads: usize,
     /// Drop per-group options whose only difference from a surviving
     /// higher-bid option is the bid itself (DESIGN.md §8.1). Exact: the
     /// returned plan, evaluation, and tie-breaks are unchanged. Off
@@ -129,12 +119,6 @@ pub struct OptimizerConfig {
     /// `evaluations_performed` still reports the full enumeration size.
     #[serde(default = "default_true")]
     pub prune_bound: bool,
-    /// Share the incumbent cost bound across worker threads through a
-    /// relaxed `AtomicU64` (DESIGN.md §8.3). Only strengthens
-    /// `prune_bound`'s pruning; the deterministic total-order merge keeps
-    /// the result identical at any thread count.
-    #[serde(default = "default_true")]
-    pub shared_incumbent: bool,
 }
 
 fn default_true() -> bool {
@@ -208,12 +192,6 @@ impl OptimizerConfigBuilder {
         self
     }
 
-    /// Set the worker thread count (0 = one per core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Toggle the bid-collapse dominance filter.
     pub fn prune_dominance(mut self, on: bool) -> Self {
         self.config.prune_dominance = on;
@@ -223,12 +201,6 @@ impl OptimizerConfigBuilder {
     /// Toggle branch-and-bound pruning.
     pub fn prune_bound(mut self, on: bool) -> Self {
         self.config.prune_bound = on;
-        self
-    }
-
-    /// Toggle the cross-worker shared incumbent bound.
-    pub fn shared_incumbent(mut self, on: bool) -> Self {
-        self.config.shared_incumbent = on;
         self
     }
 
@@ -248,10 +220,8 @@ impl Default for OptimizerConfig {
             top_margin: Some(1.25),
             interval_grid: None,
             min_spot_success: None,
-            threads: 0,
             prune_dominance: true,
             prune_bound: true,
-            shared_incumbent: true,
         }
     }
 }
@@ -294,8 +264,9 @@ pub struct OptimizedPlan {
     pub evaluations_performed: u64,
 }
 
-/// A worker's best candidate so far, carrying enough to compare under the
-/// total candidate order and to rebuild the winning plan once at the end.
+/// The search's best candidate so far, carrying enough to compare under
+/// the total candidate order and to rebuild the winning plan once at the
+/// end.
 struct Candidate {
     feasible: bool,
     eval: Evaluation,
@@ -310,11 +281,11 @@ struct Candidate {
     ordinal: (usize, u64),
 }
 
-/// One worker's search result: its incumbent plus the plain `u64`
-/// counters the hot loop maintains (evaluations, feasible hits, subsets
-/// walked). These merge at join into the total evaluation count and, when
-/// a recorder wants Detail, one `SubsetEvaluated` event per worker.
-struct WorkerStats {
+/// The walk's result: its incumbent plus the plain `u64` counters the hot
+/// loop maintains (evaluations, feasible hits, subsets walked). They feed
+/// `PlanSelected` and, when a recorder wants Detail, one
+/// `SubsetEvaluated` event.
+struct SearchStats {
     evaluations: u64,
     feasible: u64,
     subsets: u64,
@@ -326,10 +297,9 @@ struct WorkerStats {
     /// slots' smallest lower bounds was already above the incumbent.
     /// Their positions are counted in `skipped`.
     rejected: u64,
-    /// Times this worker published a strictly better feasible cost to
-    /// the incumbent bound (shared or local).
+    /// Times a feasible candidate lowered the incumbent cost bound.
     tightenings: u64,
-    /// Wall nanoseconds this worker spent inside the per-subset candidate
+    /// Wall nanoseconds the walk spent inside the per-subset candidate
     /// loops (evaluation-dominated; timed per subset, not per evaluation,
     /// so the hot loop carries no timer calls). Only subsets that reach
     /// the walk are timed; rejected ones are not.
@@ -574,21 +544,6 @@ fn beats(
     }
 }
 
-/// Resolve the configured thread count: `0` = one per available core,
-/// and never more than that, since the count can come from wire input.
-/// `1` skips the core-count query, which reads cgroup files on Linux.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 1 {
-        return 1;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if threads == 0 {
-        cores
-    } else {
-        threads.min(cores)
-    }
-}
-
 /// SOMPI's offline optimizer over one problem + market view.
 #[derive(Debug, Clone)]
 pub struct TwoLevelOptimizer<'a> {
@@ -622,10 +577,9 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// Run the full search with everything optional riding in `ctx` (the
     /// same [`PlanContext`] the adaptive planner and [`crate::policy`]
     /// use). Only `ctx.recorder` matters here; the rest is ignored. It
-    /// receives one `PlanSearchStarted`, one `SubsetEvaluated` per worker
-    /// (Detail level, in worker-index order, merged at join), and one
-    /// `PlanSelected`. The hot candidate loop only increments
-    /// worker-local `u64` counters; events are built outside it.
+    /// receives one `PlanSearchStarted`, one `SubsetEvaluated` (Detail
+    /// level) and one `PlanSelected`. The hot candidate loop only
+    /// increments local `u64` counters; events are built outside it.
     pub fn optimize_with(&self, ctx: &mut PlanContext<'_>) -> Result<OptimizedPlan, SompiError> {
         let recorder = ctx.recorder;
         let od = select_on_demand(
@@ -648,38 +602,32 @@ impl<'a> TwoLevelOptimizer<'a> {
         let od_eval = evaluate(&[], &od);
         let od_feasible = od_eval.meets(self.problem.deadline);
 
-        // The branch-and-bound inputs, built once and shared read-only by
-        // every worker (DESIGN.md §8.2).
+        // The branch-and-bound inputs, built once per search (DESIGN.md
+        // §8.2).
         let tables = BoundTables::new(&options, self.config.kappa);
 
-        // The incumbent cost bound candidates must beat, as IEEE bits
-        // (non-negative floats order identically as u64 bits, so
-        // `fetch_min` over bits is `fetch_min` over costs). Seeded with
-        // the on-demand incumbent when it is feasible — the search only
-        // keeps spot candidates that beat it anyway.
+        // The incumbent cost bound candidates must beat, seeded with the
+        // on-demand incumbent when it is feasible — the search only keeps
+        // spot candidates that beat it anyway.
         let seed_bound = if od_feasible {
             od_eval.expected_cost
         } else {
             f64::INFINITY
         };
-        let shared_bound = AtomicU64::new(seed_bound.to_bits());
-        let use_shared = self.config.shared_incumbent && self.config.prune_bound;
 
         // The k-subsets of the groups with options (k ascending,
-        // lexicographic within k), chunked across workers by their stable
-        // index. A subset holding a group without options has no
-        // candidate, so leaving it out drops nothing, and the subsets kept
-        // keep their relative order: every ordinal tie-break is unchanged.
+        // lexicographic within k). A subset holding a group without
+        // options has no candidate, so leaving it out drops nothing, and
+        // the subsets kept keep their relative order: every ordinal
+        // tie-break is unchanged.
         let n = self.problem.candidates.len();
         let with_options: Vec<usize> = (0..n).filter(|&g| !options[g].is_empty()).collect();
         let subsets = SubsetList::new(&with_options, self.config.kappa);
 
-        let threads = resolve_threads(self.config.threads).min(subsets.len().max(1));
         emit(recorder, TraceLevel::Summary, || Event::PlanSearchStarted {
             candidates: n as u32,
             kappa: self.config.kappa as u32,
             bid_levels: self.config.bid_levels,
-            threads: threads as u32,
             subsets: subset_count(n, self.config.kappa),
             options_considered,
             options_pruned,
@@ -690,88 +638,41 @@ impl<'a> TwoLevelOptimizer<'a> {
         });
 
         let search_timer = PhaseTimer::start();
-        let shared = use_shared.then_some(&shared_bound);
-        let all = 0..subsets.len();
-        let results: Vec<WorkerStats> = if threads <= 1 {
-            vec![self.search_chunk(&options, &od, &subsets, &tables, all, shared, seed_bound)]
-        } else {
-            // Contiguous ranges of the subset list, one per worker.
-            let chunk = all.len().div_ceil(threads);
-            let (options, subsets, od, tables) = (&options, &subsets, &od, &tables);
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = all
-                    .step_by(chunk)
-                    .map(|first| {
-                        let range = first..(first + chunk).min(subsets.len());
-                        s.spawn(move |_| {
-                            self.search_chunk(
-                                options, od, subsets, tables, range, shared, seed_bound,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("search worker panicked"))
-                    .collect()
-            })
-            .expect("crossbeam scope failed")
-        };
-
+        let stats = self.search(&options, &od, &subsets, &tables, seed_bound);
         let search_secs = search_timer.elapsed_secs();
 
-        // Per-worker counters surface as Detail events in worker-index
-        // order — the deterministic per-worker view of the search.
-        for (worker, stats) in results.iter().enumerate() {
-            emit(recorder, TraceLevel::Detail, || Event::SubsetEvaluated {
-                worker: worker as u32,
-                subsets: stats.subsets,
-                evaluations: stats.evaluations,
-                feasible: stats.feasible,
-                best_cost: stats
-                    .best
-                    .as_ref()
-                    .filter(|c| c.feasible)
-                    .map(|c| c.eval.expected_cost),
-                phi_intervals: stats
-                    .best
-                    .as_ref()
-                    .map(|c| {
-                        c.subset
-                            .iter()
-                            .zip(&c.idx)
-                            .map(|(&g, &i)| options[g][i].decision.ckpt_interval)
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                skipped: stats.skipped,
-                subsets_rejected: stats.rejected,
-            });
-        }
+        emit(recorder, TraceLevel::Detail, || Event::SubsetEvaluated {
+            subsets: stats.subsets,
+            evaluations: stats.evaluations,
+            feasible: stats.feasible,
+            best_cost: stats
+                .best
+                .as_ref()
+                .filter(|c| c.feasible)
+                .map(|c| c.eval.expected_cost),
+            phi_intervals: stats
+                .best
+                .as_ref()
+                .map(|c| {
+                    c.subset
+                        .iter()
+                        .zip(&c.idx)
+                        .map(|(&g, &i)| options[g][i].decision.ckpt_interval)
+                        .collect()
+                })
+                .unwrap_or_default(),
+            skipped: stats.skipped,
+            subsets_rejected: stats.rejected,
+        });
 
-        // Deterministic merge: worker-local winners fold under the same
-        // total order the workers used, so chunking cannot change the
-        // result, and the evaluation counters sum to the serial count.
-        let mut evaluations: u64 = 1; // the on-demand incumbent
-        let mut evals_skipped: u64 = 0;
-        let mut bound_tightenings: u64 = 0;
-        let mut kernel_nanos: u64 = 0;
-        let mut best: Option<Candidate> = None;
-        for stats in results {
-            evaluations += stats.evaluations;
-            evals_skipped += stats.skipped;
-            bound_tightenings += stats.tightenings;
-            kernel_nanos += stats.kernel_nanos;
-            if let Some(c) = stats.best {
-                let replace = match &best {
-                    None => true,
-                    Some(b) => beats(c.feasible, &c.eval, c.bids.iter().copied(), c.ordinal, b),
-                };
-                if replace {
-                    best = Some(c);
-                }
-            }
-        }
+        let evaluations = stats.evaluations + 1; // the on-demand incumbent
+        let SearchStats {
+            skipped: evals_skipped,
+            tightenings: bound_tightenings,
+            kernel_nanos,
+            best,
+            ..
+        } = stats;
 
         // The winning spot candidate must still beat the on-demand
         // incumbent — strictly, as in the sequential algorithm, so ties
@@ -859,11 +760,10 @@ impl<'a> TwoLevelOptimizer<'a> {
         Ok(out)
     }
 
-    /// Search one contiguous range of the subset list with worker-local
-    /// state: a reused borrow buffer, a reused odometer, an
-    /// [`EvalScratch`], a local incumbent, and a local evaluation counter.
-    /// A subset's index into `subsets` enters the enumeration ordinal, so
-    /// ordinals are globally unique and chunk-invariant.
+    /// Walk every subset in order with a reused borrow buffer, a reused
+    /// odometer, an [`EvalScratch`], an incumbent, and an evaluation
+    /// counter. A subset's index into `subsets` enters the enumeration
+    /// ordinal, so ordinals are unique.
     ///
     /// With [`OptimizerConfig::prune_bound`] on, each subset runs a
     /// branch-and-bound walk (DESIGN.md §8.2) over its slots' options
@@ -876,26 +776,21 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// that passes is still skipped when its whole-candidate floor, which
     /// adds the on-demand recovery share (DESIGN.md §8.5), exceeds the
     /// incumbent cost.
-    /// `shared_bound` (cost as IEEE bits) is the cross-worker incumbent
-    /// when [`OptimizerConfig::shared_incumbent`] is on; otherwise the
-    /// worker prunes against a local bound seeded from `seed_bound`, the
-    /// on-demand incumbent's cost. Pruning never removes a candidate that could
-    /// win under the total order, so the returned incumbent — and with it
-    /// the merged [`OptimizedPlan`] — is bit-identical to the exhaustive
-    /// walk. The reported `evaluations` counter always carries the full
-    /// enumeration size; actually-skipped positions are tallied in
-    /// `skipped` for observability only.
-    #[allow(clippy::too_many_arguments)]
-    fn search_chunk(
+    /// The bound starts at `seed_bound`, the on-demand incumbent's cost.
+    /// Pruning never removes a candidate that could win under the total
+    /// order, so the returned incumbent — and with it the
+    /// [`OptimizedPlan`] — is bit-identical to the exhaustive walk. The
+    /// reported `evaluations` counter always carries the full enumeration
+    /// size; actually-skipped positions are tallied in `skipped` for
+    /// observability only.
+    fn search(
         &self,
         options: &[Vec<GroupAssessment>],
         od: &OnDemandOption,
         subsets: &SubsetList,
         tables: &BoundTables,
-        range: Range<usize>,
-        shared_bound: Option<&AtomicU64>,
         seed_bound: f64,
-    ) -> WorkerStats {
+    ) -> SearchStats {
         let mut evaluations = 0u64;
         let mut feasible_hits = 0u64;
         let mut subsets_walked = 0u64;
@@ -915,11 +810,10 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut lens: Vec<usize> = Vec::new();
         let mut weights: Vec<u64> = Vec::new();
         let mut head_min: Vec<f64> = Vec::new();
-        // Worker-local incumbent bound, used when no shared bound is
-        // installed. Either way the bound only ever holds feasible
-        // candidate costs (or the on-demand seed), so strict pruning
-        // against it is exact (DESIGN.md §8.3).
-        let mut local_bound = seed_bound;
+        // The incumbent cost bound. It only ever holds feasible candidate
+        // costs (or the on-demand seed), so strict pruning against it is
+        // exact (DESIGN.md §8.2).
+        let mut bound = seed_bound;
         // Each option's whole-candidate floor tables, built the first time
         // a combination holding the option survives the per-slot bound.
         let option_base: Vec<usize> = options
@@ -933,7 +827,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut floors: Vec<Option<Box<CostFloor>>> =
             vec![None; options.iter().map(Vec::len).sum()];
 
-        for subset_ordinal in range {
+        for subset_ordinal in 0..subsets.len() {
             let chosen = subsets.get(subset_ordinal);
             subsets_walked += 1;
             let product: u64 = chosen
@@ -942,8 +836,8 @@ impl<'a> TwoLevelOptimizer<'a> {
                 .fold(1, u64::saturating_mul);
             // Count the full enumeration up front: the published
             // `evaluations_performed` stays the paper's search-space
-            // metric, identical at any thread count and unchanged by how
-            // many positions branch-and-bound manages to skip.
+            // metric, unchanged by how many positions branch-and-bound
+            // manages to skip.
             evaluations += product;
             let level = tables.level(chosen);
             // Early rejection: the walk's first step sums the slots'
@@ -952,9 +846,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             // bounds no smaller, and the incumbent never rises), so the
             // walk would skip the whole subset. Decide it here, before
             // any set-up.
-            if self.config.prune_bound
-                && tables.head(chosen, level) > load_bound(shared_bound, local_bound)
-            {
+            if self.config.prune_bound && tables.head(chosen, level) > bound {
                 skipped += product;
                 rejected += 1;
                 continue;
@@ -1048,7 +940,6 @@ impl<'a> TwoLevelOptimizer<'a> {
             let mut evaluated_here = 0u64;
             let mut exhausted = false;
             while !exhausted {
-                let bound = load_bound(shared_bound, local_bound);
                 let lb_total: f64 = (0..m).map(|s| slots[s][idx[s]].0).sum();
                 if lb_total > bound {
                     // Prune. Advance at the highest slot `h` whose fixed
@@ -1103,25 +994,12 @@ impl<'a> TwoLevelOptimizer<'a> {
                         .map(|q| eval.p_all_fail <= 1.0 - q)
                         .unwrap_or(true);
                 feasible_hits += feasible as u64;
-                if feasible {
-                    // Publish the cost to the incumbent bound. Only
-                    // feasible costs enter it, so pruning can never drop
-                    // a candidate that would beat a feasible incumbent.
-                    let bits = eval.expected_cost.to_bits();
-                    match shared_bound {
-                        Some(s) => {
-                            let prev = s.fetch_min(bits, AtomicOrdering::Relaxed);
-                            if bits < prev {
-                                tightenings += 1;
-                            }
-                        }
-                        None => {
-                            if eval.expected_cost < local_bound {
-                                local_bound = eval.expected_cost;
-                                tightenings += 1;
-                            }
-                        }
-                    }
+                if feasible && eval.expected_cost < bound {
+                    // Only feasible costs enter the bound, so pruning can
+                    // never drop a candidate that would beat a feasible
+                    // incumbent.
+                    bound = eval.expected_cost;
+                    tightenings += 1;
                 }
                 // The enumeration step the unsorted odometer would have
                 // assigned this combination — ordinals must not depend
@@ -1157,7 +1035,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             skipped += product.saturating_sub(evaluated_here);
             kernel_nanos += subset_timer.elapsed().as_nanos() as u64;
         }
-        WorkerStats {
+        SearchStats {
             evaluations,
             feasible: feasible_hits,
             subsets: subsets_walked,
@@ -1283,17 +1161,8 @@ fn by_bound(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// The incumbent cost bound a worker prunes against: the shared one when
-/// installed, else its own.
-fn load_bound(shared: Option<&AtomicU64>, local: f64) -> f64 {
-    match shared {
-        Some(s) => f64::from_bits(s.load(AtomicOrdering::Relaxed)),
-        None => local,
-    }
-}
-
 /// The branch-and-bound inputs of one search (DESIGN.md §8.2), built once
-/// and read by every worker.
+/// per search.
 ///
 /// A subset's `w_min` is the smallest of its groups' minimum completion
 /// walls, so it is one of those walls: the sorted distinct walls of the
@@ -1609,60 +1478,49 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_result() {
-        let (_, problem, view) = setup();
-        let base = OptimizerConfig {
-            kappa: 2,
-            bid_levels: 3,
-            ..OptimizerConfig::default()
-        };
-        let serial =
-            TwoLevelOptimizer::new(&problem, &view, OptimizerConfig { threads: 1, ..base })
-                .optimize()
-                .unwrap();
-        for threads in [2usize, 8] {
-            let parallel =
-                TwoLevelOptimizer::new(&problem, &view, OptimizerConfig { threads, ..base })
-                    .optimize()
-                    .unwrap();
-            assert_eq!(serial, parallel, "threads={threads} diverged from serial");
-        }
-    }
-
-    #[test]
-    fn oversized_thread_requests_run_on_the_cores() {
         use sompi_obs::RingRecorder;
 
-        // The worker count can come from wire input: a request for more
-        // workers than the host has cores runs on the cores and returns
-        // the sequential plan.
+        // Each search is one walker with one `f64` bound: a repeated
+        // search gives the same plan and the same skip, rejection and
+        // tightening tallies. Only the wall times may differ.
         let (_, problem, view) = setup();
-        let base = OptimizerConfig {
-            kappa: 2,
-            bid_levels: 3,
-            threads: 1,
+        let cfg = OptimizerConfig {
+            kappa: 3,
+            bid_levels: 6,
             ..OptimizerConfig::default()
         };
-        let serial = TwoLevelOptimizer::new(&problem, &view, base)
-            .optimize()
-            .unwrap();
-        let ring = RingRecorder::new(TraceLevel::Summary, 16);
-        let huge = OptimizerConfig {
-            threads: usize::MAX,
-            ..base
+        let run = || {
+            let ring = RingRecorder::new(TraceLevel::Detail, 16);
+            let plan = TwoLevelOptimizer::new(&problem, &view, cfg)
+                .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+                .unwrap();
+            let mut events = ring.take();
+            for e in &mut events {
+                if let Event::PlanSelected {
+                    assess_secs,
+                    search_secs,
+                    evals_per_sec,
+                    kernel_nanos,
+                    ..
+                } = e
+                {
+                    (*assess_secs, *search_secs, *evals_per_sec, *kernel_nanos) =
+                        (0.0, 0.0, 0.0, 0);
+                }
+            }
+            (plan, events)
         };
-        let plan = TwoLevelOptimizer::new(&problem, &view, huge)
-            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
-            .unwrap();
-        assert_eq!(serial, plan);
-        let events = ring.take();
-        let Some(Event::PlanSearchStarted { threads, .. }) = events.first() else {
-            panic!("PlanSearchStarted first: {events:?}");
+        let reference = run();
+        let Some(Event::PlanSelected {
+            evals_skipped,
+            bound_tightenings,
+            ..
+        }) = reference.1.last()
+        else {
+            panic!("PlanSelected last: {:?}", reference.1);
         };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert!(
-            *threads as usize <= cores,
-            "{threads} workers on {cores} cores"
-        );
+        assert!(*evals_skipped > 0 && *bound_tightenings > 0);
+        assert_eq!(run(), reference);
     }
 
     #[test]
@@ -2054,7 +1912,6 @@ mod assess_options_tests {
         let base = OptimizerConfig {
             kappa: 2,
             bid_levels: 12,
-            threads: 1,
             ..OptimizerConfig::default()
         };
         for cfg in [

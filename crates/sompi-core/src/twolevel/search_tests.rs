@@ -84,13 +84,6 @@ fn long_job() -> (Problem, MarketView) {
     (problem, view)
 }
 
-fn pin_config() -> OptimizerConfig {
-    OptimizerConfig {
-        threads: 1,
-        ..OptimizerConfig::default()
-    }
-}
-
 /// FNV-1a over a string.
 fn fnv(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -99,7 +92,7 @@ fn fnv(s: &str) -> u64 {
 }
 
 /// One search's pinned values, as one line: `PlanSelected`'s counters,
-/// the single worker's `SubsetEvaluated` counters, and a digest of the
+/// the `SubsetEvaluated` counters (labelled `worker`), and a digest of the
 /// plan JSON. The ten sliding-view plans were first pinned with
 /// cross-window warm starts and kept their digests when the searches
 /// went cold: the warm layers never changed a plan.
@@ -150,7 +143,7 @@ fn seeded_searches_keep_their_counters_and_plans() {
     got.push(traced(&TwoLevelOptimizer::new(
         &problem,
         &view,
-        pin_config(),
+        OptimizerConfig::default(),
     )));
 
     // Ten re-plans on a view sliding 2 h per window.
@@ -160,7 +153,7 @@ fn seeded_searches_keep_their_counters_and_plans() {
         got.push(traced(&TwoLevelOptimizer::new(
             &problem,
             &view,
-            pin_config(),
+            OptimizerConfig::default(),
         )));
     }
 
@@ -169,7 +162,7 @@ fn seeded_searches_keep_their_counters_and_plans() {
     got.push(traced(&TwoLevelOptimizer::new(
         &problem,
         &view,
-        pin_config(),
+        OptimizerConfig::default(),
     )));
 
     let expected = [
@@ -246,12 +239,12 @@ fn oracle_problems() -> Vec<(&'static str, Problem, Vec<Vec<GroupAssessment>>)> 
     let market = stress_market(7, 400.0);
     let stress = stress_problem(&market);
     let view = MarketView::from_market(&market, 100.0, 148.0);
-    let stress_options = TwoLevelOptimizer::new(&stress, &view, pin_config())
+    let stress_options = TwoLevelOptimizer::new(&stress, &view, OptimizerConfig::default())
         .assess_options()
         .unwrap()
         .options;
     let (long, view) = long_job();
-    let long_options = TwoLevelOptimizer::new(&long, &view, pin_config())
+    let long_options = TwoLevelOptimizer::new(&long, &view, OptimizerConfig::default())
         .assess_options()
         .unwrap()
         .options;
@@ -345,7 +338,7 @@ fn no_subset_is_rejected_without_the_bound() {
         let cfg = OptimizerConfig {
             kappa: 2,
             prune_bound,
-            ..pin_config()
+            ..OptimizerConfig::default()
         };
         let ring = RingRecorder::new(TraceLevel::Detail, 16);
         TwoLevelOptimizer::new(&problem, &view, cfg)

@@ -112,7 +112,6 @@ fn null_recorder_adds_zero_allocations() {
     let cfg = OptimizerConfig {
         kappa: 2,
         bid_levels: 3,
-        threads: 1,
         ..Default::default()
     };
     let _ = TwoLevelOptimizer::new(&problem, &view, cfg).optimize(); // warm lazies
@@ -152,7 +151,6 @@ fn search_allocations_do_not_grow_with_the_subsets() {
     let allocs = |kappa: usize| {
         let cfg = OptimizerConfig {
             kappa,
-            threads: 1,
             ..Default::default()
         };
         let search = || {
@@ -193,7 +191,6 @@ fn options_past_the_deadline_are_never_built() {
     let cfg = OptimizerConfig {
         kappa: 2,
         bid_levels: 12,
-        threads: 1,
         ..Default::default()
     };
 

@@ -29,8 +29,8 @@ pub enum TraceLevel {
     /// Decision-level events: searches, selections, replans, fallbacks,
     /// failures, completions.
     Summary,
-    /// Everything, including per-worker search statistics and checkpoint
-    /// ticks.
+    /// Everything, including the search's subset statistics and
+    /// checkpoint ticks.
     Detail,
 }
 
@@ -85,9 +85,6 @@ pub enum Event {
         kappa: u32,
         /// Bid grid resolution per group.
         bid_levels: u32,
-        /// Worker threads the search will actually use (after resolving 0
-        /// = auto).
-        threads: u32,
         /// Total number of subsets that will be enumerated: Σ C(K, k).
         subsets: u64,
         /// Per-group (bid, φ) options assessed across all groups.
@@ -114,19 +111,21 @@ pub enum Event {
         #[serde(default)]
         profiles_shared: u64,
     },
-    /// Per-worker aggregate search statistics, merged at join.
-    /// One event per worker, emitted in worker-index order after the
-    /// parallel search completes. Detail level.
+    /// The subset search's aggregate statistics. Emitted once per
+    /// recorded `optimize_with` call, after the search and before
+    /// `PlanSelected`. Every field is deterministic. Detail level.
+    ///
+    /// Traces written while the search ran on several workers carry one
+    /// event per worker and a `worker` index, which parses and is
+    /// ignored.
     SubsetEvaluated {
-        /// Worker index (0-based).
-        worker: u32,
-        /// Subsets this worker enumerated.
+        /// Subsets enumerated.
         subsets: u64,
-        /// Bid-vector candidates this worker evaluated.
+        /// Bid-vector candidates evaluated.
         evaluations: u64,
         /// Candidates that met the deadline feasibility bar.
         feasible: u64,
-        /// Expected cost of this worker's incumbent, if it found a
+        /// Expected cost of the search's incumbent, if it found a
         /// feasible one.
         best_cost: Option<f64>,
         /// φ checkpoint intervals (hours) of the incumbent's groups —
@@ -135,16 +134,14 @@ pub enum Event {
         /// Enumerated bid-vector positions the branch-and-bound walk
         /// skipped without evaluating (already included in
         /// `evaluations`, which reports the full enumeration size).
-        /// Timing-dependent when the incumbent bound is shared across
-        /// workers. Defaults to 0 for pre-pruning traces.
+        /// Defaults to 0 for pre-pruning traces.
         #[serde(default)]
         skipped: u64,
         /// Subsets rejected before their walk's set-up, because the sum
         /// of their slots' smallest lower bounds was already above the
         /// incumbent cost (counted in `subsets`; their positions are in
-        /// `skipped`). 0 without `prune_bound`; timing-dependent when the
-        /// incumbent bound is shared across workers. Defaults to 0 for
-        /// traces written before early rejection.
+        /// `skipped`). 0 without `prune_bound`. Defaults to 0 for traces
+        /// written before early rejection.
         #[serde(default)]
         subsets_rejected: u64,
     },
@@ -166,19 +163,18 @@ pub enum Event {
         /// Slack factor the on-demand fallback budget was scaled by
         /// (Formulas 12–13 decoupling knob).
         slack: f64,
-        /// Total candidate evaluations across all workers.
+        /// Candidate evaluations, the on-demand incumbent included.
         evaluations: u64,
         /// Wall seconds spent precomputing per-group assessments.
         assess_secs: f64,
-        /// Wall seconds spent in the parallel subset search.
+        /// Wall seconds spent in the subset search.
         search_secs: f64,
-        /// Positions skipped by branch-and-bound across all workers
-        /// (subset of `evaluations`; timing-dependent with a shared
-        /// incumbent). Defaults to 0 for pre-pruning traces.
+        /// Positions skipped by branch-and-bound (a subset of
+        /// `evaluations`). Defaults to 0 for pre-pruning traces.
         #[serde(default)]
         evals_skipped: u64,
-        /// Times a worker published a strictly better feasible cost to
-        /// the incumbent bound. Defaults to 0 for pre-pruning traces.
+        /// Times a feasible candidate lowered the incumbent cost bound.
+        /// Defaults to 0 for pre-pruning traces.
         #[serde(default)]
         bound_tightenings: u64,
         /// Candidate evaluations per wall second of subset search
@@ -187,9 +183,8 @@ pub enum Event {
         #[serde(default)]
         evals_per_sec: f64,
         /// Wall nanoseconds spent inside the Formula 2–11 evaluation
-        /// kernel across all workers, timed per enumerated subset (not
-        /// per candidate, to keep the probe out of the innermost loop).
-        /// Only subsets that reach the branch-and-bound walk are timed;
+        /// kernel, timed per enumerated subset (not per candidate, to keep
+        /// the probe out of the innermost loop). Only subsets that reach the branch-and-bound walk are timed;
         /// subsets rejected before it (`SubsetEvaluated.subsets_rejected`)
         /// are not. Defaults to 0 for pre-kernel traces.
         #[serde(default)]
@@ -491,7 +486,7 @@ impl Event {
     }
 
     /// The verbosity level this event belongs to. High-volume events
-    /// (per-worker stats, checkpoint ticks) are [`TraceLevel::Detail`];
+    /// (subset statistics, checkpoint ticks) are [`TraceLevel::Detail`];
     /// everything else is [`TraceLevel::Summary`].
     pub fn level(&self) -> TraceLevel {
         match self {
@@ -522,7 +517,6 @@ mod tests {
                 candidates: 12,
                 kappa: 2,
                 bid_levels: 6,
-                threads: 1,
                 subsets: 78,
                 options_considered: 72,
                 options_pruned: 3,
@@ -532,7 +526,6 @@ mod tests {
                 profiles_shared: 2,
             },
             Event::SubsetEvaluated {
-                worker: 0,
                 subsets: 78,
                 evaluations: 1200,
                 feasible: 900,
@@ -540,16 +533,6 @@ mod tests {
                 phi_intervals: vec![2.5, 3.0],
                 skipped: 600,
                 subsets_rejected: 40,
-            },
-            Event::SubsetEvaluated {
-                worker: 1,
-                subsets: 0,
-                evaluations: 0,
-                feasible: 0,
-                best_cost: None,
-                phi_intervals: vec![],
-                skipped: 0,
-                subsets_rejected: 0,
             },
             Event::PlanSelected {
                 source: "spot".to_string(),
@@ -695,6 +678,7 @@ mod tests {
             Event::WindowReplanned { reused, groups, .. } => assert!(reused && groups == 2),
             other => panic!("wrong variant: {other:?}"),
         }
+        // So is the `worker` index of traces from the parallel search.
         let old = r#"{"SubsetEvaluated":{"worker":0,"subsets":5,
             "evaluations":10,"feasible":3,"best_cost":null,
             "phi_intervals":[]}}"#;

@@ -12,8 +12,8 @@ use std::sync::Mutex;
 
 /// A sink for pipeline [`Event`]s.
 ///
-/// Implementations must be `Sync` because the optimizer's worker threads
-/// may share one recorder. `record` takes `&self`; interior mutability is
+/// Implementations must be `Sync` because Monte-Carlo workers and server
+/// workers may share one recorder. `record` takes `&self`; interior mutability is
 /// the implementor's concern.
 pub trait Recorder: Sync {
     /// Maximum [`TraceLevel`] this recorder wants. Emission sites skip

@@ -89,7 +89,6 @@ struct SearchStats {
     candidates: u32,
     kappa: u32,
     bid_levels: u32,
-    threads: u32,
     subsets: u64,
     options_considered: u64,
     options_pruned: u64,
@@ -97,12 +96,13 @@ struct SearchStats {
     profiles_swept: u64,
     profiles_shared: u64,
     deadline_hours: f64,
-    /// Summed over `SubsetEvaluated` worker events (Detail traces only).
-    worker_evaluations: u64,
-    worker_feasible: u64,
-    worker_skipped: u64,
-    worker_rejected: u64,
-    workers: usize,
+    /// Summed over `SubsetEvaluated` events (Detail traces only): one per
+    /// search, or one per worker in traces of the retired parallel search.
+    walk_evaluations: u64,
+    walk_feasible: u64,
+    walk_skipped: u64,
+    walk_rejected: u64,
+    walk_events: usize,
 }
 
 #[derive(Debug)]
@@ -163,7 +163,6 @@ impl RunReport {
                     candidates,
                     kappa,
                     bid_levels,
-                    threads,
                     subsets,
                     options_considered,
                     options_pruned,
@@ -176,7 +175,6 @@ impl RunReport {
                         candidates: *candidates,
                         kappa: *kappa,
                         bid_levels: *bid_levels,
-                        threads: *threads,
                         subsets: *subsets,
                         options_considered: *options_considered,
                         options_pruned: *options_pruned,
@@ -184,11 +182,11 @@ impl RunReport {
                         profiles_swept: *profiles_swept,
                         profiles_shared: *profiles_shared,
                         deadline_hours: *deadline_hours,
-                        worker_evaluations: 0,
-                        worker_feasible: 0,
-                        worker_skipped: 0,
-                        worker_rejected: 0,
-                        workers: 0,
+                        walk_evaluations: 0,
+                        walk_feasible: 0,
+                        walk_skipped: 0,
+                        walk_rejected: 0,
+                        walk_events: 0,
                     });
                 }
                 Event::SubsetEvaluated {
@@ -199,11 +197,11 @@ impl RunReport {
                     ..
                 } => {
                     if let Some(s) = report.search.as_mut() {
-                        s.worker_evaluations += evaluations;
-                        s.worker_feasible += feasible;
-                        s.worker_skipped += skipped;
-                        s.worker_rejected += subsets_rejected;
-                        s.workers += 1;
+                        s.walk_evaluations += evaluations;
+                        s.walk_feasible += feasible;
+                        s.walk_skipped += skipped;
+                        s.walk_rejected += subsets_rejected;
+                        s.walk_events += 1;
                     }
                 }
                 Event::PlanSelected {
@@ -427,8 +425,8 @@ impl fmt::Display for RunReport {
             writeln!(f, "-----------")?;
             writeln!(
                 f,
-                "  {} circle groups, kappa={}, {} bid levels, {} thread(s), deadline {:.1} h",
-                s.candidates, s.kappa, s.bid_levels, s.threads, s.deadline_hours
+                "  {} circle groups, kappa={}, {} bid levels, deadline {:.1} h",
+                s.candidates, s.kappa, s.bid_levels, s.deadline_hours
             )?;
             writeln!(
                 f,
@@ -452,25 +450,25 @@ impl fmt::Display for RunReport {
                     s.profiles_swept, s.profiles_shared
                 )?;
             }
-            if s.workers > 0 {
+            if s.walk_events > 0 {
                 writeln!(
                     f,
-                    "  workers: {} reporting, {} evaluations ({} feasible)",
-                    s.workers, s.worker_evaluations, s.worker_feasible
+                    "  subset walk: {} evaluations ({} feasible)",
+                    s.walk_evaluations, s.walk_feasible
                 )?;
-                if s.worker_skipped > 0 {
+                if s.walk_skipped > 0 {
                     writeln!(
                         f,
                         "  branch-and-bound skipped {} of those positions ({:.1}%)",
-                        s.worker_skipped,
-                        prune_rate(s.worker_skipped, s.worker_evaluations) * 100.0
+                        s.walk_skipped,
+                        prune_rate(s.walk_skipped, s.walk_evaluations) * 100.0
                     )?;
                 }
-                if s.worker_rejected > 0 {
+                if s.walk_rejected > 0 {
                     writeln!(
                         f,
                         "  {} subsets rejected before set-up by their smallest bounds",
-                        s.worker_rejected
+                        s.walk_rejected
                     )?;
                 }
             }
@@ -631,7 +629,6 @@ mod tests {
                 candidates: 4,
                 kappa: 2,
                 bid_levels: 6,
-                threads: 2,
                 subsets: 10,
                 options_considered: 24,
                 options_pruned: 6,
@@ -640,8 +637,9 @@ mod tests {
                 profiles_swept: 9,
                 profiles_shared: 3,
             },
+            // Two walk events, as a trace of the retired parallel search
+            // carries one per worker: the report sums them.
             Event::SubsetEvaluated {
-                worker: 0,
                 subsets: 5,
                 evaluations: 100,
                 feasible: 80,
@@ -651,7 +649,6 @@ mod tests {
                 subsets_rejected: 2,
             },
             Event::SubsetEvaluated {
-                worker: 1,
                 subsets: 5,
                 evaluations: 120,
                 feasible: 90,
@@ -721,7 +718,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("workers: 2 reporting, 220 evaluations"),
+            text.contains("subset walk: 220 evaluations (170 feasible)"),
             "{text}"
         );
         assert!(

@@ -166,9 +166,10 @@ pub struct PlanRequest {
     /// Deadline slack reserved for the on-demand fallback.
     #[serde(default = "d_slack")]
     pub slack: f64,
-    /// Search worker threads: 0 = one per available core, 1 = sequential;
-    /// larger counts are capped at the server's cores. The answer is the
-    /// same at any count.
+    /// Accepted and ignored: every plan search runs on the thread that
+    /// serves the request. The plan cache key clears it. A frame that
+    /// still carries the retired `shared_incumbent` switch decodes too,
+    /// and the field is dropped.
     #[serde(default)]
     pub threads: u32,
     /// Exactness-preserving pruning ablation switches.
@@ -176,8 +177,6 @@ pub struct PlanRequest {
     pub prune_dominance: bool,
     #[serde(default = "d_true")]
     pub prune_bound: bool,
-    #[serde(default = "d_true")]
-    pub shared_incumbent: bool,
     /// Hours of price history visible to the planner.
     #[serde(default = "d_history")]
     pub history_hours: f64,
@@ -202,7 +201,6 @@ impl Default for PlanRequest {
             threads: 0,
             prune_dominance: true,
             prune_bound: true,
-            shared_incumbent: true,
             history_hours: d_history(),
             view_start_hours: 0.0,
         }

@@ -123,10 +123,8 @@ pub fn optimizer_config(req: &PlanRequest) -> OptimizerConfig {
         kappa: req.kappa as usize,
         bid_levels: req.bid_levels,
         slack: req.slack,
-        threads: req.threads as usize,
         prune_dominance: req.prune_dominance,
         prune_bound: req.prune_bound,
-        shared_incumbent: req.shared_incumbent,
         ..Default::default()
     }
 }
@@ -145,9 +143,9 @@ pub fn view_for(market: &SpotMarket, req: &PlanRequest) -> MarketView {
 
 /// Cross-tenant plan-cache key: an FNV-1a digest of the request with its
 /// `tenant` label and `threads` count cleared. Neither changes the answer
-/// (the thread count's independence is pinned by sompi-core's
-/// determinism tests), so identical problems from different tenants or
-/// at different thread counts coalesce onto one optimization.
+/// (`threads` is accepted and ignored), so identical problems from
+/// different tenants or at different thread counts coalesce onto one
+/// optimization.
 ///
 /// The key reads the request only: a server plans against one immutable
 /// market, and the request's `view_start_hours`/`history_hours` fix the
@@ -531,33 +529,36 @@ mod tests {
 
     #[test]
     fn oversized_thread_requests_run_on_the_cores() {
-        use sompi_obs::{Event, RingRecorder, TraceLevel};
-
-        // `threads` comes off the wire: u32::MAX must neither start a
-        // worker per subset nor change the answer.
+        // `threads` comes off the wire and is ignored: u32::MAX is
+        // accepted and plans the default request's answer.
         let market = market(100.0);
-        let serial = PlanRequest {
-            threads: 1,
-            ..small_request()
-        };
-        let want = plan(&market, &serial, &NullRecorder, None).unwrap();
+        let want = plan(&market, &small_request(), &NullRecorder, None).unwrap();
         let huge = PlanRequest {
             threads: u32::MAX,
             ..small_request()
         };
-        let ring = RingRecorder::new(TraceLevel::Summary, 16);
-        assert_eq!(plan(&market, &huge, &ring, None).unwrap(), want);
-        let started: Vec<u32> = ring
-            .take()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::PlanSearchStarted { threads, .. } => Some(threads),
-                _ => None,
-            })
-            .collect();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(started.len(), 1);
-        assert!(started[0] as usize <= cores, "{started:?} on {cores} cores");
+        assert_eq!(plan(&market, &huge, &NullRecorder, None).unwrap(), want);
+    }
+
+    #[test]
+    fn retired_search_knobs_still_decode_and_plan_the_same() {
+        use crate::proto::{read_message, write_frame, Request};
+
+        // A client built against the parallel search may still send its
+        // thread count and the shared-incumbent switch.
+        let body = br#"{"Plan":{"repeats":50,"kappa":1,"bid_levels":2,
+            "threads":4,"shared_incumbent":false}}"#;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, body).unwrap();
+        let Request::Plan(req) = read_message::<Request>(&mut &frame[..]).unwrap() else {
+            panic!("expected a Plan request");
+        };
+        assert_eq!(req.threads, 4);
+        let market = market(100.0);
+        assert_eq!(
+            plan(&market, &req, &NullRecorder, None).unwrap(),
+            plan(&market, &small_request(), &NullRecorder, None).unwrap()
+        );
     }
 
     #[test]

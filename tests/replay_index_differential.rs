@@ -143,7 +143,6 @@ fn adaptive_timeline_is_identical_with_and_without_index() {
         optimizer: OptimizerConfig {
             kappa: 2,
             bid_levels: 3,
-            threads: 1,
             ..Default::default()
         },
         ..Default::default()

@@ -103,23 +103,22 @@ fn scrub_timings(mut events: Vec<Event>) -> Vec<Event> {
 }
 
 /// Same seed + same config ⇒ bit-identical event timeline and final
-/// cost, regardless of planner thread count. Search-internal events
-/// (`PlanSearchStarted`/`SubsetEvaluated`) legitimately differ with the
-/// worker count, so the comparison filters them; everything else —
-/// including every injected fault — must match exactly.
+/// cost, whichever thread runs it: once on the calling thread, once on a
+/// spawned one, as Monte-Carlo's first worker and the others run a
+/// replica. Every event must match exactly, the search's own tallies
+/// (`PlanSearchStarted`, `SubsetEvaluated`, `PlanSelected`'s skip and
+/// tightening counts) and every injected fault included.
 #[test]
 fn fault_timeline_is_deterministic_across_thread_counts() {
     let (market, problem) = seeded_market();
     let inj = injector(&market, "storm=0.05x0.8,ckpt-fail=0.3,feed-gap=0.5", 17);
-    let mut outs = Vec::new();
-    for threads in [1usize, 0] {
+    let run = || {
         let config = AdaptiveConfig {
             window_hours: 0.5,
             history_hours: 48.0,
             optimizer: OptimizerConfig {
                 kappa: 2,
                 bid_levels: 3,
-                threads,
                 ..Default::default()
             },
             ..Default::default()
@@ -132,17 +131,15 @@ fn fault_timeline_is_deterministic_across_thread_counts() {
         let out = AdaptiveRunner::new(&market, config)
             .run(&problem, 60.0, &ctx)
             .expect("adaptive run succeeds");
-        let timeline: Vec<Event> = scrub_timings(
-            ring.take()
-                .into_iter()
-                .filter(|e| !matches!(e.kind(), "PlanSearchStarted" | "SubsetEvaluated"))
-                .collect(),
-        );
-        outs.push((out, timeline));
-    }
-    let (a, ta) = &outs[0];
-    let (b, tb) = &outs[1];
-    assert_eq!(ta, tb, "timelines diverge between threads=1 and auto");
+        (out, scrub_timings(ring.take()))
+    };
+    let (a, ta) = run();
+    let (b, tb) = std::thread::scope(|s| s.spawn(run).join().expect("run thread"));
+    assert!(ta.iter().any(|e| e.kind() == "SubsetEvaluated"));
+    assert_eq!(
+        ta, tb,
+        "timelines diverge between the calling and a spawned thread"
+    );
     assert_eq!(a.run.total_cost, b.run.total_cost);
     assert_eq!(a.run.wall_hours, b.run.wall_hours);
     assert_eq!(a.windows, b.windows);
@@ -307,7 +304,6 @@ fn adaptive_config() -> AdaptiveConfig {
         optimizer: OptimizerConfig {
             kappa: 2,
             bid_levels: 3,
-            threads: 1,
             ..Default::default()
         },
         ..Default::default()

@@ -169,15 +169,14 @@ fn identical_burst_performs_exactly_one_search() {
 
 #[test]
 fn threaded_plans_match_the_in_process_path() {
-    // Distinct plan requests (each a cache miss) that each run a
-    // parallel search must answer exactly what `service::plan` answers.
+    // Distinct plan requests (each a cache miss), searched on the
+    // server's worker threads, must answer exactly what `service::plan`
+    // answers.
     let local = market(42, 100.0);
     let (addr, cache, handle, join) = start(Arc::new(NullRecorder), ephemeral(2));
     for i in 0..3 {
         let mut req = small_plan_request();
-        // threads > 1 takes the parallel dispatch even on a single-core
-        // runner; distinct deadlines defeat the cache.
-        req.threads = 4;
+        // Distinct deadlines defeat the cache.
         req.deadline_factor = 1.5 + 0.25 * f64::from(i);
         let want = service::plan(&local, &req, &NullRecorder, None).expect("plan");
         let resp = client::call(&addr, &Request::Plan(req)).expect("call");

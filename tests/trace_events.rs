@@ -61,7 +61,6 @@ fn twolevel_search_emits_golden_sequence() {
     let config = OptimizerConfig {
         kappa: 2,
         bid_levels: 3,
-        threads: 1,
         ..Default::default()
     };
     let ring = RingRecorder::new(TraceLevel::Detail, 64);
@@ -70,8 +69,8 @@ fn twolevel_search_emits_golden_sequence() {
         .unwrap();
     let events = ring.take();
 
-    // Exactly: PlanSearchStarted, one SubsetEvaluated per worker (1 here),
-    // PlanSelected — in that order.
+    // Exactly: PlanSearchStarted, one SubsetEvaluated, PlanSelected — in
+    // that order.
     let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
     assert_eq!(
         kinds,
@@ -82,18 +81,16 @@ fn twolevel_search_emits_golden_sequence() {
     let Event::PlanSearchStarted {
         kappa,
         bid_levels,
-        threads,
         subsets,
         ..
     } = &events[0]
     else {
         panic!("first event");
     };
-    assert_eq!((*kappa, *bid_levels, *threads), (2, 3, 1));
+    assert_eq!((*kappa, *bid_levels), (2, 3));
     assert!(*subsets > 0);
 
     let Event::SubsetEvaluated {
-        worker,
         evaluations,
         feasible,
         best_cost,
@@ -103,10 +100,9 @@ fn twolevel_search_emits_golden_sequence() {
     else {
         panic!("second event");
     };
-    assert_eq!(*worker, 0);
     assert!(*evaluations > 0 && *feasible <= *evaluations);
-    // The single worker's incumbent is the final plan (threads = 1), so
-    // its best cost and φ intervals must match the returned plan exactly.
+    // The search's incumbent is the final plan, so its best cost and φ
+    // intervals must match the returned plan exactly.
     assert_eq!(*best_cost, Some(out.evaluation.expected_cost));
     let plan_intervals: Vec<f64> = out
         .plan
@@ -139,7 +135,6 @@ fn threaded_search_emits_summary_events_and_kernel_stats() {
     let config = OptimizerConfig {
         kappa: 2,
         bid_levels: 3,
-        threads: 2,
         ..Default::default()
     };
     let ring = RingRecorder::new(TraceLevel::Summary, 64);
@@ -148,9 +143,8 @@ fn threaded_search_emits_summary_events_and_kernel_stats() {
         .unwrap();
     let events = ring.take();
 
-    // Summary level: the per-worker SubsetEvaluated events are
-    // suppressed, and a parallel search adds nothing between start and
-    // selection.
+    // Summary level: the Detail-level SubsetEvaluated is suppressed, so
+    // nothing comes between start and selection.
     let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
     assert_eq!(kinds, ["PlanSearchStarted", "PlanSelected"], "{kinds:?}");
 
@@ -301,7 +295,6 @@ fn adaptive_run_emits_one_replan_per_window() {
         optimizer: OptimizerConfig {
             kappa: 2,
             bid_levels: 3,
-            threads: 1,
             ..Default::default()
         },
         ..Default::default()

@@ -10,6 +10,13 @@
 //! times two cases per trace: `warm`, a window of a trace whose run table
 //! is already built, and `cold`, the first window of a fresh copy of the
 //! trace, which builds the table (the copy is made outside the timing).
+//!
+//! `admission_counts` times what a planner pays to count the samples each
+//! bid of a 13-point halving grid admits, estimator build included: `runs`
+//! counts off the window's runs, as the walk of a group past the deadline
+//! does, with no `S_i(P)` table; `table` builds the table and reads the
+//! counts off it, as a swept group does. The walk costs O(runs × grid),
+//! so the no-runs window is its worst case.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ec2_market::failure::FailureEstimator;
@@ -89,6 +96,29 @@ fn bench_estimators(c: &mut Criterion) {
                 },
                 BatchSize::LargeInput,
             )
+        });
+    }
+    g.finish();
+    let mut g = c.benchmark_group("admission_counts");
+    for (name, trace, _) in windows {
+        let top = trace.max_price();
+        let grid: Vec<f64> = (0..13).map(|l| top / f64::powi(2.0, l)).collect();
+        g.bench_with_input(BenchmarkId::new(name, "runs"), trace, |b, t| {
+            b.iter(|| {
+                let est = FailureEstimator::from_window(t.window(0.0, f64::INFINITY));
+                grid.iter()
+                    .map(|&bid| est.count_at_or_below(bid))
+                    .sum::<usize>()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new(name, "table"), trace, |b, t| {
+            b.iter(|| {
+                let est = FailureEstimator::from_window(t.window(0.0, f64::INFINITY));
+                let table = est.expected_spot_price();
+                grid.iter()
+                    .map(|&bid| table.count_at_or_below(bid))
+                    .sum::<usize>()
+            })
         });
     }
     g.finish();

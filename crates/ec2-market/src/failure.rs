@@ -26,7 +26,10 @@
 //! The expected spot price `S_i(P)` is the mean of historical prices at or
 //! below the bid (Section 3.2.1), precomputed here as a table of the
 //! distinct price levels with cumulative counts and sums, so bid-price
-//! sweeps are O(log levels) per query.
+//! sweeps are O(log levels) per query. An estimator builds that table on
+//! first use: a planner that only needs the window's extremes and how
+//! many samples a bid admits reads them off the runs and never sorts or
+//! sums the window.
 
 use crate::trace::{Run, TraceWindow};
 use crate::{Hours, Usd};
@@ -34,6 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The estimated failure-rate function of one circle group at one bid price:
 /// a sub-distribution over hourly failure buckets plus the survival mass.
@@ -243,6 +247,26 @@ struct Level {
     sum: f64,
 }
 
+/// The lowest and highest price of `runs`, given in time order; `(0, 0)`
+/// when there are none. Walking in time order, among equal prices (`0.0`
+/// and `-0.0`) the minimum keeps the earliest sample's bits and the
+/// maximum the latest's, as the ends of a stable sort would.
+fn extremes(runs: &[Run]) -> (Usd, Usd) {
+    let Some(first) = runs.first() else {
+        return (0.0, 0.0);
+    };
+    let (mut min, mut max) = (first.price, first.price);
+    for run in &runs[1..] {
+        if run.price < min {
+            min = run.price;
+        }
+        if run.price >= max {
+            max = run.price;
+        }
+    }
+    (min, max)
+}
+
 /// Precomputed `S_i(P)` table: expected spot price given the bid, plus the
 /// instant launch probability.
 ///
@@ -269,25 +293,7 @@ impl ExpectedSpotPrice {
 
     /// The table of `runs`, given in time order (sorted here, in place).
     fn from_runs(mut runs: Vec<Run>) -> Self {
-        let Some(first) = runs.first() else {
-            return Self {
-                levels: Vec::new(),
-                min: 0.0,
-                max: 0.0,
-            };
-        };
-        // Walk in time order so that among equal prices (`0.0` and
-        // `-0.0`) the minimum keeps the earliest sample's bits and the
-        // maximum the latest's, as the ends of a stable sort would.
-        let (mut min, mut max) = (first.price, first.price);
-        for run in &runs[1..] {
-            if run.price < min {
-                min = run.price;
-            }
-            if run.price >= max {
-                max = run.price;
-            }
-        }
+        let (min, max) = extremes(&runs);
         // Trace prices are finite and non-negative, where the total order
         // is the numeric one except that it puts `-0.0` just below `0.0`;
         // the two share a level.
@@ -368,7 +374,11 @@ impl ExpectedSpotPrice {
 ///
 /// The window is kept as its maximal runs of constant price, read off
 /// the trace's run table instead of a scan of the samples, and every
-/// estimate walks those runs rather than the samples.
+/// estimate walks those runs rather than the samples. The window's
+/// extremes are kept too; its `S_i(P)` table is built on the first
+/// [`expected_spot_price`](Self::expected_spot_price) call, so an
+/// estimator asked only for the extremes, admission counts or bid
+/// profiles never sorts or sums its window.
 ///
 /// ```
 /// use ec2_market::failure::FailureEstimator;
@@ -399,33 +409,65 @@ pub struct FailureEstimator {
     runs: Vec<Run>,
     /// Samples in the window: the runs' total length.
     samples: usize,
-    expected: ExpectedSpotPrice,
+    /// Lowest price, with the bits of the earliest sample at it.
+    min: Usd,
+    /// Highest price, with the bits of the latest sample at it.
+    max: Usd,
+    /// The `S_i(P)` table, built from `runs` on first use. A clone
+    /// carries the table when it was built before the clone, and builds
+    /// its own otherwise.
+    expected: OnceLock<ExpectedSpotPrice>,
 }
 
 impl FailureEstimator {
-    /// Build an estimator over a history window.
+    /// Build an estimator over a history window: its runs and extremes,
+    /// without the `S_i(P)` table.
     ///
     /// # Panics
     /// Panics if the window is empty.
     pub fn from_window(window: TraceWindow<'_>) -> Self {
         assert!(!window.is_empty(), "history window must be non-empty");
         let runs: Vec<Run> = window.runs().collect();
+        let (min, max) = extremes(&runs);
         Self {
             step_hours: window.step_hours(),
             samples: window.len(),
-            expected: ExpectedSpotPrice::from_runs(runs.clone()),
             runs,
+            min,
+            max,
+            expected: OnceLock::new(),
         }
     }
 
-    /// `S_i(P)` table for this history.
+    /// `S_i(P)` table for this history, built on the first call: a sort
+    /// of the runs and one addition per sample.
     pub fn expected_spot_price(&self) -> &ExpectedSpotPrice {
-        &self.expected
+        self.expected
+            .get_or_init(|| ExpectedSpotPrice::from_runs(self.runs.clone()))
     }
 
     /// Highest historical price `H_i` — the top of the bid search range.
+    /// Bit-identical to the table's [`ExpectedSpotPrice::max_price`].
     pub fn max_price(&self) -> Usd {
-        self.expected.max_price()
+        self.max
+    }
+
+    /// Lowest historical price. Bit-identical to the table's
+    /// [`ExpectedSpotPrice::min_price`].
+    pub fn min_price(&self) -> Usd {
+        self.min
+    }
+
+    /// Number of historical samples at or below `bid`, read off the runs
+    /// without the `S_i(P)` table: equal to the table's
+    /// [`ExpectedSpotPrice::count_at_or_below`]. O(runs), against the
+    /// table's O(log levels) once it is built.
+    pub fn count_at_or_below(&self, bid: Usd) -> usize {
+        self.runs
+            .iter()
+            .filter(|run| run.price <= bid)
+            .map(|run| run.len)
+            .sum()
     }
 
     /// Expected delay (hours) between requesting an instance at a uniformly
@@ -551,25 +593,24 @@ impl FailureEstimator {
     /// distances to the next admissible sample form one arithmetic series.
     fn sweep(&self, bid: Usd, buckets: &mut [u64], weight: impl Fn(Range<usize>) -> u64) -> Sweep {
         let n = self.samples;
-        match self.expected.count_at_or_below(bid) {
-            0 => {
-                return Sweep {
-                    survived: 0,
-                    used: 0,
-                    delay_steps: None,
-                }
-            }
-            admitted if admitted == n => {
-                // Nothing is above the bid: every start survives and every
-                // request launches at once.
-                let all = weight(0..n);
-                return Sweep {
-                    survived: all,
-                    used: all,
-                    delay_steps: Some(0),
-                };
-            }
-            _ => {}
+        // The window's extremes tell whether no sample is admissible (at
+        // or below the bid; none is at a NaN bid) or every one is.
+        if bid < self.min || bid.is_nan() {
+            return Sweep {
+                survived: 0,
+                used: 0,
+                delay_steps: None,
+            };
+        }
+        if bid >= self.max {
+            // Nothing is above the bid: every start survives and every
+            // request launches at once.
+            let all = weight(0..n);
+            return Sweep {
+                survived: all,
+                used: all,
+                delay_steps: Some(0),
+            };
         }
         let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
         let horizon_samples = buckets.len() * samples_per_hour;
@@ -1212,6 +1253,7 @@ mod tests {
             "{label}: max"
         );
         assert_eq!(e.max_price().to_bits(), sorted.max_price().to_bits());
+        assert_eq!(e.min_price().to_bits(), sorted.min_price().to_bits());
         let mut levels = r.prices.clone();
         levels.sort_by(f64::total_cmp);
         levels.dedup();
@@ -1227,6 +1269,11 @@ mod tests {
                 table.count_at_or_below(bid),
                 sorted.count_at_or_below(bid),
                 "{label} bid {bid}: count"
+            );
+            assert_eq!(
+                e.count_at_or_below(bid),
+                sorted.count_at_or_below(bid),
+                "{label} bid {bid}: count off the runs"
             );
             assert_eq!(
                 table.mean_below(bid).map(f64::to_bits),
@@ -1595,6 +1642,89 @@ mod tests {
                             &format!("{tag} bid {bid} horizon {horizon}"),
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_estimator_never_asked_for_its_table_has_none() {
+        // Everything but `expected_spot_price` reads the runs alone.
+        for (label, trace) in run_table_traces() {
+            let e = FailureEstimator::from_window(trace.window(0.0, f64::INFINITY));
+            let mid = (e.min_price() + e.max_price()) / 2.0;
+            for bid in [-1.0, e.min_price(), mid, e.max_price(), f64::NAN] {
+                e.count_at_or_below(bid);
+                e.bid_profile(bid, 3);
+                e.failure_rate_exact(bid, 2);
+                e.failure_rate_sampled(bid, 2, 5, 1);
+                e.expected_launch_delay(bid);
+            }
+            assert!(e.expected.get().is_none(), "{label}: table built");
+            let copy = e.clone();
+            assert!(copy.expected.get().is_none(), "{label}: clone has a table");
+            e.expected_spot_price();
+            assert!(e.expected.get().is_some(), "{label}: no table after use");
+        }
+    }
+
+    #[test]
+    fn a_table_built_on_first_use_equals_an_eager_one() {
+        // Seeded, plateau, no-runs, one-sample and signed-zero windows:
+        // the estimator's table, built on first use by the estimator, by a
+        // clone taken before that use, or carried by a clone taken after
+        // it, equals the table built eagerly from the same window, and the
+        // estimator's extremes and counts equal the table's.
+        let generated = crate::tracegen::TraceGenConfig::preset(
+            0.05,
+            crate::tracegen::ZoneVolatility::Volatile,
+        )
+        .generate(48.0, 1.0 / 12.0, 43);
+        let mut traces = run_table_traces();
+        traces.push(("generated".into(), generated));
+        for (label, trace) in &traces {
+            let n = trace.len();
+            for (lo, len) in [(0, n), (n / 3, n - n / 3)] {
+                let w = trace.window(
+                    lo as f64 * trace.step_hours(),
+                    len as f64 * trace.step_hours(),
+                );
+                let eager = table_bits(&ExpectedSpotPrice::from_window(w));
+                let e = FailureEstimator::from_window(w);
+                let before = e.clone();
+                assert_eq!(
+                    (e.min_price().to_bits(), e.max_price().to_bits()),
+                    (eager.1, eager.2),
+                    "{label} {lo}+{len}: extremes"
+                );
+                assert_eq!(
+                    table_bits(e.expected_spot_price()),
+                    eager,
+                    "{label}: first use"
+                );
+                assert_eq!(
+                    table_bits(before.expected_spot_price()),
+                    eager,
+                    "{label}: clone before"
+                );
+                let after = e.clone();
+                assert!(
+                    after.expected.get().is_some(),
+                    "{label}: clone after lost the table"
+                );
+                assert_eq!(
+                    table_bits(after.expected_spot_price()),
+                    eager,
+                    "{label}: clone after"
+                );
+                let mut bids: Vec<Usd> = w.samples().to_vec();
+                bids.extend([-1.0, 0.0, -0.0, e.max_price() * 2.0 + 1.0]);
+                for bid in bids {
+                    assert_eq!(
+                        e.count_at_or_below(bid),
+                        e.expected_spot_price().count_at_or_below(bid),
+                        "{label} bid {bid}"
+                    );
                 }
             }
         }

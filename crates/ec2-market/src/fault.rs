@@ -136,6 +136,17 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The highest storm rate [`FaultPlan::parse`] accepts, in storms per
+/// trace hour: one every six minutes on average, which with the default
+/// one-hour duration keeps every group in a storm nearly all the time.
+pub const MAX_STORM_RATE_PER_HOUR: f64 = 10.0;
+
+/// The most storms one [`FaultInjector`] holds: 2^22, 64 MiB. A stream at
+/// [`MAX_STORM_RATE_PER_HOUR`] stays below it for 400,000 trace hours; a
+/// hand-built plan whose stream would not end (an infinite rate or
+/// horizon) stops here.
+pub const MAX_STORMS: usize = 1 << 22;
+
 /// Seeded configuration of every injectable fault class. All
 /// probabilities default to zero (a quiet plan injects nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,6 +211,11 @@ impl FaultPlan {
     /// ```
     ///
     /// Example: `storm=0.05x0.8,ckpt-fail=0.3,feed-gap=0.25`.
+    ///
+    /// Probabilities must lie in `[0, 1]`, hours must be finite and
+    /// non-negative, and the storm rate must lie in
+    /// `[0, MAX_STORM_RATE_PER_HOUR]`; anything else is an error naming
+    /// the term.
     pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
         let mut plan = Self {
             seed,
@@ -214,6 +230,17 @@ impl FaultPlan {
             }
             Ok(p)
         };
+        let hours = |key: &str, v: &str| -> Result<Hours, String> {
+            let h: f64 = v
+                .parse()
+                .map_err(|_| format!("--faults {key}: cannot parse hours {v:?}"))?;
+            if !(h.is_finite() && h >= 0.0) {
+                return Err(format!(
+                    "--faults {key}: hours {h} must be finite and non-negative"
+                ));
+            }
+            Ok(h)
+        };
         for term in spec.split(',').filter(|t| !t.trim().is_empty()) {
             let (key, value) = term
                 .trim()
@@ -225,28 +252,25 @@ impl FaultPlan {
                         Some((r, p)) => (r, prob("storm", p)?),
                         None => (value, 1.0),
                     };
-                    plan.storm_rate_per_hour = rate
+                    let rate: f64 = rate
                         .parse()
                         .map_err(|_| format!("--faults storm: cannot parse rate {rate:?}"))?;
-                    if plan.storm_rate_per_hour < 0.0 {
-                        return Err("--faults storm: rate must be non-negative".into());
+                    if !(0.0..=MAX_STORM_RATE_PER_HOUR).contains(&rate) {
+                        return Err(format!(
+                            "--faults storm: rate {rate} outside [0, {MAX_STORM_RATE_PER_HOUR}] per hour"
+                        ));
                     }
+                    plan.storm_rate_per_hour = rate;
                     plan.storm_group_prob = p;
                 }
-                "storm-hours" => {
-                    plan.storm_duration_hours = value
-                        .parse()
-                        .map_err(|_| format!("--faults storm-hours: cannot parse {value:?}"))?;
-                }
+                "storm-hours" => plan.storm_duration_hours = hours("storm-hours", value)?,
                 "ckpt-fail" => plan.ckpt_fail_prob = prob("ckpt-fail", value)?,
                 "ckpt-latency" => {
                     let (p, h) = value.split_once(':').ok_or_else(|| {
                         format!("--faults ckpt-latency: expected P:HOURS, got {value:?}")
                     })?;
                     plan.ckpt_latency_prob = prob("ckpt-latency", p)?;
-                    plan.ckpt_latency_hours = h
-                        .parse()
-                        .map_err(|_| format!("--faults ckpt-latency: cannot parse hours {h:?}"))?;
+                    plan.ckpt_latency_hours = hours("ckpt-latency", h)?;
                 }
                 "restore-corrupt" => plan.restore_corrupt_prob = prob("restore-corrupt", value)?,
                 "feed-gap" => plan.feed_gap_prob = prob("feed-gap", value)?,
@@ -290,13 +314,14 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Build an injector over `[0, horizon_hours)` of trace time. Storm
     /// arrivals are a Poisson stream at `storm_rate_per_hour`, sampled
-    /// from the seed once and frozen.
+    /// from the seed once and frozen, and cut at [`MAX_STORMS`], so even a
+    /// hand-built plan with an infinite rate or horizon ends.
     pub fn new(plan: FaultPlan, horizon_hours: Hours) -> Self {
         let mut storms = Vec::new();
         if plan.storm_rate_per_hour > 0.0 && horizon_hours > 0.0 {
             let mut state = mix(plan.seed, TAG_STORM_TIME);
             let mut t = 0.0;
-            loop {
+            while storms.len() < MAX_STORMS {
                 state = splitmix64(state);
                 // Exponential inter-arrival; clamp u away from 0.
                 let u = unit(state).max(1e-12);
@@ -618,6 +643,54 @@ mod tests {
         assert!(FaultPlan::parse("ckpt-fail=1.5", 0).is_err());
         assert!(FaultPlan::parse("ckpt-latency=0.5", 0).is_err());
         assert!(FaultPlan::parse("storm", 0).is_err());
+    }
+
+    #[test]
+    fn specs_that_could_exhaust_memory_are_rejected() {
+        for spec in [
+            "storm=inf",
+            "storm=NaN",
+            "storm=-0.5",
+            "storm=1e5",
+            "storm=10.5x0.5",
+            "storm-hours=inf",
+            "storm-hours=-1",
+            "storm-hours=nan",
+            "ckpt-latency=0.5:inf",
+            "ckpt-latency=0.5:-2",
+            "ckpt-latency=0.5:NaN",
+            "storm=0.5xnan",
+        ] {
+            let err = FaultPlan::parse(spec, 1).unwrap_err();
+            assert!(err.starts_with("--faults"), "{spec}: {err}");
+        }
+        let max = FaultPlan::parse(&format!("storm={MAX_STORM_RATE_PER_HOUR}"), 1).unwrap();
+        assert_eq!(max.storm_rate_per_hour, MAX_STORM_RATE_PER_HOUR);
+        let zero = FaultPlan::parse("storm=0,storm-hours=0,ckpt-latency=0:0", 1).unwrap();
+        assert!(zero.is_quiet());
+    }
+
+    #[test]
+    fn hand_built_storm_streams_end() {
+        // Plans the parser rejects but a caller can build by hand: each
+        // injector is built in bounded time and memory.
+        let storms = |rate: f64, horizon: Hours| {
+            let plan = FaultPlan {
+                seed: 4,
+                storm_rate_per_hour: rate,
+                storm_duration_hours: f64::INFINITY,
+                ..FaultPlan::quiet()
+            };
+            FaultInjector::new(plan, horizon).storms().len()
+        };
+        assert_eq!(storms(f64::INFINITY, 200.0), MAX_STORMS);
+        assert_eq!(storms(1.0, f64::INFINITY), MAX_STORMS);
+        assert_eq!(storms(f64::NAN, 200.0), 0);
+        assert_eq!(storms(1.0, f64::NAN), 0);
+        assert_eq!(storms(-1.0, 200.0), 0);
+        // The cap cuts nothing a parsed plan builds over a long trace.
+        let n = storms(MAX_STORM_RATE_PER_HOUR, 10_000.0);
+        assert!(n > 90_000 && n < MAX_STORMS, "{n} storms");
     }
 
     #[test]

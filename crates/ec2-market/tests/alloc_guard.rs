@@ -8,7 +8,8 @@
 //! bound testable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ec2_market::index::TraceIndex;
 use ec2_market::trace::SpotTrace;
@@ -16,11 +17,21 @@ use ec2_market::trace::SpotTrace;
 struct CountingAlloc;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations are counted. Per thread: the
+    /// test harness's own thread allocates while a test runs (it waits
+    /// for the result), and those bytes are not the index's.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -29,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -39,14 +50,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Run `f` with byte counting on; return its result and the bytes
-/// allocated. This file holds one test, so nothing else allocates
-/// concurrently while the counter runs.
+/// Run `f` with byte counting on for the calling thread; return its
+/// result and the bytes it allocated. The index builds on the calling
+/// thread, so every byte it allocates is counted.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     (out, BYTES.load(Ordering::SeqCst))
 }
 

@@ -318,6 +318,9 @@ struct AssessedOptions {
     swept: u64,
     /// Grid bids served from an equal-admission higher twin.
     shared: u64,
+    /// Groups assessed from admission counts alone: their own run time
+    /// is already past the deadline.
+    past_deadline: u64,
 }
 
 /// One group's options and counters from [`assess_group`].
@@ -337,6 +340,9 @@ pub(crate) struct GroupOptions {
     /// Grid bids whose options were copied from the next higher grid bid
     /// admitting the same samples.
     pub(crate) shared: u64,
+    /// Whether the group's grid was walked by admission counts alone,
+    /// because no option of it can meet the deadline.
+    pub(crate) past_deadline: bool,
 }
 
 /// The bid grid `config` prescribes for a group with history `est`:
@@ -348,7 +354,7 @@ fn bid_grid(est: &FailureEstimator, config: &OptimizerConfig) -> Option<BidGrid>
     if !(max_bid.is_finite() && max_bid > 0.0) {
         return None;
     }
-    let min_price = est.expected_spot_price().min_price().max(1e-6);
+    let min_price = est.min_price().max(1e-6);
     let span_levels = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
     let levels = span_levels.min(config.bid_levels.max(2));
     let grid = match config.grid {
@@ -388,17 +394,27 @@ struct Admission {
 /// `deadline` prunes options whose completion wall exceeds it. The wall
 /// is the bid profile's launch delay plus `W_i` at the interval, so the
 /// check runs before the option's assessment is built, and a pruned
-/// option allocates nothing. Shared with [`crate::pareto::frontier`].
+/// option allocates nothing. A group whose run time alone is past the
+/// deadline has no option to build at all: its grid is walked by
+/// admission counts ([`count_past_deadline`]). Shared with
+/// [`crate::pareto::frontier`].
 pub(crate) fn assess_group(
     group: &CircleGroup,
     est: &FailureEstimator,
     config: &OptimizerConfig,
     deadline: Hours,
 ) -> GroupOptions {
-    let mut out = GroupOptions::default();
     let Some(grid) = bid_grid(est, config) else {
-        return out;
+        return GroupOptions::default();
     };
+    let per_bid = config.interval_grid.map_or(1, u64::from);
+    // Every option's wall is a launch delay ≥ 0 plus `W_i` ≥ `T_i` when
+    // checkpoints cost no negative time, and adding non-negative numbers
+    // never rounds below either term, so each one misses the deadline.
+    if group.exec_hours > deadline && group.ckpt_overhead_hours >= 0.0 {
+        return count_past_deadline(&grid, est, per_bid);
+    }
+    let mut out = GroupOptions::default();
     // Under the Theorem 1 ablation the intervals are fixed per group;
     // otherwise each bid gets its own φ(P).
     let fixed: Option<Vec<Hours>> = config.interval_grid.map(|n| {
@@ -406,7 +422,6 @@ pub(crate) fn assess_group(
             .map(|j| group.exec_hours * j as f64 / n as f64)
             .collect()
     });
-    let per_bid = fixed.as_ref().map_or(1, |v| v.len() as u64);
     let horizon = profile_horizon(group, fixed.as_deref());
     let prices = est.expected_spot_price();
     let mut prev: Option<Admission> = None;
@@ -469,6 +484,34 @@ pub(crate) fn assess_group(
         // higher-bid twin wins every tie it could have won (DESIGN.md
         // §8.1).
         out.dominated += crate::pareto::collapse_bid_dominated(&mut out.options);
+    }
+    out
+}
+
+/// [`assess_group`]'s counters for a group none of whose options can meet
+/// the deadline, from admission counts alone: no bid profile, φ or
+/// assessment, and no `S_i(P)` table. A grid bid that admits a launch
+/// has its `per_bid` options pruned; one admitting the same samples as
+/// the grid bid before it is shared, as in the sweep, and the rest count
+/// as swept. Nothing survives, so nothing is dominated.
+fn count_past_deadline(grid: &BidGrid, est: &FailureEstimator, per_bid: u64) -> GroupOptions {
+    let mut out = GroupOptions {
+        past_deadline: true,
+        ..GroupOptions::default()
+    };
+    let mut prev = None;
+    for &bid in grid.bids() {
+        let admitted = est.count_at_or_below(bid);
+        out.considered += per_bid;
+        if admitted > 0 {
+            out.pruned += per_bid;
+        }
+        if prev == Some(admitted) {
+            out.shared += 1;
+        } else {
+            out.swept += 1;
+        }
+        prev = Some(admitted);
     }
     out
 }
@@ -595,6 +638,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             dominated: options_dominated,
             swept: profiles_swept,
             shared: profiles_shared,
+            past_deadline: groups_past_deadline,
         } = self.assess_options()?;
         let assess_secs = assess_timer.elapsed_secs();
 
@@ -622,7 +666,6 @@ impl<'a> TwoLevelOptimizer<'a> {
         // tie-break is unchanged.
         let n = self.problem.candidates.len();
         let with_options: Vec<usize> = (0..n).filter(|&g| !options[g].is_empty()).collect();
-        let subsets = SubsetList::new(&with_options, self.config.kappa);
 
         emit(recorder, TraceLevel::Summary, || Event::PlanSearchStarted {
             candidates: n as u32,
@@ -635,10 +678,11 @@ impl<'a> TwoLevelOptimizer<'a> {
             options_dominated,
             profiles_swept,
             profiles_shared,
+            groups_past_deadline,
         });
 
         let search_timer = PhaseTimer::start();
-        let stats = self.search(&options, &od, &subsets, &tables, seed_bound);
+        let stats = self.search(&options, &od, &with_options, &tables, seed_bound);
         let search_secs = search_timer.elapsed_secs();
 
         emit(recorder, TraceLevel::Detail, || Event::SubsetEvaluated {
@@ -746,6 +790,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             dominated: 0,
             swept: 0,
             shared: 0,
+            past_deadline: 0,
         };
         for group in &self.problem.candidates {
             let est = self.view.try_estimator(group.id)?;
@@ -755,14 +800,16 @@ impl<'a> TwoLevelOptimizer<'a> {
             out.dominated += g.dominated;
             out.swept += g.swept;
             out.shared += g.shared;
+            out.past_deadline += u64::from(g.past_deadline);
             out.options.push(g.options);
         }
         Ok(out)
     }
 
-    /// Walk every subset in order with a reused borrow buffer, a reused
+    /// Walk every subset of the groups with options (`with_options`) in
+    /// order with a [`SubsetCursor`], a reused borrow buffer, a reused
     /// odometer, an [`EvalScratch`], an incumbent, and an evaluation
-    /// counter. A subset's index into `subsets` enters the enumeration
+    /// counter. A subset's index in that order enters the enumeration
     /// ordinal, so ordinals are unique.
     ///
     /// With [`OptimizerConfig::prune_bound`] on, each subset runs a
@@ -787,7 +834,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         &self,
         options: &[Vec<GroupAssessment>],
         od: &OnDemandOption,
-        subsets: &SubsetList,
+        with_options: &[usize],
         tables: &BoundTables,
         seed_bound: f64,
     ) -> SearchStats {
@@ -827,8 +874,9 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut floors: Vec<Option<Box<CostFloor>>> =
             vec![None; options.iter().map(Vec::len).sum()];
 
-        for subset_ordinal in 0..subsets.len() {
-            let chosen = subsets.get(subset_ordinal);
+        let mut subsets = SubsetCursor::new(with_options, self.config.kappa);
+        while let Some(chosen) = subsets.next() {
+            let subset_ordinal = subsets_walked as usize;
             subsets_walked += 1;
             let product: u64 = chosen
                 .iter()
@@ -1064,76 +1112,56 @@ fn advance_ranks(idx: &mut [usize], lens: &[usize], from: usize) -> bool {
     false
 }
 
-/// Visit every `k`-subset of `0..n` (lexicographic), calling `f` with each.
-/// Visits nothing when `k > n` (instead of underflowing the loop bound).
-fn enumerate_subsets(
-    n: usize,
-    k: usize,
-    start: usize,
-    acc: &mut Vec<usize>,
-    f: &mut impl FnMut(&[usize]),
-) {
-    if acc.len() == k {
-        f(acc);
-        return;
-    }
-    let remaining = k - acc.len();
-    if remaining > n.saturating_sub(start) {
-        return; // not enough elements left — covers k > n
-    }
-    for i in start..=(n - remaining) {
-        acc.push(i);
-        enumerate_subsets(n, k, i + 1, acc, f);
-        acc.pop();
-    }
-}
-
-/// Every k-subset, `1 ≤ k ≤ k_max`, of a list of groups, k ascending and
-/// lexicographic within k: one flat member array in which the subsets of
-/// each size form one block, so subset `i` is a slice and no subset is
-/// its own allocation.
-struct SubsetList {
+/// The k-subsets, `1 ≤ k ≤ k_max`, of a list of groups, k ascending and
+/// lexicographic within k, walked in place: the cursor keeps the current
+/// subset's positions in the list and its members, and steps both to the
+/// next subset, so no subset is stored.
+struct SubsetCursor<'a> {
+    groups: &'a [usize],
+    k_max: usize,
+    /// Positions of the current subset's members in `groups`, ascending.
+    pos: Vec<usize>,
+    /// The current subset: `groups[pos[i]]` for each `i`.
     members: Vec<usize>,
-    /// `blocks[k - 1]` = (index of the first k-subset, offset of its
-    /// first member); the last entry is (subset count, member count).
-    blocks: Vec<(usize, usize)>,
 }
 
-impl SubsetList {
-    /// The subsets of `groups` (ascending) of up to `k_max` members.
-    fn new(groups: &[usize], k_max: usize) -> Self {
+impl<'a> SubsetCursor<'a> {
+    /// A cursor before the first subset of `groups` of up to `k_max`
+    /// members.
+    fn new(groups: &'a [usize], k_max: usize) -> Self {
         let k_max = k_max.min(groups.len());
-        let mut blocks = Vec::with_capacity(k_max + 1);
-        let (mut count, mut size) = (0usize, 0usize);
-        for k in 1..=k_max {
-            blocks.push((count, size));
-            let c = binomial(groups.len(), k) as usize;
-            count += c;
-            size += c * k;
+        Self {
+            groups,
+            k_max,
+            pos: Vec::with_capacity(k_max),
+            members: Vec::with_capacity(k_max),
         }
-        blocks.push((count, size));
-        let mut members = Vec::with_capacity(size);
-        let mut acc = Vec::with_capacity(k_max);
-        for k in 1..=k_max {
-            enumerate_subsets(groups.len(), k, 0, &mut acc, &mut |s: &[usize]| {
-                members.extend(s.iter().map(|&p| groups[p]));
-            });
-        }
-        Self { members, blocks }
     }
 
-    fn len(&self) -> usize {
-        self.blocks.last().map_or(0, |b| b.0)
-    }
-
-    /// Subset `i`, `i < len()`.
-    fn get(&self, i: usize) -> &[usize] {
-        // Blocks are non-empty, so their first indices strictly ascend and
-        // `k` blocks start at or before `i`.
-        let k = self.blocks.partition_point(|&(first, _)| first <= i);
-        let (first, offset) = self.blocks[k - 1];
-        let at = offset + (i - first) * k;
-        &self.members[at..at + k]
+    /// Step to the next subset and return it; `None` once every subset
+    /// was visited.
+    fn next(&mut self) -> Option<&[usize]> {
+        let (n, k) = (self.groups.len(), self.pos.len());
+        // The last position that can still move right: position `i` of a
+        // k-subset goes up to `n - k + i`.
+        match (0..k).rev().find(|&i| self.pos[i] < n - k + i) {
+            Some(i) => {
+                self.pos[i] += 1;
+                for j in i + 1..k {
+                    self.pos[j] = self.pos[j - 1] + 1;
+                }
+            }
+            // The k-subsets are done: the first (k + 1)-subset is next.
+            None if k < self.k_max => {
+                self.pos.clear();
+                self.pos.extend(0..=k);
+            }
+            None => return None,
+        }
+        self.members.clear();
+        self.members
+            .extend(self.pos.iter().map(|&p| self.groups[p]));
+        Some(&self.members)
     }
 }
 
@@ -1451,29 +1479,39 @@ mod tests {
         );
     }
 
+    /// Every subset a cursor over `groups` yields, in order.
+    fn cursor_subsets(groups: &[usize], k_max: usize) -> Vec<Vec<usize>> {
+        let mut cursor = SubsetCursor::new(groups, k_max);
+        let mut out = Vec::new();
+        while let Some(s) = cursor.next() {
+            out.push(s.to_vec());
+        }
+        // An exhausted cursor stays exhausted.
+        assert!(cursor.next().is_none());
+        out
+    }
+
     #[test]
     fn subset_enumeration_counts() {
-        let mut count = 0usize;
-        let mut acc = Vec::new();
-        enumerate_subsets(5, 3, 0, &mut acc, &mut |s| {
-            assert_eq!(s.len(), 3);
-            count += 1;
-        });
-        assert_eq!(count, 10); // C(5,3)
+        let groups = [0, 1, 2, 3, 4];
+        let all = cursor_subsets(&groups, 3);
+        let sizes: Vec<usize> = (1..=3)
+            .map(|k| all.iter().filter(|s| s.len() == k).count())
+            .collect();
+        assert_eq!(sizes, [5, 10, 10]); // C(5,1), C(5,2), C(5,3)
+        assert_eq!(all.len() as u64, subset_count(5, 3));
     }
 
     #[test]
     fn subset_enumeration_handles_k_larger_than_n() {
-        // Regression: `k > n` used to underflow `n - remaining` (usize)
-        // and panic; it must simply visit nothing.
-        let mut count = 0usize;
-        let mut acc = Vec::new();
-        enumerate_subsets(3, 5, 0, &mut acc, &mut |_| count += 1);
-        assert_eq!(count, 0);
-        assert!(acc.is_empty());
-        // And n = 0 with k > 0 likewise.
-        enumerate_subsets(0, 1, 0, &mut acc, &mut |_| count += 1);
-        assert_eq!(count, 0);
+        // `k_max > n` stops at the one n-subset: no position runs past
+        // the list (a `usize` underflow would panic here).
+        let all = cursor_subsets(&[4, 7, 9], 5);
+        assert_eq!(all.len(), 7);
+        assert_eq!(all.last().unwrap(), &[4, 7, 9]);
+        // An empty list, and `k_max = 0`, yield nothing.
+        assert!(cursor_subsets(&[], 1).is_empty());
+        assert!(cursor_subsets(&[4, 7, 9], 0).is_empty());
     }
 
     #[test]
@@ -1741,6 +1779,142 @@ mod assess_options_tests {
         }
         // Both outcomes of the deadline check occur.
         assert!(kept > 0 && pruned > 0, "kept {kept}, pruned {pruned}");
+    }
+
+    /// The group counters of an assessment, in one tuple.
+    fn counters(g: &GroupOptions) -> (u64, u64, u64, u64, u64) {
+        (g.considered, g.pruned, g.dominated, g.swept, g.shared)
+    }
+
+    #[test]
+    fn past_deadline_walk_equals_the_reference_sweep() {
+        // Each group of the paper and stress problems at deadlines one
+        // ulp below, at, and one ulp above its own run time: below, the
+        // grid is walked by admission counts; at and above, it is swept.
+        // Both must equal the build-then-check reference, options and
+        // counters.
+        let (_, paper, paper_view) = setup();
+        let stress = stress_market(7, 400.0);
+        let stress_view = MarketView::from_market(&stress, 100.0, 48.0);
+        let studies = [
+            ("paper", paper, &paper_view),
+            ("stress", stress_problem(&stress), &stress_view),
+        ];
+        let base = OptimizerConfig {
+            bid_levels: 12,
+            ..OptimizerConfig::default()
+        };
+        let mut walked = 0;
+        for (market, problem, view) in studies {
+            for group in &problem.candidates {
+                let exec = group.exec_hours;
+                let below = f64::from_bits(exec.to_bits() - 1);
+                let above = f64::from_bits(exec.to_bits() + 1);
+                for deadline in [below, exec, above] {
+                    for interval_grid in [None, Some(4)] {
+                        for prune_dominance in [true, false] {
+                            let cfg = OptimizerConfig {
+                                interval_grid,
+                                prune_dominance,
+                                ..base
+                            };
+                            let est = view.try_estimator(group.id).unwrap();
+                            let fast = assess_group(group, est, &cfg, deadline);
+                            let slow = reference_assess_group(group, est, &cfg, deadline);
+                            let tag = format!(
+                                "{market} group {} deadline {deadline} grid {interval_grid:?} \
+                                 collapse {prune_dominance}",
+                                group.id
+                            );
+                            assert_eq!(fast.options, slow.options, "{tag}: options");
+                            assert_eq!(counters(&fast), counters(&slow), "{tag}: counters");
+                            assert_eq!(fast.past_deadline, deadline < exec, "{tag}");
+                            if fast.past_deadline {
+                                assert!(fast.options.is_empty() && fast.pruned > 0, "{tag}");
+                                walked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(walked > 0);
+    }
+
+    #[test]
+    fn past_deadline_counter_counts_the_groups_and_keeps_the_others() {
+        use sompi_obs::RingRecorder;
+
+        // `groups_past_deadline` is the number of candidates whose run
+        // time exceeds the deadline, and every other `PlanSearchStarted`
+        // counter is the reference sweep's total.
+        let (_, mut problem, view) = setup();
+        let mut walls: Vec<Hours> = problem.candidates.iter().map(|g| g.exec_hours).collect();
+        walls.sort_by(f64::total_cmp);
+        let cfg = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 12,
+            ..OptimizerConfig::default()
+        };
+        let mut seen = Vec::new();
+        for deadline in [
+            0.5 * walls[0],
+            walls[walls.len() / 2],
+            2.0 * walls[walls.len() - 1],
+        ] {
+            problem.deadline = deadline;
+            let ring = RingRecorder::new(TraceLevel::Summary, 16);
+            TwoLevelOptimizer::new(&problem, &view, cfg)
+                .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+                .unwrap();
+            let events = ring.take();
+            let Some(Event::PlanSearchStarted {
+                options_considered,
+                options_pruned,
+                options_dominated,
+                profiles_swept,
+                profiles_shared,
+                groups_past_deadline,
+                ..
+            }) = events.first()
+            else {
+                panic!("PlanSearchStarted first: {events:?}");
+            };
+            let past = problem
+                .candidates
+                .iter()
+                .filter(|g| g.exec_hours > deadline)
+                .count() as u64;
+            assert_eq!(*groups_past_deadline, past, "deadline {deadline}");
+            let mut want = (0, 0, 0, 0, 0);
+            for group in &problem.candidates {
+                let est = view.try_estimator(group.id).unwrap();
+                let c = counters(&reference_assess_group(group, est, &cfg, deadline));
+                want = (
+                    want.0 + c.0,
+                    want.1 + c.1,
+                    want.2 + c.2,
+                    want.3 + c.3,
+                    want.4 + c.4,
+                );
+            }
+            assert_eq!(
+                (
+                    *options_considered,
+                    *options_pruned,
+                    *options_dominated,
+                    *profiles_swept,
+                    *profiles_shared
+                ),
+                want,
+                "deadline {deadline}"
+            );
+            seen.push(past);
+        }
+        let n = problem.candidates.len() as u64;
+        assert_eq!(seen[0], n, "every group past the tightest deadline");
+        assert!(seen[1] > 0 && seen[1] < n, "{seen:?}");
+        assert_eq!(seen[2], 0);
     }
 
     /// Grid size `assess_options` should enumerate for one group,

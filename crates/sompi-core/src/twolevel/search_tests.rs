@@ -1,6 +1,6 @@
 //! Tests of the branch-and-bound search set-up: the counters and plans of
 //! fixed seeded searches, and the per-subset set-up and full enumeration
-//! that the shared tables and the subset list must equal.
+//! that the shared tables and the subset cursor must equal.
 
 use super::*;
 use ec2_market::instance::InstanceCatalog;
@@ -262,10 +262,10 @@ fn tables_equal_the_per_subset_set_up() {
         assert!(groups.len() >= 4, "{name}: {} groups", groups.len());
         for kappa in [1, 4] {
             let tables = BoundTables::new(&options, kappa);
-            let subsets = SubsetList::new(&groups, kappa);
-            assert!(subsets.len() > 0);
-            for i in 0..subsets.len() {
-                let chosen = subsets.get(i);
+            let mut subsets = SubsetCursor::new(&groups, kappa);
+            let mut walked = 0u64;
+            while let Some(chosen) = subsets.next() {
+                walked += 1;
                 let level = tables.level(chosen);
                 let ReferenceSetup {
                     lb_sorted,
@@ -292,12 +292,29 @@ fn tables_equal_the_per_subset_set_up() {
                     "{name}: {chosen:?}"
                 );
             }
+            assert_eq!(
+                walked,
+                subset_count(groups.len(), kappa),
+                "{name} κ {kappa}"
+            );
         }
     }
 }
 
+/// Every `k`-subset of `0..n`, `1 ≤ k ≤ k_max`, k ascending and
+/// lexicographic within k: the bit masks of `0..n` with at most `k_max`
+/// bits, sorted. The oracle the subset cursor is checked against.
+fn masked_subsets(n: usize, k_max: usize) -> Vec<Vec<usize>> {
+    let mut all: Vec<Vec<usize>> = (1..1u32 << n)
+        .map(|mask| (0..n).filter(|&g| mask & (1 << g) != 0).collect::<Vec<_>>())
+        .filter(|s| s.len() <= k_max)
+        .collect();
+    all.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    all
+}
+
 #[test]
-fn subset_list_equals_the_filtered_enumeration() {
+fn subset_cursor_yields_the_filtered_enumeration() {
     for n in 0..=8usize {
         for mask in 0..1u32 << n {
             let has = |g: usize| mask & (1 << g) != 0;
@@ -305,23 +322,22 @@ fn subset_list_equals_the_filtered_enumeration() {
             for k_max in 0..=n + 1 {
                 // Every subset of all n groups, k ascending, kept only
                 // when each member has options.
-                let mut want: Vec<Vec<usize>> = Vec::new();
-                let mut acc = Vec::new();
-                for k in 1..=k_max.min(n) {
-                    enumerate_subsets(n, k, 0, &mut acc, &mut |s: &[usize]| {
-                        if s.iter().all(|&g| has(g)) {
-                            want.push(s.to_vec());
-                        }
-                    });
-                }
+                let want: Vec<Vec<usize>> = masked_subsets(n, k_max)
+                    .into_iter()
+                    .filter(|s| s.iter().all(|&g| has(g)))
+                    .collect();
                 if mask == (1 << n) - 1 {
                     assert_eq!(subset_count(n, k_max), want.len() as u64);
                 }
-                let list = SubsetList::new(&groups, k_max);
-                assert_eq!(list.len(), want.len(), "n {n} mask {mask:b} k_max {k_max}");
+                let mut cursor = SubsetCursor::new(&groups, k_max);
                 for (i, s) in want.iter().enumerate() {
-                    assert_eq!(list.get(i), s.as_slice());
+                    assert_eq!(
+                        cursor.next(),
+                        Some(s.as_slice()),
+                        "n {n} mask {mask:b} k_max {k_max}: subset {i}"
+                    );
                 }
+                assert_eq!(cursor.next(), None, "n {n} mask {mask:b} k_max {k_max}");
             }
         }
     }

@@ -9,7 +9,8 @@
 //! these claims testable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
@@ -26,11 +27,21 @@ use sompi_obs::{Event, RingRecorder, TraceLevel};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations are counted. Per thread: the
+    /// test harness's own thread allocates while a test runs, and those
+    /// allocations are not the optimizer's.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -39,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -53,12 +64,14 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// `#[test]`s concurrently, so every test holds this lock throughout.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Run `f` with allocation counting on; return its result and the count.
+/// Run `f` with allocation counting on for the calling thread; return
+/// its result and the count. Every search runs on its calling thread, so
+/// all of its allocations are counted.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     (out, ALLOCS.load(Ordering::SeqCst))
 }
 
@@ -226,5 +239,65 @@ fn options_past_the_deadline_are_never_built() {
     assert!(
         allocs <= 3 * profiles_swept,
         "{allocs} allocations for {profiles_swept} swept bid profiles"
+    );
+}
+
+#[test]
+fn groups_past_the_deadline_allocate_nothing_per_grid_bid() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // All 15 circle groups at a deadline below every group's own run
+    // time: each group is assessed from admission counts alone, with no
+    // bid profile, φ or `S_i(P)` table. So a search allocates the same
+    // fixed set-up whatever the grid size.
+    let cat = InstanceCatalog::paper_2014();
+    let prof = MarketProfile::paper_2014(&cat);
+    let market = SpotMarket::generate(cat, &TraceGenerator::new(prof, 31), 200.0, 1.0 / 12.0);
+    let profile = NpbKernel::Bt.profile(NpbClass::B, 128).repeated(200);
+    let mut problem = Problem::build(&market, &profile, f64::MAX, None, S3Store::paper_2014());
+    let fastest = problem
+        .candidates
+        .iter()
+        .map(|g| g.exec_hours)
+        .fold(f64::INFINITY, f64::min);
+    problem.deadline = 0.9 * fastest;
+    let view = MarketView::from_market(&market, 0.0, 48.0);
+    let search = |bid_levels: u32| {
+        let cfg = OptimizerConfig {
+            kappa: 2,
+            bid_levels,
+            ..Default::default()
+        };
+        let ring = RingRecorder::new(TraceLevel::Summary, 8);
+        TwoLevelOptimizer::new(&problem, &view, cfg)
+            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+            .unwrap();
+        let Some(Event::PlanSearchStarted {
+            options_considered,
+            groups_past_deadline,
+            ..
+        }) = ring.take().first().cloned()
+        else {
+            panic!("PlanSearchStarted first");
+        };
+        assert_eq!(groups_past_deadline, 15, "bid_levels {bid_levels}");
+        let (plan, allocs) = counted(|| {
+            TwoLevelOptimizer::new(&problem, &view, cfg)
+                .optimize()
+                .unwrap()
+        });
+        assert!(plan.plan.groups.is_empty(), "no spot option survives");
+        (options_considered, allocs)
+    };
+    let (coarse, fine) = (search(6), search(16));
+    assert!(
+        fine.0 > coarse.0,
+        "the finer grid must consider more options: {} vs {}",
+        fine.0,
+        coarse.0
+    );
+    assert_eq!(
+        fine.1, coarse.1,
+        "{} grid options allocated {} times against {} for {}",
+        fine.0, fine.1, coarse.1, coarse.0
     );
 }

@@ -110,6 +110,13 @@ pub enum Event {
         /// assessed. Defaults to 0 for older traces.
         #[serde(default)]
         profiles_shared: u64,
+        /// Candidate groups assessed from admission counts alone: their
+        /// run time is past the deadline, so no option of theirs can meet
+        /// it. Their grid bids still count in `profiles_swept` and
+        /// `profiles_shared`, but none is swept. Defaults to 0 for older
+        /// traces.
+        #[serde(default)]
+        groups_past_deadline: u64,
     },
     /// The subset search's aggregate statistics. Emitted once per
     /// recorded `optimize_with` call, after the search and before
@@ -524,6 +531,7 @@ mod tests {
                 options_dominated: 9,
                 profiles_swept: 10,
                 profiles_shared: 2,
+                groups_past_deadline: 3,
             },
             Event::SubsetEvaluated {
                 subsets: 78,

@@ -95,6 +95,7 @@ struct SearchStats {
     options_dominated: u64,
     profiles_swept: u64,
     profiles_shared: u64,
+    groups_past_deadline: u64,
     deadline_hours: f64,
     /// Summed over `SubsetEvaluated` events (Detail traces only): one per
     /// search, or one per worker in traces of the retired parallel search.
@@ -170,6 +171,7 @@ impl RunReport {
                     options_dominated,
                     profiles_swept,
                     profiles_shared,
+                    groups_past_deadline,
                 } => {
                     report.search = Some(SearchStats {
                         candidates: *candidates,
@@ -181,6 +183,7 @@ impl RunReport {
                         options_dominated: *options_dominated,
                         profiles_swept: *profiles_swept,
                         profiles_shared: *profiles_shared,
+                        groups_past_deadline: *groups_past_deadline,
                         deadline_hours: *deadline_hours,
                         walk_evaluations: 0,
                         walk_feasible: 0,
@@ -450,6 +453,13 @@ impl fmt::Display for RunReport {
                     s.profiles_swept, s.profiles_shared
                 )?;
             }
+            if s.groups_past_deadline > 0 {
+                writeln!(
+                    f,
+                    "  {} groups past the deadline assessed from admission counts alone (no bid swept)",
+                    s.groups_past_deadline
+                )?;
+            }
             if s.walk_events > 0 {
                 writeln!(
                     f,
@@ -636,6 +646,7 @@ mod tests {
                 options_dominated: 4,
                 profiles_swept: 9,
                 profiles_shared: 3,
+                groups_past_deadline: 2,
             },
             // Two walk events, as a trace of the retired parallel search
             // carries one per worker: the report sums them.
@@ -715,6 +726,10 @@ mod tests {
         assert!(text.contains("25.0% prune rate"), "{text}");
         assert!(
             text.contains("9 bid profiles swept, 3 grid bids shared"),
+            "{text}"
+        );
+        assert!(
+            text.contains("2 groups past the deadline assessed from admission counts alone"),
             "{text}"
         );
         assert!(

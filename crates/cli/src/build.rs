@@ -34,18 +34,8 @@ impl std::fmt::Display for CliError {
 }
 
 /// Build a market from flags: either `--feed <file>` (AWS price history)
-/// or a synthetic one from `--seed` / `--hours`. `--no-trace-index`
-/// disables the max/min-tree trace index (an ablation switch — replay
-/// answers are bit-identical either way, only wall-clock changes).
+/// or a synthetic one from `--seed` / `--hours`.
 pub fn market_from(args: &Args) -> Result<SpotMarket, CliError> {
-    let mut market = market_from_inner(args)?;
-    if args.flag("no-trace-index") {
-        market.set_trace_index_enabled(false);
-    }
-    Ok(market)
-}
-
-fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
     let step = args.f64_or("step", 1.0 / 12.0)?;
     if let Some(path) = args.get("feed") {
         let text = std::fs::read_to_string(path)
@@ -109,15 +99,6 @@ mod tests {
         let m = market_from(&args(&["--hours", "72", "--seed", "5"])).unwrap();
         assert_eq!(m.len(), 15);
         assert!((m.horizon() - 72.0).abs() < 1.0);
-        assert!(m.trace_index_enabled());
-    }
-
-    #[test]
-    fn no_trace_index_flag_disables_the_index() {
-        let m = market_from(&args(&["--hours", "72", "--no-trace-index"])).unwrap();
-        assert!(!m.trace_index_enabled());
-        let id = m.groups().next().unwrap();
-        assert!(!m.query(id).unwrap().indexed());
     }
 
     #[test]

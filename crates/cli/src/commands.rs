@@ -39,9 +39,6 @@ pub(crate) const PLAN_FLAGS: &[&str] = &[
     "history",
     "trace-out",
     "trace-level",
-    "no-prune-dominance",
-    "no-prune-bound",
-    "no-trace-index",
 ];
 
 pub(crate) fn svc(e: ServiceError) -> CliError {
@@ -64,10 +61,6 @@ pub(crate) fn plan_request_from(args: &Args) -> Result<PlanRequest, CliError> {
         bid_levels: args.u64_or("levels", 12)? as u32,
         slack: args.f64_or("slack", 0.2)?,
         threads: 0,
-        // Pruning ablation switches; all stages preserve the exact
-        // optimum, so disabling them only changes planner wall-clock.
-        prune_dominance: !args.flag("no-prune-dominance"),
-        prune_bound: !args.flag("no-prune-bound"),
         history_hours: args.f64_or("history", 48.0)?,
         view_start_hours: 0.0,
     })
@@ -88,7 +81,6 @@ pub(crate) fn replay_request_from(
         window_hours: args.f64_or("window", 15.0)?,
         faults: args.get("faults").map(str::to_string),
         fault_seed: args.u64_or("fault-seed", 42)?,
-        batch_replay: !args.flag("no-batch-replay"),
         ..Default::default()
     })
 }
@@ -205,7 +197,6 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "fault-seed",
         "adaptive",
         "window",
-        "no-batch-replay",
     ]);
     args.check_known(&flags)?;
     let market = market_from(args)?;
@@ -289,14 +280,7 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// fixed-plan replay request with a scaled deadline factor.
 pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut flags = PLAN_FLAGS.to_vec();
-    flags.extend([
-        "replicas",
-        "mc-seed",
-        "from",
-        "to",
-        "points",
-        "no-batch-replay",
-    ]);
+    flags.extend(["replicas", "mc-seed", "from", "to", "points"]);
     args.check_known(&flags)?;
     let market = market_from(args)?;
     let from = args.f64_or("from", 1.05)?;
@@ -335,14 +319,10 @@ pub fn cmd_tournament(args: &Args, out: &mut dyn Write) -> Result<(), CliError> 
         "fault-grid",
         "fault-seed",
         "smoke",
-        "no-batch-replay",
-        "no-replay-memo",
     ]);
     args.check_known(&flags)?;
     let mut cfg = TournamentConfig {
         plan: plan_request_from(args)?,
-        batch_replay: !args.flag("no-batch-replay"),
-        replay_memo: !args.flag("no-replay-memo"),
         ..Default::default()
     };
     if let Some(list) = args.get("policies") {
@@ -609,6 +589,56 @@ mod tests {
             let err = cmd_plan(&args(flags), &mut buf).unwrap_err();
             assert!(err.to_string().contains("unknown flag"), "{flags:?}: {err}");
         }
+    }
+
+    type Command = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+    const PLAN: (&str, Command) = ("plan", cmd_plan);
+    const REPLAY: (&str, Command) = ("replay", cmd_replay);
+    const SWEEP: (&str, Command) = ("sweep", cmd_sweep);
+    const TOURNAMENT: (&str, Command) = ("tournament", cmd_tournament);
+    const SERVE: (&str, Command) = ("serve", crate::serve::cmd_serve);
+    const CLIENT: (&str, Command) = ("client", crate::serve::cmd_client);
+
+    /// `flag` is an unknown flag on each of `commands`, the commands that
+    /// took it while it was an ablation switch.
+    fn assert_unknown_on(flag: &str, commands: &[(&str, Command)]) {
+        for (name, cmd) in commands {
+            let err = cmd(&args(&[flag]), &mut Vec::new()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unknown flag {flag}"),
+                "sompi {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_prune_dominance_is_an_unknown_flag() {
+        let commands = [PLAN, REPLAY, SWEEP, TOURNAMENT, CLIENT];
+        assert_unknown_on("--no-prune-dominance", &commands);
+    }
+
+    #[test]
+    fn no_prune_bound_is_an_unknown_flag() {
+        let commands = [PLAN, REPLAY, SWEEP, TOURNAMENT, CLIENT];
+        assert_unknown_on("--no-prune-bound", &commands);
+    }
+
+    #[test]
+    fn no_trace_index_is_an_unknown_flag() {
+        let commands = [PLAN, REPLAY, SWEEP, TOURNAMENT, SERVE];
+        assert_unknown_on("--no-trace-index", &commands);
+    }
+
+    #[test]
+    fn no_batch_replay_is_an_unknown_flag() {
+        assert_unknown_on("--no-batch-replay", &[REPLAY, SWEEP, TOURNAMENT]);
+    }
+
+    #[test]
+    fn no_replay_memo_is_an_unknown_flag() {
+        assert_unknown_on("--no-replay-memo", &[TOURNAMENT]);
     }
 
     #[test]

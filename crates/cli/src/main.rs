@@ -43,14 +43,6 @@ COMMON FLAGS:
                                no-ft, ckpt-only, app-centric, deadline-hedge
     --kappa K --levels L --slack S      optimizer knobs (default 4, 12, 0.2);
                                each plan search runs on the calling thread
-    --no-prune-dominance / --no-prune-bound
-                               disable exactness-preserving search pruning stages
-                               (ablation; the optimum never changes)
-    --no-trace-index           disable the max/min-tree trace index used by
-                               replay queries (ablation; answers never change)
-    --no-batch-replay          disable the batched scenario-major replay
-                               executor (ablation; outcomes are bit-identical,
-                               only replay wall-clock changes)
     --adaptive                 replay the windowed Algorithm-1 loop instead of
                                a single frozen plan; each re-plan runs the
                                same search as `plan` (replay only)
@@ -75,9 +67,6 @@ TOURNAMENT FLAGS (tournament):
                                is the fault-free case (default none)
     --smoke                    seconds-fast CI configuration (small problem,
                                3 replicas, 120 h market)
-    --no-replay-memo           disable cross-cell plan-fingerprint replay
-                               memoization (ablation; the report is
-                               byte-identical, only wall-clock changes)
 
 SERVER FLAGS (serve):
     --addr HOST:PORT           listen address (default 127.0.0.1:7077; port 0

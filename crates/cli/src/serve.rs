@@ -29,7 +29,6 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "seed",
         "hours",
         "step",
-        "no-trace-index",
         "addr",
         "workers",
         "queue-cap",
@@ -99,7 +98,7 @@ pub fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .iter()
         .copied()
         // Market flags are the server's business, not the client's.
-        .filter(|f| !matches!(*f, "feed" | "seed" | "hours" | "step" | "no-trace-index"))
+        .filter(|f| !matches!(*f, "feed" | "seed" | "hours" | "step"))
         .filter(|f| !matches!(*f, "trace-out" | "trace-level"))
         .collect();
     flags.extend([

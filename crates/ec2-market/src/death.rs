@@ -265,8 +265,7 @@ mod tests {
         for len in [1usize, 2, 5, 33, 128, 300] {
             let tr = random_trace(&mut rng, len, 1.0 / 12.0);
             let ix = TraceIndex::build(&tr);
-            let qi = TraceQuery::new(&tr, Some(&ix));
-            let qn = TraceQuery::new(&tr, None);
+            let qi = TraceQuery::new(&tr, &ix);
             let duration = tr.duration();
             for bid in [0.0, 0.1, 0.25, 0.5, 0.75, 0.999, 1.5] {
                 let table = DeathTimeTable::build(&tr, bid);
@@ -279,13 +278,14 @@ mod tests {
                     assert_eq!(fp, qi.first_passage_above(start, bid));
                     assert_eq!(
                         fp.map(f64::to_bits),
-                        qn.first_passage_above(start, bid).map(f64::to_bits)
+                        tr.first_passage_above(start, bid).map(f64::to_bits)
                     );
                     let lt = table.launch_time(start, cutoff);
                     assert_eq!(lt, qi.launch_time(start, bid, cutoff));
                     assert_eq!(
                         lt.map(f64::to_bits),
-                        qn.launch_time(start, bid, cutoff).map(f64::to_bits)
+                        tr.first_time_at_or_below(start, bid, cutoff)
+                            .map(f64::to_bits)
                     );
                 }
             }

@@ -14,14 +14,13 @@
 //! samples beneath it, so the test "some sample under this node is above
 //! (at or below) the bid" is *exactly* the naive per-element comparison,
 //! and first-passage times are materialized with the same arithmetic form
-//! (`i as f64 * step_hours`) the naive paths use. The differential suite in
-//! `tests/replay_index_differential.rs` and the randomized equality
-//! properties in `tests/properties.rs` enforce this.
+//! (`i as f64 * step_hours`) the naive paths use. The unit tests below and
+//! the randomized equality properties in `tests/properties.rs` compare
+//! every query against the naive [`SpotTrace`] scans, which stay only as
+//! that oracle.
 //!
-//! [`TraceQuery`] bundles a borrowed trace with its (optional) index so the
-//! executors can write one code path and let [`crate::market::SpotMarket`]
-//! decide — via its `--no-trace-index` ablation flag — whether queries go
-//! through the index or the naive scans.
+//! [`TraceQuery`] bundles a borrowed trace with its index; it is what
+//! [`crate::market::SpotMarket::query`] hands the replay executors.
 
 use crate::trace::SpotTrace;
 use crate::{Hours, Usd};
@@ -135,19 +134,17 @@ impl TraceIndex {
     }
 }
 
-/// A borrowed trace plus its (optional) index: the single query surface the
-/// replay executors use, so the indexed and naive paths share one call site
-/// and the `--no-trace-index` ablation switches implementations, never
-/// semantics.
+/// A borrowed trace plus its index: the query surface the replay
+/// executors use when they hold no death-time table.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceQuery<'a> {
     trace: &'a SpotTrace,
-    index: Option<&'a TraceIndex>,
+    index: &'a TraceIndex,
 }
 
 impl<'a> TraceQuery<'a> {
-    /// Bundle a trace with an optional index.
-    pub fn new(trace: &'a SpotTrace, index: Option<&'a TraceIndex>) -> Self {
+    /// Bundle a trace with its index (built from the same samples).
+    pub fn new(trace: &'a SpotTrace, index: &'a TraceIndex) -> Self {
         Self { trace, index }
     }
 
@@ -156,53 +153,39 @@ impl<'a> TraceQuery<'a> {
         self.trace
     }
 
-    /// Whether queries are served by the index.
-    pub fn indexed(&self) -> bool {
-        self.index.is_some()
-    }
-
     /// First-passage time above `bid` from `start` — the out-of-bid death.
-    /// Bit-identical to [`SpotTrace::first_passage_above`], in O(log n)
-    /// when indexed.
+    /// Bit-identical to [`SpotTrace::first_passage_above`], in O(log n).
     pub fn first_passage_above(&self, start: Hours, bid: Usd) -> Option<Hours> {
-        match self.index {
-            None => self.trace.first_passage_above(start, bid),
-            Some(ix) => {
-                let lo = self.trace.index_at(start.max(0.0));
-                ix.first_above(lo, bid)
-                    .map(|i| i as f64 * self.trace.step_hours())
-                    .map(|t| t.max(start))
-            }
-        }
+        let lo = self.trace.index_at(start.max(0.0));
+        self.index
+            .first_above(lo, bid)
+            .map(|i| i as f64 * self.trace.step_hours())
+            .map(|t| t.max(start))
     }
 
     /// Launch time: earliest time `>= start` (strictly before `cutoff`)
     /// with the price at or below `bid`. Bit-identical to
-    /// [`SpotTrace::first_time_at_or_below`], in O(log n) when indexed.
+    /// [`SpotTrace::first_time_at_or_below`], in O(log n).
     pub fn launch_time(&self, start: Hours, bid: Usd, cutoff: Hours) -> Option<Hours> {
-        match self.index {
-            None => self.trace.first_time_at_or_below(start, bid, cutoff),
-            Some(ix) => {
-                if start >= cutoff || start >= self.trace.duration() {
-                    return None;
-                }
-                let lo = self.trace.index_at(start);
-                if self.trace.samples()[lo] <= bid {
-                    return Some(start);
-                }
-                ix.first_at_or_below(lo + 1, bid)
-                    .map(|i| i as f64 * self.trace.step_hours())
-                    .filter(|&t| t < cutoff)
-            }
+        if start >= cutoff || start >= self.trace.duration() {
+            return None;
         }
+        let lo = self.trace.index_at(start);
+        if self.trace.samples()[lo] <= bid {
+            return Some(start);
+        }
+        self.index
+            .first_at_or_below(lo + 1, bid)
+            .map(|i| i as f64 * self.trace.step_hours())
+            .filter(|&t| t < cutoff)
     }
 
-    /// Whole-trace maximum price. O(1) either way (the trace caches it).
+    /// Whole-trace maximum price. O(1) (the trace caches it).
     pub fn max_price(&self) -> Usd {
         self.trace.max_price()
     }
 
-    /// Whole-trace minimum price. O(1) either way (the trace caches it).
+    /// Whole-trace minimum price. O(1) (the trace caches it).
     pub fn min_price(&self) -> Usd {
         self.trace.min_price()
     }
@@ -271,7 +254,7 @@ mod tests {
         for len in [1usize, 3, 50, 240] {
             let tr = random_trace(&mut rng, len, 1.0 / 12.0);
             let ix = TraceIndex::build(&tr);
-            let q = TraceQuery::new(&tr, Some(&ix));
+            let q = TraceQuery::new(&tr, &ix);
             for i in 0..40 {
                 let start = (rng.next() % 400) as f64 * 0.077 - 1.0;
                 let bid = rng.price();
@@ -290,7 +273,7 @@ mod tests {
         for len in [1usize, 2, 17, 300] {
             let tr = random_trace(&mut rng, len, 1.0 / 12.0);
             let ix = TraceIndex::build(&tr);
-            let q = TraceQuery::new(&tr, Some(&ix));
+            let q = TraceQuery::new(&tr, &ix);
             for _ in 0..60 {
                 let start = (rng.next() % 500) as f64 * 0.061 - 0.5;
                 let bid = rng.price();

@@ -103,10 +103,6 @@ pub struct SpotMarket {
     /// immutable index per trace; the slots are derived state and are not
     /// serialized.
     indexes: BTreeMap<CircleGroupId, OnceLock<TraceIndex>>,
-    /// Whether [`SpotMarket::query`] serves indexed queries. Disabled by
-    /// the `--no-trace-index` ablation flag; results are bit-identical
-    /// either way (enforced by the differential suite).
-    index_enabled: bool,
     /// Memoized per-(group, bid) death/launch time tables for the batched
     /// replay path. Like the index slots this is derived state — built on
     /// first use, shared read-only across Monte-Carlo workers and
@@ -122,7 +118,6 @@ impl SpotMarket {
             catalog,
             traces: BTreeMap::new(),
             indexes: BTreeMap::new(),
-            index_enabled: true,
             death_tables: DeathTimeCache::new(),
         }
     }
@@ -165,19 +160,16 @@ impl SpotMarket {
         self.traces.get(&id)
     }
 
-    /// Query surface for a circle group: the trace plus — when trace
-    /// indexing is enabled — its lazily built [`TraceIndex`]. This is what
-    /// the replay executors use for launch/death searches; answers are
-    /// bit-identical whether or not the index is enabled.
+    /// Query surface for a circle group: the trace plus its lazily built
+    /// [`TraceIndex`]. This is what the replay executors use for
+    /// launch/death searches without a death-time table; answers are
+    /// bit-identical to the trace's own scans.
     pub fn query(&self, id: CircleGroupId) -> Option<TraceQuery<'_>> {
         let trace = self.traces.get(&id)?;
-        let index = if self.index_enabled {
-            self.indexes
-                .get(&id)
-                .map(|slot| slot.get_or_init(|| TraceIndex::build(trace)))
-        } else {
-            None
-        };
+        let index = self
+            .indexes
+            .get(&id)?
+            .get_or_init(|| TraceIndex::build(trace));
         Some(TraceQuery::new(trace, index))
     }
 
@@ -199,30 +191,11 @@ impl SpotMarket {
         self.death_tables.len()
     }
 
-    /// Enable or disable indexed queries (the `--no-trace-index` ablation).
-    pub fn set_trace_index_enabled(&mut self, enabled: bool) {
-        self.index_enabled = enabled;
-    }
-
-    /// Whether [`SpotMarket::query`] serves indexed queries.
-    pub fn trace_index_enabled(&self) -> bool {
-        self.index_enabled
-    }
-
-    /// Builder-style [`SpotMarket::set_trace_index_enabled`]`(false)`.
-    pub fn without_trace_index(mut self) -> Self {
-        self.index_enabled = false;
-        self
-    }
-
     /// Force-build every group's index now, instead of lazily on each
     /// group's first [`SpotMarket::query`]. The server calls this when it
     /// binds, so no request pays for a build; benchmarks call it to keep
     /// build cost out of query timings.
     pub fn build_indexes(&self) {
-        if !self.index_enabled {
-            return;
-        }
         for id in self.traces.keys() {
             self.query(*id);
         }
@@ -295,8 +268,7 @@ impl SpotMarket {
 // Manual serde impls: the index slots are derived state (rebuilt lazily on
 // demand) and must not leak into the serialized shape, which stays
 // `{catalog, traces}` exactly as the old derive produced; the vendored
-// `serde_derive` has no `#[serde(skip)]`. A deserialized market comes back
-// with indexing enabled — the ablation flag is a runtime switch, not data.
+// `serde_derive` has no `#[serde(skip)]`.
 impl Serialize for SpotMarket {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -315,7 +287,6 @@ impl Deserialize for SpotMarket {
             catalog,
             traces,
             indexes,
-            index_enabled: true,
             death_tables: DeathTimeCache::new(),
         })
     }
@@ -380,36 +351,22 @@ mod tests {
     }
 
     #[test]
-    fn query_is_indexed_only_when_enabled() {
-        let mut m = paper_market();
-        let id = m.groups().next().unwrap();
-        assert!(m.trace_index_enabled());
-        assert!(m.query(id).unwrap().indexed());
-        m.set_trace_index_enabled(false);
-        assert!(!m.query(id).unwrap().indexed());
-        let m = m.without_trace_index();
-        assert!(!m.query(id).unwrap().indexed());
-    }
-
-    #[test]
     fn indexed_and_naive_queries_agree_on_generated_market() {
         let m = paper_market();
-        let plain = m.clone().without_trace_index();
         m.build_indexes();
         for id in m.groups().collect::<Vec<_>>() {
-            let qi = m.query(id).unwrap();
-            let qn = plain.query(id).unwrap();
-            assert!(qi.indexed() && !qn.indexed());
+            let q = m.query(id).unwrap();
+            let trace = m.trace(id).unwrap();
             for k in 0..40 {
                 let start = k as f64 * 2.37;
-                let bid = qi.min_price() + (qi.max_price() - qi.min_price()) * (k as f64 / 40.0);
+                let bid = q.min_price() + (q.max_price() - q.min_price()) * (k as f64 / 40.0);
                 assert_eq!(
-                    qi.first_passage_above(start, bid),
-                    qn.first_passage_above(start, bid)
+                    q.first_passage_above(start, bid),
+                    trace.first_passage_above(start, bid)
                 );
                 assert_eq!(
-                    qi.launch_time(start, bid, start + 30.0),
-                    qn.launch_time(start, bid, start + 30.0)
+                    q.launch_time(start, bid, start + 30.0),
+                    trace.first_time_at_or_below(start, bid, start + 30.0)
                 );
             }
         }
@@ -420,10 +377,9 @@ mod tests {
         let m = paper_market();
         m.build_indexes();
         let v = m.to_value();
-        assert!(v.get("indexes").is_none() && v.get("index_enabled").is_none());
+        assert!(v.get("indexes").is_none());
         let back = SpotMarket::from_value(&v).unwrap();
         assert_eq!(back.len(), m.len());
-        assert!(back.trace_index_enabled());
         for id in m.groups().collect::<Vec<_>>() {
             assert_eq!(back.trace(id), m.trace(id));
         }

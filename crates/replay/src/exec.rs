@@ -52,15 +52,12 @@ use sompi_core::error::SompiError;
 use sompi_core::model::{CircleGroup, GroupDecision, Plan};
 use sompi_obs::{emit, Event, NullRecorder, Recorder, TraceLevel};
 
-/// How Monte-Carlo replay resolves launch/death crossings — the
-/// `--no-batch-replay` ablation toggle.
-///
-/// Both modes produce bit-identical [`RunOutcome`]s (enforced by the
-/// `mc_batch_differential` suite); `Batched` is the faster default.
+/// Accepted and ignored: Monte-Carlo replay always resolves a fixed
+/// plan's launch/death crossings through [`BatchTables`]. The one variant
+/// and [`ExecContext::with_mode`] stay only for callers that still name
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Per-replica scalar trace walks (the pre-batching executor).
-    Scalar,
     /// Scenario-major execution: [`MonteCarlo::run_plan`](crate::MonteCarlo::run_plan)
     /// precomputes one shared [`BatchTables`] per (plan, market) and every
     /// replica resolves crossings with O(1) table reads.
@@ -83,12 +80,9 @@ pub struct ExecContext<'a> {
     /// Retry/backoff policy for faulted operations (checkpoint uploads,
     /// relaunch pacing). The default [`RetryPolicy::none`] never waits.
     pub retry: RetryPolicy,
-    /// Requested execution mode. Only [`MonteCarlo::run_plan`](crate::MonteCarlo::run_plan)
-    /// consults this (to decide whether to warm [`BatchTables`]); the
-    /// executors themselves key off `batch` being present.
-    pub mode: ExecMode,
     /// Precomputed death-time tables for the plan being replayed. `None`
-    /// replays through scalar trace queries; the answers are bit-identical
+    /// replays through the market's indexed trace queries (adaptive
+    /// windows, timelines, relaunch); the answers are bit-identical
     /// either way.
     pub batch: Option<&'a BatchTables>,
 }
@@ -99,7 +93,6 @@ impl Default for ExecContext<'_> {
             recorder: &NullRecorder,
             faults: None,
             retry: RetryPolicy::none(),
-            mode: ExecMode::default(),
             batch: None,
         }
     }
@@ -129,10 +122,10 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Select the execution mode (the `--no-batch-replay` ablation sets
-    /// [`ExecMode::Scalar`]).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
+    /// Accepted and ignored: [`ExecMode`] has one variant, and
+    /// [`MonteCarlo::run_plan`](crate::MonteCarlo::run_plan) always
+    /// replays against [`BatchTables`].
+    pub fn with_mode(self, _mode: ExecMode) -> Self {
         self
     }
 
@@ -258,7 +251,7 @@ impl FaultLog<'_> {
 }
 
 /// Where a group's launch and death crossings come from: its batch
-/// death-time table when the context carries one, else scalar trace
+/// death-time table when the context carries one, else indexed trace
 /// queries at the group's bid. Both give the same bits.
 enum Crossings<'t> {
     Table(&'t BatchEntry),
@@ -488,10 +481,9 @@ impl<'a> PlanRunner<'a> {
                 })?;
             // Batched replay: the shared death-time table for this
             // (group, bid), when the context carries one. Every lookup
-            // below is bit-identical to the scalar query — the table is
+            // below is bit-identical to the indexed query — the table is
             // the same arithmetic with the trace scan hoisted out. Without
-            // one, the query walks the trace index (O(log n)) when
-            // indexing is enabled, and the boundary search otherwise.
+            // one, the query walks the trace index (O(log n)).
             let entry = ctx.batch.and_then(|b| b.entry(i, group.id, decision.bid));
             let crossings = match entry {
                 Some(e) => Crossings::Table(e),
@@ -792,8 +784,8 @@ fn walk_group<'a>(
     let stop = death.min(cutoff);
     let user_stop = cutoff < death;
     // The fault-draw key: cached in the batch entry (computed once per
-    // plan), or derived here on the scalar path — the same hash either
-    // way, so every draw below is identical across modes.
+    // plan), or derived here on the table-free path — the same hash
+    // either way, so every draw below is identical on both paths.
     let gkey = gkey.unwrap_or_else(|| ec2_market::fault::group_key(group.id));
 
     let mut t = launch_t;

@@ -63,7 +63,7 @@ pub mod timeline;
 
 pub use adaptive_exec::{AdaptiveOutcome, AdaptiveRunner};
 pub use batch::{BatchEntry, BatchTables};
-pub use exec::{ExecContext, ExecMode, Finisher, PlanRunner, RunOutcome, WindowOutcome};
+pub use exec::{ExecContext, Finisher, PlanRunner, RunOutcome, WindowOutcome};
 pub use montecarlo::{McResult, MonteCarlo, MonteCarloBuilder};
 pub use relaunch::{run_persistent, RelaunchOutcome};
 pub use stats::Summary;

@@ -22,7 +22,7 @@
 //! bounded by the spread of the outcomes rather than by the replica count.
 
 use crate::batch::BatchTables;
-use crate::exec::{ExecContext, ExecMode, Finisher, PlanRunner, RunOutcome};
+use crate::exec::{ExecContext, Finisher, PlanRunner, RunOutcome};
 use crate::stats::{Moments, QuantileHistogram, Summary};
 use crate::Hours;
 use ec2_market::market::SpotMarket;
@@ -374,12 +374,11 @@ impl MonteCarlo {
     /// replicas starting at different offsets see different storm
     /// alignments — exactly like real correlated outages).
     ///
-    /// Under [`ExecMode::Batched`] (the default) the plan's death-time
-    /// tables are warmed once here — built on the market's shared cache or
-    /// reused from it — and every replica on every worker thread replays
-    /// against them; under [`ExecMode::Scalar`] (the `--no-batch-replay`
-    /// ablation) each replica walks the trace queries as before. Results
-    /// are bit-identical either way.
+    /// Every replica on every worker replays against the plan's
+    /// death-time tables: the context's own [`BatchTables`] when it
+    /// carries them, else tables warmed once here — built on the market's
+    /// shared cache or reused from it — and announced with one
+    /// [`Event::ReplayBatched`].
     pub fn run_plan(
         &self,
         market: &SpotMarket,
@@ -388,24 +387,20 @@ impl MonteCarlo {
         ctx: &ExecContext<'_>,
     ) -> Result<McResult, SompiError> {
         let runner = PlanRunner::new(market, deadline);
-        if ctx.mode == ExecMode::Batched {
-            if ctx.batch.is_some() {
-                // Caller-built tables (the tournament warms and announces
-                // them itself so the trace stays single-threaded).
-                return self.evaluate(|start| runner.run(plan, start, ctx));
-            }
-            let batch = BatchTables::for_plan(market, plan)?;
-            emit(ctx.recorder, TraceLevel::Summary, || Event::ReplayBatched {
-                groups: batch.len() as u32,
-                replicas: self.replicas as u64,
-                tables_built: batch.tables_built,
-                tables_reused: batch.tables_reused,
-            });
-            let bctx = ctx.with_batch(&batch);
-            self.evaluate(|start| runner.run(plan, start, &bctx))
-        } else {
-            self.evaluate(|start| runner.run(plan, start, ctx))
+        if ctx.batch.is_some() {
+            // Caller-built tables (the tournament warms and announces
+            // them itself so the trace stays single-threaded).
+            return self.evaluate(|start| runner.run(plan, start, ctx));
         }
+        let batch = BatchTables::for_plan(market, plan)?;
+        emit(ctx.recorder, TraceLevel::Summary, || Event::ReplayBatched {
+            groups: batch.len() as u32,
+            replicas: self.replicas as u64,
+            tables_built: batch.tables_built,
+            tables_reused: batch.tables_reused,
+        });
+        let bctx = ctx.with_batch(&batch);
+        self.evaluate(|start| runner.run(plan, start, &bctx))
     }
 }
 

@@ -409,8 +409,8 @@ pub enum Event {
     /// Monte-Carlo replay warmed the batched scenario-major path: the
     /// plan's per-(group, bid) death-time tables were fetched from the
     /// market's shared cache (or built on first touch) before any replica
-    /// ran. Emitted once per `MonteCarlo::run_plan` call under the
-    /// batched execution mode; absent under `--no-batch-replay`.
+    /// ran. Emitted once per `MonteCarlo::run_plan` call that warms its
+    /// own tables, and once per tournament replay that is not a memo hit.
     ReplayBatched {
         /// Plan groups covered by batch tables.
         groups: u32,
@@ -425,8 +425,7 @@ pub enum Event {
     /// A tournament cell reused another cell's Monte-Carlo result: its
     /// policy produced a byte-identical plan under the same
     /// (market, fault plan), so the replay was served from the
-    /// plan-fingerprint memo instead of re-running. Absent under
-    /// `--no-replay-memo`.
+    /// plan-fingerprint memo instead of re-running.
     ReplayMemoHit {
         /// Policy display name of the cell served from the memo.
         policy: String,

@@ -133,6 +133,11 @@ fn d_fault_seed() -> u64 {
 /// plan. The `tenant` label is for observability and fairness
 /// accounting only — it is deliberately *excluded* from the plan-cache
 /// key so identical problems from different tenants share one search.
+///
+/// A frame that still carries a retired search switch
+/// (`shared_incumbent`, `prune_dominance`, `prune_bound`) decodes, and the
+/// field is dropped: every search prunes, and pruning never changes the
+/// plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanRequest {
     /// Tenant label, echoed into trace events.
@@ -167,16 +172,9 @@ pub struct PlanRequest {
     #[serde(default = "d_slack")]
     pub slack: f64,
     /// Accepted and ignored: every plan search runs on the thread that
-    /// serves the request. The plan cache key clears it. A frame that
-    /// still carries the retired `shared_incumbent` switch decodes too,
-    /// and the field is dropped.
+    /// serves the request. The plan cache key clears it.
     #[serde(default)]
     pub threads: u32,
-    /// Exactness-preserving pruning ablation switches.
-    #[serde(default = "d_true")]
-    pub prune_dominance: bool,
-    #[serde(default = "d_true")]
-    pub prune_bound: bool,
     /// Hours of price history visible to the planner.
     #[serde(default = "d_history")]
     pub history_hours: f64,
@@ -199,8 +197,6 @@ impl Default for PlanRequest {
             bid_levels: d_levels(),
             slack: d_slack(),
             threads: 0,
-            prune_dominance: true,
-            prune_bound: true,
             history_hours: d_history(),
             view_start_hours: 0.0,
         }
@@ -210,6 +206,10 @@ impl Default for PlanRequest {
 /// A Monte-Carlo replay request: plan with [`PlanRequest`] parameters,
 /// then replay the plan over the server's market. `adaptive` switches
 /// to the windowed Algorithm-1 runner (re-plan every `window_hours`).
+///
+/// A frame that still carries the retired `batch_replay` switch decodes,
+/// and the field is dropped: fixed-plan replays always run against
+/// death-time tables, which give the same bits as trace queries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayRequest {
     /// The planning half of the request.
@@ -240,11 +240,6 @@ pub struct ReplayRequest {
     /// Fault-injection seed.
     #[serde(default = "d_fault_seed")]
     pub fault_seed: u64,
-    /// Replay through the batched scenario-major executor (fixed-plan
-    /// replays only; the adaptive runner is always scalar). `false` is
-    /// the `--no-batch-replay` ablation; results are bit-identical.
-    #[serde(default = "d_true")]
-    pub batch_replay: bool,
 }
 
 impl Default for ReplayRequest {
@@ -259,7 +254,6 @@ impl Default for ReplayRequest {
             bucket_reuse: true,
             faults: None,
             fault_seed: d_fault_seed(),
-            batch_replay: true,
         }
     }
 }

@@ -16,7 +16,7 @@ use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::profile::AppProfile;
 use mpi_sim::storage::S3Store;
 use replay::adaptive_exec::AdaptiveRunner;
-use replay::exec::{ExecContext, ExecMode};
+use replay::exec::ExecContext;
 use replay::montecarlo::MonteCarlo;
 use replay::stats::Summary;
 use serde::{Deserialize, Serialize};
@@ -123,8 +123,6 @@ pub fn optimizer_config(req: &PlanRequest) -> OptimizerConfig {
         kappa: req.kappa as usize,
         bid_levels: req.bid_levels,
         slack: req.slack,
-        prune_dominance: req.prune_dominance,
-        prune_bound: req.prune_bound,
         ..Default::default()
     }
 }
@@ -309,14 +307,10 @@ pub fn replay(
     let app = app_profile(&p.app, &p.class, p.procs, p.repeats)?;
     let problem = build_problem(market, &app, p.deadline_factor)?;
     let injector = injector_from(market, req)?;
-    // The batched scenario-major executor only accelerates fixed-plan
-    // replays: `MonteCarlo::run_plan` checks the mode. The adaptive
-    // runner below drives `run_window` directly and stays scalar.
-    let mut ctx = ExecContext::new().with_mode(if req.batch_replay {
-        ExecMode::Batched
-    } else {
-        ExecMode::Scalar
-    });
+    // Fixed-plan replays run against death-time tables, which
+    // `MonteCarlo::run_plan` warms. The adaptive runner below re-plans
+    // every window and queries the trace index instead.
+    let mut ctx = ExecContext::new();
     if let Some(inj) = &injector {
         // Faulted checkpoint I/O retries under the standard policy.
         ctx = ctx.with_faults(inj).with_retry(RetryPolicy::default_io());
@@ -442,19 +436,11 @@ pub fn traced_replay(
                 .map_err(|e| ServiceError::Plan(e.to_string()))?
         }
     };
-    let runner = replay::PlanRunner::new(market, problem.deadline);
-    if req.batch_replay {
-        let batch = replay::BatchTables::for_plan(market, &plan)
-            .map_err(|e| ServiceError::Plan(e.to_string()))?;
-        let ctx = ctx.with_mode(ExecMode::Batched).with_batch(&batch);
-        runner
-            .run(&plan, start, &ctx)
-            .map_err(|e| ServiceError::Plan(e.to_string()))?;
-    } else {
-        runner
-            .run(&plan, start, &ctx)
-            .map_err(|e| ServiceError::Plan(e.to_string()))?;
-    }
+    let batch = replay::BatchTables::for_plan(market, &plan)
+        .map_err(|e| ServiceError::Plan(e.to_string()))?;
+    replay::PlanRunner::new(market, problem.deadline)
+        .run(&plan, start, &ctx.with_batch(&batch))
+        .map_err(|e| ServiceError::Plan(e.to_string()))?;
     Ok(())
 }
 
@@ -545,9 +531,11 @@ mod tests {
         use crate::proto::{read_message, write_frame, Request};
 
         // A client built against the parallel search may still send its
-        // thread count and the shared-incumbent switch.
+        // thread count, the shared-incumbent switch and the pruning
+        // switches.
         let body = br#"{"Plan":{"repeats":50,"kappa":1,"bid_levels":2,
-            "threads":4,"shared_incumbent":false}}"#;
+            "threads":4,"shared_incumbent":false,
+            "prune_dominance":false,"prune_bound":false}}"#;
         let mut frame = Vec::new();
         write_frame(&mut frame, body).unwrap();
         let Request::Plan(req) = read_message::<Request>(&mut &frame[..]).unwrap() else {
@@ -562,33 +550,63 @@ mod tests {
     }
 
     #[test]
+    fn retired_replay_switch_still_decodes_and_replays_the_same() {
+        use crate::proto::{read_message, write_frame, Request};
+
+        let body = br#"{"Replay":{"plan":{"repeats":50,"kappa":1,"bid_levels":2},
+            "replicas":4,"batch_replay":false}}"#;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, body).unwrap();
+        let Request::Replay(req) = read_message::<Request>(&mut &frame[..]).unwrap() else {
+            panic!("expected a Replay request");
+        };
+        let want = ReplayRequest {
+            plan: small_request(),
+            replicas: 4,
+            ..Default::default()
+        };
+        assert_eq!(req, want);
+        let market = market(200.0);
+        assert_eq!(
+            replay(&market, &req, &NullRecorder).unwrap(),
+            replay(&market, &want, &NullRecorder).unwrap()
+        );
+    }
+
+    #[test]
     fn plan_request_key_ignores_tenant_but_not_problem_shape() {
+        use serde::{Deserialize, Value};
+
+        // Perturb each serialized field in turn: every field but `tenant`
+        // and `threads` can change the answer, so it must change the key.
         let market = market(100.0);
-        let a = small_request();
-        let mut b = a.clone();
-        b.tenant = "another-team".into();
-        assert_eq!(plan_request_key(&market, &a), plan_request_key(&market, &b));
-
-        let mut c = a.clone();
-        c.deadline_factor = 2.0;
-        assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &c));
-
-        let mut d = a.clone();
-        d.history_hours = 24.0; // different market view → different key
-        assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &d));
-
-        // The thread count does not change the answer, so it shares a key.
-        let mut e = a.clone();
-        e.threads = 4;
-        assert_eq!(plan_request_key(&market, &a), plan_request_key(&market, &e));
-
-        let mut f = a.clone();
-        f.view_start_hours = 12.0; // the view slides → different key
-        assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &f));
+        let base = small_request();
+        let key = plan_request_key(&market, &base);
+        let Value::Obj(fields) = serde_json::to_value(&base).unwrap() else {
+            panic!("a request serializes to an object");
+        };
+        let mut ignored = Vec::new();
+        for i in 0..fields.len() {
+            let mut perturbed = fields.clone();
+            let (name, value) = &mut perturbed[i];
+            *value = match value {
+                Value::Num(x) => Value::Num(*x + 1.0),
+                Value::Str(s) => Value::Str(format!("{s}-x")),
+                Value::Bool(b) => Value::Bool(!*b),
+                other => panic!("{name}: no perturbation for {other:?}"),
+            };
+            let name = name.clone();
+            let req = PlanRequest::from_value(&Value::Obj(perturbed)).unwrap();
+            assert_ne!(req, base, "{name}: the perturbation must reach the request");
+            if plan_request_key(&market, &req) == key {
+                ignored.push(name);
+            }
+        }
+        assert_eq!(ignored, ["tenant", "threads"]);
 
         // The key reads the request only, not the market it is given.
         let other = super::tests::market(200.0);
-        assert_eq!(plan_request_key(&market, &a), plan_request_key(&other, &a));
+        assert_eq!(key, plan_request_key(&other, &base));
     }
 
     #[test]

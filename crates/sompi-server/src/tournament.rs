@@ -24,7 +24,7 @@ use ec2_market::instance::InstanceCatalog;
 use ec2_market::market::SpotMarket;
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use replay::batch::BatchTables;
-use replay::exec::{ExecContext, ExecMode};
+use replay::exec::ExecContext;
 use replay::montecarlo::{McResult, MonteCarlo};
 use serde::{Deserialize, Serialize};
 use sompi_core::adaptive::PlanContext;
@@ -37,6 +37,11 @@ use std::fmt::Write as _;
 
 /// The full tournament grid: which policies meet which markets under
 /// which fault plans, and the shared problem framing they compete on.
+///
+/// A config that still carries the retired `batch_replay` or
+/// `replay_memo` switch decodes, and the fields are dropped: every cell
+/// replays against death-time tables, and the memo only reuses what a
+/// re-run would reproduce.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TournamentConfig {
     /// Policy names, resolved through the one registry in
@@ -61,22 +66,6 @@ pub struct TournamentConfig {
     pub replicas: u32,
     /// Monte-Carlo offset seed.
     pub mc_seed: u64,
-    /// Replay through the batched scenario-major executor (the default);
-    /// `false` is the `--no-batch-replay` ablation. Cells are
-    /// bit-identical either way.
-    #[serde(default = "default_true")]
-    pub batch_replay: bool,
-    /// Share one Monte-Carlo result across cells whose policies produced
-    /// byte-identical plans under the same (market, fault plan), and skip
-    /// repeated plan searches for duplicate roster entries (the default);
-    /// `false` is the `--no-replay-memo` ablation. Cells are bit-identical
-    /// either way — the memo only reuses what a re-run would reproduce.
-    #[serde(default = "default_true")]
-    pub replay_memo: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl Default for TournamentConfig {
@@ -98,8 +87,6 @@ impl Default for TournamentConfig {
             fault_seed: 42,
             replicas: 20,
             mc_seed: 1,
-            batch_replay: true,
-            replay_memo: true,
         }
     }
 }
@@ -145,12 +132,12 @@ pub struct TournamentReport {
     pub baseline_cost_billed: f64,
     /// Monte-Carlo replicas per cell.
     pub replicas: u32,
-    /// Cells served from the plan-fingerprint replay memo (0 when the
-    /// memo is disabled). Defaults for reports written before PR 10.
+    /// Cells served from the plan-fingerprint replay memo: a cell whose
+    /// plan, market and fault plan an earlier cell already replayed.
+    /// Defaults to 0 for reports written before the memo existed.
     #[serde(default)]
     pub replay_memo_hits: u64,
-    /// Cells that ran a fresh Monte-Carlo replay and seeded the memo
-    /// (0 when the memo is disabled).
+    /// Cells that ran a fresh Monte-Carlo replay and seeded the memo.
     #[serde(default)]
     pub replay_memo_misses: u64,
     /// The grid, row-major.
@@ -293,11 +280,6 @@ pub fn run_tournament(
     let mut meta: Option<(String, f64, f64)> = None;
     let mut replay_memo_hits = 0u64;
     let mut replay_memo_misses = 0u64;
-    let exec_mode = if cfg.batch_replay {
-        ExecMode::Batched
-    } else {
-        ExecMode::Scalar
-    };
 
     for &seed in &cfg.market_seeds {
         let market = generate_market(seed, cfg.market_hours, cfg.market_step_hours);
@@ -333,12 +315,7 @@ pub fn run_tournament(
 
         for policy in &roster {
             let policy_name = policy.name().to_string();
-            let memoized_plan = if cfg.replay_memo {
-                plan_memo.get(&policy_name).cloned()
-            } else {
-                None
-            };
-            let (plan, expected) = match memoized_plan {
+            let (plan, expected) = match plan_memo.get(&policy_name).cloned() {
                 Some(hit) => hit,
                 None => {
                     let plan = policy
@@ -351,17 +328,11 @@ pub fn run_tournament(
                     let expected = evaluate_plan(&plan, &view)
                         .map_err(|e| ServiceError::Plan(e.to_string()))?
                         .map(|e| e.expected_cost);
-                    if cfg.replay_memo {
-                        plan_memo.insert(policy_name.clone(), (plan.clone(), expected));
-                    }
+                    plan_memo.insert(policy_name.clone(), (plan.clone(), expected));
                     (plan, expected)
                 }
             };
-            let plan_bytes = if cfg.replay_memo {
-                Some(serde_json::to_string(&plan).expect("plans are serializable"))
-            } else {
-                None
-            };
+            let plan_bytes = serde_json::to_string(&plan).expect("plans are serializable");
 
             for (spec_idx, spec) in cfg.fault_specs.iter().enumerate() {
                 let injector = match spec {
@@ -372,20 +343,20 @@ pub fn run_tournament(
                     }
                     None => None,
                 };
-                let mut ctx = ExecContext::new().with_mode(exec_mode);
+                let mut ctx = ExecContext::new();
                 if let Some(inj) = &injector {
                     ctx = ctx.with_faults(inj).with_retry(RetryPolicy::default_io());
                 }
                 let faults_label = spec.clone().unwrap_or_else(|| "none".into());
-                let memo_key = plan_bytes.as_ref().map(|pb| (pb.clone(), spec_idx));
-                let result = match memo_key.as_ref().and_then(|k| replay_memo.get(k)) {
+                let memo_key = (plan_bytes.clone(), spec_idx);
+                let result = match replay_memo.get(&memo_key) {
                     Some(hit) => {
                         replay_memo_hits += 1;
                         emit(recorder, TraceLevel::Summary, || Event::ReplayMemoHit {
                             policy: policy_name.clone(),
                             market: market_label.clone(),
                             faults: faults_label.clone(),
-                            fingerprint: fnv1a(plan_bytes.as_deref().unwrap_or_default()),
+                            fingerprint: fnv1a(&plan_bytes),
                         });
                         hit.clone()
                     }
@@ -395,27 +366,19 @@ pub fn run_tournament(
                         // this sequential loop — the Monte-Carlo workers
                         // never touch the recorder, keeping the trace
                         // byte-identical at any thread count.
-                        let batch_store;
-                        let ctx = if cfg.batch_replay {
-                            batch_store = BatchTables::for_plan(&market, &plan)
-                                .map_err(|e| ServiceError::Plan(e.to_string()))?;
-                            emit(recorder, TraceLevel::Summary, || Event::ReplayBatched {
-                                groups: batch_store.len() as u32,
-                                replicas: u64::from(cfg.replicas),
-                                tables_built: batch_store.tables_built,
-                                tables_reused: batch_store.tables_reused,
-                            });
-                            ctx.with_batch(&batch_store)
-                        } else {
-                            ctx
-                        };
-                        let result = mc
-                            .run_plan(&market, &plan, problem.deadline, &ctx)
+                        let batch = BatchTables::for_plan(&market, &plan)
                             .map_err(|e| ServiceError::Plan(e.to_string()))?;
-                        if let Some(key) = memo_key {
-                            replay_memo_misses += 1;
-                            replay_memo.insert(key, result.clone());
-                        }
+                        emit(recorder, TraceLevel::Summary, || Event::ReplayBatched {
+                            groups: batch.len() as u32,
+                            replicas: u64::from(cfg.replicas),
+                            tables_built: batch.tables_built,
+                            tables_reused: batch.tables_reused,
+                        });
+                        let result = mc
+                            .run_plan(&market, &plan, problem.deadline, &ctx.with_batch(&batch))
+                            .map_err(|e| ServiceError::Plan(e.to_string()))?;
+                        replay_memo_misses += 1;
+                        replay_memo.insert(memo_key, result.clone());
                         result
                     }
                 };
@@ -579,43 +542,18 @@ mod tests {
     }
 
     #[test]
-    fn memo_and_batch_ablations_are_bit_identical() {
-        // All four {batch, memo} corners must agree on every cell bit —
-        // the memo reuses only what a re-run would reproduce and the
-        // batched executor is exact. (The bench differential suite
-        // extends this across threads and fault grids.)
-        let mut cfg = small_config();
-        cfg.policies = vec!["ondemand".into(), "no-ft".into(), "no-ft".into()];
-        cfg.fault_specs = vec![None, Some("storm=0.02x0.5,ckpt-fail=0.1".into())];
-        let base = run_tournament(&cfg, &NullRecorder, None).unwrap();
-        assert!(base.replay_memo_hits > 0);
-        for (batch, memo) in [(true, false), (false, true), (false, false)] {
-            let mut alt = cfg.clone();
-            alt.batch_replay = batch;
-            alt.replay_memo = memo;
-            let report = run_tournament(&alt, &NullRecorder, None).unwrap();
-            assert_eq!(report.cells, base.cells, "batch={batch} memo={memo}");
-            if !memo {
-                assert_eq!(report.replay_memo_hits, 0);
-                assert_eq!(report.replay_memo_misses, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn config_with_memo_fields_absent_defaults_them_on() {
-        // Schema evolution: pre-PR-10 serialized configs deserialize
-        // with both toggles enabled.
-        let v = serde_json::to_value(&small_config()).unwrap();
-        let s = serde_json::to_string(&v).unwrap();
-        assert!(s.contains("batch_replay"));
-        let stripped = s
-            .replace("\"batch_replay\":true,", "")
-            .replace("\"replay_memo\":true,", "")
-            .replace(",\"batch_replay\":true", "")
-            .replace(",\"replay_memo\":true", "");
-        let cfg: TournamentConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(cfg.batch_replay && cfg.replay_memo);
+    fn config_with_retired_switches_decodes_and_plays_the_same() {
+        // A config written while the replay switches existed still
+        // decodes; the switches are dropped and the cells do not move.
+        let cfg = small_config();
+        let json = serde_json::to_string(&cfg).unwrap();
+        let old = json.replacen('{', r#"{"batch_replay":false,"replay_memo":false,"#, 1);
+        let back: TournamentConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, cfg);
+        assert_eq!(
+            run_tournament(&back, &NullRecorder, None).unwrap().cells,
+            run_tournament(&cfg, &NullRecorder, None).unwrap().cells
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate every table/figure reproduction into results/.
 # SOMPI_REPLICAS controls Monte-Carlo sample counts (default 100 here).
+# Exits non-zero, naming each binary that failed, if any binary fails;
+# its results/ file then holds its error output, not a result.
 set -u
 cd "$(dirname "$0")/.."
 export SOMPI_REPLICAS="${SOMPI_REPLICAS:-100}"
@@ -11,14 +13,21 @@ BINS=(
   param_slack param_kappa param_window
   accuracy_failure_rate accuracy_model
   ablation_search ablation_billing ablation_prune
-  ablation_replay_index
-  ablation_mc_batch
   ext_relaunch sensitivity_profiling
   tournament
 )
 cargo build --release -p sompi-bench || exit 1
+failed=()
 for b in "${BINS[@]}"; do
   echo "=== $b (replicas=$SOMPI_REPLICAS) ==="
   ./target/release/"$b" > "results/$b.txt" 2>&1
-  echo "    -> results/$b.txt ($?)"
+  status=$?
+  echo "    -> results/$b.txt ($status)"
+  if [ "$status" -ne 0 ]; then
+    failed+=("$b")
+  fi
 done
+if [ "${#failed[@]}" -gt 0 ]; then
+  echo "failed: ${failed[*]}" >&2
+  exit 1
+fi

@@ -8,6 +8,7 @@
 //!   `FaultPlan::parse`, `feed::parse_feed` and `proto::read_message`.
 //! - A frame nested far deeper than the JSON parser allows gets a
 //!   `bad-request` answer from a live server, which goes on serving.
+//! - A tenant escaped as a UTF-16 surrogate pair decodes to its char.
 
 use ec2_market::fault::{FaultInjector, FaultPlan, MAX_STORM_RATE_PER_HOUR};
 use ec2_market::feed::parse_feed;
@@ -15,8 +16,8 @@ use ec2_market::instance::InstanceCatalog;
 use ec2_market::market::SpotMarket;
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use sompi_obs::NullRecorder;
-use sompi_server::proto::{self, Request, Response};
-use sompi_server::{client, Server, ServerConfig, PROTOCOL_VERSION};
+use sompi_server::proto::{self, PlanRequest, Request, Response};
+use sompi_server::{client, service, Server, ServerConfig, PROTOCOL_VERSION};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -206,16 +207,20 @@ fn garbage_never_panics() {
     );
 }
 
-#[test]
-fn deep_frames_get_bad_request_and_the_server_goes_on() {
+fn market() -> SpotMarket {
     let catalog = InstanceCatalog::paper_2014();
     let profile = MarketProfile::paper_2014(&catalog);
-    let market = SpotMarket::generate(
+    SpotMarket::generate(
         catalog,
         &TraceGenerator::new(profile, 42),
         100.0,
         1.0 / 12.0,
-    );
+    )
+}
+
+#[test]
+fn deep_frames_get_bad_request_and_the_server_goes_on() {
+    let market = market();
     let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -262,5 +267,29 @@ fn deep_frames_get_bad_request_and_the_server_goes_on() {
         Response::Pong {
             version: PROTOCOL_VERSION
         }
+    );
+}
+
+/// A client that escapes every non-ASCII char, as Python's `json.dumps`
+/// does, writes a char past the BMP as a UTF-16 surrogate pair. The frame
+/// decodes to the char, and it plans as an ASCII tenant does.
+#[test]
+fn escaped_surrogate_pair_tenant_decodes_and_plans_the_same() {
+    let body = r#"{"Plan":{"tenant":"\ud83d\ude80","repeats":50,"kappa":1,"bid_levels":2}}"#;
+    let mut frame = Vec::new();
+    proto::write_frame(&mut frame, body.as_bytes()).expect("write");
+    let Request::Plan(req) = proto::read_message::<Request>(&mut &frame[..]).expect("decodes")
+    else {
+        panic!("expected a Plan request");
+    };
+    assert_eq!(req.tenant, "🚀");
+    let ascii = PlanRequest {
+        tenant: "rocket".into(),
+        ..req.clone()
+    };
+    let market = market();
+    assert_eq!(
+        service::plan(&market, &req, &NullRecorder, None).expect("plans"),
+        service::plan(&market, &ascii, &NullRecorder, None).expect("plans")
     );
 }

@@ -1,11 +1,14 @@
-//! Differential suite for the batched scenario-major replay executor and
-//! the tournament replay memo: every replay-facing answer — per-replica
-//! `RunOutcome`s, Monte-Carlo aggregates, tournament reports — must be
-//! bit-identical across {batched, scalar} × {memo on, memo off} ×
-//! threads {1, 4, auto}. Both layers are pure wall-clock optimizations
-//! (the death-time table reproduces `TraceQuery`'s float arithmetic
-//! form exactly and the memo only reuses what a re-run would
-//! reproduce); any divergence here is a correctness bug.
+//! Differential suite for batched scenario-major replay and the
+//! tournament replay memo, against the oracles they replaced.
+//!
+//! - Death-time tables: every per-replica `RunOutcome` and every
+//!   Monte-Carlo aggregate (threads {1, 4, auto}) matches the table-free
+//!   `PlanRunner::run`, which queries the trace index, with and without
+//!   faults. The table reproduces `TraceQuery`'s float arithmetic form
+//!   exactly, so any divergence is a correctness bug.
+//! - Replay memo: the cells a duplicated roster serves from the memo
+//!   match single-policy tournaments, which have no duplicate plan and so
+//!   never hit it. The memo only reuses what a re-run would reproduce.
 
 use ec2_market::fault::{FaultInjector, FaultPlan, RetryPolicy};
 use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
@@ -14,7 +17,7 @@ use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use ec2_market::zone::AvailabilityZone;
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
-use replay::{BatchTables, ExecContext, ExecMode, MonteCarlo, PlanRunner, RunOutcome};
+use replay::{BatchTables, ExecContext, MonteCarlo, PlanRunner, RunOutcome};
 use sompi_core::adaptive::PlanContext;
 use sompi_core::baselines::{Sompi, Strategy};
 use sompi_core::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
@@ -23,7 +26,7 @@ use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;
 use sompi_obs::{NullRecorder, RingRecorder, TraceLevel};
 use sompi_server::proto::PlanRequest;
-use sompi_server::tournament::{run_tournament, TournamentConfig};
+use sompi_server::tournament::{run_tournament, TournamentCell, TournamentConfig};
 
 /// Deterministic start-offset stream (xorshift64*), so the "randomized"
 /// grid below is reproducible across runs and platforms.
@@ -83,7 +86,7 @@ fn assert_outcome_bits(a: &RunOutcome, b: &RunOutcome, what: &str) {
 /// grid of start offsets — on the clean closed-form path and on the
 /// fault-perturbed step-walk path (where the batched executor keeps the
 /// death tables for launch/death lookups but walks replicas scalar-wise
-/// with the precomputed fault keys).
+/// with the precomputed fault keys). The table-free runs are the oracle.
 #[test]
 fn run_outcomes_identical_batched_vs_scalar() {
     for seed in [31u64, 77, 910] {
@@ -95,10 +98,8 @@ fn run_outcomes_identical_batched_vs_scalar() {
             FaultPlan::parse("storm=0.05x0.8,ckpt-fail=0.3,ckpt-latency=0.2:0.25", 17).unwrap(),
             market.horizon(),
         );
-        let scalar_clean = ExecContext::new().with_mode(ExecMode::Scalar);
-        let batched_clean = ExecContext::new()
-            .with_mode(ExecMode::Batched)
-            .with_batch(&batch);
+        let scalar_clean = ExecContext::new();
+        let batched_clean = ExecContext::new().with_batch(&batch);
         let scalar_faulty = scalar_clean
             .with_faults(&injector)
             .with_retry(RetryPolicy::default_io());
@@ -119,10 +120,9 @@ fn run_outcomes_identical_batched_vs_scalar() {
     }
 }
 
-/// Monte-Carlo aggregates are identical across the full matrix of
-/// {batched, scalar} × threads {1, 4, auto}, with and without faults.
-/// `MonteCarlo::run_plan` builds the batch tables itself when the
-/// context is in batched mode.
+/// `MonteCarlo::run_plan`, which warms the plan's death-time tables
+/// itself, aggregates exactly as the table-free runner evaluated replica
+/// by replica, at threads {1, 4, auto}, with and without faults.
 #[test]
 fn mc_aggregates_identical_across_batch_and_threads() {
     let market = market(31);
@@ -132,33 +132,38 @@ fn mc_aggregates_identical_across_batch_and_threads() {
         FaultPlan::parse("storm=0.05x0.8,ckpt-fail=0.3", 17).unwrap(),
         market.horizon(),
     );
+    let runner = PlanRunner::new(&market, problem.deadline);
     for faulty in [false, true] {
-        let run = |mode: ExecMode, threads: usize| {
-            let mut ctx = ExecContext::new().with_mode(mode);
-            if faulty {
-                ctx = ctx
-                    .with_faults(&injector)
-                    .with_retry(RetryPolicy::default_io());
-            }
+        let mut ctx = ExecContext::new();
+        if faulty {
+            ctx = ctx
+                .with_faults(&injector)
+                .with_retry(RetryPolicy::default_io());
+        }
+        let mc = |threads: usize| {
             MonteCarlo::builder()
                 .replicas(96)
                 .seed(5)
                 .offsets(48.0, 260.0)
                 .threads(threads)
                 .build()
-                .run_plan(&market, &plan, problem.deadline, &ctx)
-                .expect("replay succeeds")
         };
-        let reference = run(ExecMode::Scalar, 1);
+        let reference = mc(1)
+            .evaluate(|start| runner.run(&plan, start, &ctx))
+            .expect("table-free replay succeeds");
         for threads in [1usize, 4, 0] {
             assert_eq!(
                 reference,
-                run(ExecMode::Scalar, threads),
-                "scalar, threads={threads}, faulty={faulty}"
+                mc(threads)
+                    .evaluate(|start| runner.run(&plan, start, &ctx))
+                    .unwrap(),
+                "table-free, threads={threads}, faulty={faulty}"
             );
             assert_eq!(
                 reference,
-                run(ExecMode::Batched, threads),
+                mc(threads)
+                    .run_plan(&market, &plan, problem.deadline, &ctx)
+                    .unwrap(),
                 "batched, threads={threads}, faulty={faulty}"
             );
         }
@@ -186,33 +191,62 @@ fn tournament_config() -> TournamentConfig {
     }
 }
 
-/// Tournament cells are bit-identical over every {batch on/off} ×
-/// {memo on/off} corner, and the default corner's full report JSON is
-/// byte-identical across repeat runs. Cells are compared through their
-/// JSON serialization: `serde_json` prints `-0.0` and `0.0` differently,
-/// so byte equality is bit equality.
+/// A cell's labels and its floats by `to_bits` — stricter than
+/// `PartialEq`, and than the JSON form, which prints `-0.0` as `0`.
+fn cell_bits(c: &TournamentCell) -> (&str, &str, &str, Option<u64>, [u64; 6]) {
+    let floats = [
+        c.mean_cost,
+        c.normalized_cost,
+        c.deadline_miss_rate,
+        c.spot_finish_rate,
+        c.mean_failures,
+        c.time_degradation,
+    ];
+    (
+        &c.policy,
+        &c.market,
+        &c.faults,
+        c.expected_cost.map(f64::to_bits),
+        floats.map(f64::to_bits),
+    )
+}
+
+/// The roster below has `no-ft` twice, so the memo serves its second
+/// entry's cells. Each roster entry's cells match, bit for bit, a
+/// single-policy tournament of that entry, which has no duplicate plan
+/// and never hits the memo. The full report also repeats byte for byte.
 #[test]
-fn tournament_cells_identical_across_ablation_corners_and_threads() {
-    let cells_json = |batch: bool, memo: bool| {
-        let mut cfg = tournament_config();
-        cfg.batch_replay = batch;
-        cfg.replay_memo = memo;
-        let report = run_tournament(&cfg, &NullRecorder, None).unwrap();
-        (
-            serde_json::to_string(&report.cells).unwrap(),
-            report.to_json(),
+fn memo_served_cells_match_single_policy_tournaments() {
+    let cfg = tournament_config();
+    let full = run_tournament(&cfg, &NullRecorder, None).unwrap();
+    assert!(
+        full.replay_memo_hits > 0,
+        "the roster must exercise the memo"
+    );
+    assert_eq!(
+        full.to_json(),
+        run_tournament(&cfg, &NullRecorder, None).unwrap().to_json(),
+        "repeat runs diverge"
+    );
+    let per_policy = cfg.fault_specs.len();
+    assert_eq!(full.cells.len(), cfg.policies.len() * per_policy);
+    for (i, policy) in cfg.policies.iter().enumerate() {
+        let alone = run_tournament(
+            &TournamentConfig {
+                policies: vec![policy.clone()],
+                ..cfg.clone()
+            },
+            &NullRecorder,
+            None,
         )
-    };
-    let (reference, default_json) = cells_json(true, true);
-    for (batch, memo) in [(true, true), (true, false), (false, true), (false, false)] {
-        let (cells, full) = cells_json(batch, memo);
+        .unwrap();
+        assert_eq!(alone.replay_memo_hits, 0, "{policy} alone");
+        let served = &full.cells[i * per_policy..(i + 1) * per_policy];
         assert_eq!(
-            reference, cells,
-            "cells diverge at batch={batch} memo={memo}"
+            served.iter().map(cell_bits).collect::<Vec<_>>(),
+            alone.cells.iter().map(cell_bits).collect::<Vec<_>>(),
+            "roster entry {i} ({policy})"
         );
-        if (batch, memo) == (true, true) {
-            assert_eq!(default_json, full, "default-corner report JSON diverges");
-        }
     }
 }
 
@@ -307,9 +341,9 @@ fn mixed_injector(market: &SpotMarket) -> FaultInjector {
 /// Replay outcomes do not depend on the recorder: the executor builds
 /// fault events only when the recorder wants them, and that choice must
 /// never reach the arithmetic. Every per-replica outcome matches by
-/// `to_bits` across {no recorder, Summary, Detail} × {scalar, batched},
-/// and the Monte-Carlo aggregate matches across recorder levels and
-/// thread counts.
+/// `to_bits` across {no recorder, Summary, Detail} × {table-free,
+/// batched}, and the Monte-Carlo aggregate matches across recorder
+/// levels and thread counts.
 #[test]
 fn outcomes_do_not_depend_on_the_recorder() {
     for seed in [31u64, 77, 910] {
@@ -330,15 +364,9 @@ fn recorder_grid(market: &SpotMarket, plan: &Plan, deadline: f64, seed: u64) {
         .with_faults(&injector)
         .with_retry(RetryPolicy::default_io());
     let contexts = [
-        ("scalar/null", base.with_mode(ExecMode::Scalar)),
-        (
-            "scalar/summary",
-            base.with_mode(ExecMode::Scalar).with_recorder(&summary),
-        ),
-        (
-            "scalar/detail",
-            base.with_mode(ExecMode::Scalar).with_recorder(&detail),
-        ),
+        ("table-free/null", base),
+        ("table-free/summary", base.with_recorder(&summary)),
+        ("table-free/detail", base.with_recorder(&detail)),
         ("batched/null", base.with_batch(&batch)),
         (
             "batched/summary",
@@ -425,7 +453,7 @@ fn traced_replay_events_are_pinned() {
         }
         (kinds.into_iter().collect::<Vec<_>>(), digest)
     };
-    let scalar = trace(ExecContext::new().with_mode(ExecMode::Scalar));
+    let scalar = trace(ExecContext::new());
     let batched = trace(ExecContext::new().with_batch(&batch));
     assert_eq!(scalar, batched, "the executors trace differently");
     let expected_kinds = [

@@ -145,9 +145,9 @@ proptest! {
         prop_assert!(out.spot_cost > 0.0);
     }
 
-    /// Indexed trace queries are bit-identical to the naive scans for
-    /// arbitrary traces, bids, starts and cutoffs — the exactness contract
-    /// of the `--no-trace-index` ablation.
+    /// Indexed trace queries are bit-identical to the naive scans, which
+    /// stay only as this oracle, for arbitrary traces, bids, starts and
+    /// cutoffs.
     #[test]
     fn indexed_queries_match_naive_scans(
         trace in arb_trace(),
@@ -155,16 +155,14 @@ proptest! {
         start in -1.0f64..25.0,
     ) {
         let ix = TraceIndex::build(&trace);
-        let naive = TraceQuery::new(&trace, None);
-        let fast = TraceQuery::new(&trace, Some(&ix));
-        prop_assert!(fast.indexed() && !naive.indexed());
+        let fast = TraceQuery::new(&trace, &ix);
         prop_assert_eq!(
-            naive.first_passage_above(start, bid),
+            trace.first_passage_above(start, bid),
             fast.first_passage_above(start, bid)
         );
         for cutoff in [start, start + 1.0, trace.duration(), f64::INFINITY] {
             prop_assert_eq!(
-                naive.launch_time(start, bid, cutoff),
+                trace.first_time_at_or_below(start, bid, cutoff),
                 fast.launch_time(start, bid, cutoff)
             );
         }
@@ -187,22 +185,21 @@ proptest! {
     }
 }
 
-/// Assert every query family agrees between the naive and indexed paths
-/// over a grid of bids, starts and cutoffs.
+/// Assert every query family agrees between the naive scans and the
+/// indexed queries over a grid of bids, starts and cutoffs.
 fn assert_index_agrees(trace: &SpotTrace, bids: &[f64], starts: &[f64]) {
     let ix = TraceIndex::build(trace);
-    let naive = TraceQuery::new(trace, None);
-    let fast = TraceQuery::new(trace, Some(&ix));
+    let fast = TraceQuery::new(trace, &ix);
     for &bid in bids {
         for &start in starts {
             assert_eq!(
-                naive.first_passage_above(start, bid),
+                trace.first_passage_above(start, bid),
                 fast.first_passage_above(start, bid),
                 "first_passage_above(start={start}, bid={bid})"
             );
             for cutoff in [start - 1.0, start + 0.25, trace.duration(), f64::INFINITY] {
                 assert_eq!(
-                    naive.launch_time(start, bid, cutoff),
+                    trace.first_time_at_or_below(start, bid, cutoff),
                     fast.launch_time(start, bid, cutoff),
                     "launch_time(start={start}, bid={bid}, cutoff={cutoff})"
                 );
@@ -217,7 +214,7 @@ fn index_agrees_on_constant_price_trace() {
     // Bids below, exactly at, and above the constant price.
     assert_index_agrees(&trace, &[0.05, 0.1, 0.2], &[0.0, 0.5, 3.0, 4.9, 5.0, 80.0]);
     let ix = TraceIndex::build(&trace);
-    let fast = TraceQuery::new(&trace, Some(&ix));
+    let fast = TraceQuery::new(&trace, &ix);
     // A bid at the constant price never passes above it but launches at once.
     assert_eq!(fast.first_passage_above(0.0, 0.1), None);
     assert_eq!(fast.launch_time(0.25, 0.1, f64::INFINITY), Some(0.25));
@@ -229,7 +226,7 @@ fn index_agrees_outside_the_price_range() {
     // Bid below the minimum: never launches; above the maximum: never dies.
     assert_index_agrees(&trace, &[0.01, 0.5], &[0.0, 1.3, 11.0, 23.9]);
     let ix = TraceIndex::build(&trace);
-    let fast = TraceQuery::new(&trace, Some(&ix));
+    let fast = TraceQuery::new(&trace, &ix);
     assert_eq!(fast.launch_time(0.0, 0.01, f64::INFINITY), None);
     assert_eq!(fast.first_passage_above(0.0, 0.5), None);
 }

@@ -30,8 +30,6 @@ fn golden_config(threads: u32) -> TournamentConfig {
         fault_seed: 42,
         replicas: 4,
         mc_seed: 1,
-        batch_replay: true,
-        replay_memo: true,
         plan: PlanRequest {
             repeats: 50,
             kappa: 1,

@@ -50,24 +50,6 @@ fn default_true() -> bool {
     true
 }
 
-impl AdaptiveConfig {
-    /// Start building a config from the defaults. Preferred over growing
-    /// positional constructors as knobs accumulate:
-    ///
-    /// ```
-    /// use sompi_core::AdaptiveConfig;
-    ///
-    /// let cfg = AdaptiveConfig::builder().window_hours(10.0).build();
-    /// assert_eq!(cfg.window_hours, 10.0);
-    /// assert_eq!(cfg.history_hours, AdaptiveConfig::default().history_hours);
-    /// ```
-    pub fn builder() -> AdaptiveConfigBuilder {
-        AdaptiveConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         Self {
@@ -77,37 +59,6 @@ impl Default for AdaptiveConfig {
             warmstart: true,
             bucket_reuse: true,
         }
-    }
-}
-
-/// Builder for [`AdaptiveConfig`]; see [`AdaptiveConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfigBuilder {
-    config: AdaptiveConfig,
-}
-
-impl AdaptiveConfigBuilder {
-    /// Set `T_m`, the optimization window size in hours.
-    pub fn window_hours(mut self, hours: Hours) -> Self {
-        self.config.window_hours = hours;
-        self
-    }
-
-    /// Set the history length used for each re-estimation, hours.
-    pub fn history_hours(mut self, hours: Hours) -> Self {
-        self.config.history_hours = hours;
-        self
-    }
-
-    /// Set the inner optimizer configuration.
-    pub fn optimizer(mut self, optimizer: OptimizerConfig) -> Self {
-        self.config.optimizer = optimizer;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> AdaptiveConfig {
-        self.config
     }
 }
 
@@ -749,20 +700,6 @@ mod tests {
             )
             .unwrap();
         assert!(!w3.reused_from_cache);
-    }
-
-    #[test]
-    fn builder_overrides_only_what_is_asked() {
-        let cfg = AdaptiveConfig::builder()
-            .window_hours(5.0)
-            .optimizer(OptimizerConfig {
-                kappa: 3,
-                ..Default::default()
-            })
-            .build();
-        assert_eq!(cfg.window_hours, 5.0);
-        assert_eq!(cfg.history_hours, AdaptiveConfig::default().history_hours);
-        assert_eq!(cfg.optimizer.kappa, 3);
     }
 
     #[test]

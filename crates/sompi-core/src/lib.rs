@@ -54,8 +54,7 @@ pub mod twolevel;
 pub mod view;
 
 pub use adaptive::{
-    AdaptiveConfig, AdaptiveConfigBuilder, AdaptivePlanner, PlanCache, PlanContext, PlannedWindow,
-    WindowDecision,
+    AdaptiveConfig, AdaptivePlanner, PlanCache, PlanContext, PlannedWindow, WindowDecision,
 };
 pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment};
 pub use error::SompiError;
@@ -69,7 +68,7 @@ pub use policy::{
     POLICY_NAMES,
 };
 pub use problem::Problem;
-pub use twolevel::{OptimizedPlan, OptimizerConfig, OptimizerConfigBuilder, TwoLevelOptimizer};
+pub use twolevel::{OptimizedPlan, OptimizerConfig, TwoLevelOptimizer};
 pub use view::MarketView;
 
 /// Hours, matching the substrate crates.

@@ -82,7 +82,6 @@ pub fn frontier(problem: &Problem, view: &MarketView, config: OptimizerConfig) -
     // (and so no frontier points) instead of aborting the whole curve.
     let assess = OptimizerConfig {
         interval_grid: None,
-        prune_dominance: true,
         ..config
     };
     let options: Vec<Vec<GroupAssessment>> = problem

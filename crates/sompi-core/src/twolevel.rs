@@ -68,8 +68,6 @@ pub enum GridKind {
 /// let cfg = OptimizerConfig::default();
 /// assert_eq!(cfg.kappa, 4);        // §5.2: diminishing returns past 4
 /// assert_eq!(cfg.bid_levels, 12);  // log₂ grid cap per group
-/// assert!(cfg.prune_dominance);    // exact pruning is on by default
-/// assert!(cfg.prune_bound);
 ///
 /// // Struct-update syntax is the idiomatic way to tweak one knob:
 /// let quick = OptimizerConfig { kappa: 2, bid_levels: 3, ..cfg };
@@ -104,110 +102,6 @@ pub struct OptimizerConfig {
     /// a large fraction of runs; this knob trades expected cost for
     /// per-run deadline reliability. `None` reproduces the paper.
     pub min_spot_success: Option<f64>,
-    /// Drop per-group options whose only difference from a surviving
-    /// higher-bid option is the bid itself (DESIGN.md §8.1). Exact: the
-    /// returned plan, evaluation, and tie-breaks are unchanged. Off
-    /// reproduces the raw enumeration (the `evaluations_performed` count
-    /// shrinks with the filter on, since dominated options are never
-    /// enumerated).
-    #[serde(default = "default_true")]
-    pub prune_dominance: bool,
-    /// Branch-and-bound inside the odometer walk: skip bid-vector
-    /// suffixes whose admissible cost lower bound (DESIGN.md §8.2), and
-    /// combinations whose whole-candidate floor (§8.5), cannot beat the
-    /// incumbent. Exact and count-preserving —
-    /// `evaluations_performed` still reports the full enumeration size.
-    #[serde(default = "default_true")]
-    pub prune_bound: bool,
-}
-
-fn default_true() -> bool {
-    true
-}
-
-impl OptimizerConfig {
-    /// Start building a config from the defaults. Preferred over growing
-    /// positional constructors as knobs accumulate:
-    ///
-    /// ```
-    /// use sompi_core::OptimizerConfig;
-    ///
-    /// let cfg = OptimizerConfig::builder().kappa(2).bid_levels(3).build();
-    /// assert_eq!(cfg.kappa, 2);
-    /// assert_eq!(cfg.slack, OptimizerConfig::default().slack);
-    /// ```
-    pub fn builder() -> OptimizerConfigBuilder {
-        OptimizerConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`OptimizerConfig`]; see [`OptimizerConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct OptimizerConfigBuilder {
-    config: OptimizerConfig,
-}
-
-impl OptimizerConfigBuilder {
-    /// Set κ, the maximum simultaneous circle groups.
-    pub fn kappa(mut self, kappa: usize) -> Self {
-        self.config.kappa = kappa;
-        self
-    }
-
-    /// Set the per-group bid grid cap.
-    pub fn bid_levels(mut self, levels: u32) -> Self {
-        self.config.bid_levels = levels;
-        self
-    }
-
-    /// Set the on-demand selection slack.
-    pub fn slack(mut self, slack: f64) -> Self {
-        self.config.slack = slack;
-        self
-    }
-
-    /// Set the bid grid shape.
-    pub fn grid(mut self, grid: GridKind) -> Self {
-        self.config.grid = grid;
-        self
-    }
-
-    /// Set (or clear) the above-maximum guard grid point.
-    pub fn top_margin(mut self, margin: Option<f64>) -> Self {
-        self.config.top_margin = margin;
-        self
-    }
-
-    /// Set (or clear) the Theorem-1 ablation interval grid.
-    pub fn interval_grid(mut self, grid: Option<u32>) -> Self {
-        self.config.interval_grid = grid;
-        self
-    }
-
-    /// Set (or clear) the minimum spot-success probability constraint.
-    pub fn min_spot_success(mut self, q: Option<f64>) -> Self {
-        self.config.min_spot_success = q;
-        self
-    }
-
-    /// Toggle the bid-collapse dominance filter.
-    pub fn prune_dominance(mut self, on: bool) -> Self {
-        self.config.prune_dominance = on;
-        self
-    }
-
-    /// Toggle branch-and-bound pruning.
-    pub fn prune_bound(mut self, on: bool) -> Self {
-        self.config.prune_bound = on;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> OptimizerConfig {
-        self.config
-    }
 }
 
 impl Default for OptimizerConfig {
@@ -220,8 +114,6 @@ impl Default for OptimizerConfig {
             top_margin: Some(1.25),
             interval_grid: None,
             min_spot_success: None,
-            prune_dominance: true,
-            prune_bound: true,
         }
     }
 }
@@ -367,14 +259,13 @@ fn bid_grid(est: &FailureEstimator, config: &OptimizerConfig) -> Option<BidGrid>
     })
 }
 
-/// A swept bid whose options later grid bids may share.
+/// A swept bid whose options later grid bids would share.
 struct Admission {
     /// Samples the bid admits.
     admitted: usize,
-    bid: f64,
-    /// Its surviving options: `options[start..start + len]`.
-    start: usize,
-    len: usize,
+    /// Its options that met the deadline.
+    len: u64,
+    /// Its options that missed it.
     pruned: u64,
 }
 
@@ -385,11 +276,12 @@ struct Admission {
 /// A grid bid that admits as many samples as the previous, higher one
 /// (`count_at_or_below`) admits exactly the same samples — no price lies
 /// between them — so its profile, φ and assessments are identical and
-/// its options are the higher bid's with `decision.bid` replaced, copied
-/// without a sweep. When the bid-collapse filter is on, such copies are
-/// exactly the options it would drop (same state, lower bid), so they
-/// are counted as dominated without being built. Either way the counters
-/// and the option list equal assessing every bid on its own.
+/// its options would be the higher bid's with `decision.bid` replaced.
+/// Those copies are exactly the options the bid collapse drops (same
+/// state, lower bid; DESIGN.md §8.1), so they are counted as dominated
+/// without being built, and the collapse then runs over the rest. The
+/// counters and the option list equal assessing every bid on its own and
+/// collapsing.
 ///
 /// `deadline` prunes options whose completion wall exceeds it. The wall
 /// is the bid profile's launch delay plus `W_i` at the interval, so the
@@ -428,18 +320,11 @@ pub(crate) fn assess_group(
     for &bid in grid.bids() {
         let admitted = prices.count_at_or_below(bid);
         out.considered += per_bid;
+        // Grid bids strictly descend, so the twin's bid is the higher.
         if let Some(p) = prev.as_ref().filter(|p| p.admitted == admitted) {
             out.shared += 1;
             out.pruned += p.pruned;
-            if config.prune_dominance && p.bid > bid {
-                out.dominated += p.len as u64;
-            } else {
-                for i in p.start..p.start + p.len {
-                    let mut a = out.options[i].clone();
-                    a.decision.bid = bid;
-                    out.options.push(a);
-                }
-            }
+            out.dominated += p.len;
             continue;
         }
         out.swept += 1;
@@ -472,19 +357,14 @@ pub(crate) fn assess_group(
         out.pruned += pruned;
         prev = Some(Admission {
             admitted,
-            bid,
-            start,
-            len: out.options.len() - start,
+            len: (out.options.len() - start) as u64,
             pruned,
         });
     }
-    if config.prune_dominance {
-        // Exact: grids enumerate bids highest-first, which is the
-        // descending order the collapse requires, and a dropped option's
-        // higher-bid twin wins every tie it could have won (DESIGN.md
-        // §8.1).
-        out.dominated += crate::pareto::collapse_bid_dominated(&mut out.options);
-    }
+    // Exact: grids enumerate bids highest-first, which is the descending
+    // order the collapse requires, and a dropped option's higher-bid twin
+    // wins every tie it could have won (DESIGN.md §8.1).
+    out.dominated += crate::pareto::collapse_bid_dominated(&mut out.options);
     out
 }
 
@@ -812,9 +692,8 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// counter. A subset's index in that order enters the enumeration
     /// ordinal, so ordinals are unique.
     ///
-    /// With [`OptimizerConfig::prune_bound`] on, each subset runs a
-    /// branch-and-bound walk (DESIGN.md §8.2) over its slots' options
-    /// rank-sorted by the admissible per-group lower bound
+    /// Each subset runs a branch-and-bound walk (DESIGN.md §8.2) over its
+    /// slots' options rank-sorted by the admissible per-group lower bound
     /// [`GroupAssessment::cost_lower_bound`], read from the search's
     /// shared `tables`: a subset whose slots' smallest bounds already sum
     /// above the incumbent cost is rejected whole before any set-up, and
@@ -826,7 +705,8 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// The bound starts at `seed_bound`, the on-demand incumbent's cost.
     /// Pruning never removes a candidate that could win under the total
     /// order, so the returned incumbent — and with it the
-    /// [`OptimizedPlan`] — is bit-identical to the exhaustive walk. The
+    /// [`OptimizedPlan`] — is bit-identical to an exhaustive walk over the
+    /// same options (the test oracle in `tests/reference/mod.rs`). The
     /// reported `evaluations` counter always carries the full enumeration
     /// size; actually-skipped positions are tallied in `skipped` for
     /// observability only.
@@ -894,73 +774,13 @@ impl<'a> TwoLevelOptimizer<'a> {
             // bounds no smaller, and the incumbent never rises), so the
             // walk would skip the whole subset. Decide it here, before
             // any set-up.
-            if self.config.prune_bound && tables.head(chosen, level) > bound {
+            if tables.head(chosen, level) > bound {
                 skipped += product;
                 rejected += 1;
                 continue;
             }
             let subset_timer = std::time::Instant::now();
-
-            if !self.config.prune_bound {
-                // Exhaustive odometer walk — the pre-pruning algorithm,
-                // kept verbatim as the ablation baseline.
-                idx.clear();
-                idx.resize(chosen.len(), 0);
-                let mut step = 0u64;
-                let mut exhausted = false;
-                while !exhausted {
-                    refs.clear();
-                    refs.extend(chosen.iter().zip(&idx).map(|(&g, &i)| &options[g][i]));
-                    let eval = evaluate_with_scratch(&refs, od, &mut scratch);
-                    let feasible = eval.meets(self.problem.deadline)
-                        && self
-                            .config
-                            .min_spot_success
-                            .map(|q| eval.p_all_fail <= 1.0 - q)
-                            .unwrap_or(true);
-                    feasible_hits += feasible as u64;
-                    let ordinal = (subset_ordinal, step);
-                    let replace = match &best {
-                        None => true,
-                        Some(b) => beats(
-                            feasible,
-                            &eval,
-                            refs.iter().map(|a| a.decision.bid),
-                            ordinal,
-                            b,
-                        ),
-                    };
-                    if replace {
-                        best = Some(Candidate {
-                            feasible,
-                            eval,
-                            bids: refs.iter().map(|a| a.decision.bid).collect(),
-                            subset: chosen.to_vec(),
-                            idx: idx.clone(),
-                            ordinal,
-                        });
-                    }
-                    step += 1;
-                    // Advance odometer.
-                    let mut pos = 0;
-                    loop {
-                        if pos == idx.len() {
-                            exhausted = true;
-                            break;
-                        }
-                        idx[pos] += 1;
-                        if idx[pos] < options[chosen[pos]].len() {
-                            break;
-                        }
-                        idx[pos] = 0;
-                        pos += 1;
-                    }
-                }
-                kernel_nanos += subset_timer.elapsed().as_nanos() as u64;
-                continue;
-            }
-
-            // Branch-and-bound walk over the same combinations, on the
+            // Branch-and-bound walk over the subset's combinations, on the
             // slots' option lists ranked at the subset's wall level.
             let m = chosen.len();
             slots.clear();
@@ -980,9 +800,9 @@ impl<'a> TwoLevelOptimizer<'a> {
             }
             head_min.push(head); // head_min[m] = Σ per-slot minima
 
-            // `idx` now holds per-slot *ranks* into `slots`, not
-            // original option indices; ordinals and the stored candidate
-            // are translated back through `slots[slot][rank].1`.
+            // `idx` holds per-slot *ranks* into `slots`, not original
+            // option indices; ordinals and the stored candidate are
+            // translated back through `slots[slot][rank].1`.
             idx.clear();
             idx.resize(m, 0);
             let mut evaluated_here = 0u64;
@@ -1369,37 +1189,36 @@ mod tests {
 
     #[test]
     fn more_bid_levels_never_hurt() {
+        use sompi_obs::RingRecorder;
+
         let (_, problem, view) = setup();
-        let cheap = TwoLevelOptimizer::new(
-            &problem,
-            &view,
-            OptimizerConfig {
+        let search = |bid_levels| {
+            let cfg = OptimizerConfig {
                 kappa: 2,
-                bid_levels: 2,
-                // Dominance collapse can shrink a richer grid back down to
-                // the same option count; this test pins the *raw* space.
-                prune_dominance: false,
+                bid_levels,
                 ..OptimizerConfig::default()
-            },
-        )
-        .optimize()
-        .unwrap();
-        let rich = TwoLevelOptimizer::new(
-            &problem,
-            &view,
-            OptimizerConfig {
-                kappa: 2,
-                bid_levels: 5,
-                prune_dominance: false,
-                ..OptimizerConfig::default()
-            },
-        )
-        .optimize()
-        .unwrap();
+            };
+            let ring = RingRecorder::new(TraceLevel::Summary, 16);
+            let opt = TwoLevelOptimizer::new(&problem, &view, cfg)
+                .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+                .unwrap();
+            let events = ring.take();
+            let Some(&Event::PlanSearchStarted {
+                options_considered, ..
+            }) = events.first()
+            else {
+                panic!("PlanSearchStarted first: {events:?}");
+            };
+            (opt, options_considered)
+        };
+        let (cheap, cheap_space) = search(2);
+        let (rich, rich_space) = search(5);
         // The 5-level grid contains the 2-level grid, so the optimum can
-        // only improve.
+        // only improve. The bid collapse can shrink the richer grid back
+        // to the same option count, so the raw space is read from the
+        // options considered.
         assert!(rich.evaluation.expected_cost <= cheap.evaluation.expected_cost + 1e-9);
-        assert!(rich.evaluations_performed > cheap.evaluations_performed);
+        assert!(rich_space > cheap_space, "{rich_space} vs {cheap_space}");
     }
 
     #[test]
@@ -1515,7 +1334,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_result() {
+    fn a_repeated_search_repeats_its_plan_and_tallies() {
         use sompi_obs::RingRecorder;
 
         // Each search is one walker with one `f64` bound: a repeated
@@ -1644,12 +1463,15 @@ mod assess_options_tests {
 
     /// [`assess_group`] as it was before the deadline check moved ahead
     /// of the build: every option's assessment is built, then checked.
-    /// The reference the deadline-first loop must equal.
+    /// The reference the deadline-first loop must equal with `collapse`
+    /// set; without it, a shared bid's options are copies of its twin's
+    /// carrying their own bid, and no option is dropped as dominated.
     fn reference_assess_group(
         group: &CircleGroup,
         est: &FailureEstimator,
         config: &OptimizerConfig,
         deadline: Hours,
+        collapse: bool,
     ) -> GroupOptions {
         let mut out = GroupOptions::default();
         let Some(grid) = bid_grid(est, config) else {
@@ -1663,17 +1485,19 @@ mod assess_options_tests {
         let per_bid = fixed.as_ref().map_or(1, |v| v.len() as u64);
         let horizon = profile_horizon(group, fixed.as_deref());
         let prices = est.expected_spot_price();
-        let mut prev: Option<Admission> = None;
+        // (admitted samples, bid, first option, option count, pruned) of
+        // the last swept bid.
+        let mut prev: Option<(usize, f64, usize, usize, u64)> = None;
         for &bid in grid.bids() {
             let admitted = prices.count_at_or_below(bid);
             out.considered += per_bid;
-            if let Some(p) = prev.as_ref().filter(|p| p.admitted == admitted) {
+            if let Some((_, twin, start, len, pruned)) = prev.filter(|p| p.0 == admitted) {
                 out.shared += 1;
-                out.pruned += p.pruned;
-                if config.prune_dominance && p.bid > bid {
-                    out.dominated += p.len as u64;
+                out.pruned += pruned;
+                if collapse && twin > bid {
+                    out.dominated += len as u64;
                 } else {
-                    for i in p.start..p.start + p.len {
+                    for i in start..start + len {
                         let mut a = out.options[i].clone();
                         a.decision.bid = bid;
                         out.options.push(a);
@@ -1705,15 +1529,9 @@ mod assess_options_tests {
                 }
             }
             out.pruned += pruned;
-            prev = Some(Admission {
-                admitted,
-                bid,
-                start,
-                len: out.options.len() - start,
-                pruned,
-            });
+            prev = Some((admitted, bid, start, out.options.len() - start, pruned));
         }
-        if config.prune_dominance {
+        if collapse {
             out.dominated += crate::pareto::collapse_bid_dominated(&mut out.options);
         }
         out
@@ -1737,42 +1555,22 @@ mod assess_options_tests {
             for factor in [1.05, 1.2, 2.0] {
                 problem.deadline = factor * problem.baseline_time();
                 for interval_grid in [None, Some(4)] {
-                    for prune_dominance in [true, false] {
-                        let cfg = OptimizerConfig {
-                            interval_grid,
-                            prune_dominance,
-                            ..base
-                        };
-                        for group in &problem.candidates {
-                            let est = view.try_estimator(group.id).unwrap();
-                            let fast = assess_group(group, est, &cfg, problem.deadline);
-                            let slow = reference_assess_group(group, est, &cfg, problem.deadline);
-                            let tag = format!(
-                                "{market} ×{factor} grid {interval_grid:?} \
-                                 collapse {prune_dominance} group {}",
-                                group.id
-                            );
-                            assert_eq!(fast.options, slow.options, "{tag}: options");
-                            assert_eq!(
-                                (
-                                    fast.considered,
-                                    fast.pruned,
-                                    fast.dominated,
-                                    fast.swept,
-                                    fast.shared
-                                ),
-                                (
-                                    slow.considered,
-                                    slow.pruned,
-                                    slow.dominated,
-                                    slow.swept,
-                                    slow.shared
-                                ),
-                                "{tag}: counters"
-                            );
-                            kept += fast.options.len() as u64;
-                            pruned += fast.pruned;
-                        }
+                    let cfg = OptimizerConfig {
+                        interval_grid,
+                        ..base
+                    };
+                    for group in &problem.candidates {
+                        let est = view.try_estimator(group.id).unwrap();
+                        let fast = assess_group(group, est, &cfg, problem.deadline);
+                        let slow = reference_assess_group(group, est, &cfg, problem.deadline, true);
+                        let tag = format!(
+                            "{market} ×{factor} grid {interval_grid:?} group {}",
+                            group.id
+                        );
+                        assert_eq!(fast.options, slow.options, "{tag}: options");
+                        assert_eq!(counters(&fast), counters(&slow), "{tag}: counters");
+                        kept += fast.options.len() as u64;
+                        pruned += fast.pruned;
                     }
                 }
             }
@@ -1812,27 +1610,23 @@ mod assess_options_tests {
                 let above = f64::from_bits(exec.to_bits() + 1);
                 for deadline in [below, exec, above] {
                     for interval_grid in [None, Some(4)] {
-                        for prune_dominance in [true, false] {
-                            let cfg = OptimizerConfig {
-                                interval_grid,
-                                prune_dominance,
-                                ..base
-                            };
-                            let est = view.try_estimator(group.id).unwrap();
-                            let fast = assess_group(group, est, &cfg, deadline);
-                            let slow = reference_assess_group(group, est, &cfg, deadline);
-                            let tag = format!(
-                                "{market} group {} deadline {deadline} grid {interval_grid:?} \
-                                 collapse {prune_dominance}",
-                                group.id
-                            );
-                            assert_eq!(fast.options, slow.options, "{tag}: options");
-                            assert_eq!(counters(&fast), counters(&slow), "{tag}: counters");
-                            assert_eq!(fast.past_deadline, deadline < exec, "{tag}");
-                            if fast.past_deadline {
-                                assert!(fast.options.is_empty() && fast.pruned > 0, "{tag}");
-                                walked += 1;
-                            }
+                        let cfg = OptimizerConfig {
+                            interval_grid,
+                            ..base
+                        };
+                        let est = view.try_estimator(group.id).unwrap();
+                        let fast = assess_group(group, est, &cfg, deadline);
+                        let slow = reference_assess_group(group, est, &cfg, deadline, true);
+                        let tag = format!(
+                            "{market} group {} deadline {deadline} grid {interval_grid:?}",
+                            group.id
+                        );
+                        assert_eq!(fast.options, slow.options, "{tag}: options");
+                        assert_eq!(counters(&fast), counters(&slow), "{tag}: counters");
+                        assert_eq!(fast.past_deadline, deadline < exec, "{tag}");
+                        if fast.past_deadline {
+                            assert!(fast.options.is_empty() && fast.pruned > 0, "{tag}");
+                            walked += 1;
                         }
                     }
                 }
@@ -1889,7 +1683,7 @@ mod assess_options_tests {
             let mut want = (0, 0, 0, 0, 0);
             for group in &problem.candidates {
                 let est = view.try_estimator(group.id).unwrap();
-                let c = counters(&reference_assess_group(group, est, &cfg, deadline));
+                let c = counters(&reference_assess_group(group, est, &cfg, deadline, true));
                 want = (
                     want.0 + c.0,
                     want.1 + c.1,
@@ -1935,7 +1729,6 @@ mod assess_options_tests {
         let cfg = OptimizerConfig {
             kappa: 2,
             bid_levels: 4,
-            prune_dominance: false,
             ..OptimizerConfig::default()
         };
         let opt = TwoLevelOptimizer::new(&problem, &view, cfg);
@@ -1951,12 +1744,12 @@ mod assess_options_tests {
             .map(|g| expected_grid_len(&view, &cfg, g.id))
             .sum();
         assert_eq!(considered, expected);
-        assert_eq!(dominated, 0, "collapse disabled, nothing may be dropped");
         let kept: u64 = options.iter().map(|o| o.len() as u64).sum();
         assert!(kept > 0, "loose deadline must keep some options");
-        // Every considered decision is kept, deadline-pruned, or was
-        // unassessable (no launch at that bid) — never double-counted.
-        assert!(kept + pruned <= considered);
+        // Every considered decision is kept, deadline-pruned, dominated,
+        // or was unassessable (no launch at that bid) — never
+        // double-counted.
+        assert!(kept + pruned + dominated <= considered);
 
         // A margin-free grid loses exactly the guard point per group.
         let no_margin = OptimizerConfig {
@@ -1979,56 +1772,46 @@ mod assess_options_tests {
         let cfg = OptimizerConfig {
             kappa: 2,
             bid_levels: 4,
-            prune_dominance: false,
             ..OptimizerConfig::default()
         };
         let a = TwoLevelOptimizer::new(&problem, &view, cfg)
             .assess_options()
             .unwrap();
-        let (options, considered, pruned) = (a.options, a.considered, a.pruned);
-        let kept: u64 = options.iter().map(|o| o.len() as u64).sum();
-        assert!(pruned > 0, "tight deadline must prune something");
-        assert!(kept + pruned <= considered);
+        let kept: u64 = a.options.iter().map(|o| o.len() as u64).sum();
+        assert!(a.pruned > 0, "tight deadline must prune something");
+        assert!(kept + a.pruned + a.dominated <= a.considered);
     }
 
     #[test]
     fn assess_options_dominated_counter_matches_kept_delta() {
+        // The collapse runs after assessment: against the uncollapsed
+        // reference, considered and pruned are untouched, `dominated`
+        // accounts exactly for the kept delta, and collapsing the
+        // reference's options gives the optimizer's.
         let (_, problem, view) = setup();
-        let base = OptimizerConfig {
+        let cfg = OptimizerConfig {
             kappa: 2,
             bid_levels: 6,
             ..OptimizerConfig::default()
         };
-        let raw = OptimizerConfig {
-            prune_dominance: false,
-            ..base
-        };
-        let a_raw = TwoLevelOptimizer::new(&problem, &view, raw)
+        let a = TwoLevelOptimizer::new(&problem, &view, cfg)
             .assess_options()
             .unwrap();
-        let (opts_raw, considered_raw, pruned_raw, dominated_raw) = (
-            a_raw.options,
-            a_raw.considered,
-            a_raw.pruned,
-            a_raw.dominated,
-        );
-        let a_dom = TwoLevelOptimizer::new(&problem, &view, base)
-            .assess_options()
-            .unwrap();
-        let (opts_dom, considered_dom, pruned_dom, dominated_dom) = (
-            a_dom.options,
-            a_dom.considered,
-            a_dom.pruned,
-            a_dom.dominated,
-        );
-        // The collapse runs after assessment: considered/pruned are
-        // untouched, and `dominated` accounts exactly for the kept delta.
-        assert_eq!(considered_raw, considered_dom);
-        assert_eq!(pruned_raw, pruned_dom);
-        assert_eq!(dominated_raw, 0);
-        let kept_raw: u64 = opts_raw.iter().map(|o| o.len() as u64).sum();
-        let kept_dom: u64 = opts_dom.iter().map(|o| o.len() as u64).sum();
-        assert_eq!(kept_raw - kept_dom, dominated_dom);
+        let (mut considered, mut pruned, mut kept_raw) = (0, 0, 0);
+        for (group, opts) in problem.candidates.iter().zip(&a.options) {
+            let est = view.try_estimator(group.id).unwrap();
+            let mut raw = reference_assess_group(group, est, &cfg, problem.deadline, false);
+            assert_eq!(raw.dominated, 0, "group {}", group.id);
+            considered += raw.considered;
+            pruned += raw.pruned;
+            kept_raw += raw.options.len() as u64;
+            crate::pareto::collapse_bid_dominated(&mut raw.options);
+            assert_eq!(&raw.options, opts, "group {}", group.id);
+        }
+        assert_eq!((considered, pruned), (a.considered, a.pruned));
+        let kept: u64 = a.options.iter().map(|o| o.len() as u64).sum();
+        assert_eq!(kept_raw - kept, a.dominated);
+        assert!(a.dominated > 0, "the fixture has bid-dominated options");
     }
 
     #[test]
@@ -2094,10 +1877,6 @@ mod assess_options_tests {
                 interval_grid: Some(4),
                 ..base
             },
-            OptimizerConfig {
-                prune_dominance: false,
-                ..base
-            },
         ] {
             let grid: u64 = problem
                 .candidates
@@ -2135,16 +1914,15 @@ mod assess_options_tests {
 
     #[test]
     fn shared_bids_equal_their_own_assessment() {
-        // With the collapse off, shared bids are enumerated: each option
-        // must be exactly what assessing its own bid from scratch gives
-        // (the copy carries its own bid, not its twin's).
+        // A shared bid's options are counted as dominated without being
+        // built: assessing every grid bid from scratch (each option at its
+        // own bid) and collapsing must give exactly the options kept.
         use crate::phi::optimal_interval_for;
 
         let (_, problem, view) = setup();
         let cfg = OptimizerConfig {
             kappa: 2,
             bid_levels: 12,
-            prune_dominance: false,
             ..OptimizerConfig::default()
         };
         let a = TwoLevelOptimizer::new(&problem, &view, cfg)
@@ -2156,7 +1934,7 @@ mod assess_options_tests {
         );
         for (group, opts) in problem.candidates.iter().zip(&a.options) {
             let est = view.try_estimator(group.id).unwrap();
-            let expected: Vec<GroupAssessment> = bid_grid(est, &cfg)
+            let mut expected: Vec<GroupAssessment> = bid_grid(est, &cfg)
                 .unwrap()
                 .bids()
                 .iter()
@@ -2169,6 +1947,7 @@ mod assess_options_tests {
                 })
                 .filter(|x| x.completion_wall() <= problem.deadline)
                 .collect();
+            crate::pareto::collapse_bid_dominated(&mut expected);
             assert_eq!(opts, &expected, "group {}", group.id);
         }
     }

@@ -346,30 +346,27 @@ fn subset_cursor_yields_the_filtered_enumeration() {
 }
 
 #[test]
-fn no_subset_is_rejected_without_the_bound() {
+fn the_bound_rejects_subsets_before_their_walk() {
     let market = stress_market(7, 400.0);
     let problem = stress_problem(&market);
     let view = MarketView::from_market(&market, 100.0, 148.0);
-    let rejected = |prune_bound: bool| {
-        let cfg = OptimizerConfig {
-            kappa: 2,
-            prune_bound,
-            ..OptimizerConfig::default()
-        };
-        let ring = RingRecorder::new(TraceLevel::Detail, 16);
-        TwoLevelOptimizer::new(&problem, &view, cfg)
-            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
-            .unwrap();
-        ring.take()
-            .iter()
-            .map(|e| match e {
-                Event::SubsetEvaluated {
-                    subsets_rejected, ..
-                } => *subsets_rejected,
-                _ => 0,
-            })
-            .sum::<u64>()
+    let cfg = OptimizerConfig {
+        kappa: 2,
+        ..OptimizerConfig::default()
     };
-    assert_eq!(rejected(false), 0);
-    assert!(rejected(true) > 0);
+    let ring = RingRecorder::new(TraceLevel::Detail, 16);
+    TwoLevelOptimizer::new(&problem, &view, cfg)
+        .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+        .unwrap();
+    let rejected: u64 = ring
+        .take()
+        .iter()
+        .map(|e| match e {
+            Event::SubsetEvaluated {
+                subsets_rejected, ..
+            } => *subsets_rejected,
+            _ => 0,
+        })
+        .sum();
+    assert!(rejected > 0);
 }

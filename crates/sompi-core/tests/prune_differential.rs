@@ -1,19 +1,27 @@
-//! Exactness of the search-pruning stages: with dominance collapse and
-//! branch-and-bound enabled, alone or together, the optimizer must return
-//! the *same* optimal plan and evaluation as the exhaustive odometer
-//! walk — on every market, and again when the search repeats.
+//! Exactness of the search pruning (DESIGN.md §8): the optimizer's bid
+//! collapse, branch-and-bound and early subset rejection must return the
+//! *same* optimal plan and evaluation as an exhaustive walk, on every
+//! market.
 //!
-//! `evaluations_performed` is deliberately not compared between pruned
-//! and exhaustive runs: dominance collapse shrinks the enumerated space
-//! itself (fewer per-group options), so the raw size differs while the
-//! optimum does not.
+//! The exhaustive walk is the independent reference shared with
+//! `tests/assess_differential.rs` (`tests/reference/mod.rs` at the
+//! workspace root), built from public pieces only. Over the collapsed
+//! reference options the plan, evaluation, evaluation count and
+//! `PlanSearchStarted` counters must match bit for bit. Over the
+//! uncollapsed ones the plan and evaluation must; the evaluation count
+//! is left out there, because the collapse shrinks the enumerated space
+//! itself (fewer per-group options) while the optimum stays.
+
+#[path = "../../../tests/reference/mod.rs"]
+mod reference;
 
 use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
 use ec2_market::market::SpotMarket;
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
-use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
+use reference::{check_collapsed, check_uncollapsed};
+use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::{MarketView, Problem};
 
 fn problem_on(seed: u64, kernel: NpbKernel, deadline: f64) -> (Problem, MarketView) {
@@ -36,74 +44,18 @@ fn problem_on(seed: u64, kernel: NpbKernel, deadline: f64) -> (Problem, MarketVi
     (problem, view)
 }
 
-/// Every ablation of the pruning stages, exhaustive first.
-fn ablations(base: OptimizerConfig) -> Vec<(&'static str, OptimizerConfig)> {
-    vec![
-        (
-            "exhaustive",
-            OptimizerConfig {
-                prune_dominance: false,
-                prune_bound: false,
-                ..base
-            },
-        ),
-        (
-            "dominance-only",
-            OptimizerConfig {
-                prune_dominance: true,
-                prune_bound: false,
-                ..base
-            },
-        ),
-        (
-            "bound-only",
-            OptimizerConfig {
-                prune_dominance: false,
-                prune_bound: true,
-                ..base
-            },
-        ),
-        ("full", base),
-    ]
-}
-
-/// Pruned and exhaustive searches agree on the optimum — plan, bids,
-/// checkpoint intervals, on-demand fallback, and the full evaluation —
-/// for every pruning ablation, on two runs of each.
-fn assert_prune_exact(problem: &Problem, view: &MarketView, cfg: OptimizerConfig) {
-    let reference = TwoLevelOptimizer::new(
-        problem,
-        view,
-        OptimizerConfig {
-            prune_dominance: false,
-            prune_bound: false,
-            ..cfg
-        },
-    )
-    .optimize()
-    .unwrap();
-    assert!(reference.evaluations_performed > 0);
-    for (name, ablation) in ablations(cfg) {
-        for run in 0..2 {
-            let pruned = TwoLevelOptimizer::new(problem, view, ablation)
-                .optimize()
-                .unwrap();
-            assert_eq!(
-                pruned.plan, reference.plan,
-                "{name} (run {run}) changed the optimal plan"
-            );
-            assert_eq!(
-                pruned.evaluation, reference.evaluation,
-                "{name} (run {run}) changed the optimal evaluation"
-            );
-        }
-    }
+/// The pruned search agrees with the exhaustive walk over the collapsed
+/// and over the uncollapsed reference options.
+fn assert_prune_exact(label: &str, problem: &Problem, view: &MarketView, cfg: OptimizerConfig) {
+    check_collapsed(&format!("{label}, collapsed"), problem, view, cfg);
+    check_uncollapsed(&format!("{label}, uncollapsed"), problem, view, cfg);
 }
 
 #[test]
 fn paper_scale_market_prunes_exactly() {
     let (problem, view) = problem_on(13, NpbKernel::Bt, 3.0);
     assert_prune_exact(
+        "paper scale",
         &problem,
         &view,
         OptimizerConfig {
@@ -118,6 +70,7 @@ fn paper_scale_market_prunes_exactly() {
 fn second_market_prunes_exactly() {
     let (problem, view) = problem_on(31, NpbKernel::Sp, 2.5);
     assert_prune_exact(
+        "second market",
         &problem,
         &view,
         OptimizerConfig {
@@ -132,6 +85,7 @@ fn second_market_prunes_exactly() {
 fn third_market_prunes_exactly() {
     let (problem, view) = problem_on(97, NpbKernel::Lu, 2.0);
     assert_prune_exact(
+        "third market",
         &problem,
         &view,
         OptimizerConfig {
@@ -150,6 +104,7 @@ fn infeasible_regime_prunes_exactly() {
     let (mut problem, view) = problem_on(13, NpbKernel::Bt, 3.0);
     problem.deadline = 0.05;
     assert_prune_exact(
+        "infeasible regime",
         &problem,
         &view,
         OptimizerConfig {
@@ -166,6 +121,7 @@ fn infeasible_regime_prunes_exactly() {
 fn interval_grid_prunes_exactly() {
     let (problem, view) = problem_on(31, NpbKernel::Bt, 3.0);
     assert_prune_exact(
+        "interval grid",
         &problem,
         &view,
         OptimizerConfig {

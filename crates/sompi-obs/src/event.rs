@@ -147,8 +147,8 @@ pub enum Event {
         /// Subsets rejected before their walk's set-up, because the sum
         /// of their slots' smallest lower bounds was already above the
         /// incumbent cost (counted in `subsets`; their positions are in
-        /// `skipped`). 0 without `prune_bound`. Defaults to 0 for traces
-        /// written before early rejection.
+        /// `skipped`). Defaults to 0 for traces written before early
+        /// rejection.
         #[serde(default)]
         subsets_rejected: u64,
     },

@@ -143,7 +143,10 @@ pub fn view_for(market: &SpotMarket, req: &PlanRequest) -> MarketView {
 /// `tenant` label and `threads` count cleared. Neither changes the answer
 /// (`threads` is accepted and ignored), so identical problems from
 /// different tenants or at different thread counts coalesce onto one
-/// optimization.
+/// optimization. `app` and `class` are upper-cased and `strategy`
+/// lower-cased first, as [`app_profile`] and [`policy_by_name`] read
+/// them, so spellings that plan the same share a key; a request already
+/// in that case keeps its key.
 ///
 /// The key reads the request only: a server plans against one immutable
 /// market, and the request's `view_start_hours`/`history_hours` fix the
@@ -152,6 +155,9 @@ pub fn plan_request_key(_market: &SpotMarket, req: &PlanRequest) -> u64 {
     let canon = PlanRequest {
         tenant: String::new(),
         threads: 0,
+        app: req.app.to_uppercase(),
+        class: req.class.to_uppercase(),
+        strategy: req.strategy.to_lowercase(),
         ..req.clone()
     };
     let body = serde_json::to_string(&canon).expect("request is serializable");
@@ -607,6 +613,42 @@ mod tests {
         // The key reads the request only, not the market it is given.
         let other = super::tests::market(200.0);
         assert_eq!(key, plan_request_key(&other, &base));
+    }
+
+    #[test]
+    fn plan_request_key_folds_case_as_the_planner_reads_it() {
+        // The planner upper-cases `app` and `class` and lower-cases
+        // `strategy`: both spellings plan the same and share one key.
+        let market = market(100.0);
+        let canonical = small_request();
+        assert_eq!(
+            (&*canonical.app, &*canonical.class, &*canonical.strategy),
+            ("BT", "B", "sompi")
+        );
+        let other = PlanRequest {
+            app: "bt".into(),
+            class: "b".into(),
+            strategy: "SOMPI".into(),
+            ..canonical.clone()
+        };
+        assert_eq!(
+            plan_request_key(&market, &other),
+            plan_request_key(&market, &canonical)
+        );
+        assert_eq!(
+            plan(&market, &other, &NullRecorder, None).unwrap(),
+            plan(&market, &canonical, &NullRecorder, None).unwrap()
+        );
+        // A request already in the planner's case is hashed as sent.
+        let body = serde_json::to_string(&PlanRequest {
+            tenant: String::new(),
+            ..canonical.clone()
+        })
+        .unwrap();
+        let fnv = body.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(plan_request_key(&market, &canonical), fnv);
     }
 
     #[test]

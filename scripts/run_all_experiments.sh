@@ -12,7 +12,7 @@ BINS=(
   fig7_deadline_sweep fig8_fault_tolerance
   param_slack param_kappa param_window
   accuracy_failure_rate accuracy_model
-  ablation_search ablation_billing ablation_prune
+  ablation_search ablation_billing
   ext_relaunch sensitivity_profiling
   tournament
 )

@@ -4,16 +4,17 @@
 //! the options of grid bids that admit the same price samples. None of
 //! that may change a single bit of the answer.
 //!
-//! The reference is assembled here, bid by bid, from public pieces only:
-//! `failure_rate_exact` at φ's and at each assessment's own horizon, the
-//! Young/Daly interval, `expected_launch_delay`, `GroupAssessment::
-//! from_parts`, the deadline prune and `collapse_bid_dominated`. An
-//! exhaustive walk over those options under the optimizer's total
-//! candidate order gives the reference plan. Every `OptimizedPlan` and
-//! `Evaluation` field must match it bit for bit, and the
-//! `PlanSearchStarted` counters must match the reference's counts,
-//! across three markets × interval grid {φ, 4 points} over 20 sliding
-//! windows, and once more with the bid-collapse filter off.
+//! The reference (`tests/reference/mod.rs`) is assembled bid by bid
+//! from public pieces only, and its exhaustive walk under the
+//! optimizer's total candidate order is the only unpruned search in the
+//! workspace, so it is also what the optimizer's bid collapse,
+//! branch-and-bound and early subset rejection (DESIGN.md §8) answer
+//! to. Every `OptimizedPlan` and `Evaluation` field must match it
+//! bit for bit, and the `PlanSearchStarted` counters must match the
+//! reference's counts, across three markets × interval grid {φ, 4
+//! points} over 20 sliding windows at κ 2, over 6 at κ 3, and at a
+//! deadline no option meets. Over the reference's *uncollapsed* options
+//! the plan and evaluation must still match.
 //!
 //! This suite covers the layer above the sweep — horizon truncation,
 //! equal-admission sharing and the search — not the
@@ -25,22 +26,16 @@
 //! `estimate_by_scan`, `count_by_carry`, `launch_delay_by_scan`), and
 //! `tests/plan_golden.rs` pins whole plan reports.
 
-use ec2_market::failure::FailureEstimator;
+mod reference;
+
+use reference::{check_collapsed, check_uncollapsed};
 use sompi_bench::{
     build_problem, lammps_workload, npb_workload, paper_market, stress_market, HISTORY_HOURS,
     PROCESSES, TIGHT,
 };
-use sompi_core::adaptive::PlanContext;
-use sompi_core::cost::{assessment_horizon, evaluate, Evaluation, GroupAssessment};
-use sompi_core::logsearch::BidGrid;
-use sompi_core::model::{CircleGroup, GroupDecision, Plan};
-use sompi_core::pareto::collapse_bid_dominated;
-use sompi_core::phi::phi_horizon;
-use sompi_core::twolevel::{OptimizedPlan, OptimizerConfig, TwoLevelOptimizer};
+use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;
-use sompi_core::{select_on_demand, Problem};
-use sompi_obs::{Event, RingRecorder, TraceLevel};
-use std::cmp::Ordering;
+use sompi_core::Problem;
 
 const WINDOWS: usize = 20;
 const STEP_HOURS: f64 = 2.0;
@@ -79,362 +74,102 @@ fn studies() -> Vec<(&'static str, Problem, Vec<MarketView>)> {
     ]
 }
 
-/// The reference's counts, in `PlanSearchStarted` terms.
-#[derive(Debug, Default, PartialEq)]
-struct Counts {
-    considered: u64,
-    pruned: u64,
-    dominated: u64,
-    grid_points: u64,
-    /// Grid bids admitting as many samples as the previous grid bid.
-    equal_admission: u64,
-}
-
-/// Young/Daly: `sqrt(2 · O · MTTF)` clamped into `[O, T]`; no
-/// checkpoints without observed failures or when one checkpoint costs
-/// more than the work left.
-fn young_daly(group: &CircleGroup, mttf: Option<f64>) -> f64 {
-    match mttf {
-        Some(m) if group.ckpt_overhead_hours <= group.exec_hours => {
-            (2.0 * group.ckpt_overhead_hours * m)
-                .sqrt()
-                .clamp(group.ckpt_overhead_hours, group.exec_hours)
-        }
-        _ => group.exec_hours,
-    }
-}
-
-/// The group's bid grid, by the optimizer's documented rule.
-fn grid(est: &FailureEstimator, cfg: &OptimizerConfig) -> Option<BidGrid> {
-    let max_bid = est.max_price();
-    if !(max_bid.is_finite() && max_bid > 0.0) {
-        return None;
-    }
-    let min_price = est.expected_spot_price().min_price().max(1e-6);
-    let span = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
-    let grid = BidGrid::logarithmic(max_bid, span.min(cfg.bid_levels.max(2)));
-    Some(match cfg.top_margin {
-        Some(m) => grid.with_top_margin(m),
-        None => grid,
-    })
-}
-
-/// Assess every (group, bid, interval) on its own, from public pieces.
-fn reference_options(
-    problem: &Problem,
-    view: &MarketView,
-    cfg: &OptimizerConfig,
-) -> (Vec<Vec<GroupAssessment>>, Counts) {
-    let mut counts = Counts::default();
-    let mut options = Vec::new();
-    for group in &problem.candidates {
-        let est = view.try_estimator(group.id).expect("candidate in view");
-        let mut opts = Vec::new();
-        let Some(grid) = grid(est, cfg) else {
-            options.push(opts);
-            continue;
-        };
-        let mut prev_admitted = None;
-        for &bid in grid.bids() {
-            counts.grid_points += 1;
-            let admitted = est.expected_spot_price().count_at_or_below(bid);
-            counts.equal_admission += u64::from(prev_admitted == Some(admitted));
-            prev_admitted = Some(admitted);
-            let intervals: Vec<f64> = match cfg.interval_grid {
-                None => {
-                    let f = est.failure_rate_exact(bid, phi_horizon(group));
-                    vec![young_daly(group, f.mean_time_to_failure())]
-                }
-                Some(n) => (1..=n)
-                    .map(|j| group.exec_hours * j as f64 / n as f64)
-                    .collect(),
-            };
-            for ckpt_interval in intervals {
-                counts.considered += 1;
-                let Some(price) = est.expected_spot_price().mean_below(bid) else {
-                    continue;
-                };
-                let decision = GroupDecision { bid, ckpt_interval };
-                let f = est.failure_rate_exact(bid, assessment_horizon(group, &decision));
-                let a = GroupAssessment::from_parts(
-                    *group,
-                    decision,
-                    price,
-                    f.survival(),
-                    f.buckets().to_vec(),
-                    est.expected_launch_delay(bid),
-                );
-                if a.completion_wall() <= problem.deadline {
-                    opts.push(a);
-                } else {
-                    counts.pruned += 1;
-                }
-            }
-        }
-        if cfg.prune_dominance {
-            counts.dominated += collapse_bid_dominated(&mut opts);
-        }
-        options.push(opts);
-    }
-    (options, counts)
-}
-
-/// The best candidate so far under the optimizer's total order.
-struct Best {
-    feasible: bool,
-    eval: Evaluation,
-    bids: Vec<f64>,
-    picks: Vec<(usize, usize)>,
-    ordinal: (usize, u64),
-}
-
-/// Feasible first, then lower cost, then the lexicographically greater
-/// bid vector, then the earlier enumeration ordinal.
-fn better(
-    feasible: bool,
-    eval: &Evaluation,
-    bids: &[f64],
-    ordinal: (usize, u64),
-    b: &Best,
-) -> bool {
-    if feasible != b.feasible {
-        return feasible;
-    }
-    match eval.expected_cost.total_cmp(&b.eval.expected_cost) {
-        Ordering::Less => true,
-        Ordering::Greater => false,
-        Ordering::Equal => {
-            let by_bids = bids
-                .iter()
-                .zip(&b.bids)
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| o.is_ne())
-                .unwrap_or(bids.len().cmp(&b.bids.len()));
-            match by_bids {
-                Ordering::Greater => true,
-                Ordering::Less => false,
-                Ordering::Equal => ordinal < b.ordinal,
-            }
-        }
-    }
-}
-
-/// Every k-subset of `0..n`, k ascending, lexicographic within k.
-fn subsets(n: usize, k_max: usize) -> Vec<Vec<usize>> {
-    fn rec(n: usize, k: usize, start: usize, acc: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if acc.len() == k {
-            out.push(acc.clone());
-            return;
-        }
-        for i in start..n {
-            acc.push(i);
-            rec(n, k, i + 1, acc, out);
-            acc.pop();
-        }
-    }
-    let mut out = Vec::new();
-    for k in 1..=k_max.min(n) {
-        rec(n, k, 0, &mut Vec::new(), &mut out);
-    }
-    out
-}
-
-/// Exhaustive search over the reference options: every subset, every
-/// bid vector (slot 0 fastest), the pure on-demand plan as the incumbent.
-fn reference_search(
-    problem: &Problem,
-    cfg: &OptimizerConfig,
-    options: &[Vec<GroupAssessment>],
-) -> OptimizedPlan {
-    let od = select_on_demand(&problem.on_demand, problem.deadline, cfg.slack);
-    let od_eval = evaluate(&[], &od);
-    let od_feasible = od_eval.meets(problem.deadline);
-    let mut evaluations = 1u64;
-    let mut best: Option<Best> = None;
-    for (si, chosen) in subsets(problem.candidates.len(), cfg.kappa)
-        .iter()
-        .enumerate()
-    {
-        if chosen.iter().any(|&g| options[g].is_empty()) {
-            continue;
-        }
-        let mut idx = vec![0usize; chosen.len()];
-        let mut step = 0u64;
-        loop {
-            let refs: Vec<&GroupAssessment> = chosen
-                .iter()
-                .zip(&idx)
-                .map(|(&g, &i)| &options[g][i])
-                .collect();
-            let eval = evaluate(&refs, &od);
-            evaluations += 1;
-            let feasible = eval.meets(problem.deadline)
-                && cfg
-                    .min_spot_success
-                    .is_none_or(|q| eval.p_all_fail <= 1.0 - q);
-            let bids: Vec<f64> = refs.iter().map(|a| a.decision.bid).collect();
-            if best
-                .as_ref()
-                .is_none_or(|b| better(feasible, &eval, &bids, (si, step), b))
-            {
-                best = Some(Best {
-                    feasible,
-                    eval,
-                    bids,
-                    picks: chosen.iter().copied().zip(idx.iter().copied()).collect(),
-                    ordinal: (si, step),
-                });
-            }
-            step += 1;
-            let mut pos = 0;
-            while pos < idx.len() {
-                idx[pos] += 1;
-                if idx[pos] < options[chosen[pos]].len() {
-                    break;
-                }
-                idx[pos] = 0;
-                pos += 1;
-            }
-            if pos == idx.len() {
-                break;
-            }
-        }
-    }
-    let spot = best.filter(|b| match (b.feasible, od_feasible) {
-        (true, false) => true,
-        (false, true) => false,
-        _ => b.eval.expected_cost < od_eval.expected_cost,
-    });
-    match spot {
-        Some(b) => OptimizedPlan {
-            plan: Plan {
-                groups: b
-                    .picks
-                    .iter()
-                    .map(|&(g, i)| (options[g][i].group, options[g][i].decision))
-                    .collect(),
-                on_demand: od,
-            },
-            evaluation: b.eval,
-            evaluations_performed: evaluations,
-        },
-        None => OptimizedPlan {
-            plan: Plan::on_demand_only(od),
-            evaluation: od_eval,
-            evaluations_performed: evaluations,
-        },
-    }
-}
-
-fn assert_bits_identical(want: &OptimizedPlan, got: &OptimizedPlan, label: &str) {
-    assert_eq!(want.plan, got.plan, "{label}: plan diverged");
-    let bits = |p: &Plan| -> Vec<u64> {
-        p.groups
-            .iter()
-            .flat_map(|(_, d)| [d.bid.to_bits(), d.ckpt_interval.to_bits()])
-            .collect()
-    };
-    assert_eq!(bits(&want.plan), bits(&got.plan), "{label}: decision bits");
-    let fields = |e: &Evaluation| {
-        [
-            e.expected_cost,
-            e.expected_time,
-            e.p_all_fail,
-            e.expected_spot_cost,
-            e.expected_od_cost,
-        ]
-        .map(f64::to_bits)
-    };
-    assert_eq!(
-        fields(&want.evaluation),
-        fields(&got.evaluation),
-        "{label}: evaluation bits"
-    );
-    assert_eq!(
-        want.evaluations_performed, got.evaluations_performed,
-        "{label}: evaluation count"
-    );
-}
-
-/// The counters one traced search reported.
-fn traced(events: &[Event]) -> Counts {
-    let mut out = Counts::default();
-    for e in events {
-        if let Event::PlanSearchStarted {
-            options_considered,
-            options_pruned,
-            options_dominated,
-            profiles_swept,
-            profiles_shared,
-            ..
-        } = e
-        {
-            out = Counts {
-                considered: *options_considered,
-                pruned: *options_pruned,
-                dominated: *options_dominated,
-                grid_points: profiles_swept + profiles_shared,
-                equal_admission: *profiles_shared,
-            };
-        }
-    }
-    out
-}
-
-fn run_study(label: &str, problem: &Problem, views: &[MarketView], base: OptimizerConfig) {
+/// Plan every window at `cfg` and compare with the search over the
+/// collapsed reference options, bit for bit: plan, evaluation,
+/// evaluation count and counters.
+fn run_study(label: &str, problem: &Problem, views: &[MarketView], cfg: OptimizerConfig) {
     let mut shared = 0u64;
     for (w, view) in views.iter().enumerate() {
-        let (ref_options, ref_counts) = reference_options(problem, view, &base);
-        shared += ref_counts.equal_admission;
-        let want = reference_search(problem, &base, &ref_options);
-        let tag = format!("{label} window {w}");
-        let ring = RingRecorder::new(TraceLevel::Summary, 16);
-        let got = TwoLevelOptimizer::new(problem, view, base)
-            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
-            .expect("candidates in view");
-        assert_bits_identical(&want, &got, &tag);
-        assert_eq!(traced(&ring.take()), ref_counts, "{tag}: counters");
+        let tag = format!("{label} κ {} window {w}", cfg.kappa);
+        shared += check_collapsed(&tag, problem, view, cfg).equal_admission;
     }
     assert!(shared > 0, "{label}: no grid bid shared its options");
 }
 
+/// The φ and interval-grid configurations at κ.
+fn configs(kappa: usize) -> [(&'static str, OptimizerConfig); 2] {
+    [
+        (
+            "",
+            OptimizerConfig {
+                kappa,
+                bid_levels: 8,
+                ..Default::default()
+            },
+        ),
+        (
+            "+grid",
+            OptimizerConfig {
+                kappa,
+                bid_levels: 4,
+                interval_grid: Some(4),
+                ..Default::default()
+            },
+        ),
+    ]
+}
+
 #[test]
 fn assessments_match_the_per_bid_reference_with_phi() {
+    let [(_, cfg), _] = configs(2);
     for (label, problem, views) in &studies() {
-        let base = OptimizerConfig {
-            kappa: 2,
-            bid_levels: 8,
-            ..Default::default()
-        };
-        run_study(label, problem, views, base);
+        run_study(label, problem, views, cfg);
     }
 }
 
 #[test]
 fn assessments_match_the_per_bid_reference_on_the_interval_grid() {
+    let [_, (suffix, cfg)] = configs(2);
     for (label, problem, views) in &studies() {
-        let base = OptimizerConfig {
-            kappa: 2,
-            bid_levels: 4,
-            interval_grid: Some(4),
-            ..Default::default()
+        run_study(&format!("{label}{suffix}"), problem, views, cfg);
+    }
+}
+
+#[test]
+fn assessments_match_the_per_bid_reference_at_kappa_3() {
+    // Three-group subsets give the bound and the early rejection the most
+    // to skip; a loose deadline (3× the baseline) keeps many more options
+    // than the studies' tight one.
+    let [(_, phi), (suffix, grid)] = configs(3);
+    for (label, problem, views) in &studies() {
+        run_study(label, problem, &views[..6], phi);
+        run_study(&format!("{label}{suffix}"), problem, &views[..6], grid);
+        let loose = Problem {
+            deadline: 3.0 * problem.baseline_time(),
+            ..problem.clone()
         };
-        run_study(&format!("{label}+grid"), problem, views, base);
+        run_study(&format!("{label} ×3"), &loose, &views[..6], phi);
+    }
+}
+
+#[test]
+fn assessments_match_the_per_bid_reference_at_a_hopeless_deadline() {
+    // Every group's run time is past a 0.05 h deadline: no option
+    // survives, and the answer is the on-demand fallback.
+    for (label, problem, views) in &studies() {
+        let problem = Problem {
+            deadline: 0.05,
+            ..problem.clone()
+        };
+        for (suffix, cfg) in configs(3) {
+            run_study(
+                &format!("{label}{suffix} 0.05 h"),
+                &problem,
+                &views[..6],
+                cfg,
+            );
+        }
     }
 }
 
 #[test]
 fn assessments_match_the_per_bid_reference_without_the_collapse() {
-    // With the bid-collapse filter off, a shared bid's options are
-    // enumerated next to its twin's: evaluation counts grow, and the plan
-    // and counters must still match.
     for (label, problem, views) in &studies() {
-        let base = OptimizerConfig {
-            kappa: 2,
-            bid_levels: 8,
-            prune_dominance: false,
-            ..Default::default()
-        };
-        run_study(&format!("{label}-collapse"), problem, views, base);
+        for (kappa, windows) in [(2, WINDOWS), (3, 6)] {
+            let [(_, cfg), _] = configs(kappa);
+            for (w, view) in views[..windows].iter().enumerate() {
+                check_uncollapsed(&format!("{label} κ {kappa} window {w}"), problem, view, cfg);
+            }
+        }
     }
 }

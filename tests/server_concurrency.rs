@@ -194,7 +194,8 @@ fn threaded_plans_match_the_in_process_path() {
 fn retired_kernel_caps_field_is_still_accepted() {
     // Older clients may still send `kernel_caps`: the frame decodes, the
     // key is ignored, and the answer is the default request's. The same
-    // holds for `OptimizerConfig` JSON written before the field went.
+    // holds for `OptimizerConfig` JSON written before that field, or the
+    // `prune_dominance`/`prune_bound` switches, went.
     let (addr, _, handle, join) = start(Arc::new(NullRecorder), ephemeral(1));
     let raw_call = |body: &str| {
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
@@ -220,14 +221,20 @@ fn retired_kernel_caps_field_is_still_accepted() {
 
     let cfg = OptimizerConfig::default();
     let json = serde_json::to_string(&cfg).expect("serializable");
-    let old = format!(
-        "{},\"kernel_caps\":false}}",
-        json.strip_suffix('}').expect("a JSON object")
-    );
-    assert_eq!(
-        serde_json::from_str::<OptimizerConfig>(&old).expect("decodes"),
-        cfg
-    );
+    for retired in [
+        r#""kernel_caps":false"#,
+        r#""prune_dominance":false,"prune_bound":false"#,
+    ] {
+        let old = format!(
+            "{},{retired}}}",
+            json.strip_suffix('}').expect("a JSON object")
+        );
+        assert_eq!(
+            serde_json::from_str::<OptimizerConfig>(&old).expect("decodes"),
+            cfg,
+            "{retired}"
+        );
+    }
 }
 
 #[test]

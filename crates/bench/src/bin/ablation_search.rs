@@ -8,7 +8,7 @@
 //! optimality" claim is tested, not assumed.
 
 use mpi_sim::npb::NpbKernel;
-use replay::PlanRunner;
+use replay::ExecContext;
 use sompi_bench::{
     build_problem, monte_carlo, npb_workload, paper_market, planning_view, Table, LOOSE,
 };
@@ -70,10 +70,8 @@ fn main() {
             .unwrap();
         let elapsed = started.elapsed().as_secs_f64();
         let mc = monte_carlo(&market, problem.deadline + 6.0, 1234);
-        let runner = PlanRunner::new(&market, problem.deadline);
-        let ctx = replay::ExecContext::new();
         let r = mc
-            .evaluate(|start| runner.run(&opt.plan, start, &ctx))
+            .run_plan(&market, &opt.plan, problem.deadline, &ExecContext::new())
             .expect("replay succeeds");
         t.row([
             name.to_string(),

@@ -8,7 +8,7 @@
 //! dollar-exact prediction.
 
 use mpi_sim::npb::NpbKernel;
-use replay::PlanRunner;
+use replay::ExecContext;
 use sompi_bench::{
     build_problem, monte_carlo, npb_workload, paper_market, planning_view, Table, LOOSE, TIGHT,
 };
@@ -55,10 +55,8 @@ fn main() {
                 // horizon, so the model is only claimed valid there.
                 let mut mc = monte_carlo(&market, problem.deadline + 6.0, 9000);
                 mc.offset_max = mc.offset_min + 72.0;
-                let runner = PlanRunner::new(&market, problem.deadline);
-                let ctx = replay::ExecContext::new();
                 let r = mc
-                    .evaluate(|start| runner.run(&plan, start, &ctx))
+                    .run_plan(&market, &plan, problem.deadline, &ExecContext::new())
                     .expect("replay succeeds");
                 let rel = (eval.expected_cost - r.cost.mean).abs() / r.cost.mean.max(1e-9);
                 diffs.push(rel);

@@ -12,7 +12,6 @@
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use replay::adaptive_exec::AdaptiveRunner;
 use replay::montecarlo::McResult;
-use replay::PlanRunner;
 use sompi_bench::{
     build_problem, monte_carlo, planning_view, repeat_to_hours, stress_market, Table, LOOSE,
     PROCESSES, TIGHT,
@@ -62,10 +61,8 @@ fn main() {
             let plan = strat
                 .plan(&problem, &view, &mut PlanContext::new())
                 .expect("plan succeeds");
-            let mc = monte_carlo(&market, margin, 5000);
-            let runner = PlanRunner::new(&market, problem.deadline);
-            let r = mc
-                .evaluate(|start| runner.run(&plan, start, &ctx))
+            let r = monte_carlo(&market, margin, 5000)
+                .run_plan(&market, &plan, problem.deadline, &ctx)
                 .expect("replay succeeds");
             rows.push((name.to_string(), r));
         }

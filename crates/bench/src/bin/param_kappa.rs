@@ -6,7 +6,7 @@
 //! Time in overhead; κ = 4 kept it under 1%).
 
 use mpi_sim::npb::NpbKernel;
-use replay::PlanRunner;
+use replay::ExecContext;
 use sompi_bench::{
     build_problem, monte_carlo, npb_workload, planning_view, stress_market, Table, LOOSE,
 };
@@ -41,10 +41,8 @@ fn main() {
             .expect("problem candidates come from the same market");
         let elapsed = started.elapsed().as_secs_f64();
         let mc = monte_carlo(&market, problem.deadline + 6.0, 7000);
-        let runner = PlanRunner::new(&market, problem.deadline);
-        let ctx = replay::ExecContext::new();
         let r = mc
-            .evaluate(|start| runner.run(&opt.plan, start, &ctx))
+            .run_plan(&market, &opt.plan, problem.deadline, &ExecContext::new())
             .expect("replay succeeds");
         t.row([
             format!("{kappa}"),

@@ -7,7 +7,7 @@
 //! time grows and saturates around 1.16× Baseline Time.
 
 use mpi_sim::npb::NpbKernel;
-use replay::PlanRunner;
+use replay::ExecContext;
 use sompi_bench::{build_problem, monte_carlo, npb_workload, planning_view, stress_market, Table};
 use sompi_core::adaptive::PlanContext;
 use sompi_core::baselines::{Sompi, Strategy};
@@ -39,10 +39,8 @@ fn main() {
             .plan(&problem, &view, &mut PlanContext::new())
             .expect("plan succeeds");
         let mc = monte_carlo(&market, problem.deadline + 6.0, 6000);
-        let runner = PlanRunner::new(&market, problem.deadline);
-        let ctx = replay::ExecContext::new();
         let r = mc
-            .evaluate(|start| runner.run(&plan, start, &ctx))
+            .run_plan(&market, &plan, problem.deadline, &ExecContext::new())
             .expect("replay succeeds");
         t.row([
             format!("{:.0}%", slack * 100.0),

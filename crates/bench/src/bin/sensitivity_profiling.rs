@@ -11,7 +11,7 @@
 //! and measure the replayed cost of each strategy's plan.
 
 use mpi_sim::npb::NpbKernel;
-use replay::PlanRunner;
+use replay::ExecContext;
 use sompi_bench::{
     build_problem, monte_carlo, npb_workload, paper_market, planning_view, Table, LOOSE,
 };
@@ -81,10 +81,8 @@ fn main() {
                 real_plan.on_demand = *od;
             }
             let mc = monte_carlo(&market, truth.deadline + 6.0, 7777);
-            let runner = PlanRunner::new(&market, truth.deadline);
-            let ctx = replay::ExecContext::new();
             let r = mc
-                .evaluate(|s| runner.run(&real_plan, s, &ctx))
+                .run_plan(&market, &real_plan, truth.deadline, &ExecContext::new())
                 .expect("replay succeeds");
             cells.push(format!("{:.3}", r.cost.mean / truth.baseline_cost_billed()));
             if i == 1 {

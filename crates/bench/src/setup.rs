@@ -8,7 +8,7 @@ use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::profile::AppProfile;
 use mpi_sim::storage::S3Store;
 use replay::montecarlo::{McResult, MonteCarlo};
-use replay::PlanRunner;
+use replay::ExecContext;
 use sompi_core::adaptive::PlanContext;
 use sompi_core::baselines::Strategy;
 use sompi_core::problem::Problem;
@@ -204,10 +204,8 @@ pub fn evaluate_strategy(
         .plan(problem, &view, &mut PlanContext::new())
         .expect("plan succeeds");
     let margin = problem.baseline_time() * 4.0 + 4.0;
-    let mc = monte_carlo(market, margin, mc_seed);
-    let runner = PlanRunner::new(market, problem.deadline);
-    let ctx = replay::ExecContext::new();
-    mc.evaluate(|start| runner.run(&plan, start, &ctx))
+    monte_carlo(market, margin, mc_seed)
+        .run_plan(market, &plan, problem.deadline, &ExecContext::new())
         .expect("replay succeeds on generated markets")
 }
 

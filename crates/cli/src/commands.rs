@@ -15,7 +15,9 @@ use crate::args::Args;
 use crate::build::{market_from, CliError};
 use ec2_market::market::SpotMarket;
 use sompi_core::model::Plan;
-use sompi_obs::{parse_jsonl, JsonlRecorder, NullRecorder, Recorder, RunReport, TraceLevel};
+use sompi_obs::{
+    emit, parse_jsonl, JsonlRecorder, NullRecorder, Recorder, RingRecorder, RunReport, TraceLevel,
+};
 use sompi_server::proto::{PlanRequest, ReplayRequest};
 use sompi_server::service::{self, ServiceError};
 use sompi_server::tournament::{self, TournamentConfig};
@@ -187,6 +189,9 @@ pub fn cmd_plan(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// `sompi replay` — plan, then Monte-Carlo replay over the market.
 /// `--adaptive` switches to the windowed Algorithm-1 runner, which
 /// re-plans each window with the same search as `sompi plan`.
+/// `--timeline` records the command's trace at detail level, runs the
+/// one deterministic replay that `--trace-out` records, and prints the
+/// report `sompi trace summarize` renders for that trace.
 pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut flags = PLAN_FLAGS.to_vec();
     flags.extend([
@@ -202,16 +207,28 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let market = market_from(args)?;
     let req = replay_request_from(args, 100)?;
     let sink = trace_sink_from(args)?;
-    let recorder: &dyn Recorder = match &sink {
-        Some(s) => s,
-        None => &NullRecorder,
+    // `--timeline` records everything at detail level and hands the
+    // events to the sink afterwards, so both tell the same story.
+    let timeline = args
+        .flag("timeline")
+        .then(|| RingRecorder::new(TraceLevel::Detail, usize::MAX));
+    let recorder: &dyn Recorder = match (&timeline, &sink) {
+        (Some(ring), _) => ring,
+        (None, Some(s)) => s,
+        (None, None) => &NullRecorder,
     };
     let report = service::replay(&market, &req, recorder).map_err(svc)?;
 
     // Tracing records one deterministic replay (the Monte-Carlo sweep
     // would interleave replica timelines into an unreadable stream).
+    if timeline.is_some() || sink.is_some() {
+        service::traced_replay(&market, &req, report.plan.as_ref(), recorder).map_err(svc)?;
+    }
+    let timeline = timeline.map(|ring| ring.take());
     if let Some(s) = &sink {
-        service::traced_replay(&market, &req, report.plan.as_ref(), s).map_err(svc)?;
+        for e in timeline.iter().flatten() {
+            emit(s, e.level(), || e.clone());
+        }
         finish_trace(s, args.get("trace-out").unwrap_or(""))?;
     }
 
@@ -260,17 +277,11 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(|e| CliError::Other(e.to_string()))?;
     }
 
-    if args.flag("timeline") {
-        let Some(plan) = &report.plan else {
-            return Err(CliError::Other(
-                "--timeline applies to fixed-plan replays only".into(),
-            ));
-        };
+    if let Some(events) = timeline {
         let start = req.plan.history_hours + 1.0;
-        let events = replay::timeline::timeline(&market, plan, start, report.deadline_hours);
         writeln!(out, "\ntimeline of one replay (start offset {start:.1} h):")
             .map_err(|e| CliError::Other(e.to_string()))?;
-        write!(out, "{}", replay::timeline::render(&events, start))
+        write!(out, "{}", RunReport::from_events(&events).render())
             .map_err(|e| CliError::Other(e.to_string()))?;
     }
     Ok(())
@@ -642,6 +653,13 @@ mod tests {
     }
 
     #[test]
+    fn batch_is_an_unknown_flag() {
+        // A server worker takes one request at a time; the single-flight
+        // plan cache already coalesces identical plans across workers.
+        assert_unknown_on("--batch", &[SERVE]);
+    }
+
+    #[test]
     fn bad_fault_spec_is_rejected() {
         let mut buf = Vec::new();
         let err = cmd_replay(
@@ -761,10 +779,53 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_rejected_for_adaptive_replays() {
-        let mut buf = Vec::new();
-        let err = cmd_replay(
-            &args(&[
+    fn timeline_prints_what_trace_summarize_renders() {
+        // One command's `--timeline` and `--trace-out` tell one story,
+        // with or without faults. Under the storm the traced replay's
+        // group is killed and on-demand finishes the job.
+        let dir = std::env::temp_dir().join(format!("sompi-cli-timeline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        let p = path.to_str().unwrap();
+        for faults in [None, Some("storm=0.5x0.5")] {
+            let mut flags = vec![
+                "--kappa",
+                "1",
+                "--levels",
+                "2",
+                "--replicas",
+                "4",
+                "--timeline",
+                "--trace-out",
+                p,
+                "--trace-level",
+                "detail",
+            ];
+            flags.extend(faults.iter().flat_map(|f| ["--faults", f]));
+            let out = run(cmd_replay, &flags);
+            let summary = run(cmd_trace, &["summarize", p]);
+            assert!(summary.contains("group type#"), "{summary}");
+            assert!(
+                out.ends_with(&format!("start offset 49.0 h):\n{summary}")),
+                "--timeline:\n{out}\ntrace summarize:\n{summary}"
+            );
+            if faults.is_some() {
+                assert!(
+                    summary.contains("fault injected: spot-kill-storm on group"),
+                    "{summary}"
+                );
+                assert!(summary.contains("killed by provider"), "{summary}");
+                assert!(summary.contains("finished by on-demand"), "{summary}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn adaptive_timeline_prints_the_adaptive_windows() {
+        let out = run(
+            cmd_replay,
+            &[
                 "--adaptive",
                 "--timeline",
                 "--hours",
@@ -779,10 +840,10 @@ mod tests {
                 "2",
                 "--window",
                 "2",
-            ]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--timeline"), "{err}");
+            ],
+        );
+        assert!(out.contains("adaptive windows\n"), "{out}");
+        assert!(out.contains("window  0 @"), "{out}");
+        assert!(out.contains("adaptive: "), "{out}");
     }
 }

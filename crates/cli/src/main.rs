@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sompi plan   [--app BT --class B --procs 128 --deadline 1.5 ...]
-//! sompi replay [... --replicas 200]     (alias: sompi run)
+//! sompi replay [... --replicas 200 --timeline]     (alias: sompi run)
 //! sompi sweep  [... --from 1.05 --to 2.0 --points 6]
 //! sompi tournament [--policies ondemand,no-ft,ckpt-only,app-centric,deadline-hedge,sompi ...]
 //! sompi trace  [--feed history.txt | --seed 42 --hours 336] [--calibrate]
@@ -48,6 +48,10 @@ COMMON FLAGS:
                                same search as `plan` (replay only)
     --window H                 adaptive re-optimization window T_m, hours
                                (default 15)
+    --timeline                 also print the run report of the one replay
+                               that --trace-out records (from hour history+1),
+                               as `trace summarize` renders a detail trace
+                               (replay only)
     --seed N --hours H --step H         synthetic market shape
     --feed FILE                import AWS spot price history instead
     --history H                planning history window, hours (default 48)
@@ -71,9 +75,9 @@ TOURNAMENT FLAGS (tournament):
 SERVER FLAGS (serve):
     --addr HOST:PORT           listen address (default 127.0.0.1:7077; port 0
                                picks an ephemeral port)
-    --workers N --queue-cap N --batch N --cache-cap N
-                               worker pool, admission queue, request batching
-                               and plan-cache sizing
+    --workers N --queue-cap N --cache-cap N
+                               worker pool, admission queue and plan-cache
+                               sizing
     --pause-ms MS              artificial per-request delay (load drills)
     --max-requests N           exit cleanly after N accepted connections
 

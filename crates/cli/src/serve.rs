@@ -32,7 +32,6 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "addr",
         "workers",
         "queue-cap",
-        "batch",
         "cache-cap",
         "pause-ms",
         "max-requests",
@@ -53,7 +52,6 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         addr: args.str_or("addr", "127.0.0.1:7077"),
         workers: args.u64_or("workers", 2)? as usize,
         queue_cap: args.u64_or("queue-cap", 32)? as usize,
-        batch: args.u64_or("batch", 8)? as usize,
         cache_capacity: args.u64_or("cache-cap", 128)? as usize,
         pause_ms: args.u64_or("pause-ms", 0)?,
         max_requests,

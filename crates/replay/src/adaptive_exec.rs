@@ -112,7 +112,8 @@ impl<'a> AdaptiveRunner<'a> {
     /// the windowed loop to the context's recorder: a `WindowReplanned`
     /// per window boundary (with the inner optimizer's search events on
     /// real re-plans, or `reused: true` under plan continuity / w/o-MT),
-    /// the replay's `GroupFailed`/`CheckpointTaken` timeline, an
+    /// the replay's `GroupLaunched`/`GroupFailed`/`CheckpointTaken`
+    /// timeline (no launch for a group carried across a boundary), an
     /// `OnDemandFallback` when the loop abandons spot, and a final
     /// `RunCompleted` carrying the window/plan-change tallies.
     ///

@@ -82,8 +82,7 @@ pub struct ExecContext<'a> {
     pub retry: RetryPolicy,
     /// Precomputed death-time tables for the plan being replayed. `None`
     /// replays through the market's indexed trace queries (adaptive
-    /// windows, timelines, relaunch); the answers are bit-identical
-    /// either way.
+    /// windows); the answers are bit-identical either way.
     pub batch: Option<&'a BatchTables>,
 }
 
@@ -230,17 +229,17 @@ impl GroupRun<'_> {
 /// use one heap buffer per window.
 const INLINE_RUNS: usize = 4;
 
-/// Phase 1's buffer for one group's fault events. A window keeps one
-/// buffer of `(plan-group index, trace hour, event)` for all its groups,
-/// settled in phase 2 (only events at or before the group's charge end
-/// are real). With a recorder that records nothing the buffer is absent,
-/// so an untraced replay builds no event and no event string.
-struct FaultLog<'v> {
+/// Phase 1's buffer for one group's launch and fault events. A window
+/// keeps one buffer of `(plan-group index, trace hour, event)` for all its
+/// groups, settled in phase 2 (only events at or before the group's charge
+/// end are real). With a recorder that records nothing the buffer is
+/// absent, so an untraced replay builds no event and no event string.
+struct GroupLog<'v> {
     group: usize,
     events: Option<&'v mut Vec<(usize, Hours, Event)>>,
 }
 
-impl FaultLog<'_> {
+impl GroupLog<'_> {
     /// Buffer `event()`, which happened at trace hour `at`, if anyone
     /// records.
     fn push(&mut self, at: Hours, event: impl FnOnce() -> Event) {
@@ -313,11 +312,14 @@ impl<'a> PlanRunner<'a> {
     /// recovery then completes the job — late runs are still completed,
     /// just flagged as missing the deadline.
     ///
-    /// Emits the failure/checkpoint/fallback timeline to the context's
-    /// recorder: `GroupFailed`, `CheckpointTaken`, and fault events from
-    /// the window replay, one `OnDemandFallback` if spot did not finish,
-    /// and a final `RunCompleted`. All `at_hours` are on the market-trace
-    /// clock (the same clock as `start`).
+    /// Emits the run's timeline to the context's recorder:
+    /// `GroupLaunched`, `GroupFailed`, `CheckpointTaken`, and fault events
+    /// from the window replay, one `OnDemandFallback` if spot did not
+    /// finish, and a final `RunCompleted`. The fallback's reason is
+    /// `"all-groups-failed"` when the provider killed every spot group and
+    /// `"deadline-cutoff"` otherwise (a group was stopped at the deadline,
+    /// or never launched). All `at_hours` are on the market-trace clock
+    /// (the same clock as `start`).
     ///
     /// Errors with [`SompiError::UnknownGroup`] when the plan references
     /// a circle group the market has no trace for.
@@ -332,13 +334,19 @@ impl<'a> PlanRunner<'a> {
         // A planned pure-on-demand run is not a *fallback*; only emit one
         // when spot groups existed and did not finish.
         if w.completed_by.is_none() && !plan.groups.is_empty() {
+            let all_failed = w.groups_failed as usize == plan.groups.len();
             emit(ctx.recorder, TraceLevel::Summary, || {
                 Event::OnDemandFallback {
                     at_hours: start + w.elapsed,
                     remaining_fraction: (1.0 - w.saved_fraction).max(0.0),
                     od_hours: out.wall_hours - w.elapsed,
                     od_cost: out.od_cost,
-                    reason: "all-groups-failed".to_string(),
+                    reason: if all_failed {
+                        "all-groups-failed"
+                    } else {
+                        "deadline-cutoff"
+                    }
+                    .to_string(),
                 }
             });
         }
@@ -434,9 +442,12 @@ impl<'a> PlanRunner<'a> {
     /// no launch wait is paid, even if the instantaneous price is above
     /// the bid — the instances only die when the price actually exceeds
     /// it. Returns the intermediate state; no on-demand fallback is
-    /// applied. `GroupFailed` (Summary), `CheckpointTaken` (Detail), and
-    /// fault events are emitted once per-group lifecycles are settled —
-    /// i.e. after the winner rule classifies each termination.
+    /// applied. `GroupLaunched` (Detail, one per group that launches in
+    /// the window; none for carried groups), `GroupFailed` (Summary),
+    /// `CheckpointTaken` (Detail), and fault events are emitted once
+    /// per-group lifecycles are settled — i.e. after the winner rule
+    /// classifies each termination, so a group the winner stopped before
+    /// its launch shows no launch.
     ///
     /// Errors with [`SompiError::InvalidFraction`] for a `fraction`
     /// outside `(0, 1]` and [`SompiError::UnknownGroup`] for a plan group
@@ -459,6 +470,7 @@ impl<'a> PlanRunner<'a> {
             .filter(|f| f.plan().ckpt_fail_prob > 0.0 || f.plan().ckpt_latency_prob > 0.0);
         let recorder = ctx.recorder;
         let traced = recorder.enabled(TraceLevel::Summary);
+        let launches = traced && !carried && recorder.enabled(TraceLevel::Detail);
         let mut events = Vec::new();
 
         let mut inline = [GroupRun::idle(start, start); INLINE_RUNS];
@@ -520,10 +532,16 @@ impl<'a> PlanRunner<'a> {
             let storm_killed = storm_death < price_death;
             let death = price_death.min(storm_death);
 
-            let mut log = FaultLog {
+            let mut log = GroupLog {
                 group: i,
                 events: traced.then_some(&mut events),
             };
+            if launches {
+                log.push(launch_t, || Event::GroupLaunched {
+                    group: group.id.to_string(),
+                    at_hours: launch_t,
+                });
+            }
             let launched = (launch_t, trace);
             *run = match io_faults {
                 Some(injector) => walk_group(
@@ -774,7 +792,7 @@ fn walk_group<'a>(
     death: Hours,
     cutoff: Hours,
     gkey: Option<u64>,
-    log: &mut FaultLog<'_>,
+    log: &mut GroupLog<'_>,
 ) -> GroupRun<'a> {
     let launch_t = launch.0;
     let exec = group.exec_hours * fraction;
@@ -805,7 +823,7 @@ fn walk_group<'a>(
                             ckpt_at: &mut Hours,
                             ordinal: u32,
                             degraded: bool,
-                            log: &mut FaultLog<'_>| {
+                            log: &mut GroupLog<'_>| {
         if degraded {
             return;
         }

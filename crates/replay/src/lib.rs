@@ -59,7 +59,6 @@ pub mod exec;
 pub mod montecarlo;
 pub mod relaunch;
 pub mod stats;
-pub mod timeline;
 
 pub use adaptive_exec::{AdaptiveOutcome, AdaptiveRunner};
 pub use batch::{BatchEntry, BatchTables};
@@ -67,7 +66,6 @@ pub use exec::{ExecContext, Finisher, PlanRunner, RunOutcome, WindowOutcome};
 pub use montecarlo::{McResult, MonteCarlo, MonteCarloBuilder};
 pub use relaunch::{run_persistent, RelaunchOutcome};
 pub use stats::Summary;
-pub use timeline::{timeline, timeline_checked, Event};
 
 /// Hours, matching the substrate crates.
 pub type Hours = f64;

@@ -48,29 +48,6 @@ pub struct McResult {
     pub mean_failures: f64,
 }
 
-impl McResult {
-    /// Build from raw outcomes in a single pass (no intermediate metric
-    /// vectors). Folds the slice through the same fixed chunking as
-    /// [`MonteCarlo::evaluate`], so for identical outcome sequences the two
-    /// paths agree bit-for-bit. `Err(SompiError::NoOutcomes)` when
-    /// `outcomes` is empty — there is no meaningful aggregate of zero
-    /// replicas.
-    pub fn from_outcomes(outcomes: &[RunOutcome]) -> Result<Self, SompiError> {
-        if outcomes.is_empty() {
-            return Err(SompiError::NoOutcomes);
-        }
-        let mut merged = McAccumulator::new();
-        for block in outcomes.chunks(chunk_size(outcomes.len())) {
-            let mut part = McAccumulator::new();
-            for o in block {
-                part.push(o);
-            }
-            merged.merge(&part);
-        }
-        merged.finish()
-    }
-}
-
 /// Smallest chunk a replica range is split into for streaming aggregation.
 const MIN_CHUNK: usize = 64;
 
@@ -492,33 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn from_outcomes_matches_streaming_evaluate() {
-        // Both paths fold through the same chunking, so the aggregates are
-        // bit-identical for identical outcome sequences.
-        let m = market(67);
-        let plan = simple_plan(&m);
-        let mc = MonteCarlo::builder()
-            .replicas(150)
-            .seed(4)
-            .offsets(48.0, 250.0)
-            .threads(1)
-            .build();
-        let runner = PlanRunner::new(&m, 3.0);
-        let ctx = ExecContext::new();
-        let collected = std::sync::Mutex::new(Vec::new());
-        let streamed = mc
-            .evaluate(|start| {
-                let o = runner.run(&plan, start, &ctx)?;
-                collected.lock().unwrap().push(o);
-                Ok(o)
-            })
-            .unwrap();
-        let outcomes = collected.into_inner().unwrap();
-        assert_eq!(outcomes.len(), 150);
-        assert_eq!(McResult::from_outcomes(&outcomes).unwrap(), streamed);
-    }
-
-    #[test]
     fn chunking_is_bounded_and_thread_independent() {
         assert_eq!(chunk_size(1), MIN_CHUNK);
         assert_eq!(chunk_size(64), MIN_CHUNK);
@@ -529,7 +479,6 @@ mod tests {
 
     #[test]
     fn empty_outcomes_aggregate_to_error() {
-        assert_eq!(McResult::from_outcomes(&[]), Err(SompiError::NoOutcomes));
         assert_eq!(McAccumulator::new().finish(), Err(SompiError::NoOutcomes));
     }
 

@@ -64,8 +64,8 @@ pub use ondemand::select_on_demand;
 pub use pareto::{collapse_bid_dominated, frontier, ParetoPoint};
 pub use phi::optimal_interval;
 pub use policy::{
-    policy_by_name, KillObservation, KillReaction, Policy, WindowObservation, WindowReaction,
-    POLICY_NAMES,
+    canonical_policy_name, policy_by_name, KillObservation, KillReaction, Policy,
+    WindowObservation, WindowReaction, POLICY_NAMES,
 };
 pub use problem::Problem;
 pub use twolevel::{OptimizedPlan, OptimizerConfig, TwoLevelOptimizer};

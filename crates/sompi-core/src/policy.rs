@@ -169,19 +169,37 @@ pub const POLICY_NAMES: &[&str] = &[
     "deadline-hedge",
 ];
 
-/// Look a policy up by its CLI/wire name (case-insensitive; `ondemand`
-/// is accepted as an alias of `on-demand`). `config` parameterizes the
-/// optimizer-backed policies and is ignored by the closed-form ones.
-/// Errors with [`SompiError::InvalidConfig`] naming the known policies
-/// on an unknown name.
+/// The [`POLICY_NAMES`] entry a CLI/wire name selects: names are
+/// case-insensitive, and `ondemand`, `noft`, `checkpoint-only` and
+/// `appcentric` are aliases of `on-demand`, `no-ft`, `ckpt-only` and
+/// `app-centric`. `None` for a name no policy answers to. This is the one
+/// alias table: [`policy_by_name`] matches on its answer, so two names
+/// select the same policy exactly when they map to the same entry.
+pub fn canonical_policy_name(name: &str) -> Option<&'static str> {
+    let name = name.to_lowercase();
+    let name = match name.as_str() {
+        "ondemand" => "on-demand",
+        "noft" => "no-ft",
+        "checkpoint-only" => "ckpt-only",
+        "appcentric" => "app-centric",
+        other => other,
+    };
+    POLICY_NAMES.iter().copied().find(|known| *known == name)
+}
+
+/// Look a policy up by its CLI/wire name, as [`canonical_policy_name`]
+/// reads it. `config` parameterizes the optimizer-backed policies and is
+/// ignored by the closed-form ones. Errors with
+/// [`SompiError::InvalidConfig`] naming the known policies on an unknown
+/// name.
 pub fn policy_by_name(name: &str, config: OptimizerConfig) -> Result<Box<dyn Policy>, SompiError> {
     use crate::baselines::{
         AllUnable, Marathe, MaratheOpt, OnDemandOnly, Sompi, SompiNoCheckpoint, SompiNoReplication,
         SpotAvg, SpotInf,
     };
-    Ok(match name.to_lowercase().as_str() {
+    Ok(match canonical_policy_name(name).unwrap_or_default() {
         "sompi" => Box::new(Sompi { config }),
-        "on-demand" | "ondemand" => Box::new(OnDemandOnly),
+        "on-demand" => Box::new(OnDemandOnly),
         "marathe" => Box::new(Marathe),
         "marathe-opt" => Box::new(MaratheOpt),
         "spot-inf" => Box::new(SpotInf),
@@ -189,17 +207,18 @@ pub fn policy_by_name(name: &str, config: OptimizerConfig) -> Result<Box<dyn Pol
         "no-rp" => Box::new(SompiNoReplication { config }),
         "no-ck" => Box::new(SompiNoCheckpoint { config }),
         "all-unable" => Box::new(AllUnable { config }),
-        "no-ft" | "noft" => Box::new(NoFt),
-        "ckpt-only" | "checkpoint-only" => Box::new(CheckpointOnly),
-        "app-centric" | "appcentric" => Box::new(AppCentric::default()),
+        "no-ft" => Box::new(NoFt),
+        "ckpt-only" => Box::new(CheckpointOnly),
+        "app-centric" => Box::new(AppCentric::default()),
         "deadline-hedge" => Box::new(DeadlineHedge {
             config,
             ..DeadlineHedge::default()
         }),
-        other => {
+        _ => {
             return Err(SompiError::InvalidConfig {
                 message: format!(
-                    "unknown strategy {other:?} (one of: {})",
+                    "unknown strategy {:?} (one of: {})",
+                    name.to_lowercase(),
                     POLICY_NAMES.join(", ")
                 ),
             })

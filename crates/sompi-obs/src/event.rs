@@ -237,6 +237,17 @@ pub enum Event {
         /// Spot circle groups in the window's plan.
         groups: u32,
     },
+    /// A replayed spot group launched: the price fell to or below its bid
+    /// and its instances came up. Detail level; emitted once per group
+    /// that launches in a replay window, never for a group carried over
+    /// already running, and not for a group the winner stopped before it
+    /// launched.
+    GroupLaunched {
+        /// Circle-group id.
+        group: String,
+        /// Market-trace hour the group launched.
+        at_hours: f64,
+    },
     /// A replayed spot group was terminated by the provider (price rose
     /// above its bid) before the work completed.
     GroupFailed {
@@ -269,8 +280,11 @@ pub enum Event {
         od_hours: f64,
         /// On-demand cost (USD).
         od_cost: f64,
-        /// Why: `"all-groups-failed"`, `"deadline-guard"`, `"replan"`,
-        /// `"trace-horizon"`, or `"bail-out"`.
+        /// Why: `"all-groups-failed"` (the provider killed every spot
+        /// group), `"deadline-cutoff"` (spot did not finish by the deadline
+        /// and some group was stopped at it or never launched),
+        /// `"deadline-guard"`, `"replan"`, `"trace-horizon"`, or
+        /// `"bail-out"`.
         reason: String,
     },
     /// The fault injector fired: an adversity beyond what the price trace
@@ -474,6 +488,7 @@ impl Event {
             Event::PlanSelected { .. } => "PlanSelected",
             Event::WarmStartApplied { .. } => "WarmStartApplied",
             Event::WindowReplanned { .. } => "WindowReplanned",
+            Event::GroupLaunched { .. } => "GroupLaunched",
             Event::GroupFailed { .. } => "GroupFailed",
             Event::CheckpointTaken { .. } => "CheckpointTaken",
             Event::OnDemandFallback { .. } => "OnDemandFallback",
@@ -492,11 +507,13 @@ impl Event {
     }
 
     /// The verbosity level this event belongs to. High-volume events
-    /// (subset statistics, checkpoint ticks) are [`TraceLevel::Detail`];
-    /// everything else is [`TraceLevel::Summary`].
+    /// (subset statistics, launches, checkpoint ticks) are
+    /// [`TraceLevel::Detail`]; everything else is [`TraceLevel::Summary`].
     pub fn level(&self) -> TraceLevel {
         match self {
-            Event::SubsetEvaluated { .. } | Event::CheckpointTaken { .. } => TraceLevel::Detail,
+            Event::SubsetEvaluated { .. }
+            | Event::GroupLaunched { .. }
+            | Event::CheckpointTaken { .. } => TraceLevel::Detail,
             _ => TraceLevel::Summary,
         }
     }
@@ -562,6 +579,10 @@ mod tests {
                 hot_subsets: 16,
                 tables_reused: 40,
                 tables_rebuilt: 8,
+            },
+            Event::GroupLaunched {
+                group: "g1".to_string(),
+                at_hours: 6.25,
             },
             Event::FaultInjected {
                 class: "ckpt-upload-failure".to_string(),

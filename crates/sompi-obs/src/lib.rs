@@ -6,8 +6,8 @@
 //! first-class artifact:
 //!
 //! * [`Event`] — the typed vocabulary: `PlanSearchStarted`,
-//!   `SubsetEvaluated`, `PlanSelected`, `WindowReplanned`, `GroupFailed`,
-//!   `CheckpointTaken`, `OnDemandFallback`, `RunCompleted`. The full
+//!   `SubsetEvaluated`, `PlanSelected`, `WindowReplanned`, `GroupLaunched`,
+//!   `GroupFailed`, `CheckpointTaken`, `OnDemandFallback`, `RunCompleted`. The full
 //!   schema (fields, units, emission sites) lives in
 //!   `docs/OBSERVABILITY.md`.
 //! * [`Recorder`] — the sink trait, with three implementations:

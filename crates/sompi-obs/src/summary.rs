@@ -39,7 +39,8 @@ pub struct RunReport {
     selections: Vec<Selection>,
     /// Window decisions, in trace order.
     windows: Vec<WindowLine>,
-    /// Failure / checkpoint / fallback timeline, in trace order.
+    /// Launch / failure / checkpoint / fault / fallback timeline,
+    /// chronological (ties keep trace order).
     timeline: Vec<TimelineLine>,
     /// Aggregated planner-service counters (requests, cache, shedding,
     /// per-phase latency), if the trace has server events.
@@ -153,8 +154,10 @@ struct Outcome {
 }
 
 impl RunReport {
-    /// Fold a trace into a report. Events arrive in emission order; the
-    /// report preserves that order for the timeline sections.
+    /// Fold a trace into a report. Events arrive in emission order, which
+    /// the report keeps for its selections and windows. The timeline is
+    /// stable-sorted by `at_hours`: a replay settles one group at a time,
+    /// so a multi-group run emits each group's lifecycle in turn.
     pub fn from_events(events: &[Event]) -> Self {
         let mut report = RunReport::default();
         for event in events {
@@ -253,6 +256,10 @@ impl RunReport {
                     reused: *reused,
                     decision: decision.clone(),
                     groups: *groups,
+                }),
+                Event::GroupLaunched { group, at_hours } => report.timeline.push(TimelineLine {
+                    at_hours: *at_hours,
+                    text: format!("group {group} launched"),
                 }),
                 Event::GroupFailed {
                     group,
@@ -399,6 +406,9 @@ impl RunReport {
                 | Event::ReplayMemoHit { .. } => {}
             }
         }
+        report
+            .timeline
+            .sort_by(|a, b| a.at_hours.total_cmp(&b.at_hours));
         report
     }
 
@@ -813,6 +823,66 @@ mod tests {
         );
         assert!(
             text.contains("degraded mode stale-market-view (feed-gap)"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn timeline_is_chronological_across_groups() {
+        // A replay settles one group at a time, so g1's launch is emitted
+        // after g0's whole lifecycle. The report orders the lines by hour,
+        // and lines at one hour keep their trace order.
+        let events = vec![
+            Event::GroupLaunched {
+                group: "g0".to_string(),
+                at_hours: 1.0,
+            },
+            Event::GroupFailed {
+                group: "g0".to_string(),
+                at_hours: 5.0,
+                saved_fraction: 0.5,
+            },
+            Event::GroupLaunched {
+                group: "g1".to_string(),
+                at_hours: 2.0,
+            },
+            Event::FaultInjected {
+                class: "spot-kill-storm".to_string(),
+                group: Some("g1".to_string()),
+                at_hours: 5.0,
+                detail: 0.0,
+            },
+            Event::GroupFailed {
+                group: "g1".to_string(),
+                at_hours: 5.0,
+                saved_fraction: 0.25,
+            },
+            Event::OnDemandFallback {
+                at_hours: 5.0,
+                remaining_fraction: 0.5,
+                od_hours: 2.5,
+                od_cost: 5.0,
+                reason: "all-groups-failed".to_string(),
+            },
+        ];
+        let text = RunReport::from_events(&events).render();
+        let timeline: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "timeline")
+            .skip(2)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert_eq!(
+            timeline,
+            [
+                "  t=    1.00 h  group g0 launched",
+                "  t=    2.00 h  group g1 launched",
+                "  t=    5.00 h  group g0 killed by provider (50% of work saved)",
+                "  t=    5.00 h  fault injected: spot-kill-storm on group g1 (0.000)",
+                "  t=    5.00 h  group g1 killed by provider (25% of work saved)",
+                "  t=    5.00 h  on-demand fallback (all-groups-failed): 50% of work left, \
+                 2.50 h on-demand for $5.00",
+            ],
             "{text}"
         );
     }

@@ -1,5 +1,5 @@
 //! The long-running planner daemon: socket accept loop, bounded
-//! admission queue with load shedding, and a batched worker pool.
+//! admission queue with load shedding, and a worker pool.
 //!
 //! Life of a request: the acceptor thread `accept()`s a connection,
 //! assigns it a monotonically increasing id, and tries to enqueue it.
@@ -7,11 +7,10 @@
 //! receives a typed [`Response::Overloaded`] frame and its request body
 //! is discarded without ever being parsed, with a `RequestShed` trace
 //! event emitted.
-//! Otherwise a worker dequeues it (draining up to `batch` connections
-//! per wake-up and grouping identical plan requests together), parses
-//! the request, and dispatches it through [`crate::service`] — plan
-//! requests via the shared single-flight [`SharedPlanCache`], so a
-//! burst of identical requests performs exactly one search.
+//! Otherwise the next free worker dequeues it, parses the request, and
+//! dispatches it through [`crate::service`] — plan requests via the
+//! shared single-flight [`SharedPlanCache`], so a burst of identical
+//! requests performs exactly one search, whichever workers take them.
 //!
 //! Every stage is narrated into the server's trace recorder
 //! (`RequestReceived` / `CacheHit` / `RequestCompleted` /
@@ -39,10 +38,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-queue capacity; connections beyond it are shed.
     pub queue_cap: usize,
-    /// Max connections one worker drains per wake-up. Identical plan
-    /// requests inside a drained batch are grouped so the cache serves
-    /// them back-to-back.
-    pub batch: usize,
     /// Completed entries the cross-tenant plan cache retains.
     pub cache_capacity: usize,
     /// Artificial per-request service delay, for tests and load drills
@@ -59,7 +54,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7077".into(),
             workers: 2,
             queue_cap: 32,
-            batch: 8,
             cache_capacity: 128,
             pause_ms: 0,
             max_requests: None,
@@ -134,11 +128,6 @@ impl JobQueue {
             }
             s = self.ready.wait(s).expect("queue lock");
         }
-    }
-
-    /// Non-blocking pop, for batch draining.
-    fn try_pop(&self) -> Option<Job> {
-        self.state.lock().expect("queue lock").jobs.pop_front()
     }
 
     fn close(&self) {
@@ -235,7 +224,6 @@ impl Server {
                 market: Arc::clone(&self.market),
                 recorder: Arc::clone(&self.recorder),
                 cache: Arc::clone(&self.cache),
-                batch: self.config.batch.max(1),
                 pause: Duration::from_millis(self.config.pause_ms),
             };
             workers.push(std::thread::spawn(move || w.run()));
@@ -329,47 +317,20 @@ struct Worker {
     market: Arc<SpotMarket>,
     recorder: Arc<dyn Recorder + Send + Sync>,
     cache: Arc<SharedPlanCache>,
-    batch: usize,
     pause: Duration,
 }
 
 impl Worker {
     fn run(self) {
-        while let Some(first) = self.queue.pop() {
-            // Drain up to `batch` jobs per wake-up, then order the batch
-            // so identical plan requests are adjacent: the first one
-            // fills the cache and the rest are served as hits.
-            let mut batch = vec![self.parse(first)];
-            while batch.len() < self.batch {
-                match self.queue.try_pop() {
-                    Some(job) => batch.push(self.parse(job)),
-                    None => break,
-                }
-            }
-            batch.sort_by_key(|item| item.key.unwrap_or(u64::MAX));
-            for item in batch {
-                self.handle(item);
-            }
+        while let Some(job) = self.queue.pop() {
+            self.handle(job);
         }
     }
 
-    fn parse(&self, mut job: Job) -> Parsed {
+    fn handle(&self, mut job: Job) {
         let _ = job.stream.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = job.stream.set_write_timeout(Some(Duration::from_secs(10)));
         let request: Result<Request, io::Error> = proto::read_message(&mut job.stream);
-        let key = match &request {
-            Ok(Request::Plan(req)) => Some(service::plan_request_key(&self.market, req)),
-            _ => None,
-        };
-        Parsed { job, request, key }
-    }
-
-    fn handle(&self, item: Parsed) {
-        let Parsed {
-            mut job,
-            request,
-            key,
-        } = item;
         let queue_secs = job.enqueued.elapsed().as_secs_f64();
         if !self.pause.is_zero() {
             std::thread::sleep(self.pause);
@@ -411,7 +372,7 @@ impl Worker {
                 version: PROTOCOL_VERSION,
             },
             Request::Plan(req) => {
-                let key = key.unwrap_or_else(|| service::plan_request_key(&self.market, &req));
+                let key = service::plan_request_key(&self.market, &req);
                 let recorder: &dyn Recorder = &*self.recorder;
                 let (result, outcome) = self
                     .cache
@@ -461,12 +422,4 @@ impl Worker {
             }
         });
     }
-}
-
-/// A parsed (or unparseable) admitted connection, with its plan-cache
-/// key precomputed for batch grouping.
-struct Parsed {
-    job: Job,
-    request: Result<Request, io::Error>,
-    key: Option<u64>,
 }

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use sompi_core::adaptive::{AdaptiveConfig, PlanContext};
 use sompi_core::cost::evaluate_plan;
 use sompi_core::model::Plan;
-use sompi_core::policy::{policy_by_name, Policy};
+use sompi_core::policy::{canonical_policy_name, policy_by_name, Policy};
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;
@@ -143,21 +143,29 @@ pub fn view_for(market: &SpotMarket, req: &PlanRequest) -> MarketView {
 /// `tenant` label and `threads` count cleared. Neither changes the answer
 /// (`threads` is accepted and ignored), so identical problems from
 /// different tenants or at different thread counts coalesce onto one
-/// optimization. `app` and `class` are upper-cased and `strategy`
-/// lower-cased first, as [`app_profile`] and [`policy_by_name`] read
-/// them, so spellings that plan the same share a key; a request already
-/// in that case keeps its key.
+/// optimization. The other fields are hashed as the planner reads them,
+/// so spellings that plan the same share a key: `app` and `class` are
+/// upper-cased as [`app_profile`] reads them, `class` is cleared for
+/// LAMMPS (which has no NPB class), and a known `strategy` becomes its
+/// [`canonical_policy_name`]. A request already in that form keeps its
+/// key.
 ///
 /// The key reads the request only: a server plans against one immutable
 /// market, and the request's `view_start_hours`/`history_hours` fix the
 /// view. The market parameter is not read; it stays for existing callers.
 pub fn plan_request_key(_market: &SpotMarket, req: &PlanRequest) -> u64 {
+    let app = req.app.to_uppercase();
     let canon = PlanRequest {
         tenant: String::new(),
         threads: 0,
-        app: req.app.to_uppercase(),
-        class: req.class.to_uppercase(),
-        strategy: req.strategy.to_lowercase(),
+        class: if app == "LAMMPS" {
+            String::new()
+        } else {
+            req.class.to_uppercase()
+        },
+        app,
+        strategy: canonical_policy_name(&req.strategy)
+            .map_or_else(|| req.strategy.to_lowercase(), str::to_string),
         ..req.clone()
     };
     let body = serde_json::to_string(&canon).expect("request is serializable");
@@ -649,6 +657,47 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
         assert_eq!(plan_request_key(&market, &canonical), fnv);
+    }
+
+    #[test]
+    fn plan_request_key_folds_policy_aliases_and_the_lammps_class() {
+        // Each alias pair selects one policy, and LAMMPS has no NPB class:
+        // such requests plan byte for byte the same and share one key.
+        let market = market(100.0);
+        let key = |req: &PlanRequest| plan_request_key(&market, req);
+        let answer = |req: &PlanRequest| {
+            serde_json::to_string(&plan(&market, req, &NullRecorder, None).unwrap()).unwrap()
+        };
+        let base = small_request();
+        let strategy = |name: &str| PlanRequest {
+            strategy: name.into(),
+            ..base.clone()
+        };
+        let lammps = |class: &str| PlanRequest {
+            app: "LAMMPS".into(),
+            class: class.into(),
+            ..base.clone()
+        };
+        let pairs = [
+            (strategy("ondemand"), strategy("on-demand")),
+            (strategy("noft"), strategy("no-ft")),
+            (strategy("checkpoint-only"), strategy("ckpt-only")),
+            (strategy("appcentric"), strategy("app-centric")),
+            (lammps("A"), lammps("B")),
+        ];
+        for (a, b) in &pairs {
+            assert_eq!(key(a), key(b), "{a:?} / {b:?}");
+            assert_eq!(answer(a), answer(b), "{a:?} / {b:?}");
+        }
+
+        // An NPB class does change the problem, so BT A and BT B do not
+        // share a key.
+        let bt_a = PlanRequest {
+            class: "A".into(),
+            ..base.clone()
+        };
+        assert_ne!(key(&bt_a), key(&base));
+        assert_ne!(answer(&bt_a), answer(&base));
     }
 
     #[test]

@@ -423,7 +423,10 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// order. The per-kind counts and the digest of the Detail JSONL lines
 /// over 50 fixed starts were recorded before the executor learned to
 /// skip building events for a disabled recorder; both executors must
-/// still reproduce them.
+/// still reproduce them. Launch events and the `deadline-cutoff`
+/// fallback reason came later: with launches dropped and the reason
+/// read as the `all-groups-failed` it used to be, the stream still hashes
+/// to the digest recorded before them.
 #[test]
 fn traced_replay_events_are_pinned() {
     let market = market(31);
@@ -446,12 +449,20 @@ fn traced_replay_events_are_pinned() {
         assert!(events.len() < 1 << 16, "ring evicted events");
         let mut kinds = std::collections::BTreeMap::<&str, usize>::new();
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut before_launches = digest;
+        let mut cutoffs = 0;
         for e in &events {
             *kinds.entry(e.kind()).or_default() += 1;
-            digest = fnv1a(digest, serde_json::to_string(e).unwrap().as_bytes());
-            digest = fnv1a(digest, b"\n");
+            let line = serde_json::to_string(e).unwrap();
+            digest = fnv1a(fnv1a(digest, line.as_bytes()), b"\n");
+            if e.kind() != "GroupLaunched" {
+                let old = line.replace("\"deadline-cutoff\"", "\"all-groups-failed\"");
+                cutoffs += usize::from(old != line);
+                before_launches = fnv1a(fnv1a(before_launches, old.as_bytes()), b"\n");
+            }
         }
-        (kinds.into_iter().collect::<Vec<_>>(), digest)
+        let kinds = kinds.into_iter().collect::<Vec<_>>();
+        (kinds, digest, before_launches, cutoffs)
     };
     let scalar = trace(ExecContext::new());
     let batched = trace(ExecContext::new().with_batch(&batch));
@@ -461,10 +472,16 @@ fn traced_replay_events_are_pinned() {
         ("DegradedMode", 26),
         ("FaultInjected", 249),
         ("GroupFailed", 27),
+        ("GroupLaunched", 118),
         ("OnDemandFallback", 10),
         ("RetryAttempted", 119),
         ("RunCompleted", 50),
     ];
     assert_eq!(scalar.0, expected_kinds);
-    assert_eq!(scalar.1, 7_673_867_614_012_836_664, "event digest moved");
+    assert_eq!(scalar.1, 11_918_675_548_986_882_796, "event digest moved");
+    assert_eq!(
+        scalar.2, 7_673_867_614_012_836_664,
+        "events other than launches moved"
+    );
+    assert_eq!(scalar.3, 10, "deadline-cutoff fallbacks");
 }

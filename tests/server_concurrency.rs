@@ -304,15 +304,14 @@ fn invalid_arguments_come_back_as_typed_errors() {
 
 #[test]
 fn overload_sheds_with_typed_responses_and_still_drains() {
-    // One slow worker (300 ms per request), a one-slot queue, no
-    // batching: a burst of 6 must shed most connections with typed
-    // `Overloaded` frames while the admitted ones still complete.
+    // One slow worker (300 ms per request) and a one-slot queue: a
+    // burst of 6 must shed most connections with typed `Overloaded`
+    // frames while the admitted ones still complete.
     let ring = Arc::new(RingRecorder::new(TraceLevel::Summary, 256));
     let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue_cap: 1,
-        batch: 1,
         pause_ms: 300,
         max_requests: Some(6),
         ..Default::default()

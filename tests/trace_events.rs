@@ -216,6 +216,7 @@ fn failed_run_emits_exact_timeline() {
     assert_eq!(
         kinds,
         [
+            "GroupLaunched",
             "CheckpointTaken",
             "GroupFailed",
             "OnDemandFallback",
@@ -224,12 +225,20 @@ fn failed_run_emits_exact_timeline() {
         "{kinds:?}"
     );
 
+    assert_eq!(
+        events[0],
+        Event::GroupLaunched {
+            group: id.to_string(),
+            at_hours: 0.0,
+        }
+    );
+
     let Event::CheckpointTaken {
         group,
         at_hours,
         count,
         saved_fraction,
-    } = &events[0]
+    } = &events[1]
     else {
         panic!("checkpoint");
     };
@@ -242,7 +251,7 @@ fn failed_run_emits_exact_timeline() {
         at_hours,
         saved_fraction,
         ..
-    } = &events[1]
+    } = &events[2]
     else {
         panic!("group failed");
     };
@@ -254,7 +263,7 @@ fn failed_run_emits_exact_timeline() {
         od_cost,
         reason,
         ..
-    } = &events[2]
+    } = &events[3]
     else {
         panic!("fallback");
     };
@@ -272,7 +281,7 @@ fn failed_run_emits_exact_timeline() {
         groups_failed,
         windows,
         ..
-    } = &events[3]
+    } = &events[4]
     else {
         panic!("run completed");
     };
@@ -284,6 +293,170 @@ fn failed_run_emits_exact_timeline() {
     assert_eq!(*met_deadline, out.met_deadline);
     assert_eq!(*groups_failed, 1);
     assert_eq!(*windows, None);
+}
+
+#[test]
+fn out_of_bid_run_ends_with_od_start() {
+    // One out-of-bid hour at t=2 on an otherwise calm trace: the group is
+    // killed with 2 of 3 hourly checkpoints banked, stays failed when the
+    // price comes back, and on-demand finishes the last third.
+    let (m, id) = tiny_market(&[0.1, 0.1, 9.0, 0.1, 0.1, 0.1, 0.1, 0.1]);
+    let plan = Plan {
+        groups: vec![(
+            CircleGroup {
+                id,
+                instances: 2,
+                exec_hours: 3.0,
+                ckpt_overhead_hours: 0.0,
+                recovery_hours: 0.1,
+            },
+            GroupDecision {
+                bid: 0.2,
+                ckpt_interval: 1.0,
+            },
+        )],
+        on_demand: od(),
+    };
+    let ring = RingRecorder::new(TraceLevel::Detail, 64);
+    let out = PlanRunner::new(&m, 10.0)
+        .run(&plan, 0.0, &ExecContext::new().with_recorder(&ring))
+        .expect("replay succeeds");
+    let events = ring.take();
+
+    let launches = events
+        .iter()
+        .filter(|e| e.kind() == "GroupLaunched")
+        .count();
+    assert_eq!(launches, 1, "a failed group is not relaunched: {events:?}");
+    let failed_at = events
+        .iter()
+        .find_map(|e| match e {
+            Event::GroupFailed { at_hours, .. } => Some(*at_hours),
+            _ => None,
+        })
+        .expect("out-of-bid event");
+    assert_eq!(failed_at, 2.0);
+    let (remaining, reason) = events
+        .iter()
+        .find_map(|e| match e {
+            Event::OnDemandFallback {
+                remaining_fraction,
+                reason,
+                ..
+            } => Some((*remaining_fraction, reason.as_str())),
+            _ => None,
+        })
+        .expect("od start event");
+    // Two checkpoints saved 2/3 of the 3-hour job.
+    assert!((remaining - 1.0 / 3.0).abs() < 1e-9, "{remaining}");
+    assert_eq!(reason, "all-groups-failed");
+    assert_eq!(out.groups_failed, 1);
+    assert!(matches!(
+        events.last(),
+        Some(Event::RunCompleted { finisher, .. }) if finisher == "on-demand"
+    ));
+}
+
+#[test]
+fn clean_run_emits_launch_and_spot_completion() {
+    // Calm prices: the group launches at t=0 and finishes the 3 h job on
+    // spot at t=3. A winner emits no checkpoint event, and nothing falls
+    // back.
+    let (m, id) = tiny_market(&[0.1; 24]);
+    let plan = Plan {
+        groups: vec![(
+            CircleGroup {
+                id,
+                instances: 2,
+                exec_hours: 3.0,
+                ckpt_overhead_hours: 0.0,
+                recovery_hours: 0.1,
+            },
+            GroupDecision {
+                bid: 0.2,
+                ckpt_interval: 1.0,
+            },
+        )],
+        on_demand: od(),
+    };
+    let ring = RingRecorder::new(TraceLevel::Detail, 64);
+    let out = PlanRunner::new(&m, 10.0)
+        .run(&plan, 0.0, &ExecContext::new().with_recorder(&ring))
+        .expect("replay succeeds");
+    assert_eq!(
+        ring.take(),
+        [
+            Event::GroupLaunched {
+                group: id.to_string(),
+                at_hours: 0.0,
+            },
+            Event::RunCompleted {
+                finisher: format!("spot:{id}"),
+                total_cost: out.total_cost,
+                spot_cost: out.spot_cost,
+                od_cost: 0.0,
+                wall_hours: 3.0,
+                met_deadline: true,
+                groups_failed: 0,
+                windows: None,
+                plan_changes: None,
+            },
+        ]
+    );
+}
+
+#[test]
+fn fallback_without_a_provider_kill_is_a_deadline_cutoff() {
+    // A 10 h job with 2 h intervals and 0.5 h checkpoints under a 5 h
+    // deadline on calm prices: the user stops the group at the deadline
+    // with 2 interval checkpoints (4 h) banked, so 60% of the work is
+    // left and no group failed. A group whose bid never admits a price
+    // never launches and has not failed either.
+    let plan = |id| Plan {
+        groups: vec![(
+            CircleGroup {
+                id,
+                instances: 2,
+                exec_hours: 10.0,
+                ckpt_overhead_hours: 0.5,
+                recovery_hours: 0.5,
+            },
+            GroupDecision {
+                bid: 0.2,
+                ckpt_interval: 2.0,
+            },
+        )],
+        on_demand: od(),
+    };
+    for (price, remaining, launched) in [(0.1, 0.6, true), (9.0, 1.0, false)] {
+        let (m, id) = tiny_market(&[price; 48]);
+        let ring = RingRecorder::new(TraceLevel::Detail, 64);
+        let out = PlanRunner::new(&m, 5.0)
+            .run(&plan(id), 0.0, &ExecContext::new().with_recorder(&ring))
+            .expect("replay succeeds");
+        assert_eq!(out.groups_failed, 0);
+        let events = ring.take();
+        assert_eq!(
+            events.iter().any(|e| e.kind() == "GroupLaunched"),
+            launched,
+            "{events:?}"
+        );
+        let fallback = events
+            .iter()
+            .find_map(|e| match e {
+                Event::OnDemandFallback {
+                    at_hours,
+                    remaining_fraction,
+                    reason,
+                    ..
+                } => Some((*at_hours, *remaining_fraction, reason.as_str())),
+                _ => None,
+            })
+            .expect("spot did not finish, so on-demand falls back");
+        assert_eq!(fallback.0, 5.0);
+        assert!((fallback.1 - remaining).abs() < 1e-9, "{fallback:?}");
+        assert_eq!(fallback.2, "deadline-cutoff");
+    }
 }
 
 #[test]

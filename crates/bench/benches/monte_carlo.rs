@@ -7,7 +7,8 @@ use replay::montecarlo::MonteCarlo;
 use replay::PlanRunner;
 use sompi_bench::{build_problem, npb_workload, paper_market, planning_view, LOOSE};
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Sompi, Strategy};
+use sompi_core::baselines::Sompi;
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn bench_replay(c: &mut Criterion) {

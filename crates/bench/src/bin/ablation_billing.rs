@@ -16,7 +16,8 @@ use sompi_bench::{
     build_problem, monte_carlo, npb_workload, paper_market, planning_view, Table, LOOSE, TIGHT,
 };
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{MaratheOpt, OnDemandOnly, Sompi, Strategy};
+use sompi_core::baselines::{MaratheOpt, OnDemandOnly, Sompi};
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
             ..Default::default()
         },
     };
-    let strategies: Vec<(&str, &dyn Strategy)> = vec![
+    let strategies: Vec<(&str, &dyn Policy)> = vec![
         ("On-demand", &OnDemandOnly),
         ("Marathe-Opt", &MaratheOpt),
         ("SOMPI", &sompi),

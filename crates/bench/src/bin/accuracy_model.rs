@@ -13,8 +13,9 @@ use sompi_bench::{
     build_problem, monte_carlo, npb_workload, paper_market, planning_view, Table, LOOSE, TIGHT,
 };
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Marathe, MaratheOpt, Sompi, SpotAvg, Strategy};
+use sompi_core::baselines::{Marathe, MaratheOpt, Sompi, SpotAvg};
 use sompi_core::cost::evaluate_plan;
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
             ..Default::default()
         },
     };
-    let strategies: Vec<(&str, &dyn Strategy)> = vec![
+    let strategies: Vec<(&str, &dyn Policy)> = vec![
         ("Marathe", &Marathe),
         ("Marathe-Opt", &MaratheOpt),
         ("Spot-Avg", &SpotAvg),

@@ -9,7 +9,8 @@ use sompi_bench::{
     build_problem, evaluate_strategy, lammps_workload, normalized, npb_workload, paper_market,
     Table, LOOSE, TIGHT,
 };
-use sompi_core::baselines::{Marathe, MaratheOpt, OnDemandOnly, Sompi, Strategy};
+use sompi_core::baselines::{Marathe, MaratheOpt, OnDemandOnly, Sompi};
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
             ..Default::default()
         },
     };
-    let strategies: Vec<&dyn Strategy> = vec![&OnDemandOnly, &Marathe, &MaratheOpt, &sompi];
+    let strategies: Vec<&dyn Policy> = vec![&OnDemandOnly, &Marathe, &MaratheOpt, &sompi];
 
     let apps: Vec<(String, mpi_sim::profile::AppProfile)> = NpbKernel::ALL
         .iter()

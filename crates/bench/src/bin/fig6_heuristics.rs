@@ -12,7 +12,8 @@ use replay::montecarlo::McResult;
 use sompi_bench::{
     build_problem, evaluate_strategy, npb_workload, paper_market, Table, LOOSE, TIGHT,
 };
-use sompi_core::baselines::{OnDemandOnly, Sompi, SpotAvg, SpotInf, Strategy};
+use sompi_core::baselines::{OnDemandOnly, Sompi, SpotAvg, SpotInf};
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
             ..Default::default()
         },
     };
-    let strategies: Vec<(&str, &dyn Strategy)> = vec![
+    let strategies: Vec<(&str, &dyn Policy)> = vec![
         ("On-demand", &OnDemandOnly),
         ("Spot-Inf", &SpotInf),
         ("Spot-Avg", &SpotAvg),

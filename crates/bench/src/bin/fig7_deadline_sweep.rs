@@ -13,7 +13,8 @@ use sompi_bench::{
     build_problem, evaluate_strategy, npb_workload, paper_market, planning_view, Table,
 };
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Sompi, Strategy};
+use sompi_core::baselines::Sompi;
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {

@@ -18,7 +18,8 @@ use sompi_bench::{
 };
 use sompi_core::adaptive::AdaptiveConfig;
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{AllUnable, Sompi, SompiNoCheckpoint, SompiNoReplication, Strategy};
+use sompi_core::baselines::{AllUnable, Sompi, SompiNoCheckpoint, SompiNoReplication};
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {
@@ -50,7 +51,7 @@ fn main() {
         let mut rows: Vec<(String, McResult)> = Vec::new();
 
         // Static-plan ablations.
-        let statics: Vec<(&str, Box<dyn Strategy>)> = vec![
+        let statics: Vec<(&str, Box<dyn Policy>)> = vec![
             ("All-Unable", Box::new(AllUnable { config: cfg })),
             ("w/o-RP", Box::new(SompiNoReplication { config: cfg })),
             ("w/o-CK", Box::new(SompiNoCheckpoint { config: cfg })),

@@ -10,7 +10,8 @@ use mpi_sim::npb::NpbKernel;
 use replay::ExecContext;
 use sompi_bench::{build_problem, monte_carlo, npb_workload, planning_view, stress_market, Table};
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Sompi, Strategy};
+use sompi_core::baselines::Sompi;
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {

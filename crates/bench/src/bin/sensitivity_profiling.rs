@@ -16,7 +16,8 @@ use sompi_bench::{
     build_problem, monte_carlo, npb_workload, paper_market, planning_view, Table, LOOSE,
 };
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{MaratheOpt, Sompi, Strategy};
+use sompi_core::baselines::{MaratheOpt, Sompi};
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 
@@ -57,7 +58,7 @@ fn main() {
         let believed = misprofiled(&truth, eps);
         let mut cells = vec![format!("{:+.0}%", eps * 100.0)];
         let mut sompi_dl = 0.0;
-        for (i, strat) in [&MaratheOpt as &dyn Strategy, &sompi as &dyn Strategy]
+        for (i, strat) in [&MaratheOpt as &dyn Policy, &sompi as &dyn Policy]
             .iter()
             .enumerate()
         {

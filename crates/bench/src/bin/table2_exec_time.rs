@@ -10,7 +10,8 @@ use mpi_sim::npb::NpbKernel;
 use sompi_bench::{
     build_problem, evaluate_strategy, normalized, npb_workload, paper_market, Table, LOOSE, TIGHT,
 };
-use sompi_core::baselines::{MaratheOpt, Sompi, Strategy};
+use sompi_core::baselines::{MaratheOpt, Sompi};
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {
@@ -27,8 +28,8 @@ fn main() {
     let mut t = Table::new(["deadline", "method", "BT", "SP", "LU", "FT", "IS", "BTIO"]);
     for (dl_name, headroom) in [("Loose", LOOSE), ("Tight", TIGHT)] {
         for (mname, strat) in [
-            ("Marathe-Opt", &MaratheOpt as &dyn Strategy),
-            ("SOMPI", &sompi as &dyn Strategy),
+            ("Marathe-Opt", &MaratheOpt as &dyn Policy),
+            ("SOMPI", &sompi as &dyn Policy),
         ] {
             let mut cells = vec![dl_name.to_string(), mname.to_string()];
             for kernel in NpbKernel::ALL {

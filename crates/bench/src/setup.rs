@@ -10,7 +10,7 @@ use mpi_sim::storage::S3Store;
 use replay::montecarlo::{McResult, MonteCarlo};
 use replay::ExecContext;
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::Strategy;
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::view::MarketView;
 
@@ -194,7 +194,7 @@ pub fn monte_carlo(market: &SpotMarket, margin_hours: f64, seed: u64) -> MonteCa
 /// Plan with `strategy` once (offline, against the planning view) and
 /// Monte-Carlo replay the plan over the market.
 pub fn evaluate_strategy(
-    strategy: &dyn Strategy,
+    strategy: &dyn Policy,
     problem: &Problem,
     market: &SpotMarket,
     mc_seed: u64,

@@ -64,7 +64,7 @@ const TAG_STORM_TIME: u64 = 6;
 const TAG_JITTER: u64 = 7;
 
 /// Bounded exponential backoff with deterministic jitter, for checkpoint
-/// I/O and relaunch attempts.
+/// I/O attempts.
 ///
 /// [`RetryPolicy::none`] (the [`Default`]) performs exactly one attempt
 /// with zero backoff — executors behave bit-identically to the
@@ -137,8 +137,7 @@ impl Default for RetryPolicy {
 }
 
 /// The highest storm rate [`FaultPlan::parse`] accepts, in storms per
-/// trace hour: one every six minutes on average, which with the default
-/// one-hour duration keeps every group in a storm nearly all the time.
+/// trace hour: one every six minutes on average.
 pub const MAX_STORM_RATE_PER_HOUR: f64 = 10.0;
 
 /// The most storms one [`FaultInjector`] holds: 2^22, 64 MiB. A stream at
@@ -158,8 +157,6 @@ pub struct FaultPlan {
     /// Probability that a given storm reclaims a given circle group
     /// (correlated multi-group termination when close to 1).
     pub storm_group_prob: f64,
-    /// How long a storm suppresses relaunch attempts, hours.
-    pub storm_duration_hours: Hours,
     /// Probability that one checkpoint upload attempt fails.
     pub ckpt_fail_prob: f64,
     /// Probability that a checkpoint upload stalls (a latency spike).
@@ -181,7 +178,6 @@ impl FaultPlan {
             seed: 0,
             storm_rate_per_hour: 0.0,
             storm_group_prob: 0.0,
-            storm_duration_hours: 1.0,
             ckpt_fail_prob: 0.0,
             ckpt_latency_prob: 0.0,
             ckpt_latency_hours: 0.0,
@@ -203,7 +199,6 @@ impl FaultPlan {
     ///
     /// ```text
     /// storm=RATE[xPROB]      kill storms per hour, per-group hit prob (default 1)
-    /// storm-hours=H          storm duration (default 1)
     /// ckpt-fail=P            per-attempt upload failure probability
     /// ckpt-latency=P:H       spike probability and added hours
     /// restore-corrupt=P      corrupt-image probability per restore
@@ -263,7 +258,6 @@ impl FaultPlan {
                     plan.storm_rate_per_hour = rate;
                     plan.storm_group_prob = p;
                 }
-                "storm-hours" => plan.storm_duration_hours = hours("storm-hours", value)?,
                 "ckpt-fail" => plan.ckpt_fail_prob = prob("ckpt-fail", value)?,
                 "ckpt-latency" => {
                     let (p, h) = value.split_once(':').ok_or_else(|| {
@@ -276,8 +270,8 @@ impl FaultPlan {
                 "feed-gap" => plan.feed_gap_prob = prob("feed-gap", value)?,
                 other => {
                     return Err(format!(
-                        "--faults: unknown term {other:?} (storm, storm-hours, ckpt-fail, \
-                         ckpt-latency, restore-corrupt, feed-gap)"
+                        "--faults: unknown term {other:?} (storm, ckpt-fail, ckpt-latency, \
+                         restore-corrupt, feed-gap)"
                     ))
                 }
             }
@@ -297,8 +291,6 @@ impl Default for FaultPlan {
 pub struct Storm {
     /// Trace hour at which affected running groups are reclaimed.
     pub at_hours: Hours,
-    /// Trace hour until which relaunch is suppressed.
-    pub until_hours: Hours,
 }
 
 /// The fault oracle executors consult. Immutable (and therefore `Sync`)
@@ -329,10 +321,7 @@ impl FaultInjector {
                 if t >= horizon_hours {
                     break;
                 }
-                storms.push(Storm {
-                    at_hours: t,
-                    until_hours: t + plan.storm_duration_hours.max(0.0),
-                });
+                storms.push(Storm { at_hours: t });
             }
         }
         Self { plan, storms }
@@ -376,23 +365,6 @@ impl FaultInjector {
             .map(|(_, s)| s.at_hours)
     }
 
-    /// If trace hour `t` falls inside a storm that reclaims `group`,
-    /// the hour the storm lifts (relaunch is suppressed until then).
-    pub fn storm_blocks_until(&self, group: CircleGroupId, t: Hours) -> Option<Hours> {
-        if self.plan.storm_group_prob <= 0.0 {
-            return None;
-        }
-        let key = group_key(group);
-        self.storms
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.at_hours <= t && t < s.until_hours)
-            .find(|(i, _)| {
-                self.draw(TAG_STORM_MEMBER, *i as u64, key, 0) < self.plan.storm_group_prob
-            })
-            .map(|(_, s)| s.until_hours)
-    }
-
     /// Whether attempt `attempt` (1-based) of `group`'s checkpoint number
     /// `ordinal` fails to upload.
     pub fn ckpt_upload_fails(&self, group: CircleGroupId, ordinal: u32, attempt: u32) -> bool {
@@ -425,17 +397,11 @@ impl FaultInjector {
         }
     }
 
-    /// Whether restore number `ordinal` against `key` (a group key or a
-    /// caller-chosen coordinate for the on-demand restore) reads a
-    /// corrupt image.
+    /// Whether restore number `ordinal` against `key` (a caller-chosen
+    /// coordinate for the on-demand restore) reads a corrupt image.
     pub fn restore_corrupted(&self, key: u64, ordinal: u32) -> bool {
         self.plan.restore_corrupt_prob > 0.0
             && self.draw(TAG_RESTORE, key, ordinal as u64, 0) < self.plan.restore_corrupt_prob
-    }
-
-    /// [`FaultInjector::restore_corrupted`] keyed by a circle group.
-    pub fn restore_corrupted_for(&self, group: CircleGroupId, ordinal: u32) -> bool {
-        self.restore_corrupted(group_key(group), ordinal)
     }
 
     /// Whether the market feed is gapped at adaptive window `window`.
@@ -464,7 +430,7 @@ mod tests {
         assert_eq!(inj.storm_kill_after(g, 0.0), None);
         assert!(!inj.ckpt_upload_fails(g, 0, 1));
         assert_eq!(inj.ckpt_latency_spike(g, 0), None);
-        assert!(!inj.restore_corrupted_for(g, 0));
+        assert!(!inj.restore_corrupted(group_key(g), 0));
         assert!(!inj.feed_gap_at(0));
     }
 
@@ -512,7 +478,6 @@ mod tests {
             ckpt_latency_hours: 0.25,
             restore_corrupt_prob: 0.5,
             feed_gap_prob: 0.5,
-            ..FaultPlan::quiet()
         };
         let a = FaultInjector::new(plan, 500.0);
         let b = FaultInjector::new(plan, 500.0);
@@ -618,7 +583,7 @@ mod tests {
     #[test]
     fn spec_parsing_round_trips_every_class() {
         let p = FaultPlan::parse(
-            "storm=0.05x0.8,storm-hours=2,ckpt-fail=0.3,ckpt-latency=0.2:0.5,\
+            "storm=0.05x0.8,ckpt-fail=0.3,ckpt-latency=0.2:0.5,\
              restore-corrupt=0.25,feed-gap=0.1",
             11,
         )
@@ -626,7 +591,6 @@ mod tests {
         assert_eq!(p.seed, 11);
         assert_eq!(p.storm_rate_per_hour, 0.05);
         assert_eq!(p.storm_group_prob, 0.8);
-        assert_eq!(p.storm_duration_hours, 2.0);
         assert_eq!(p.ckpt_fail_prob, 0.3);
         assert_eq!(p.ckpt_latency_prob, 0.2);
         assert_eq!(p.ckpt_latency_hours, 0.5);
@@ -640,6 +604,10 @@ mod tests {
         );
         assert!(FaultPlan::parse("", 0).unwrap().is_quiet());
         assert!(FaultPlan::parse("bogus=1", 0).is_err());
+        // A storm is an instant kill: there is no duration term.
+        assert!(FaultPlan::parse("storm-hours=2", 0)
+            .unwrap_err()
+            .contains("unknown term"));
         assert!(FaultPlan::parse("ckpt-fail=1.5", 0).is_err());
         assert!(FaultPlan::parse("ckpt-latency=0.5", 0).is_err());
         assert!(FaultPlan::parse("storm", 0).is_err());
@@ -653,9 +621,6 @@ mod tests {
             "storm=-0.5",
             "storm=1e5",
             "storm=10.5x0.5",
-            "storm-hours=inf",
-            "storm-hours=-1",
-            "storm-hours=nan",
             "ckpt-latency=0.5:inf",
             "ckpt-latency=0.5:-2",
             "ckpt-latency=0.5:NaN",
@@ -666,7 +631,7 @@ mod tests {
         }
         let max = FaultPlan::parse(&format!("storm={MAX_STORM_RATE_PER_HOUR}"), 1).unwrap();
         assert_eq!(max.storm_rate_per_hour, MAX_STORM_RATE_PER_HOUR);
-        let zero = FaultPlan::parse("storm=0,storm-hours=0,ckpt-latency=0:0", 1).unwrap();
+        let zero = FaultPlan::parse("storm=0,ckpt-latency=0:0", 1).unwrap();
         assert!(zero.is_quiet());
     }
 
@@ -678,7 +643,6 @@ mod tests {
             let plan = FaultPlan {
                 seed: 4,
                 storm_rate_per_hour: rate,
-                storm_duration_hours: f64::INFINITY,
                 ..FaultPlan::quiet()
             };
             FaultInjector::new(plan, horizon).storms().len()

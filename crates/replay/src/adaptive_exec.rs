@@ -9,19 +9,20 @@
 //! `update_maintenance = false` reproduces the w/o-MT ablation: the plan
 //! computed in the first window is reused verbatim forever.
 
-use crate::exec::{ExecContext, Finisher, PlanRunner, RunOutcome};
+use crate::exec::{ExecContext, Finish, PlanRunner, RunOutcome, SpotPhase};
 use crate::Hours;
-use ec2_market::market::SpotMarket;
+use ec2_market::market::{CircleGroupId, SpotMarket};
 use serde::{Deserialize, Serialize};
 use sompi_core::adaptive::{
     AdaptiveConfig, AdaptivePlanner, PlanCache, PlanContext, WindowDecision,
 };
 use sompi_core::baselines::Sompi;
 use sompi_core::error::SompiError;
+use sompi_core::model::Plan;
 use sompi_core::policy::{KillObservation, Policy, WindowObservation};
 use sompi_core::problem::Problem;
 use sompi_core::view::MarketView;
-use sompi_obs::{emit, Event, Recorder, TraceLevel};
+use sompi_obs::{emit, Event, TraceLevel};
 use std::fmt;
 
 /// Outcome of one adaptive execution.
@@ -33,24 +34,6 @@ pub struct AdaptiveOutcome {
     pub windows: u32,
     /// Number of times the plan changed between consecutive windows.
     pub plan_changes: u32,
-}
-
-/// Emit the `RunCompleted` event for a finished adaptive run.
-fn emit_run_completed(recorder: &dyn Recorder, out: &RunOutcome, windows: u32, plan_changes: u32) {
-    emit(recorder, TraceLevel::Summary, || Event::RunCompleted {
-        finisher: match out.finisher {
-            Finisher::Spot(id) => format!("spot:{id}"),
-            Finisher::OnDemand => "on-demand".to_string(),
-        },
-        total_cost: out.total_cost,
-        spot_cost: out.spot_cost,
-        od_cost: out.od_cost,
-        wall_hours: out.wall_hours,
-        met_deadline: out.met_deadline,
-        groups_failed: out.groups_failed,
-        windows: Some(windows),
-        plan_changes: Some(plan_changes),
-    });
 }
 
 /// Replays the adaptive algorithm against a market.
@@ -136,20 +119,19 @@ impl<'a> AdaptiveRunner<'a> {
         let policy: &dyn Policy = self.policy.unwrap_or(&default_policy);
         let runner = PlanRunner::new(self.market, problem.deadline);
 
-        let mut elapsed: Hours = 0.0;
+        let mut spent = SpotPhase::default();
         let mut done_fraction: f64 = 0.0;
-        let mut spot_cost = 0.0;
         let mut windows = 0u32;
         let mut plan_changes = 0u32;
-        let mut current_plan: Option<sompi_core::model::Plan> = None;
+        let mut current_plan: Option<Plan> = None;
+        // The group that completed the job, once one has.
+        let mut completed_by: Option<CircleGroupId> = None;
         // Last computed plan together with the residual fraction it was
-        // sized for — reused (rescaled) by plan continuity and by the
-        // w/o-MT ablation.
-        let mut frozen_full: Option<(sompi_core::model::Plan, f64)> = None;
-        // Fraction the current full-scale plan was made for (continuity
-        // rescaling) and whether the last window demands a re-plan.
+        // sized for — reused (rescaled) by plan continuity, by the w/o-MT
+        // ablation and by the trace-horizon valve.
+        let mut frozen_full: Option<(Plan, f64)> = None;
+        // Whether the last window demands a re-plan.
         let mut replan_needed = true;
-        let mut groups_failed = 0u32;
         // The planner's last hybrid plan: what a window on a gapped
         // market feed falls back to instead of searching a stale view.
         let mut cache = PlanCache::default();
@@ -157,33 +139,35 @@ impl<'a> AdaptiveRunner<'a> {
         // built from a healthy feed — what a gapped window falls back to.
         let mut last_view: Option<(Hours, Hours)> = None;
 
-        loop {
+        let finish = loop {
             let remaining = 1.0 - done_fraction;
             if remaining <= 1e-9 {
-                // Finished on spot.
-                let run = RunOutcome {
-                    total_cost: spot_cost,
-                    spot_cost,
-                    od_cost: 0.0,
-                    wall_hours: elapsed,
-                    finisher: Finisher::Spot(
-                        current_plan
-                            .as_ref()
-                            .and_then(|p| p.groups.first().map(|(g, _)| g.id))
-                            .expect("completed on spot implies a spot plan"),
-                    ),
-                    groups_failed,
-                    met_deadline: elapsed <= problem.deadline,
-                };
-                emit_run_completed(recorder, &run, windows, plan_changes);
-                return Ok(AdaptiveOutcome {
-                    run,
-                    windows,
-                    plan_changes,
-                });
+                // Finished on spot. A window whose final checkpoint made
+                // every hour durable without completing names no group;
+                // its plan's first group is credited.
+                let id = completed_by
+                    .or_else(|| current_plan.as_ref()?.groups.first().map(|(g, _)| g.id))
+                    .expect("completed on spot implies a spot plan");
+                break Finish::Spot(id);
+            }
+            let elapsed = spent.elapsed;
+            let now = start + elapsed;
+
+            // Safety valve: never loop past the trace horizon.
+            if let Some((plan, made_for)) = &frozen_full {
+                if now >= self.market.horizon() {
+                    let od = plan.on_demand;
+                    break Finish::OnDemand {
+                        option: od,
+                        // The option is sized for the residual the plan
+                        // was made for; bill what is left now.
+                        hours: od.exec_hours * (remaining / made_for) + od.recovery_hours,
+                        remaining_fraction: remaining,
+                        reason: Some("trace-horizon"),
+                    };
+                }
             }
 
-            let now = start + elapsed;
             let history_start = (now - cfg.history_hours).max(0.0);
             let fresh = (
                 history_start,
@@ -220,11 +204,13 @@ impl<'a> AdaptiveRunner<'a> {
             // Deadline guard (Algorithm 1 line 7, applied on every path
             // including the frozen w/o-MT one — it is deadline
             // enforcement, not update maintenance): switch to on-demand
-            // when the deadline "could not be satisfied" any other way —
-            // i.e. when even the fastest *spot* completion of the residual
-            // no longer fits, and on-demand still (barely) does. While a
-            // spot plan can still make the deadline, keep gambling: that
-            // is the whole premise of the hybrid execution.
+            // once neither the fastest *spot* completion of the residual
+            // nor on-demand (with its recovery) fits in the time left.
+            // It looks only at window boundaries and fires only after
+            // on-demand has stopped fitting, so the on-demand run it
+            // starts is normally late. While a spot plan can still make
+            // the deadline, keep gambling: that is the whole premise of
+            // the hybrid execution.
             let leftover = problem.deadline - elapsed;
             let fastest = problem.try_baseline()?;
             let od_needed = fastest.exec_hours * remaining + fastest.recovery_hours;
@@ -234,38 +220,16 @@ impl<'a> AdaptiveRunner<'a> {
                 .map(|c| c.exec_hours * remaining)
                 .fold(f64::INFINITY, f64::min);
             if od_needed >= leftover && spot_needed >= leftover {
-                let mut od = *fastest;
-                od.exec_hours *= remaining;
-                let mut hours = od.exec_hours;
+                let mut hours = fastest.exec_hours * remaining;
                 if done_fraction > 0.0 {
-                    hours += od.recovery_hours;
+                    hours += fastest.recovery_hours;
                 }
-                let od_cost = runner
-                    .billing()
-                    .on_demand_cost(od.unit_price, hours, od.instances);
-                emit(recorder, TraceLevel::Summary, || Event::OnDemandFallback {
-                    at_hours: start + elapsed,
+                break Finish::OnDemand {
+                    option: *fastest,
+                    hours,
                     remaining_fraction: remaining,
-                    od_hours: hours,
-                    od_cost,
-                    reason: "deadline-guard".to_string(),
-                });
-                let wall = elapsed + hours;
-                let run = RunOutcome {
-                    total_cost: spot_cost + od_cost,
-                    spot_cost,
-                    od_cost,
-                    wall_hours: wall,
-                    finisher: Finisher::OnDemand,
-                    groups_failed,
-                    met_deadline: wall <= problem.deadline,
+                    reason: Some("deadline-guard"),
                 };
-                emit_run_completed(recorder, &run, windows, plan_changes);
-                return Ok(AdaptiveOutcome {
-                    run,
-                    windows,
-                    plan_changes,
-                });
             }
 
             // Plan continuity: a healthy plan (progress made, nobody killed
@@ -304,149 +268,109 @@ impl<'a> AdaptiveRunner<'a> {
                     .decision
             };
 
-            match decision {
+            let plan = match decision {
                 WindowDecision::FinishOnDemand(plan) => {
                     // Run the residual on demand and stop.
-                    let od = &plan.on_demand;
+                    let od = plan.on_demand;
                     let mut hours = od.exec_hours; // already residual-scaled
                     if done_fraction > 0.0 {
                         hours += od.recovery_hours;
                     }
-                    let od_cost =
-                        runner
-                            .billing()
-                            .on_demand_cost(od.unit_price, hours, od.instances);
-                    emit(recorder, TraceLevel::Summary, || Event::OnDemandFallback {
-                        at_hours: start + elapsed,
+                    break Finish::OnDemand {
+                        option: od,
+                        hours,
                         remaining_fraction: remaining,
-                        od_hours: hours,
-                        od_cost,
-                        reason: "replan".to_string(),
-                    });
-                    let wall = elapsed + hours;
-                    let run = RunOutcome {
-                        total_cost: spot_cost + od_cost,
-                        spot_cost,
-                        od_cost,
-                        wall_hours: wall,
-                        finisher: Finisher::OnDemand,
-                        groups_failed,
-                        met_deadline: wall <= problem.deadline,
+                        reason: Some("replan"),
                     };
-                    emit_run_completed(recorder, &run, windows, plan_changes);
-                    return Ok(AdaptiveOutcome {
-                        run,
-                        windows,
-                        plan_changes,
-                    });
                 }
-                WindowDecision::Hybrid(plan) => {
-                    if !reuse {
-                        if self.update_maintenance {
-                            if let Some(prev) = &current_plan {
-                                if *prev != plan {
-                                    plan_changes += 1;
-                                }
-                            }
-                        }
-                        // Remember this plan and what residual it was
-                        // sized for, for later continuity rescaling.
-                        frozen_full = Some((plan.clone(), remaining));
-                    }
-                    // Execute one window of the (residual) plan. The plan's
-                    // groups carry residual exec_hours already; replay them
-                    // fully (fraction 1.0 of the residual problem). The
-                    // window never overruns the deadline budget: Algorithm 1
-                    // re-evaluates at the deadline at the latest.
-                    let win = cfg.window_hours.min((problem.deadline - elapsed).max(0.25));
-                    // `reuse` means the same healthy instances keep
-                    // running across the boundary: no fresh launch wait.
-                    let w = runner.run_window(&plan, now, 1.0, Some(win), reuse, ctx)?;
-                    spot_cost += w.spot_cost;
-                    groups_failed += w.groups_failed;
-                    // An out-of-bid kill is surfaced to the policy; the
-                    // default reaction invalidates the cached plan (the
-                    // realized market just beat it).
-                    if w.groups_failed > 0 {
-                        let kill = policy.on_kill(&KillObservation {
-                            window: windows,
-                            at_hours: now,
-                            groups_failed: w.groups_failed,
-                        });
-                        if kill.clear_plan_cache {
-                            cache.clear();
+                WindowDecision::Hybrid(plan) => plan,
+            };
+            if !reuse {
+                if self.update_maintenance {
+                    if let Some(prev) = &current_plan {
+                        if *prev != plan {
+                            plan_changes += 1;
                         }
                     }
-                    // The policy decides whether to re-plan; the default
-                    // re-plans when the window went badly — someone was
-                    // killed out-of-bid, or no durable progress was made.
-                    replan_needed = policy
-                        .on_window(&WindowObservation {
-                            window: windows,
-                            elapsed_hours: elapsed,
-                            remaining_fraction: remaining,
-                            groups_failed: w.groups_failed,
-                            saved_fraction: w.saved_fraction,
-                        })
-                        .replan;
-                    // saved_fraction is relative to the residual plan.
-                    done_fraction += remaining * (w.saved_fraction / 1.0).min(1.0);
-                    if w.completed_by.is_some() {
-                        done_fraction = 1.0;
-                    }
-                    // Advance at least a little to guarantee progress even
-                    // if nothing launched.
-                    elapsed += w.elapsed.max(cfg.window_hours.min(0.25));
-                    windows += 1;
-                    current_plan = Some(plan);
+                }
+                // Remember this plan and what residual it was sized for,
+                // for later continuity rescaling.
+                frozen_full = Some((plan.clone(), remaining));
+            }
+            // Execute one window of the (residual) plan. The plan's groups
+            // carry residual exec_hours already; replay them fully
+            // (fraction 1.0 of the residual problem). The window never
+            // overruns the deadline budget: Algorithm 1 re-evaluates at
+            // the deadline at the latest.
+            let win = cfg.window_hours.min((problem.deadline - elapsed).max(0.25));
+            // `reuse` means the same healthy instances keep running
+            // across the boundary: no fresh launch wait.
+            let w = runner.run_window(&plan, now, 1.0, Some(win), reuse, ctx)?;
+            spent.spot_cost += w.spot_cost;
+            spent.groups_failed += w.groups_failed;
+            // An out-of-bid kill is surfaced to the policy; the default
+            // reaction invalidates the cached plan (the realized market
+            // just beat it).
+            if w.groups_failed > 0 {
+                let kill = policy.on_kill(&KillObservation {
+                    window: windows,
+                    at_hours: now,
+                    groups_failed: w.groups_failed,
+                });
+                if kill.clear_plan_cache {
+                    cache.clear();
                 }
             }
-
-            // Safety valve: never loop past the trace horizon.
-            if start + elapsed >= self.market.horizon() {
-                let view_plan = current_plan.clone().expect("looped at least once");
-                let residual = (1.0 - done_fraction).max(0.0);
-                let od = &view_plan.on_demand;
-                let hours = od.exec_hours * residual + od.recovery_hours;
-                let od_cost = runner
-                    .billing()
-                    .on_demand_cost(od.unit_price, hours, od.instances);
-                emit(recorder, TraceLevel::Summary, || Event::OnDemandFallback {
-                    at_hours: start + elapsed,
-                    remaining_fraction: residual,
-                    od_hours: hours,
-                    od_cost,
-                    reason: "trace-horizon".to_string(),
-                });
-                let wall = elapsed + hours;
-                let run = RunOutcome {
-                    total_cost: spot_cost + od_cost,
-                    spot_cost,
-                    od_cost,
-                    wall_hours: wall,
-                    finisher: Finisher::OnDemand,
-                    groups_failed,
-                    met_deadline: wall <= problem.deadline,
-                };
-                emit_run_completed(recorder, &run, windows, plan_changes);
-                return Ok(AdaptiveOutcome {
-                    run,
-                    windows,
-                    plan_changes,
-                });
+            // The policy decides whether to re-plan; the default re-plans
+            // when the window went badly — someone was killed out-of-bid,
+            // or no durable progress was made.
+            replan_needed = policy
+                .on_window(&WindowObservation {
+                    window: windows,
+                    elapsed_hours: elapsed,
+                    remaining_fraction: remaining,
+                    groups_failed: w.groups_failed,
+                    saved_fraction: w.saved_fraction,
+                })
+                .replan;
+            // saved_fraction is relative to the residual plan.
+            done_fraction += remaining * w.saved_fraction.min(1.0);
+            if w.completed_by.is_some() {
+                done_fraction = 1.0;
+                completed_by = w.completed_by;
             }
-        }
+            // Advance at least a little to guarantee progress even if
+            // nothing launched.
+            spent.elapsed += w.elapsed.max(cfg.window_hours.min(0.25));
+            windows += 1;
+            current_plan = Some(plan);
+        };
+        let run = runner.settle(
+            start,
+            spent,
+            finish,
+            Some((windows, plan_changes)),
+            recorder,
+        );
+        Ok(AdaptiveOutcome {
+            run,
+            windows,
+            plan_changes,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Finisher;
     use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
     use ec2_market::tracegen::{MarketProfile, TraceGenerator};
     use mpi_sim::npb::{NpbClass, NpbKernel};
     use mpi_sim::storage::S3Store;
+    use sompi_core::model::GroupDecision;
     use sompi_core::twolevel::OptimizerConfig;
+    use sompi_obs::RingRecorder;
 
     fn setup(seed: u64) -> (SpotMarket, Problem) {
         let cat = InstanceCatalog::paper_2014();
@@ -559,5 +483,156 @@ mod tests {
         // accounting stays coherent.
         assert!(out.run.total_cost > 0.0);
         assert!(out.run.wall_hours > 0.0);
+    }
+
+    /// `RunCompleted`'s and every `OnDemandFallback`'s payload for one
+    /// adaptive run.
+    fn traced(
+        r: &AdaptiveRunner<'_>,
+        problem: &Problem,
+        start: Hours,
+    ) -> (AdaptiveOutcome, Vec<Event>) {
+        let ring = RingRecorder::new(TraceLevel::Summary, 1 << 12);
+        let out = r
+            .run(problem, start, &ExecContext::new().with_recorder(&ring))
+            .unwrap();
+        let ends = ring
+            .take()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::OnDemandFallback { .. } | Event::RunCompleted { .. }
+                )
+            })
+            .collect();
+        (out, ends)
+    }
+
+    #[test]
+    fn a_job_finished_on_spot_is_not_rebilled_at_the_trace_horizon() {
+        // Starts this close to the 400 h horizon finish their last window
+        // past it; the job is done, so spot finished it.
+        let (market, problem) = setup(41);
+        let r = AdaptiveRunner::new(
+            &market,
+            AdaptiveConfig {
+                window_hours: 0.5,
+                ..config()
+            },
+        );
+        for start in [398.25, 398.3, 398.35, 398.4, 398.45] {
+            let (out, ends) = traced(&r, &problem, start);
+            assert!(
+                matches!(out.run.finisher, Finisher::Spot(_)),
+                "start {start}: {:?}, {ends:?}",
+                out.run
+            );
+            assert_eq!(out.run.od_cost, 0.0, "start {start}");
+            assert_eq!(ends.len(), 1, "start {start}: {ends:?}");
+        }
+    }
+
+    #[test]
+    fn the_trace_horizon_bills_the_residual_once() {
+        // The valve's on-demand option is sized for the residual its
+        // window started from; the hours billed are the full option's
+        // hours for what is left now, plus recovery.
+        let (market, problem) = setup(41);
+        let r = AdaptiveRunner::new(
+            &market,
+            AdaptiveConfig {
+                window_hours: 0.5,
+                ..config()
+            },
+        );
+        let mut valves = 0;
+        for i in 0..60 {
+            let start = 397.0 + 0.05 * i as f64;
+            let (_, ends) = traced(&r, &problem, start);
+            for e in &ends {
+                let Event::OnDemandFallback {
+                    remaining_fraction,
+                    od_hours,
+                    reason,
+                    ..
+                } = e
+                else {
+                    continue;
+                };
+                if reason != "trace-horizon" {
+                    continue;
+                }
+                valves += 1;
+                assert!(
+                    problem.on_demand.iter().any(|o| {
+                        (o.exec_hours * remaining_fraction + o.recovery_hours - od_hours).abs()
+                            < 1e-9
+                    }),
+                    "start {start}: {od_hours} h for {remaining_fraction} of the job"
+                );
+            }
+        }
+        assert!(valves >= 20, "only {valves} trace-horizon fallbacks");
+    }
+
+    /// Plans two of the residual's candidates: first one at a bid no
+    /// price admits, then the fastest at a bid every price admits.
+    struct SecondGroupFinishes;
+
+    impl Policy for SecondGroupFinishes {
+        fn name(&self) -> &'static str {
+            "second-group-finishes"
+        }
+
+        fn plan(
+            &self,
+            problem: &Problem,
+            _view: &MarketView,
+            _ctx: &mut PlanContext<'_>,
+        ) -> Result<Plan, SompiError> {
+            let fastest = problem
+                .candidates
+                .iter()
+                .min_by(|a, b| a.exec_hours.total_cmp(&b.exec_hours))
+                .expect("candidates");
+            let idle = problem
+                .candidates
+                .iter()
+                .find(|c| c.id != fastest.id)
+                .expect("two candidates");
+            let decision = |bid: f64, exec_hours: f64| GroupDecision {
+                bid,
+                ckpt_interval: exec_hours,
+            };
+            Ok(Plan {
+                groups: vec![
+                    (*idle, decision(0.0, idle.exec_hours)),
+                    (*fastest, decision(999.0, fastest.exec_hours)),
+                ],
+                on_demand: *problem.try_baseline()?,
+            })
+        }
+    }
+
+    #[test]
+    fn a_spot_finish_credits_the_group_that_completed() {
+        let (market, problem) = setup(41);
+        let policy = SecondGroupFinishes;
+        let r = AdaptiveRunner::new(&market, config()).with_policy(&policy);
+        let winner = SecondGroupFinishes
+            .plan(
+                &problem,
+                &MarketView::from_market(&market, 0.0, 48.0),
+                &mut PlanContext::new(),
+            )
+            .unwrap()
+            .groups[1]
+            .0
+            .id;
+        for start in [60.0, 120.0, 200.0] {
+            let out = run(&r, &problem, start);
+            assert_eq!(out.run.finisher, Finisher::Spot(winner), "start {start}");
+        }
     }
 }

@@ -18,7 +18,9 @@
 //! [`PlanRunner::run`] replays a full plan to completion (with the
 //! on-demand fallback); [`PlanRunner::run_window`] replays at most one
 //! optimization window and reports the intermediate state, which is what
-//! the Algorithm-1 adaptive runner consumes. Both take an
+//! the Algorithm-1 adaptive runner consumes. `run` and the adaptive
+//! runner end every replay through one settlement, which bills the
+//! on-demand run and narrates the end. Both methods take an
 //! [`ExecContext`] bundling the trace recorder, the optional
 //! [`FaultInjector`], and the [`RetryPolicy`] for checkpoint I/O — all
 //! no-ops by default, in which case the replay is bit-identical to the
@@ -49,7 +51,7 @@ use ec2_market::market::{CircleGroupId, SpotMarket};
 use ec2_market::trace::SpotTrace;
 use serde::{Deserialize, Serialize};
 use sompi_core::error::SompiError;
-use sompi_core::model::{CircleGroup, GroupDecision, Plan};
+use sompi_core::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
 use sompi_obs::{emit, Event, NullRecorder, Recorder, TraceLevel};
 
 /// Accepted and ignored: Monte-Carlo replay always resolves a fixed
@@ -67,8 +69,7 @@ pub enum ExecMode {
 
 /// Everything an executor call may consult besides the plan and the
 /// market: the trace recorder, an optional fault injector, the retry
-/// policy for faulted checkpoint I/O and relaunches, and the batched
-/// replay state.
+/// policy for faulted checkpoint I/O, and the batched replay state.
 /// [`ExecContext::default`] is all no-ops — replays under it are
 /// bit-identical to the pre-resilience executor.
 #[derive(Clone, Copy)]
@@ -77,8 +78,8 @@ pub struct ExecContext<'a> {
     pub recorder: &'a dyn Recorder,
     /// Fault oracle; `None` injects nothing.
     pub faults: Option<&'a FaultInjector>,
-    /// Retry/backoff policy for faulted operations (checkpoint uploads,
-    /// relaunch pacing). The default [`RetryPolicy::none`] never waits.
+    /// Retry/backoff policy for faulted checkpoint uploads. The default
+    /// [`RetryPolicy::none`] never waits.
     pub retry: RetryPolicy,
     /// Precomputed death-time tables for the plan being replayed. `None`
     /// replays through the market's indexed trace queries (adaptive
@@ -184,6 +185,37 @@ pub struct WindowOutcome {
     /// Defaults to 0 for outcomes recorded before fault injection.
     #[serde(default)]
     pub ckpt_step_fraction: f64,
+}
+
+/// What a replay spent on spot before it ended: the input every exit
+/// hands to [`PlanRunner::settle`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SpotPhase {
+    /// Spot cost accrued, USD.
+    pub spot_cost: Usd,
+    /// Wall hours from the start offset to the end of spot execution.
+    pub elapsed: Hours,
+    /// Circle groups terminated by out-of-bid events or kill storms.
+    pub groups_failed: u32,
+}
+
+/// How a replay ends, as [`PlanRunner::settle`] bills it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Finish {
+    /// A circle group finished the application on spot.
+    Spot(CircleGroupId),
+    /// On-demand runs `hours` of `option` (restore or reprovisioning
+    /// included), right after spot execution ended.
+    OnDemand {
+        option: OnDemandOption,
+        hours: Hours,
+        /// Application fraction spot left undone, as the
+        /// `OnDemandFallback` event reports it.
+        remaining_fraction: f64,
+        /// The fallback's reason; `None` for a planned pure-on-demand
+        /// run, which is not a fallback and emits no event.
+        reason: Option<&'static str>,
+    },
 }
 
 /// Lifecycle of one group within a window: a small `Copy` record, so a
@@ -310,7 +342,10 @@ impl<'a> PlanRunner<'a> {
     /// replica wait out a week-long price plateau while the deadline burns
     /// (Algorithm 1 line 7's "run on on-demand" applies). The on-demand
     /// recovery then completes the job — late runs are still completed,
-    /// just flagged as missing the deadline.
+    /// just flagged as missing the deadline. Under an injector with
+    /// restore corruption, the recovery may find the best checkpoint
+    /// corrupt and fall back one checkpoint interval (re-executing the
+    /// lost slice on demand).
     ///
     /// Emits the run's timeline to the context's recorder:
     /// `GroupLaunched`, `GroupFailed`, `CheckpointTaken`, and fault events
@@ -330,63 +365,17 @@ impl<'a> PlanRunner<'a> {
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, SompiError> {
         let w = self.run_window(plan, start, 1.0, Some(self.deadline), false, ctx)?;
-        let out = self.finish_with_od(plan, w, 1.0, start, ctx);
-        // A planned pure-on-demand run is not a *fallback*; only emit one
-        // when spot groups existed and did not finish.
-        if w.completed_by.is_none() && !plan.groups.is_empty() {
-            let all_failed = w.groups_failed as usize == plan.groups.len();
-            emit(ctx.recorder, TraceLevel::Summary, || {
-                Event::OnDemandFallback {
-                    at_hours: start + w.elapsed,
-                    remaining_fraction: (1.0 - w.saved_fraction).max(0.0),
-                    od_hours: out.wall_hours - w.elapsed,
-                    od_cost: out.od_cost,
-                    reason: if all_failed {
-                        "all-groups-failed"
-                    } else {
-                        "deadline-cutoff"
-                    }
-                    .to_string(),
-                }
-            });
-        }
-        emit(ctx.recorder, TraceLevel::Summary, || Event::RunCompleted {
-            finisher: match out.finisher {
-                Finisher::Spot(id) => format!("spot:{id}"),
-                Finisher::OnDemand => "on-demand".to_string(),
-            },
-            total_cost: out.total_cost,
-            spot_cost: out.spot_cost,
-            od_cost: out.od_cost,
-            wall_hours: out.wall_hours,
-            met_deadline: out.met_deadline,
-            groups_failed: out.groups_failed,
-            windows: None,
-            plan_changes: None,
-        });
-        Ok(out)
-    }
-
-    /// Convert a window outcome into a completed run by applying the
-    /// on-demand fallback for whatever fraction remains of `target`.
-    /// `start` is the trace offset the window began at (it anchors fault
-    /// event timestamps). Under an injector with restore corruption, the
-    /// recovery may find the best checkpoint corrupt and fall back one
-    /// checkpoint interval (re-executing the lost slice on demand).
-    pub fn finish_with_od(
-        &self,
-        plan: &Plan,
-        w: WindowOutcome,
-        target: f64,
-        start: Hours,
-        ctx: &ExecContext<'_>,
-    ) -> RunOutcome {
-        let (finisher, od_cost, od_hours) = match w.completed_by {
-            Some(id) => (Finisher::Spot(id), 0.0, 0.0),
+        let spent = SpotPhase {
+            spot_cost: w.spot_cost,
+            elapsed: w.elapsed,
+            groups_failed: w.groups_failed,
+        };
+        let finish = match w.completed_by {
+            Some(id) => Finish::Spot(id),
             None => {
-                let od = &plan.on_demand;
+                let od = plan.on_demand;
                 let mut saved = w.saved_fraction;
-                let mut remaining = (target - saved).max(0.0);
+                let mut remaining = (1.0 - saved).max(0.0);
                 if remaining > 0.0 && saved > 0.0 {
                     if let Some(inj) = ctx.faults {
                         // One restore per recovery, keyed by the saved
@@ -394,7 +383,7 @@ impl<'a> PlanRunner<'a> {
                         if inj.restore_corrupted((saved * 1e9) as u64, 0) {
                             let lost = w.ckpt_step_fraction.min(saved).max(0.0);
                             saved -= lost;
-                            remaining = (target - saved).max(0.0);
+                            remaining = (1.0 - saved).max(0.0);
                             let at = start + w.elapsed;
                             emit(ctx.recorder, TraceLevel::Summary, || Event::FaultInjected {
                                 class: "restore-corruption".to_string(),
@@ -412,27 +401,90 @@ impl<'a> PlanRunner<'a> {
                     }
                 }
                 let mut hours = od.exec_hours * remaining;
-                if remaining > 0.0 && saved > 0.0 {
-                    hours += od.recovery_hours; // restore a checkpoint
-                } else if remaining > 0.0 && !plan.groups.is_empty() {
-                    hours += od.recovery_hours; // reprovision after failures
+                // Restore a checkpoint, or reprovision after failures.
+                if remaining > 0.0 && (saved > 0.0 || !plan.groups.is_empty()) {
+                    hours += od.recovery_hours;
                 }
-                let cost = self
-                    .billing
-                    .on_demand_cost(od.unit_price, hours, od.instances);
-                (Finisher::OnDemand, cost, hours)
+                let all_failed = w.groups_failed as usize == plan.groups.len();
+                Finish::OnDemand {
+                    option: od,
+                    hours,
+                    remaining_fraction: (1.0 - w.saved_fraction).max(0.0),
+                    // A planned pure-on-demand run is not a *fallback*.
+                    reason: (!plan.groups.is_empty()).then_some(if all_failed {
+                        "all-groups-failed"
+                    } else {
+                        "deadline-cutoff"
+                    }),
+                }
             }
         };
-        let wall = w.elapsed + od_hours;
-        RunOutcome {
-            total_cost: w.spot_cost + od_cost,
-            spot_cost: w.spot_cost,
+        Ok(self.settle(start, spent, finish, None, ctx.recorder))
+    }
+
+    /// End a replay that began at trace hour `start`: bill the on-demand
+    /// run `finish` names (nothing when a group finished on spot), emit
+    /// its `OnDemandFallback` when it has a reason and then
+    /// `RunCompleted`, and return the run. `adaptive` carries an adaptive
+    /// run's window and plan-change tallies into `RunCompleted`. Every
+    /// executor ends here, so a replay is billed and narrated one way.
+    pub(crate) fn settle(
+        &self,
+        start: Hours,
+        spent: SpotPhase,
+        finish: Finish,
+        adaptive: Option<(u32, u32)>,
+        recorder: &dyn Recorder,
+    ) -> RunOutcome {
+        let (finisher, od_cost, wall) = match finish {
+            Finish::Spot(id) => (Finisher::Spot(id), 0.0, spent.elapsed),
+            Finish::OnDemand {
+                option,
+                hours,
+                remaining_fraction,
+                reason,
+            } => {
+                let od_cost =
+                    self.billing
+                        .on_demand_cost(option.unit_price, hours, option.instances);
+                let wall = spent.elapsed + hours;
+                if let Some(reason) = reason {
+                    emit(recorder, TraceLevel::Summary, || Event::OnDemandFallback {
+                        at_hours: start + spent.elapsed,
+                        remaining_fraction,
+                        // The hours as the run's wall clock counts them.
+                        od_hours: wall - spent.elapsed,
+                        od_cost,
+                        reason: reason.to_string(),
+                    });
+                }
+                (Finisher::OnDemand, od_cost, wall)
+            }
+        };
+        let out = RunOutcome {
+            total_cost: spent.spot_cost + od_cost,
+            spot_cost: spent.spot_cost,
             od_cost,
             wall_hours: wall,
             finisher,
-            groups_failed: w.groups_failed,
+            groups_failed: spent.groups_failed,
             met_deadline: wall <= self.deadline,
-        }
+        };
+        emit(recorder, TraceLevel::Summary, || Event::RunCompleted {
+            finisher: match out.finisher {
+                Finisher::Spot(id) => format!("spot:{id}"),
+                Finisher::OnDemand => "on-demand".to_string(),
+            },
+            total_cost: out.total_cost,
+            spot_cost: out.spot_cost,
+            od_cost: out.od_cost,
+            wall_hours: out.wall_hours,
+            met_deadline: out.met_deadline,
+            groups_failed: out.groups_failed,
+            windows: adaptive.map(|(windows, _)| windows),
+            plan_changes: adaptive.map(|(_, changes)| changes),
+        });
+        out
     }
 
     /// Replay at most `window` hours (None = unbounded) of `plan` on

@@ -27,7 +27,8 @@
 //! use mpi_sim::storage::S3Store;
 //! use replay::PlanRunner;
 //! use sompi_core::adaptive::PlanContext;
-//! use sompi_core::baselines::{Sompi, Strategy};
+//! use sompi_core::baselines::Sompi;
+//! use sompi_core::policy::Policy;
 //! use sompi_core::problem::Problem;
 //! use sompi_core::twolevel::OptimizerConfig;
 //! use sompi_core::view::MarketView;
@@ -57,14 +58,12 @@ pub mod adaptive_exec;
 pub mod batch;
 pub mod exec;
 pub mod montecarlo;
-pub mod relaunch;
 pub mod stats;
 
 pub use adaptive_exec::{AdaptiveOutcome, AdaptiveRunner};
 pub use batch::{BatchEntry, BatchTables};
 pub use exec::{ExecContext, Finisher, PlanRunner, RunOutcome, WindowOutcome};
 pub use montecarlo::{McResult, MonteCarlo, MonteCarloBuilder};
-pub use relaunch::{run_persistent, RelaunchOutcome};
 pub use stats::Summary;
 
 /// Hours, matching the substrate crates.

@@ -1,7 +1,6 @@
 //! Every comparison strategy from the paper's evaluation (Sections 5.3 and
 //! 5.4.2), behind the one [`crate::policy::Policy`] trait so experiments
-//! can sweep them (`Strategy` is a thin re-export of that trait, kept for
-//! source compatibility).
+//! can sweep them.
 //!
 //! | Name        | Paper description |
 //! |-------------|-------------------|
@@ -16,20 +15,14 @@
 //! | `AllUnable` | one spot group, no checkpoints, no replication |
 
 use crate::adaptive::PlanContext;
-use crate::cost::{evaluate_plan, Evaluation};
 use crate::error::SompiError;
 use crate::model::{GroupDecision, Plan};
 use crate::ondemand::{select_on_demand, DEFAULT_SLACK};
 use crate::phi::optimal_interval;
-use crate::policy::Policy;
+use crate::policy::{best_single_group, cheapest_plan, Policy};
 use crate::problem::Problem;
 use crate::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use crate::view::MarketView;
-
-/// The historical name for [`Policy`], kept as a thin re-export so
-/// long-lived experiment code keeps compiling. New code should name
-/// [`Policy`] directly.
-pub use crate::policy::Policy as Strategy;
 
 /// The evaluation's *On-demand* method.
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,8 +108,7 @@ impl Policy for MaratheOpt {
         view: &MarketView,
         ctx: &mut PlanContext<'_>,
     ) -> Result<Plan, SompiError> {
-        let mut best: Option<(Plan, Evaluation)> = None;
-        for od in &problem.on_demand {
+        let plans = problem.on_demand.iter().map(|od| {
             let mut groups = Vec::new();
             for c in &problem.candidates {
                 if c.id.instance_type != od.instance_type {
@@ -132,34 +124,13 @@ impl Policy for MaratheOpt {
                     },
                 ));
             }
-            if groups.is_empty() {
-                continue;
-            }
-            let plan = Plan {
+            Ok((!groups.is_empty()).then_some(Plan {
                 groups,
                 on_demand: *od,
-            };
-            let Ok(Some(eval)) = evaluate_plan(&plan, view) else {
-                continue;
-            };
-            let feasible = eval.meets(problem.deadline);
-            let better = match &best {
-                None => true,
-                Some((_, b)) => {
-                    let b_feasible = b.meets(problem.deadline);
-                    match (feasible, b_feasible) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        _ => eval.expected_cost < b.expected_cost,
-                    }
-                }
-            };
-            if better {
-                best = Some((plan, eval));
-            }
-        }
-        match best {
-            Some((p, _)) => Ok(p),
+            }))
+        });
+        match cheapest_plan(problem, view, plans)? {
+            Some(plan) => Ok(plan),
             None => OnDemandOnly.plan(problem, view, ctx),
         }
     }
@@ -185,7 +156,12 @@ impl Policy for SpotInf {
         view: &MarketView,
         _ctx: &mut PlanContext<'_>,
     ) -> Result<Plan, SompiError> {
-        single_group_plan(problem, view, |_, _| INFINITE_BID)
+        best_single_group(problem, view, |c| {
+            Ok(Some(GroupDecision {
+                bid: INFINITE_BID,
+                ckpt_interval: c.exec_hours,
+            }))
+        })
     }
 }
 
@@ -204,58 +180,18 @@ impl Policy for SpotAvg {
         view: &MarketView,
         _ctx: &mut PlanContext<'_>,
     ) -> Result<Plan, SompiError> {
-        single_group_plan(problem, view, |view, id| {
-            // Candidates come from the view's market; a missing group can
-            // only mean a hand-built mismatch, where a zero bid simply
-            // never launches and the option drops out below.
-            view.mean_price(id).unwrap_or(0.0)
+        // A group without a mean price is skipped; one the view does not
+        // know is an error.
+        best_single_group(problem, view, |c| {
+            Ok(view.mean_price(c.id)?.map(|bid| GroupDecision {
+                bid,
+                ckpt_interval: c.exec_hours,
+            }))
         })
     }
 }
 
-fn single_group_plan(
-    problem: &Problem,
-    view: &MarketView,
-    bid_of: impl Fn(&MarketView, ec2_market::market::CircleGroupId) -> f64,
-) -> Result<Plan, SompiError> {
-    problem.try_baseline()?;
-    let od = select_on_demand(&problem.on_demand, problem.deadline, DEFAULT_SLACK);
-    let mut best: Option<(Plan, Evaluation)> = None;
-    for c in &problem.candidates {
-        let bid = bid_of(view, c.id);
-        let decision = GroupDecision {
-            bid,
-            ckpt_interval: c.exec_hours,
-        };
-        let plan = Plan {
-            groups: vec![(*c, decision)],
-            on_demand: od,
-        };
-        let Ok(Some(eval)) = evaluate_plan(&plan, view) else {
-            continue;
-        };
-        let feasible = eval.meets(problem.deadline);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => {
-                let bf = b.meets(problem.deadline);
-                match (feasible, bf) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    _ => eval.expected_cost < b.expected_cost,
-                }
-            }
-        };
-        if better {
-            best = Some((plan, eval));
-        }
-    }
-    Ok(best
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| Plan::on_demand_only(od)))
-}
-
-/// The full SOMPI optimizer as a [`Strategy`].
+/// The full SOMPI optimizer as a [`Policy`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sompi {
     /// Optimizer knobs.
@@ -438,7 +374,27 @@ mod tests {
         let plan = SpotAvg.plan(&p, &v, &mut PlanContext::new()).unwrap();
         assert_eq!(plan.replication_degree(), 1);
         let (g, d) = &plan.groups[0];
-        assert!((d.bid - v.mean_price(g.id).unwrap()).abs() < 1e-12);
+        assert!((d.bid - v.mean_price(g.id).unwrap().unwrap()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_candidate_the_view_does_not_know_is_an_error() {
+        let (market, p, _) = setup();
+        // A view of a market that holds the first candidate's trace only.
+        let known = p.candidates[0].id;
+        let mut thin = SpotMarket::new(market.catalog().clone());
+        thin.insert(known, market.trace(known).unwrap().clone());
+        let v = MarketView::from_market(&thin, 0.0, 48.0);
+        for policy in [&SpotInf as &dyn Policy, &SpotAvg, &MaratheOpt] {
+            assert!(
+                matches!(
+                    policy.plan(&p, &v, &mut PlanContext::new()),
+                    Err(SompiError::UnknownGroup { .. })
+                ),
+                "{}",
+                policy.name()
+            );
+        }
     }
 
     #[test]

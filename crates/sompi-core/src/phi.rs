@@ -199,7 +199,7 @@ mod tests {
         let f_hi = optimal_interval(&g, view.max_bid(id).unwrap(), &view).unwrap();
         assert_eq!(f_hi, g.exec_hours);
         // A low-but-launchable bid fails often → finite interval.
-        let low_bid = view.mean_price(id).unwrap() * 0.8;
+        let low_bid = view.mean_price(id).unwrap().unwrap() * 0.8;
         let f_lo = optimal_interval(&g, low_bid, &view).unwrap();
         assert!(f_lo <= f_hi);
         // The estimator-in-hand and counts forms are the same computation.

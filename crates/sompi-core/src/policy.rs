@@ -24,8 +24,7 @@
 //! | [`DeadlineHedge`] | Teylo et al. | full optimizer against a tightened deadline |
 //!
 //! The evaluation baselines (`On-demand`, `Marathe`, `Spot-Inf`, …) live
-//! in [`crate::baselines`] and implement the same trait; `Strategy` is a
-//! thin re-export of [`Policy`] kept for source compatibility. See
+//! in [`crate::baselines`] and implement the same trait. See
 //! `docs/POLICIES.md` for the trait contract and how to add a policy.
 
 use crate::adaptive::PlanContext;
@@ -236,12 +235,45 @@ fn on_demand_price_of(problem: &Problem, group: &CircleGroup) -> Option<Usd> {
         .map(|o| o.unit_price)
 }
 
-/// Shared single-group selector for the rival policies: offer each
-/// candidate group one `GroupDecision` (or skip it), evaluate the
-/// one-group plan under the cost model, and keep the cheapest —
-/// deadline-feasible plans strictly preferred. Falls back to the pure
-/// on-demand plan when no group yields a launchable option.
-fn best_single_group<F>(
+/// The cheapest of `plans` under the cost model, deadline-feasible plans
+/// strictly preferred; on a tie the first offered stays. A plan offered as
+/// `None`, or one that cannot launch under the view, is skipped. `None`
+/// when nothing is left; the first error (a candidate the view does not
+/// know, say) is returned as is.
+pub(crate) fn cheapest_plan(
+    problem: &Problem,
+    view: &MarketView,
+    plans: impl IntoIterator<Item = Result<Option<Plan>, SompiError>>,
+) -> Result<Option<Plan>, SompiError> {
+    let mut best: Option<(Plan, Evaluation)> = None;
+    for plan in plans {
+        let Some(plan) = plan? else {
+            continue;
+        };
+        let Some(eval) = evaluate_plan(&plan, view)? else {
+            continue;
+        };
+        let better = match &best {
+            None => true,
+            Some((_, b)) => match (eval.meets(problem.deadline), b.meets(problem.deadline)) {
+                (true, false) => true,
+                (false, true) => false,
+                _ => eval.expected_cost < b.expected_cost,
+            },
+        };
+        if better {
+            best = Some((plan, eval));
+        }
+    }
+    Ok(best.map(|(plan, _)| plan))
+}
+
+/// The single-group selector behind every one-group policy (Spot-Inf,
+/// Spot-Avg, No-FT, Ckpt-Only, App-Centric): offer each candidate group
+/// one `GroupDecision` (or skip it) and keep the [`cheapest_plan`] of the
+/// one-group plans. Falls back to the pure on-demand plan when no group
+/// yields a launchable option.
+pub(crate) fn best_single_group<F>(
     problem: &Problem,
     view: &MarketView,
     mut option_for: F,
@@ -251,37 +283,13 @@ where
 {
     problem.try_baseline()?;
     let od = select_on_demand(&problem.on_demand, problem.deadline, DEFAULT_SLACK);
-    let mut best: Option<(Plan, Evaluation)> = None;
-    for c in &problem.candidates {
-        let Some(decision) = option_for(c)? else {
-            continue;
-        };
-        let plan = Plan {
+    let plans = problem.candidates.iter().map(|c| {
+        Ok(option_for(c)?.map(|decision| Plan {
             groups: vec![(*c, decision)],
             on_demand: od,
-        };
-        let Some(eval) = evaluate_plan(&plan, view)? else {
-            continue;
-        };
-        let feasible = eval.meets(problem.deadline);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => {
-                let b_feasible = b.meets(problem.deadline);
-                match (feasible, b_feasible) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    _ => eval.expected_cost < b.expected_cost,
-                }
-            }
-        };
-        if better {
-            best = Some((plan, eval));
-        }
-    }
-    Ok(best
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| Plan::on_demand_only(od)))
+        }))
+    });
+    Ok(cheapest_plan(problem, view, plans)?.unwrap_or_else(|| Plan::on_demand_only(od)))
 }
 
 /// No fault-tolerance provisioning (Alourani & Kshemkalyani): one spot

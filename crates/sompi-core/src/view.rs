@@ -91,8 +91,9 @@ impl MarketView {
     }
 
     /// Mean historical price of a group (the Spot-Avg baseline's bid).
-    pub fn mean_price(&self, id: CircleGroupId) -> Result<Usd, SompiError> {
-        Ok(self.expected_price(id, f64::INFINITY)?.unwrap_or(0.0))
+    /// `Ok(None)` when the view holds no price for it.
+    pub fn mean_price(&self, id: CircleGroupId) -> Result<Option<Usd>, SompiError> {
+        self.expected_price(id, f64::INFINITY)
     }
 
     /// Expected wait between requesting instances and the spot price first
@@ -152,7 +153,7 @@ mod tests {
         let id = v.groups().next().unwrap();
         assert_eq!(
             v.mean_price(id).unwrap(),
-            v.expected_price(id, f64::INFINITY).unwrap().unwrap()
+            v.expected_price(id, f64::INFINITY).unwrap()
         );
     }
 

@@ -283,8 +283,7 @@ pub enum Event {
         /// Why: `"all-groups-failed"` (the provider killed every spot
         /// group), `"deadline-cutoff"` (spot did not finish by the deadline
         /// and some group was stopped at it or never launched),
-        /// `"deadline-guard"`, `"replan"`, `"trace-horizon"`, or
-        /// `"bail-out"`.
+        /// `"deadline-guard"`, `"replan"`, or `"trace-horizon"`.
         reason: String,
     },
     /// The fault injector fired: an adversity beyond what the price trace
@@ -308,14 +307,13 @@ pub enum Event {
     /// An executor retried a faulted operation under its `RetryPolicy`.
     /// One event per retry decision, including the final give-up.
     RetryAttempted {
-        /// Operation: `"ckpt-upload"` or `"relaunch"`.
+        /// Operation: `"ckpt-upload"`.
         op: String,
         /// Circle-group id the retry concerns.
         group: String,
         /// Market-trace hour of the decision.
         at_hours: f64,
-        /// 1-based attempt number that just failed (or, for relaunch
-        /// pacing, the incarnation being delayed).
+        /// 1-based attempt number that just failed.
         attempt: u32,
         /// Deterministic backoff applied before the next attempt, hours
         /// (0 when giving up).

@@ -188,7 +188,7 @@ pub struct PlanReport {
     pub baseline_hours: f64,
     /// Baseline cost with hourly billing, USD.
     pub baseline_cost_billed: f64,
-    /// Strategy that produced the plan.
+    /// Name of the policy that produced the plan.
     pub strategy: String,
     /// The optimized plan.
     pub plan: Plan,
@@ -249,7 +249,7 @@ pub fn plan(
 pub struct ReplayReport {
     /// Application name.
     pub app: String,
-    /// Strategy (`sompi-adaptive` for adaptive replays).
+    /// Name of the policy (`sompi-adaptive` for adaptive replays).
     pub strategy: String,
     /// Monte-Carlo replica count.
     pub replicas: u32,

@@ -18,7 +18,8 @@ use mpi_sim::lammps::Lammps;
 use mpi_sim::storage::S3Store;
 use replay::PlanRunner;
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Sompi, Strategy};
+use sompi_core::baselines::Sompi;
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;

@@ -20,7 +20,8 @@ use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
 use replay::PlanRunner;
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{OnDemandOnly, Sompi, Strategy};
+use sompi_core::baselines::{OnDemandOnly, Sompi};
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;

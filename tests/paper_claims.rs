@@ -10,7 +10,8 @@ use mpi_sim::profile::AppProfile;
 use mpi_sim::storage::S3Store;
 use replay::montecarlo::{McResult, MonteCarlo};
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Marathe, MaratheOpt, OnDemandOnly, Sompi, SpotInf, Strategy};
+use sompi_core::baselines::{Marathe, MaratheOpt, OnDemandOnly, Sompi, SpotInf};
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;
@@ -48,7 +49,7 @@ fn scaled(kernel: NpbKernel) -> AppProfile {
     p.repeated((1.0 / per_run).ceil().max(1.0) as u32)
 }
 
-fn run(m: &SpotMarket, kernel: NpbKernel, headroom: f64, s: &dyn Strategy) -> (McResult, Problem) {
+fn run(m: &SpotMarket, kernel: NpbKernel, headroom: f64, s: &dyn Policy) -> (McResult, Problem) {
     let profile = scaled(kernel);
     let types = paper_types(m);
     let mut p = Problem::build(m, &profile, f64::MAX, Some(&types), S3Store::paper_2014());

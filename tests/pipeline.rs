@@ -9,7 +9,8 @@ use mpi_sim::storage::S3Store;
 use replay::montecarlo::MonteCarlo;
 use replay::{Finisher, PlanRunner};
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{OnDemandOnly, Sompi, Strategy};
+use sompi_core::baselines::{OnDemandOnly, Sompi};
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_core::view::MarketView;

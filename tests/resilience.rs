@@ -18,8 +18,8 @@ use mpi_sim::storage::S3Store;
 use replay::{AdaptiveRunner, ExecContext, MonteCarlo, PlanRunner};
 use sompi_core::adaptive::AdaptiveConfig;
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::Strategy;
 use sompi_core::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_obs::{Event, RingRecorder, TraceLevel};

@@ -504,60 +504,6 @@ fn adaptive_run_emits_one_replan_per_window() {
 }
 
 #[test]
-fn persistent_relaunch_narrates_incarnations() {
-    // 2 cheap hours, 2 expensive, then cheap: incarnation 1 dies at t=2
-    // with 2 checkpoints banked; incarnation 2 finishes on spot.
-    let mut prices = vec![0.1, 0.1, 9.0, 9.0];
-    prices.extend(vec![0.1; 44]);
-    let (m, id) = tiny_market(&prices);
-    let g = CircleGroup {
-        id,
-        instances: 2,
-        exec_hours: 3.0,
-        ckpt_overhead_hours: 0.0,
-        recovery_hours: 0.0,
-    };
-    let d = GroupDecision {
-        bid: 0.2,
-        ckpt_interval: 1.0,
-    };
-    let ring = RingRecorder::new(TraceLevel::Detail, 64);
-    let out = replay::run_persistent(
-        &m,
-        &g,
-        &d,
-        &od(),
-        0.0,
-        40.0,
-        &ExecContext::new().with_recorder(&ring),
-    )
-    .expect("relaunch succeeds");
-    let events = ring.take();
-    let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-    assert_eq!(
-        kinds,
-        ["CheckpointTaken", "GroupFailed", "RunCompleted"],
-        "{kinds:?}"
-    );
-    let Event::GroupFailed { at_hours, .. } = &events[1] else {
-        panic!("group failed");
-    };
-    assert!((at_hours - 2.0).abs() < 1e-9);
-    let Event::RunCompleted {
-        finisher,
-        total_cost,
-        groups_failed,
-        ..
-    } = &events[2]
-    else {
-        panic!("run completed");
-    };
-    assert_eq!(finisher, &format!("spot:{id}"));
-    assert_eq!(*total_cost, out.total_cost);
-    assert_eq!(*groups_failed, 1);
-}
-
-#[test]
 fn committed_fixture_parses_and_renders() {
     // The fixture under tests/fixtures/ is what CI feeds to
     // `sompi trace summarize`; it must stay schema-valid.

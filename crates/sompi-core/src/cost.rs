@@ -337,7 +337,7 @@ impl GroupAssessment {
     ///
     /// Summing the per-group bounds over a candidate therefore never
     /// exceeds its true expected cost — the branch-and-bound prune in
-    /// `twolevel::search_chunk` is exact.
+    /// `TwoLevelOptimizer::search` is exact.
     pub fn cost_lower_bound(&self, w_min: Hours) -> Usd {
         let run_cap = (w_min - self.launch_delay).max(0.0);
         let surv_hours = run_cap.min(self.run_wall()).ceil();
@@ -349,7 +349,7 @@ impl GroupAssessment {
         self.hourly_cost() * (self.survival * surv_hours + fail_hours)
     }
 
-    /// This option's tables for [`candidate_cost_floor`]: its
+    /// This option's tables for a whole-candidate floor: its
     /// [`GroupAssessment::cost_lower_bound`] at every whole-hour cap, and
     /// the tail of its remaining-work ratio on a fixed grid. O(T) to
     /// build. An option with a negative or non-finite failure bucket or
@@ -442,15 +442,15 @@ const MAX_FLOOR_HOURS: f64 = 1e6;
 /// from its differences of products, orders of magnitude below this.
 const RATIO_SLACK: f64 = 1e-9;
 
-/// Relative slack on [`candidate_cost_floor`]: the floor and the
-/// evaluator add their nonnegative terms in different orders, so their
-/// rounding differs by a few ulps per term — orders of magnitude below
-/// this even at the evaluator's 16-group limit.
+/// Relative slack on a whole-candidate floor ([`FloorArena`]): the floor
+/// and the evaluator add their nonnegative terms in different orders, so
+/// their rounding differs by a few ulps per term — orders of magnitude
+/// below this even at the evaluator's 16-group limit.
 const FLOOR_SLACK: f64 = 1e-9;
 
-/// One option's share of [`candidate_cost_floor`]: built once per option
-/// by [`GroupAssessment::cost_floor`], read in O(1) plus one grid row per
-/// candidate.
+/// One option's share of a whole-candidate floor: built once per option
+/// by [`GroupAssessment::cost_floor`] into a [`FloorArena`], read in O(1)
+/// plus one grid row per candidate.
 #[derive(Debug, Clone)]
 pub(crate) struct CostFloor {
     usable: bool,
@@ -477,53 +477,138 @@ impl CostFloor {
     }
 }
 
-/// A lower bound on the `E[Cost]` [`evaluate`] returns for the candidate
-/// made of `floors`' options — no greater than it, rounding included — in
-/// O(K · TAIL_POINTS) instead of an evaluation. `-∞` when any floor is
-/// unusable.
+/// How [`FloorArena::check`] decided a candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FloorVerdict {
+    /// The floor is at or below the bound, or unusable: evaluate.
+    Below,
+    /// The spot part alone is above the bound.
+    SpotAbove,
+    /// The spot part plus the on-demand share is above the bound.
+    Above,
+}
+
+/// Marks an option whose [`CostFloor`] is not built yet.
+const UNBUILT: u32 = u32::MAX;
+
+/// One search's whole-candidate floors (DESIGN.md §8.5), in one arena
+/// indexed per option: an option's [`CostFloor`] is built the first time
+/// a candidate holding it reaches [`FloorArena::check`].
 ///
-/// It sums two admissible parts (DESIGN.md §8.5):
+/// The floor of a candidate is a lower bound on the `E[Cost]` [`evaluate`]
+/// returns for it — no greater than it, rounding included — in
+/// O(K · TAIL_POINTS) instead of an evaluation. It sums two admissible
+/// parts:
 ///
-/// * the per-group [`GroupAssessment::cost_lower_bound`]s at the
-///   smallest completion wall among the candidate's options that can
-///   complete (`survival > 0`), which bound every spot-billing term: a
+/// * the *spot part*: the per-group [`GroupAssessment::cost_lower_bound`]s
+///   at the smallest completion wall among the candidate's options that
+///   can complete (`survival > 0`), which bound every spot-billing term: a
 ///   pattern whose completing set holds an option that cannot complete
 ///   has probability 0, so every other pattern's winner wall `w*` is at
 ///   least that wall (∞ when no option can complete: then only the
 ///   all-fail pattern remains, billed its uncapped floors);
-/// * `p_all_fail` times the on-demand recovery cost at a lower bound of
-///   `E[min_j Ratio_j | all fail]`: that expectation is the integral of
-///   `Π_j P[Ratio_j ≥ r]` over `r ∈ [0, 1]`, each factor is nonincreasing
-///   in `r`, so the right-endpoint sum over the grid never exceeds it.
-pub(crate) fn candidate_cost_floor<'a>(
-    floors: impl Iterator<Item = &'a CostFloor> + Clone,
-    od: &OnDemandOption,
-) -> Usd {
-    if floors.clone().any(|f| !f.usable) {
-        return f64::NEG_INFINITY;
-    }
-    let w_min = floors
-        .clone()
-        .filter(|f| f.survival > 0.0)
-        .map(|f| f.wall)
-        .fold(f64::INFINITY, f64::min);
-    let mut spot = 0.0;
-    let mut p0 = 1.0;
-    let mut joint = [1.0; TAIL_POINTS];
-    for f in floors {
-        spot += f.lower_bound(w_min);
-        p0 *= f.prob_fail;
-        for (j, t) in joint.iter_mut().zip(&f.tail) {
-            *j *= t;
+/// * the *on-demand share*: `p_all_fail` times the on-demand recovery cost
+///   at a lower bound of `E[min_j Ratio_j | all fail]`. That expectation
+///   is the integral of `Π_j P[Ratio_j ≥ r]` over `r ∈ [0, 1]`, each factor
+///   is nonincreasing in `r`, so the right-endpoint sum over the grid
+///   never exceeds it.
+pub(crate) struct FloorArena {
+    /// Per option, the index of its floor in `floors`, or [`UNBUILT`].
+    at: Vec<u32>,
+    floors: Vec<CostFloor>,
+    /// The checked candidate's floors, one index per slot (reused).
+    picked: Vec<u32>,
+    od: OnDemandOption,
+    /// Whether the on-demand share is finite and nonnegative whatever the
+    /// ratio bound, so that a spot part above the bound decides alone.
+    spot_first: bool,
+}
+
+impl FloorArena {
+    /// An arena for `options` options (ids `0..options`), none built.
+    pub(crate) fn new(options: usize, od: &OnDemandOption) -> Self {
+        // The ratio bound lies in [0, 1], so `od_hours` is at least
+        // `recovery − exec · RATIO_SLACK`, which is above −1 h here: its
+        // ceiling is a nonnegative whole hour count, and a finite,
+        // nonnegative price keeps the share finite and nonnegative.
+        let spot_first = od.unit_price.is_finite()
+            && od.unit_price >= 0.0
+            && od.recovery_hours.is_finite()
+            && od.recovery_hours >= 0.0
+            && od.exec_hours >= 0.0
+            && od.exec_hours * RATIO_SLACK < 1.0;
+        Self {
+            at: vec![UNBUILT; options],
+            floors: Vec::new(),
+            picked: Vec::new(),
+            od: *od,
+            spot_first,
         }
     }
-    let mut floor = spot;
-    if p0 > 0.0 {
-        let e_min_ratio = joint.iter().sum::<f64>() / TAIL_POINTS as f64;
-        let od_hours = od.exec_hours * (e_min_ratio - RATIO_SLACK) + od.recovery_hours;
-        floor += p0 * (od_hours.ceil() * od.unit_price * od.instances as f64);
+
+    /// Whether the floor of the candidate made of `picks` — each slot's
+    /// `(option id, assessment)` — is above `bound` after the
+    /// [`FLOOR_SLACK`] scaling, deciding in two stages.
+    ///
+    /// The spot part is computed first, in the order the whole floor adds
+    /// it. When it is already above the bound, the on-demand share, a
+    /// finite nonnegative term, cannot bring the floor back under it, so
+    /// the 32-point joint tail is never multiplied out. Otherwise the
+    /// floor is completed as one number. Either way the verdict is the
+    /// whole floor's. An unusable floor bounds nothing.
+    pub(crate) fn check<'a>(
+        &mut self,
+        picks: impl Iterator<Item = (usize, &'a GroupAssessment)>,
+        bound: f64,
+    ) -> FloorVerdict {
+        self.picked.clear();
+        let mut usable = true;
+        let mut w_min = f64::INFINITY;
+        for (id, a) in picks {
+            if self.at[id] == UNBUILT {
+                self.at[id] = self.floors.len() as u32;
+                self.floors.push(a.cost_floor());
+            }
+            let f = &self.floors[self.at[id] as usize];
+            usable &= f.usable;
+            if f.survival > 0.0 {
+                w_min = w_min.min(f.wall);
+            }
+            self.picked.push(self.at[id]);
+        }
+        if !usable {
+            return FloorVerdict::Below;
+        }
+        let mut spot = 0.0;
+        let mut p0 = 1.0;
+        for &i in &self.picked {
+            let f = &self.floors[i as usize];
+            spot += f.lower_bound(w_min);
+            p0 *= f.prob_fail;
+        }
+        // `p0` is the share's other factor: finite, it keeps the share so.
+        if self.spot_first && p0 < f64::INFINITY && spot * (1.0 - FLOOR_SLACK) > bound {
+            return FloorVerdict::SpotAbove;
+        }
+        let mut floor = spot;
+        if p0 > 0.0 {
+            let mut joint = [1.0; TAIL_POINTS];
+            for &i in &self.picked {
+                for (j, t) in joint.iter_mut().zip(&self.floors[i as usize].tail) {
+                    *j *= t;
+                }
+            }
+            let od = &self.od;
+            let e_min_ratio = joint.iter().sum::<f64>() / TAIL_POINTS as f64;
+            let od_hours = od.exec_hours * (e_min_ratio - RATIO_SLACK) + od.recovery_hours;
+            floor += p0 * (od_hours.ceil() * od.unit_price * od.instances as f64);
+        }
+        if floor * (1.0 - FLOOR_SLACK) > bound {
+            FloorVerdict::Above
+        } else {
+            FloorVerdict::Below
+        }
     }
-    floor * (1.0 - FLOOR_SLACK)
 }
 
 /// Result of evaluating a plan under the cost model.
@@ -875,11 +960,45 @@ fn expected_min_ratio(groups: &[&GroupAssessment], s: &mut EvalScratch) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ec2_market::instance::InstanceTypeId;
     use ec2_market::market::CircleGroupId;
     use ec2_market::zone::AvailabilityZone;
+
+    /// The whole-candidate floor of `floors`' options as one number, `-∞`
+    /// when any floor is unusable: the single-stage reference that
+    /// [`FloorArena::check`]'s verdict must equal (`floor > bound`).
+    pub(crate) fn candidate_cost_floor<'a>(
+        floors: impl Iterator<Item = &'a CostFloor> + Clone,
+        od: &OnDemandOption,
+    ) -> Usd {
+        if floors.clone().any(|f| !f.usable) {
+            return f64::NEG_INFINITY;
+        }
+        let w_min = floors
+            .clone()
+            .filter(|f| f.survival > 0.0)
+            .map(|f| f.wall)
+            .fold(f64::INFINITY, f64::min);
+        let mut spot = 0.0;
+        let mut p0 = 1.0;
+        let mut joint = [1.0; TAIL_POINTS];
+        for f in floors {
+            spot += f.lower_bound(w_min);
+            p0 *= f.prob_fail;
+            for (j, t) in joint.iter_mut().zip(&f.tail) {
+                *j *= t;
+            }
+        }
+        let mut floor = spot;
+        if p0 > 0.0 {
+            let e_min_ratio = joint.iter().sum::<f64>() / TAIL_POINTS as f64;
+            let od_hours = od.exec_hours * (e_min_ratio - RATIO_SLACK) + od.recovery_hours;
+            floor += p0 * (od_hours.ceil() * od.unit_price * od.instances as f64);
+        }
+        floor * (1.0 - FLOOR_SLACK)
+    }
 
     fn group(t: Hours) -> CircleGroup {
         CircleGroup {
@@ -1191,12 +1310,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn candidate_cost_floor_never_exceeds_the_evaluation() {
-        // Skewed failure mass, launch delays and survivals from certain
-        // death to certain completion, over every candidate of up to
-        // three options: the floor must stay at or below the evaluated
-        // cost bit for bit, and never below the per-slot bound it adds to.
+    /// Options with skewed failure mass, launch delays and survivals from
+    /// certain death to certain completion.
+    fn skewed_pool() -> Vec<GroupAssessment> {
         let skewed = |t: Hours, s: f64, price: f64, interval: Hours, delay: Hours, decay: f64| {
             let g = group(t);
             let horizon = g.completion_wall_hours(interval).ceil().max(1.0) as usize;
@@ -1214,25 +1330,39 @@ mod tests {
                 delay,
             )
         };
-        let pool = [
+        vec![
             skewed(6.0, 0.0, 0.1, 1.5, 0.0, 0.7),
             skewed(9.5, 0.02, 0.2, 9.5, 0.4, 1.3),
             skewed(4.0, 0.5, 0.05, 1.0, 1.2, 0.9),
             skewed(3.0, 1.0, 0.3, 0.75, 0.0, 1.0),
             skewed(12.0, 0.3, 0.08, 2.0, 2.5, 1.1),
             skewed(2.0, 0.0, 0.4, 2.0, 0.1, 0.5),
-        ];
-        let floors: Vec<CostFloor> = pool.iter().map(GroupAssessment::cost_floor).collect();
-        let odo = od();
-        let mut candidates: Vec<Vec<usize>> = (0..pool.len()).map(|i| vec![i]).collect();
-        for i in 0..pool.len() {
-            for j in 0..pool.len() {
+        ]
+    }
+
+    /// Every candidate of one to three options of a pool of `n`.
+    fn candidates_of(n: usize) -> Vec<Vec<usize>> {
+        let mut candidates: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        for i in 0..n {
+            for j in 0..n {
                 candidates.push(vec![i, j]);
-                for k in 0..pool.len() {
+                for k in 0..n {
                     candidates.push(vec![i, j, k]);
                 }
             }
         }
+        candidates
+    }
+
+    #[test]
+    fn candidate_cost_floor_never_exceeds_the_evaluation() {
+        // Over every candidate of up to three options of the skewed pool,
+        // the floor must stay at or below the evaluated cost bit for bit,
+        // and never below the per-slot bound it adds to.
+        let pool = skewed_pool();
+        let floors: Vec<CostFloor> = pool.iter().map(GroupAssessment::cost_floor).collect();
+        let odo = od();
+        let candidates = candidates_of(pool.len());
         let mut tighter = 0;
         for c in &candidates {
             let refs: Vec<&GroupAssessment> = c.iter().map(|&i| &pool[i]).collect();
@@ -1255,6 +1385,58 @@ mod tests {
             tighter * 2 > candidates.len(),
             "{tighter} of {}",
             candidates.len()
+        );
+    }
+
+    #[test]
+    fn two_stage_floor_check_equals_the_single_stage_floor() {
+        // The skewed pool plus an option with an unusable floor, under the
+        // test's on-demand option and one with a negative recovery time,
+        // whose share may be negative, so the spot part must not decide
+        // alone. Bounds straddle both stages: around the spot part, around
+        // the whole floor, and the extremes.
+        let mut pool = skewed_pool();
+        let mut broken = assessment(2.0, 0.5, 0.1, 2.0);
+        broken.fail_buckets[0] = f64::NAN;
+        pool.push(broken);
+        let floors: Vec<CostFloor> = pool.iter().map(GroupAssessment::cost_floor).collect();
+        let odd = OnDemandOption {
+            recovery_hours: -3.0,
+            ..od()
+        };
+        let mut seen = [0usize; 3];
+        let mut zero_p0 = 0;
+        for odo in [od(), odd] {
+            let mut arena = FloorArena::new(pool.len(), &odo);
+            assert_eq!(arena.spot_first, odo.recovery_hours >= 0.0);
+            for c in candidates_of(pool.len()) {
+                let picked = || c.iter().map(|&i| &floors[i]);
+                let floor = candidate_cost_floor(picked(), &odo);
+                let w_min = picked()
+                    .filter(|f| f.survival > 0.0)
+                    .map(|f| f.wall)
+                    .fold(f64::INFINITY, f64::min);
+                let spot: f64 = picked().map(|f| f.lower_bound(w_min)).sum();
+                zero_p0 += picked().any(|f| f.prob_fail == 0.0) as usize;
+                let mut bounds = vec![0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+                for x in [spot, spot * (1.0 - FLOOR_SLACK), floor] {
+                    bounds.extend([x * (1.0 - 1e-6), x, x * (1.0 + 1e-6)]);
+                }
+                for bound in bounds {
+                    let verdict = arena.check(c.iter().map(|&i| (i, &pool[i])), bound);
+                    assert_eq!(
+                        verdict != FloorVerdict::Below,
+                        floor > bound,
+                        "{c:?} at {bound}: {verdict:?}, floor {floor}, spot {spot}"
+                    );
+                    seen[verdict as usize] += 1;
+                }
+            }
+        }
+        // Every verdict occurs, and some candidates cannot all fail.
+        assert!(
+            seen.iter().all(|&n| n > 0) && zero_p0 > 0,
+            "{seen:?}, {zero_p0}"
         );
     }
 

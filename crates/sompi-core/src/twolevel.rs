@@ -33,8 +33,8 @@
 
 use crate::adaptive::PlanContext;
 use crate::cost::{
-    assessment_horizon, candidate_cost_floor, completion_wall, evaluate, evaluate_with_scratch,
-    CostFloor, EvalScratch, Evaluation, GroupAssessment,
+    assessment_horizon, completion_wall, evaluate, evaluate_with_scratch, EvalScratch, Evaluation,
+    FloorArena, FloorVerdict, GroupAssessment,
 };
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
@@ -189,8 +189,18 @@ struct SearchStats {
     /// slots' smallest lower bounds was already above the incumbent.
     /// Their positions are counted in `skipped`.
     rejected: u64,
+    /// Of `rejected`, the subsets the cursor skipped in bulk because a
+    /// prefix of theirs was already hopeless.
+    prefix_rejected: u64,
     /// Times a feasible candidate lowered the incumbent cost bound.
     tightenings: u64,
+    /// Rank positions the walk visited: each one a per-slot sum.
+    rank_steps: u64,
+    /// Combinations that passed the per-slot sum and reached the
+    /// whole-candidate floor.
+    floor_checks: u64,
+    /// Floor rejections decided by the spot part alone.
+    spot_rejections: u64,
     /// Wall nanoseconds the walk spent inside the per-subset candidate
     /// loops (evaluation-dominated; timed per subset, not per evaluation,
     /// so the hot loop carries no timer calls). Only subsets that reach
@@ -587,6 +597,10 @@ impl<'a> TwoLevelOptimizer<'a> {
                 .unwrap_or_default(),
             skipped: stats.skipped,
             subsets_rejected: stats.rejected,
+            subsets_prefix_rejected: stats.prefix_rejected,
+            rank_steps: stats.rank_steps,
+            floor_checks: stats.floor_checks,
+            floor_spot_rejections: stats.spot_rejections,
         });
 
         let evaluations = stats.evaluations + 1; // the on-demand incumbent
@@ -688,20 +702,21 @@ impl<'a> TwoLevelOptimizer<'a> {
 
     /// Walk every subset of the groups with options (`with_options`) in
     /// order with a [`SubsetCursor`], a reused borrow buffer, a reused
-    /// odometer, an [`EvalScratch`], an incumbent, and an evaluation
-    /// counter. A subset's index in that order enters the enumeration
-    /// ordinal, so ordinals are unique.
+    /// odometer, an [`EvalScratch`], a [`FloorArena`], an incumbent, and
+    /// an evaluation counter. A subset's index in that order enters the
+    /// enumeration ordinal, so ordinals are unique.
     ///
     /// Each subset runs a branch-and-bound walk (DESIGN.md §8.2) over its
     /// slots' options rank-sorted by the admissible per-group lower bound
     /// [`GroupAssessment::cost_lower_bound`], read from the search's
-    /// shared `tables`: a subset whose slots' smallest bounds already sum
-    /// above the incumbent cost is rejected whole before any set-up, and
-    /// in the walk whole rank suffixes whose summed lower bound exceeds
-    /// the incumbent cost are skipped without evaluation; a combination
-    /// that passes is still skipped when its whole-candidate floor, which
-    /// adds the on-demand recovery share (DESIGN.md §8.5), exceeds the
-    /// incumbent cost.
+    /// shared `tables`. Work the bound has ruled out is skipped at four
+    /// depths: the cursor skips every subset completing a prefix whose
+    /// smallest bounds already exceed the incumbent cost; a subset whose
+    /// slots' smallest bounds sum above it is rejected whole before any
+    /// set-up; in the walk, rank ranges whose summed lower bound exceeds
+    /// it are carried past without evaluation; and a combination that
+    /// passes is still skipped when its whole-candidate floor, which adds
+    /// the on-demand recovery share (DESIGN.md §8.5), exceeds it.
     /// The bound starts at `seed_bound`, the on-demand incumbent's cost.
     /// Pruning never removes a candidate that could win under the total
     /// order, so the returned incumbent — and with it the
@@ -720,10 +735,12 @@ impl<'a> TwoLevelOptimizer<'a> {
     ) -> SearchStats {
         let mut evaluations = 0u64;
         let mut feasible_hits = 0u64;
-        let mut subsets_walked = 0u64;
         let mut skipped = 0u64;
         let mut rejected = 0u64;
         let mut tightenings = 0u64;
+        let mut rank_steps = 0u64;
+        let mut floor_checks = 0u64;
+        let mut spot_rejections = 0u64;
         let mut kernel_nanos = 0u64;
         let mut best: Option<Candidate> = None;
         let mut refs: Vec<&GroupAssessment> = Vec::new();
@@ -741,8 +758,8 @@ impl<'a> TwoLevelOptimizer<'a> {
         // costs (or the on-demand seed), so strict pruning against it is
         // exact (DESIGN.md §8.2).
         let mut bound = seed_bound;
-        // Each option's whole-candidate floor tables, built the first time
-        // a combination holding the option survives the per-slot bound.
+        // Option ids for the floor arena: group `g`'s options are
+        // `option_base[g]..`.
         let option_base: Vec<usize> = options
             .iter()
             .scan(0, |base, opts| {
@@ -751,17 +768,27 @@ impl<'a> TwoLevelOptimizer<'a> {
                 Some(at)
             })
             .collect();
-        let mut floors: Vec<Option<Box<CostFloor>>> =
-            vec![None; options.iter().map(Vec::len).sum()];
+        let mut floors = FloorArena::new(options.iter().map(Vec::len).sum(), od);
 
-        let mut subsets = SubsetCursor::new(with_options, self.config.kappa);
-        while let Some(chosen) = subsets.next() {
-            let subset_ordinal = subsets_walked as usize;
-            subsets_walked += 1;
-            let product: u64 = chosen
+        let mut subsets = SubsetCursor::new(
+            with_options,
+            self.config.kappa,
+            with_options
+                .iter()
+                .map(|&g| tables.smallest_head(g))
+                .collect(),
+            with_options
                 .iter()
                 .map(|&g| options[g].len() as u64)
-                .fold(1, u64::saturating_mul);
+                .collect(),
+        );
+        while let Some(Subset {
+            members: chosen,
+            ordinal,
+            product,
+        }) = subsets.next(bound)
+        {
+            let subset_ordinal = ordinal as usize;
             // Count the full enumeration up front: the published
             // `evaluations_performed` stays the paper's search-space
             // metric, unchanged by how many positions branch-and-bound
@@ -808,43 +835,28 @@ impl<'a> TwoLevelOptimizer<'a> {
             let mut evaluated_here = 0u64;
             let mut exhausted = false;
             while !exhausted {
+                rank_steps += 1;
                 let lb_total: f64 = (0..m).map(|s| slots[s][idx[s]].0).sum();
                 if lb_total > bound {
-                    // Prune. Advance at the highest slot `h` whose fixed
-                    // tail is already hopeless: every combination keeping
-                    // ranks `h..` has lower bound ≥ head_min[h] +
-                    // suffix(h), so all of them can be skipped at once.
-                    // The condition is not monotone in the slot (the
-                    // suffix shrinks while the head grows), so scan all
-                    // slots; `h = 0` degenerates to skipping just the
-                    // current combination.
-                    let mut h = 0usize;
-                    let mut suffix = lb_total;
-                    for s in 1..=m {
-                        suffix -= slots[s - 1][idx[s - 1]].0;
-                        if head_min[s] + suffix > bound {
-                            h = s;
-                        }
-                    }
-                    // At `h == m` even the all-minima combination is over
-                    // bound: the rest of this subset is hopeless.
-                    exhausted = !advance_ranks(&mut idx, &lens, h);
+                    let from = carry_slot(&slots, &idx, &head_min, bound);
+                    exhausted = !advance_ranks(&mut idx, &lens, from);
                     continue;
                 }
                 // Whole-candidate floor (DESIGN.md §8.5): tighter than the
                 // per-slot sum, and O(k) next to an evaluation. A
                 // combination over the bound is skipped like a pruned one.
-                for (slot, &g) in chosen.iter().enumerate() {
+                floor_checks += 1;
+                let picks = chosen.iter().enumerate().map(|(slot, &g)| {
                     let i = slots[slot][idx[slot]].1;
-                    floors[option_base[g] + i]
-                        .get_or_insert_with(|| Box::new(options[g][i].cost_floor()));
-                }
-                let picked = chosen.iter().enumerate().filter_map(|(slot, &g)| {
-                    floors[option_base[g] + slots[slot][idx[slot]].1].as_deref()
+                    (option_base[g] + i, &options[g][i])
                 });
-                if candidate_cost_floor(picked, od) > bound {
-                    exhausted = !advance_ranks(&mut idx, &lens, 0);
-                    continue;
+                match floors.check(picks, bound) {
+                    FloorVerdict::Below => {}
+                    verdict => {
+                        spot_rejections += u64::from(verdict == FloorVerdict::SpotAbove);
+                        exhausted = !advance_ranks(&mut idx, &lens, 0);
+                        continue;
+                    }
                 }
                 refs.clear();
                 refs.extend(
@@ -903,13 +915,22 @@ impl<'a> TwoLevelOptimizer<'a> {
             skipped += product.saturating_sub(evaluated_here);
             kernel_nanos += subset_timer.elapsed().as_nanos() as u64;
         }
+        // The cursor's bulk skips, counted as rejecting each subset would.
+        let tally = &subsets.tally;
+        evaluations += tally.positions;
+        skipped += tally.positions;
+        rejected += tally.skipped;
         SearchStats {
             evaluations,
             feasible: feasible_hits,
-            subsets: subsets_walked,
+            subsets: tally.passed,
             skipped,
             rejected,
+            prefix_rejected: tally.skipped,
             tightenings,
+            rank_steps,
+            floor_checks,
+            spot_rejections,
             kernel_nanos,
             best,
         }
@@ -919,7 +940,8 @@ impl<'a> TwoLevelOptimizer<'a> {
 /// Advance the rank odometer (slot 0 fastest, slot `s` below `lens[s]`)
 /// at slot `from`, resetting the slots below it — skipping every
 /// combination that keeps the ranks of slots `from..`. Returns `false`
-/// when the odometer runs out.
+/// when the odometer runs out, as it does at once for `from` = the slot
+/// count.
 fn advance_ranks(idx: &mut [usize], lens: &[usize], from: usize) -> bool {
     idx[..from].fill(0);
     for pos in from..idx.len() {
@@ -932,56 +954,262 @@ fn advance_ranks(idx: &mut [usize], lens: &[usize], from: usize) -> bool {
     false
 }
 
+/// The slot the walk carries from once the combination at rank `idx`
+/// sums above `bound`: one past the highest slot `h` that is hopeless
+/// with every slot below it at its smallest bound.
+///
+/// That sum — `head_min[h]` plus the bounds at `idx` from slot `h` on,
+/// added in slot order as the walk adds them — is at most the walk's sum
+/// at every combination that keeps the ranks of slots `h + 1..` and holds
+/// slot `h` at rank `idx[h]` or later: ranks ascend within a slot, and
+/// IEEE addition is monotone in each operand. So when it is over the
+/// bound, every such combination is, and the odometer carries from
+/// `h + 1` (at `h + 1` = the slot count, the subset is done). `h = 0` is
+/// the combination itself. The test is not monotone in `h` (the head
+/// grows while the tail shrinks), so slots are tried from the highest
+/// down. Like the rest of the walk, it relies on the bounds being finite
+/// (DESIGN.md §8.2).
+fn carry_slot(slots: &[&[(f64, usize)]], idx: &[usize], head_min: &[f64], bound: f64) -> usize {
+    let m = idx.len();
+    let hopeless = |h: usize| (h..m).fold(head_min[h], |sum, s| sum + slots[s][idx[s]].0) > bound;
+    (1..m).rev().find(|&h| hopeless(h)).unwrap_or(0) + 1
+}
+
+/// Relative margin of [`SubsetCursor`]'s prefix test. The test adds its
+/// bounds in another order than the head sums it stands for, so their
+/// rounding differs by a few ulps per term — orders of magnitude below
+/// this.
+const PREFIX_SLACK: f64 = 1e-9;
+
+/// One subset a [`SubsetCursor`] yields.
+struct Subset<'c> {
+    /// Its groups.
+    members: &'c [usize],
+    /// Its index among every subset the cursor enumerates, skipped ones
+    /// included: its lexicographic index.
+    ordinal: u64,
+    /// The product of its groups' option counts (saturating): its
+    /// odometer positions.
+    product: u64,
+}
+
+/// What a [`SubsetCursor`] has passed and skipped so far.
+struct CursorTally {
+    /// Subsets yielded or skipped.
+    passed: u64,
+    /// Subsets skipped in bulk.
+    skipped: u64,
+    /// The skipped subsets' odometer positions: the sum of their option
+    /// count products.
+    positions: u64,
+}
+
 /// The k-subsets, `1 ≤ k ≤ k_max`, of a list of groups, k ascending and
-/// lexicographic within k, walked in place: the cursor keeps the current
-/// subset's positions in the list and its members, and steps both to the
-/// next subset, so no subset is stored.
+/// lexicographic within k, walked in place, with every completion of a
+/// hopeless prefix skipped in bulk (DESIGN.md §8.2).
+///
+/// Each position of the list carries the smallest head bound its group
+/// adds to any subset holding it (`heads`) and its option count. A
+/// prefix — the subset's first `d` members — is hopeless when its
+/// members' head bounds plus the `r` smallest head bounds after its last
+/// position, `r = k − d` being the members still to choose, exceed the
+/// incumbent bound after a [`PREFIX_SLACK`] margin. Every completion's
+/// head sum is then over the bound too, so the per-subset head test would
+/// reject each one; the cursor skips them all at once and counts them as
+/// that test would: `C(rest, r)` subsets and `prefix product ·
+/// e_r(option counts after the prefix)` positions, `e_r` being the
+/// elementary symmetric sum. A prefix is tested only when every bound in
+/// play — its own and all those after it — is finite and nonnegative, the
+/// condition under which the margin covers the reordering.
 struct SubsetCursor<'a> {
     groups: &'a [usize],
     k_max: usize,
+    /// Size of the current subsets (0 before the first).
+    k: usize,
+    /// Whether every subset was yielded or skipped.
+    done: bool,
     /// Positions of the current subset's members in `groups`, ascending.
     pos: Vec<usize>,
     /// The current subset: `groups[pos[i]]` for each `i`.
     members: Vec<usize>,
+    /// Per position, its head bound, NaN unless finite and nonnegative.
+    heads: Vec<f64>,
+    /// Per position, its option count.
+    counts: Vec<u64>,
+    /// `smallest[first · (k_max + 1) + r]`: the sum of the `r` smallest
+    /// heads at positions `first..`; NaN when a head there is NaN, or
+    /// fewer than `r` positions remain.
+    smallest: Vec<f64>,
+    /// `esum[first · (k_max + 1) + r]`: `e_r` of the option counts at
+    /// positions `first..` (saturating).
+    esum: Vec<u64>,
+    /// Sums of heads and products of counts over `pos[..d]`, `d ≤ k`.
+    psum: Vec<f64>,
+    pprod: Vec<u64>,
+    /// How many leading members `psum` and `pprod` cover.
+    depth: usize,
+    /// The subsets passed and skipped so far.
+    tally: CursorTally,
 }
 
 impl<'a> SubsetCursor<'a> {
     /// A cursor before the first subset of `groups` of up to `k_max`
-    /// members.
-    fn new(groups: &'a [usize], k_max: usize) -> Self {
-        let k_max = k_max.min(groups.len());
+    /// members; `heads` and `counts` hold each position's head bound and
+    /// option count.
+    fn new(groups: &'a [usize], k_max: usize, mut heads: Vec<f64>, counts: Vec<u64>) -> Self {
+        let n = groups.len();
+        let k_max = k_max.min(n);
+        let w = k_max + 1;
+        for h in &mut heads {
+            if !(h.is_finite() && *h >= 0.0) {
+                *h = f64::NAN;
+            }
+        }
+        let mut smallest = vec![f64::NAN; (n + 1) * w];
+        let mut esum = vec![0u64; (n + 1) * w];
+        smallest[n * w] = 0.0;
+        esum[n * w] = 1;
+        // The finite heads from `first` on, ascending; `unusable` once a
+        // NaN is among them.
+        let mut sorted: Vec<f64> = Vec::with_capacity(n);
+        let mut unusable = false;
+        for first in (0..n).rev() {
+            let h = heads[first];
+            unusable |= h.is_nan();
+            if !unusable {
+                sorted.insert(sorted.partition_point(|&x| x < h), h);
+            }
+            let (row, next) = (first * w, (first + 1) * w);
+            smallest[row] = 0.0;
+            esum[row] = 1;
+            let mut sum = 0.0;
+            for r in 1..w {
+                if !unusable && r <= sorted.len() {
+                    sum += sorted[r - 1];
+                    smallest[row + r] = sum;
+                }
+                esum[row + r] =
+                    esum[next + r].saturating_add(counts[first].saturating_mul(esum[next + r - 1]));
+            }
+        }
         Self {
             groups,
             k_max,
+            k: 0,
+            done: false,
             pos: Vec::with_capacity(k_max),
             members: Vec::with_capacity(k_max),
+            heads,
+            counts,
+            smallest,
+            esum,
+            psum: vec![0.0; w],
+            pprod: vec![1; w],
+            depth: 0,
+            tally: CursorTally {
+                passed: 0,
+                skipped: 0,
+                positions: 0,
+            },
         }
     }
 
-    /// Step to the next subset and return it; `None` once every subset
-    /// was visited.
-    fn next(&mut self) -> Option<&[usize]> {
-        let (n, k) = (self.groups.len(), self.pos.len());
-        // The last position that can still move right: position `i` of a
-        // k-subset goes up to `n - k + i`.
-        match (0..k).rev().find(|&i| self.pos[i] < n - k + i) {
-            Some(i) => {
-                self.pos[i] += 1;
-                for j in i + 1..k {
-                    self.pos[j] = self.pos[j - 1] + 1;
-                }
+    /// Step to the next subset not skipped against `bound` and return it;
+    /// `None` once every subset was yielded or skipped.
+    fn next(&mut self, bound: f64) -> Option<Subset<'_>> {
+        if self.done {
+            return None;
+        }
+        let mut more = if self.k == 0 {
+            self.grow(bound)
+        } else {
+            self.advance(self.k - 1, bound)
+        };
+        // Extend the prefix a member at a time, testing each prefix that
+        // still has members to choose.
+        while more && self.depth < self.k {
+            let d = self.depth;
+            let p = self.pos[d];
+            self.psum[d + 1] = self.psum[d] + self.heads[p];
+            self.pprod[d + 1] = self.pprod[d].saturating_mul(self.counts[p]);
+            self.depth = d + 1;
+            let r = self.k - self.depth;
+            if r > 0 && self.hopeless(p + 1, r, self.psum[d + 1], bound) {
+                self.skip(p + 1, r, self.pprod[d + 1]);
+                more = self.advance(d, bound);
             }
-            // The k-subsets are done: the first (k + 1)-subset is next.
-            None if k < self.k_max => {
-                self.pos.clear();
-                self.pos.extend(0..=k);
-            }
-            None => return None,
+        }
+        if !more {
+            self.done = true;
+            return None;
         }
         self.members.clear();
         self.members
             .extend(self.pos.iter().map(|&p| self.groups[p]));
-        Some(&self.members)
+        let ordinal = self.tally.passed;
+        self.tally.passed += 1;
+        Some(Subset {
+            members: &self.members,
+            ordinal,
+            product: self.pprod[self.k],
+        })
+    }
+
+    /// Move member `i` of the current subset one position right, the
+    /// members after it following it; when no member up to `i` can move,
+    /// start the next size. `false` once every size is done.
+    fn advance(&mut self, mut i: usize, bound: f64) -> bool {
+        let n = self.groups.len();
+        loop {
+            // Member `i` of a k-subset goes up to position `n − k + i`.
+            if self.pos[i] < n - self.k + i {
+                self.pos[i] += 1;
+                for j in i + 1..self.k {
+                    self.pos[j] = self.pos[j - 1] + 1;
+                }
+                self.depth = i;
+                return true;
+            }
+            if i == 0 {
+                return self.grow(bound);
+            }
+            i -= 1;
+        }
+    }
+
+    /// Start the first subset one member larger, skipping every size
+    /// whose empty prefix is already hopeless. `false` past `k_max`.
+    fn grow(&mut self, bound: f64) -> bool {
+        while self.k < self.k_max {
+            self.k += 1;
+            if self.hopeless(0, self.k, 0.0, bound) {
+                self.skip(0, self.k, 1);
+                continue;
+            }
+            self.pos.clear();
+            self.pos.extend(0..self.k);
+            self.depth = 0;
+            return true;
+        }
+        false
+    }
+
+    /// Whether a prefix summing to `prefix`, with `r` members still to
+    /// choose from positions `first..`, is over `bound`.
+    fn hopeless(&self, first: usize, r: usize, prefix: f64, bound: f64) -> bool {
+        let sum = prefix + self.smallest[first * (self.k_max + 1) + r];
+        sum.is_finite() && sum * (1.0 - PREFIX_SLACK) > bound
+    }
+
+    /// Count as skipped every choice of `r` members from positions
+    /// `first..` after a prefix whose option counts multiply to
+    /// `prefix_product`.
+    fn skip(&mut self, first: usize, r: usize, prefix_product: u64) {
+        let subsets = binomial(self.groups.len() - first, r);
+        self.tally.passed += subsets;
+        self.tally.skipped += subsets;
+        self.tally.positions +=
+            prefix_product.saturating_mul(self.esum[first * (self.k_max + 1) + r]);
     }
 }
 
@@ -1114,6 +1342,19 @@ impl BoundTables {
     /// the walk's first lower-bound sum.
     fn head(&self, subset: &[usize], level: usize) -> f64 {
         subset.iter().map(|&g| self.ranked(g, level)[0].0).sum()
+    }
+
+    /// Group `g`'s smallest bound over every level its lists cover: at
+    /// most its term in the head sum of any subset holding it. NaN when
+    /// any of those bounds is NaN.
+    fn smallest_head(&self, g: usize) -> f64 {
+        let lists = self.groups[g];
+        (lists.lowest..=lists.level)
+            .map(|level| self.ranked(g, level)[0].0)
+            .fold(
+                f64::INFINITY,
+                |lo, h| if h < lo || h.is_nan() { h } else { lo },
+            )
     }
 }
 
@@ -1298,15 +1539,18 @@ mod tests {
         );
     }
 
-    /// Every subset a cursor over `groups` yields, in order.
+    /// Every subset a cursor over `groups` yields at an infinite bound,
+    /// which skips nothing, in order.
     fn cursor_subsets(groups: &[usize], k_max: usize) -> Vec<Vec<usize>> {
-        let mut cursor = SubsetCursor::new(groups, k_max);
+        let n = groups.len();
+        let mut cursor = SubsetCursor::new(groups, k_max, vec![0.0; n], vec![1; n]);
         let mut out = Vec::new();
-        while let Some(s) = cursor.next() {
-            out.push(s.to_vec());
+        while let Some(s) = cursor.next(f64::INFINITY) {
+            assert_eq!(s.ordinal, out.len() as u64);
+            out.push(s.members.to_vec());
         }
         // An exhausted cursor stays exhausted.
-        assert!(cursor.next().is_none());
+        assert!(cursor.next(f64::INFINITY).is_none());
         out
     }
 
@@ -1958,6 +2202,7 @@ mod assess_options_tests {
         // certainty, the regime where the on-demand share of the floor
         // prunes. Every single and pair candidate the search could reach
         // must evaluate at or above its floor.
+        use crate::cost::tests::candidate_cost_floor;
         use mpi_sim::npb::{NpbClass, NpbKernel};
         use mpi_sim::storage::S3Store;
 
@@ -1987,7 +2232,8 @@ mod assess_options_tests {
                 .filter(|&&(gy, _)| gy != gx)
                 .map(|&(_, oy)| vec![ox, oy]);
             for refs in std::iter::once(vec![ox]).chain(pairs) {
-                let floors: Vec<CostFloor> = refs.iter().map(|o| o.cost_floor()).collect();
+                let floors: Vec<crate::cost::CostFloor> =
+                    refs.iter().map(|o| o.cost_floor()).collect();
                 let eval = evaluate(&refs, &od);
                 let floor = candidate_cost_floor(floors.iter(), &od);
                 assert!(

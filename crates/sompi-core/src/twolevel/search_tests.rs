@@ -124,16 +124,18 @@ fn record(out: &OptimizedPlan, events: &[Event]) -> String {
     line + &format!("plan {:016x}", fnv(&json))
 }
 
-fn traced(opt: &TwoLevelOptimizer<'_>) -> String {
+/// One search traced at Detail: its output and its events.
+fn traced(opt: &TwoLevelOptimizer<'_>) -> (OptimizedPlan, Vec<Event>) {
     let ring = RingRecorder::new(TraceLevel::Detail, 64);
     let out = opt
         .optimize_with(&mut PlanContext::new().with_recorder(&ring))
         .unwrap();
-    record(&out, &ring.take())
+    (out, ring.take())
 }
 
-#[test]
-fn seeded_searches_keep_their_counters_and_plans() {
+/// Twelve pinned searches: a cold search of the stress market, ten
+/// re-plans on a view sliding 2 h per window, and the long-job search.
+fn seeded_searches() -> Vec<(OptimizedPlan, Vec<Event>)> {
     let market = stress_market(7, 400.0);
     let problem = stress_problem(&market);
     let mut got = Vec::new();
@@ -164,7 +166,15 @@ fn seeded_searches_keep_their_counters_and_plans() {
         &view,
         OptimizerConfig::default(),
     )));
+    got
+}
 
+#[test]
+fn seeded_searches_keep_their_counters_and_plans() {
+    let got: Vec<String> = seeded_searches()
+        .iter()
+        .map(|(out, events)| record(out, events))
+        .collect();
     let expected = [
         "worker 793/173438/7/173431 rejected 767 sel 173439/173431/6 plan 8e4e23d1a1377e33",
         "worker 793/366360/11/366349 rejected 761 sel 366361/366349/11 plan edf4955bcc189f0b",
@@ -178,6 +188,59 @@ fn seeded_searches_keep_their_counters_and_plans() {
         "worker 793/448766/9/448757 rejected 754 sel 448767/448757/9 plan b019e9e09b735f0e",
         "worker 793/448766/9/448757 rejected 755 sel 448767/448757/9 plan 1eb8006c84944fe1",
         "worker 1940/8522/3/8519 rejected 1930 sel 8523/8519/3 plan c41bef5b3259942d",
+    ];
+    assert_eq!(got, expected);
+}
+
+#[test]
+fn seeded_searches_count_the_work_their_skips_left() {
+    // The walk counters of the same twelve searches. Every floor check
+    // ends in an evaluation or a floor rejection, so the checks less the
+    // evaluations run (`evaluations − skipped`) are the floor's
+    // rejections; each check follows a rank step.
+    let mut got = Vec::new();
+    for (_, events) in seeded_searches() {
+        let Some(&Event::SubsetEvaluated {
+            evaluations,
+            skipped,
+            subsets_rejected,
+            subsets_prefix_rejected,
+            rank_steps,
+            floor_checks,
+            floor_spot_rejections,
+            ..
+        }) = events
+            .iter()
+            .find(|e| matches!(e, Event::SubsetEvaluated { .. }))
+        else {
+            panic!("one SubsetEvaluated per search: {events:?}");
+        };
+        let evaluated = evaluations - skipped;
+        assert!(floor_checks >= evaluated, "{floor_checks} < {evaluated}");
+        let floor_rejections = floor_checks - evaluated;
+        assert!(floor_spot_rejections <= floor_rejections);
+        assert!(subsets_prefix_rejected <= subsets_rejected);
+        assert!(rank_steps >= floor_checks);
+        got.push(format!(
+            "prefix {subsets_prefix_rejected} steps {rank_steps} floor {floor_checks}/{floor_rejections} spot {floor_spot_rejections}"
+        ));
+    }
+    // The floor columns equal the single-stage floor's checks and
+    // rejections on these searches: the carry and the cursor skip only
+    // what the per-combination and per-subset tests would have.
+    let expected = [
+        "prefix 726 steps 93 floor 51/44 spot 12",
+        "prefix 739 steps 124 floor 63/52 spot 15",
+        "prefix 729 steps 127 floor 65/55 spot 15",
+        "prefix 729 steps 131 floor 67/57 spot 15",
+        "prefix 729 steps 133 floor 69/59 spot 15",
+        "prefix 729 steps 149 floor 76/66 spot 18",
+        "prefix 729 steps 156 floor 79/70 spot 18",
+        "prefix 729 steps 161 floor 81/72 spot 20",
+        "prefix 729 steps 156 floor 78/69 spot 18",
+        "prefix 729 steps 160 floor 79/70 spot 19",
+        "prefix 739 steps 155 floor 77/68 spot 18",
+        "prefix 1884 steps 23 floor 12/9 spot 2",
     ];
     assert_eq!(got, expected);
 }
@@ -262,9 +325,13 @@ fn tables_equal_the_per_subset_set_up() {
         assert!(groups.len() >= 4, "{name}: {} groups", groups.len());
         for kappa in [1, 4] {
             let tables = BoundTables::new(&options, kappa);
-            let mut subsets = SubsetCursor::new(&groups, kappa);
+            let n = groups.len();
+            let mut subsets = SubsetCursor::new(&groups, kappa, vec![0.0; n], vec![1; n]);
             let mut walked = 0u64;
-            while let Some(chosen) = subsets.next() {
+            while let Some(Subset {
+                members: chosen, ..
+            }) = subsets.next(f64::INFINITY)
+            {
                 walked += 1;
                 let level = tables.level(chosen);
                 let ReferenceSetup {
@@ -329,15 +396,19 @@ fn subset_cursor_yields_the_filtered_enumeration() {
                 if mask == (1 << n) - 1 {
                     assert_eq!(subset_count(n, k_max), want.len() as u64);
                 }
-                let mut cursor = SubsetCursor::new(&groups, k_max);
+                let len = groups.len();
+                let mut cursor = SubsetCursor::new(&groups, k_max, vec![0.0; len], vec![1; len]);
                 for (i, s) in want.iter().enumerate() {
                     assert_eq!(
-                        cursor.next(),
+                        cursor.next(f64::INFINITY).map(|s| s.members),
                         Some(s.as_slice()),
                         "n {n} mask {mask:b} k_max {k_max}: subset {i}"
                     );
                 }
-                assert_eq!(cursor.next(), None, "n {n} mask {mask:b} k_max {k_max}");
+                assert!(
+                    cursor.next(f64::INFINITY).is_none(),
+                    "n {n} mask {mask:b} k_max {k_max}"
+                );
             }
         }
     }
@@ -369,4 +440,159 @@ fn the_bound_rejects_subsets_before_their_walk() {
         })
         .sum();
     assert!(rejected > 0);
+}
+
+/// Seeded draws (a SplitMix64 chain).
+struct Draws(u64);
+
+impl Draws {
+    /// A draw in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = ec2_market::fault::splitmix64(self.0);
+        self.0 % n
+    }
+}
+
+#[test]
+fn subset_cursor_skips_only_hopeless_subsets_and_counts_them() {
+    // Random lists of up to 8 groups with per-group bounds drawn from a
+    // coarse palette (ties and zeros), with +∞, negatives and NaN mixed
+    // in, random option counts and incumbents falling between calls. Each
+    // yielded subset is the one at its ordinal in the full enumeration;
+    // each subset the cursor did not yield has a slot-order head sum over
+    // the incumbent of the call that skipped it; the tallies are the
+    // skipped subsets' count and the sum of their option-count products.
+    let mut d = Draws(0x5eed_c0de);
+    let (mut skipped_any, mut yielded_any) = (0u64, 0usize);
+    for case in 0..4000 {
+        let n = d.below(9) as usize;
+        let k_max = d.below(n as u64 + 2) as usize;
+        let heads: Vec<f64> = (0..n)
+            .map(|_| match d.below(16) {
+                0 | 1 => 0.0,
+                2 => f64::INFINITY,
+                3 => -0.5,
+                4 => f64::NAN,
+                x => x as f64 * 0.1,
+            })
+            .collect();
+        let counts: Vec<u64> = (0..n).map(|_| 1 + d.below(6)).collect();
+        let groups: Vec<usize> = (0..n).map(|p| 3 * p + 1).collect();
+        // Half the incumbents equal some subset's head sum exactly, where
+        // a sum of the same bounds in another order can round above it.
+        let all = masked_subsets(n, k_max);
+        let first_bound = match d.below(10) {
+            0 => f64::INFINITY,
+            1 => f64::NAN,
+            2 => -1.0,
+            x if x < 6 || all.is_empty() => x as f64 * 0.35,
+            _ => {
+                let s = &all[d.below(all.len() as u64) as usize];
+                s.iter().map(|&p| heads[p]).sum()
+            }
+        };
+        let shrink = if d.below(2) == 0 { 1.0 } else { 0.9 };
+        let mut cursor = SubsetCursor::new(&groups, k_max, heads.clone(), counts.clone());
+        // (ordinal, members, product, bound of the call) per yield, and
+        // the bound of the call that ran out.
+        let mut yielded = Vec::new();
+        let mut bound = first_bound;
+        while let Some(s) = cursor.next(bound) {
+            yielded.push((s.ordinal, s.members.to_vec(), s.product, bound));
+            bound *= shrink;
+        }
+        let last_bound = bound;
+        let tally = &cursor.tally;
+        assert_eq!(tally.passed, all.len() as u64, "case {case}");
+        let mut next_yield = yielded.iter().peekable();
+        let (mut skipped, mut positions) = (0u64, 0u64);
+        for (ordinal, subset) in all.iter().enumerate() {
+            let product: u64 = subset.iter().map(|&p| counts[p]).product();
+            if let Some((_, members, got_product, _)) =
+                next_yield.next_if(|y| y.0 == ordinal as u64)
+            {
+                let want: Vec<usize> = subset.iter().map(|&p| groups[p]).collect();
+                assert_eq!(members, &want, "case {case} ordinal {ordinal}");
+                assert_eq!(*got_product, product, "case {case} ordinal {ordinal}");
+                continue;
+            }
+            // Skipped during the call that yielded the next subset, or
+            // during the last call.
+            let at = next_yield.peek().map_or(last_bound, |y| y.3);
+            let head: f64 = subset.iter().map(|&p| heads[p]).sum();
+            assert!(
+                head > at,
+                "case {case}: skipped {subset:?} has head {head} against {at}"
+            );
+            skipped += 1;
+            positions += product;
+        }
+        assert!(
+            next_yield.next().is_none(),
+            "case {case}: yields out of order"
+        );
+        assert_eq!(
+            (tally.skipped, tally.positions),
+            (skipped, positions),
+            "case {case}"
+        );
+        skipped_any += skipped;
+        yielded_any += yielded.len();
+    }
+    assert!(
+        skipped_any > 1000 && yielded_any > 1000,
+        "{skipped_any} / {yielded_any}"
+    );
+}
+
+#[test]
+fn the_carry_skips_only_combinations_over_the_bound() {
+    // Small random rank lists (ascending, with ties and zeros, in steps of
+    // 0.1 so that sums round) and bounds: from every combination whose
+    // slot-order sum is over the bound, the carry's target lies ahead in
+    // odometer order, and every combination between the two sums over the
+    // bound as well.
+    let mut d = Draws(0xca77_1e55);
+    let mut carried_past = 0u64;
+    for case in 0..3000 {
+        let m = 1 + d.below(4) as usize;
+        let owned: Vec<Vec<(f64, usize)>> = (0..m)
+            .map(|_| {
+                let mut list: Vec<(f64, usize)> = (0..1 + d.below(5) as usize)
+                    .map(|i| (d.below(9) as f64 * 0.1, i))
+                    .collect();
+                list.sort_unstable_by(by_bound);
+                list
+            })
+            .collect();
+        let slots: Vec<&[(f64, usize)]> = owned.iter().map(Vec::as_slice).collect();
+        let lens: Vec<usize> = slots.iter().map(|s| s.len()).collect();
+        let mut head_min = vec![0.0f64];
+        for s in &slots {
+            head_min.push(head_min[head_min.len() - 1] + s[0].0);
+        }
+        let bound = d.below(30) as f64 * 0.1;
+        let sum = |idx: &[usize]| -> f64 { (0..m).map(|s| slots[s][idx[s]].0).sum() };
+        let mut idx = vec![0usize; m];
+        loop {
+            if sum(&idx) > bound {
+                let from = carry_slot(&slots, &idx, &head_min, bound);
+                assert!((1..=m).contains(&from), "case {case}");
+                let mut target = idx.clone();
+                let live = advance_ranks(&mut target, &lens, from);
+                let mut cur = idx.clone();
+                while advance_ranks(&mut cur, &lens, 0) && !(live && cur == target) {
+                    assert!(
+                        sum(&cur) > bound,
+                        "case {case}: carried past {cur:?} from {idx:?} at {bound}"
+                    );
+                    carried_past += 1;
+                }
+            }
+            if !advance_ranks(&mut idx, &lens, 0) {
+                break;
+            }
+        }
+    }
+    assert!(carried_past > 1000, "{carried_past}");
 }

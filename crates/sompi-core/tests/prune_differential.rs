@@ -21,7 +21,7 @@ use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
 use reference::{check_collapsed, check_uncollapsed};
-use sompi_core::twolevel::OptimizerConfig;
+use sompi_core::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use sompi_core::{MarketView, Problem};
 
 fn problem_on(seed: u64, kernel: NpbKernel, deadline: f64) -> (Problem, MarketView) {
@@ -130,5 +130,43 @@ fn interval_grid_prunes_exactly() {
             interval_grid: Some(3),
             ..OptimizerConfig::default()
         },
+    );
+}
+
+/// κ 4, the κ the benchmark and the CLI plan with, on the market and
+/// job whose κ 4 search walks the most: the subset cursor rejects
+/// prefixes of up to three groups in bulk, the walk carries over up to
+/// four slots, and the floor rejects by its spot part alone.
+#[test]
+fn production_kappa_prunes_exactly() {
+    use sompi_core::PlanContext;
+    use sompi_obs::{Event, RingRecorder, TraceLevel};
+
+    let (problem, view) = problem_on(42, NpbKernel::Sp, 2.5);
+    let cfg = OptimizerConfig {
+        kappa: 4,
+        bid_levels: 3,
+        ..OptimizerConfig::default()
+    };
+    assert_prune_exact("κ 4", &problem, &view, cfg);
+    let ring = RingRecorder::new(TraceLevel::Detail, 8);
+    TwoLevelOptimizer::new(&problem, &view, cfg)
+        .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+        .unwrap();
+    let events = ring.take();
+    let Some(&Event::SubsetEvaluated {
+        subsets_prefix_rejected,
+        rank_steps,
+        floor_checks,
+        floor_spot_rejections,
+        ..
+    }) = events.get(1)
+    else {
+        panic!("SubsetEvaluated second: {events:?}");
+    };
+    assert!(
+        subsets_prefix_rejected > 0 && rank_steps > floor_checks && floor_spot_rejections > 0,
+        "{:?}",
+        events[1]
     );
 }

@@ -145,12 +145,34 @@ pub enum Event {
         #[serde(default)]
         skipped: u64,
         /// Subsets rejected before their walk's set-up, because the sum
-        /// of their slots' smallest lower bounds was already above the
-        /// incumbent cost (counted in `subsets`; their positions are in
-        /// `skipped`). Defaults to 0 for traces written before early
-        /// rejection.
+        /// of their slots' smallest lower bounds (or, for
+        /// `subsets_prefix_rejected` of them, a prefix's) was already
+        /// above the incumbent cost (counted in `subsets`; their
+        /// positions are in `skipped`). Defaults to 0 for traces written
+        /// before early rejection.
         #[serde(default)]
         subsets_rejected: u64,
+        /// Of `subsets_rejected`, the subsets skipped in bulk because a
+        /// prefix of theirs (their first members, plus the smallest bounds
+        /// any completion must add) was already above the incumbent cost.
+        /// Defaults to 0 for older traces.
+        #[serde(default)]
+        subsets_prefix_rejected: u64,
+        /// Rank positions the branch-and-bound walk visited, each one a
+        /// per-slot lower-bound sum. Defaults to 0 for older traces.
+        #[serde(default)]
+        rank_steps: u64,
+        /// Combinations that passed the per-slot sum and reached the
+        /// whole-candidate floor; those the floor rejected are
+        /// `floor_checks − (evaluations − skipped)`. Defaults to 0 for
+        /// older traces.
+        #[serde(default)]
+        floor_checks: u64,
+        /// Of the floor's rejections, those decided by its spot part
+        /// alone, before the on-demand share was computed. Defaults to 0
+        /// for older traces.
+        #[serde(default)]
+        floor_spot_rejections: u64,
     },
     /// The optimizer committed to a plan.
     /// Emitted once per recorded `optimize_with` call, after the merge.
@@ -555,6 +577,10 @@ mod tests {
                 phi_intervals: vec![2.5, 3.0],
                 skipped: 600,
                 subsets_rejected: 40,
+                subsets_prefix_rejected: 30,
+                rank_steps: 900,
+                floor_checks: 700,
+                floor_spot_rejections: 90,
             },
             Event::PlanSelected {
                 source: "spot".to_string(),
@@ -713,8 +739,22 @@ mod tests {
             Event::SubsetEvaluated {
                 skipped,
                 subsets_rejected,
+                subsets_prefix_rejected,
+                rank_steps,
+                floor_checks,
+                floor_spot_rejections,
                 ..
-            } => assert_eq!((skipped, subsets_rejected), (0, 0)),
+            } => assert_eq!(
+                (
+                    skipped,
+                    subsets_rejected,
+                    subsets_prefix_rejected,
+                    rank_steps,
+                    floor_checks,
+                    floor_spot_rejections
+                ),
+                (0, 0, 0, 0, 0, 0)
+            ),
             other => panic!("wrong variant: {other:?}"),
         }
         // Kernel counters appended in the caps-memo PR likewise default.

@@ -104,6 +104,10 @@ struct SearchStats {
     walk_feasible: u64,
     walk_skipped: u64,
     walk_rejected: u64,
+    walk_prefix_rejected: u64,
+    walk_rank_steps: u64,
+    walk_floor_checks: u64,
+    walk_spot_rejections: u64,
     walk_events: usize,
 }
 
@@ -192,6 +196,10 @@ impl RunReport {
                         walk_feasible: 0,
                         walk_skipped: 0,
                         walk_rejected: 0,
+                        walk_prefix_rejected: 0,
+                        walk_rank_steps: 0,
+                        walk_floor_checks: 0,
+                        walk_spot_rejections: 0,
                         walk_events: 0,
                     });
                 }
@@ -200,6 +208,10 @@ impl RunReport {
                     feasible,
                     skipped,
                     subsets_rejected,
+                    subsets_prefix_rejected,
+                    rank_steps,
+                    floor_checks,
+                    floor_spot_rejections,
                     ..
                 } => {
                     if let Some(s) = report.search.as_mut() {
@@ -207,6 +219,10 @@ impl RunReport {
                         s.walk_feasible += feasible;
                         s.walk_skipped += skipped;
                         s.walk_rejected += subsets_rejected;
+                        s.walk_prefix_rejected += subsets_prefix_rejected;
+                        s.walk_rank_steps += rank_steps;
+                        s.walk_floor_checks += floor_checks;
+                        s.walk_spot_rejections += floor_spot_rejections;
                         s.walk_events += 1;
                     }
                 }
@@ -487,8 +503,21 @@ impl fmt::Display for RunReport {
                 if s.walk_rejected > 0 {
                     writeln!(
                         f,
-                        "  {} subsets rejected before set-up by their smallest bounds",
-                        s.walk_rejected
+                        "  {} subsets rejected before set-up by their smallest bounds ({} in bulk by a hopeless prefix)",
+                        s.walk_rejected, s.walk_prefix_rejected
+                    )?;
+                }
+                if s.walk_rank_steps > 0 {
+                    // Floor rejections: checks that did not end in an
+                    // evaluation.
+                    let evaluated = s.walk_evaluations.saturating_sub(s.walk_skipped);
+                    writeln!(
+                        f,
+                        "  walk: {} rank steps, {} floor checks ({} rejected, {} by the spot part alone)",
+                        s.walk_rank_steps,
+                        s.walk_floor_checks,
+                        s.walk_floor_checks.saturating_sub(evaluated),
+                        s.walk_spot_rejections
                     )?;
                 }
             }
@@ -668,6 +697,10 @@ mod tests {
                 phi_intervals: vec![2.0],
                 skipped: 10,
                 subsets_rejected: 2,
+                subsets_prefix_rejected: 1,
+                rank_steps: 40,
+                floor_checks: 100,
+                floor_spot_rejections: 6,
             },
             Event::SubsetEvaluated {
                 subsets: 5,
@@ -677,6 +710,10 @@ mod tests {
                 phi_intervals: vec![2.5],
                 skipped: 30,
                 subsets_rejected: 3,
+                subsets_prefix_rejected: 2,
+                rank_steps: 60,
+                floor_checks: 100,
+                floor_spot_rejections: 4,
             },
             Event::PlanSelected {
                 source: "spot".to_string(),
@@ -755,7 +792,16 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("5 subsets rejected before set-up by their smallest bounds"),
+            text.contains(
+                "5 subsets rejected before set-up by their smallest bounds (3 in bulk by a hopeless prefix)"
+            ),
+            "{text}"
+        );
+        // 200 floor checks against 180 walk evaluations: 20 rejections.
+        assert!(
+            text.contains(
+                "walk: 100 rank steps, 200 floor checks (20 rejected, 10 by the spot part alone)"
+            ),
             "{text}"
         );
         assert!(

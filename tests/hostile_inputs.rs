@@ -130,7 +130,7 @@ fn no_panic<T>(what: &str, input: &str, f: impl FnOnce() -> T) -> T {
 #[test]
 fn garbage_never_panics() {
     let fault_specs = [
-        "storm=0.05x0.8,storm-hours=2,ckpt-fail=0.3,ckpt-latency=0.2:0.5",
+        "storm=0.05x0.8,ckpt-fail=0.3,ckpt-latency=0.2:0.5",
         "restore-corrupt=0.25,feed-gap=0.1",
         "storm=2.0x1.0",
     ];

@@ -86,18 +86,23 @@ fn run_grid(base: OptimizerConfig, problem: &Problem, view: &MarketView, market_
 }
 
 #[test]
-fn plans_are_bit_identical_across_thread_counts() {
+fn repeated_searches_are_bit_identical() {
+    // A small κ 2 search, and the production κ 4 with 12 bid levels,
+    // whose searches take the cursor's prefix rejection, the walk's carry
+    // and the two-stage floor.
     for (label, problem, view) in &studies() {
-        run_grid(
-            OptimizerConfig {
-                kappa: 2,
-                bid_levels: 3,
-                ..Default::default()
-            },
-            problem,
-            view,
-            label,
-        );
+        for (kappa, bid_levels) in [(2, 3), (4, 12)] {
+            run_grid(
+                OptimizerConfig {
+                    kappa,
+                    bid_levels,
+                    ..Default::default()
+                },
+                problem,
+                view,
+                &format!("{label} κ {kappa}"),
+            );
+        }
     }
 }
 

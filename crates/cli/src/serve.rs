@@ -56,15 +56,17 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         pause_ms: args.u64_or("pause-ms", 0)?,
         max_requests,
     };
-    let server = Server::bind(market, recorder, config.clone())
+    // Binding builds every trace's index, so the size below is final.
+    let server = Server::bind(Arc::clone(&market), recorder, config.clone())
         .map_err(|e| CliError::Other(format!("cannot bind {}: {e}", config.addr)))?;
     writeln!(
         out,
-        "sompi-server listening on {} (protocol v{PROTOCOL_VERSION}, {} worker(s), queue {}, cache {})",
+        "sompi-server listening on {} (protocol v{PROTOCOL_VERSION}, {} worker(s), queue {}, cache {}; index: {})",
         server.local_addr(),
         config.workers.max(1),
         config.queue_cap.max(1),
         config.cache_capacity.max(1),
+        market.index_size(),
     )
     .map_err(|e| CliError::Other(e.to_string()))?;
     out.flush().map_err(|e| CliError::Other(e.to_string()))?;
@@ -305,6 +307,13 @@ mod tests {
         server.join().unwrap().unwrap();
         let text = serve_out.text();
         assert!(text.contains("listening on"), "{text}");
+        // The index line sums the served market's trace indexes.
+        let size = market_from(&args(&["--hours", "100"]))
+            .unwrap()
+            .index_size();
+        assert!(0 < size.runs && size.runs < size.samples, "{size:?}");
+        assert_eq!(size.samples, 15 * 1200);
+        assert!(text.contains(&format!("; index: {size})\n")), "{text}");
         assert!(
             text.contains(
                 "served 3 connection(s): 0 shed; plan cache: 1 hit(s), 0 coalesced, 1 miss(es)"

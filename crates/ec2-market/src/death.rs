@@ -3,12 +3,15 @@
 //! Monte-Carlo replay asks each trace the same two questions per replica —
 //! *when does the price first rise above the bid?* (the out-of-bid death)
 //! and *when does it first fall to or at the bid?* (the launch). The
-//! [`crate::index::TraceIndex`] answers both in O(log n) per query, but a
-//! tournament grid replays the same (group, bid) pair across thousands of
-//! replicas and many cells. A [`DeathTimeTable`] hoists the whole trace
-//! scan into **one** O(n) pass per (group, bid): for every sample index it
-//! precomputes the next crossing in each direction, so each replica's
-//! launch/death lookup becomes O(1) array reads.
+//! trace's [`crate::index::TraceIndex`] answers both in O(log R) per query
+//! over its R runs of one price, but a tournament grid replays the same
+//! (group, bid) pair across thousands of replicas and many cells. A
+//! [`DeathTimeTable`] hoists the whole trace scan into **one** O(n) pass
+//! per (group, bid): for every sample index it precomputes the next
+//! crossing in each direction, so each replica's launch/death lookup
+//! becomes O(1) array reads. The tables stay per sample, not per run: a
+//! lookup then reads its answer at the start's own sample index, with no
+//! search for the run holding it.
 //!
 //! **Exactness is non-negotiable**, exactly as for the trace index: the
 //! table materializes times with the same arithmetic form
@@ -23,9 +26,10 @@
 //! offset only selects *which* precomputed sample index the lookup reads.
 //!
 //! Tables are cached per market in a [`DeathTimeCache`] and shared
-//! read-only — like the `OnceLock`-held trace indexes — across all
+//! read-only — like each trace's lazily built index — across all
 //! Monte-Carlo workers and all tournament cells that replay the same
-//! market.
+//! market. The cache never evicts: it holds every (group, bid) pair the
+//! market has replayed, 8 bytes per sample each.
 
 use crate::trace::SpotTrace;
 use crate::{Hours, Usd};
@@ -150,8 +154,8 @@ impl DeathTimeTable {
 
 /// Market-level cache of [`DeathTimeTable`]s, keyed by (group, bid bits).
 ///
-/// Bids are dynamic (every plan decision carries its own), so unlike the
-/// per-trace `OnceLock<TraceIndex>` slots this is an interior-mutable map:
+/// Bids are dynamic (every plan decision carries its own), so unlike each
+/// trace's one `OnceLock`-held index this is an interior-mutable map:
 /// the first lookup of a (group, bid) pair builds the table under a write
 /// lock, later lookups share the [`Arc`] read-only. The cache is derived
 /// state — excluded from the market's serialized shape and dropped when a
@@ -235,7 +239,6 @@ impl<K: Ord + Copy> Clone for DeathTimeCache<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{TraceIndex, TraceQuery};
 
     /// Tiny deterministic generator (xorshift64*), same shape as the index
     /// differential tests.
@@ -264,8 +267,7 @@ mod tests {
         let mut rng = Rng(41);
         for len in [1usize, 2, 5, 33, 128, 300] {
             let tr = random_trace(&mut rng, len, 1.0 / 12.0);
-            let ix = TraceIndex::build(&tr);
-            let qi = TraceQuery::new(&tr, &ix);
+            let qi = tr.query();
             let duration = tr.duration();
             for bid in [0.0, 0.1, 0.25, 0.5, 0.75, 0.999, 1.5] {
                 let table = DeathTimeTable::build(&tr, bid);

@@ -63,7 +63,7 @@ pub use failure::{ExpectedSpotPrice, FailureCounts, FailureEstimator, FailureRat
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, Storm};
 pub use feed::{parse_feed, resample, traces_by_group, PriceEvent};
 pub use histogram::PriceHistogram;
-pub use index::{TraceIndex, TraceQuery};
+pub use index::{IndexSize, TraceIndex, TraceQuery};
 pub use instance::{InstanceCatalog, InstanceType, InstanceTypeId};
 pub use market::{CircleGroupId, SpotMarket, UnknownGroupError};
 pub use trace::{SpotTrace, TraceWindow};

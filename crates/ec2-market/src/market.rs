@@ -6,10 +6,14 @@
 //! them. The optimizer and the replay engine both talk to this type, which
 //! keeps "what the optimizer believed" (a history window) and "what actually
 //! happened" (a later region of the same trace) cleanly separated.
+//!
+//! Each trace carries its own lazily built [`crate::index::TraceIndex`]
+//! (run table and first-passage trees); the market adds only the
+//! per-(group, bid) death-time tables of batched replay.
 
 use crate::death::{DeathTimeCache, DeathTimeTable};
 use crate::failure::FailureEstimator;
-use crate::index::{TraceIndex, TraceQuery};
+use crate::index::{IndexSize, TraceQuery};
 use crate::instance::{InstanceCatalog, InstanceType, InstanceTypeId};
 use crate::trace::{SpotTrace, TraceWindow};
 use crate::tracegen::TraceGenerator;
@@ -18,7 +22,7 @@ use crate::Hours;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identity of a circle group's market: an instance type in a zone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -98,14 +102,9 @@ impl std::error::Error for UnknownGroupError {}
 pub struct SpotMarket {
     catalog: InstanceCatalog,
     traces: BTreeMap<CircleGroupId, SpotTrace>,
-    /// Lazily built per-trace query indexes. `OnceLock` gives exactly-once
-    /// construction behind `&self`, so Monte-Carlo worker threads share one
-    /// immutable index per trace; the slots are derived state and are not
-    /// serialized.
-    indexes: BTreeMap<CircleGroupId, OnceLock<TraceIndex>>,
     /// Memoized per-(group, bid) death/launch time tables for the batched
-    /// replay path. Like the index slots this is derived state — built on
-    /// first use, shared read-only across Monte-Carlo workers and
+    /// replay path. Like each trace's index this is derived state — built
+    /// on first use, shared read-only across Monte-Carlo workers and
     /// tournament cells, never serialized, and dropped for a group when
     /// its trace is replaced.
     death_tables: DeathTimeCache<CircleGroupId>,
@@ -117,7 +116,6 @@ impl SpotMarket {
         Self {
             catalog,
             traces: BTreeMap::new(),
-            indexes: BTreeMap::new(),
             death_tables: DeathTimeCache::new(),
         }
     }
@@ -147,11 +145,11 @@ impl SpotMarket {
         self.catalog.get(id.instance_type)
     }
 
-    /// Insert (or replace) a trace. Any previously built index for the
-    /// group is dropped (it would describe the old samples).
+    /// Insert (or replace) a trace. The replaced trace's index goes with
+    /// it, and its death-time tables are dropped (they would describe the
+    /// old samples).
     pub fn insert(&mut self, id: CircleGroupId, trace: SpotTrace) {
         self.traces.insert(id, trace);
-        self.indexes.insert(id, OnceLock::new());
         self.death_tables.invalidate(id);
     }
 
@@ -161,16 +159,11 @@ impl SpotMarket {
     }
 
     /// Query surface for a circle group: the trace plus its lazily built
-    /// [`TraceIndex`]. This is what the replay executors use for
-    /// launch/death searches without a death-time table; answers are
+    /// index ([`SpotTrace::query`]). This is what the replay executors use
+    /// for launch/death searches without a death-time table; answers are
     /// bit-identical to the trace's own scans.
     pub fn query(&self, id: CircleGroupId) -> Option<TraceQuery<'_>> {
-        let trace = self.traces.get(&id)?;
-        let index = self
-            .indexes
-            .get(&id)?
-            .get_or_init(|| TraceIndex::build(trace));
-        Some(TraceQuery::new(trace, index))
+        self.traces.get(&id).map(SpotTrace::query)
     }
 
     /// Memoized death/launch time table for `(id, bid)`, built on first use
@@ -191,14 +184,20 @@ impl SpotMarket {
         self.death_tables.len()
     }
 
-    /// Force-build every group's index now, instead of lazily on each
-    /// group's first [`SpotMarket::query`]. The server calls this when it
-    /// binds, so no request pays for a build; benchmarks call it to keep
-    /// build cost out of query timings.
+    /// Force-build every trace's index (its run table and first-passage
+    /// trees) now, instead of lazily on each trace's first window or
+    /// query. The server calls this when it binds, so no request pays for
+    /// a build; benchmarks call it to keep build cost out of query timings.
     pub fn build_indexes(&self) {
-        for id in self.traces.keys() {
-            self.query(*id);
+        for trace in self.traces.values() {
+            trace.index();
         }
+    }
+
+    /// Runs, samples and heap bytes of every trace's index, summed. Reading
+    /// an index builds it, as [`SpotMarket::build_indexes`] does.
+    pub fn index_size(&self) -> IndexSize {
+        self.traces.values().map(SpotTrace::index).sum()
     }
 
     /// All circle groups with traces, in deterministic order.
@@ -265,10 +264,10 @@ impl SpotMarket {
     }
 }
 
-// Manual serde impls: the index slots are derived state (rebuilt lazily on
-// demand) and must not leak into the serialized shape, which stays
-// `{catalog, traces}` exactly as the old derive produced; the vendored
-// `serde_derive` has no `#[serde(skip)]`.
+// Manual serde impls: the death-time tables are derived state (rebuilt
+// lazily on demand) and must not leak into the serialized shape, which
+// stays `{catalog, traces}` exactly as the old derive produced; the
+// vendored `serde_derive` has no `#[serde(skip)]`.
 impl Serialize for SpotMarket {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -282,11 +281,9 @@ impl Deserialize for SpotMarket {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let catalog = InstanceCatalog::from_value(v.field("catalog"))?;
         let traces = BTreeMap::<CircleGroupId, SpotTrace>::from_value(v.field("traces"))?;
-        let indexes = traces.keys().map(|id| (*id, OnceLock::new())).collect();
         Ok(Self {
             catalog,
             traces,
-            indexes,
             death_tables: DeathTimeCache::new(),
         })
     }
@@ -370,6 +367,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn index_size_sums_every_trace_index() {
+        let m = paper_market();
+        let size = m.index_size();
+        let traces: Vec<&SpotTrace> = m.groups().map(|id| m.trace(id).unwrap()).collect();
+        assert_eq!(size.samples, traces.iter().map(|t| t.len()).sum::<usize>());
+        assert_eq!(
+            size.runs,
+            traces.iter().map(|t| t.index().runs()).sum::<usize>()
+        );
+        assert_eq!(
+            size.heap_bytes,
+            traces.iter().map(|t| t.index().heap_bytes()).sum::<usize>()
+        );
+        // Calm plateaus: far fewer runs than samples.
+        assert!(size.runs * 4 < size.samples, "{size}");
     }
 
     #[test]

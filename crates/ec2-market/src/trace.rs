@@ -6,7 +6,14 @@
 //! stability — consumes traces through this type, so real AWS price history
 //! (if available) and the synthetic generator in [`crate::tracegen`] are
 //! interchangeable.
+//!
+//! A trace keeps one derived structure beside its samples, its
+//! [`TraceIndex`]: the run table of maximal runs of one price, which views
+//! slice ([`SpotTrace::window`]), and the first-passage trees over the run
+//! prices, which replays query ([`SpotTrace::query`]). It is built once, on
+//! first use.
 
+use crate::index::{TraceIndex, TraceQuery};
 use crate::{Hours, Usd};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::OnceLock;
@@ -23,12 +30,12 @@ pub struct SpotTrace {
     /// `f64::max`/`f64::min` over finite values always return one of their
     /// arguments, so incremental updates equal a full left-fold recompute.
     extrema: (Usd, Usd),
-    /// Index of the first sample of each maximal run of bit-equal prices,
-    /// ascending (so it starts with `0`). Derived state like `extrema`,
-    /// but built lazily, on the first [`SpotTrace::window`]: most traces
-    /// are never windowed. [`SpotTrace::extend_from`] drops it, equality
-    /// ignores it, and serde never sees it.
-    run_starts: OnceLock<Vec<usize>>,
+    /// The run table and first-passage trees. Derived state like
+    /// `extrema`, but built lazily, on the first [`SpotTrace::index`],
+    /// [`SpotTrace::query`] or [`SpotTrace::window`].
+    /// [`SpotTrace::extend_from`] drops it, equality ignores it, and serde
+    /// never sees it.
+    index: OnceLock<TraceIndex>,
 }
 
 fn fold_extrema(prices: &[Usd]) -> (Usd, Usd) {
@@ -38,17 +45,9 @@ fn fold_extrema(prices: &[Usd]) -> (Usd, Usd) {
     )
 }
 
-/// The first sample of each maximal run of bit-equal prices. Bits, not
-/// `==`: `0.0` and `-0.0` neighbours start separate runs.
-fn run_starts_of(prices: &[Usd]) -> Vec<usize> {
-    std::iter::once(0)
-        .chain((1..prices.len()).filter(|&i| prices[i].to_bits() != prices[i - 1].to_bits()))
-        .collect()
-}
-
-/// Equality of the step, the samples and the cached extrema. The run
-/// table is derived from the samples and ignored, so a trace equals its
-/// clone whether or not either has built its table.
+/// Equality of the step, the samples and the cached extrema. The index
+/// is derived from the samples and ignored, so a trace equals its clone
+/// whether or not either has built its index.
 impl PartialEq for SpotTrace {
     fn eq(&self, other: &Self) -> bool {
         self.step_hours == other.step_hours
@@ -75,7 +74,7 @@ impl SpotTrace {
             step_hours,
             prices,
             extrema,
-            run_starts: OnceLock::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -140,17 +139,29 @@ impl SpotTrace {
         self.prices.iter().sum::<f64>() / self.prices.len() as f64
     }
 
+    /// The trace's run table and first-passage trees, built here on first
+    /// use in O(n), then shared read-only.
+    pub fn index(&self) -> &TraceIndex {
+        self.index.get_or_init(|| TraceIndex::build(&self.prices))
+    }
+
+    /// The indexed first-passage queries over this trace: O(log runs)
+    /// each, bit-identical to the scans below.
+    pub fn query(&self) -> TraceQuery<'_> {
+        TraceQuery::new(self, self.index())
+    }
+
     /// A borrowed window `[start, start + len_hours)` of this trace.
     ///
     /// The window is clamped to the trace bounds; it always contains at
     /// least one sample. It carries the slice of the trace's run table
-    /// that covers it, built here on the trace's first window: O(n) once,
-    /// then O(log runs) per window.
+    /// that covers it, from the trace's [`TraceIndex`]: O(n) once, on the
+    /// trace's first use, then O(log runs) per window.
     pub fn window(&self, start: Hours, len_hours: Hours) -> TraceWindow<'_> {
         let lo = self.index_at(start.max(0.0));
         let want = (len_hours / self.step_hours).ceil() as usize;
         let hi = (lo + want.max(1)).min(self.prices.len());
-        let starts = self.run_starts.get_or_init(|| run_starts_of(&self.prices));
+        let starts = self.index().run_starts();
         // The run holding sample `lo` (the table starts at 0, so one
         // exists), through the last run starting before `hi`.
         let first = starts.partition_point(|&s| s <= lo) - 1;
@@ -219,11 +230,11 @@ impl SpotTrace {
             self.extrema.1.min(other.extrema.1),
         );
         // The last run may now continue into `other`: rebuild on demand.
-        self.run_starts = OnceLock::new();
+        self.index = OnceLock::new();
     }
 }
 
-// Manual serde impls: the cached extrema and run table are derived state
+// Manual serde impls: the cached extrema and index are derived state
 // and must not change the serialized shape (`{step_hours, prices}`), and
 // the vendored `serde_derive` has no `#[serde(skip)]`.
 impl Serialize for SpotTrace {
@@ -447,13 +458,10 @@ mod tests {
     #[test]
     fn serde_roundtrip_skips_cached_extrema() {
         let tr = t(&[0.1, 0.9]);
-        let _ = tr.window(0.0, 1.0); // builds the run table
+        let _ = tr.window(0.0, 1.0); // builds the index
         let v = tr.to_value();
         assert!(v.get("extrema").is_none(), "cache must not be serialized");
-        assert!(
-            v.get("run_starts").is_none(),
-            "run table must not be serialized"
-        );
+        assert!(v.get("index").is_none(), "index must not be serialized");
         let back = SpotTrace::from_value(&v).unwrap();
         assert_eq!(back, tr);
         assert!(SpotTrace::from_value(&Value::Obj(vec![])).is_err());

@@ -46,7 +46,7 @@ use crate::view::MarketView;
 use crate::Hours;
 use ec2_market::failure::FailureEstimator;
 use serde::{Deserialize, Serialize};
-use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
+use sompi_obs::{emit, rate_per_sec, Event, PhaseTimer, TraceLevel};
 use std::cmp::Ordering;
 
 /// Which bid grid shape to search (logarithmic is the paper's; uniform
@@ -651,11 +651,8 @@ impl<'a> TwoLevelOptimizer<'a> {
             search_secs,
             evals_skipped,
             bound_tightenings,
-            evals_per_sec: if search_secs > 0.0 {
-                evaluations as f64 / search_secs
-            } else {
-                0.0
-            },
+            // Positions the walk skipped were never evaluated.
+            evals_per_sec: rate_per_sec(evaluations - evals_skipped, search_secs),
             kernel_nanos,
         });
         Ok(OptimizedPlan {
@@ -1622,6 +1619,40 @@ mod tests {
         };
         assert!(*evals_skipped > 0 && *bound_tightenings > 0);
         assert_eq!(run(), reference);
+    }
+
+    #[test]
+    fn evals_per_sec_counts_only_evaluated_candidates() {
+        use sompi_obs::RingRecorder;
+
+        let (_, problem, view) = setup();
+        let cfg = OptimizerConfig {
+            kappa: 3,
+            bid_levels: 6,
+            ..OptimizerConfig::default()
+        };
+        let ring = RingRecorder::new(TraceLevel::Summary, 16);
+        TwoLevelOptimizer::new(&problem, &view, cfg)
+            .optimize_with(&mut PlanContext::new().with_recorder(&ring))
+            .unwrap();
+        let events = ring.take();
+        let Some(&Event::PlanSelected {
+            evaluations,
+            evals_skipped,
+            search_secs,
+            evals_per_sec,
+            ..
+        }) = events.last()
+        else {
+            panic!("PlanSelected last: {events:?}");
+        };
+        assert!(evals_skipped > 0 && search_secs > 0.0);
+        let evaluated = (evaluations - evals_skipped) as f64;
+        let rel = (evals_per_sec * search_secs - evaluated).abs() / evaluated;
+        assert!(
+            rel <= 1e-9,
+            "{evals_per_sec} eval/s over {search_secs} s is not {evaluated} evaluations"
+        );
     }
 
     #[test]

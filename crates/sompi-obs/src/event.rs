@@ -206,8 +206,9 @@ pub enum Event {
         /// Defaults to 0 for pre-pruning traces.
         #[serde(default)]
         bound_tightenings: u64,
-        /// Candidate evaluations per wall second of subset search
-        /// (`evaluations / search_secs`; 0 when the search was
+        /// Evaluated candidates per wall second of subset search
+        /// (`(evaluations − evals_skipped) / search_secs`: skipped
+        /// positions were never evaluated; 0 when the search was
         /// instantaneous). Defaults to 0 for pre-kernel traces.
         #[serde(default)]
         evals_per_sec: f64,

@@ -124,8 +124,23 @@ struct Selection {
     search_secs: f64,
     evals_skipped: u64,
     bound_tightenings: u64,
-    evals_per_sec: f64,
     kernel_nanos: u64,
+}
+
+impl Selection {
+    /// Candidates the search evaluated: every position, the on-demand
+    /// incumbent included, less those the walk skipped.
+    fn evaluated(&self) -> u64 {
+        self.evaluations.saturating_sub(self.evals_skipped)
+    }
+
+    /// Evaluated candidates per second of search, as
+    /// `PlanSelected.evals_per_sec` records it. Derived from the counts, so
+    /// traces recorded before the field counted only evaluated candidates
+    /// read the same way.
+    fn evals_per_sec(&self) -> f64 {
+        rate_per_sec(self.evaluated(), self.search_secs)
+    }
 }
 
 #[derive(Debug)]
@@ -238,8 +253,8 @@ impl RunReport {
                     search_secs,
                     evals_skipped,
                     bound_tightenings,
-                    evals_per_sec,
                     kernel_nanos,
+                    ..
                 } => report.selections.push(Selection {
                     source: source.clone(),
                     groups: *groups,
@@ -252,7 +267,6 @@ impl RunReport {
                     search_secs: *search_secs,
                     evals_skipped: *evals_skipped,
                     bound_tightenings: *bound_tightenings,
-                    evals_per_sec: *evals_per_sec,
                     kernel_nanos: *kernel_nanos,
                 }),
                 // Retired: only traces recorded before every search ran
@@ -533,11 +547,12 @@ impl fmt::Display for RunReport {
             )?;
             writeln!(
                 f,
-                "  {} evaluations in {:.3} s search + {:.3} s assess ({:.0} eval/s)",
+                "  {} evaluations in {:.3} s search + {:.3} s assess ({:.0} eval/s over {} not pruned)",
                 sel.evaluations,
                 sel.search_secs,
                 sel.assess_secs,
-                rate_per_sec(sel.evaluations, sel.search_secs)
+                sel.evals_per_sec(),
+                sel.evaluated()
             )?;
             if sel.evals_skipped > 0 {
                 writeln!(
@@ -561,7 +576,7 @@ impl fmt::Display for RunReport {
                     "  search {:>2}: {:.0} eval/s, {:.3} s inside the evaluation kernel \
                      ({:.1}% of search wall)",
                     i + 1,
-                    sel.evals_per_sec,
+                    sel.evals_per_sec(),
                     sel.kernel_nanos as f64 * 1e-9,
                     if sel.search_secs > 0.0 {
                         100.0 * sel.kernel_nanos as f64 * 1e-9 / sel.search_secs
@@ -727,7 +742,7 @@ mod tests {
                 search_secs: 0.1,
                 evals_skipped: 40,
                 bound_tightenings: 3,
-                evals_per_sec: 2200.0,
+                evals_per_sec: 1800.0,
                 kernel_nanos: 80_000_000,
             },
             Event::WindowReplanned {
@@ -808,10 +823,17 @@ mod tests {
             text.contains("40 positions pruned by the incumbent bound (3 tightening(s))"),
             "{text}"
         );
+        // 220 positions less 40 skipped, over 0.1 s of search.
+        assert!(
+            text.contains(
+                "220 evaluations in 0.100 s search + 0.010 s assess (1800 eval/s over 180 not pruned)"
+            ),
+            "{text}"
+        );
         assert!(text.contains("kernel\n------"), "{text}");
         assert!(
             text.contains(
-                "2200 eval/s, 0.080 s inside the evaluation kernel (80.0% of search wall)"
+                "1800 eval/s, 0.080 s inside the evaluation kernel (80.0% of search wall)"
             ),
             "{text}"
         );

@@ -1,40 +1,36 @@
-//! Memoized per-(group, bid) death/launch time tables for batched replay.
+//! Per-(trace, bid) death/launch time tables for Monte-Carlo replay.
 //!
 //! Monte-Carlo replay asks each trace the same two questions per replica —
 //! *when does the price first rise above the bid?* (the out-of-bid death)
 //! and *when does it first fall to or at the bid?* (the launch). The
 //! trace's [`crate::index::TraceIndex`] answers both in O(log R) per query
-//! over its R runs of one price, but a tournament grid replays the same
-//! (group, bid) pair across thousands of replicas and many cells. A
-//! [`DeathTimeTable`] hoists the whole trace scan into **one** O(n) pass
-//! per (group, bid): for every sample index it precomputes the next
-//! crossing in each direction, so each replica's launch/death lookup
-//! becomes O(1) array reads. The tables stay per sample, not per run: a
-//! lookup then reads its answer at the start's own sample index, with no
-//! search for the run holding it.
+//! over its R runs of one price, but one replay asks them of the same
+//! (group, bid) pair for thousands of replicas. A [`DeathTimeTable`]
+//! hoists the whole trace scan into **one** O(n) pass per (group, bid):
+//! for every sample index it precomputes the next crossing in each
+//! direction, so each replica's launch/death lookup becomes O(1) array
+//! reads. The tables stay per sample, not per run: a lookup then reads its
+//! answer at the start's own sample index, with no search for the run
+//! holding it.
 //!
 //! **Exactness is non-negotiable**, exactly as for the trace index: the
 //! table materializes times with the same arithmetic form
 //! (`i as f64 * step_hours`, then `.max(start)` / `< cutoff` filtering)
-//! as [`crate::index::TraceQuery`], so batched lookups are bit-identical
-//! to both the indexed descent and the naive scan. The differential suite
-//! in `tests/mc_batch_differential.rs` enforces this.
+//! as [`crate::index::TraceQuery`], so table lookups are bit-identical to
+//! both the indexed descent and the naive scan. The differential suite in
+//! `tests/mc_batch_differential.rs` enforces this.
 //!
 //! Fault-plan and start-offset dimensions need no table entries of their
 //! own: storm kills come from the frozen [`crate::fault::FaultInjector`]
 //! timeline (composed with the price death at lookup time), and a start
 //! offset only selects *which* precomputed sample index the lookup reads.
 //!
-//! Tables are cached per market in a [`DeathTimeCache`] and shared
-//! read-only — like each trace's lazily built index — across all
-//! Monte-Carlo workers and all tournament cells that replay the same
-//! market. The cache never evicts: it holds every (group, bid) pair the
-//! market has replayed, 8 bytes per sample each.
+//! A table is a copy of its trace as it was when built, 8 bytes per
+//! sample, and this crate keeps none: the replay that builds one
+//! (`replay`'s `BatchTables`) owns it and drops it when the replay ends.
 
 use crate::trace::SpotTrace;
 use crate::{Hours, Usd};
-use std::sync::Arc;
-use std::sync::RwLock;
 
 /// Sentinel for "no later sample crosses" in the next-crossing arrays.
 const NONE: u32 = u32::MAX;
@@ -62,13 +58,15 @@ pub struct DeathTimeTable {
 impl DeathTimeTable {
     /// Build the table for `(trace, bid)` in one O(n) backward pass.
     ///
-    /// Traces longer than `u32::MAX - 1` samples are not supported (the
-    /// next-crossing arrays use `u32` indexes); [`DeathTimeCache`] falls
-    /// back to the scalar query path for such traces instead of building.
-    pub fn build(trace: &SpotTrace, bid: Usd) -> Self {
+    /// `None` for a trace of `u32::MAX` samples or more, which the
+    /// next-crossing arrays' `u32` indexes cannot address; its replays
+    /// query the trace index instead.
+    pub fn build(trace: &SpotTrace, bid: Usd) -> Option<Self> {
         let samples = trace.samples();
         let n = samples.len();
-        debug_assert!(n < NONE as usize, "trace too long for u32 indexes");
+        if n >= NONE as usize {
+            return None;
+        }
         let mut next_above = vec![NONE; n];
         let mut next_at_or_below = vec![NONE; n];
         let mut above = NONE;
@@ -82,13 +80,13 @@ impl DeathTimeTable {
             next_above[i] = above;
             next_at_or_below[i] = at_or_below;
         }
-        Self {
+        Some(Self {
             bid,
             step_hours: trace.step_hours(),
             duration: trace.duration(),
             next_above,
             next_at_or_below,
-        }
+        })
     }
 
     /// The bid this table was built for.
@@ -152,90 +150,6 @@ impl DeathTimeTable {
     }
 }
 
-/// Market-level cache of [`DeathTimeTable`]s, keyed by (group, bid bits).
-///
-/// Bids are dynamic (every plan decision carries its own), so unlike each
-/// trace's one `OnceLock`-held index this is an interior-mutable map:
-/// the first lookup of a (group, bid) pair builds the table under a write
-/// lock, later lookups share the [`Arc`] read-only. The cache is derived
-/// state — excluded from the market's serialized shape and dropped when a
-/// group's trace is replaced.
-///
-/// The generic key type `K` is ordered (the market uses its
-/// `CircleGroupId`).
-#[derive(Debug, Default)]
-pub struct DeathTimeCache<K: Ord + Copy> {
-    tables: RwLock<std::collections::BTreeMap<(K, u64), Arc<DeathTimeTable>>>,
-}
-
-impl<K: Ord + Copy> DeathTimeCache<K> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self {
-            tables: RwLock::new(std::collections::BTreeMap::new()),
-        }
-    }
-
-    /// The table for `(key, bid)`, building it from `trace` on first use.
-    /// Returns `(table, freshly_built)`; `None` when the trace is too long
-    /// for the table's `u32` indexes (callers fall back to scalar queries).
-    pub fn get_or_build(
-        &self,
-        key: K,
-        bid: Usd,
-        trace: &SpotTrace,
-    ) -> Option<(Arc<DeathTimeTable>, bool)> {
-        if trace.len() >= NONE as usize {
-            return None;
-        }
-        let map_key = (key, bid.to_bits());
-        {
-            let tables = self.tables.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(t) = tables.get(&map_key) {
-                return Some((Arc::clone(t), false));
-            }
-        }
-        let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
-        // Double-check under the write lock: another thread may have built
-        // the table between our read probe and here.
-        if let Some(t) = tables.get(&map_key) {
-            return Some((Arc::clone(t), false));
-        }
-        let table = Arc::new(DeathTimeTable::build(trace, bid));
-        tables.insert(map_key, Arc::clone(&table));
-        Some((table, true))
-    }
-
-    /// Drop every cached table for `key` (its trace was replaced).
-    pub fn invalidate(&self, key: K) {
-        let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
-        tables.retain(|(k, _), _| *k != key);
-    }
-
-    /// Number of cached tables.
-    pub fn len(&self) -> usize {
-        self.tables.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the cache holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K: Ord + Copy> Clone for DeathTimeCache<K> {
-    fn clone(&self) -> Self {
-        Self {
-            tables: RwLock::new(
-                self.tables
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +184,7 @@ mod tests {
             let qi = tr.query();
             let duration = tr.duration();
             for bid in [0.0, 0.1, 0.25, 0.5, 0.75, 0.999, 1.5] {
-                let table = DeathTimeTable::build(&tr, bid);
+                let table = DeathTimeTable::build(&tr, bid).unwrap();
                 for k in 0..60 {
                     // Starts before, inside, and past the trace; cutoffs
                     // both binding and not.
@@ -292,39 +206,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_builds_once_and_shares() {
-        let mut rng = Rng(5);
-        let tr = random_trace(&mut rng, 64, 0.5);
-        let cache: DeathTimeCache<u8> = DeathTimeCache::new();
-        let (a, built_a) = cache.get_or_build(3, 0.5, &tr).unwrap();
-        let (b, built_b) = cache.get_or_build(3, 0.5, &tr).unwrap();
-        assert!(built_a && !built_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        // Distinct bids get distinct tables.
-        let (_, built_c) = cache.get_or_build(3, 0.25, &tr).unwrap();
-        assert!(built_c);
-        assert_eq!(cache.len(), 2);
-        // Invalidation drops only the named key's tables.
-        let (_, _) = cache.get_or_build(4, 0.5, &tr).unwrap();
-        cache.invalidate(3);
-        assert_eq!(cache.len(), 1);
-        let (_, rebuilt) = cache.get_or_build(3, 0.5, &tr).unwrap();
-        assert!(rebuilt);
-    }
-
-    #[test]
-    fn clone_carries_cached_tables() {
-        let mut rng = Rng(6);
-        let tr = random_trace(&mut rng, 32, 1.0);
-        let cache: DeathTimeCache<u8> = DeathTimeCache::new();
-        cache.get_or_build(1, 0.5, &tr).unwrap();
-        let cloned = cache.clone();
-        assert_eq!(cloned.len(), 1);
-        let (_, built) = cloned.get_or_build(1, 0.5, &tr).unwrap();
-        assert!(!built, "clone must reuse the copied table");
     }
 }

@@ -58,7 +58,7 @@ pub mod zone;
 
 pub use billing::{BillingModel, BillingPolicy};
 pub use calibrate::{calibrate, Calibration};
-pub use death::{DeathTimeCache, DeathTimeTable};
+pub use death::DeathTimeTable;
 pub use failure::{ExpectedSpotPrice, FailureCounts, FailureEstimator, FailureRateFn};
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, Storm};
 pub use feed::{parse_feed, resample, traces_by_group, PriceEvent};

@@ -8,10 +8,9 @@
 //! happened" (a later region of the same trace) cleanly separated.
 //!
 //! Each trace carries its own lazily built [`crate::index::TraceIndex`]
-//! (run table and first-passage trees); the market adds only the
-//! per-(group, bid) death-time tables of batched replay.
+//! (run table and first-passage trees); the market holds nothing else
+//! beside its traces and catalog.
 
-use crate::death::{DeathTimeCache, DeathTimeTable};
 use crate::failure::FailureEstimator;
 use crate::index::{IndexSize, TraceQuery};
 use crate::instance::{InstanceCatalog, InstanceType, InstanceTypeId};
@@ -19,10 +18,9 @@ use crate::trace::{SpotTrace, TraceWindow};
 use crate::tracegen::TraceGenerator;
 use crate::zone::AvailabilityZone;
 use crate::Hours;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identity of a circle group's market: an instance type in a zone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -98,16 +96,10 @@ impl std::error::Error for UnknownGroupError {}
 /// assert_eq!(market.instance_type(id).name, "m1.small");
 /// assert_eq!(market.trace(id).unwrap().len(), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpotMarket {
     catalog: InstanceCatalog,
     traces: BTreeMap<CircleGroupId, SpotTrace>,
-    /// Memoized per-(group, bid) death/launch time tables for the batched
-    /// replay path. Like each trace's index this is derived state — built
-    /// on first use, shared read-only across Monte-Carlo workers and
-    /// tournament cells, never serialized, and dropped for a group when
-    /// its trace is replaced.
-    death_tables: DeathTimeCache<CircleGroupId>,
 }
 
 impl SpotMarket {
@@ -116,7 +108,6 @@ impl SpotMarket {
         Self {
             catalog,
             traces: BTreeMap::new(),
-            death_tables: DeathTimeCache::new(),
         }
     }
 
@@ -146,11 +137,9 @@ impl SpotMarket {
     }
 
     /// Insert (or replace) a trace. The replaced trace's index goes with
-    /// it, and its death-time tables are dropped (they would describe the
-    /// old samples).
+    /// it.
     pub fn insert(&mut self, id: CircleGroupId, trace: SpotTrace) {
         self.traces.insert(id, trace);
-        self.death_tables.invalidate(id);
     }
 
     /// Trace for a circle group.
@@ -164,24 +153,6 @@ impl SpotMarket {
     /// bit-identical to the trace's own scans.
     pub fn query(&self, id: CircleGroupId) -> Option<TraceQuery<'_>> {
         self.traces.get(&id).map(SpotTrace::query)
-    }
-
-    /// Memoized death/launch time table for `(id, bid)`, built on first use
-    /// and shared read-only afterwards. Returns `(table, freshly_built)`,
-    /// or `None` when the group has no trace or the trace is too long for
-    /// the table's `u32` indexes (callers fall back to [`SpotMarket::query`]).
-    pub fn death_table(
-        &self,
-        id: CircleGroupId,
-        bid: crate::Usd,
-    ) -> Option<(Arc<DeathTimeTable>, bool)> {
-        let trace = self.traces.get(&id)?;
-        self.death_tables.get_or_build(id, bid, trace)
-    }
-
-    /// Number of death/launch tables currently cached.
-    pub fn death_tables_cached(&self) -> usize {
-        self.death_tables.len()
     }
 
     /// Force-build every trace's index (its run table and first-passage
@@ -261,31 +232,6 @@ impl SpotMarket {
             .values()
             .map(SpotTrace::duration)
             .fold(f64::INFINITY, f64::min)
-    }
-}
-
-// Manual serde impls: the death-time tables are derived state (rebuilt
-// lazily on demand) and must not leak into the serialized shape, which
-// stays `{catalog, traces}` exactly as the old derive produced; the
-// vendored `serde_derive` has no `#[serde(skip)]`.
-impl Serialize for SpotMarket {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("catalog".to_string(), self.catalog.to_value()),
-            ("traces".to_string(), self.traces.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SpotMarket {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let catalog = InstanceCatalog::from_value(v.field("catalog"))?;
-        let traces = BTreeMap::<CircleGroupId, SpotTrace>::from_value(v.field("traces"))?;
-        Ok(Self {
-            catalog,
-            traces,
-            death_tables: DeathTimeCache::new(),
-        })
     }
 }
 
@@ -392,41 +338,16 @@ mod tests {
         let m = paper_market();
         m.build_indexes();
         let v = m.to_value();
-        assert!(v.get("indexes").is_none());
+        let serde::Value::Obj(fields) = &v else {
+            panic!("a market serializes to an object: {v:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["catalog", "traces"]);
         let back = SpotMarket::from_value(&v).unwrap();
         assert_eq!(back.len(), m.len());
         for id in m.groups().collect::<Vec<_>>() {
             assert_eq!(back.trace(id), m.trace(id));
         }
-    }
-
-    #[test]
-    fn death_tables_match_queries_and_invalidate_on_insert() {
-        let mut m = paper_market();
-        let id = m.groups().next().unwrap();
-        let q = m.query(id).unwrap();
-        let bid = (q.min_price() + q.max_price()) / 2.0;
-        let (table, built) = m.death_table(id, bid).unwrap();
-        assert!(built);
-        for k in 0..25 {
-            let start = k as f64 * 3.1;
-            assert_eq!(
-                table.first_passage_above(start),
-                q.first_passage_above(start, bid)
-            );
-            assert_eq!(
-                table.launch_time(start, start + 40.0),
-                q.launch_time(start, bid, start + 40.0)
-            );
-        }
-        let (again, rebuilt) = m.death_table(id, bid).unwrap();
-        assert!(!rebuilt);
-        assert!(std::sync::Arc::ptr_eq(&table, &again));
-        assert_eq!(m.death_tables_cached(), 1);
-        // Replacing the trace drops the stale table.
-        let fresh = m.trace(id).unwrap().clone();
-        m.insert(id, fresh);
-        assert_eq!(m.death_tables_cached(), 0);
     }
 
     #[test]

@@ -61,8 +61,8 @@ use sompi_obs::{emit, Event, NullRecorder, Recorder, TraceLevel};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Scenario-major execution: [`MonteCarlo::run_plan`](crate::MonteCarlo::run_plan)
-    /// precomputes one shared [`BatchTables`] per (plan, market) and every
-    /// replica resolves crossings with O(1) table reads.
+    /// builds one [`BatchTables`] per call and every replica resolves
+    /// crossings with O(1) table reads.
     #[default]
     Batched,
 }
@@ -83,7 +83,8 @@ pub struct ExecContext<'a> {
     pub retry: RetryPolicy,
     /// Precomputed death-time tables for the plan being replayed. `None`
     /// replays through the market's indexed trace queries (adaptive
-    /// windows); the answers are bit-identical either way.
+    /// windows, one traced replay); the answers are bit-identical either
+    /// way.
     pub batch: Option<&'a BatchTables>,
 }
 
@@ -543,11 +544,11 @@ impl<'a> PlanRunner<'a> {
                 .ok_or_else(|| SompiError::UnknownGroup {
                     group: group.id.to_string(),
                 })?;
-            // Batched replay: the shared death-time table for this
-            // (group, bid), when the context carries one. Every lookup
-            // below is bit-identical to the indexed query — the table is
-            // the same arithmetic with the trace scan hoisted out. Without
-            // one, the query walks the trace index (O(log n)).
+            // Batched replay: the death-time table for this (group, bid),
+            // when the context carries one. Every lookup below is
+            // bit-identical to the indexed query — the table is the same
+            // arithmetic with the trace scan hoisted out. Without one, the
+            // query walks the trace index (O(log n)).
             let entry = ctx.batch.and_then(|b| b.entry(i, group.id, decision.bid));
             let crossings = match entry {
                 Some(e) => Crossings::Table(e),

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sompi_core::error::SompiError;
 use sompi_core::model::Plan;
-use sompi_obs::{emit, Event, TraceLevel};
+use sompi_obs::{emit, Event, NullRecorder, TraceLevel};
 
 /// Aggregated Monte-Carlo result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -353,9 +353,12 @@ impl MonteCarlo {
     ///
     /// Every replica on every worker replays against the plan's
     /// death-time tables: the context's own [`BatchTables`] when it
-    /// carries them, else tables warmed once here — built on the market's
-    /// shared cache or reused from it — and announced with one
-    /// [`Event::ReplayBatched`].
+    /// carries them, else tables built here for this call alone and
+    /// dropped when it returns. Building them is announced with one
+    /// [`Event::ReplayBatched`] on the calling thread, before any worker
+    /// starts. The replicas replay without the recorder, so the trace is
+    /// the same at every thread count; to record one replay's timeline,
+    /// run [`PlanRunner::run`] with the recorder.
     pub fn run_plan(
         &self,
         market: &SpotMarket,
@@ -364,19 +367,18 @@ impl MonteCarlo {
         ctx: &ExecContext<'_>,
     ) -> Result<McResult, SompiError> {
         let runner = PlanRunner::new(market, deadline);
+        let quiet = ctx.with_recorder(&NullRecorder);
         if ctx.batch.is_some() {
-            // Caller-built tables (the tournament warms and announces
-            // them itself so the trace stays single-threaded).
-            return self.evaluate(|start| runner.run(plan, start, ctx));
+            // Caller-built tables, announced (or not) by their caller.
+            return self.evaluate(|start| runner.run(plan, start, &quiet));
         }
         let batch = BatchTables::for_plan(market, plan)?;
         emit(ctx.recorder, TraceLevel::Summary, || Event::ReplayBatched {
             groups: batch.len() as u32,
             replicas: self.replicas as u64,
             tables_built: batch.tables_built,
-            tables_reused: batch.tables_reused,
         });
-        let bctx = ctx.with_batch(&batch);
+        let bctx = quiet.with_batch(&batch);
         self.evaluate(|start| runner.run(plan, start, &bctx))
     }
 }
@@ -668,10 +670,10 @@ mod tests {
 
     #[test]
     fn batch_counters_predict_the_work_done() {
-        // Without caller-built tables, `run_plan` fetches one table per
-        // plan group and announces it: every table is either built (and
-        // then cached on the market) or reused, and the replica count is
-        // the aggregate's sample size.
+        // Without caller-built tables, `run_plan` builds one table per
+        // plan group on every call and announces them once, before any
+        // replica runs: nothing is reused, and the replica count is the
+        // aggregate's sample size. The replicas replay silently.
         let m = market(61);
         let mut plan = simple_plan(&m);
         let (mut second, _) = plan.groups[0];
@@ -683,32 +685,27 @@ mod tests {
             .offsets(48.0, 250.0)
             .threads(2)
             .build();
-        let batched = |m: &SpotMarket| {
+        let batched = || {
             let ring = sompi_obs::RingRecorder::new(TraceLevel::Summary, 1 << 12);
-            let cached = m.death_tables_cached();
             let r = mc
-                .run_plan(m, &plan, 3.0, &ExecContext::new().with_recorder(&ring))
+                .run_plan(&m, &plan, 3.0, &ExecContext::new().with_recorder(&ring))
                 .unwrap();
-            let grown = m.death_tables_cached() - cached;
-            let counters = ring.events().into_iter().find_map(|e| match e {
-                Event::ReplayBatched {
-                    groups,
-                    replicas,
-                    tables_built,
-                    tables_reused,
-                } => Some((groups, replicas, tables_built, tables_reused)),
-                _ => None,
-            });
-            (r, counters.expect("one ReplayBatched event"), grown)
+            let events = ring.events();
+            assert_eq!(events.len(), 1, "{events:?}");
+            let Event::ReplayBatched {
+                groups,
+                replicas,
+                tables_built,
+            } = events[0]
+            else {
+                panic!("expected ReplayBatched, got {events:?}");
+            };
+            (r, (groups, replicas, tables_built))
         };
-        let (r, (groups, replicas, built, reused), grown) = batched(&m);
-        assert_eq!(replicas, r.cost.n as u64);
-        assert_eq!(groups as usize, plan.groups.len());
-        assert_eq!(built + reused, groups);
-        assert_eq!(built, 2, "a fresh market builds every table");
-        assert_eq!(grown, built as usize);
-        let (again, (_, _, built, reused), grown) = batched(&m);
-        assert_eq!((built, reused, grown), (0, 2, 0));
+        let (r, counters) = batched();
+        assert_eq!(counters, (plan.groups.len() as u32, r.cost.n as u64, 2));
+        let (again, counters_again) = batched();
+        assert_eq!(counters_again, counters, "every call builds every table");
         assert_eq!(again, r);
     }
 

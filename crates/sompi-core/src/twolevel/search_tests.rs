@@ -2,6 +2,8 @@
 //! fixed seeded searches, and the per-subset set-up and full enumeration
 //! that the shared tables and the subset cursor must equal.
 
+#![cfg(test)]
+
 use super::*;
 use ec2_market::instance::InstanceCatalog;
 use ec2_market::market::{CircleGroupId, SpotMarket};

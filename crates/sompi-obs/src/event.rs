@@ -441,21 +441,18 @@ pub enum Event {
         /// Times the adaptive loop changed plan (adaptive runs only).
         plan_changes: Option<u32>,
     },
-    /// Monte-Carlo replay warmed the batched scenario-major path: the
-    /// plan's per-(group, bid) death-time tables were fetched from the
-    /// market's shared cache (or built on first touch) before any replica
-    /// ran. Emitted once per `MonteCarlo::run_plan` call that warms its
-    /// own tables, and once per tournament replay that is not a memo hit.
+    /// Monte-Carlo replay built the plan's per-(group, bid) death-time
+    /// tables before any replica ran. Emitted once per
+    /// `MonteCarlo::run_plan` call that builds its own tables, on its
+    /// calling thread; a tournament replay that is not a memo hit is such
+    /// a call.
     ReplayBatched {
         /// Plan groups covered by batch tables.
         groups: u32,
         /// Replicas about to replay against them.
         replicas: u64,
-        /// Tables built fresh for this call.
+        /// Tables built for this call.
         tables_built: u32,
-        /// Tables served from the market's shared cache (warmed by an
-        /// earlier replay of the same (group, bid) on this market).
-        tables_reused: u32,
     },
     /// A tournament cell reused another cell's Monte-Carlo result: its
     /// policy produced a byte-identical plan under the same
@@ -668,7 +665,6 @@ mod tests {
                 groups: 2,
                 replicas: 200,
                 tables_built: 2,
-                tables_reused: 0,
             },
             Event::ReplayMemoHit {
                 policy: "Ckpt-Only".to_string(),
@@ -756,6 +752,19 @@ mod tests {
                 ),
                 (0, 0, 0, 0, 0, 0)
             ),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        // So is `ReplayBatched`'s `tables_reused`, from when the market
+        // cached death-time tables.
+        let old = r#"{"ReplayBatched":{"groups":2,"replicas":200,
+            "tables_built":0,"tables_reused":2}}"#;
+        let e: Event = serde_json::from_str(old).unwrap();
+        match e {
+            Event::ReplayBatched {
+                groups,
+                replicas,
+                tables_built,
+            } => assert_eq!((groups, replicas, tables_built), (2, 200, 0)),
             other => panic!("wrong variant: {other:?}"),
         }
         // Kernel counters appended in the caps-memo PR likewise default.

@@ -322,8 +322,8 @@ pub fn replay(
     let problem = build_problem(market, &app, p.deadline_factor)?;
     let injector = injector_from(market, req)?;
     // Fixed-plan replays run against death-time tables, which
-    // `MonteCarlo::run_plan` warms. The adaptive runner below re-plans
-    // every window and queries the trace index instead.
+    // `MonteCarlo::run_plan` builds for each call. The adaptive runner
+    // below re-plans every window and queries the trace index instead.
     let mut ctx = ExecContext::new();
     if let Some(inj) = &injector {
         // Faulted checkpoint I/O retries under the standard policy.
@@ -450,10 +450,9 @@ pub fn traced_replay(
                 .map_err(|e| ServiceError::Plan(e.to_string()))?
         }
     };
-    let batch = replay::BatchTables::for_plan(market, &plan)
-        .map_err(|e| ServiceError::Plan(e.to_string()))?;
+    // One replica: the trace index answers its crossings.
     replay::PlanRunner::new(market, problem.deadline)
-        .run(&plan, start, &ctx.with_batch(&batch))
+        .run(&plan, start, &ctx)
         .map_err(|e| ServiceError::Plan(e.to_string()))?;
     Ok(())
 }

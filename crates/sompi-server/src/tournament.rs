@@ -23,7 +23,6 @@ use ec2_market::fault::{FaultInjector, FaultPlan, RetryPolicy};
 use ec2_market::instance::InstanceCatalog;
 use ec2_market::market::SpotMarket;
 use ec2_market::tracegen::{MarketProfile, TraceGenerator};
-use replay::batch::BatchTables;
 use replay::exec::ExecContext;
 use replay::montecarlo::{McResult, MonteCarlo};
 use serde::{Deserialize, Serialize};
@@ -343,7 +342,7 @@ pub fn run_tournament(
                     }
                     None => None,
                 };
-                let mut ctx = ExecContext::new();
+                let mut ctx = ExecContext::new().with_recorder(recorder);
                 if let Some(inj) = &injector {
                     ctx = ctx.with_faults(inj).with_retry(RetryPolicy::default_io());
                 }
@@ -361,21 +360,10 @@ pub fn run_tournament(
                         hit.clone()
                     }
                     None => {
-                        // Warm the death-time tables here (not inside
-                        // `run_plan`) so `ReplayBatched` is emitted from
-                        // this sequential loop — the Monte-Carlo workers
-                        // never touch the recorder, keeping the trace
-                        // byte-identical at any thread count.
-                        let batch = BatchTables::for_plan(&market, &plan)
-                            .map_err(|e| ServiceError::Plan(e.to_string()))?;
-                        emit(recorder, TraceLevel::Summary, || Event::ReplayBatched {
-                            groups: batch.len() as u32,
-                            replicas: u64::from(cfg.replicas),
-                            tables_built: batch.tables_built,
-                            tables_reused: batch.tables_reused,
-                        });
+                        // `run_plan` announces its tables on this thread
+                        // and replays every replica without the recorder.
                         let result = mc
-                            .run_plan(&market, &plan, problem.deadline, &ctx.with_batch(&batch))
+                            .run_plan(&market, &plan, problem.deadline, &ctx)
                             .map_err(|e| ServiceError::Plan(e.to_string()))?;
                         replay_memo_misses += 1;
                         replay_memo.insert(memo_key, result.clone());

@@ -89,7 +89,7 @@ fn assert_outcome_bits(a: &RunOutcome, b: &RunOutcome, what: &str) {
 /// death tables for launch/death lookups but walks replicas scalar-wise
 /// with the precomputed fault keys). The table-free runs are the oracle.
 #[test]
-fn run_outcomes_identical_batched_vs_scalar() {
+fn run_outcomes_identical_with_and_without_death_tables() {
     for seed in [31u64, 77, 910] {
         let market = market(seed);
         let problem = problem_on(&market);

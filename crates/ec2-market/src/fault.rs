@@ -4,7 +4,7 @@
 //! realized spot price rising above a bid. Real spot deployments see more
 //! — correlated capacity reclaims that kill several circle groups at
 //! once, checkpoint uploads that fail or stall, restores that read a
-//! corrupt image, and market-feed gaps that starve the adaptive planner
+//! corrupt image, and market-feed gaps that starve the adaptive loop
 //! of fresh history. This module injects all of those on top of a price
 //! trace, reproducibly.
 //!

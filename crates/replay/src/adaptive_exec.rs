@@ -1,11 +1,13 @@
 //! Windowed Algorithm-1 execution against realized traces.
 //!
-//! [`AdaptiveRunner`] drives the paper's adaptive loop: at every window
-//! boundary it rebuilds the market view from the most recent
-//! `history_hours` of prices *ending at the current trace time*, asks
-//! [`AdaptivePlanner`] for the residual plan, and replays at most `T_m`
-//! hours of it. Durable progress (the best checkpoint across circle
-//! groups, stored on S3) carries across windows. Setting
+//! [`AdaptiveRunner`] is the paper's adaptive loop, every window decision
+//! included: at each window boundary it rebuilds the market view from the
+//! most recent `history_hours` of prices *ending at the current trace
+//! time*, guards the deadline, keeps a healthy plan or re-plans the
+//! residual through its [`Policy`] (or finishes on demand when even that
+//! cannot make the deadline), and replays at most `T_m` hours of the
+//! plan. Durable progress (the best checkpoint across circle groups,
+//! stored on S3) carries across windows. Setting
 //! `update_maintenance = false` reproduces the w/o-MT ablation: the plan
 //! computed in the first window is reused verbatim forever.
 
@@ -13,13 +15,12 @@ use crate::exec::{ExecContext, Finish, PlanRunner, RunOutcome, SpotPhase};
 use crate::Hours;
 use ec2_market::market::{CircleGroupId, SpotMarket};
 use serde::{Deserialize, Serialize};
-use sompi_core::adaptive::{
-    AdaptiveConfig, AdaptivePlanner, PlanCache, PlanContext, WindowDecision,
-};
+use sompi_core::adaptive::{AdaptiveConfig, PlanContext};
 use sompi_core::baselines::Sompi;
+use sompi_core::cost::evaluate_plan;
 use sompi_core::error::SompiError;
 use sompi_core::model::Plan;
-use sompi_core::policy::{KillObservation, Policy, WindowObservation};
+use sompi_core::policy::Policy;
 use sompi_core::problem::Problem;
 use sompi_core::view::MarketView;
 use sompi_obs::{emit, Event, TraceLevel};
@@ -40,19 +41,18 @@ pub struct AdaptiveOutcome {
 #[derive(Clone)]
 pub struct AdaptiveRunner<'a> {
     market: &'a SpotMarket,
-    planner: AdaptivePlanner,
+    config: AdaptiveConfig,
     /// Re-plan each window (true = SOMPI, false = the w/o-MT ablation).
     pub update_maintenance: bool,
-    /// The policy driving re-planning and kill/window reactions. `None`
-    /// means `Sompi { config: planner.config.optimizer }` — the
-    /// historical behavior, bit-for-bit.
+    /// The policy that re-plans each window's residual. `None` means
+    /// `Sompi { config: config.optimizer }`.
     policy: Option<&'a dyn Policy>,
 }
 
 impl fmt::Debug for AdaptiveRunner<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AdaptiveRunner")
-            .field("planner", &self.planner)
+            .field("config", &self.config)
             .field("update_maintenance", &self.update_maintenance)
             .field(
                 "policy",
@@ -67,7 +67,7 @@ impl<'a> AdaptiveRunner<'a> {
     pub fn new(market: &'a SpotMarket, config: AdaptiveConfig) -> Self {
         Self {
             market,
-            planner: AdaptivePlanner::new(config),
+            config,
             update_maintenance: true,
             policy: None,
         }
@@ -79,32 +79,31 @@ impl<'a> AdaptiveRunner<'a> {
         self
     }
 
-    /// Drive the loop with `policy` instead of the default SOMPI
-    /// optimizer: its [`Policy::plan`] re-plans each window's residual,
-    /// and its [`Policy::on_window`]/[`Policy::on_kill`] hooks decide
-    /// when to re-plan and whether a kill drops the cached plan. With
-    /// `Sompi { config }` this is exactly [`AdaptiveRunner::new`]'s
-    /// behavior.
+    /// Re-plan each window's residual with `policy`'s [`Policy::plan`]
+    /// instead of the default SOMPI optimizer. When to re-plan, and what
+    /// to do when the plan cannot make the deadline, stays the loop's
+    /// decision. With `Sompi { config }` this is exactly
+    /// [`AdaptiveRunner::new`]'s behavior.
     pub fn with_policy(mut self, policy: &'a dyn Policy) -> Self {
         self.policy = Some(policy);
         self
     }
 
-    /// Execute `problem` starting at trace offset `start` (the planner
-    /// sees only prices before `start` at the first window), narrating
-    /// the windowed loop to the context's recorder: a `WindowReplanned`
-    /// per window boundary (with the inner optimizer's search events on
-    /// real re-plans, or `reused: true` under plan continuity / w/o-MT),
-    /// the replay's `GroupLaunched`/`GroupFailed`/`CheckpointTaken`
-    /// timeline (no launch for a group carried across a boundary), an
-    /// `OnDemandFallback` when the loop abandons spot, and a final
-    /// `RunCompleted` carrying the window/plan-change tallies.
+    /// Execute `problem` starting at trace offset `start` (the first
+    /// window sees only prices before `start`), narrating the windowed
+    /// loop to the context's recorder: a `WindowReplanned` per window
+    /// boundary (after the policy's search events on a fresh re-plan, or
+    /// `reused: true` under plan continuity, w/o-MT, or a feed-gap
+    /// recall), the replay's `GroupLaunched`/`GroupFailed`/
+    /// `CheckpointTaken` timeline (no launch for a group carried across a
+    /// boundary), an `OnDemandFallback` when the loop abandons spot, and
+    /// a final `RunCompleted` carrying the window/plan-change tallies.
     ///
-    /// Under a fault injector, market-feed gaps degrade gracefully: a
-    /// gapped window re-plans against the last valid market view (the
-    /// one from the most recent un-gapped window) instead of fresh
-    /// prices, emitting `FaultInjected`/`DegradedMode` — and the planner
-    /// itself prefers its last plan over re-searching a stale view.
+    /// Each window, in order: the trace-horizon valve; the feed-gap
+    /// check, which falls back to the last valid market view; the
+    /// deadline guard; plan continuity; and on a re-plan, the feed-gap
+    /// recall of the last freshly searched plan, the line-7 bail-out,
+    /// and the policy's search of the residual.
     pub fn run(
         &self,
         problem: &Problem,
@@ -112,7 +111,7 @@ impl<'a> AdaptiveRunner<'a> {
         ctx: &ExecContext<'_>,
     ) -> Result<AdaptiveOutcome, SompiError> {
         let recorder = ctx.recorder;
-        let cfg = self.planner.config;
+        let cfg = self.config;
         let default_policy = Sompi {
             config: cfg.optimizer,
         };
@@ -130,11 +129,14 @@ impl<'a> AdaptiveRunner<'a> {
         // sized for — reused (rescaled) by plan continuity, by the w/o-MT
         // ablation and by the trace-horizon valve.
         let mut frozen_full: Option<(Plan, f64)> = None;
+        // The last freshly searched hybrid plan and the residual fraction
+        // it was sized for: what a re-plan on a gapped market feed recalls
+        // instead of searching a stale view. Unlike `frozen_full` it never
+        // holds a recalled (already rescaled) plan, and a kill forgets it:
+        // the realized market just beat it.
+        let mut gap_plan: Option<(Plan, f64)> = None;
         // Whether the last window demands a re-plan.
         let mut replan_needed = true;
-        // The planner's last hybrid plan: what a window on a gapped
-        // market feed falls back to instead of searching a stale view.
-        let mut cache = PlanCache::default();
         // Coordinates (history start, length) of the last market view
         // built from a healthy feed — what a gapped window falls back to.
         let mut last_view: Option<(Hours, Hours)> = None;
@@ -240,50 +242,96 @@ impl<'a> AdaptiveRunner<'a> {
             // failures, stalls, and the initial launch. w/o-MT never
             // re-plans at all.
             let reuse = frozen_full.is_some() && (!self.update_maintenance || !replan_needed);
-            let decision = if reuse {
+            let replanned = |reused: bool, plan: &Plan| Event::WindowReplanned {
+                window: windows,
+                elapsed_hours: elapsed,
+                remaining_fraction: remaining,
+                reused,
+                decision: if plan.groups.is_empty() {
+                    "finish-on-demand"
+                } else {
+                    "hybrid"
+                }
+                .to_string(),
+                groups: plan.groups.len() as u32,
+            };
+            let plan = if reuse {
                 let (frozen, made_for) = frozen_full.as_ref().expect("checked");
-                let d = WindowDecision::Hybrid(frozen.scaled((remaining / made_for).min(1.0)));
-                emit(recorder, TraceLevel::Summary, || Event::WindowReplanned {
-                    window: windows,
-                    elapsed_hours: elapsed,
-                    remaining_fraction: remaining,
-                    reused: true,
-                    decision: "hybrid".to_string(),
-                    groups: d.plan().groups.len() as u32,
-                });
-                d
+                let plan = frozen.scaled((remaining / made_for).min(1.0));
+                emit(recorder, TraceLevel::Summary, || replanned(true, &plan));
+                plan
             } else {
                 // Only a re-plan reads the market view, so only a re-plan
                 // builds it.
                 let view = MarketView::from_market(self.market, vh, vl);
-                let mut pctx = PlanContext::new()
-                    .with_recorder(recorder)
-                    .with_cache(&mut cache)
-                    .with_window(windows);
-                if let Some(f) = ctx.faults {
-                    pctx = pctx.with_faults(f);
-                }
-                self.planner
-                    .plan_window_with(policy, problem, remaining, elapsed, &view, &mut pctx)?
-                    .decision
-            };
-
-            let plan = match decision {
-                WindowDecision::FinishOnDemand(plan) => {
-                    // Run the residual on demand and stop.
-                    let od = plan.on_demand;
-                    let mut hours = od.exec_hours; // already residual-scaled
-                    if done_fraction > 0.0 {
-                        hours += od.recovery_hours;
+                let residual = problem.try_residual(remaining, leftover.max(0.0))?;
+                let fastest = residual.try_baseline()?;
+                // Algorithm 1 line 7, read for the residual: the fastest
+                // on-demand run, recovery included, still fits.
+                let od_fits = fastest.exec_hours + fastest.recovery_hours <= leftover;
+                // On a feed gap the view is suspect: recall the last fresh
+                // plan, rescaled from the fraction it was sized for, while
+                // line 7 passes and the plan still meets the leftover
+                // deadline under the view. Both fractions lie in
+                // (1e-9, 1] by construction, so the ratio is a valid scale.
+                let recalled = match &gap_plan {
+                    Some((plan, made_for)) if gap && od_fits => {
+                        let plan = plan.scaled((remaining / made_for).min(1.0));
+                        let feasible = evaluate_plan(&plan, &view)?.is_some_and(|eval| {
+                            eval.meets(leftover)
+                                && cfg
+                                    .optimizer
+                                    .min_spot_success
+                                    .map(|q| eval.p_all_fail <= 1.0 - q)
+                                    .unwrap_or(true)
+                        });
+                        feasible.then_some(plan)
                     }
-                    break Finish::OnDemand {
-                        option: od,
-                        hours,
-                        remaining_fraction: remaining,
-                        reason: Some("replan"),
+                    _ => None,
+                };
+                if let Some(plan) = recalled {
+                    emit(recorder, TraceLevel::Summary, || Event::DegradedMode {
+                        mode: "stale-plan".to_string(),
+                        group: None,
+                        at_hours: elapsed,
+                        reason: "feed-gap".to_string(),
+                    });
+                    emit(recorder, TraceLevel::Summary, || replanned(true, &plan));
+                    plan
+                } else {
+                    // Line 7 failing, nothing beats on-demand. Otherwise
+                    // the policy re-plans the residual (for SOMPI the
+                    // optimizer's `E[Time] ≤ leftover` constraint is the
+                    // deadline control); a pure on-demand plan from any
+                    // policy is the same bail-out.
+                    let plan = if od_fits {
+                        policy.plan(
+                            &residual,
+                            &view,
+                            &mut PlanContext::new().with_recorder(recorder),
+                        )?
+                    } else {
+                        Plan::on_demand_only(*fastest)
                     };
+                    emit(recorder, TraceLevel::Summary, || replanned(false, &plan));
+                    if plan.groups.is_empty() {
+                        // Run the residual on demand and stop; the gap
+                        // plan goes with the loop.
+                        let od = plan.on_demand;
+                        let mut hours = od.exec_hours; // already residual-scaled
+                        if done_fraction > 0.0 {
+                            hours += od.recovery_hours;
+                        }
+                        break Finish::OnDemand {
+                            option: od,
+                            hours,
+                            remaining_fraction: remaining,
+                            reason: Some("replan"),
+                        };
+                    }
+                    gap_plan = Some((plan.clone(), remaining));
+                    plan
                 }
-                WindowDecision::Hybrid(plan) => plan,
             };
             if !reuse {
                 if self.update_maintenance {
@@ -308,31 +356,13 @@ impl<'a> AdaptiveRunner<'a> {
             let w = runner.run_window(&plan, now, 1.0, Some(win), reuse, ctx)?;
             spent.spot_cost += w.spot_cost;
             spent.groups_failed += w.groups_failed;
-            // An out-of-bid kill is surfaced to the policy; the default
-            // reaction invalidates the cached plan (the realized market
-            // just beat it).
+            // A kill forgets the gap plan: the realized market just beat
+            // it. Re-plan when the window went badly: someone was killed
+            // out-of-bid, or no durable progress was made.
             if w.groups_failed > 0 {
-                let kill = policy.on_kill(&KillObservation {
-                    window: windows,
-                    at_hours: now,
-                    groups_failed: w.groups_failed,
-                });
-                if kill.clear_plan_cache {
-                    cache.clear();
-                }
+                gap_plan = None;
             }
-            // The policy decides whether to re-plan; the default re-plans
-            // when the window went badly — someone was killed out-of-bid,
-            // or no durable progress was made.
-            replan_needed = policy
-                .on_window(&WindowObservation {
-                    window: windows,
-                    elapsed_hours: elapsed,
-                    remaining_fraction: remaining,
-                    groups_failed: w.groups_failed,
-                    saved_fraction: w.saved_fraction,
-                })
-                .replan;
+            replan_needed = w.groups_failed > 0 || w.saved_fraction <= 1e-9;
             // saved_fraction is relative to the residual plan.
             done_fraction += remaining * w.saved_fraction.min(1.0);
             if w.completed_by.is_some() {
@@ -634,5 +664,218 @@ mod tests {
             let out = run(&r, &problem, start);
             assert_eq!(out.run.finisher, Finisher::Spot(winner), "start {start}");
         }
+    }
+
+    /// One m1.small group on a 100 h trace at 0.25 h steps: $0.10 except
+    /// $9.00 over `spike`. Its problem runs 2 h on spot and 3 h on demand.
+    fn one_group(spike: std::ops::Range<f64>, deadline: Hours) -> (SpotMarket, Problem) {
+        use ec2_market::market::CircleGroupId;
+        use ec2_market::trace::SpotTrace;
+        use ec2_market::zone::AvailabilityZone;
+        use sompi_core::model::{CircleGroup, OnDemandOption};
+        let cat = InstanceCatalog::paper_2014();
+        let ty = cat.by_name("m1.small").unwrap();
+        let id = CircleGroupId::new(ty, AvailabilityZone::UsEast1a);
+        let prices = (0..400)
+            .map(|i| {
+                if spike.contains(&(i as f64 * 0.25)) {
+                    9.0
+                } else {
+                    0.1
+                }
+            })
+            .collect();
+        let mut market = SpotMarket::new(cat);
+        market.insert(id, SpotTrace::new(0.25, prices));
+        let problem = Problem {
+            app: "one-group".to_string(),
+            processes: 2,
+            deadline,
+            candidates: vec![CircleGroup {
+                id,
+                instances: 2,
+                exec_hours: 2.0,
+                ckpt_overhead_hours: 0.0,
+                recovery_hours: 0.0,
+            }],
+            on_demand: vec![OnDemandOption {
+                instance_type: ty,
+                instances: 2,
+                exec_hours: 3.0,
+                unit_price: 1.0,
+                recovery_hours: 0.0,
+            }],
+        };
+        (market, problem)
+    }
+
+    /// Bids $0.20 on the residual's one group, checkpointing every
+    /// 0.25 h, and keeps every plan it makes.
+    #[derive(Default)]
+    struct Bids20 {
+        plans: std::sync::Mutex<Vec<Plan>>,
+    }
+
+    impl Policy for Bids20 {
+        fn name(&self) -> &'static str {
+            "bids-20"
+        }
+
+        fn plan(
+            &self,
+            problem: &Problem,
+            _view: &MarketView,
+            _ctx: &mut PlanContext<'_>,
+        ) -> Result<Plan, SompiError> {
+            let plan = Plan {
+                groups: vec![(
+                    problem.candidates[0],
+                    GroupDecision {
+                        bid: 0.2,
+                        ckpt_interval: 0.25,
+                    },
+                )],
+                on_demand: *problem.try_baseline()?,
+            };
+            self.plans.lock().unwrap().push(plan.clone());
+            Ok(plan)
+        }
+    }
+
+    /// One 1 h-window run of `Bids20` from hour 48, every window's feed
+    /// gapped or none: the outcome, the plans searched, and the
+    /// `WindowReplanned`/stale-plan/fallback events.
+    fn gap_run(
+        market: &SpotMarket,
+        problem: &Problem,
+        gapped: bool,
+    ) -> (AdaptiveOutcome, Vec<Plan>, Vec<Event>) {
+        use ec2_market::fault::{FaultInjector, FaultPlan};
+        let policy = Bids20::default();
+        let r = AdaptiveRunner::new(market, config()).with_policy(&policy);
+        let inj = FaultInjector::new(
+            FaultPlan {
+                seed: 5,
+                feed_gap_prob: 1.0,
+                ..FaultPlan::quiet()
+            },
+            market.horizon(),
+        );
+        let ring = RingRecorder::new(TraceLevel::Summary, 1 << 10);
+        let mut ctx = ExecContext::new().with_recorder(&ring);
+        if gapped {
+            ctx = ctx.with_faults(&inj);
+        }
+        let out = r.run(problem, 48.0, &ctx).unwrap();
+        let events = ring
+            .take()
+            .into_iter()
+            .filter(|e| match e {
+                Event::DegradedMode { mode, .. } => mode == "stale-plan",
+                e => matches!(
+                    e,
+                    Event::WindowReplanned { .. } | Event::OnDemandFallback { .. }
+                ),
+            })
+            .collect();
+        (out, policy.plans.into_inner().unwrap(), events)
+    }
+
+    /// `(window, reused)` of every `WindowReplanned`, and the index of
+    /// each stale-plan event in `events`.
+    fn windows_and_recalls(events: &[Event]) -> (Vec<(u32, bool)>, Vec<usize>) {
+        let windows = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::WindowReplanned { window, reused, .. } => Some((*window, *reused)),
+                _ => None,
+            })
+            .collect();
+        let recalls = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e, Event::DegradedMode { .. }))
+            .map(|(i, _)| i)
+            .collect();
+        (windows, recalls)
+    }
+
+    #[test]
+    fn a_gapped_replan_recalls_the_last_fresh_plan() {
+        // Window 0 cannot launch ($9 > $0.20), so window 1 re-plans; the
+        // group then runs to completion under plan continuity.
+        let (market, problem) = one_group(48.0..49.0, 10.0);
+        let (healthy, searched, events) = gap_run(&market, &problem, false);
+        let (windows, recalls) = windows_and_recalls(&events);
+        assert_eq!(searched.len(), 2, "a healthy feed searches every re-plan");
+        assert!(recalls.is_empty());
+        assert_eq!(&windows[..3], [(0, false), (1, false), (2, true)]);
+
+        // Every window gapped: window 0 searches best-effort (there is
+        // nothing to recall), window 1 recalls instead of searching, and
+        // the continuity windows after it recall nothing.
+        let (gapped, searched, events) = gap_run(&market, &problem, true);
+        let (windows, recalls) = windows_and_recalls(&events);
+        assert_eq!(searched.len(), 1, "the gapped re-plan searched");
+        assert_eq!(&windows[..3], [(0, false), (1, true), (2, true)]);
+        assert_eq!(recalls.len(), 1, "{events:?}");
+        assert!(matches!(
+            events[recalls[0] + 1],
+            Event::WindowReplanned {
+                window: 1,
+                reused: true,
+                ..
+            }
+        ));
+        // The recalled plan is the last fresh one, sized for the fraction
+        // it was searched at. (A recall follows a window that saved
+        // nothing, so that is the fraction still left.) It replays
+        // exactly as the healthy feed's fresh search of the same
+        // residual.
+        assert_eq!(searched[0].groups[0].0.exec_hours, 2.0);
+        assert_eq!(gapped.run, healthy.run);
+        assert_eq!(gapped.windows, healthy.windows);
+        assert_eq!(gapped.plan_changes, 0);
+    }
+
+    #[test]
+    fn a_gapped_replan_still_bails_out_on_hopeless_deadlines() {
+        // With 2.5 h left after window 0, the residual's 3 h on-demand
+        // run no longer fits while 2 h of spot still would: Algorithm 1
+        // line 7 finishes on demand, recall or no recall.
+        let (market, problem) = one_group(48.0..49.0, 3.5);
+        let (_, searched, events) = gap_run(&market, &problem, true);
+        // The plan at hand would have passed the recall's own test.
+        let view = MarketView::from_market(&market, 1.0, 48.0);
+        let eval = evaluate_plan(&searched[0], &view).unwrap().unwrap();
+        assert!(eval.meets(2.5), "{eval:?}");
+        let (windows, recalls) = windows_and_recalls(&events);
+        assert!(
+            recalls.is_empty(),
+            "a hopeless deadline recalled: {events:?}"
+        );
+        assert_eq!(windows, [(0, false), (1, false)]);
+        assert!(matches!(
+            &events[2],
+            Event::OnDemandFallback { reason, .. } if reason == "replan"
+        ));
+    }
+
+    #[test]
+    fn a_kill_forgets_the_gap_plan() {
+        // The group launches at hour 48, checkpoints, and is priced out
+        // at 48.5: the kill drops the plan, so the gapped re-plan at
+        // window 1 searches the residual afresh.
+        let (market, problem) = one_group(48.5..49.0, 10.0);
+        let (out, searched, events) = gap_run(&market, &problem, true);
+        assert_eq!(out.run.groups_failed, 1);
+        let (windows, recalls) = windows_and_recalls(&events);
+        assert!(recalls.is_empty(), "a killed plan was recalled: {events:?}");
+        assert_eq!(&windows[..2], [(0, false), (1, false)]);
+        assert_eq!(searched.len(), 2);
+        assert!(
+            searched[1].groups[0].0.exec_hours < 2.0,
+            "progress was kept"
+        );
     }
 }

@@ -26,9 +26,11 @@
 //! * [`logsearch`] — the logarithmic bid-price grid (§4.2.2),
 //! * [`twolevel`] — the two-level optimizer with κ-subset selection
 //!   (§4.2.2 + §4.4),
-//! * [`adaptive`] — the windowed adaptive re-optimizer, Algorithm 1 (§4.3),
-//! * [`policy`] — the [`policy::Policy`] trait unifying planning and
-//!   per-window execution decisions, rival policies from the literature
+//! * [`adaptive`] — the knobs and planning context of the windowed
+//!   adaptive re-optimizer, Algorithm 1 (§4.3), whose loop is
+//!   `replay::AdaptiveRunner`,
+//! * [`policy`] — the [`policy::Policy`] planning trait, rival policies
+//!   from the literature
 //!   (No-FT, Ckpt-Only, App-Centric, Deadline-Hedge), and the
 //!   name→policy registry behind the CLI/server/tournament
 //!   (docs/POLICIES.md),
@@ -53,9 +55,7 @@ pub mod problem;
 pub mod twolevel;
 pub mod view;
 
-pub use adaptive::{
-    AdaptiveConfig, AdaptivePlanner, PlanCache, PlanContext, PlannedWindow, WindowDecision,
-};
+pub use adaptive::{AdaptiveConfig, PlanContext};
 pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment};
 pub use error::SompiError;
 pub use logsearch::BidGrid;
@@ -63,10 +63,7 @@ pub use model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
 pub use ondemand::select_on_demand;
 pub use pareto::{collapse_bid_dominated, frontier, ParetoPoint};
 pub use phi::optimal_interval;
-pub use policy::{
-    canonical_policy_name, policy_by_name, KillObservation, KillReaction, Policy,
-    WindowObservation, WindowReaction, POLICY_NAMES,
-};
+pub use policy::{canonical_policy_name, policy_by_name, Policy, POLICY_NAMES};
 pub use problem::Problem;
 pub use twolevel::{OptimizedPlan, OptimizerConfig, TwoLevelOptimizer};
 pub use view::MarketView;

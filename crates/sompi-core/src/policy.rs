@@ -1,18 +1,12 @@
-//! The policy arena: one [`Policy`] trait over planning *and* per-window
-//! execution decisions, plus rival strategies from the wider
-//! spot-market-HPC literature.
+//! The policy arena: one [`Policy`] trait over planning, plus rival
+//! strategies from the wider spot-market-HPC literature.
 //!
-//! The paper evaluates SOMPI against a fixed set of baselines that only
-//! map `(problem, view) → plan`. Real rivals differ in *both* halves of
-//! the loop: what they plan, and how they react at window boundaries and
-//! out-of-bid kills. [`Policy`] owns both:
-//!
-//! * [`Policy::plan`] — the single context-taking planning entry point
-//!   (the trace recorder rides in the [`PlanContext`], exactly like
-//!   `AdaptivePlanner::plan_window`);
-//! * [`Policy::on_window`] / [`Policy::on_kill`] — the adaptive loop's
-//!   per-window hooks, with defaults that reproduce `AdaptiveRunner`'s
-//!   historical behavior bit-for-bit.
+//! The paper evaluates SOMPI against a fixed set of baselines that map
+//! `(problem, view) → plan`; the rivals here do the same.
+//! [`Policy::plan`] is the single context-taking planning entry point
+//! (the trace recorder rides in the [`PlanContext`]). When and how a plan
+//! is re-made at window boundaries is the adaptive loop's business
+//! (`replay::AdaptiveRunner`), the same for every policy.
 //!
 //! Rival policies implemented here (sources in PAPERS.md):
 //!
@@ -37,63 +31,15 @@ use crate::phi::{optimal_interval_for, phi_horizon};
 use crate::problem::Problem;
 use crate::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use crate::view::MarketView;
-use crate::{Hours, Usd};
+use crate::Usd;
 
-/// What the adaptive loop observed over one executed window; input to
-/// [`Policy::on_window`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowObservation {
-    /// 0-based index of the window that just executed.
-    pub window: u32,
-    /// Wall hours consumed when the window started.
-    pub elapsed_hours: Hours,
-    /// Residual work fraction *before* the window ran, in `(0, 1]`.
-    pub remaining_fraction: f64,
-    /// Spot groups killed out-of-bid during the window.
-    pub groups_failed: u32,
-    /// Fraction of the residual plan durably saved (checkpointed) by the
-    /// window; `<= 0` means no progress survived.
-    pub saved_fraction: f64,
-}
-
-/// What a policy wants the adaptive loop to do after a window; output of
-/// [`Policy::on_window`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowReaction {
-    /// Re-optimize at the next window boundary instead of carrying the
-    /// current plan forward (plan continuity).
-    pub replan: bool,
-}
-
-/// An out-of-bid kill the adaptive loop observed; input to
-/// [`Policy::on_kill`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KillObservation {
-    /// 0-based index of the window in which the kill happened.
-    pub window: u32,
-    /// Trace hours at the start of the killing window.
-    pub at_hours: Hours,
-    /// Spot groups killed during the window (≥ 1).
-    pub groups_failed: u32,
-}
-
-/// How a policy reacts to an out-of-bid kill; output of
-/// [`Policy::on_kill`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillReaction {
-    /// Drop the adaptive planner's cached plan, so a later market-feed
-    /// gap cannot fall back to the plan the realized market just beat.
-    pub clear_plan_cache: bool,
-}
-
-/// A planning-and-execution policy: the one strategy abstraction behind
-/// the baselines, the rival policies, the service layer, and the
-/// tournament harness.
+/// A planning policy: the one strategy abstraction behind the baselines,
+/// the rival policies, the service layer, the tournament harness and the
+/// adaptive loop's re-plans.
 ///
-/// Implementors provide [`Policy::plan`]; the hooks and the evaluation
-/// convenience have defaults that reproduce the historical
-/// `AdaptiveRunner` behavior bit-for-bit, so a plain planning strategy
-/// stays a one-method impl.
+/// Implementors provide [`Policy::plan`]; the evaluation convenience
+/// [`Policy::plan_and_evaluate`] has a default, so a strategy is a
+/// one-method impl.
 pub trait Policy: Send + Sync {
     /// Display name used in experiment tables and reports.
     fn name(&self) -> &'static str;
@@ -113,25 +59,6 @@ pub trait Policy: Send + Sync {
         view: &MarketView,
         ctx: &mut PlanContext<'_>,
     ) -> Result<Plan, SompiError>;
-
-    /// Decide whether the adaptive loop should re-optimize after an
-    /// executed window. The default reproduces `AdaptiveRunner`'s
-    /// historical rule exactly: re-plan when the window went badly —
-    /// someone was killed out-of-bid, or no durable progress was made.
-    fn on_window(&self, obs: &WindowObservation) -> WindowReaction {
-        WindowReaction {
-            replan: obs.groups_failed > 0 || obs.saved_fraction <= 1e-9,
-        }
-    }
-
-    /// React to an out-of-bid kill. The default reproduces
-    /// `AdaptiveRunner`'s historical rule exactly: invalidate the cached
-    /// plan.
-    fn on_kill(&self, _obs: &KillObservation) -> KillReaction {
-        KillReaction {
-            clear_plan_cache: true,
-        }
-    }
 
     /// Convenience: plan with an all-no-op context and evaluate under
     /// the cost model. Errors instead of panicking when the problem has
@@ -294,9 +221,7 @@ where
 
 /// No fault-tolerance provisioning (Alourani & Kshemkalyani): one spot
 /// group, bid at its type's on-demand price, **no checkpointing and no
-/// replication** — a kill means restarting from scratch. The execution
-/// hooks match: the loop never re-plans and never invalidates carried
-/// state, because the policy has no adaptation story at all.
+/// replication** — a kill means restarting from scratch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFt;
 
@@ -319,22 +244,11 @@ impl Policy for NoFt {
             }))
         })
     }
-
-    fn on_window(&self, _obs: &WindowObservation) -> WindowReaction {
-        WindowReaction { replan: false }
-    }
-
-    fn on_kill(&self, _obs: &KillObservation) -> KillReaction {
-        KillReaction {
-            clear_plan_cache: false,
-        }
-    }
 }
 
 /// Checkpointing framework without replication (Spot-on style): one spot
 /// group, bid at its type's on-demand price, Young/Daly checkpoint
-/// interval from the group's failure behavior at that bid. Default
-/// execution hooks (re-plan on kills and stalls).
+/// interval from the group's failure behavior at that bid.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckpointOnly;
 
@@ -420,9 +334,7 @@ impl Policy for AppCentric {
 
 /// Deadline-aware hedging (Teylo et al.): run the full SOMPI optimizer,
 /// but against a deadline tightened by `margin` — the plan keeps a
-/// reserve against estimation error and spot volatility. The execution
-/// hook re-plans at *every* window boundary, trading re-optimization
-/// cost for the freshest market knowledge.
+/// reserve against estimation error and spot volatility.
 #[derive(Debug, Clone, Copy)]
 pub struct DeadlineHedge {
     /// Fraction of the deadline held back as reserve (0.1 = plan as if
@@ -462,10 +374,6 @@ impl Policy for DeadlineHedge {
         Ok(TwoLevelOptimizer::new(&hedged, view, self.config)
             .optimize_with(ctx)?
             .plan)
-    }
-
-    fn on_window(&self, _obs: &WindowObservation) -> WindowReaction {
-        WindowReaction { replan: true }
     }
 }
 
@@ -525,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn no_ft_has_no_fault_tolerance_and_never_adapts() {
+    fn no_ft_has_no_fault_tolerance() {
         let (_, p, v) = setup();
         let plan = NoFt.plan(&p, &v, &mut PlanContext::new()).unwrap();
         assert_eq!(plan.replication_degree(), 1, "single group only");
@@ -534,24 +442,6 @@ mod tests {
             let od = on_demand_price_of(&p, g).unwrap();
             assert!((d.bid - od).abs() < 1e-12, "bids at the on-demand price");
         }
-        // A healthy window, a stalled window, and a kill: never re-plan,
-        // never invalidate carried state.
-        for (failed, saved) in [(0, 0.5), (0, 0.0), (2, 0.0)] {
-            let r = NoFt.on_window(&WindowObservation {
-                window: 0,
-                elapsed_hours: 0.0,
-                remaining_fraction: 1.0,
-                groups_failed: failed,
-                saved_fraction: saved,
-            });
-            assert!(!r.replan);
-        }
-        let k = NoFt.on_kill(&KillObservation {
-            window: 1,
-            at_hours: 10.0,
-            groups_failed: 1,
-        });
-        assert!(!k.clear_plan_cache);
     }
 
     #[test]
@@ -566,15 +456,6 @@ mod tests {
         assert!((d.bid - od).abs() < 1e-12);
         let est = v.try_estimator(g.id).unwrap();
         assert_eq!(d.ckpt_interval, optimal_interval_for(g, d.bid, est));
-        // Default hooks: a killed window demands a re-plan.
-        let r = CheckpointOnly.on_window(&WindowObservation {
-            window: 0,
-            elapsed_hours: 1.0,
-            remaining_fraction: 0.8,
-            groups_failed: 1,
-            saved_fraction: 0.2,
-        });
-        assert!(r.replan);
     }
 
     #[test]
@@ -617,15 +498,6 @@ mod tests {
             "expected time {} exceeds the hedged deadline",
             eval.expected_time
         );
-        // Hedging always re-plans.
-        let r = pol.on_window(&WindowObservation {
-            window: 3,
-            elapsed_hours: 2.0,
-            remaining_fraction: 0.5,
-            groups_failed: 0,
-            saved_fraction: 0.4,
-        });
-        assert!(r.replan);
         let bad = DeadlineHedge {
             margin: 1.5,
             ..DeadlineHedge::default()

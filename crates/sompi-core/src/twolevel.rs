@@ -508,11 +508,11 @@ impl<'a> TwoLevelOptimizer<'a> {
     }
 
     /// Run the full search with everything optional riding in `ctx` (the
-    /// same [`PlanContext`] the adaptive planner and [`crate::policy`]
-    /// use). Only `ctx.recorder` matters here; the rest is ignored. It
-    /// receives one `PlanSearchStarted`, one `SubsetEvaluated` (Detail
-    /// level) and one `PlanSelected`. The hot candidate loop only
-    /// increments local `u64` counters; events are built outside it.
+    /// same [`PlanContext`] every [`crate::policy::Policy`] takes): the
+    /// recorder, which receives one `PlanSearchStarted`, one
+    /// `SubsetEvaluated` (Detail level) and one `PlanSelected`. The hot
+    /// candidate loop only increments local `u64` counters; events are
+    /// built outside it.
     pub fn optimize_with(&self, ctx: &mut PlanContext<'_>) -> Result<OptimizedPlan, SompiError> {
         let recorder = ctx.recorder;
         let od = select_on_demand(

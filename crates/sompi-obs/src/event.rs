@@ -243,8 +243,8 @@ pub enum Event {
         tables_rebuilt: u64,
     },
     /// The adaptive loop (Algorithm 1) crossed a window boundary.
-    /// Emitted by `AdaptivePlanner::plan_window` on a real
-    /// re-plan and by `AdaptiveRunner` when the previous plan is reused.
+    /// Emitted by `AdaptiveRunner` once per window: on a fresh re-plan,
+    /// and when the previous plan is reused or recalled.
     WindowReplanned {
         /// 0-based index of the window being planned.
         window: u32,
@@ -345,14 +345,15 @@ pub enum Event {
         /// instead of retrying again.
         gave_up: bool,
     },
-    /// An executor or the adaptive planner entered a documented degraded
+    /// An executor or the adaptive runner entered a documented degraded
     /// mode instead of failing.
     DegradedMode {
         /// Mode: `"no-checkpoint"` (group lost checkpoint storage and
         /// continues bare), `"previous-checkpoint"` (restore fell back
-        /// one checkpoint), `"stale-market-view"` (planner reused the
-        /// last valid view), or `"stale-plan"` (planner reused its last
-        /// plan on a market-feed gap).
+        /// one checkpoint), `"stale-market-view"` (the adaptive runner
+        /// planned on the last valid view), or `"stale-plan"` (the
+        /// adaptive runner recalled its last fresh plan on a market-feed
+        /// gap).
         mode: String,
         /// Circle-group id, if group-scoped.
         group: Option<String>,

@@ -9,10 +9,11 @@
 //! requests therefore performs **exactly one** search — the property
 //! the server's cache-hit trace events exist to prove.
 //!
-//! This is deliberately a different animal from sompi-core's
-//! `PlanCache`, which holds one adaptive run's last plan for market-feed
-//! gaps. Here keys are exact, entries are shared across tenants and
-//! connections, and eviction is FIFO by insertion.
+//! This is deliberately a different animal from the last fresh plan an
+//! adaptive run keeps for market-feed gaps (a local of
+//! `replay::AdaptiveRunner::run`). Here keys are exact, entries are
+//! shared across tenants and connections, and eviction is FIFO by
+//! insertion.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -466,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn report_is_deterministic_across_runs_and_thread_counts() {
+    fn report_is_deterministic_across_runs() {
         let cfg = small_config();
         let a = run_tournament(&cfg, &NullRecorder, None).unwrap();
         let b = run_tournament(&cfg, &NullRecorder, None).unwrap();

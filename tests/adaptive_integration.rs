@@ -128,21 +128,28 @@ fn hopeless_deadline_goes_straight_on_demand() {
 }
 
 #[test]
-fn adaptive_studies_are_bit_identical_across_thread_counts() {
-    // Full adaptive replays (windowed Algorithm 1 with plan continuity
-    // and the feed-gap plan cache) over the drifting stress market,
-    // compared outcome for outcome: a repeated study must agree on every
-    // window's plan.
+fn adaptive_studies_repeat_bit_for_bit() {
+    // Full adaptive replays (windowed Algorithm 1 with plan continuity,
+    // and under a half-gapped market feed the recall of the last fresh
+    // plan) over the drifting stress market, compared outcome for
+    // outcome: a repeated study must agree on every window's plan. The
+    // 0.25 h windows and the start at hour 127 make a window stall and a
+    // gapped re-plan recall.
+    use ec2_market::fault::{FaultInjector, FaultPlan};
     use sompi_bench::{build_problem, npb_workload, stress_market, HISTORY_HOURS};
+    use sompi_obs::{Event, RingRecorder, TraceLevel};
 
     let market = stress_market(20140817, 400.0);
     let profile = npb_workload(NpbKernel::Bt);
     let problem = build_problem(&market, &profile, 2.0);
-    let ctx = replay::ExecContext::new();
+    let faults = FaultInjector::new(
+        FaultPlan::parse("feed-gap=0.5", 42).expect("fault spec"),
+        market.horizon(),
+    );
 
-    let outcome = || {
+    let study = || {
         let cfg = AdaptiveConfig {
-            window_hours: 1.0,
+            window_hours: 0.25,
             history_hours: HISTORY_HOURS,
             optimizer: OptimizerConfig {
                 kappa: 2,
@@ -152,8 +159,21 @@ fn adaptive_studies_are_bit_identical_across_thread_counts() {
             ..Default::default()
         };
         let runner = AdaptiveRunner::new(&market, cfg);
-        [60.0, 140.0].map(|start| runner.run(&problem, start, &ctx).expect("replay succeeds"))
+        let ring = RingRecorder::new(TraceLevel::Summary, 1 << 12);
+        let ctx = replay::ExecContext::new()
+            .with_faults(&faults)
+            .with_recorder(&ring);
+        let outcomes = [60.0, 127.0, 140.0]
+            .map(|start| runner.run(&problem, start, &ctx).expect("replay succeeds"));
+        let recalls = ring
+            .take()
+            .iter()
+            .filter(|e| matches!(e, Event::DegradedMode { mode, .. } if mode == "stale-plan"))
+            .count();
+        (outcomes, recalls)
     };
 
-    assert_eq!(outcome(), outcome(), "adaptive outcome diverged");
+    let (outcomes, recalls) = study();
+    assert!(recalls >= 1, "no gapped re-plan recalled a plan");
+    assert_eq!((outcomes, recalls), study(), "adaptive outcome diverged");
 }

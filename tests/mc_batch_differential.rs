@@ -343,8 +343,8 @@ fn mixed_injector(market: &SpotMarket) -> FaultInjector {
 /// fault events only when the recorder wants them, and that choice must
 /// never reach the arithmetic. Every per-replica outcome matches by
 /// `to_bits` across {no recorder, Summary, Detail} × {table-free,
-/// batched}, and the Monte-Carlo aggregate matches across recorder
-/// levels and thread counts.
+/// batched}, and the Monte-Carlo aggregate of replicas that narrate to
+/// the recorder matches across recorder levels and thread counts {1, 3}.
 #[test]
 fn outcomes_do_not_depend_on_the_recorder() {
     for seed in [31u64, 77, 910] {
@@ -390,14 +390,19 @@ fn recorder_grid(market: &SpotMarket, plan: &Plan, deadline: f64, seed: u64) {
     }
     assert!(!summary.is_empty() && detail.len() >= summary.len());
 
+    // `run_plan` replays every replica without a recorder, so the
+    // replicas here run through `evaluate` with the recorder in their
+    // context: each narrates into the one shared ring from whichever
+    // worker thread replays it.
     let mc = |recorder: &dyn sompi_obs::Recorder, threads: usize| {
+        let ctx = base.with_recorder(recorder);
         MonteCarlo::builder()
             .replicas(200)
             .seed(seed)
             .offsets(48.0, 260.0)
             .threads(threads)
             .build()
-            .run_plan(market, plan, deadline, &base.with_recorder(recorder))
+            .evaluate(|start| runner.run(plan, start, &ctx))
             .expect("replay succeeds")
     };
     let reference = mc(&NullRecorder, 1);
@@ -410,6 +415,7 @@ fn recorder_grid(market: &SpotMarket, plan: &Plan, deadline: f64, seed: u64) {
             "summary, threads={threads}"
         );
         assert_eq!(reference, mc(&detail, threads), "detail, threads={threads}");
+        assert!(!summary.is_empty() && detail.len() >= summary.len());
     }
 }
 

@@ -15,7 +15,7 @@ use ec2_market::tracegen::{MarketProfile, TraceGenerator};
 use ec2_market::zone::AvailabilityZone;
 use mpi_sim::npb::{NpbClass, NpbKernel};
 use mpi_sim::storage::S3Store;
-use replay::{AdaptiveRunner, ExecContext, MonteCarlo, PlanRunner};
+use replay::{AdaptiveOutcome, AdaptiveRunner, ExecContext, MonteCarlo, PlanRunner};
 use sompi_core::adaptive::AdaptiveConfig;
 use sompi_core::adaptive::PlanContext;
 use sompi_core::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
@@ -311,7 +311,7 @@ fn adaptive_config() -> AdaptiveConfig {
 }
 
 /// Fault class 4a — intermittent market-feed gaps: on a gapped window
-/// the adaptive planner falls back to the last valid market view,
+/// the adaptive runner falls back to the last valid market view,
 /// narrated as `DegradedMode("stale-market-view")`, and still
 /// completes.
 #[test]
@@ -347,7 +347,7 @@ fn intermittent_feed_gap_falls_back_to_last_valid_view() {
 }
 
 /// Fault class 4b — a *permanently* gapped feed never yields a valid
-/// view to fall back to; the planner proceeds best-effort on the gapped
+/// view to fall back to; the runner plans best-effort on the gapped
 /// history and the run still completes with consistent accounting.
 #[test]
 fn permanent_feed_gap_still_completes() {
@@ -371,4 +371,182 @@ fn permanent_feed_gap_still_completes() {
         out.run.spot_cost,
         out.run.od_cost
     ));
+}
+
+/// FNV-1a over bytes, for pinning outcomes and traces without
+/// committing them.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Every field of an adaptive outcome, folded into `hash` by bits.
+fn fold_outcome(hash: u64, o: &AdaptiveOutcome) -> u64 {
+    let r = &o.run;
+    let mut h = hash;
+    for x in [r.total_cost, r.spot_cost, r.od_cost, r.wall_hours] {
+        h = fnv1a(h, &x.to_bits().to_le_bytes());
+    }
+    h = fnv1a(h, format!("{:?}", r.finisher).as_bytes());
+    for n in [
+        r.groups_failed,
+        u32::from(r.met_deadline),
+        o.windows,
+        o.plan_changes,
+    ] {
+        h = fnv1a(h, &n.to_le_bytes());
+    }
+    h
+}
+
+/// What one pinned adaptive case produced over its 60 starts.
+#[derive(Debug, PartialEq)]
+struct AdaptivePin {
+    /// Every outcome field of every start, by bits.
+    outcomes: u64,
+    /// Events per kind.
+    kinds: Vec<(&'static str, usize)>,
+    /// `DegradedMode` per mode and `OnDemandFallback` per reason.
+    modes: Vec<(String, usize)>,
+    /// The Detail JSONL lines, wall-clock fields zeroed.
+    digest: u64,
+}
+
+/// Adaptive FT on a drifting stress market under kill storms and a
+/// half-gapped feed, with 0.25 h windows: 60 starts, each traced at
+/// Detail level and run again without a recorder.
+fn adaptive_fault_case(headroom: f64) -> AdaptivePin {
+    use std::collections::BTreeMap;
+    let market = sompi_bench::stress_market(20140817, 400.0);
+    let profile = sompi_bench::npb_workload(NpbKernel::Ft);
+    let problem = sompi_bench::build_problem(&market, &profile, headroom);
+    let config = AdaptiveConfig {
+        window_hours: 0.25,
+        history_hours: 48.0,
+        optimizer: OptimizerConfig {
+            kappa: 2,
+            bid_levels: 4,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let inj = injector(&market, "storm=0.3x0.8,feed-gap=0.5", 42);
+    let base = ExecContext::new()
+        .with_faults(&inj)
+        .with_retry(RetryPolicy::default_io());
+    let runner = AdaptiveRunner::new(&market, config);
+    let mut kinds = BTreeMap::<&'static str, usize>::new();
+    let mut modes = BTreeMap::<String, usize>::new();
+    let (mut outcomes, mut untraced, mut digest) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
+    for i in 0..60 {
+        let start = 49.0 + 5.0 * i as f64;
+        let ring = RingRecorder::new(TraceLevel::Detail, 1 << 16);
+        let out = runner
+            .run(&problem, start, &base.with_recorder(&ring))
+            .expect("adaptive run succeeds");
+        outcomes = fold_outcome(outcomes, &out);
+        let quiet = runner
+            .run(&problem, start, &base)
+            .expect("adaptive run succeeds");
+        untraced = fold_outcome(untraced, &quiet);
+        let events = ring.take();
+        assert!(events.len() < 1 << 16, "start {start}: ring evicted events");
+        for e in scrub_timings(events) {
+            *kinds.entry(e.kind()).or_default() += 1;
+            match &e {
+                Event::DegradedMode { mode, .. } => *modes.entry(mode.clone()).or_default() += 1,
+                Event::OnDemandFallback { reason, .. } => {
+                    *modes.entry(reason.clone()).or_default() += 1
+                }
+                _ => {}
+            }
+            let line = serde_json::to_string(&e).unwrap();
+            digest = fnv1a(fnv1a(digest, line.as_bytes()), b"\n");
+        }
+    }
+    assert_eq!(outcomes, untraced, "the recorder changed an outcome");
+    AdaptivePin {
+        outcomes,
+        kinds: kinds.into_iter().collect(),
+        modes: modes.into_iter().collect(),
+        digest,
+    }
+}
+
+/// The adaptive loop under faults answers and narrates exactly as it
+/// did when its window decision was split between the runner and a
+/// planner: every outcome bit, every event count, and the digest of
+/// the Detail trace over 60 starts were recorded then. Case A (a loose
+/// deadline) reaches every branch of the window decision: the
+/// gapped-window recall of the last fresh plan (`stale-plan`), the stale
+/// market view, the deadline guard and the line-7 bail-out (`replan`).
+#[test]
+fn adaptive_fault_timeline_is_pinned() {
+    let a = adaptive_fault_case(2.0);
+    for mode in [
+        "stale-plan",
+        "stale-market-view",
+        "deadline-guard",
+        "replan",
+    ] {
+        assert!(
+            a.modes.iter().any(|(m, n)| m == mode && *n > 0),
+            "case A never reached {mode}: {:?}",
+            a.modes
+        );
+    }
+    let b = adaptive_fault_case(1.2);
+    let modes = |pairs: &[(&str, usize)]| -> Vec<(String, usize)> {
+        pairs.iter().map(|&(m, n)| (m.to_string(), n)).collect()
+    };
+    let expected_a = AdaptivePin {
+        outcomes: 7_007_421_123_579_477_653,
+        kinds: vec![
+            ("CheckpointTaken", 592),
+            ("DegradedMode", 360),
+            ("FaultInjected", 406),
+            ("GroupFailed", 56),
+            ("GroupLaunched", 118),
+            ("OnDemandFallback", 2),
+            ("PlanSearchStarted", 117),
+            ("PlanSelected", 117),
+            ("RunCompleted", 60),
+            ("SubsetEvaluated", 117),
+            ("WindowReplanned", 699),
+        ],
+        modes: modes(&[
+            ("deadline-guard", 1),
+            ("replan", 1),
+            ("stale-market-view", 359),
+            ("stale-plan", 1),
+        ]),
+        digest: 1_355_517_051_241_398_723,
+    };
+    let expected_b = AdaptivePin {
+        outcomes: 3_348_359_759_847_742_513,
+        kinds: vec![
+            ("CheckpointTaken", 398),
+            ("DegradedMode", 274),
+            ("FaultInjected", 297),
+            ("GroupFailed", 32),
+            ("GroupLaunched", 92),
+            ("OnDemandFallback", 1),
+            ("PlanSearchStarted", 95),
+            ("PlanSelected", 95),
+            ("RunCompleted", 60),
+            ("SubsetEvaluated", 95),
+            ("WindowReplanned", 498),
+        ],
+        modes: modes(&[
+            ("deadline-guard", 1),
+            ("stale-market-view", 269),
+            ("stale-plan", 5),
+        ]),
+        digest: 17_980_682_721_548_349_219,
+    };
+    assert_eq!(a, expected_a, "case A (headroom 2.0) moved");
+    assert_eq!(b, expected_b, "case B (headroom 1.2) moved");
 }

@@ -129,7 +129,7 @@ fn twolevel_search_emits_golden_sequence() {
 }
 
 #[test]
-fn threaded_search_emits_summary_events_and_kernel_stats() {
+fn search_emits_summary_events_and_kernel_stats() {
     let (market, problem) = seeded_market();
     let view = MarketView::from_market(&market, 0.0, 48.0);
     let config = OptimizerConfig {
